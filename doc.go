@@ -125,10 +125,13 @@
 // caught by the Prepare all-to-all. "trusted" rebuilds the
 // MinBFT/CheapBFT lineage on SplitBFT's compartments: each replica's TEE
 // hosts a trusted monotonic counter, and a PrePrepare is acceptable only
-// with a gap-free counter attestation (an Ed25519 signature under the
-// counter's attested key binding the counter value to the proposal
-// digest, with the value advancing in lockstep with the sequence
-// number). A primary cannot assign two batches the same counter value
+// with a gap-free counter attestation (the counter enclave's
+// authentication of the counter value bound to the proposal digest, with
+// the value advancing in lockstep with the sequence number: an Ed25519
+// signature under the counter's attested key in "sig" mode, in "mac" mode
+// a vector of HMACs — one per verifying Preparation and Confirmation
+// compartment, under pairwise keys from the counter's own attested X25519
+// exchange). A primary cannot assign two batches the same counter value
 // and cannot skip values unnoticed, so equivocation is prevented at the
 // source: the attested PrePrepare is the prepare certificate, the
 // Prepare round (n² messages and their verification) leaves the critical
@@ -146,11 +149,27 @@
 // classic mode's cross-checking would catch it. Both modes produce
 // byte-identical ledgers on the same workload, regression-tested across
 // crash/restart and forced view changes; `splitbft-bench -exp consensus`
-// measures the swap — on the Ed25519-bound default path, dropping a
-// whole signing-and-verifying round is a ~1.9x single-core throughput
-// gain, while under MAC agreement the (necessarily transferable,
-// signature-based) attestations cost more than the cheap HMAC round
-// they replace.
+// measures the swap: on the Ed25519-bound default path, dropping a whole
+// signing-and-verifying round is a 1.6–1.9x throughput gain, and on the
+// MAC fast path trusted mode runs at ~1.7x of classic (it lost ~25% while
+// attestations were Ed25519 in both modes).
+//
+// What is signed where under MAC agreement: the attestation on every
+// PrePrepare (live proposals and NewView re-issues alike) is the MAC
+// vector, so the trusted×mac normal case runs no Ed25519 at all.
+// Signatures stay exactly where a proof is handed to a third party:
+// ViewChange and NewView themselves, and the certificates inside them — a
+// prepare certificate exported into a ViewChange drops the
+// (non-transferable) attestation and carries the exporting Confirmation
+// enclave's vouch signature instead, the same mechanism classic×mac
+// certificates rest on. Read-lease grants stay signed too (per holder,
+// every quarter TTL, off the write path). The trust argument is the one
+// the two modes already make: trusted mode assumes compartment and counter
+// enclaves fail only by crashing; a pairwise attestation key lets a
+// receiver forge an attestation to itself only — the non-transferability
+// PrePrepare/Commit authenticator vectors already accept — and an
+// environment that garbles some slots stalls exactly the compartments
+// they address, as it can for those vectors today.
 //
 // # The read path: leased local reads with read-index confirmation
 //

@@ -331,7 +331,14 @@ type broker struct {
 	// Clients broadcast to all replicas, so a replica that becomes primary
 	// mid-request can propose from here immediately instead of waiting for
 	// the client's next (backed-off) retransmit. Pruned with reqTimers.
-	parked      map[reqKey]*messages.Request
+	parked map[reqKey]*messages.Request
+	// replied remembers requests this replica already answered. A copy
+	// that arrives after the Reply left (over TCP the client's direct copy
+	// can trail the primary's PrePrepare) must not re-arm reqTimers or
+	// parked — nothing would ever clear them again, and the failure
+	// detector would suspect a healthy primary one timeout later. Aged on
+	// the failure detector's clock like dedup, so it stays bounded.
+	replied     *genset.Set[reqKey]
 	lastSuspect time.Time
 	lastRotate  time.Time
 	lastLease   time.Time // last lease-clock tick into Preparation
@@ -360,7 +367,8 @@ type broker struct {
 	tr *obs.Tracer
 }
 
-// dedupEntries bounds each generation of the broker's retransmit filter.
+// dedupEntries bounds the broker's two generational sets: the retransmit
+// filter and the answered-request memory.
 const dedupEntries = 1 << 13
 
 // fetchBudgetPerPeriod caps how many BatchFetch messages this replica
@@ -385,6 +393,7 @@ func newBroker(cfg Config, prep, conf, exec *tee.Enclave, stores map[crypto.Role
 		pendingKeys: make(map[reqKey]bool),
 		reqTimers:   make(map[reqKey]time.Time),
 		parked:      make(map[reqKey]*messages.Request),
+		replied:     genset.New[reqKey](dedupEntries),
 		fetchBudget: fetchBudgetPerPeriod,
 		stop:        make(chan struct{}),
 		tr:          cfg.Obs.Trace(),
@@ -628,6 +637,7 @@ func (b *broker) noteClientBound(data []byte) (client uint32, ts uint64, kind in
 		key := reqKey{client: rep.ClientID, ts: rep.Timestamp}
 		delete(b.reqTimers, key)
 		delete(b.parked, key)
+		b.replied.Add(key)
 		b.mu.Unlock()
 		// The reply emerging from the Execution compartment is the
 		// untrusted side's proof the operation was applied.
@@ -837,11 +847,15 @@ func (b *broker) onClientRequest(data []byte) {
 	key := reqKey{client: req.ClientID, ts: req.Timestamp}
 	var submitNow *messages.Batch
 	b.mu.Lock()
-	if _, ok := b.reqTimers[key]; !ok {
-		b.reqTimers[key] = time.Now()
-	}
-	if _, ok := b.parked[key]; !ok {
-		b.parked[key] = req
+	// An already-answered request arms nothing; it still goes to batching
+	// below, so a genuine retransmit gets its cached reply.
+	if !b.replied.Contains(key) {
+		if _, ok := b.reqTimers[key]; !ok {
+			b.reqTimers[key] = time.Now()
+		}
+		if _, ok := b.parked[key]; !ok {
+			b.parked[key] = req
+		}
 	}
 	if b.believesPrimaryLocked() && !b.pendingKeys[key] {
 		if b.pendingReqs.Len() == 0 {
@@ -927,6 +941,7 @@ func (b *broker) onTick(now time.Time) {
 	if now.Sub(b.lastRotate) > b.cfg.RequestTimeout {
 		b.lastRotate = now
 		b.dedup.rotate()
+		b.replied.Rotate()
 		b.fetchBudget = fetchBudgetPerPeriod
 		tick = true
 	}

@@ -381,6 +381,39 @@ func TestBrokerSuspectAfterTimeout(t *testing.T) {
 	}
 }
 
+// TestBrokerLateRequestCopyAfterReply: over TCP the client's direct copy of
+// a request can trail the primary's PrePrepare far enough to arrive after
+// this replica already replied. It must arm neither the suspicion timer
+// nor the parked set — nothing would clear them again — yet still reach
+// batching, so a genuine retransmit is answered from the reply cache.
+func TestBrokerLateRequestCopyAfterReply(t *testing.T) {
+	b, cfg := newTestBroker(t, false)
+	b.cfg.RequestTimeout = 10 * time.Millisecond
+	b.noteClientBound(messages.Marshal(&messages.Reply{ClientID: 9, Timestamp: 1, Replica: 0}))
+	req := testRequest(cfg.MACSecret, cfg.N, 9, 1, []byte("op"))
+	b.onClientRequest(messages.Marshal(&req))
+	b.mu.Lock()
+	parked, timers, pending := len(b.parked), len(b.reqTimers), b.pendingReqs.Len()
+	b.mu.Unlock()
+	if parked != 0 || timers != 0 {
+		t.Fatalf("late copy left %d parked requests and %d timers behind", parked, timers)
+	}
+	if pending != 1 {
+		t.Fatalf("late copy not handed to batching: %d pending", pending)
+	}
+	b.onTick(time.Now().Add(20 * time.Millisecond))
+	if got := b.mSuspects.Load(); got != 0 {
+		t.Fatalf("late copy of an answered request raised %d suspects", got)
+	}
+	// A different request from the same client is tracked as usual.
+	next := testRequest(cfg.MACSecret, cfg.N, 9, 2, []byte("op"))
+	b.onClientRequest(messages.Marshal(&next))
+	b.onTick(time.Now().Add(60 * time.Millisecond))
+	if got := b.mSuspects.Load(); got != 1 {
+		t.Fatalf("unanswered request raised %d suspects, want 1", got)
+	}
+}
+
 func TestBrokerViewEstimateFollowsNewView(t *testing.T) {
 	b, _ := newTestBroker(t, false)
 	nv := &messages.NewView{View: 3, Replica: 3}

@@ -22,6 +22,8 @@ type harness struct {
 	n   int
 	f   int
 	reg *crypto.Registry
+	// ver is the verifier every compartment shares, for crypto-op counts.
+	ver *messages.Verifier
 	// enclaves by (replica, role)
 	enclaves map[crypto.Identity]*tee.Enclave
 	apps     []*app.KVS
@@ -37,6 +39,7 @@ func newHarness(t *testing.T) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.ver = ver
 	for i := 0; i < h.n; i++ {
 		kvs := app.NewKVS()
 		h.apps = append(h.apps, kvs)
@@ -285,6 +288,34 @@ func TestExecutionRequiresCommitQuorumAndBody(t *testing.T) {
 	}
 	if v, ok := h.apps[3].Get("k"); !ok || !bytes.Equal(v, []byte("v")) {
 		t.Fatal("state not applied")
+	}
+}
+
+// TestExecutionDuplicateCommitSkipsVerification: once a sender's Commit
+// for a slot is on file, another one from that sender — even with
+// different bytes, which the broker's byte-level dedup lets through — is
+// dropped before it costs a signature verification.
+func TestExecutionDuplicateCommitSkipsVerification(t *testing.T) {
+	h := newHarness(t)
+	exec := h.enclave(3, crypto.RoleExecution)
+	byz := h.byzantineSigner(1, crypto.RoleConfirmation)
+	c := &messages.Commit{View: 0, Seq: 1, Digest: crypto.HashData([]byte("b")), Replica: 1}
+	c.Sig = byz.Sign(c.SigningBytes())
+	if _, err := exec.Invoke(wrapMessage(messages.Marshal(c))); err != nil {
+		t.Fatal(err)
+	}
+	verified := h.ver.Stats().SigVerifies
+	if verified == 0 {
+		t.Fatal("first Commit was not verified")
+	}
+	again := *c
+	again.Digest = crypto.HashData([]byte("other")) // new bytes, new (unchecked) signature
+	again.Sig = byz.Sign(again.SigningBytes())
+	if _, err := exec.Invoke(wrapMessage(messages.Marshal(&again))); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.ver.Stats().SigVerifies; got != verified {
+		t.Fatalf("re-sent Commit cost %d more signature verifications", got-verified)
 	}
 }
 

@@ -245,10 +245,13 @@ func (c *confirmation) startViewChange(host tee.Host, target uint64) []tee.OutMs
 
 // prepareCerts extracts prepare certificates for every slot above the
 // stable checkpoint that reached a certificate, best view per sequence.
-// In sig mode each cert bundles the 2f signed Prepares; in MAC mode those
-// Prepares were MAC'd to this enclave alone, so the cert is the bare
-// proposal header plus this enclave's signature over the aggregated claim
-// ("a prepare certificate for (view, seq, digest) exists").
+// In MAC mode what this enclave accepted — the Prepares in classic, the
+// counter attestation in trusted consensus — was MAC'd to it alone, so the
+// cert is the bare proposal header plus this enclave's signature over the
+// aggregated claim ("a prepare certificate for (view, seq, digest)
+// exists"). In sig mode the cert carries the transferable evidence itself:
+// the counter-attested header (trusted) or the 2f signed Prepares
+// (classic).
 func (c *confirmation) prepareCerts(host tee.Host) []messages.PrepareCert {
 	best := make(map[uint64]*messages.PrepareCert)
 	for _, vs := range c.slots {
@@ -266,18 +269,18 @@ func (c *confirmation) prepareCerts(host tee.Host) []messages.PrepareCert {
 				continue
 			}
 			var pc *messages.PrepareCert
-			if c.trustedMode() {
-				// The counter attestation (kept by StripAuth) is itself the
-				// transferable proof, uniform across both auth modes: a slot
-				// only holds a counter-valid proposal, and the attestation is
-				// third-party verifiable.
-				pc = &messages.PrepareCert{PrePrepare: *s.prePrepare.StripAuth()}
-			} else if c.macMode() {
+			if c.macMode() {
 				pc = &messages.PrepareCert{
 					PrePrepare: *s.prePrepare.StripAuth(),
 					Attestor:   c.id,
 				}
 				pc.Vouch = host.Sign(messages.PrepareCertClaim(pc.View(), pc.Seq(), pc.Digest()))
+			} else if c.trustedMode() {
+				// The Ed25519 counter attestation is itself the transferable
+				// proof: a slot only holds a counter-valid proposal.
+				pp := *s.prePrepare
+				pp.Sig = nil
+				pc = &messages.PrepareCert{PrePrepare: pp}
 			} else {
 				pc = &messages.PrepareCert{PrePrepare: *s.prePrepare}
 				for _, p := range s.prepares {

@@ -13,7 +13,8 @@ import (
 	"github.com/splitbft/splitbft/internal/transport"
 )
 
-// cluster is a 4-replica SplitBFT test harness over a simulated network.
+// cluster is a SplitBFT test harness over a simulated network: 4 replicas
+// (newCluster) or any group shape (newClusterN).
 type cluster struct {
 	t        *testing.T
 	n, f     int
@@ -38,11 +39,18 @@ func withFastTimers(c *Config) {
 	c.RequestTimeout = 250 * time.Millisecond
 }
 
-// newCluster starts n SplitBFT replicas. useBlockchain selects the app.
+// newCluster starts a classic 3f+1 = 4 replica group. useBlockchain
+// selects the app.
 func newCluster(t *testing.T, useBlockchain bool, opts ...clusterOpt) *cluster {
 	t.Helper()
+	return newClusterN(t, 4, 1, useBlockchain, opts...)
+}
+
+// newClusterN starts n SplitBFT replicas tolerating f faults.
+func newClusterN(t *testing.T, n, f int, useBlockchain bool, opts ...clusterOpt) *cluster {
+	t.Helper()
 	c := &cluster{
-		t: t, n: 4, f: 1,
+		t: t, n: n, f: f,
 		net:    transport.NewSimNet(1),
 		reg:    crypto.NewRegistry(),
 		secret: []byte("split-test-secret"),

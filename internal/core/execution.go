@@ -688,6 +688,14 @@ func (e *execution) onCommit(host tee.Host, c *messages.Commit) []tee.OutMsg {
 	if _, done := e.committed[c.Seq]; done {
 		return nil
 	}
+	// Cheap redundancy check before the expensive verification, as in
+	// confirmation.onPrepare: a sender slot is only ever occupied by a
+	// previously verified Commit, so a re-sent one — same bytes or not —
+	// never pays for a signature or MAC check. Lookups only: the sets are
+	// created below, for verified Commits alone.
+	if _, dup := e.commits[c.View][c.Seq][c.Replica]; dup {
+		return nil
+	}
 	if err := e.ver.VerifyCommit(c); err != nil {
 		return nil
 	}
@@ -700,9 +708,6 @@ func (e *execution) onCommit(host tee.Host, c *messages.Commit) []tee.OutMsg {
 	if !ok {
 		set = make(map[uint32]*messages.Commit)
 		vs[c.Seq] = set
-	}
-	if _, dup := set[c.Replica]; dup {
-		return nil
 	}
 	set[c.Replica] = c
 	matching := 0

@@ -24,49 +24,60 @@ func enclaveKeyStream(seed []byte, replica uint32, role crypto.Role) io.Reader {
 // ceremony's trust root. The derivation mirrors the enclave's stream read
 // order exactly (identity key, sealing key, ECDH key — 32 bytes each; see
 // tee.NewEnclaveWithRand): the X25519 keys registered here are what
-// MAC-mode replicas use to establish pairwise agreement keys with peer
-// processes they never attest live.
+// MAC-mode replicas use to establish pairwise agreement keys — and the
+// counter-attestation keys of trusted consensus — with peer processes they
+// never attest live.
 func RegisterDeterministicKeys(reg *crypto.Registry, seed []byte, n int) error {
 	roles := []crypto.Role{crypto.RolePreparation, crypto.RoleConfirmation, crypto.RoleExecution}
 	for id := 0; id < n; id++ {
-		// The counter enclave's attestation key comes from its own stream,
-		// separate from the compartment enclaves' streams (the compartments'
-		// identity → seal → ECDH read order stays untouched). It is
-		// registered unconditionally: harmless in classic deployments, and
-		// required before any trusted-mode peer process verifies a counter
+		// The counter enclave's keys come from its own stream, separate
+		// from the compartment enclaves' streams (the compartments'
+		// identity → seal → ECDH read order stays untouched), read as
+		// tee.NewTrustedCounterWithRand reads them: identity key, then ECDH
+		// key, no sealing key in between. They are registered
+		// unconditionally: harmless in classic deployments, and required
+		// before any trusted-mode peer process verifies a counter
 		// attestation.
-		ctrStream := enclaveKeyStream(seed, uint32(id), crypto.RoleCounter)
-		ctrPub, _, err := ed25519.GenerateKey(ctrStream)
-		if err != nil {
-			return fmt.Errorf("derive counter key for replica %d: %w", id, err)
+		if err := registerStreamKeys(reg, seed, uint32(id), crypto.RoleCounter, false); err != nil {
+			return err
 		}
-		reg.Register(crypto.Identity{ReplicaID: uint32(id), Role: crypto.RoleCounter}, ctrPub)
 		for _, role := range roles {
-			stream := enclaveKeyStream(seed, uint32(id), role)
-			pub, _, err := ed25519.GenerateKey(stream)
-			if err != nil {
-				return fmt.Errorf("derive key for replica %d %v: %w", id, role, err)
+			if err := registerStreamKeys(reg, seed, uint32(id), role, true); err != nil {
+				return err
 			}
-			ident := crypto.Identity{ReplicaID: uint32(id), Role: role}
-			reg.Register(ident, pub)
-			// Skip the sealing key, then derive the ECDH public key from
-			// the same positions the enclave reads.
-			var skip [32]byte
-			if _, err := io.ReadFull(stream, skip[:]); err != nil {
-				return fmt.Errorf("derive seal position for replica %d %v: %w", id, role, err)
-			}
-			var ecdhSeed [32]byte
-			if _, err := io.ReadFull(stream, ecdhSeed[:]); err != nil {
-				return fmt.Errorf("derive ECDH seed for replica %d %v: %w", id, role, err)
-			}
-			ek, err := ecdh.X25519().NewPrivateKey(ecdhSeed[:])
-			if err != nil {
-				return fmt.Errorf("derive ECDH key for replica %d %v: %w", id, role, err)
-			}
-			var epub [32]byte
-			copy(epub[:], ek.PublicKey().Bytes())
-			reg.RegisterECDH(ident, epub)
 		}
 	}
+	return nil
+}
+
+// registerStreamKeys derives one enclave's public keys from its key stream
+// at the positions the enclave itself reads — the Ed25519 identity key,
+// the sealing key where the enclave has one (skipped here), the X25519
+// key — and registers them.
+func registerStreamKeys(reg *crypto.Registry, seed []byte, replica uint32, role crypto.Role, sealed bool) error {
+	stream := enclaveKeyStream(seed, replica, role)
+	pub, _, err := ed25519.GenerateKey(stream)
+	if err != nil {
+		return fmt.Errorf("derive key for replica %d %v: %w", replica, role, err)
+	}
+	ident := crypto.Identity{ReplicaID: replica, Role: role}
+	reg.Register(ident, pub)
+	if sealed {
+		var skip [32]byte
+		if _, err := io.ReadFull(stream, skip[:]); err != nil {
+			return fmt.Errorf("derive seal position for replica %d %v: %w", replica, role, err)
+		}
+	}
+	var ecdhSeed [32]byte
+	if _, err := io.ReadFull(stream, ecdhSeed[:]); err != nil {
+		return fmt.Errorf("derive ECDH seed for replica %d %v: %w", replica, role, err)
+	}
+	ek, err := ecdh.X25519().NewPrivateKey(ecdhSeed[:])
+	if err != nil {
+		return fmt.Errorf("derive ECDH key for replica %d %v: %w", replica, role, err)
+	}
+	var epub [32]byte
+	copy(epub[:], ek.PublicKey().Bytes())
+	reg.RegisterECDH(ident, epub)
 	return nil
 }

@@ -15,6 +15,8 @@ func TestDeterministicKeysMatchEnclaves(t *testing.T) {
 		N: 4, F: 1, ID: 2,
 		Registry: reg1, MACSecret: []byte("s"), KeySeed: seed,
 		App: app.NewKVS(),
+		// Read leases launch the counter enclave on a classic group too.
+		ReadLeases: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +26,7 @@ func TestDeterministicKeysMatchEnclaves(t *testing.T) {
 	if err := RegisterDeterministicKeys(reg2, seed, 4); err != nil {
 		t.Fatal(err)
 	}
-	for _, role := range []crypto.Role{crypto.RolePreparation, crypto.RoleConfirmation, crypto.RoleExecution} {
+	for _, role := range []crypto.Role{crypto.RolePreparation, crypto.RoleConfirmation, crypto.RoleExecution, crypto.RoleCounter} {
 		id := crypto.Identity{ReplicaID: 2, Role: role}
 		k1, err := reg1.Lookup(id)
 		if err != nil {
@@ -37,8 +39,9 @@ func TestDeterministicKeysMatchEnclaves(t *testing.T) {
 		if !bytes.Equal(k1, k2) {
 			t.Fatalf("derived key mismatch for %v", role)
 		}
-		// The X25519 keys behind MAC-mode pairwise channels must derive
-		// identically too — a separate process computing a peer's ECDH key
+		// The X25519 keys behind MAC-mode pairwise channels (the counter's
+		// included: MAC attestations hang off it) must derive identically
+		// too — a separate process computing a peer's ECDH key
 		// from the seed must match the live enclave's.
 		e1, err := reg1.LookupECDH(id)
 		if err != nil {

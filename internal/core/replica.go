@@ -108,10 +108,11 @@ func NewReplica(cfg Config) (*Replica, error) {
 
 	// Trusted consensus mode — and the read-lease fast path, which anchors
 	// leases in the same counter enclave — launch the counter and register
-	// its attestation key before any compartment sees traffic. With a
-	// KeySeed the key derives from the counter's own stream so peer
-	// processes can compute it (RegisterDeterministicKeys mirrors the
-	// derivation).
+	// its Ed25519 and X25519 keys before any compartment sees traffic. With
+	// a KeySeed both derive from the counter's own stream so peer processes
+	// can compute them (RegisterDeterministicKeys mirrors the derivation).
+	// On the MAC fast path the counter attests with pairwise HMACs, keyed
+	// by the same attested-ECDH establishment the compartments use.
 	var counter *tee.TrustedCounter
 	if cfg.ConsensusMode == messages.ConsensusTrusted || cfg.ReadLeases {
 		ctrID := crypto.Identity{ReplicaID: cfg.ID, Role: crypto.RoleCounter}
@@ -121,6 +122,10 @@ func NewReplica(cfg Config) (*Replica, error) {
 			return nil, fmt.Errorf("launch counter enclave: %w", err)
 		}
 		cfg.Registry.Register(ctrID, counter.PublicKey())
+		cfg.Registry.RegisterECDH(ctrID, counter.ECDHPublicKey())
+		if cfg.AgreementAuth == messages.AuthMAC {
+			counter.AttestWithMACs(pairwiseMACStore(counter, cfg.Registry), messages.CounterAuthReceivers(cfg.N))
+		}
 	}
 
 	prepCode := newPreparation(cfg, vers[0], counter)
@@ -247,11 +252,18 @@ func NewReplica(cfg Config) (*Replica, error) {
 	return r, nil
 }
 
-// pairwiseMACStore builds a compartment's derived agreement-MAC store: key
+// pairwiseKeyer is an enclave that can establish attested pairwise MAC
+// keys: a compartment enclave or the counter enclave.
+type pairwiseKeyer interface {
+	Identity() crypto.Identity
+	PairwiseMAC(peerPub [32]byte) (crypto.MACKey, error)
+}
+
+// pairwiseMACStore builds an enclave's derived agreement-MAC store: key
 // material comes from the enclave's X25519 exchange with each registered
 // peer, and the registry epoch invalidates cached keys when a peer
 // re-registers (restart with fresh keys).
-func pairwiseMACStore(enc *tee.Enclave, reg *crypto.Registry) *crypto.MACStore {
+func pairwiseMACStore(enc pairwiseKeyer, reg *crypto.Registry) *crypto.MACStore {
 	return crypto.NewDerivedMACStore(enc.Identity(), func(peer crypto.Identity) (crypto.MACKey, error) {
 		pub, err := reg.LookupECDH(peer)
 		if err != nil {

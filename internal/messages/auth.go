@@ -14,12 +14,14 @@ import (
 // AuthMAC is the trusted-compartment fast path: attested agreement
 // enclaves establish pairwise symmetric keys (X25519 between enclave keys
 // exchanged at registration) and authenticate normal-case traffic with
-// HMAC vectors, one authenticator per receiving compartment. MACs are not
+// HMAC vectors, one authenticator per receiving compartment — trusted-mode
+// counter attestations included (see Verifier.VerifyCounter). MACs are not
 // transferable, so messages that third parties must be able to check keep
 // Ed25519: ViewChange and NewView — and the certificates they carry shrink
-// from 2f+1 signature bundles to a single enclave signature over the
-// aggregated claim, sound because an attested enclave is trusted to have
-// validated the quorum correctly before signing.
+// from 2f+1 signature bundles (or a signed attestation) to a single
+// enclave signature over the aggregated claim, sound because an attested
+// enclave is trusted to have validated the evidence correctly before
+// signing.
 type AuthMode uint8
 
 // Agreement authentication modes.
@@ -50,7 +52,28 @@ func (m AuthMode) String() string {
 //
 // Other types return nil: they are not MAC-authenticated.
 func AgreementAuthReceivers(t Type, n int) []crypto.Identity {
-	roles := agreementAuthRoles(t)
+	return authReceivers(agreementAuthRoles(t), n)
+}
+
+// AgreementAuthIndex returns self's slot in the MAC vector of type t, or
+// -1 when self is not a receiver of that type.
+func AgreementAuthIndex(t Type, n int, self crypto.Identity) int {
+	return authIndex(agreementAuthRoles(t), n, self)
+}
+
+// CounterAuthReceivers returns the layout of a MAC-mode trusted-counter
+// attestation (PrePrepare.CtrSig): the compartments that verify one, by
+// the same block rule — Preparation block then Confirmation block, 2n
+// entries. Execution never checks the attestation; it acts on Commits.
+func CounterAuthReceivers(n int) []crypto.Identity {
+	return authReceivers(counterAuthRoles, n)
+}
+
+var counterAuthRoles = []crypto.Role{crypto.RolePreparation, crypto.RoleConfirmation}
+
+// authReceivers lays receiver role blocks out as a MAC vector: one block
+// of n replicas per role, in role order.
+func authReceivers(roles []crypto.Role, n int) []crypto.Identity {
 	if roles == nil {
 		return nil
 	}
@@ -63,10 +86,9 @@ func AgreementAuthReceivers(t Type, n int) []crypto.Identity {
 	return out
 }
 
-// AgreementAuthIndex returns self's slot in the MAC vector of type t, or
-// -1 when self is not a receiver of that type.
-func AgreementAuthIndex(t Type, n int, self crypto.Identity) int {
-	roles := agreementAuthRoles(t)
+// authIndex is the inverse of authReceivers for one identity: its slot, or
+// -1 when self is in no block.
+func authIndex(roles []crypto.Role, n int, self crypto.Identity) int {
 	for bi, role := range roles {
 		if role == self.Role && int(self.ReplicaID) < n {
 			return bi*n + int(self.ReplicaID)

@@ -258,10 +258,12 @@ type PrePrepare struct {
 	Auth crypto.Authenticator
 	// CtrVal/CtrSig bind the proposal to the primary's trusted monotonic
 	// counter in trusted consensus mode: CtrSig is the counter enclave's
-	// attestation over (Replica, CtrVal, CounterDigest(pp)). Because the
-	// bound digest covers the full signed header, the attestation cannot be
-	// replayed for a different view, sequence, batch, or proposer. Zero and
-	// empty in classic mode.
+	// attestation over (Replica, CtrVal, CounterDigest(pp)) — an Ed25519
+	// signature in sig mode, in MAC mode the concatenated HMAC vector laid
+	// out per CounterAuthReceivers (see Verifier.VerifyCounter). Because
+	// the bound digest covers the full signed header, the attestation
+	// cannot be replayed for a different view, sequence, batch, or
+	// proposer. Zero and empty in classic mode.
 	CtrVal uint64
 	CtrSig []byte
 }
@@ -288,16 +290,18 @@ func (p *PrePrepare) StripBatch() *PrePrepare {
 	return &cp
 }
 
-// StripAuth returns a copy of p without batch, signature or authenticator
-// vector — the bare header embedded in MAC-mode certificates, whose
-// authenticity rides on the certificate vouch instead. The counter
-// attestation (CtrVal/CtrSig) is kept: in trusted consensus mode it is
-// itself the transferable proof a certificate carries.
+// StripAuth returns a copy of p without batch, signature, authenticator
+// vector or counter attestation — the bare header embedded in MAC-mode
+// certificates, whose authenticity rides on the certificate vouch instead:
+// everything dropped was addressed to the vouching enclave alone. CtrVal
+// stays, so a ViewChange's HighCtr claim can be checked against its own
+// certificates.
 func (p *PrePrepare) StripAuth() *PrePrepare {
 	cp := *p
 	cp.Batch = Batch{}
 	cp.Sig = nil
 	cp.Auth = crypto.Authenticator{}
+	cp.CtrSig = nil
 	return &cp
 }
 

@@ -72,9 +72,8 @@ type Verifier struct {
 	Self crypto.Identity
 
 	// Consensus selects the agreement variant (ConsensusClassic default).
-	// In ConsensusTrusted, N must be 2F+1, Quorum shrinks to F+1, and
-	// prepare certificates are counter attestations instead of Prepare
-	// bundles.
+	// In ConsensusTrusted, N must be 2F+1, Quorum shrinks to F+1, and a
+	// counter-attested PrePrepare stands in for the Prepare bundle.
 	Consensus ConsensusMode
 
 	// Crypto-op accounting for the auth ablation: how many Ed25519
@@ -97,9 +96,11 @@ type VerifierStats struct {
 	// MACVerifies counts agreement-MAC (HMAC) verifications.
 	MACVerifies uint64
 	// CounterVerifies counts trusted-counter attestation checks (trusted
-	// consensus mode). Cache-served re-checks are included: the number
-	// attributes how often the counter stood in for a Prepare quorum, not
-	// raw Ed25519 work (which SigVerifies/SigTime already capture).
+	// consensus mode), whichever form the attestation takes. Cache-served
+	// re-checks are included: the number attributes how often the counter
+	// stood in for a Prepare quorum, not raw crypto work — that shows in
+	// SigVerifies/SigTime for signed attestations and in MACVerifies for
+	// MAC-vector ones.
 	CounterVerifies uint64
 	// LeaseVerifies counts read-lease attestation checks (read-lease fast
 	// path). Like CounterVerifies it includes cache-served re-checks: the
@@ -260,12 +261,23 @@ func (v *Verifier) checkPrePrepare(pp *PrePrepare, requireBatch, needAuth bool) 
 }
 
 // VerifyCounter checks the trusted-counter attestation a PrePrepare
-// carries: the counter enclave of the proposing replica must have signed
-// (Replica, CtrVal, CounterDigest(pp)). Because the bound digest hashes
-// the full signed header, a forged attestation fails the signature check,
-// a transplanted one (lifted from another proposer) fails the key lookup
-// and digest binding, and a replayed one (reused for a different view,
-// sequence, or batch) fails the digest binding.
+// carries: the counter enclave of the proposing replica must have
+// authenticated (Replica, CtrVal, CounterDigest(pp)) — with an Ed25519
+// signature in sig mode, with the HMAC addressed to this compartment in
+// MAC mode (CtrSig is then the vector laid out per CounterAuthReceivers,
+// each entry under the attested pairwise key of counter and receiver).
+// This is the one place the two forms are told apart. Because the bound
+// digest hashes the full signed header, a forged attestation fails the
+// check itself, a transplanted one (lifted from another proposer) fails
+// the key lookup and digest binding, and a replayed one (reused for a
+// different view, sequence, or batch) fails the digest binding.
+//
+// A MAC attestation convinces only its addressee: a receiver holding the
+// pairwise key could forge one to itself and to nobody else, and slots
+// garbled in transit stall exactly the compartments they address — the
+// same non-transferability PrePrepare/Commit Auth vectors already have.
+// Where the proof must be handed on (a ViewChange), VerifyPrepareCert
+// takes the certificate vouch instead.
 func (v *Verifier) VerifyCounter(pp *PrePrepare) error {
 	if len(pp.CtrSig) == 0 {
 		return fmt.Errorf("%w: PrePrepare(v=%d,n=%d) carries no counter attestation", ErrInvalid, pp.View, pp.Seq)
@@ -273,10 +285,36 @@ func (v *Verifier) VerifyCounter(pp *PrePrepare) error {
 	v.ctrOps.Add(1)
 	signer := crypto.Identity{ReplicaID: pp.Replica, Role: crypto.RoleCounter}
 	msg := crypto.CounterSigningBytes(pp.Replica, pp.CtrVal, CounterDigest(pp))
-	if err := v.VerifySig(signer, msg, pp.CtrSig); err != nil {
+	var err error
+	if v.Mode == AuthMAC {
+		err = v.verifyCounterMAC(signer, msg, pp.CtrSig)
+	} else {
+		err = v.VerifySig(signer, msg, pp.CtrSig)
+	}
+	if err != nil {
 		return fmt.Errorf("%w: PrePrepare(v=%d,n=%d) counter attestation: %v", ErrInvalid, pp.View, pp.Seq, err)
 	}
 	return nil
+}
+
+// verifyCounterMAC checks this compartment's entry of a MAC-vector counter
+// attestation. The vector must have exactly the deployment's layout size:
+// a truncated or padded one is rejected whole, not indexed into.
+func (v *Verifier) verifyCounterMAC(signer crypto.Identity, msg, vec []byte) error {
+	if v.MACs == nil {
+		return errors.New("MAC mode without a pairwise key store")
+	}
+	idx := authIndex(counterAuthRoles, v.N, v.Self)
+	if idx < 0 {
+		return fmt.Errorf("%v/%v verifies no counter attestations", v.Self.ReplicaID, v.Self.Role)
+	}
+	if want := len(counterAuthRoles) * v.N * crypto.MACSize; len(vec) != want {
+		return fmt.Errorf("attestation vector is %d bytes, layout needs %d", len(vec), want)
+	}
+	var mac [crypto.MACSize]byte
+	copy(mac[:], vec[idx*crypto.MACSize:])
+	v.macOps.Add(1)
+	return v.MACs.VerifySingle(msg, mac, signer)
 }
 
 // VerifyCounterAt checks a live PrePrepare against the gap-free assignment
@@ -412,17 +450,17 @@ func (v *Verifier) VerifyCheckpoint(c *Checkpoint) error {
 	return nil
 }
 
-// VerifyPrepareCert checks a full prepare certificate. Trusted consensus
-// (either auth mode): the counter attestation on the stripped PrePrepare
-// is the entire proof — an accepted counter-valid proposal is already
-// prepared, and the attestation is transferable. Classic sig mode: a valid
-// PrePrepare plus 2f valid matching Prepares from distinct backups. Classic
-// MAC mode: the attesting Confirmation enclave's signature over the
-// aggregated claim — the individual quorum messages were MAC'd to that
-// enclave alone and are not transferable, so the single vouch is the whole
-// proof.
+// VerifyPrepareCert checks a full prepare certificate. MAC mode (either
+// consensus mode): the attesting Confirmation enclave's signature over the
+// aggregated claim — what that enclave accepted (the Prepare quorum in
+// classic, the counter attestation in trusted) was MAC'd to it alone and
+// is not transferable, so the single vouch is the whole proof. Trusted sig
+// mode: the Ed25519 counter attestation on the stripped PrePrepare is the
+// entire proof — an accepted counter-valid proposal is already prepared.
+// Classic sig mode: a valid PrePrepare plus 2f valid matching Prepares
+// from distinct backups.
 func (v *Verifier) VerifyPrepareCert(pc *PrepareCert) error {
-	if v.Consensus == ConsensusTrusted {
+	if v.Mode == AuthMAC || v.Consensus == ConsensusTrusted {
 		if err := v.validReplica(pc.PrePrepare.Replica); err != nil {
 			return fmt.Errorf("prepare cert: %w", err)
 		}
@@ -430,18 +468,11 @@ func (v *Verifier) VerifyPrepareCert(pc *PrepareCert) error {
 			return fmt.Errorf("%w: prepare cert for view %d names proposer %d, primary is %d",
 				ErrInvalid, pc.View(), pc.PrePrepare.Replica, v.Primary(pc.View()))
 		}
-		if err := v.VerifyCounter(&pc.PrePrepare); err != nil {
-			return fmt.Errorf("prepare cert: %w", err)
-		}
-		return nil
-	}
-	if v.Mode == AuthMAC {
-		if err := v.validReplica(pc.PrePrepare.Replica); err != nil {
-			return fmt.Errorf("prepare cert: %w", err)
-		}
-		if pc.PrePrepare.Replica != v.Primary(pc.View()) {
-			return fmt.Errorf("%w: prepare cert for view %d names proposer %d, primary is %d",
-				ErrInvalid, pc.View(), pc.PrePrepare.Replica, v.Primary(pc.View()))
+		if v.Mode != AuthMAC {
+			if err := v.VerifyCounter(&pc.PrePrepare); err != nil {
+				return fmt.Errorf("prepare cert: %w", err)
+			}
+			return nil
 		}
 		if err := v.validReplica(pc.Attestor); err != nil {
 			return fmt.Errorf("prepare cert attestor: %w", err)

@@ -55,9 +55,14 @@ func (c *Checkpoint) decodeBody(d *Decoder) {
 //     Prepares from distinct replicas, each individually signed and
 //     third-party verifiable.
 //   - MAC mode: the bare PrePrepare header plus a single Vouch — the
-//     Confirmation enclave that locally validated the MAC'd quorum signs
-//     the aggregated claim (PrepareCertClaim). Sound because an attested
-//     agreement enclave is trusted to collect the quorum correctly.
+//     Confirmation enclave that locally validated the MAC'd evidence (the
+//     Prepare quorum in classic consensus, the counter attestation in
+//     trusted) signs the aggregated claim (PrepareCertClaim). Sound
+//     because an attested agreement enclave is trusted to check it
+//     correctly.
+//
+// In trusted consensus sig mode the cert is the PrePrepare header with its
+// Ed25519 counter attestation and nothing else.
 type PrepareCert struct {
 	PrePrepare PrePrepare
 	Prepares   []Prepare

@@ -1,6 +1,9 @@
 package tee
 
 import (
+	"crypto/ecdh"
+	"crypto/rand"
+	"fmt"
 	"io"
 	"sync"
 
@@ -18,9 +21,14 @@ type TrustedCounter struct {
 	mu      sync.Mutex
 	id      crypto.Identity
 	key     *crypto.KeyPair
-	next    uint64
-	creates uint64
-	grants  uint64
+	ecdhKey *ecdh.PrivateKey
+	// macs and receivers, once set by AttestWithMACs, make attestations
+	// pairwise HMAC vectors instead of Ed25519 signatures.
+	macs      *crypto.MACStore
+	receivers []crypto.Identity
+	next      uint64
+	creates   uint64
+	grants    uint64
 }
 
 // NewTrustedCounter creates a trusted counter owned by id with a random
@@ -30,22 +38,71 @@ func NewTrustedCounter(id crypto.Identity) (*TrustedCounter, error) {
 }
 
 // NewTrustedCounterWithRand is NewTrustedCounter with an explicit entropy
-// source for the attestation key. Multi-process deployments pass a
+// source for the counter's keys. Multi-process deployments pass a
 // crypto.KeyStream derived from the shared deployment secret (its own
 // stream, separate from the compartment enclaves' streams) so every
 // process derives the same counter public keys; nil uses crypto/rand.
+// Read order is part of the derivation contract (RegisterDeterministicKeys
+// in the core package mirrors it): the Ed25519 attestation key first, then
+// 32 bytes of X25519 key material — fed to NewPrivateKey directly for the
+// reason NewEnclaveWithRand gives.
 func NewTrustedCounterWithRand(id crypto.Identity, rng io.Reader) (*TrustedCounter, error) {
+	if rng == nil {
+		rng = rand.Reader
+	}
 	kp, err := crypto.GenerateKeyPair(rng)
 	if err != nil {
 		return nil, err
 	}
-	return &TrustedCounter{id: id, key: kp}, nil
+	var ecdhSeed [32]byte
+	if _, err := io.ReadFull(rng, ecdhSeed[:]); err != nil {
+		return nil, fmt.Errorf("counter ECDH entropy: %w", err)
+	}
+	ek, err := ecdh.X25519().NewPrivateKey(ecdhSeed[:])
+	if err != nil {
+		return nil, fmt.Errorf("counter ECDH key: %w", err)
+	}
+	return &TrustedCounter{id: id, key: kp, ecdhKey: ek}, nil
 }
 
-// PublicKey returns the counter's attestation verification key.
+// Identity returns the identity the counter's keys are registered under.
+func (t *TrustedCounter) Identity() crypto.Identity { return t.id }
+
+// PublicKey returns the counter's Ed25519 verification key (signed
+// attestations and read-lease grants).
 func (t *TrustedCounter) PublicKey() []byte { return t.key.Public }
 
-// CounterAttestation binds a counter value to a message digest.
+// ECDHPublicKey returns the counter's X25519 public key, registered beside
+// PublicKey so verifying compartments can establish their pairwise
+// attestation-MAC key with this counter.
+func (t *TrustedCounter) ECDHPublicKey() [32]byte {
+	var pub [32]byte
+	copy(pub[:], t.ecdhKey.PublicKey().Bytes())
+	return pub
+}
+
+// PairwiseMAC derives the attestation-MAC key shared with a verifying
+// compartment from its attested X25519 public key, exactly as
+// Enclave.PairwiseMAC does for agreement traffic.
+func (t *TrustedCounter) PairwiseMAC(peerPub [32]byte) (crypto.MACKey, error) {
+	return pairwiseMACKey(t.ecdhKey, peerPub)
+}
+
+// AttestWithMACs switches CreateAttestation from Ed25519 signatures to
+// HMAC vectors: one MAC per entry of receivers, in order, under the
+// pairwise key macs derives for that receiver. Call it before the first
+// attestation (deployment wiring, MAC agreement-auth mode); read-lease
+// grants stay signed either way.
+func (t *TrustedCounter) AttestWithMACs(macs *crypto.MACStore, receivers []crypto.Identity) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.macs, t.receivers = macs, receivers
+}
+
+// CounterAttestation binds a counter value to a message digest. Sig
+// authenticates crypto.CounterSigningBytes(Replica, Value, Digest): an
+// Ed25519 signature, or after AttestWithMACs the concatenated HMAC vector
+// (crypto.MACSize bytes per receiver, in receiver order).
 type CounterAttestation struct {
 	Replica uint32
 	Value   uint64
@@ -53,8 +110,8 @@ type CounterAttestation struct {
 	Sig     []byte
 }
 
-// CreateAttestation assigns the next counter value to digest and returns a
-// signed attestation. Values are strictly increasing with no gaps, so a
+// CreateAttestation assigns the next counter value to digest and returns
+// the attestation. Values are strictly increasing with no gaps, so a
 // verifier that tracks the last value per replica detects both equivocation
 // (same value, two digests — impossible to produce) and suppression (gaps).
 func (t *TrustedCounter) CreateAttestation(digest crypto.Digest) CounterAttestation {
@@ -62,9 +119,19 @@ func (t *TrustedCounter) CreateAttestation(digest crypto.Digest) CounterAttestat
 	t.next++
 	t.creates++
 	v := t.next
+	macs, receivers := t.macs, t.receivers
 	t.mu.Unlock()
 	att := CounterAttestation{Replica: t.id.ReplicaID, Value: v, Digest: digest}
-	att.Sig = t.key.Sign(crypto.CounterSigningBytes(att.Replica, att.Value, att.Digest))
+	msg := crypto.CounterSigningBytes(att.Replica, att.Value, att.Digest)
+	if macs == nil {
+		att.Sig = t.key.Sign(msg)
+		return att
+	}
+	att.Sig = make([]byte, 0, len(receivers)*crypto.MACSize)
+	for _, r := range receivers {
+		mac := macs.MAC(msg, r)
+		att.Sig = append(att.Sig, mac[:]...)
+	}
 	return att
 }
 
@@ -162,7 +229,8 @@ func (t *TrustedCounter) Import(next uint64) {
 	}
 }
 
-// VerifyAttestation checks an attestation under the counter's public key.
+// VerifyAttestation checks a signed attestation under the counter's public
+// key.
 func VerifyAttestation(pub []byte, att CounterAttestation) bool {
 	return crypto.Verify(pub, crypto.CounterSigningBytes(att.Replica, att.Value, att.Digest), att.Sig)
 }

@@ -300,6 +300,62 @@ func TestTrustedCounter(t *testing.T) {
 	}
 }
 
+// TestTrustedCounterMACAttestation: after AttestWithMACs an attestation is
+// one HMAC per receiver, in receiver order, each under the pairwise key the
+// counter's X25519 exchange with that receiver's enclave yields — and the
+// counter keeps counting gap-free.
+func TestTrustedCounterMACAttestation(t *testing.T) {
+	ctrID := crypto.Identity{ReplicaID: 0, Role: crypto.RoleCounter}
+	tc, err := NewTrustedCounter(ctrID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var receivers []crypto.Identity
+	pubs := make(map[crypto.Identity][32]byte)
+	encs := make(map[crypto.Identity]*Enclave)
+	for _, role := range []crypto.Role{crypto.RolePreparation, crypto.RoleConfirmation} {
+		e, err := NewEnclave(1, role, nopCode{}, ZeroCostModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		receivers = append(receivers, e.Identity())
+		pubs[e.Identity()] = e.ECDHPublicKey()
+		encs[e.Identity()] = e
+	}
+	tc.AttestWithMACs(crypto.NewDerivedMACStore(ctrID, func(peer crypto.Identity) (crypto.MACKey, error) {
+		return tc.PairwiseMAC(pubs[peer])
+	}, nil), receivers)
+
+	digest := crypto.HashData([]byte("m1"))
+	att := tc.CreateAttestation(digest)
+	if att.Value != 1 || len(att.Sig) != len(receivers)*crypto.MACSize {
+		t.Fatalf("attestation value %d with %d bytes, want 1 and %d", att.Value, len(att.Sig), len(receivers)*crypto.MACSize)
+	}
+	msg := crypto.CounterSigningBytes(att.Replica, att.Value, att.Digest)
+	for i, r := range receivers {
+		key, err := encs[r].PairwiseMAC(tc.ECDHPublicKey())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mac [crypto.MACSize]byte
+		copy(mac[:], att.Sig[i*crypto.MACSize:])
+		if !crypto.VerifyMAC(key, msg, mac) {
+			t.Fatalf("slot %d does not verify under %v's pairwise key", i, r)
+		}
+		other := receivers[(i+1)%len(receivers)]
+		otherKey, _ := encs[other].PairwiseMAC(tc.ECDHPublicKey())
+		if crypto.VerifyMAC(otherKey, msg, mac) {
+			t.Fatalf("slot %d verifies under another receiver's key", i)
+		}
+	}
+	if next := tc.CreateAttestation(digest); next.Value != 2 || bytes.Equal(next.Sig, att.Sig) {
+		t.Fatal("second attestation must take the next value and differ")
+	}
+	if tc.Creates() != 2 {
+		t.Fatalf("Creates = %d, want 2", tc.Creates())
+	}
+}
+
 func TestQuickTrustedCounterMonotonic(t *testing.T) {
 	tc, err := NewTrustedCounter(crypto.Identity{ReplicaID: 0, Role: crypto.RoleReplica})
 	if err != nil {

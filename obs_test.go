@@ -343,6 +343,25 @@ func TestMetricResetStatsSingleEpoch(t *testing.T) {
 	if len(n.StageLatencies()) == 0 {
 		t.Fatal("no traced stages before reset")
 	}
+	// Put returns at a reply quorum: this node's own reply and the slowest
+	// peer's Commit may still be in flight, and would land in the new epoch.
+	// Reset only once the node's counters have stopped moving.
+	activity := func() uint64 {
+		sum := n.ExecutedOps()
+		for _, es := range n.EnclaveStats() {
+			sum += es.Msgs
+		}
+		return sum
+	}
+	settle := time.Now().Add(5 * time.Second)
+	for last, quiet := activity(), 0; quiet < 5 && time.Now().Before(settle); {
+		time.Sleep(10 * time.Millisecond)
+		if now := activity(); now == last && n.ExecutedOps() == 4 {
+			quiet++
+		} else {
+			last, quiet = now, 0
+		}
+	}
 
 	n.ResetStats()
 

@@ -270,7 +270,10 @@ func WithVerifyWorkers(n int) Option {
 //     where third-party verifiability is required — ViewChange/NewView —
 //     and the certificates they carry become single enclave-signed
 //     digests of the locally validated quorum instead of 2f+1 signature
-//     bundles.
+//     bundles. With WithConsensusMode("trusted") the counter attestation
+//     on every PrePrepare is an HMAC vector as well (one entry per
+//     verifying Preparation and Confirmation compartment), so the normal
+//     case runs no Ed25519 at all; read-lease grants stay signed.
 //
 // All nodes of a deployment must use the same mode. MAC mode leans on the
 // compartment trust model: a fully compromised (not merely crashed)
@@ -307,9 +310,13 @@ func (o *options) agreementAuthMode() (messages.AuthMode, error) {
 //     entirely. Groups shrink to n = 2f+1 with f+1 quorums.
 //
 // All nodes of a deployment must use the same mode. Trusted mode composes
-// with either WithAgreementAuth and with WithPersistence; it leans on the
-// compartment trust model — see the README consensus section for what
-// degrades if a counter enclave is compromised rather than crashed.
+// with either WithAgreementAuth — which also decides the form of the
+// counter attestation: an Ed25519 signature under "sig", a pairwise HMAC
+// vector under "mac", with prepare certificates exported into a ViewChange
+// vouched for by an enclave signature in place of the non-transferable
+// attestation — and with WithPersistence; it leans on the compartment
+// trust model — see the README consensus section for what degrades if a
+// counter enclave is compromised rather than crashed.
 func WithConsensusMode(mode string) Option {
 	return func(o *options) { o.consensusMode = mode }
 }
