@@ -209,53 +209,3 @@ func BenchmarkAgreementAuth(b *testing.B) {
 			mac.Throughput/sig.Throughput, sig.Throughput, mac.Throughput, 100*sig.SigCPUFraction)
 	}
 }
-
-// BenchmarkStagedPipeline compares the staged agreement pipeline —
-// batched ecalls (WithEcallBatch) plus the enclave-side parallel
-// verification pool (WithVerifyWorkers) — against the paper's baseline
-// one-message-per-ecall dispatcher on the same hardware and cost model.
-// Besides throughput it reports the achieved ecall amortization
-// (msgs/ecall) and the verification-cache hit rate, so the speedup is
-// measured rather than asserted.
-func BenchmarkStagedPipeline(b *testing.B) {
-	configs := []struct {
-		name           string
-		batch, workers int
-	}{
-		{"Disabled", 0, 0},
-		{"Enabled", 32, 8},
-	}
-	results := make(map[string]bench.Result)
-	for _, c := range configs {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			var last bench.Result
-			for i := 0; i < b.N; i++ {
-				res, err := bench.Run(bench.RunConfig{
-					System:        bench.SplitKVS,
-					Clients:       40,
-					Batched:       false,
-					Warmup:        200 * time.Millisecond,
-					Measure:       500 * time.Millisecond,
-					EcallBatch:    c.batch,
-					VerifyWorkers: c.workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.Throughput, "ops/s")
-			b.ReportMetric(float64(last.MeanLat)/1e6, "ms/op-mean")
-			b.ReportMetric(last.MsgsPerEcall, "msgs/ecall")
-			b.ReportMetric(100*last.VerifyCacheHitRate, "cache-hit-%")
-			results[c.name] = last
-		})
-	}
-	base, on := results["Disabled"], results["Enabled"]
-	if base.Throughput > 0 && on.Throughput > 0 {
-		b.Logf("staged pipeline speedup: %.2fx (%.0f -> %.0f ops/s; %.1f msgs/ecall, %.0f%% verify-cache hits)",
-			on.Throughput/base.Throughput, base.Throughput, on.Throughput,
-			on.MsgsPerEcall, 100*on.VerifyCacheHitRate)
-	}
-}

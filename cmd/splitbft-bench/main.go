@@ -30,13 +30,13 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, table2, fig3a, fig3b, fig4, ablation, pipeline, recovery, auth, consensus, readlease, all")
+	exp := flag.String("exp", "all", "experiment: table1, table2, fig3a, fig3b, fig4, ablation, recovery, auth, consensus, readlease, all")
 	quick := flag.Bool("quick", false, "fast smoke run (fewer clients, shorter windows)")
 	f := flag.Int("f", 1, "fault threshold for table1")
 	root := flag.String("root", ".", "repository root for table2")
 	measure := flag.Duration("measure", time.Second, "measurement window per point")
 	jsonDir := flag.String("json", "", "directory to write machine-readable BENCH_<exp>.json results into")
-	trace := flag.Bool("trace", false, "enable request-lifecycle tracing and print per-stage latency tables (pipeline and readlease experiments)")
+	trace := flag.Bool("trace", false, "enable request-lifecycle tracing and print per-stage latency tables (readlease experiment)")
 	flag.Parse()
 
 	run := func(name string, fn func() error) {
@@ -165,24 +165,6 @@ func main() {
 			}
 			fmt.Print(bench.FormatBatchAblation(bs))
 			return nil
-		})
-	}
-	if all || *exp == "pipeline" {
-		run("Ablation — staged agreement pipeline", func() error {
-			pts, err := bench.PipelineAblation(
-				[][2]int{{0, 0}, {16, 1}, {16, 8}, {64, 8}}, 40, *measure, *trace)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatPipelineAblation(pts))
-			if *trace {
-				for _, p := range pts {
-					fmt.Printf("\nstage latency breakdown @batch=%d,workers=%d (leader's view):\n",
-						p.EcallBatch, p.VerifyWorkers)
-					fmt.Print(bench.FormatStages(p.Result.Stages))
-				}
-			}
-			return writeJSON("pipeline", pts)
 		})
 	}
 	if all || *exp == "recovery" {

@@ -44,7 +44,6 @@ func main() {
 	auth := flag.String("auth", "sig", "agreement authentication: sig or mac")
 	consensus := flag.String("consensus", "classic", "consensus mode: classic (3f+1) or trusted (counter-backed 2f+1)")
 	batch := flag.Int("batch", 1, "agreement batch size")
-	ecallBatch := flag.Int("ecall-batch", 16, "messages per trusted-boundary crossing (<=1 disables)")
 	verifyWorkers := flag.Int("verify-workers", 1, "parallel verification workers per enclave (<=1 inline)")
 	confidential := flag.Bool("confidential", false, "end-to-end encrypt payloads")
 
@@ -64,7 +63,6 @@ func main() {
 		Auth:          *auth,
 		Confidential:  *confidential,
 		BatchSize:     *batch,
-		EcallBatch:    *ecallBatch,
 		VerifyWorkers: *verifyWorkers,
 		ReadFrac:      *readFrac,
 		ReadLeases:    *readLeases,
@@ -73,7 +71,6 @@ func main() {
 		splitbft.WithKVStore(),
 		splitbft.WithAgreementAuth(*auth),
 		splitbft.WithBatchSize(*batch),
-		splitbft.WithEcallBatch(*ecallBatch),
 		splitbft.WithVerifyWorkers(*verifyWorkers),
 		splitbft.WithReadLeases(*readLeases),
 		splitbft.WithReadConsistency(*readConsistency),

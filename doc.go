@@ -61,9 +61,12 @@
 // them in.
 //
 // Batch ecall amortizes the enclave-transition cost the paper identifies
-// as the dominant overhead: with WithEcallBatch(n), a dispatcher drains up
-// to n queued messages and delivers them through one trusted-boundary
-// crossing.
+// as the dominant overhead: each dispatcher delivers whatever is queued
+// for its compartment — one message on an idle replica, up to a fixed cap
+// of 16 under load — through one trusted-boundary crossing, and with
+// persistence on the run shares one WAL sync. There is no option: nothing
+// waits to fill a batch, so the idle path is the paper's one message per
+// ecall and the loaded path coalesces by itself.
 //
 // Parallel verify runs inside the enclave: with WithVerifyWorkers(n), the
 // stateless share of validation — decoding plus Ed25519 signature checks,
@@ -75,8 +78,8 @@
 // Serial apply preserves the paper's execution model: handlers run to
 // completion one at a time in submission order on the enclave's single
 // logical protocol thread, so every ledger and checkpoint digest is
-// byte-identical whether the pipeline is on, off, or fully serialized with
-// WithSingleThread.
+// byte-identical with or without the verify pool, or fully serialized
+// with WithSingleThread.
 //
 // # Agreement authentication: signatures vs the MAC fast path
 //

@@ -70,38 +70,6 @@ func BatchSizeAblation(sizes []int, clients int, measure time.Duration) ([]Batch
 	return out, nil
 }
 
-// PipelinePoint is one measurement of the staged-pipeline ablation.
-type PipelinePoint struct {
-	EcallBatch    int
-	VerifyWorkers int
-	Result        Result
-}
-
-// PipelineAblation measures the staged agreement pipeline — batched ecalls
-// plus the parallel verification pool — against the paper's baseline
-// dispatcher on the SplitBFT KVS. Both points run the identical protocol
-// on the same hardware; only the untrusted scheduling and the intra-batch
-// verification parallelism differ.
-func PipelineAblation(configs [][2]int, clients int, measure time.Duration, trace bool) ([]PipelinePoint, error) {
-	out := make([]PipelinePoint, 0, len(configs))
-	for _, c := range configs {
-		res, err := Run(RunConfig{
-			System:        SplitKVS,
-			Clients:       clients,
-			Batched:       false,
-			Measure:       measure,
-			EcallBatch:    c[0],
-			VerifyWorkers: c[1],
-			Trace:         trace,
-		})
-		if err != nil {
-			return out, fmt.Errorf("pipeline ablation @batch=%d,workers=%d: %w", c[0], c[1], err)
-		}
-		out = append(out, PipelinePoint{EcallBatch: c[0], VerifyWorkers: c[1], Result: res})
-	}
-	return out, nil
-}
-
 // AuthPoint is one measurement of the agreement-authentication ablation.
 type AuthPoint struct {
 	Mode   string // "sig" or "mac"
@@ -252,23 +220,6 @@ func FormatAuthAblation(points []AuthPoint) string {
 	}
 	if s := AuthSpeedup(points); s > 0 {
 		fmt.Fprintf(&sb, "\nMAC/sig throughput ratio: %.2fx\n", s)
-	}
-	return sb.String()
-}
-
-// FormatPipelineAblation renders the staged-pipeline comparison, including
-// the achieved ecall amortization and verify-cache effectiveness.
-func FormatPipelineAblation(points []PipelinePoint) string {
-	var sb strings.Builder
-	sb.WriteString("Ablation — staged agreement pipeline (SplitBFT KVS, unbatched)\n\n")
-	fmt.Fprintf(&sb, "%-12s %-14s %12s %14s %14s %12s\n",
-		"Ecall batch", "Verify workers", "ops/s", "mean latency", "msgs/ecall", "cache hits")
-	sb.WriteString(strings.Repeat("-", 84) + "\n")
-	for _, p := range points {
-		fmt.Fprintf(&sb, "%-12d %-14d %12.0f %14v %14.2f %11.0f%%\n",
-			p.EcallBatch, p.VerifyWorkers, p.Result.Throughput,
-			p.Result.MeanLat.Round(time.Microsecond),
-			p.Result.MsgsPerEcall, 100*p.Result.VerifyCacheHitRate)
 	}
 	return sb.String()
 }

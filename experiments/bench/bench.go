@@ -9,7 +9,6 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -80,11 +79,6 @@ type RunConfig struct {
 	// BatchSizeOverride replaces the batched-mode batch size of 200
 	// (ablations only; 0 keeps the default).
 	BatchSizeOverride int
-	// EcallBatch and VerifyWorkers enable the staged agreement pipeline on
-	// SplitBFT systems (WithEcallBatch / WithVerifyWorkers); 0 leaves the
-	// paper's one-message-per-ecall, inline-verification behavior.
-	EcallBatch    int
-	VerifyWorkers int
 	// AgreementAuth selects the replica-to-replica authentication mode on
 	// SplitBFT systems ("sig" or "mac"; "" keeps the sig default) — the
 	// MAC-authenticated fast path of the auth ablation.
@@ -95,10 +89,6 @@ type RunConfig struct {
 	// shrinks from benchN to 2*benchF+1 replicas, matching how the mode
 	// would actually be deployed.
 	ConsensusMode string
-	// Trace enables request-lifecycle tracing on SplitBFT systems
-	// (WithObservability): the Result gains the leader's per-stage latency
-	// breakdown over the measure window.
-	Trace bool
 }
 
 func (c RunConfig) withDefaults() RunConfig {
@@ -150,15 +140,13 @@ type Result struct {
 	// Compartments holds the leader's per-enclave ecall statistics for
 	// SplitBFT systems (Figure 4); nil for the baseline.
 	Compartments []CompartmentStat
-	// MsgsPerEcall is the achieved ecall batch amortization on the leader
-	// across all compartments (1.0 with batching off; 0 for the baseline).
+	// MsgsPerEcall is the achieved ecall amortization on the leader across
+	// all compartments — messages delivered per trusted-boundary crossing
+	// (0 for the baseline).
 	MsgsPerEcall float64
 	// VerifyCacheHitRate is the leader's signature-verification cache hit
-	// rate during the measure window (0 for the baseline). Note the
-	// semantics differ by configuration: with the pipeline off, hits are
-	// genuine retransmits/replays; with VerifyWorkers on, the serial
-	// handler consuming the parallel warm pass also counts, so enabled
-	// configurations read ~50% by construction.
+	// rate during the measure window (0 for the baseline): genuine
+	// retransmits and replays.
 	VerifyCacheHitRate float64
 	// Errors counts failed invocations during the measure window.
 	Errors uint64
@@ -177,22 +165,6 @@ type Result struct {
 	// classic consensus).
 	CounterCreates  uint64
 	CounterVerifies uint64
-	// Stages is the leader's per-stage request-lifecycle latency breakdown
-	// over the measure window (RunConfig.Trace only; nil otherwise).
-	Stages []splitbft.StageLatency `json:",omitempty"`
-}
-
-// FormatStages renders a per-stage latency table from a traced run.
-func FormatStages(stages []splitbft.StageLatency) string {
-	if len(stages) == 0 {
-		return "  (no traced spans — is tracing enabled and traffic flowing?)\n"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "  %-16s %10s %12s %12s %12s %12s\n", "stage", "spans", "mean", "p50", "p99", "max")
-	for _, s := range stages {
-		fmt.Fprintf(&b, "  %-16s %10d %12v %12v %12v %12v\n", s.Stage, s.Count, s.Mean, s.P50, s.P99, s.Max)
-	}
-	return b.String()
 }
 
 // recorder collects latencies from concurrent workers.

@@ -92,17 +92,8 @@ func startSplitCluster(cfg RunConfig, batchSize int, batchTimeout, requestTimeou
 	if cfg.System == SplitKVSSingleThread {
 		opts = append(opts, splitbft.WithSingleThread())
 	}
-	if cfg.EcallBatch > 0 {
-		opts = append(opts, splitbft.WithEcallBatch(cfg.EcallBatch))
-	}
-	if cfg.VerifyWorkers > 0 {
-		opts = append(opts, splitbft.WithVerifyWorkers(cfg.VerifyWorkers))
-	}
 	if cfg.AgreementAuth != "" {
 		opts = append(opts, splitbft.WithAgreementAuth(cfg.AgreementAuth))
-	}
-	if cfg.Trace {
-		opts = append(opts, splitbft.WithObservability())
 	}
 	n := benchN
 	if cfg.ConsensusMode != "" {

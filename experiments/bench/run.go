@@ -103,9 +103,6 @@ func Run(cfg RunConfig) (Result, error) {
 		res.SigCPUFraction = cs.SigCPUFraction(elapsed)
 		res.CounterCreates = cs.CounterCreates
 		res.CounterVerifies = cs.CounterVerifies
-		if cfg.Trace {
-			res.Stages = h.splitNodes[0].StageLatencies()
-		}
 	}
 	return res, nil
 }

@@ -32,7 +32,7 @@ type ReadLeasePoint struct {
 
 // ReadLeaseConfig parameterizes the ablation. The zero value selects the
 // committed defaults: a 4-replica in-process cluster on the load gate's
-// calibration (batch 1, ecall batch 16, one verify worker), a 90/10 mix
+// calibration (batch 1, one verify worker), a 90/10 mix
 // on a fixed arrival schedule, and an offered rate chosen to exceed the
 // agreement path's read capacity so the fast path's headroom is visible.
 type ReadLeaseConfig struct {
@@ -101,7 +101,6 @@ func runReadLeasePoint(cfg ReadLeaseConfig, leases bool) (ReadLeasePoint, error)
 	opts := []splitbft.Option{
 		splitbft.WithKVStore(),
 		splitbft.WithBatchSize(1),
-		splitbft.WithEcallBatch(16),
 		splitbft.WithVerifyWorkers(1),
 		splitbft.WithReadLeases(leases),
 	}
@@ -156,7 +155,6 @@ func runReadLeasePoint(cfg ReadLeaseConfig, leases bool) (ReadLeasePoint, error)
 		App:           "kvs",
 		Auth:          "sig",
 		BatchSize:     1,
-		EcallBatch:    16,
 		VerifyWorkers: 1,
 		ReadFrac:      cfg.ReadFrac,
 		ReadLeases:    leases,

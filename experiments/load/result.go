@@ -35,7 +35,6 @@ type Workload struct {
 	Auth          string `json:"auth"`
 	Confidential  bool   `json:"confidential"`
 	BatchSize     int    `json:"batch_size"`
-	EcallBatch    int    `json:"ecall_batch"`
 	VerifyWorkers int    `json:"verify_workers"`
 	// Consensus is "trusted" for the counter-backed 2f+1 mode and empty
 	// for classic — omitted from the JSON so trajectory points committed

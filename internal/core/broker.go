@@ -305,10 +305,11 @@ type reqKey struct {
 //
 // The inbound hot path is a staged pipeline: classify (decode + dedup on
 // the transport threads, so garbage and retransmits never pay for an
-// enclave crossing) → batch ecall (dispatchers drain their queues and
-// deliver up to EcallBatch messages per trusted-boundary crossing) →
-// parallel verify (the enclave fans signature checks out to its worker
-// pool) → serial apply (handlers run one at a time in submission order).
+// enclave crossing) → batch ecall (each dispatcher delivers whatever is
+// queued for its compartment, up to maxCrossing messages, in one
+// trusted-boundary crossing) → parallel verify (the enclave fans signature
+// checks out to its worker pool) → serial apply (handlers run one at a
+// time in submission order).
 type broker struct {
 	cfg  Config
 	conn transport.Conn
@@ -459,20 +460,24 @@ func (b *broker) stopAll() {
 	b.wg.Wait()
 }
 
-// dispatch drains ecalls in batches and drives the enclave, routing its
-// outputs. Consecutive same-role runs within a drained batch are delivered
-// through one InvokeBatch, amortizing the trusted-boundary transition.
+// maxCrossing bounds how many queued ecalls one trusted-boundary crossing
+// delivers. A crossing takes whatever is waiting — one message on an idle
+// replica, so nothing is ever held back to fill a batch — and the bound
+// keeps the outputs of the first message from waiting behind an unbounded
+// backlog.
+const maxCrossing = 16
+
+// dispatch drives the enclaves behind q: each round takes what is queued
+// (up to maxCrossing) and delivers every run of consecutive ecalls for one
+// compartment in a single crossing — one transition, one WAL sync — then
+// routes the run's outputs.
 func (b *broker) dispatch(q *queue) {
 	defer b.wg.Done()
-	maxBatch := b.cfg.EcallBatch
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
 	var drained []ecall
 	var payloads [][]byte
 	for {
 		var ok bool
-		drained, ok = q.drain(drained[:0], maxBatch)
+		drained, ok = q.drain(drained[:0], maxCrossing)
 		if !ok {
 			return
 		}
@@ -483,49 +488,41 @@ func (b *broker) dispatch(q *queue) {
 				j++
 			}
 			run := drained[i:j]
-			enc := b.enclaves[role]
+			i = j
 			cs := b.stores[role]
 			if cs != nil {
 				// Write-ahead: the input log hits the WAL before the
 				// enclave sees it, so replay covers everything delivered.
 				cs.persistRun(run)
 			}
-			var out []tee.OutMsg
-			var err error
-			if len(run) == 1 {
-				out, err = enc.Invoke(run[0].payload)
-			} else {
-				payloads = payloads[:0]
-				for k := range run {
-					payloads = append(payloads, run[k].payload)
-				}
-				out, err = enc.InvokeBatch(payloads)
+			payloads = payloads[:0]
+			for k := range run {
+				payloads = append(payloads, run[k].payload)
 			}
+			out, err := b.enclaves[role].InvokeBatch(payloads)
 			for k := range run {
 				run[k].release() // payloads were copied into the enclave
 			}
-			if err == nil {
-				// Outputs must not escape before the inputs that caused
-				// them are durable: a signed PrePrepare surviving a crash
-				// that its WAL record did not would let the restarted
-				// (amnesiac) enclave sign a conflicting proposal for the
-				// same slot — the equivocation the proposal record exists
-				// to prevent. So when the log cannot confirm durability
-				// (its failure is sticky — a dead disk stays dead), the
-				// outputs are dropped: the compartment goes mute, an
-				// availability loss, never a safety one. Quiet
-				// invocations stay on the amortized group-commit path.
-				if cs != nil && len(out) > 0 {
-					if cs.st.Sync() != nil {
-						out = nil
-					}
-				}
-				b.route(out)
-				if cs != nil {
-					cs.maybeSnapshot()
-				}
-			} // else crashed enclave: drop (availability loss only)
-			i = j
+			if err != nil {
+				continue // crashed enclave: drop (availability loss only)
+			}
+			// Outputs must not escape before the inputs that caused them
+			// are durable: a signed PrePrepare surviving a crash that its
+			// WAL record did not would let the restarted (amnesiac) enclave
+			// sign a conflicting proposal for the same slot — the
+			// equivocation the proposal record exists to prevent. So when
+			// the log cannot confirm durability (its failure is sticky — a
+			// dead disk stays dead), the outputs are dropped: the
+			// compartment goes mute, an availability loss, never a safety
+			// one. The whole run shares this one Sync; quiet runs stay on
+			// the store's timed group commit.
+			if cs != nil && len(out) > 0 && cs.st.Sync() != nil {
+				out = nil
+			}
+			b.route(out)
+			if cs != nil {
+				cs.maybeSnapshot()
+			}
 		}
 	}
 }

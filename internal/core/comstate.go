@@ -69,11 +69,14 @@ func (s *comState) authReceivers(t messages.Type) []crypto.Identity {
 // enclave signs it; in MAC mode it computes the pairwise authenticator
 // vector for the type's receiver set. Exactly one of the two returns is
 // non-empty.
-func (s *comState) authenticate(host tee.Host, t messages.Type, signing []byte) ([]byte, crypto.Authenticator) {
+func (s *comState) authenticate(host tee.Host, m messages.Signable) ([]byte, crypto.Authenticator) {
+	e := messages.GetEncoder()
+	defer messages.PutEncoder(e)
+	m.AppendSigning(e)
 	if !s.macMode() {
-		return host.Sign(signing), crypto.Authenticator{}
+		return host.Sign(e.Bytes()), crypto.Authenticator{}
 	}
-	return nil, s.rmacs.Authenticate(signing, s.authReceivers(t))
+	return nil, s.rmacs.Authenticate(e.Bytes(), s.authReceivers(m.MsgType()))
 }
 
 // quorum is the certificate size: 2f+1 in classic consensus, f+1 in

@@ -92,14 +92,9 @@ type Config struct {
 	// one dispatcher per enclave plus the broker event loop.
 	SingleThread bool
 
-	// EcallBatch caps how many queued ecalls one trusted-boundary crossing
-	// may deliver (Enclave.InvokeBatch): the dispatcher drains up to this
-	// many messages per transition, amortizing the per-transition cost.
-	// 0 or 1 delivers one message per crossing (the paper's baseline).
-	EcallBatch int
 	// VerifyWorkers bounds the enclave-side pool that signature
-	// verifications of a batch are fanned out to before the serial handler
-	// pass. 0 or 1 verifies inline on the protocol thread. Parallelism
+	// verifications of one crossing's messages are fanned out to before the
+	// serial handler pass. 0 or 1 verifies inline on the protocol thread. Parallelism
 	// never reorders state updates: handlers always apply serially in
 	// submission order.
 	VerifyWorkers int
@@ -177,9 +172,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = DefaultRequestTimeout
-	}
-	if c.EcallBatch < 1 {
-		c.EcallBatch = 1
 	}
 	if c.VerifyWorkers < 1 {
 		c.VerifyWorkers = 1

@@ -182,7 +182,7 @@ func (c *confirmation) maybeCommit(host tee.Host, view, seq uint64) []tee.OutMsg
 	}
 	s.committed = true
 	cm := &messages.Commit{View: view, Seq: seq, Digest: s.prePrepare.Digest, Replica: c.id}
-	cm.Sig, cm.Auth = c.authenticate(host, messages.TCommit, cm.SigningBytes())
+	cm.Sig, cm.Auth = c.authenticate(host, cm)
 	return []tee.OutMsg{
 		broadcastOut(cm),
 		localOut(crypto.RoleExecution, cm),
@@ -366,7 +366,7 @@ func (c *confirmation) onStateProbe(host tee.Host, p *messages.StateProbe) []tee
 	for _, seq := range seqs {
 		ts := best[seq]
 		cm := &messages.Commit{View: ts.view, Seq: seq, Digest: ts.digest, Replica: c.id}
-		cm.Sig, cm.Auth = c.authenticate(host, messages.TCommit, cm.SigningBytes())
+		cm.Sig, cm.Auth = c.authenticate(host, cm)
 		out = append(out, replicaOut(p.Replica, cm))
 	}
 	return out

@@ -1,0 +1,236 @@
+package core
+
+import (
+	"errors"
+	"os"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/splitbft/splitbft/internal/crypto"
+	"github.com/splitbft/splitbft/internal/store"
+	"github.com/splitbft/splitbft/internal/tee"
+	"github.com/splitbft/splitbft/internal/transport"
+)
+
+// TestMain runs the whole package with the enclaves' inbound-buffer poison
+// on: every compartment, view-change, recovery and cluster test then
+// doubles as the aliasing guard for the reusable copy-in buffer — a handler
+// that kept a slice of its input reads 0xFF the moment it returns and the
+// test exercising it fails loudly.
+func TestMain(m *testing.M) {
+	tee.PoisonInbound.Store(true)
+	os.Exit(m.Run())
+}
+
+// scriptCode is enclave code for dispatcher tests: it records the messages
+// it handled, in order, and answers each with one message to replica 1.
+type scriptCode struct {
+	mu      sync.Mutex
+	handled []byte // first payload byte of every message, in handler order
+}
+
+func (c *scriptCode) Measurement() crypto.Digest { return crypto.Digest{} }
+
+func (c *scriptCode) HandleECall(_ tee.Host, msg []byte) []tee.OutMsg {
+	c.mu.Lock()
+	c.handled = append(c.handled, msg[0])
+	c.mu.Unlock()
+	return []tee.OutMsg{{Kind: tee.DestReplica, ID: 1, Payload: []byte{msg[0]}}}
+}
+
+func (c *scriptCode) order() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]byte(nil), c.handled...)
+}
+
+// sendLog is a transport.Conn recording what the broker routed and, when a
+// store is attached, the store's counters at the moment of each send.
+type sendLog struct {
+	st *store.Store
+
+	mu     sync.Mutex
+	sent   []byte
+	atSend []store.Stats
+}
+
+func (l *sendLog) Send(_ transport.Endpoint, data []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.sent = append(l.sent, data[0])
+	if l.st != nil {
+		l.atSend = append(l.atSend, l.st.Stats())
+	}
+	return nil
+}
+
+func (l *sendLog) BroadcastReplicas(data []byte) error {
+	return l.Send(transport.Endpoint{}, data)
+}
+func (l *sendLog) Close() error { return nil }
+
+// scriptBroker builds a broker over three scriptCode enclaves.
+func scriptBroker(t *testing.T, singleThread bool, stores map[crypto.Role]*comStore) (*broker, map[crypto.Role]*scriptCode) {
+	t.Helper()
+	codes := make(map[crypto.Role]*scriptCode)
+	encs := make(map[crypto.Role]*tee.Enclave)
+	for _, role := range compartmentRoles {
+		codes[role] = &scriptCode{}
+		enc, err := tee.NewEnclave(0, role, codes[role], tee.ZeroCostModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		encs[role] = enc
+		if cs := stores[role]; cs != nil {
+			cs.enc = enc
+		}
+	}
+	cfg := Config{N: 4, F: 1, SingleThread: singleThread}.withDefaults()
+	b := newBroker(cfg, encs[crypto.RolePreparation], encs[crypto.RoleConfirmation], encs[crypto.RoleExecution], stores)
+	return b, codes
+}
+
+// runQueued queues the given ecalls while no dispatcher runs, then starts
+// the broker and stops it again; a closed queue hands out its backlog
+// first, so on return every ecall was delivered and its outputs routed.
+func runQueued(b *broker, conn transport.Conn, calls []ecall) {
+	for _, e := range calls {
+		b.submit(e.role, e.payload, nil)
+	}
+	b.start(conn)
+	b.stopAll()
+}
+
+// seqCalls numbers n ecalls for role from `from` in their first byte; the
+// second byte keeps them clear of the one-byte tick the WAL skips.
+func seqCalls(role crypto.Role, from, n int) []ecall {
+	out := make([]ecall, n)
+	for i := range out {
+		out[i] = ecall{role: role, payload: []byte{byte(from + i), 0xEE}}
+	}
+	return out
+}
+
+// TestDispatchCoalescesQueuedEcalls: whatever is queued for a compartment
+// crosses the trusted boundary together — k waiting ecalls are one charged
+// transition, never more than maxCrossing per crossing — and the handlers
+// still run, and their outputs leave, in submission order.
+func TestDispatchCoalescesQueuedEcalls(t *testing.T) {
+	for _, tc := range []struct {
+		k, crossings int
+	}{
+		{1, 1},
+		{5, 1},
+		{maxCrossing, 1},
+		{maxCrossing + 1, 2},
+		{2*maxCrossing + 8, 3},
+	} {
+		b, codes := scriptBroker(t, false, nil)
+		conn := &sendLog{}
+		calls := seqCalls(crypto.RoleConfirmation, 0, tc.k)
+		runQueued(b, conn, calls)
+		want := make([]byte, tc.k)
+		for i := range want {
+			want[i] = byte(i)
+		}
+		if got := codes[crypto.RoleConfirmation].order(); string(got) != string(want) {
+			t.Fatalf("k=%d: handled %v, want submission order", tc.k, got)
+		}
+		if string(conn.sent) != string(want) {
+			t.Fatalf("k=%d: routed %v, want submission order", tc.k, conn.sent)
+		}
+		st := b.enclaves[crypto.RoleConfirmation].Stats()
+		if st.Count != uint64(tc.crossings) || st.Msgs != uint64(tc.k) {
+			t.Fatalf("k=%d: %d crossings carrying %d messages, want %d carrying %d",
+				tc.k, st.Count, st.Msgs, tc.crossings, tc.k)
+		}
+		for _, role := range []crypto.Role{crypto.RolePreparation, crypto.RoleExecution} {
+			if st := b.enclaves[role].Stats(); st.Count != 0 {
+				t.Fatalf("k=%d: %v crossed %d times with nothing queued", tc.k, role, st.Count)
+			}
+		}
+	}
+}
+
+// TestDispatchSingleThreadRunsByRole: the single dispatcher of SingleThread
+// mode serves one mixed queue; a crossing carries a run of consecutive
+// ecalls for one compartment, so global submission order is preserved
+// across compartments.
+func TestDispatchSingleThreadRunsByRole(t *testing.T) {
+	b, codes := scriptBroker(t, true, nil)
+	conn := &sendLog{}
+	var calls []ecall
+	calls = append(calls, seqCalls(crypto.RolePreparation, 0, 2)...)
+	calls = append(calls, seqCalls(crypto.RoleExecution, 2, 3)...)
+	calls = append(calls, seqCalls(crypto.RolePreparation, 5, 1)...)
+	runQueued(b, conn, calls)
+	if want := []byte{0, 1, 2, 3, 4, 5}; string(conn.sent) != string(want) {
+		t.Fatalf("routed %v, want %v", conn.sent, want)
+	}
+	if got := codes[crypto.RolePreparation].order(); string(got) != string([]byte{0, 1, 5}) {
+		t.Fatalf("preparation handled %v", got)
+	}
+	for role, want := range map[crypto.Role][2]uint64{
+		crypto.RolePreparation: {2, 3}, // runs of 2 and 1
+		crypto.RoleExecution:   {1, 3},
+	} {
+		if st := b.enclaves[role].Stats(); st.Count != want[0] || st.Msgs != want[1] {
+			t.Fatalf("%v: %d crossings carrying %d messages, want %d carrying %d", role, st.Count, st.Msgs, want[0], want[1])
+		}
+	}
+}
+
+// openTestStore opens a compartment store whose timed group commit is out
+// of the way: only the dispatcher's explicit Sync flushes.
+func openTestStore(t *testing.T, faults *store.FaultInjector) *store.Store {
+	t.Helper()
+	st, _, err := store.Open(t.TempDir(), store.Options{FsyncInterval: time.Hour, Faults: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	return st
+}
+
+// TestDispatchRunIsDurableBeforeRouting: with persistence on, a coalesced
+// run is the group commit — all k records are appended and synced, by one
+// fsync, before the first output of the run is routed.
+func TestDispatchRunIsDurableBeforeRouting(t *testing.T) {
+	const k = 7
+	st := openTestStore(t, nil)
+	b, _ := scriptBroker(t, false, map[crypto.Role]*comStore{crypto.RoleConfirmation: {st: st}})
+	conn := &sendLog{st: st}
+	runQueued(b, conn, seqCalls(crypto.RoleConfirmation, 0, k))
+	if len(conn.sent) != k {
+		t.Fatalf("routed %d outputs, want %d", len(conn.sent), k)
+	}
+	for i, s := range conn.atSend {
+		if s.Appended != k || s.Flushed != k || s.Fsyncs != 1 {
+			t.Fatalf("output %d routed with %d of %d records appended, %d flushed, %d fsyncs: the run must be durable first, in one sync",
+				i, s.Appended, k, s.Flushed, s.Fsyncs)
+		}
+	}
+}
+
+// TestDispatchFailedSyncRoutesNothing: when the store cannot make the run
+// durable, none of its outputs escape — the compartment goes mute rather
+// than let a message outlive the record of the input that caused it.
+func TestDispatchFailedSyncRoutesNothing(t *testing.T) {
+	const k = 5
+	faults := new(store.FaultInjector)
+	st := openTestStore(t, faults)
+	b, codes := scriptBroker(t, false, map[crypto.Role]*comStore{crypto.RoleConfirmation: {st: st}})
+	conn := &sendLog{st: st}
+	faults.FailWrites(errors.New("injected write error"))
+	runQueued(b, conn, seqCalls(crypto.RoleConfirmation, 0, k))
+	if got := codes[crypto.RoleConfirmation].order(); len(got) != k {
+		t.Fatalf("handled %d of %d ecalls", len(got), k)
+	}
+	if len(conn.sent) != 0 {
+		t.Fatalf("routed %d outputs of a run whose Sync failed, want none", len(conn.sent))
+	}
+	if st.Failed() == nil {
+		t.Fatal("store did not record the failed write")
+	}
+}

@@ -402,7 +402,7 @@ func (e *execution) onLeaseGrant(host tee.Host, g *messages.LeaseGrant) []tee.Ou
 	// expiry as the round nonce: the granter needs a quorum of fresh acks
 	// before it may issue servable (non-probe) grants.
 	ack := &messages.LeaseAck{Holder: e.id, View: g.View, Expiry: g.Expiry}
-	ack.Sig, ack.Auth = e.authenticate(host, messages.TLeaseAck, ack.SigningBytes())
+	ack.Sig, ack.Auth = e.authenticate(host, ack)
 	var out []tee.OutMsg
 	if g.Granter == e.id {
 		out = append(out, localOut(crypto.RolePreparation, ack))
@@ -450,8 +450,11 @@ func (e *execution) onReadRequest(host tee.Host, r *messages.ReadRequest) []tee.
 		// timestamp, so drop before any MAC, AEAD or application work.
 		return nil
 	}
-	clientID := crypto.Identity{ReplicaID: r.ClientID, Role: crypto.RoleClient}
-	if err := e.macs.VerifySingle(r.AuthenticatedBytes(), r.MAC, clientID); err != nil {
+	enc := messages.GetEncoder()
+	r.AppendAuthenticated(enc)
+	err := e.macs.VerifySingle(enc.Bytes(), r.MAC, crypto.Identity{ReplicaID: r.ClientID, Role: crypto.RoleClient})
+	messages.PutEncoder(enc)
+	if err != nil {
 		return nil // unauthenticated: drop, like any forged client traffic
 	}
 	e.readHigh[r.ClientID] = r.Timestamp
@@ -476,8 +479,7 @@ func (e *execution) answerRead(r *messages.ReadRequest) tee.OutMsg {
 		rep.Result = result
 		e.localReads.Add(1)
 	}
-	clientID := crypto.Identity{ReplicaID: r.ClientID, Role: crypto.RoleClient}
-	rep.MAC = e.macs.MAC(rep.AuthenticatedBytes(), clientID)
+	rep.MAC = e.clientMAC(rep, r.ClientID)
 	return clientOut(r.ClientID, rep)
 }
 
@@ -492,9 +494,18 @@ func (e *execution) refuseRead(r *messages.ReadRequest) tee.OutMsg {
 		View:       e.view,
 		AppliedSeq: e.lastExec,
 	}
-	rep.MAC = e.macs.MAC(rep.AuthenticatedBytes(),
-		crypto.Identity{ReplicaID: r.ClientID, Role: crypto.RoleClient})
+	rep.MAC = e.clientMAC(rep, r.ClientID)
 	return clientOut(r.ClientID, rep)
+}
+
+// clientMAC authenticates a client-bound message to its client, encoding
+// the covered bytes in a pooled buffer.
+func (e *execution) clientMAC(m interface{ AppendAuthenticated(*messages.Encoder) }, client uint32) [crypto.MACSize]byte {
+	enc := messages.GetEncoder()
+	m.AppendAuthenticated(enc)
+	mac := e.macs.MAC(enc.Bytes(), crypto.Identity{ReplicaID: client, Role: crypto.RoleClient})
+	messages.PutEncoder(enc)
+	return mac
 }
 
 // admitLinearizableRead parks a linearizable read behind a read-index
@@ -527,7 +538,7 @@ func (e *execution) admitLinearizableRead(host tee.Host, r *messages.ReadRequest
 func (e *execution) sendReadIndex(host tee.Host) tee.OutMsg {
 	e.evReadIndexes.Add(1)
 	ri := &messages.ReadIndex{Holder: e.id, View: e.view, Epoch: e.riSentEpoch}
-	ri.Sig, ri.Auth = e.authenticate(host, messages.TReadIndex, ri.SigningBytes())
+	ri.Sig, ri.Auth = e.authenticate(host, ri)
 	if p := e.primary(e.view); p != e.id {
 		return replicaOut(p, ri)
 	}
@@ -790,8 +801,7 @@ func (e *execution) executeBatch(host tee.Host, batch *messages.Batch) []tee.Out
 			Seq:       e.lastExec,
 			Result:    result,
 		}
-		rep.MAC = e.macs.MAC(rep.AuthenticatedBytes(),
-			crypto.Identity{ReplicaID: req.ClientID, Role: crypto.RoleClient})
+		rep.MAC = e.clientMAC(rep, req.ClientID)
 		entry.record(req.Timestamp, rep)
 		out = append(out, clientOut(req.ClientID, rep))
 	}
@@ -913,7 +923,7 @@ func (e *execution) maybeCheckpoint(host tee.Host, seq uint64) []tee.OutMsg {
 	snap := e.snapshotState()
 	e.snapshots[seq] = snap
 	cp := &messages.Checkpoint{Seq: seq, StateDigest: crypto.HashData(snap), Replica: e.id}
-	cp.Sig, cp.Auth = e.authenticate(host, messages.TCheckpoint, cp.SigningBytes())
+	cp.Sig, cp.Auth = e.authenticate(host, cp)
 	out := []tee.OutMsg{
 		broadcastOut(cp),
 		localOut(crypto.RolePreparation, cp),

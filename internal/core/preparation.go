@@ -252,7 +252,7 @@ func (p *preparation) onReadIndex(host tee.Host, ri *messages.ReadIndex) []tee.O
 		Epoch:    ri.Epoch,
 		Frontier: p.nextSeq,
 	}
-	rep.Sig, rep.Auth = p.authenticate(host, messages.TReadIndexReply, rep.SigningBytes())
+	rep.Sig, rep.Auth = p.authenticate(host, rep)
 	if ri.Holder == p.id {
 		return []tee.OutMsg{localOut(crypto.RoleExecution, rep)}
 	}
@@ -357,7 +357,7 @@ func (p *preparation) proposeBatch(host tee.Host, batch *messages.Batch) []tee.O
 		Replica: p.id,
 		Batch:   b,
 	}
-	pp.Sig, pp.Auth = p.authenticate(host, messages.TPrePrepare, pp.SigningBytes())
+	pp.Sig, pp.Auth = p.authenticate(host, pp)
 	if p.trustedMode() {
 		// Bind the proposal to the next counter value. nextSeq and the
 		// counter advance in lockstep from the view's bases, so the
@@ -404,7 +404,7 @@ func (p *preparation) onPrePrepare(host tee.Host, pp *messages.PrePrepare) []tee
 		return nil // duplicate or equivocation: prepare only once
 	}
 	prep := &messages.Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Replica: p.id}
-	prep.Sig, prep.Auth = p.authenticate(host, messages.TPrepare, prep.SigningBytes())
+	prep.Sig, prep.Auth = p.authenticate(host, prep)
 	return []tee.OutMsg{
 		broadcastOut(prep),
 		localOut(crypto.RoleConfirmation, prep),
@@ -516,7 +516,7 @@ func (p *preparation) onNewView(host tee.Host, nv *messages.NewView) []tee.OutMs
 				continue // counter-attested re-issues need no Prepare votes
 			}
 			prep := &messages.Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Replica: p.id}
-			prep.Sig, prep.Auth = p.authenticate(host, messages.TPrepare, prep.SigningBytes())
+			prep.Sig, prep.Auth = p.authenticate(host, prep)
 			out = append(out, broadcastOut(prep), localOut(crypto.RoleConfirmation, prep))
 		}
 	}

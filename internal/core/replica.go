@@ -19,7 +19,8 @@ import (
 const verifyCacheEntries = 1 << 13
 
 // replayChunk is how many recovered WAL records one trusted-boundary
-// crossing replays (the recovery analog of Config.EcallBatch).
+// crossing replays (the recovery analog of maxCrossing; larger because no
+// output waits behind a replayed crossing).
 const replayChunk = 64
 
 // Replica is one SplitBFT replica: three enclaves (Preparation,

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"sync"
 )
 
@@ -37,7 +38,9 @@ func NewMACKey(secret []byte, a, b Identity) MACKey {
 	return k
 }
 
-// ComputeMAC returns the HMAC-SHA256 of msg under key.
+// ComputeMAC returns the HMAC-SHA256 of msg under key. It re-keys a fresh
+// HMAC on every call — the reference implementation; MACStore computes the
+// same bytes from a keyed state it keeps per pairwise key.
 func ComputeMAC(key MACKey, msg []byte) [MACSize]byte {
 	h := hmac.New(sha256.New, key[:])
 	h.Write(msg)
@@ -61,6 +64,34 @@ type Authenticator struct {
 	MACs [][MACSize]byte
 }
 
+// keyedMAC is one pairwise key with its HMAC-SHA256 state already keyed.
+// hash.Hash.Reset restores the state left by the key-pad compressions
+// instead of redoing them, so a header-sized MAC costs two SHA-256
+// compressions where hmac.New pays four plus the allocation of two
+// digests and two pads. The lock serializes users of the state; sum is the
+// scratch Sum appends into, part of the struct because a local array
+// passed through the hash.Hash interface would escape to the heap.
+type keyedMAC struct {
+	mu  sync.Mutex
+	h   hash.Hash
+	sum [MACSize]byte
+}
+
+func newKeyedMAC(key MACKey) *keyedMAC {
+	return &keyedMAC{h: hmac.New(sha256.New, key[:])}
+}
+
+// compute returns the HMAC-SHA256 of msg, byte-identical to ComputeMAC
+// under the same key.
+func (k *keyedMAC) compute(msg []byte) [MACSize]byte {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.h.Reset()
+	k.h.Write(msg)
+	k.h.Sum(k.sum[:0])
+	return k.sum
+}
+
 // MACStore holds the pairwise MAC keys known to one participant. It is safe
 // for concurrent use. Keys come from one of two sources: a shared system
 // secret (NewMACStore — the client/replica keys the paper derives during
@@ -78,7 +109,7 @@ type MACStore struct {
 	epoch  func() uint64
 
 	mu          sync.RWMutex
-	cache       map[Identity]MACKey
+	cache       map[Identity]*keyedMAC
 	cachedEpoch uint64
 }
 
@@ -87,7 +118,7 @@ type MACStore struct {
 func NewMACStore(secret []byte, self Identity) *MACStore {
 	s := make([]byte, len(secret))
 	copy(s, secret)
-	return &MACStore{self: self, secret: s, cache: make(map[Identity]MACKey)}
+	return &MACStore{self: self, secret: s, cache: make(map[Identity]*keyedMAC)}
 }
 
 // NewDerivedMACStore creates a MAC store whose pairwise keys come from
@@ -96,16 +127,16 @@ func NewMACStore(secret []byte, self Identity) *MACStore {
 // arrive at the same key. epoch, when non-nil, invalidates the key cache
 // whenever its value changes (peers re-registering after a restart).
 func NewDerivedMACStore(self Identity, derive func(peer Identity) (MACKey, error), epoch func() uint64) *MACStore {
-	return &MACStore{self: self, derive: derive, epoch: epoch, cache: make(map[Identity]MACKey)}
+	return &MACStore{self: self, derive: derive, epoch: epoch, cache: make(map[Identity]*keyedMAC)}
 }
 
 // Self returns the identity this store authenticates as.
 func (m *MACStore) Self() Identity { return m.self }
 
-// keyFor returns (caching) the pairwise key between self and peer. Keys are
-// symmetric: keyFor(a→b) == keyFor(b→a). It fails only for derived stores
-// whose peer key material is not (yet) registered.
-func (m *MACStore) keyFor(peer Identity) (MACKey, error) {
+// keyFor returns (caching) the keyed HMAC state of the pairwise key between
+// self and peer. Keys are symmetric: keyFor(a→b) == keyFor(b→a). It fails
+// only for derived stores whose peer key material is not (yet) registered.
+func (m *MACStore) keyFor(peer Identity) (*keyedMAC, error) {
 	var ep uint64
 	if m.epoch != nil {
 		ep = m.epoch()
@@ -117,11 +148,11 @@ func (m *MACStore) keyFor(peer Identity) (MACKey, error) {
 	if ok && !stale {
 		return k, nil
 	}
-	var err error
+	var key MACKey
 	if m.derive != nil {
-		k, err = m.derive(peer)
-		if err != nil {
-			return MACKey{}, err
+		var err error
+		if key, err = m.derive(peer); err != nil {
+			return nil, err
 		}
 	} else {
 		// Normalize the pair ordering so both directions derive the same key.
@@ -129,11 +160,13 @@ func (m *MACStore) keyFor(peer Identity) (MACKey, error) {
 		if less(b, a) {
 			a, b = b, a
 		}
-		k = NewMACKey(m.secret, a, b)
+		key = NewMACKey(m.secret, a, b)
 	}
+	k = newKeyedMAC(key)
 	m.mu.Lock()
 	if m.cachedEpoch != ep {
-		m.cache = make(map[Identity]MACKey)
+		// The keyed states go with the keys they were built from.
+		m.cache = make(map[Identity]*keyedMAC)
 		m.cachedEpoch = ep
 	}
 	m.cache[peer] = k
@@ -160,7 +193,7 @@ func (m *MACStore) Authenticate(msg []byte, receivers []Identity) Authenticator 
 		if err != nil {
 			continue
 		}
-		auth.MACs[i] = ComputeMAC(k, msg)
+		auth.MACs[i] = k.compute(msg)
 	}
 	return auth
 }
@@ -172,7 +205,7 @@ func (m *MACStore) MAC(msg []byte, receiver Identity) [MACSize]byte {
 	if err != nil {
 		return [MACSize]byte{}
 	}
-	return ComputeMAC(k, msg)
+	return k.compute(msg)
 }
 
 // VerifyIndexed verifies the idx-th MAC of the authenticator as coming from
@@ -181,14 +214,7 @@ func (m *MACStore) VerifyIndexed(msg []byte, auth Authenticator, idx int, sender
 	if idx < 0 || idx >= len(auth.MACs) {
 		return fmt.Errorf("%w: authenticator index %d out of range %d", ErrBadMAC, idx, len(auth.MACs))
 	}
-	k, err := m.keyFor(sender)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadMAC, err)
-	}
-	if !VerifyMAC(k, msg, auth.MACs[idx]) {
-		return fmt.Errorf("%w: from %v/%v", ErrBadMAC, sender.ReplicaID, sender.Role)
-	}
-	return nil
+	return m.VerifySingle(msg, auth.MACs[idx], sender)
 }
 
 // VerifySingle verifies a single MAC from sender over msg.
@@ -197,7 +223,7 @@ func (m *MACStore) VerifySingle(msg []byte, mac [MACSize]byte, sender Identity) 
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadMAC, err)
 	}
-	if !VerifyMAC(k, msg, mac) {
+	if want := k.compute(msg); !hmac.Equal(want[:], mac[:]) {
 		return fmt.Errorf("%w: from %v/%v", ErrBadMAC, sender.ReplicaID, sender.Role)
 	}
 	return nil

@@ -47,7 +47,11 @@ func (m ConsensusMode) String() string {
 // view, sequence number, batch, or proposer — the transplant/replay checks
 // collapse into one digest comparison.
 func CounterDigest(pp *PrePrepare) crypto.Digest {
-	return crypto.HashData(pp.SigningBytes())
+	e := GetEncoder()
+	pp.AppendSigning(e)
+	d := crypto.HashData(e.Bytes())
+	PutEncoder(e)
+	return d
 }
 
 // ValidConsensus reports whether (n, f) is a valid group shape for mode:

@@ -7,10 +7,15 @@ import (
 // Marshal encodes m into a self-describing envelope: one type byte followed
 // by the message body.
 func Marshal(m Message) []byte {
-	e := NewEncoder(128)
+	// Encoded in a pooled buffer and copied out at its exact size: one
+	// allocation per message however often the encoding had to grow.
+	e := GetEncoder()
 	e.U8(uint8(m.MsgType()))
 	m.encodeBody(e)
-	return e.Bytes()
+	out := make([]byte, len(e.buf))
+	copy(out, e.buf)
+	PutEncoder(e)
+	return out
 }
 
 // MarshalTo encodes m into the provided encoder, returning the encoder's

@@ -107,6 +107,25 @@ type Message interface {
 	decodeBody(d *Decoder)
 }
 
+// Signable is an agreement message authenticated over a fixed header — by
+// the sender's signature or, in MAC mode, its authenticator vector.
+// AppendSigning appends exactly the bytes SigningBytes returns to a
+// caller-provided encoder, so hot paths that only sign, MAC or verify the
+// bytes can encode them into a pooled buffer (GetEncoder) and allocate
+// nothing.
+type Signable interface {
+	MsgType() Type
+	AppendSigning(e *Encoder)
+}
+
+// signingBytes is SigningBytes for any Signable: its own allocation, for
+// callers that keep the bytes.
+func signingBytes(m Signable) []byte {
+	e := NewEncoder(64)
+	m.AppendSigning(e)
+	return e.Bytes()
+}
+
 // Request is a client operation submitted for ordering. The Payload is
 // opaque to the ordering compartments: for confidential applications it is
 // an AES-GCM ciphertext only the Execution enclaves can open.
@@ -272,14 +291,15 @@ type PrePrepare struct {
 func (*PrePrepare) MsgType() Type { return TPrePrepare }
 
 // SigningBytes returns the bytes the signature covers.
-func (p *PrePrepare) SigningBytes() []byte {
-	e := NewEncoder(64)
+func (p *PrePrepare) SigningBytes() []byte { return signingBytes(p) }
+
+// AppendSigning implements Signable.
+func (p *PrePrepare) AppendSigning(e *Encoder) {
 	e.U8(uint8(TPrePrepare))
 	e.U64(p.View)
 	e.U64(p.Seq)
 	e.Digest(p.Digest)
 	e.U32(p.Replica)
-	return e.Bytes()
 }
 
 // StripBatch returns a copy of p without the request bodies, as embedded in
@@ -346,14 +366,15 @@ type Prepare struct {
 func (*Prepare) MsgType() Type { return TPrepare }
 
 // SigningBytes returns the bytes the signature covers.
-func (p *Prepare) SigningBytes() []byte {
-	e := NewEncoder(64)
+func (p *Prepare) SigningBytes() []byte { return signingBytes(p) }
+
+// AppendSigning implements Signable.
+func (p *Prepare) AppendSigning(e *Encoder) {
 	e.U8(uint8(TPrepare))
 	e.U64(p.View)
 	e.U64(p.Seq)
 	e.Digest(p.Digest)
 	e.U32(p.Replica)
-	return e.Bytes()
 }
 
 func (p *Prepare) encodeBody(e *Encoder) {
@@ -391,14 +412,15 @@ type Commit struct {
 func (*Commit) MsgType() Type { return TCommit }
 
 // SigningBytes returns the bytes the signature covers.
-func (c *Commit) SigningBytes() []byte {
-	e := NewEncoder(64)
+func (c *Commit) SigningBytes() []byte { return signingBytes(c) }
+
+// AppendSigning implements Signable.
+func (c *Commit) AppendSigning(e *Encoder) {
 	e.U8(uint8(TCommit))
 	e.U64(c.View)
 	e.U64(c.Seq)
 	e.Digest(c.Digest)
 	e.U32(c.Replica)
-	return e.Bytes()
 }
 
 func (c *Commit) encodeBody(e *Encoder) {
@@ -443,6 +465,13 @@ func (*Reply) MsgType() Type { return TReply }
 // AuthenticatedBytes returns the bytes the reply MAC covers.
 func (r *Reply) AuthenticatedBytes() []byte {
 	e := NewEncoder(32 + len(r.Result))
+	r.AppendAuthenticated(e)
+	return e.Bytes()
+}
+
+// AppendAuthenticated appends AuthenticatedBytes to a caller-provided
+// (typically pooled) encoder.
+func (r *Reply) AppendAuthenticated(e *Encoder) {
 	e.U8(uint8(TReply))
 	e.U64(r.View)
 	e.U32(r.ClientID)
@@ -450,7 +479,6 @@ func (r *Reply) AuthenticatedBytes() []byte {
 	e.U32(r.Replica)
 	e.U64(r.Seq)
 	e.VarBytes(r.Result)
-	return e.Bytes()
 }
 
 func (r *Reply) encodeBody(e *Encoder) {
@@ -645,13 +673,19 @@ func (*ReadRequest) MsgType() Type { return TReadRequest }
 // AuthenticatedBytes returns the bytes the request MAC covers.
 func (r *ReadRequest) AuthenticatedBytes() []byte {
 	e := NewEncoder(32 + len(r.Payload))
+	r.AppendAuthenticated(e)
+	return e.Bytes()
+}
+
+// AppendAuthenticated appends AuthenticatedBytes to a caller-provided
+// (typically pooled) encoder.
+func (r *ReadRequest) AppendAuthenticated(e *Encoder) {
 	e.U8(uint8(TReadRequest))
 	e.U32(r.ClientID)
 	e.U64(r.Timestamp)
 	e.U64(r.MinSeq)
 	e.Bool(r.Linearizable)
 	e.VarBytes(r.Payload)
-	return e.Bytes()
 }
 
 func (r *ReadRequest) encodeBody(e *Encoder) {
@@ -696,6 +730,13 @@ func (*ReadReply) MsgType() Type { return TReadReply }
 // AuthenticatedBytes returns the bytes the reply MAC covers.
 func (r *ReadReply) AuthenticatedBytes() []byte {
 	e := NewEncoder(40 + len(r.Result))
+	r.AppendAuthenticated(e)
+	return e.Bytes()
+}
+
+// AppendAuthenticated appends AuthenticatedBytes to a caller-provided
+// (typically pooled) encoder.
+func (r *ReadReply) AppendAuthenticated(e *Encoder) {
 	e.U8(uint8(TReadReply))
 	e.U32(r.Replica)
 	e.U32(r.ClientID)
@@ -704,7 +745,6 @@ func (r *ReadReply) AuthenticatedBytes() []byte {
 	e.U64(r.AppliedSeq)
 	e.Bool(r.OK)
 	e.VarBytes(r.Result)
-	return e.Bytes()
 }
 
 func (r *ReadReply) encodeBody(e *Encoder) {
@@ -751,13 +791,14 @@ type LeaseAck struct {
 func (*LeaseAck) MsgType() Type { return TLeaseAck }
 
 // SigningBytes returns the bytes the signature covers.
-func (a *LeaseAck) SigningBytes() []byte {
-	e := NewEncoder(32)
+func (a *LeaseAck) SigningBytes() []byte { return signingBytes(a) }
+
+// AppendSigning implements Signable.
+func (a *LeaseAck) AppendSigning(e *Encoder) {
 	e.U8(uint8(TLeaseAck))
 	e.U32(a.Holder)
 	e.U64(a.View)
 	e.U64(uint64(a.Expiry))
-	return e.Bytes()
 }
 
 func (a *LeaseAck) encodeBody(e *Encoder) {
@@ -798,13 +839,14 @@ type ReadIndex struct {
 func (*ReadIndex) MsgType() Type { return TReadIndex }
 
 // SigningBytes returns the bytes the signature covers.
-func (r *ReadIndex) SigningBytes() []byte {
-	e := NewEncoder(32)
+func (r *ReadIndex) SigningBytes() []byte { return signingBytes(r) }
+
+// AppendSigning implements Signable.
+func (r *ReadIndex) AppendSigning(e *Encoder) {
 	e.U8(uint8(TReadIndex))
 	e.U32(r.Holder)
 	e.U64(r.View)
 	e.U64(r.Epoch)
-	return e.Bytes()
 }
 
 func (r *ReadIndex) encodeBody(e *Encoder) {
@@ -843,14 +885,15 @@ type ReadIndexReply struct {
 func (*ReadIndexReply) MsgType() Type { return TReadIndexReply }
 
 // SigningBytes returns the bytes the signature covers.
-func (r *ReadIndexReply) SigningBytes() []byte {
-	e := NewEncoder(40)
+func (r *ReadIndexReply) SigningBytes() []byte { return signingBytes(r) }
+
+// AppendSigning implements Signable.
+func (r *ReadIndexReply) AppendSigning(e *Encoder) {
 	e.U8(uint8(TReadIndexReply))
 	e.U32(r.Replica)
 	e.U64(r.View)
 	e.U64(r.Epoch)
 	e.U64(r.Frontier)
-	return e.Bytes()
 }
 
 func (r *ReadIndexReply) encodeBody(e *Encoder) {

@@ -160,7 +160,11 @@ func (v *Verifier) timedVerifyFrom(signer crypto.Identity, msg, sig []byte) erro
 // Ed25519 signature in sig mode, or — in MAC mode — the authenticator
 // slot addressed to this compartment, under the pairwise key shared with
 // the sending enclave.
-func (v *Verifier) verifyAuth(t Type, signer crypto.Identity, signing, sig []byte, auth crypto.Authenticator) error {
+func (v *Verifier) verifyAuth(m Signable, signer crypto.Identity, sig []byte, auth crypto.Authenticator) error {
+	e := GetEncoder()
+	defer PutEncoder(e)
+	m.AppendSigning(e)
+	signing, t := e.Bytes(), m.MsgType()
 	if v.Mode != AuthMAC {
 		return v.VerifySig(signer, signing, sig)
 	}
@@ -244,7 +248,7 @@ func (v *Verifier) checkPrePrepare(pp *PrePrepare, requireBatch, needAuth bool) 
 	}
 	if needAuth {
 		signer := crypto.Identity{ReplicaID: pp.Replica, Role: v.Scheme.PrePrepare}
-		if err := v.verifyAuth(TPrePrepare, signer, pp.SigningBytes(), pp.Sig, pp.Auth); err != nil {
+		if err := v.verifyAuth(pp, signer, pp.Sig, pp.Auth); err != nil {
 			return fmt.Errorf("%w: PrePrepare(v=%d,n=%d): %v", ErrInvalid, pp.View, pp.Seq, err)
 		}
 	}
@@ -372,7 +376,7 @@ func (v *Verifier) VerifyLeaseAck(a *LeaseAck) error {
 		return err
 	}
 	signer := crypto.Identity{ReplicaID: a.Holder, Role: crypto.RoleExecution}
-	if err := v.verifyAuth(TLeaseAck, signer, a.SigningBytes(), a.Sig, a.Auth); err != nil {
+	if err := v.verifyAuth(a, signer, a.Sig, a.Auth); err != nil {
 		return fmt.Errorf("%w: LeaseAck(v=%d,holder=%d): %v", ErrInvalid, a.View, a.Holder, err)
 	}
 	return nil
@@ -385,7 +389,7 @@ func (v *Verifier) VerifyReadIndex(r *ReadIndex) error {
 		return err
 	}
 	signer := crypto.Identity{ReplicaID: r.Holder, Role: crypto.RoleExecution}
-	if err := v.verifyAuth(TReadIndex, signer, r.SigningBytes(), r.Sig, r.Auth); err != nil {
+	if err := v.verifyAuth(r, signer, r.Sig, r.Auth); err != nil {
 		return fmt.Errorf("%w: ReadIndex(v=%d,holder=%d): %v", ErrInvalid, r.View, r.Holder, err)
 	}
 	return nil
@@ -404,7 +408,7 @@ func (v *Verifier) VerifyReadIndexReply(r *ReadIndexReply) error {
 			ErrInvalid, r.View, r.Replica, v.Primary(r.View))
 	}
 	signer := crypto.Identity{ReplicaID: r.Replica, Role: crypto.RolePreparation}
-	if err := v.verifyAuth(TReadIndexReply, signer, r.SigningBytes(), r.Sig, r.Auth); err != nil {
+	if err := v.verifyAuth(r, signer, r.Sig, r.Auth); err != nil {
 		return fmt.Errorf("%w: ReadIndexReply(v=%d,epoch=%d): %v", ErrInvalid, r.View, r.Epoch, err)
 	}
 	return nil
@@ -420,7 +424,7 @@ func (v *Verifier) VerifyPrepare(p *Prepare) error {
 		return fmt.Errorf("%w: Prepare from primary %d of view %d", ErrInvalid, p.Replica, p.View)
 	}
 	signer := crypto.Identity{ReplicaID: p.Replica, Role: v.Scheme.Prepare}
-	if err := v.verifyAuth(TPrepare, signer, p.SigningBytes(), p.Sig, p.Auth); err != nil {
+	if err := v.verifyAuth(p, signer, p.Sig, p.Auth); err != nil {
 		return fmt.Errorf("%w: Prepare(v=%d,n=%d,r=%d): %v", ErrInvalid, p.View, p.Seq, p.Replica, err)
 	}
 	return nil
@@ -432,7 +436,7 @@ func (v *Verifier) VerifyCommit(c *Commit) error {
 		return err
 	}
 	signer := crypto.Identity{ReplicaID: c.Replica, Role: v.Scheme.Commit}
-	if err := v.verifyAuth(TCommit, signer, c.SigningBytes(), c.Sig, c.Auth); err != nil {
+	if err := v.verifyAuth(c, signer, c.Sig, c.Auth); err != nil {
 		return fmt.Errorf("%w: Commit(v=%d,n=%d,r=%d): %v", ErrInvalid, c.View, c.Seq, c.Replica, err)
 	}
 	return nil
@@ -444,7 +448,7 @@ func (v *Verifier) VerifyCheckpoint(c *Checkpoint) error {
 		return err
 	}
 	signer := crypto.Identity{ReplicaID: c.Replica, Role: v.Scheme.Checkpoint}
-	if err := v.verifyAuth(TCheckpoint, signer, c.SigningBytes(), c.Sig, c.Auth); err != nil {
+	if err := v.verifyAuth(c, signer, c.Sig, c.Auth); err != nil {
 		return fmt.Errorf("%w: Checkpoint(n=%d,r=%d): %v", ErrInvalid, c.Seq, c.Replica, err)
 	}
 	return nil

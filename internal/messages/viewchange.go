@@ -22,13 +22,14 @@ type Checkpoint struct {
 func (*Checkpoint) MsgType() Type { return TCheckpoint }
 
 // SigningBytes returns the bytes the signature covers.
-func (c *Checkpoint) SigningBytes() []byte {
-	e := NewEncoder(64)
+func (c *Checkpoint) SigningBytes() []byte { return signingBytes(c) }
+
+// AppendSigning implements Signable.
+func (c *Checkpoint) AppendSigning(e *Encoder) {
 	e.U8(uint8(TCheckpoint))
 	e.U64(c.Seq)
 	e.Digest(c.StateDigest)
 	e.U32(c.Replica)
-	return e.Bytes()
 }
 
 func (c *Checkpoint) encodeBody(e *Encoder) {

@@ -17,8 +17,8 @@
 // committer goroutine flushes and fsyncs them on a short interval, so one
 // fsync covers many records (uBFT-style bounded-log engineering). The
 // broker additionally calls Sync before letting an invocation's outputs
-// escape, so the interval fully amortizes only output-free traffic —
-// with ecall batching, one Sync still covers a whole delivered batch.
+// escape, so the interval fully amortizes only output-free traffic — and
+// one Sync covers everything a dispatcher delivered in the same crossing.
 // Crash simulation (Store.Crash) discards the unflushed buffer, modeling
 // the tail a SIGKILL would lose.
 package store

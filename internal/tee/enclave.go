@@ -73,7 +73,9 @@ type Host interface {
 
 // Code is the logic loaded into an enclave: a deserialize-handle-serialize
 // event handler (P2: event handlers run to completion inside one
-// compartment). Implementations must not retain the input slice.
+// compartment). Implementations must not retain the input slice, nor hand
+// any part of it back as an output payload: it points into the enclave's
+// inbound buffer, which the next crossing overwrites.
 type Code interface {
 	// Measurement identifies the code for attestation (MRENCLAVE analog).
 	Measurement() crypto.Digest
@@ -140,8 +142,15 @@ type Enclave struct {
 
 	// verifyWorkers bounds the preprocessing pool InvokeBatch fans
 	// Preprocess calls out to; <= 1 disables preprocessing (the serial
-	// handler verifies inline, exactly as single-message Invoke does).
+	// handler verifies inline).
 	verifyWorkers int
+
+	// inbuf is the enclave-side copy of the payloads of the crossing in
+	// progress and inside their boundaries within it; both are reused from
+	// one crossing to the next (guarded by execMu), so copy-in allocates
+	// nothing in steady state.
+	inbuf  []byte
+	inside [][]byte
 }
 
 type counterCell struct {
@@ -441,40 +450,31 @@ func (e *Enclave) SetVerifyWorkers(n int) {
 	e.verifyWorkers = n
 }
 
-// Invoke performs one ecall: it serializes the caller behind the enclave's
-// single execution thread, charges the transition and copy costs, runs the
-// handler, and charges copy-out for the results. The returned messages'
-// payloads are fresh copies owned by the caller.
+// Invoke performs one ecall carrying one message; see InvokeBatch.
 func (e *Enclave) Invoke(msg []byte) ([]OutMsg, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	if e.crashed {
-		return nil, ErrCrashed
-	}
-	stop := e.stats.start(1)
-	e.cost.chargeTransition()
-	e.cost.chargeCopy(len(msg))
-	out := e.code.HandleECall(e, copyBytes(msg))
-	for i := range out {
-		e.cost.chargeCopy(len(out[i].Payload))
-	}
-	stop()
-	return out, nil
+	return e.InvokeBatch([][]byte{msg})
 }
 
-// InvokeBatch delivers many queued ecalls in one trusted-boundary
-// crossing: a single transition is charged for the whole batch (the
-// HotCalls-style amortization SplitBFT's evaluation identifies as the
-// dominant cost lever), every message still pays its copy-in, and the
-// handler runs once per message in submission order on the enclave's
-// single logical protocol thread. When the code implements Preprocessor
-// and a verify-worker pool is configured, the stateless share of the work
-// (decode + signature verification) is fanned out across the batch first;
-// state updates remain strictly serial, so ordering stays deterministic.
+// maxInboundKeep bounds the inbound buffer an enclave holds on to between
+// crossings; a one-off larger crossing (a state snapshot) gives its buffer
+// back to the GC.
+const maxInboundKeep = 1 << 16
+
+// InvokeBatch delivers queued ecalls in one trusted-boundary crossing: it
+// serializes the caller behind the enclave's single execution thread and
+// charges one transition for the whole batch (the HotCalls-style
+// amortization SplitBFT's evaluation identifies as the dominant cost
+// lever); every message still pays its copy-in — into the enclave's
+// reusable inbound buffer — and the handler runs once per message in
+// submission order on the enclave's single logical protocol thread. When
+// the code implements Preprocessor and a verify-worker pool is configured,
+// the stateless share of the work (decode + signature verification) is
+// fanned out across the batch first; state updates remain strictly serial,
+// so ordering stays deterministic.
 //
-// Outputs are returned concatenated in handler order. The returned
-// payloads are fresh copies; the input buffers are not retained, so
-// callers may recycle them immediately.
+// Outputs are returned concatenated in handler order, copy-out charged;
+// their payloads are owned by the caller. The input buffers are not
+// retained, so callers may recycle them immediately.
 func (e *Enclave) InvokeBatch(msgs [][]byte) ([]OutMsg, error) {
 	if len(msgs) == 0 {
 		return nil, nil
@@ -486,22 +486,52 @@ func (e *Enclave) InvokeBatch(msgs [][]byte) ([]OutMsg, error) {
 	}
 	stop := e.stats.start(len(msgs))
 	e.cost.chargeTransition()
-	inside := make([][]byte, len(msgs))
-	for i, m := range msgs {
+	size := 0
+	for _, m := range msgs {
+		size += len(m)
+	}
+	if cap(e.inbuf) < size {
+		e.inbuf = make([]byte, 0, size)
+	}
+	buf, inside := e.inbuf[:0], e.inside[:0]
+	for _, m := range msgs {
 		e.cost.chargeCopy(len(m))
-		inside[i] = copyBytes(m)
+		buf = append(buf, m...)
+		// Capacity clipped: a handler appending to its input must not run
+		// into the next message.
+		inside = append(inside, buf[len(buf)-len(m):len(buf):len(buf)])
 	}
 	e.preprocess(inside)
 	var out []OutMsg
 	for _, m := range inside {
-		out = append(out, e.code.HandleECall(e, m)...)
+		o := e.code.HandleECall(e, m)
+		if PoisonInbound.Load() {
+			for i := range m {
+				m[i] = 0xFF
+			}
+		}
+		if out == nil {
+			out = o
+		} else {
+			out = append(out, o...)
+		}
 	}
 	for i := range out {
 		e.cost.chargeCopy(len(out[i].Payload))
 	}
+	if cap(buf) > maxInboundKeep {
+		buf, inside = nil, nil
+	}
+	e.inbuf, e.inside = buf, inside
 	stop()
 	return out, nil
 }
+
+// PoisonInbound is a test hook: while set, every enclave overwrites a
+// message's bytes in its inbound buffer with 0xFF as soon as the handler
+// returns, so code that kept a slice of its input — which production runs
+// would corrupt silently one crossing later — fails loudly at once.
+var PoisonInbound atomic.Bool
 
 // preprocess fans the stateless per-message work out to a bounded set of
 // workers. It runs under execMu, so workers never race with HandleECall.

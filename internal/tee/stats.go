@@ -7,8 +7,8 @@ import (
 
 // ECallStats accumulates per-enclave ecall timing, the instrumentation
 // behind Figure 4 (average ecall latency per compartment). A "call" is one
-// trusted-boundary crossing (Invoke or InvokeBatch); with batched ecalls
-// one call may deliver many messages, so messages are counted separately.
+// trusted-boundary crossing (Invoke or InvokeBatch); one call may deliver
+// many messages, so messages are counted separately.
 type ECallStats struct {
 	mu    sync.Mutex
 	count uint64 // boundary crossings
@@ -55,8 +55,8 @@ func (s *ECallStats) reset() {
 // ECallSnapshot is a point-in-time copy of an enclave's ecall statistics.
 type ECallSnapshot struct {
 	// Count is the number of trusted-boundary crossings; Msgs the number
-	// of messages they delivered. Msgs/Count is the achieved ecall batch
-	// amortization (1.0 when batching is off).
+	// of messages they delivered. Msgs/Count is the achieved amortization
+	// (1.0 when every crossing found a single message waiting).
 	Count uint64
 	Msgs  uint64
 	Total time.Duration

@@ -5,6 +5,7 @@ import (
 	"crypto/ecdh"
 	"crypto/rand"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -30,7 +31,7 @@ func (c *echoCode) HandleECall(host Host, msg []byte) []OutMsg {
 			return nil
 		}
 	}
-	return []OutMsg{{Kind: DestBroadcast, Payload: msg}}
+	return []OutMsg{{Kind: DestBroadcast, Payload: append([]byte(nil), msg...)}}
 }
 
 func newTestEnclave(t *testing.T, code Code) *Enclave {
@@ -77,7 +78,7 @@ type captureCode struct{ capture *[]byte }
 
 func (c *captureCode) Measurement() crypto.Digest { return crypto.Digest{} }
 func (c *captureCode) HandleECall(_ Host, msg []byte) []OutMsg {
-	*c.capture = msg
+	*c.capture = append([]byte(nil), msg...)
 	return nil
 }
 
@@ -427,6 +428,7 @@ type orderCode struct {
 func (c *orderCode) Measurement() crypto.Digest { return crypto.Digest{} }
 
 func (c *orderCode) HandleECall(_ Host, msg []byte) []OutMsg {
+	msg = append([]byte(nil), msg...)
 	c.mu.Lock()
 	c.handled = append(c.handled, msg)
 	c.mu.Unlock()
@@ -435,7 +437,7 @@ func (c *orderCode) HandleECall(_ Host, msg []byte) []OutMsg {
 
 func (c *orderCode) Preprocess(_ Host, msg []byte) {
 	c.mu.Lock()
-	c.pre = append(c.pre, msg)
+	c.pre = append(c.pre, append([]byte(nil), msg...))
 	c.mu.Unlock()
 }
 
@@ -518,5 +520,79 @@ func TestInvokeBatchCopiesInputs(t *testing.T) {
 	in[0][0] = 'X'
 	if !bytes.Equal(captured, []byte("original")) {
 		t.Fatal("enclave saw caller mutation: boundary must copy")
+	}
+}
+
+// TestInvokeReusesInboundBuffer pins the allocation diet of the boundary:
+// once the enclave's inbound buffer has grown to the traffic's size, a
+// crossing copies its payloads in without allocating — and a later, shorter
+// crossing never shows a handler bytes left over from an earlier one.
+func TestInvokeReusesInboundBuffer(t *testing.T) {
+	var captured []byte
+	e := newTestEnclave(t, &captureCode{capture: &captured})
+	if _, err := e.Invoke([]byte("a-long-first-message")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Invoke([]byte("short")); err != nil {
+		t.Fatal(err)
+	}
+	if string(captured) != "short" {
+		t.Fatalf("handler saw %q, want the second message alone", captured)
+	}
+
+	quiet := newTestEnclave(t, nopCode{})
+	one := make([]byte, 512)
+	batch := [][]byte{make([]byte, 100), make([]byte, 200), make([]byte, 300)}
+	for _, f := range []func(){
+		func() { _, _ = quiet.Invoke(one) },
+		func() { _, _ = quiet.InvokeBatch(batch) },
+	} {
+		f() // grow the buffer
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Fatalf("a crossing allocates %v times with a warm inbound buffer, want 0", n)
+		}
+	}
+}
+
+// TestInvokeBatchMessagesDoNotOverlap: the messages of one crossing share
+// the inbound buffer, so each must see exactly its own bytes even when an
+// earlier handler appends to its input.
+func TestInvokeBatchMessagesDoNotOverlap(t *testing.T) {
+	var seen []string
+	e := newTestEnclave(t, handlerFunc(func(msg []byte) {
+		seen = append(seen, string(msg))
+		_ = append(msg, "overrun"...)
+	}))
+	if _, err := e.InvokeBatch([][]byte{[]byte("one"), []byte("two"), nil, []byte("three")}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"one", "two", "", "three"}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("handlers saw %q, want %q", seen, want)
+	}
+}
+
+type handlerFunc func(msg []byte)
+
+func (handlerFunc) Measurement() crypto.Digest { return crypto.Digest{} }
+func (f handlerFunc) HandleECall(_ Host, msg []byte) []OutMsg {
+	f(msg)
+	return nil
+}
+
+// TestPoisonInboundExposesRetainedInput: with the test hook on, a handler
+// that keeps its input slice (against the Code contract) reads 0xFF the
+// moment it returns, instead of stale-but-plausible bytes a crossing later.
+func TestPoisonInboundExposesRetainedInput(t *testing.T) {
+	PoisonInbound.Store(true)
+	defer PoisonInbound.Store(false)
+	var kept [][]byte
+	e := newTestEnclave(t, handlerFunc(func(msg []byte) { kept = append(kept, msg) }))
+	if _, err := e.InvokeBatch([][]byte{[]byte("first"), []byte("second")}); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range kept {
+		if !bytes.Equal(k, bytes.Repeat([]byte{0xFF}, len(k))) {
+			t.Fatalf("retained input still reads %q after the handler returned", k)
+		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // maxFrame bounds a single TCP frame; larger frames indicate corruption or
@@ -22,16 +24,33 @@ type TCPNode struct {
 	ln    net.Listener
 	addrs map[uint32]string // replica ID -> address
 
-	mu     sync.Mutex
-	conns  map[Endpoint]*tcpPeer
+	mu sync.Mutex
+	// conns is the connection Send uses per peer: the one registered last
+	// (see route for what happens to the one it replaces).
+	conns map[Endpoint]*tcpPeer
+	// dials holds the dial in progress per peer, so concurrent Sends to an
+	// unconnected peer share one connection instead of racing to make one
+	// each.
+	dials map[Endpoint]*dialCall
+	// live is every open socket, routed or not, with its peer once the
+	// handshake named it (nil before); Close closes them all so every read
+	// loop wg counts returns.
+	live   map[net.Conn]*tcpPeer
 	closed bool
 	wg     sync.WaitGroup
+
+	frames atomic.Uint64
 }
 
-type tcpPeer struct {
-	c  net.Conn
-	w  *bufio.Writer
-	mu sync.Mutex // serializes frame writes
+// retireGrace is how long a superseded connection is still read, so frames
+// in flight on it when its replacement appeared are delivered.
+const retireGrace = time.Second
+
+// dialCall is one dial in progress; done closes when p and err are set.
+type dialCall struct {
+	done chan struct{}
+	p    *tcpPeer
+	err  error
 }
 
 // ListenTCP starts a listening node (used by replicas). addrs maps every
@@ -58,7 +77,12 @@ func newTCPNode(self Endpoint, addrs map[uint32]string, h Handler) *TCPNode {
 	for id, a := range addrs {
 		book[id] = a
 	}
-	return &TCPNode{self: self, h: h, addrs: book, conns: make(map[Endpoint]*tcpPeer)}
+	return &TCPNode{
+		self: self, h: h, addrs: book,
+		conns: make(map[Endpoint]*tcpPeer),
+		dials: make(map[Endpoint]*dialCall),
+		live:  make(map[net.Conn]*tcpPeer),
+	}
 }
 
 // Addr returns the listener address, or "" for non-listening nodes.
@@ -69,6 +93,65 @@ func (n *TCPNode) Addr() string {
 	return n.ln.Addr().String()
 }
 
+// FramesSent returns how many frames the node has written since the last
+// ResetStats; every frame is one socket write.
+func (n *TCPNode) FramesSent() uint64 { return n.frames.Load() }
+
+// ResetStats zeroes the FramesSent counter.
+func (n *TCPNode) ResetStats() { n.frames.Store(0) }
+
+// track records an open socket and the goroutine about to read it, unless
+// the node is already closed (then it closes c and reports false). Taking
+// the wg count under mu orders it before Close's Wait.
+func (n *TCPNode) track(c net.Conn) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		c.Close()
+		return false
+	}
+	n.live[c] = nil
+	n.wg.Add(1)
+	return true
+}
+
+// route makes p the connection Send uses for peer and retires every older
+// connection to that peer made in the same direction. A node dials only
+// when it has no route, so a second connection from the same dialler means
+// the dialler gave up on its first — after a restart, or after a failure
+// the other side cannot see, such as a peer that vanished without a RST.
+// Both ends apply this rule to the same connection. A retired connection is
+// not closed at once, because it may hold frames in flight: its read loop
+// gets retireGrace to drain them and then ends it. A connection made in the
+// other direction is left alone: two nodes that dialled each other at the
+// same moment may each route the other's, and closing either would take
+// the far side's route away. A peer thus holds at most one connection per
+// direction for longer than the grace.
+func (n *TCPNode) route(peer Endpoint, p *tcpPeer) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	p.peer = peer
+	for _, q := range n.live {
+		if q != nil && q.peer == peer && q.outbound == p.outbound {
+			q.c.SetReadDeadline(time.Now().Add(retireGrace))
+		}
+	}
+	n.live[p.c] = p
+	n.conns[peer] = p
+}
+
+// drop closes a connection and forgets it; its peer's route goes with it
+// only if p still is that route.
+func (n *TCPNode) drop(p *tcpPeer) {
+	p.c.Close()
+	n.mu.Lock()
+	delete(n.live, p.c)
+	if n.conns[p.peer] == p {
+		delete(n.conns, p.peer)
+	}
+	n.mu.Unlock()
+}
+
 func (n *TCPNode) acceptLoop() {
 	defer n.wg.Done()
 	for {
@@ -76,52 +159,36 @@ func (n *TCPNode) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			n.serveConn(c)
-		}()
+		// Tracked before the handshake arrives: Close must be able to end a
+		// connection whose peer never sends one.
+		if n.track(c) {
+			go n.serveConn(c)
+		}
 	}
 }
 
 // serveConn reads the peer's handshake then pumps frames to the handler.
 func (n *TCPNode) serveConn(c net.Conn) {
+	defer n.wg.Done()
+	p := &tcpPeer{c: c}
 	r := bufio.NewReader(c)
 	peer, err := readHandshake(r)
 	if err != nil {
-		c.Close()
+		n.drop(p) // never routed: this closes and untracks it
 		return
 	}
-	p := &tcpPeer{c: c, w: bufio.NewWriter(c)}
-	n.mu.Lock()
-	if old, ok := n.conns[peer]; ok {
-		old.c.Close()
-	}
-	n.conns[peer] = p
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
-		c.Close()
-		return
-	}
-	n.readLoop(peer, r, c)
+	n.route(peer, p)
+	n.readLoop(r, p)
 }
 
-func (n *TCPNode) readLoop(peer Endpoint, r *bufio.Reader, c net.Conn) {
-	defer func() {
-		c.Close()
-		n.mu.Lock()
-		if cur, ok := n.conns[peer]; ok && cur.c == c {
-			delete(n.conns, peer)
-		}
-		n.mu.Unlock()
-	}()
+func (n *TCPNode) readLoop(r *bufio.Reader, p *tcpPeer) {
+	defer n.drop(p)
 	for {
 		data, err := readFrame(r)
 		if err != nil {
 			return
 		}
-		n.h(peer, data)
+		n.h(p.peer, data)
 	}
 }
 
@@ -142,43 +209,64 @@ func (n *TCPNode) dial(to Endpoint) (*tcpPeer, error) {
 		c.Close()
 		return nil, err
 	}
-	p := &tcpPeer{c: c, w: bufio.NewWriter(c)}
-	n.mu.Lock()
-	n.conns[to] = p
-	n.mu.Unlock()
+	if !n.track(c) {
+		return nil, ErrClosed
+	}
+	p := &tcpPeer{c: c, outbound: true}
+	n.route(to, p)
 	// Replies and pushed messages arrive over this same connection.
-	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		n.readLoop(to, bufio.NewReader(c), c)
+		n.readLoop(bufio.NewReader(c), p)
 	}()
 	return p, nil
 }
 
-// Send implements Conn.
-func (n *TCPNode) Send(to Endpoint, data []byte) error {
+// peerFor returns the connection to send to an endpoint over, dialling it
+// if there is none; callers that find a dial in progress wait for it.
+func (n *TCPNode) peerFor(to Endpoint) (*tcpPeer, error) {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	p, ok := n.conns[to]
-	n.mu.Unlock()
-	if !ok {
-		var err error
-		if p, err = n.dial(to); err != nil {
-			return err
-		}
-	}
-	if err := p.writeFrame(data); err != nil {
-		n.mu.Lock()
-		if cur, found := n.conns[to]; found && cur == p {
-			delete(n.conns, to)
-		}
+	if p, ok := n.conns[to]; ok {
 		n.mu.Unlock()
-		p.c.Close()
+		return p, nil
+	}
+	call, waiting := n.dials[to]
+	if !waiting {
+		call = &dialCall{done: make(chan struct{})}
+		n.dials[to] = call
+	}
+	n.mu.Unlock()
+	if waiting {
+		<-call.done
+		return call.p, call.err
+	}
+	call.p, call.err = n.dial(to)
+	n.mu.Lock()
+	delete(n.dials, to)
+	n.mu.Unlock()
+	close(call.done)
+	return call.p, call.err
+}
+
+// Send implements Conn. The frame has been handed to the socket in one
+// write when Send returns, so the caller may reuse data at once.
+func (n *TCPNode) Send(to Endpoint, data []byte) error {
+	if len(data) > maxFrame {
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(data))
+	}
+	p, err := n.peerFor(to)
+	if err != nil {
 		return err
 	}
+	if err := p.send(data); err != nil {
+		n.drop(p)
+		return err
+	}
+	n.frames.Add(1)
 	return nil
 }
 
@@ -204,37 +292,46 @@ func (n *TCPNode) Close() error {
 		return nil
 	}
 	n.closed = true
-	conns := make([]*tcpPeer, 0, len(n.conns))
-	for _, p := range n.conns {
-		conns = append(conns, p)
+	open := make([]net.Conn, 0, len(n.live))
+	for c := range n.live {
+		open = append(open, c)
 	}
-	n.conns = make(map[Endpoint]*tcpPeer)
 	n.mu.Unlock()
 	if n.ln != nil {
 		n.ln.Close()
 	}
-	for _, p := range conns {
-		p.c.Close()
+	for _, c := range open {
+		c.Close()
 	}
 	n.wg.Wait()
 	return nil
 }
 
-func (p *tcpPeer) writeFrame(data []byte) error {
-	if len(data) > maxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(data))
-	}
+// tcpPeer is one connection to a peer.
+type tcpPeer struct {
+	c        net.Conn
+	peer     Endpoint // set by route, under TCPNode.mu
+	outbound bool     // dialled by this node, not accepted
+
+	mu  sync.Mutex // serialises writes
+	buf []byte     // the frame being written, reused
+}
+
+// maxKeep bounds the write buffer a connection keeps between frames, so one
+// large frame (a state transfer) does not stay pinned for its lifetime.
+const maxKeep = 1 << 16
+
+// send writes one frame, header and payload in a single socket write.
+func (p *tcpPeer) send(data []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := p.w.Write(hdr[:]); err != nil {
-		return err
+	p.buf = binary.LittleEndian.AppendUint32(p.buf[:0], uint32(len(data)))
+	p.buf = append(p.buf, data...)
+	_, err := p.c.Write(p.buf)
+	if cap(p.buf) > maxKeep {
+		p.buf = nil
 	}
-	if _, err := p.w.Write(data); err != nil {
-		return err
-	}
-	return p.w.Flush()
+	return err
 }
 
 func readFrame(r *bufio.Reader) ([]byte, error) {

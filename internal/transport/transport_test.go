@@ -2,7 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -517,5 +520,276 @@ func TestSimNetReplayEquality(t *testing.T) {
 	c := faultTrace(t, 100)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical fault sequences")
+	}
+}
+
+// TestTCPConcurrentDialClose is the regression test for the racing-dial
+// leak: several goroutines on each of two nodes Send to the other at once,
+// so dials race each other and the accepts from the far side, then the
+// nodes are closed one after the other. Every connection made along the
+// way must be known to Close — an orphaned one keeps a read loop waiting
+// on a socket whose other end belongs to the node not yet closed, and
+// Close never returns.
+func TestTCPConcurrentDialClose(t *testing.T) {
+	const senders = 4
+	for iter := 0; iter < 200; iter++ {
+		nodes := make([]*TCPNode, 2)
+		addrs := make(map[uint32]string, 2)
+		for i := range nodes {
+			node, err := ListenTCP(ReplicaEndpoint(uint32(i)), "127.0.0.1:0", nil, func(Endpoint, []byte) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes[i] = node
+			addrs[uint32(i)] = node.Addr()
+		}
+		for _, node := range nodes {
+			node.addrs = addrs
+		}
+		var wg sync.WaitGroup
+		for i, node := range nodes {
+			for s := 0; s < senders; s++ {
+				wg.Add(1)
+				go func(node *TCPNode, to Endpoint) {
+					defer wg.Done()
+					if err := node.Send(to, []byte("hello")); err != nil {
+						t.Errorf("iteration %d: send to %v: %v", iter, to, err)
+					}
+				}(node, ReplicaEndpoint(uint32(1-i)))
+			}
+		}
+		wg.Wait()
+		closed := make(chan struct{})
+		go func() {
+			nodes[0].Close()
+			nodes[1].Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(3 * time.Second):
+			t.Fatalf("iteration %d: closing the two nodes one after the other hung: a connection escaped Close", iter)
+		}
+		if t.Failed() {
+			return
+		}
+	}
+}
+
+// TestTCPSingleFlightDial: concurrent Sends to one unconnected peer share a
+// single connection, and every frame arrives.
+func TestTCPSingleFlightDial(t *testing.T) {
+	var received atomic.Int64
+	server, err := ListenTCP(ReplicaEndpoint(0), "127.0.0.1:0", nil, func(Endpoint, []byte) { received.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	client := DialTCP(ClientEndpoint(1), map[uint32]string{0: server.Addr()}, func(Endpoint, []byte) {})
+	defer client.Close()
+	const senders = 16
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := client.Send(ReplicaEndpoint(0), []byte("x")); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	deadline := time.Now().Add(2 * time.Second)
+	for received.Load() < senders && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := received.Load(); got != senders {
+		t.Fatalf("received %d of %d frames", got, senders)
+	}
+	client.mu.Lock()
+	open := len(client.live)
+	client.mu.Unlock()
+	if open != 1 {
+		t.Fatalf("%d concurrent sends to an unconnected peer opened %d connections, want 1", senders, open)
+	}
+}
+
+// TestTCPSenderBufferReuse is the TCP twin of TestSimNetSenderBufferReuse:
+// the caller may reuse data as soon as Send returns.
+func TestTCPSenderBufferReuse(t *testing.T) {
+	col := newCollector()
+	server, err := ListenTCP(ReplicaEndpoint(1), "127.0.0.1:0", nil, col.handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	client := DialTCP(ReplicaEndpoint(0), map[uint32]string{1: server.Addr()}, func(Endpoint, []byte) {})
+	defer client.Close()
+	buf := []byte("aaaa")
+	if err := client.Send(ReplicaEndpoint(1), buf); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "bbbb") // mutate after send
+	col.wait(t, "replica-0:aaaa")
+}
+
+// rawPeer opens a bare socket to a node and introduces itself as self, the
+// way a node's dial does, without a TCPNode behind it: a peer the test
+// fully controls, down to never reading and never closing.
+func rawPeer(t *testing.T, addr string, self Endpoint) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if err := writeHandshake(c, self); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func (n *TCPNode) liveConns() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.live)
+}
+
+// TestTCPReconnectRetiresSilentPeer: a peer that vanishes without closing
+// its socket and then connects again must not leave the old connection
+// behind for the life of the node. The old one is retired, not cut: a
+// frame still in flight on it is delivered, Send uses the new one at once,
+// and within the grace the node is back to one open socket.
+func TestTCPReconnectRetiresSilentPeer(t *testing.T) {
+	col := newCollector()
+	server, err := ListenTCP(ReplicaEndpoint(0), "127.0.0.1:0", nil, col.handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	peer := ClientEndpoint(7)
+	first := rawPeer(t, server.Addr(), peer)
+	if _, err := first.Write(frameOf("before")); err != nil {
+		t.Fatal(err)
+	}
+	col.wait(t, "client-7:before")
+
+	second := rawPeer(t, server.Addr(), peer) // the first stays open and silent
+	if _, err := second.Write(frameOf("reconnected")); err != nil {
+		t.Fatal(err)
+	}
+	col.wait(t, "client-7:reconnected") // the new route is installed
+	if _, err := first.Write(frameOf("in flight")); err != nil {
+		t.Fatal(err)
+	}
+	col.wait(t, "client-7:in flight")
+	if err := server.Send(peer, []byte("reply")); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(frameOf("reply")))
+	second.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := io.ReadFull(second, got); err != nil || !bytes.Equal(got, frameOf("reply")) {
+		t.Fatalf("new connection read %q (err %v), want the reply frame", got, err)
+	}
+
+	deadline := time.Now().Add(retireGrace + 2*time.Second)
+	for server.liveConns() != 1 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if open := server.liveConns(); open != 1 {
+		t.Fatalf("%d sockets open after the peer reconnected, want 1", open)
+	}
+	// The survivor is the new one and still works both ways.
+	if _, err := second.Write(frameOf("after")); err != nil {
+		t.Fatal(err)
+	}
+	col.wait(t, "client-7:after")
+}
+
+// TestTCPCrossedDialsKeepBoth: a connection made in the other direction is
+// not retired — each side may be routing the other's — so two nodes that
+// dialled each other keep both, and no frame is lost past the grace.
+func TestTCPCrossedDialsKeepBoth(t *testing.T) {
+	cols := []*collector{newCollector(), newCollector()}
+	nodes := make([]*TCPNode, 2)
+	addrs := make(map[uint32]string, 2)
+	for i := range nodes {
+		node, err := ListenTCP(ReplicaEndpoint(uint32(i)), "127.0.0.1:0", nil, cols[i].handle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer node.Close()
+		nodes[i] = node
+		addrs[uint32(i)] = node.Addr()
+	}
+	for _, node := range nodes {
+		node.addrs = addrs
+	}
+	// dial bypasses the route lookup, so both directions exist for certain.
+	for i, node := range nodes {
+		if _, err := node.dial(ReplicaEndpoint(uint32(1 - i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for (nodes[0].liveConns() != 2 || nodes[1].liveConns() != 2) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(retireGrace + 200*time.Millisecond)
+	for i, node := range nodes {
+		if open := node.liveConns(); open != 2 {
+			t.Fatalf("node %d holds %d sockets after the grace, want both directions", i, open)
+		}
+		if err := node.Send(ReplicaEndpoint(uint32(1-i)), []byte("still here")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cols[0].wait(t, "replica-1:still here")
+	cols[1].wait(t, "replica-0:still here")
+}
+
+func frameOf(s string) []byte {
+	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(s))), s...)
+}
+
+// TestTCPFramesSent: the node's counter sees every frame, also from
+// concurrent senders, and ResetStats zeroes it.
+func TestTCPFramesSent(t *testing.T) {
+	var received atomic.Int64
+	server, err := ListenTCP(ReplicaEndpoint(0), "127.0.0.1:0", nil, func(Endpoint, []byte) { received.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	client := DialTCP(ClientEndpoint(1), map[uint32]string{0: server.Addr()}, func(Endpoint, []byte) {})
+	defer client.Close()
+	const senders, each = 4, 200
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := client.Send(ReplicaEndpoint(0), []byte("frame")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	deadline := time.Now().Add(5 * time.Second)
+	for received.Load() < senders*each && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := received.Load(); got != senders*each {
+		t.Fatalf("received %d of %d frames", got, senders*each)
+	}
+	if got := client.FramesSent(); got != senders*each {
+		t.Fatalf("FramesSent = %d, want %d", got, senders*each)
+	}
+	client.ResetStats()
+	if got := client.FramesSent(); got != 0 {
+		t.Fatalf("FramesSent after reset = %d", got)
 	}
 }

@@ -47,8 +47,10 @@ type Node struct {
 
 // EnclaveStat is one compartment's ecall profile (the Figure 4
 // instrumentation). Count is the number of trusted-boundary crossings;
-// Msgs the messages they delivered — with WithEcallBatch one crossing may
-// carry many messages, and Msgs/Count is the achieved amortization.
+// Msgs the messages they delivered — a crossing carries everything that
+// was queued for the compartment when it started (up to a fixed cap), so
+// Msgs/Count is the achieved amortization: 1.0 on an idle replica, higher
+// under load.
 type EnclaveStat struct {
 	Role  Role
 	Count uint64
@@ -57,8 +59,8 @@ type EnclaveStat struct {
 	Total time.Duration
 }
 
-// MsgsPerEcall returns the achieved ecall batch amortization factor (1.0
-// when batching is off, 0 before any traffic).
+// MsgsPerEcall returns the achieved ecall amortization factor (0 before
+// any traffic).
 func (s EnclaveStat) MsgsPerEcall() float64 {
 	if s.Count == 0 {
 		return 0
@@ -163,7 +165,6 @@ func (n *Node) buildReplica() error {
 		ConsensusMode:      consensus,
 		Cost:               o.costModel(),
 		SingleThread:       o.singleThread,
-		EcallBatch:         o.ecallBatch,
 		VerifyWorkers:      o.verifyWorkers,
 		DataDir:            o.nodeDataDir(n.id),
 		CheckpointInterval: o.checkpointInterval,
@@ -217,6 +218,7 @@ func (n *Node) Start() error {
 		}
 		n.tcp = tcp
 		n.conn = tcp
+		n.observeTransport(tcp)
 	}
 	n.replica.Start(n.conn)
 	n.started = true

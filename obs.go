@@ -79,6 +79,21 @@ func (n *Node) ResetStats() {
 	n.replica.ResetAllStats()
 }
 
+// observeTransport publishes a TCP transport's outbound frame counter
+// beside the enclave series; every frame is one socket write, so frames per
+// operation is the per-node syscall count of the untrusted hot path.
+// Registered at Start because every (re)start builds a fresh transport
+// after the replica's collectors were dropped; the counter joins the
+// registry's reset epoch. No-op without WithObservability; in-process nodes
+// have no sockets and export no transport series.
+func (n *Node) observeTransport(tcp *transport.TCPNode) {
+	reg := n.observer.Registry()
+	reg.Collect(func(emit func(name string, value float64)) {
+		emit("splitbft_transport_frames_sent_total", float64(tcp.FramesSent()))
+	})
+	reg.OnReset(tcp.ResetStats)
+}
+
 // MetricsAddr returns the bound address of the HTTP introspection
 // endpoint ("" when WithMetricsAddr was not given or the node is not
 // started) — useful with ":0", which picks a free port.

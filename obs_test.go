@@ -2,6 +2,7 @@ package splitbft_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -168,6 +169,11 @@ func TestMetricsEndpointScrapeCluster(t *testing.T) {
 		if _, err := cl.Put("scrape-key", []byte("v")); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// A Put returns on f+1 matching replies, so the scraped node may still
+	// be executing the last one.
+	for deadline := time.Now().Add(5 * time.Second); cluster.Node(0).ExecutedOps() < 5 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 
 	body, code := scrape(t, cluster.Node(0).MetricsAddr(), "/metrics")
@@ -402,5 +408,70 @@ func TestMetricResetStatsSingleEpoch(t *testing.T) {
 	pn.ResetStats()
 	if got := pn.ExecutedOps(); got != 0 {
 		t.Fatalf("plain ResetStats left ExecutedOps = %d", got)
+	}
+}
+
+// TestMetricsTransportCountersOverTCP: a TCP node exports its outbound
+// frame counter beside the enclave series, so frames (= socket writes) per
+// operation and messages per trusted-boundary crossing read from one
+// scrape; the counter shares the registry's reset epoch and comes back
+// after a restart, which builds a fresh transport.
+func TestMetricsTransportCountersOverTCP(t *testing.T) {
+	nodes, cl := startTrustedMACOverTCP(t, "tcp-metrics-seed", splitbft.WithObservability())
+	for i := 0; i < 20; i++ {
+		if _, err := cl.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	framesSent := func(n *splitbft.Node) float64 {
+		t.Helper()
+		v, ok := metricValue(t, n, "splitbft_transport_frames_sent_total")
+		if !ok {
+			t.Fatalf("node %d exports no transport counter", n.ID())
+		}
+		return v
+	}
+	for _, n := range nodes {
+		if frames := framesSent(n); frames == 0 {
+			t.Fatalf("node %d: no frame sent after 20 operations", n.ID())
+		}
+		var msgs, ecalls float64
+		for _, c := range []string{"preparation", "confirmation", "execution"} {
+			m, _ := metricValue(t, n, `splitbft_ecall_msgs_total{compartment="`+c+`"}`)
+			e, _ := metricValue(t, n, `splitbft_ecalls_total{compartment="`+c+`"}`)
+			msgs, ecalls = msgs+m, ecalls+e
+		}
+		if ecalls == 0 || msgs < ecalls {
+			t.Fatalf("node %d: %v messages in %v crossings", n.ID(), msgs, ecalls)
+		}
+	}
+	// The counter joins the registry's reset epoch. A straggling Commit may
+	// still leave after a reset, so retry until it reads zero — a counter
+	// that ignored the reset would only ever grow.
+	backup := nodes[2]
+	zeroed := false
+	for try := 0; try < 100 && !zeroed; try++ {
+		backup.ResetStats()
+		if zeroed = framesSent(backup) == 0; !zeroed {
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	if !zeroed {
+		t.Fatal("transport counter survived ResetStats")
+	}
+	if err := backup.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	// The peers notice the dead connection on their first send after the
+	// restart and redial on the next, so keep the group busy until the
+	// restarted node has been reached and answered.
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; framesSent(backup) == 0; i++ {
+		if _, err := cl.Put(fmt.Sprintf("after-restart-%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("restarted node's fresh transport is not exported")
+		}
 	}
 }

@@ -51,7 +51,6 @@ type options struct {
 	costSet      bool
 	singleThread bool
 
-	ecallBatch    int
 	verifyWorkers int
 	agreementAuth string
 	consensusMode string
@@ -235,24 +234,14 @@ func WithSingleThread() Option {
 	return func(o *options) { o.singleThread = true }
 }
 
-// WithEcallBatch lets one trusted-boundary crossing deliver up to n queued
-// messages (the staged pipeline's batched-ecall stage): each enclave
-// dispatcher drains its queue and invokes the enclave once per batch,
-// amortizing the per-transition cost the paper identifies as the dominant
-// enclave overhead. n <= 1 (the default) delivers one message per
-// crossing, the paper's baseline behavior. Batching changes scheduling
-// only — handlers still run serially in submission order — so results are
-// identical with and without it.
-func WithEcallBatch(n int) Option {
-	return func(o *options) { o.ecallBatch = n }
-}
-
-// WithVerifyWorkers fans the signature verifications of a batched ecall
-// out to a pool of n workers inside each enclave before the serial handler
-// pass (verifications of distinct messages are independent). Handler state
-// updates stay on the single protocol thread, so ordering — and therefore
-// every ledger and checkpoint digest — remains deterministic. n <= 1 (the
-// default) verifies inline. Effective only together with WithEcallBatch.
+// WithVerifyWorkers fans the signature verifications of the messages one
+// trusted-boundary crossing delivers out to a pool of n workers inside
+// each enclave before the serial handler pass (verifications of distinct
+// messages are independent; a crossing carries whatever was queued for the
+// compartment, so the pool has work whenever the replica is loaded).
+// Handler state updates stay on the single protocol thread, so ordering —
+// and therefore every ledger and checkpoint digest — remains
+// deterministic. n <= 1 (the default) verifies inline.
 func WithVerifyWorkers(n int) Option {
 	return func(o *options) { o.verifyWorkers = n }
 }

@@ -78,29 +78,38 @@ func runLedgerScenario(t *testing.T, opts ...splitbft.Option) [][]byte {
 }
 
 // TestPipelineDeterminism is the safety check for the staged pipeline:
-// batched ecalls plus a parallel verification pool must not be able to
-// change any agreed byte. A pipelined run (WithEcallBatch + 8 verify
-// workers) and the paper's fully serialized single-thread configuration
-// replay the same seeded scenario — including a forced view change — and
-// every replica ledger snapshot must be byte-identical across replicas and
-// across the two configurations.
+// coalesced ecalls and a parallel verification pool must not be able to
+// change any agreed byte. The default configuration (one dispatcher per
+// compartment, each crossing delivering whatever is queued), the same with
+// 8 verify workers, and the paper's fully serialized single-thread
+// configuration replay the same seeded scenario — including a forced view
+// change — and every replica ledger snapshot must be byte-identical across
+// replicas and across the three configurations.
 func TestPipelineDeterminism(t *testing.T) {
 	// The verify pool clamps to GOMAXPROCS; raise it so the parallel
 	// preprocessing genuinely runs even on single-core CI hosts.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
-	pipelined := runLedgerScenario(t,
-		splitbft.WithEcallBatch(16),
-		splitbft.WithVerifyWorkers(8),
-	)
-	serial := runLedgerScenario(t, splitbft.WithSingleThread())
-
-	for i := 1; i < len(pipelined); i++ {
-		if !bytes.Equal(pipelined[i], pipelined[0]) {
-			t.Fatalf("pipelined replicas diverged: snapshot %d != snapshot 0", i)
-		}
+	configs := []struct {
+		name string
+		opts []splitbft.Option
+	}{
+		{"default", nil},
+		{"8 verify workers", []splitbft.Option{splitbft.WithVerifyWorkers(8)}},
+		{"single thread", []splitbft.Option{splitbft.WithSingleThread()}},
 	}
-	if !bytes.Equal(pipelined[0], serial[0]) {
-		t.Fatal("pipelined ledger differs from the single-thread ledger: the parallel pipeline changed agreed state")
+	var reference []byte
+	for _, c := range configs {
+		snaps := runLedgerScenario(t, c.opts...)
+		for i := 1; i < len(snaps); i++ {
+			if !bytes.Equal(snaps[i], snaps[0]) {
+				t.Fatalf("%s: replicas diverged: snapshot %d != snapshot 0", c.name, i)
+			}
+		}
+		if reference == nil {
+			reference = snaps[0]
+		} else if !bytes.Equal(snaps[0], reference) {
+			t.Fatalf("%s: ledger differs from the %s ledger: dispatcher scheduling changed agreed state", c.name, configs[0].name)
+		}
 	}
 }
