@@ -44,7 +44,6 @@ func main() {
 	auth := flag.String("auth", "sig", "agreement authentication: sig or mac")
 	consensus := flag.String("consensus", "classic", "consensus mode: classic (3f+1) or trusted (counter-backed 2f+1)")
 	batch := flag.Int("batch", 1, "agreement batch size")
-	verifyWorkers := flag.Int("verify-workers", 1, "parallel verification workers per enclave (<=1 inline)")
 	confidential := flag.Bool("confidential", false, "end-to-end encrypt payloads")
 
 	peers := flag.String("peers", "", "comma-separated replica addresses; empty = in-process cluster")
@@ -58,20 +57,18 @@ func main() {
 	flag.Parse()
 
 	wl := load.Workload{
-		Transport:     "inproc",
-		App:           "kvs",
-		Auth:          *auth,
-		Confidential:  *confidential,
-		BatchSize:     *batch,
-		VerifyWorkers: *verifyWorkers,
-		ReadFrac:      *readFrac,
-		ReadLeases:    *readLeases,
+		Transport:    "inproc",
+		App:          "kvs",
+		Auth:         *auth,
+		Confidential: *confidential,
+		BatchSize:    *batch,
+		ReadFrac:     *readFrac,
+		ReadLeases:   *readLeases,
 	}
 	opts := []splitbft.Option{
 		splitbft.WithKVStore(),
 		splitbft.WithAgreementAuth(*auth),
 		splitbft.WithBatchSize(*batch),
-		splitbft.WithVerifyWorkers(*verifyWorkers),
 		splitbft.WithReadLeases(*readLeases),
 		splitbft.WithReadConsistency(*readConsistency),
 	}

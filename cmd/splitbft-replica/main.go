@@ -35,7 +35,6 @@ func main() {
 	simulation := flag.Bool("simulation", false, "SGX simulation mode (no transition cost)")
 	singleThread := flag.Bool("single-thread", false, "serialize all ecalls through one thread")
 	batch := flag.Int("batch", splitbft.DefaultBatchSize, "batch size (1 disables batching)")
-	verifyWorkers := flag.Int("verify-workers", 1, "enclave-side parallel signature-verification workers (1 = inline)")
 	auth := flag.String("auth", "sig", "agreement authentication: sig (Ed25519 baseline) or mac (pairwise-HMAC fast path); must match across the deployment")
 	consensus := flag.String("consensus", "classic", "consensus mode: classic (3f+1) or trusted (counter-backed 2f+1); must match across the deployment")
 	dataDir := flag.String("data-dir", "", "sealed durability directory: per-compartment WAL + snapshots; the replica recovers from it on start (empty = in-memory only)")
@@ -70,9 +69,6 @@ func main() {
 	}
 	if *singleThread {
 		opts = append(opts, splitbft.WithSingleThread())
-	}
-	if *verifyWorkers > 1 {
-		opts = append(opts, splitbft.WithVerifyWorkers(*verifyWorkers))
 	}
 	if *auth != "" {
 		opts = append(opts, splitbft.WithAgreementAuth(*auth))

@@ -45,10 +45,10 @@
 //
 // # The staged agreement pipeline
 //
-// Each replica's hot path is a four-stage pipeline between the untrusted
+// Each replica's hot path is a three-stage pipeline between the untrusted
 // broker and its three enclaves:
 //
-//	classify → batch ecall → parallel verify → serial apply
+//	classify → batch ecall → serial apply
 //
 // Classify runs on the transport threads, in the untrusted environment:
 // every inbound message is fully decoded there — malformed input never
@@ -68,35 +68,92 @@
 // waits to fill a batch, so the idle path is the paper's one message per
 // ecall and the loaded path coalesces by itself.
 //
-// Parallel verify runs inside the enclave: with WithVerifyWorkers(n), the
-// stateless share of validation — decoding plus Ed25519 signature checks,
-// which are independent across distinct messages — fans out to a bounded
-// worker pool, warming a per-compartment verification cache that also
-// makes retransmits and view-change replays (the same certificates
-// verified over and over) nearly free.
-//
 // Serial apply preserves the paper's execution model: handlers run to
 // completion one at a time in submission order on the enclave's single
-// logical protocol thread, so every ledger and checkpoint digest is
-// byte-identical with or without the verify pool, or fully serialized
-// with WithSingleThread.
+// logical protocol thread, and verify what they need when they need it —
+// a vote past the quorum, a duplicate, a Prepare for a digest that lost
+// its slot is dropped before it costs a signature check. A per-compartment
+// verification cache makes retransmits and view-change replays (the same
+// certificates verified over and over) nearly free. Every ledger and
+// checkpoint digest is byte-identical with one dispatcher per compartment
+// or fully serialized with WithSingleThread.
 //
-// # Agreement authentication: signatures vs the MAC fast path
+// # Agreement authentication: a signature where a proof is handed on, a pairwise MAC where it is not
 //
-// Normal-case agreement traffic (PrePrepare, Prepare, Commit, Checkpoint)
-// supports two authentication modes, selected with WithAgreementAuth:
+// Every enclave's X25519 key is exchanged at registration — the stand-in
+// for the attestation ceremony — beside its Ed25519 identity key, and each
+// enclave pair derives from it a symmetric key that never exists outside
+// the two enclaves. So every hop can be authenticated two ways: by a
+// signature, which any third party can re-verify, or by an HMAC under the
+// pairwise key, which proves origin to its one addressee and to nobody
+// else (and which that addressee could forge, but only to itself). The
+// rule for choosing is the receiver's: if it may ever have to hand the
+// message on as part of a proof, it needs the signature; if it only
+// consumes the message, the MAC proves all it needs. WithAgreementAuth
+// selects how far the rule is taken.
 //
-// "sig" (default) is the paper's baseline: every message carries an
-// Ed25519 signature from its sending compartment. Signatures are
-// transferable — any third party can re-verify them — which is what makes
-// classic PBFT certificates (2f+1 individually signed messages) work, at
-// the price of the replica hot path being verify-bound.
+// "sig" (default) is the paper's protocol: every normal-case message
+// (PrePrepare, Prepare, Commit, Checkpoint) carries an Ed25519 signature
+// from its sending compartment, and certificates are bundles of
+// individually signed messages. Two uses of a message hand nothing on, and
+// there the signature is not checked. Per committed operation at n = 4,
+// batch 1, fault-free (crypto.sig_verifies_per_op ≈ 24 in the repository
+// benchmark, 31 before this rule; 23 is the floor):
 //
-// "mac" is the trusted-compartment fast path. During registration — the
-// stand-in for the attestation ceremony — every enclave's X25519 key is
-// exchanged alongside its Ed25519 identity key, and each enclave pair
-// derives a symmetric key from it that never exists outside the two
-// enclaves. Normal-case messages then carry a vector of HMAC-SHA256
+//	hop                                   checked by        per op  with
+//	PrePrepare → backups' Preparation     3 Preparations    3       signature (they vote on it)
+//	PrePrepare → every Confirmation       4 Confirmations   4       signature (exported in prepare certificates)
+//	Prepare    → every Confirmation       4 Confirmations   8       signature (2f each; exported likewise)
+//	Commit     → other replicas' Execution 4 Executions     8–9     signature (crosses machines)
+//	Commit     → own replica's Execution  4 Executions      3–4     pairwise MAC (one HMAC, ≈ 0.6 µs)
+//	PrePrepare → every Execution (body)   4 Executions      0       hash against the commit certificate
+//	Checkpoint → every compartment        12 compartments   ≈ 0.3   signature (exported in checkpoint certificates)
+//
+// The co-located hop: Confirmation hands its Commit to the Execution
+// compartment of its own replica first, then to the network, and that
+// in-machine copy carries, beside the signature, one MAC under the two
+// enclaves' pairwise key. Execution accepts it on the MAC. That is not one
+// compartment vouching for another: the MAC says what the signature would
+// say — "Confirmation i cast this vote" — so Execution still counts one
+// vote of one Confirmation toward the same 2f+1, a compromised
+// Confirmation gains nothing it could not do with its signing key, the
+// environment that carries the copy never holds the pairwise key, and
+// Execution exports no Commit anywhere (no certificate, ViewChange or
+// state transfer contains one). Anything short of the exact slot — absent,
+// garbled, made for another compartment, lifted from another replica,
+// keyed before a restart, or presented by a remote signer — falls through
+// to the signature, and frames between replicas are byte-identical to what
+// they were without the rule.
+//
+// The same hop into Confirmation keeps its signatures, deliberately. A
+// PrePrepare and the Prepares behind it are exactly what Confirmation
+// exports as a prepare certificate, and PBFT's view change rests on every
+// correct Confirmation that sent a Commit being able to prove that
+// certificate to the next primary. If Confirmation counted its co-located
+// Preparation's Prepare on a MAC, a faulty Preparation (valid MAC, garbage
+// signature) could make it commit on a certificate it can never hand on;
+// add one faulty Confirmation elsewhere that withholds its own, and a
+// ViewChange quorum exists in which no one proves a slot that some
+// Execution already executed — safety lost with f faults per compartment
+// type. So the receiver decides by message type, never the sender by what
+// it attaches.
+//
+// Execution's bodies: Execution orders by Commits and uses a PrePrepare
+// only for the request bodies behind a digest, so it checks the proposal's
+// structure (proposer is the view's primary, batch hashes to the header
+// digest) and does not authenticate it. A batch executes only when it
+// hashes to the digest a 2f+1 Commit certificate names — the rule a
+// retransmitted body (BatchReply) was always accepted under, now the only
+// one, in both modes. What authentication also did was bound the body
+// cache, so the first proposal to add a body at a sequence number in the
+// window — or to keep a cached one alive until it — is taken as is, and any
+// other for an occupied slot must be a PrePrepare that verifies, as all had
+// to before: a forged first arrival can neither displace the real proposal
+// nor, re-sent as the window slides, grow memory past one unauthenticated
+// body per slot of the window.
+//
+// "mac" takes the rule to every normal-case hop, on the compartment trust
+// model. Normal-case messages carry a vector of HMAC-SHA256
 // authenticators, one slot per receiving compartment, in place of a
 // signature. HMACs are not transferable, so the protocol keeps Ed25519
 // exactly where third-party verifiability is load-bearing: ViewChange and
@@ -104,21 +161,20 @@
 // signature bundles to a single enclave signature over the aggregated
 // claim ("a prepare certificate for (view, seq, digest) exists"),
 // produced by the attested compartment that validated the quorum locally.
-//
-// The soundness argument is the paper's compartment trust model, the same
-// leverage other TEE-BFT systems use: an attested agreement enclave runs
+// That step *is* one compartment vouching for others, which is why it is a
+// mode and not the default: an attested agreement enclave runs
 // known-measured code, so its signed claim that it saw a quorum stands in
-// for the quorum itself. What degrades if that assumption fails: a
-// crashed or isolated enclave still cannot forge anything (vouches are
-// signatures under its protected key), but an attacker who fully
-// compromises an agreement enclave — extracts keys or alters its logic
-// inside the TEE — could vouch for quorums that never existed, a safety
-// loss sig mode would confine to confidentiality. Both modes produce
-// byte-identical ledgers on the same workload (regression-tested across
-// forced view changes and crash/restart recovery); `splitbft-bench -exp
-// auth` measures the throughput gap, which on the Ed25519-bound hot path
-// is visible even on a single core because the work is removed, not
-// parallelized.
+// for the quorum itself — the leverage other TEE-BFT systems use. What
+// degrades if that assumption fails: a crashed or isolated enclave still
+// cannot forge anything (vouches are signatures under its protected key),
+// but an attacker who fully compromises an agreement enclave — extracts
+// keys or alters its logic inside the TEE — could vouch for quorums that
+// never existed, a safety loss sig mode would confine to confidentiality.
+// Both modes produce byte-identical ledgers on the same workload
+// (regression-tested across forced view changes and crash/restart
+// recovery); `splitbft-bench -exp auth` measures the throughput gap, which
+// on the Ed25519-bound hot path is visible even on a single core because
+// the work is removed, not parallelized.
 //
 // # Consensus modes: classic 3f+1 vs the trusted-counter 2f+1 mode
 //

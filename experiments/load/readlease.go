@@ -32,9 +32,9 @@ type ReadLeasePoint struct {
 
 // ReadLeaseConfig parameterizes the ablation. The zero value selects the
 // committed defaults: a 4-replica in-process cluster on the load gate's
-// calibration (batch 1, one verify worker), a 90/10 mix
-// on a fixed arrival schedule, and an offered rate chosen to exceed the
-// agreement path's read capacity so the fast path's headroom is visible.
+// calibration (batch 1), a 90/10 mix on a fixed arrival schedule, and an
+// offered rate chosen to exceed the agreement path's read capacity so the
+// fast path's headroom is visible.
 type ReadLeaseConfig struct {
 	Replicas int           // cluster size; default 4
 	Clients  int           // client connections; default 4
@@ -101,7 +101,6 @@ func runReadLeasePoint(cfg ReadLeaseConfig, leases bool) (ReadLeasePoint, error)
 	opts := []splitbft.Option{
 		splitbft.WithKVStore(),
 		splitbft.WithBatchSize(1),
-		splitbft.WithVerifyWorkers(1),
 		splitbft.WithReadLeases(leases),
 	}
 	if cfg.Trace {
@@ -151,13 +150,12 @@ func runReadLeasePoint(cfg ReadLeaseConfig, leases bool) (ReadLeasePoint, error)
 		return ReadLeasePoint{}, err
 	}
 	wl := Workload{
-		Transport:     "inproc",
-		App:           "kvs",
-		Auth:          "sig",
-		BatchSize:     1,
-		VerifyWorkers: 1,
-		ReadFrac:      cfg.ReadFrac,
-		ReadLeases:    leases,
+		Transport:  "inproc",
+		App:        "kvs",
+		Auth:       "sig",
+		BatchSize:  1,
+		ReadFrac:   cfg.ReadFrac,
+		ReadLeases: leases,
 	}
 	pt := ReadLeasePoint{Leases: leases, Result: NewResult(lcfg, st, wl)}
 	for _, n := range cluster.Nodes() {

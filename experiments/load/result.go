@@ -28,14 +28,15 @@ type LatencySummary struct {
 }
 
 // Workload echoes the system configuration a run measured, so a trajectory
-// point is only ever compared against its like.
+// point is only ever compared against its like. Points committed before the
+// verify-worker pool was deleted still carry a "verify_workers" key; decoding
+// ignores it.
 type Workload struct {
-	Transport     string `json:"transport"` // "inproc" | "tcp"
-	App           string `json:"app"`
-	Auth          string `json:"auth"`
-	Confidential  bool   `json:"confidential"`
-	BatchSize     int    `json:"batch_size"`
-	VerifyWorkers int    `json:"verify_workers"`
+	Transport    string `json:"transport"` // "inproc" | "tcp"
+	App          string `json:"app"`
+	Auth         string `json:"auth"`
+	Confidential bool   `json:"confidential"`
+	BatchSize    int    `json:"batch_size"`
 	// Consensus is "trusted" for the counter-backed 2f+1 mode and empty
 	// for classic — omitted from the JSON so trajectory points committed
 	// before the mode existed keep comparing equal to fresh classic runs.

@@ -307,9 +307,8 @@ type reqKey struct {
 // the transport threads, so garbage and retransmits never pay for an
 // enclave crossing) → batch ecall (each dispatcher delivers whatever is
 // queued for its compartment, up to maxCrossing messages, in one
-// trusted-boundary crossing) → parallel verify (the enclave fans signature
-// checks out to its worker pool) → serial apply (handlers run one at a
-// time in submission order).
+// trusted-boundary crossing) → serial apply (handlers run one at a time in
+// submission order, verifying what they need when they need it).
 type broker struct {
 	cfg  Config
 	conn transport.Conn

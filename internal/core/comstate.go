@@ -15,11 +15,12 @@ import (
 type comState struct {
 	n, f int
 	id   uint32
-	ver  *messages.Verifier
-	// rmacs holds this compartment enclave's pairwise agreement-MAC keys
-	// (attested-ECDH with every peer compartment); nil in sig mode. It is
-	// installed by NewReplica after the enclave launches, before traffic.
-	rmacs *crypto.MACStore
+	// ver validates inbound messages. Its MACs field holds this compartment
+	// enclave's pairwise keys (attested ECDH with every peer compartment),
+	// installed by NewReplica after the enclave launches, before traffic: the
+	// agreement vectors of MAC mode and the co-located hop of sig mode are
+	// both keyed from it.
+	ver *messages.Verifier
 	// authRecv caches the per-type MAC receiver layouts (MAC mode only;
 	// the layouts are static per deployment size).
 	authRecv map[messages.Type][]crypto.Identity
@@ -76,7 +77,7 @@ func (s *comState) authenticate(host tee.Host, m messages.Signable) ([]byte, cry
 	if !s.macMode() {
 		return host.Sign(e.Bytes()), crypto.Authenticator{}
 	}
-	return nil, s.rmacs.Authenticate(e.Bytes(), s.authReceivers(m.MsgType()))
+	return nil, s.ver.MACs.Authenticate(e.Bytes(), s.authReceivers(m.MsgType()))
 }
 
 // quorum is the certificate size: 2f+1 in classic consensus, f+1 in
@@ -185,41 +186,6 @@ func (s *comState) applyNewViewCheckpoint(nv *messages.NewView) bool {
 	return advanced
 }
 
-// prevalidate is the parallel-verify stage of the staged pipeline: the
-// stateless share of message validation — decoding plus signature
-// verification — run ahead of the serial handler pass to warm the
-// compartment verifier's cache. The handlers then re-validate through the
-// cache and skip the Ed25519 work.
-//
-// It upholds the tee.Preprocessor contract: no compartment state is
-// touched (the Verifier is immutable and its cache is concurrency-safe),
-// and skipping it entirely changes no handler outcome — which is what
-// keeps the parallel stage deterministic.
-func prevalidate(ver *messages.Verifier, raw []byte) {
-	if len(raw) < 2 || raw[0] != ecallMessage {
-		return
-	}
-	m, err := messages.Unmarshal(raw[1:])
-	if err != nil {
-		return
-	}
-	switch msg := m.(type) {
-	case *messages.PrePrepare:
-		_ = ver.VerifyPrePrepare(msg, false)
-	case *messages.Prepare:
-		_ = ver.VerifyPrepare(msg)
-	case *messages.Commit:
-		_ = ver.VerifyCommit(msg)
-	case *messages.Checkpoint:
-		_ = ver.VerifyCheckpoint(msg)
-	case *messages.ViewChange:
-		// Warms every certificate signature the view change carries.
-		_ = ver.VerifyViewChange(msg)
-	case *messages.NewView:
-		_ = ver.VerifyNewView(msg)
-	}
-}
-
 // localOut builds a DestLocal output message to another compartment on the
 // same replica.
 func localOut(role crypto.Role, m messages.Message) tee.OutMsg {
@@ -230,6 +196,21 @@ func localOut(role crypto.Role, m messages.Message) tee.OutMsg {
 // copies are emitted explicitly so quorum logic treats them uniformly).
 func broadcastOut(m messages.Message) tee.OutMsg {
 	return tee.OutMsg{Kind: tee.DestBroadcast, Payload: messages.Marshal(m)}
+}
+
+// localFirst hands a message this compartment originates to the named
+// compartments of its own replica, then to the network. In that order, so
+// the replica's own compartments hold a message before any peer can answer
+// it: were the wire first, backups could commit and checkpoint a proposal
+// under load before the primary's own Confirmation and Execution had been
+// given it, and the primary would be state-transferred past its own request.
+// It also puts the co-located vote among the first a quorum counts.
+func localFirst(m messages.Message, locals ...crypto.Role) []tee.OutMsg {
+	out := make([]tee.OutMsg, 0, len(locals)+1)
+	for _, role := range locals {
+		out = append(out, localOut(role, m))
+	}
+	return append(out, broadcastOut(m))
 }
 
 // replicaOut builds a DestReplica output message.

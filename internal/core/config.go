@@ -92,13 +92,6 @@ type Config struct {
 	// one dispatcher per enclave plus the broker event loop.
 	SingleThread bool
 
-	// VerifyWorkers bounds the enclave-side pool that signature
-	// verifications of one crossing's messages are fanned out to before the
-	// serial handler pass. 0 or 1 verifies inline on the protocol thread. Parallelism
-	// never reorders state updates: handlers always apply serially in
-	// submission order.
-	VerifyWorkers int
-
 	// DataDir enables the sealed durability subsystem: each compartment
 	// keeps a write-ahead log of its delivered ecalls plus sealed state
 	// snapshots under DataDir/<role>/, and NewReplica recovers compartment
@@ -172,9 +165,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = DefaultRequestTimeout
-	}
-	if c.VerifyWorkers < 1 {
-		c.VerifyWorkers = 1
 	}
 	// Default and clamp: a lease must never outlive view-change detection
 	// (the failure detector suspects after one RequestTimeout), or a

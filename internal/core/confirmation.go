@@ -58,9 +58,6 @@ func newConfirmation(cfg Config, ver *messages.Verifier) *confirmation {
 // Measurement implements tee.Code.
 func (c *confirmation) Measurement() crypto.Digest { return measConfirmation }
 
-// Preprocess implements tee.Preprocessor (see preparation.Preprocess).
-func (c *confirmation) Preprocess(_ tee.Host, raw []byte) { prevalidate(c.ver, raw) }
-
 // HandleECall implements tee.Code.
 func (c *confirmation) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
 	if len(raw) == 0 || raw[0] != ecallMessage {
@@ -144,9 +141,14 @@ func (c *confirmation) onPrepare(host tee.Host, p *messages.Prepare) []tee.OutMs
 	s := c.slot(p.View, p.Seq)
 	// Cheap redundancy checks before the expensive signature verification:
 	// a sender slot is only ever occupied by a previously verified Prepare,
-	// and a committed slot already holds a full certificate (prepareCerts
-	// caps at 2f Prepares, so late extras can never be needed again).
+	// a committed slot already holds a full certificate (prepareCerts caps
+	// at 2f Prepares, so late extras can never be needed again), and a
+	// Prepare for another digest than the accepted proposal's can never
+	// count — the first proposal wins the slot.
 	if _, dup := s.prepares[p.Replica]; dup || s.committed {
+		return nil
+	}
+	if s.prePrepare != nil && p.Digest != s.prePrepare.Digest {
 		return nil
 	}
 	if err := c.ver.VerifyPrepare(p); err != nil {
@@ -183,9 +185,15 @@ func (c *confirmation) maybeCommit(host tee.Host, view, seq uint64) []tee.OutMsg
 	s.committed = true
 	cm := &messages.Commit{View: view, Seq: seq, Digest: s.prePrepare.Digest, Replica: c.id}
 	cm.Sig, cm.Auth = c.authenticate(host, cm)
+	// The copy for this replica's own Execution goes first (see localFirst)
+	// and carries the hop authenticator beside the signature: Execution
+	// consumes Commits and hands none on, so over the in-machine hop a
+	// pairwise MAC is all the proof it needs (Verifier.HopAuth).
+	own := *cm
+	own.Auth = c.ver.HopAuth(cm, cm.Auth, crypto.RoleExecution)
 	return []tee.OutMsg{
+		localOut(crypto.RoleExecution, &own),
 		broadcastOut(cm),
-		localOut(crypto.RoleExecution, cm),
 	}
 }
 

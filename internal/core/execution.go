@@ -74,10 +74,20 @@ type execution struct {
 	// batches caches request bodies by batch digest: PrePrepares are
 	// duplicated into this compartment precisely because Commits carry
 	// only hashes (§3.2). batchSeq records the highest sequence a digest
-	// was proposed at, for watermark-based eviction.
+	// was proposed at, for watermark-based eviction. A body is only ever
+	// executed when it hashes to the digest of a commit certificate, so the
+	// cache needs no authentication of its own — held bounds what it can be
+	// made to hold instead.
 	batches  map[crypto.Digest]*messages.Batch
 	batchSeq map[crypto.Digest]uint64
-	commits  map[uint64]map[uint64]map[uint32]*messages.Commit // view → seq → sender
+	// held names, per in-window sequence number, the digest of the one body
+	// cached for it — or kept alive until it, by a batchSeq raised to it —
+	// without authenticating the PrePrepare that did so (the first to
+	// arrive). Anything else proposed for an occupied slot must come in an
+	// authentic PrePrepare. Not part of the sealed state: a restart may
+	// admit one more unauthenticated body per slot, no more.
+	held    map[uint64]crypto.Digest
+	commits map[uint64]map[uint64]map[uint32]*messages.Commit // view → seq → sender
 	// committed maps a sequence number to its decided digest (first valid
 	// commit certificate wins; safety guarantees uniqueness).
 	committed map[uint64]crypto.Digest
@@ -209,6 +219,7 @@ func newExecution(cfg Config, ver *messages.Verifier) *execution {
 		clock:        cfg.Clock,
 		batches:      make(map[crypto.Digest]*messages.Batch),
 		batchSeq:     make(map[crypto.Digest]uint64),
+		held:         make(map[uint64]crypto.Digest),
 		commits:      make(map[uint64]map[uint64]map[uint32]*messages.Commit),
 		committed:    make(map[uint64]crypto.Digest),
 		clients:      make(map[uint32]*execClient),
@@ -312,9 +323,6 @@ func (e *execution) restoreState(snap []byte) error {
 
 // Measurement implements tee.Code.
 func (e *execution) Measurement() crypto.Digest { return measExecution }
-
-// Preprocess implements tee.Preprocessor (see preparation.Preprocess).
-func (e *execution) Preprocess(_ tee.Host, raw []byte) { prevalidate(e.ver, raw) }
 
 // HandleECall implements tee.Code.
 func (e *execution) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
@@ -672,20 +680,43 @@ func (e *execution) serveLocalRead(r *messages.ReadRequest) ([]byte, bool) {
 	return result, true
 }
 
-// onPrePrepare caches the full request bodies for later execution.
+// onPrePrepare caches the full request bodies for later execution. This
+// compartment uses a PrePrepare as a body and nothing else — it orders by
+// Commits — so the proposal is checked for structure (proposer is the view's
+// primary, batch hashes to the header digest) but not authenticated: a body
+// executes only when it hashes to the digest a 2f+1 Commit certificate
+// names, the rule onBatchReply states, and a forged body matches none. What
+// authentication did besides was bound the cache; held does that now. A
+// proposal costs memory when it adds a body or when it raises batchSeq, the
+// sequence number gc keeps a body until. The first proposal to do either at
+// an in-window sequence number claims that slot and is taken as is; any
+// other one for an occupied slot must verify, as every one had to before.
+// So a forged first arrival cannot displace the real proposal (which then
+// pays for its verification and is kept beside it), and every body kept
+// without authentication owns the slot at its batchSeq: there is never more
+// than one per slot of the window, and re-sending a held body at a higher
+// sequence number only moves it to a slot nobody else can then take for free.
 func (e *execution) onPrePrepare(host tee.Host, pp *messages.PrePrepare) []tee.OutMsg {
 	if !e.inWindow(pp.Seq) {
 		return nil
 	}
-	if err := e.ver.VerifyPrePrepare(pp, true); err != nil {
+	if err := e.ver.CheckProposalBody(pp); err != nil {
 		return nil
 	}
-	if _, dup := e.batches[pp.Digest]; !dup {
-		b := pp.Batch
-		e.batches[pp.Digest] = &b
-	}
-	if pp.Seq > e.batchSeq[pp.Digest] {
-		e.batchSeq[pp.Digest] = pp.Seq
+	_, cached := e.batches[pp.Digest]
+	if !cached || pp.Seq > e.batchSeq[pp.Digest] {
+		if _, occupied := e.held[pp.Seq]; !occupied {
+			e.held[pp.Seq] = pp.Digest
+		} else if e.ver.VerifyPrePrepare(pp, true) != nil {
+			return nil
+		}
+		if !cached {
+			b := pp.Batch
+			e.batches[pp.Digest] = &b
+		}
+		if pp.Seq > e.batchSeq[pp.Digest] {
+			e.batchSeq[pp.Digest] = pp.Seq
+		}
 	}
 	return e.tryExecute(host)
 }
@@ -924,11 +955,7 @@ func (e *execution) maybeCheckpoint(host tee.Host, seq uint64) []tee.OutMsg {
 	e.snapshots[seq] = snap
 	cp := &messages.Checkpoint{Seq: seq, StateDigest: crypto.HashData(snap), Replica: e.id}
 	cp.Sig, cp.Auth = e.authenticate(host, cp)
-	out := []tee.OutMsg{
-		broadcastOut(cp),
-		localOut(crypto.RolePreparation, cp),
-		localOut(crypto.RoleConfirmation, cp),
-	}
+	out := localFirst(cp, crypto.RolePreparation, crypto.RoleConfirmation)
 	// Count our own checkpoint towards stability.
 	out = append(out, e.onCheckpointMsg(host, cp)...)
 	return out
@@ -1153,6 +1180,11 @@ func (e *execution) gc() {
 	for seq := range e.snapshots {
 		if seq < e.lowWatermark {
 			delete(e.snapshots, seq)
+		}
+	}
+	for seq := range e.held {
+		if seq <= e.lowWatermark {
+			delete(e.held, seq)
 		}
 	}
 	// Batch bodies below the watermark can no longer be executed; drop

@@ -375,6 +375,7 @@ func (e *execution) ImportState(data []byte) error {
 	}
 	e.batches = make(map[crypto.Digest]*messages.Batch)
 	e.batchSeq = make(map[crypto.Digest]uint64)
+	e.held = make(map[uint64]crypto.Digest)
 	n = d.Count(1 << 20)
 	for i := 0; i < n; i++ {
 		digest := d.Digest()

@@ -92,11 +92,6 @@ func newPreparation(cfg Config, ver *messages.Verifier, counter *tee.TrustedCoun
 // Measurement implements tee.Code.
 func (p *preparation) Measurement() crypto.Digest { return measPreparation }
 
-// Preprocess implements tee.Preprocessor: signature verification for a
-// batched ecall runs on the worker pool, warming the verify cache the
-// serial handlers then hit.
-func (p *preparation) Preprocess(_ tee.Host, raw []byte) { prevalidate(p.ver, raw) }
-
 // HandleECall implements tee.Code.
 func (p *preparation) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
 	if len(raw) == 0 {
@@ -280,8 +275,8 @@ const fencedBatchMax = 128
 
 // onBatch is event handler (1): the primary authenticates a client batch
 // from the environment, assigns the next sequence number and emits the
-// PrePrepare — to the network and into the local Confirmation and Execution
-// compartments (the duplicated input logs of §3.2).
+// PrePrepare — into the local Confirmation and Execution compartments (the
+// duplicated input logs of §3.2), then to the network.
 func (p *preparation) onBatch(host tee.Host, batch *messages.Batch) []tee.OutMsg {
 	if p.primary(p.view) != p.id {
 		return nil // the environment misjudged the view; liveness only
@@ -367,11 +362,7 @@ func (p *preparation) proposeBatch(host tee.Host, batch *messages.Batch) []tee.O
 		pp.CtrVal, pp.CtrSig = att.Value, att.Sig
 	}
 	p.record(pp.View, pp.Seq, pp.Digest)
-	out := []tee.OutMsg{
-		broadcastOut(pp),
-		localOut(crypto.RoleConfirmation, pp),
-		localOut(crypto.RoleExecution, pp),
-	}
+	out := localFirst(pp, crypto.RoleConfirmation, crypto.RoleExecution)
 	// Piggyback lease renewal on proposal traffic: under load the leases
 	// ride along for free and the anchor tracks the write frontier.
 	return append(out, p.maybeGrantLeases()...)
@@ -405,10 +396,7 @@ func (p *preparation) onPrePrepare(host tee.Host, pp *messages.PrePrepare) []tee
 	}
 	prep := &messages.Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Replica: p.id}
 	prep.Sig, prep.Auth = p.authenticate(host, prep)
-	return []tee.OutMsg{
-		broadcastOut(prep),
-		localOut(crypto.RoleConfirmation, prep),
-	}
+	return localFirst(prep, crypto.RoleConfirmation)
 }
 
 // onViewChange is event handler (6): the Preparation compartment of the new
@@ -517,7 +505,7 @@ func (p *preparation) onNewView(host tee.Host, nv *messages.NewView) []tee.OutMs
 			}
 			prep := &messages.Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Replica: p.id}
 			prep.Sig, prep.Auth = p.authenticate(host, prep)
-			out = append(out, broadcastOut(prep), localOut(crypto.RoleConfirmation, prep))
+			out = append(out, localFirst(prep, crypto.RoleConfirmation)...)
 		}
 	}
 	return out

@@ -36,7 +36,7 @@ type Replica struct {
 	broker *broker
 	// caches are the per-compartment verification caches, for stats. Each
 	// compartment owns its own cache — compartments share no state (§3.2),
-	// so a cache is enclave-local, warmed by that enclave's verify pool.
+	// so a cache is enclave-local.
 	caches []*messages.VerifyCache
 	// vers are the per-compartment verifiers, kept for crypto-op stats.
 	vers []*messages.Verifier
@@ -84,7 +84,8 @@ func NewReplica(cfg Config) (*Replica, error) {
 	}
 	// One verifier per compartment: each carries its own
 	// signature-verification cache so the compartments stay share-nothing.
-	// Self identifies the compartment for MAC-mode authenticator slots.
+	// Self identifies the compartment: its MAC-vector slots, and which
+	// signers are co-located with it.
 	var vers [3]*messages.Verifier
 	var caches []*messages.VerifyCache
 	compartmentRoles := [3]crypto.Role{crypto.RolePreparation, crypto.RoleConfirmation, crypto.RoleExecution}
@@ -154,29 +155,14 @@ func NewReplica(cfg Config) (*Replica, error) {
 		cfg.Registry.RegisterECDH(enc.Identity(), enc.ECDHPublicKey())
 	}
 
-	// Enable the enclave-side parallel verification stage of the pipeline.
-	for _, enc := range []*tee.Enclave{prep, conf, exec} {
-		enc.SetVerifyWorkers(cfg.VerifyWorkers)
-	}
-
-	if cfg.AgreementAuth == messages.AuthMAC {
-		// Pairwise key establishment: each compartment derives the
-		// agreement-MAC key it shares with any peer compartment lazily,
-		// from its enclave's X25519 key and the peer's registered public
-		// key — both ends of a pair compute the same key without it ever
-		// leaving the two enclaves.
-		for i, enc := range []*tee.Enclave{prep, conf, exec} {
-			st := pairwiseMACStore(enc, cfg.Registry)
-			vers[i].MACs = st
-			switch i {
-			case 0:
-				prepCode.rmacs = st
-			case 1:
-				confCode.rmacs = st
-			case 2:
-				execCode.rmacs = st
-			}
-		}
+	// Pairwise key establishment: each compartment derives the MAC key it
+	// shares with any peer compartment lazily, from its enclave's X25519 key
+	// and the peer's registered public key — both ends of a pair compute the
+	// same key without it ever leaving the two enclaves. MAC mode keys its
+	// agreement vectors from the store; sig mode keys only the hop between
+	// compartments of this replica (Verifier.HopAuth).
+	for i, enc := range []*tee.Enclave{prep, conf, exec} {
+		vers[i].MACs = pairwiseMACStore(enc, cfg.Registry)
 	}
 
 	r := &Replica{cfg: cfg, prep: prep, conf: conf, exec: exec, caches: caches, vers: vers[:], counter: counter, execCode: execCode}

@@ -5,11 +5,22 @@ import (
 )
 
 // AuthMode selects how normal-case agreement traffic (PrePrepare, Prepare,
-// Commit, Checkpoint) is authenticated between replicas.
+// Commit, Checkpoint) is authenticated between replicas. Both modes apply
+// one rule — a signature where a proof is handed on, a pairwise MAC where it
+// is not — and differ in how far they take it.
 //
-// AuthSig is the paper's baseline: every message carries an Ed25519
+// AuthSig is the paper's protocol: every message carries an Ed25519
 // signature from its sending compartment, transferable to third parties —
-// certificates are bundles of individually verifiable messages.
+// certificates are bundles of individually verifiable messages. The
+// signature is checked wherever the receiver may have to hand the message on
+// (PrePrepare and Prepare into Confirmation, which exports them as prepare
+// certificates; Checkpoints, exported as checkpoint certificates) or the
+// message crosses machines. It is not checked where neither holds: the
+// Commit a Confirmation hands to the Execution compartment of its own
+// replica is accepted on a MAC under the two enclaves' attested pairwise key
+// (hopMACAccepted, Verifier.verifyAuth), and Execution does not authenticate
+// the PrePrepares it uses only as request bodies (Verifier.CheckProposalBody;
+// a body executes only when it hashes to the digest of a commit certificate).
 //
 // AuthMAC is the trusted-compartment fast path: attested agreement
 // enclaves establish pairwise symmetric keys (X25519 between enclave keys
@@ -21,7 +32,8 @@ import (
 // from 2f+1 signature bundles (or a signed attestation) to a single
 // enclave signature over the aggregated claim, sound because an attested
 // enclave is trusted to have validated the evidence correctly before
-// signing.
+// signing. That last step is one compartment vouching for others, which
+// AuthSig never does.
 type AuthMode uint8
 
 // Agreement authentication modes.
@@ -117,6 +129,26 @@ func agreementAuthRoles(t Type) []crypto.Role {
 		return nil
 	}
 }
+
+// hopMACAccepted reports whether, in sig mode, a receiver may accept type t
+// from a compartment of its own replica on the pairwise hop MAC instead of
+// the signature (Verifier.verifyAuth). The rule is "a signature where a proof
+// is handed on, a pairwise MAC where it is not", judged at the receiver: only
+// types whose receiver consumes the message and never exports it qualify.
+//
+// A Commit does: Execution executes under 2f+1 of them and no certificate,
+// ViewChange or state transfer ever carries one. A PrePrepare or Prepare into
+// Confirmation does not, although the hop is just as local: Confirmation
+// exports both inside prepare certificates, and a correct Confirmation that
+// has sent its Commit must be able to prove the certificate behind it to the
+// next primary. Were it to count its co-located Preparation's Prepare on a
+// MAC, a faulty Preparation (valid MAC, garbage signature) could make it
+// commit on a certificate it can never hand on — and with one faulty
+// Confirmation elsewhere hiding its own, a view change would lose a committed
+// slot: f faults per compartment type, safety gone. The sender cannot be
+// trusted to attach the slot only where it is harmless, so the receiver
+// decides by type.
+func hopMACAccepted(t Type) bool { return t == TCommit }
 
 // Domain-separation tags for certificate vouch signatures. They must not
 // collide with the message-type bytes that prefix every SigningBytes

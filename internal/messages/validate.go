@@ -64,9 +64,11 @@ type Verifier struct {
 	Cache *VerifyCache
 
 	// Mode selects how normal-case agreement traffic is authenticated
-	// (AuthSig default). In AuthMAC, MACs must hold the verifying
-	// compartment's pairwise replica keys and Self its identity — the MAC
-	// vector slot it checks is derived from both.
+	// (AuthSig default). MACs holds the verifying compartment's pairwise
+	// attested keys and Self its identity: in AuthMAC the vector slot it
+	// checks is derived from both, in AuthSig they authenticate the hop
+	// between compartments of one replica (see verifyAuth). A Verifier
+	// without MACs (the PBFT baseline, tests) checks signatures only.
 	Mode AuthMode
 	MACs *crypto.MACStore
 	Self crypto.Identity
@@ -78,8 +80,8 @@ type Verifier struct {
 
 	// Crypto-op accounting for the auth ablation: how many Ed25519
 	// verifications actually ran (cache hits excluded), the wall time they
-	// took, and how many agreement-MAC verifications ran. Atomic — the
-	// verify worker pool calls concurrently.
+	// took, and how many agreement-MAC verifications ran. Atomic — stats
+	// readers run beside the protocol thread.
 	sigOps   atomic.Uint64
 	sigNanos atomic.Int64
 	macOps   atomic.Uint64
@@ -156,16 +158,36 @@ func (v *Verifier) timedVerifyFrom(signer crypto.Identity, msg, sig []byte) erro
 	return err
 }
 
-// verifyAuth checks the authenticity of one agreement message: the
-// Ed25519 signature in sig mode, or — in MAC mode — the authenticator
-// slot addressed to this compartment, under the pairwise key shared with
-// the sending enclave.
+// verifyAuth checks the authenticity of one agreement message — the single
+// funnel for every mode and hop:
+//
+//   - MAC mode: the authenticator slot addressed to this compartment, under
+//     the pairwise key shared with the sending enclave.
+//   - Sig mode, co-located hop: a message whose receiver consumes it and
+//     never hands it on (hopMACAccepted — a Commit) and whose signer is
+//     another compartment of this verifier's own replica carries, on the
+//     copy handed over inside the machine, a one-slot Auth under the two
+//     enclaves' attested pairwise key (HopAuth); that MAC is accepted in
+//     place of the signature. It proves origin exactly as the signature
+//     would — only the two enclaves hold the key, the environment between
+//     them never does — so the receiver still counts one vote of that one
+//     compartment and no quorum threshold moves; a receiver could forge such
+//     a MAC only to itself.
+//   - Sig mode otherwise — a remote signer whatever Auth it presents, a
+//     type that is handed on, or a local slot that is absent, garbled or
+//     keyed before a restart: the Ed25519 signature.
 func (v *Verifier) verifyAuth(m Signable, signer crypto.Identity, sig []byte, auth crypto.Authenticator) error {
 	e := GetEncoder()
 	defer PutEncoder(e)
 	m.AppendSigning(e)
 	signing, t := e.Bytes(), m.MsgType()
 	if v.Mode != AuthMAC {
+		if hopMACAccepted(t) && v.coLocated(signer) && len(auth.MACs) == 1 {
+			v.macOps.Add(1)
+			if v.MACs.VerifySingle(signing, auth.MACs[0], signer) == nil {
+				return nil
+			}
+		}
 		return v.VerifySig(signer, signing, sig)
 	}
 	if v.MACs == nil {
@@ -177,6 +199,30 @@ func (v *Verifier) verifyAuth(m Signable, signer crypto.Identity, sig []byte, au
 	}
 	v.macOps.Add(1)
 	return v.MACs.VerifyIndexed(signing, auth, idx, signer)
+}
+
+// coLocated reports whether signer is a different compartment of this
+// verifier's own replica, reachable over the in-machine hop.
+func (v *Verifier) coLocated(signer crypto.Identity) bool {
+	return v.MACs != nil && signer.ReplicaID == v.Self.ReplicaID && signer.Role != v.Self.Role
+}
+
+// HopAuth returns the authenticator the copy of an agreement message carries
+// when its sender (this verifier's compartment) hands it to compartment to of
+// the same replica. In MAC mode that is the wire vector unchanged — it
+// already holds the co-located receiver's slot. In sig mode it is one MAC
+// under the pairwise key of the two enclaves, which verifyAuth accepts in
+// place of the signature the copy still carries — for the types
+// hopMACAccepted names; on any other it is ignored.
+func (v *Verifier) HopAuth(m Signable, wire crypto.Authenticator, to crypto.Role) crypto.Authenticator {
+	if v.Mode == AuthMAC || v.MACs == nil {
+		return wire
+	}
+	e := GetEncoder()
+	defer PutEncoder(e)
+	m.AppendSigning(e)
+	peer := crypto.Identity{ReplicaID: v.Self.ReplicaID, Role: to}
+	return crypto.Authenticator{MACs: [][crypto.MACSize]byte{v.MACs.MAC(e.Bytes(), peer)}}
 }
 
 // NewVerifier builds a classic-consensus Verifier. N must be 3F+1 with
@@ -236,6 +282,15 @@ func (v *Verifier) VerifyPrePrepare(pp *PrePrepare, requireBatch bool) error {
 // caller) covers it — so only the structural checks run.
 func (v *Verifier) VerifyReissuedPrePrepare(pp *PrePrepare) error {
 	return v.checkPrePrepare(pp, false, v.Mode != AuthMAC)
+}
+
+// CheckProposalBody runs VerifyPrePrepare's structural half on a PrePrepare
+// used only as a request-body carrier (the Execution compartment's copy):
+// the proposer is the primary of its view and the batch is present and
+// hashes to the header digest. Authenticity is not checked — the holder must
+// bind the body to an authenticated digest before acting on it.
+func (v *Verifier) CheckProposalBody(pp *PrePrepare) error {
+	return v.checkPrePrepare(pp, true, false)
 }
 
 func (v *Verifier) checkPrePrepare(pp *PrePrepare, requireBatch, needAuth bool) error {

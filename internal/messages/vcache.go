@@ -17,11 +17,9 @@ type verifyKey struct {
 
 // VerifyCache memoizes successful signature verifications, keyed by
 // (digest, signer), so a (message, signature, signer) triple pays the
-// Ed25519 cost once. Two kinds of repeats profit: retransmits and
+// Ed25519 cost once. The repeats that profit are retransmits and
 // view-change replays (the same Prepares, Commits and
-// certificate-embedded PrePrepares verified again and again), and — with
-// the parallel verify pool enabled — the serial handler pass consuming
-// the verifications the preprocessing workers computed.
+// certificate-embedded PrePrepares verified again and again).
 //
 // Only successes are cached: a forged signature is recomputed (and
 // rejected) every time, so an attacker cannot poison the cache, and a key
@@ -32,8 +30,7 @@ type verifyKey struct {
 //
 // The cache is safe for concurrent use; in SplitBFT each compartment owns
 // its own cache, mirroring the paper's rule that compartments share no
-// state — the parallel preprocessing pool inside one enclave is the only
-// concurrent writer.
+// state.
 type VerifyCache struct {
 	mu         sync.Mutex
 	set        *genset.Set[verifyKey]

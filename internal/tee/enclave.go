@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -84,22 +83,6 @@ type Code interface {
 	HandleECall(host Host, msg []byte) []OutMsg
 }
 
-// Preprocessor is optionally implemented by enclave Code that can do
-// stateless per-message work — decoding and signature verification — ahead
-// of the serial handler pass. When the enclave's verify-worker pool is
-// enabled, InvokeBatch fans Preprocess out across the batch before running
-// HandleECall on each message in order.
-//
-// Contract: Preprocess must not mutate handler state; it may only warm
-// caches that are themselves safe for concurrent use (e.g. a
-// signature-verification cache). Calls may run concurrently with each
-// other, never with HandleECall. Skipping Preprocess entirely must not
-// change any HandleECall outcome — it is purely an accelerator, which is
-// what keeps the parallel pipeline deterministic.
-type Preprocessor interface {
-	Preprocess(host Host, msg []byte)
-}
-
 // ErrNoOcall is returned by Host.Ocall for unregistered ocall names.
 var ErrNoOcall = errors.New("tee: unregistered ocall")
 
@@ -139,11 +122,6 @@ type Enclave struct {
 	counters sync.Map // string -> *counterCell
 	ocallsMu sync.RWMutex
 	ocalls   map[string]OcallFunc
-
-	// verifyWorkers bounds the preprocessing pool InvokeBatch fans
-	// Preprocess calls out to; <= 1 disables preprocessing (the serial
-	// handler verifies inline).
-	verifyWorkers int
 
 	// inbuf is the enclave-side copy of the payloads of the crossing in
 	// progress and inside their boundaries within it; both are reused from
@@ -441,15 +419,6 @@ func (e *Enclave) Crashed() bool {
 	return e.crashed
 }
 
-// SetVerifyWorkers bounds the enclave-side preprocessing pool used by
-// InvokeBatch (n <= 1 disables it). It is part of enclave setup, before
-// traffic flows.
-func (e *Enclave) SetVerifyWorkers(n int) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	e.verifyWorkers = n
-}
-
 // Invoke performs one ecall carrying one message; see InvokeBatch.
 func (e *Enclave) Invoke(msg []byte) ([]OutMsg, error) {
 	return e.InvokeBatch([][]byte{msg})
@@ -466,11 +435,7 @@ const maxInboundKeep = 1 << 16
 // amortization SplitBFT's evaluation identifies as the dominant cost
 // lever); every message still pays its copy-in — into the enclave's
 // reusable inbound buffer — and the handler runs once per message in
-// submission order on the enclave's single logical protocol thread. When
-// the code implements Preprocessor and a verify-worker pool is configured,
-// the stateless share of the work (decode + signature verification) is
-// fanned out across the batch first; state updates remain strictly serial,
-// so ordering stays deterministic.
+// submission order on the enclave's single logical protocol thread.
 //
 // Outputs are returned concatenated in handler order, copy-out charged;
 // their payloads are owned by the caller. The input buffers are not
@@ -501,7 +466,6 @@ func (e *Enclave) InvokeBatch(msgs [][]byte) ([]OutMsg, error) {
 		// into the next message.
 		inside = append(inside, buf[len(buf)-len(m):len(buf):len(buf)])
 	}
-	e.preprocess(inside)
 	var out []OutMsg
 	for _, m := range inside {
 		o := e.code.HandleECall(e, m)
@@ -532,50 +496,6 @@ func (e *Enclave) InvokeBatch(msgs [][]byte) ([]OutMsg, error) {
 // returns, so code that kept a slice of its input — which production runs
 // would corrupt silently one crossing later — fails loudly at once.
 var PoisonInbound atomic.Bool
-
-// preprocess fans the stateless per-message work out to a bounded set of
-// workers. It runs under execMu, so workers never race with HandleECall.
-// Workers are spawned per batch rather than kept in a persistent pool:
-// enclaves have no teardown API, so long-lived workers would leak a
-// goroutine set per enclave (benchmarks build clusters by the dozen), and
-// the spawn cost (~1µs each) is noise against the ≥58µs Ed25519 verify
-// every batched message carries. The worker count is clamped to the CPUs
-// actually available: preprocessing re-does decode work the serial
-// handler will repeat, which is a win only when real parallelism hides
-// it — on a single-core host it would just be overhead, so it is skipped
-// and the handler verifies inline.
-func (e *Enclave) preprocess(msgs [][]byte) {
-	pre, ok := e.code.(Preprocessor)
-	if !ok || e.verifyWorkers <= 1 || len(msgs) < 2 {
-		return
-	}
-	workers := e.verifyWorkers
-	if nc := runtime.GOMAXPROCS(0); workers > nc {
-		workers = nc
-	}
-	if workers > len(msgs) {
-		workers = len(msgs)
-	}
-	if workers <= 1 {
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(msgs) {
-					return
-				}
-				pre.Preprocess(e, msgs[i])
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // Stats returns a snapshot of the enclave's ecall statistics.
 func (e *Enclave) Stats() ECallSnapshot { return e.stats.snapshot() }

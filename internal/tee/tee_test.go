@@ -6,7 +6,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -417,12 +416,11 @@ func BenchmarkEcallRoundTripSimulation(b *testing.B) {
 	}
 }
 
-// orderCode records the order messages reach the serial handler and which
-// goroutine-visible preprocessing happened, for InvokeBatch tests.
+// orderCode records the order messages reach the serial handler, for
+// InvokeBatch tests.
 type orderCode struct {
 	mu      sync.Mutex
 	handled [][]byte
-	pre     [][]byte
 }
 
 func (c *orderCode) Measurement() crypto.Digest { return crypto.Digest{} }
@@ -435,20 +433,9 @@ func (c *orderCode) HandleECall(_ Host, msg []byte) []OutMsg {
 	return []OutMsg{{Kind: DestBroadcast, Payload: msg}}
 }
 
-func (c *orderCode) Preprocess(_ Host, msg []byte) {
-	c.mu.Lock()
-	c.pre = append(c.pre, append([]byte(nil), msg...))
-	c.mu.Unlock()
-}
-
 func TestInvokeBatchOrderAndOutputs(t *testing.T) {
-	// The pool clamps to GOMAXPROCS (preprocessing is skipped without real
-	// parallelism); raise it so the parallel path runs even on small CI
-	// hosts — concurrency works fine with fewer physical cores.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	code := &orderCode{}
 	e := newTestEnclave(t, code)
-	e.SetVerifyWorkers(4)
 	msgs := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d"), []byte("e")}
 	out, err := e.InvokeBatch(msgs)
 	if err != nil {
@@ -457,15 +444,12 @@ func TestInvokeBatchOrderAndOutputs(t *testing.T) {
 	if len(out) != len(msgs) {
 		t.Fatalf("outputs = %d, want %d", len(out), len(msgs))
 	}
-	// Handlers ran serially in submission order regardless of the parallel
-	// preprocessing pool: outputs and the handled log are both ordered.
+	// Handlers ran serially in submission order: outputs and the handled
+	// log are both ordered.
 	for i, m := range msgs {
 		if !bytes.Equal(out[i].Payload, m) || !bytes.Equal(code.handled[i], m) {
 			t.Fatalf("order broken at %d: out=%q handled=%q", i, out[i].Payload, code.handled[i])
 		}
-	}
-	if len(code.pre) != len(msgs) {
-		t.Fatalf("preprocessed %d messages, want %d", len(code.pre), len(msgs))
 	}
 }
 

@@ -71,10 +71,7 @@ func (s EnclaveStat) MsgsPerEcall() float64 {
 // VerifyCacheStats reports how effective a node's signature-verification
 // caches are: hits are signature checks whose Ed25519 cost was skipped
 // because an identical (message, signature, signer) triple had already
-// verified. With the pipeline off, hits come from retransmits and
-// view-change replays; with WithVerifyWorkers on, they additionally count
-// the serial handler pass consuming the parallel workers' warm pass, so a
-// pipelined node reads ~50% even without any retransmission.
+// verified: retransmits and view-change replays.
 type VerifyCacheStats struct {
 	Hits   uint64
 	Misses uint64
@@ -165,7 +162,6 @@ func (n *Node) buildReplica() error {
 		ConsensusMode:      consensus,
 		Cost:               o.costModel(),
 		SingleThread:       o.singleThread,
-		VerifyWorkers:      o.verifyWorkers,
 		DataDir:            o.nodeDataDir(n.id),
 		CheckpointInterval: o.checkpointInterval,
 		BatchSize:          o.batchSize,

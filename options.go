@@ -51,7 +51,6 @@ type options struct {
 	costSet      bool
 	singleThread bool
 
-	verifyWorkers int
 	agreementAuth string
 	consensusMode string
 	commitRule    string
@@ -232,18 +231,6 @@ func WithCheckpointInterval(n uint64) Option {
 // Figure 3a).
 func WithSingleThread() Option {
 	return func(o *options) { o.singleThread = true }
-}
-
-// WithVerifyWorkers fans the signature verifications of the messages one
-// trusted-boundary crossing delivers out to a pool of n workers inside
-// each enclave before the serial handler pass (verifications of distinct
-// messages are independent; a crossing carries whatever was queued for the
-// compartment, so the pool has work whenever the replica is loaded).
-// Handler state updates stay on the single protocol thread, so ordering —
-// and therefore every ledger and checkpoint digest — remains
-// deterministic. n <= 1 (the default) verifies inline.
-func WithVerifyWorkers(n int) Option {
-	return func(o *options) { o.verifyWorkers = n }
 }
 
 // WithAgreementAuth selects how replicas authenticate normal-case

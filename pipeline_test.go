@@ -3,7 +3,6 @@ package splitbft_test
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -78,24 +77,18 @@ func runLedgerScenario(t *testing.T, opts ...splitbft.Option) [][]byte {
 }
 
 // TestPipelineDeterminism is the safety check for the staged pipeline:
-// coalesced ecalls and a parallel verification pool must not be able to
-// change any agreed byte. The default configuration (one dispatcher per
-// compartment, each crossing delivering whatever is queued), the same with
-// 8 verify workers, and the paper's fully serialized single-thread
+// coalesced ecalls must not be able to change any agreed byte. The default
+// configuration (one dispatcher per compartment, each crossing delivering
+// whatever is queued) and the paper's fully serialized single-thread
 // configuration replay the same seeded scenario — including a forced view
 // change — and every replica ledger snapshot must be byte-identical across
-// replicas and across the three configurations.
+// replicas and across the two configurations.
 func TestPipelineDeterminism(t *testing.T) {
-	// The verify pool clamps to GOMAXPROCS; raise it so the parallel
-	// preprocessing genuinely runs even on single-core CI hosts.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-
 	configs := []struct {
 		name string
 		opts []splitbft.Option
 	}{
 		{"default", nil},
-		{"8 verify workers", []splitbft.Option{splitbft.WithVerifyWorkers(8)}},
 		{"single thread", []splitbft.Option{splitbft.WithSingleThread()}},
 	}
 	var reference []byte

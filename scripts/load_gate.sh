@@ -27,7 +27,7 @@ mkdir -p "$OUT"
 # until the trajectory is re-seeded.
 CALIBRATION=(
     -mode open -arrival fixed -rate 250 -inflight 64 -queue 256
-    -payload 10 -clients 4 -batch 1 -verify-workers 1
+    -payload 10 -clients 4 -batch 1
 )
 
 run_leg() {
