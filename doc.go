@@ -92,6 +92,16 @@
 // consumes the message, the MAC proves all it needs. WithAgreementAuth
 // selects how far the rule is taken.
 //
+// The decision is one table (authRules in internal/messages/auth.go), read
+// by the one site that stamps outgoing messages and the one that checks
+// incoming ones: message type → receiver compartments and one of three
+// proof forms. Transferable (PrePrepare, Prepare, Checkpoint, ViewChange,
+// NewView) may be handed on, so it is the form the mode selects; hop
+// (Commit) is broadcast but never exported, so its co-located copy rides on
+// a MAC; pair (ReadIndex, ReadIndexReply, LeaseAck) is point-to-point and
+// consumed, so it is one pairwise MAC in both modes (see the read path
+// below).
+//
 // "sig" (default) is the paper's protocol: every normal-case message
 // (PrePrepare, Prepare, Commit, Checkpoint) carries an Ed25519 signature
 // from its sending compartment, and certificates are bundles of
@@ -259,6 +269,29 @@
 // that arrived before it was sent; reads arriving later wait for the
 // next round — so the steady-state cost is one tiny Preparation round
 // trip amortized over the batch, not per read.
+//
+// What authenticates each read-path message follows the rule of the
+// agreement-authentication section, identically in both auth modes.
+// ReadRequest and ReadReply travel between a client and one Execution
+// enclave under the client MAC. ReadIndex, ReadIndexReply and LeaseAck
+// travel between a holder's Execution and the primary's Preparation
+// enclave and are consumed there — no certificate, ViewChange or state
+// transfer ever carries one — so each carries exactly one MAC under the two
+// enclaves' attested pairwise key (the "pair" proof form) and no signature:
+// a leased read costs no Ed25519 at all. Anything but that one slot — absent,
+// garbled, doubled, made for another enclave or by another sender, keyed
+// before a peer re-registered — drops the message, which costs the read its
+// fast path and nothing else. LeaseGrant keeps the counter enclave's Ed25519
+// signature: n per renewal round, off the per-read path, tied to the counter
+// position.
+//
+// The holder is bound: a frontier is only as fresh as the query it answers,
+// so ReadIndexReply names the holder it answers inside its authenticated
+// bytes and is keyed to that holder's enclave (one addressed slot, not a
+// MAC-mode vector, which would verify at every Execution), and query epochs
+// count from a base drawn fresh at every boot. Otherwise the environment
+// could answer holder B's query — or A's first query after a restart — with
+// the older frontier the primary reported to holder A.
 //
 // The lease bounds the other failure axis: a deposed primary answering
 // read-index queries with a stale frontier. Grants are fenced by

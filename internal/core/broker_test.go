@@ -208,7 +208,7 @@ func newTestBroker(t *testing.T, singleThread bool) (*broker, Config) {
 	}
 	prep := mk(crypto.RolePreparation, newPreparation(cfg, ver, nil))
 	conf := mk(crypto.RoleConfirmation, newConfirmation(cfg, ver))
-	exec := mk(crypto.RoleExecution, newExecution(cfg, ver))
+	exec := mk(crypto.RoleExecution, mustExecution(t, cfg, ver))
 	return newBroker(cfg, prep, conf, exec, nil), cfg
 }
 

@@ -30,6 +30,17 @@ type harness struct {
 	cfgs     []Config
 }
 
+// mustExecution builds an Execution compartment, failing the test when the
+// boot randomness it draws is unavailable.
+func mustExecution(t testing.TB, cfg Config, ver *messages.Verifier) *execution {
+	t.Helper()
+	e, err := newExecution(cfg, ver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func newHarness(t *testing.T) *harness {
 	t.Helper()
 	h := &harness{t: t, f: 1, reg: crypto.NewRegistry(), enclaves: make(map[crypto.Identity]*tee.Enclave)}
@@ -49,7 +60,7 @@ func newHarness(t *testing.T) *harness {
 		for role, code := range map[crypto.Role]tee.Code{
 			crypto.RolePreparation:  newPreparation(cfg, ver, nil),
 			crypto.RoleConfirmation: newConfirmation(cfg, ver),
-			crypto.RoleExecution:    newExecution(cfg, ver),
+			crypto.RoleExecution:    mustExecution(t, cfg, ver),
 		} {
 			enc, err := tee.NewEnclave(uint32(i), role, code, tee.ZeroCostModel())
 			if err != nil {
@@ -536,7 +547,7 @@ func TestCheckpointCarriesReplyCache(t *testing.T) {
 			N: 4, F: 1, ID: id,
 			Registry: reg, MACSecret: []byte("ckpt-test"), App: app.NewKVS(),
 		}.withDefaults()
-		return newExecution(cfg, ver)
+		return mustExecution(t, cfg, ver)
 	}
 
 	a := mk(0)

@@ -18,8 +18,8 @@ type comState struct {
 	// ver validates inbound messages. Its MACs field holds this compartment
 	// enclave's pairwise keys (attested ECDH with every peer compartment),
 	// installed by NewReplica after the enclave launches, before traffic: the
-	// agreement vectors of MAC mode and the co-located hop of sig mode are
-	// both keyed from it.
+	// agreement vectors of MAC mode, the co-located hop of sig mode and the
+	// pair-form messages of both are keyed from it.
 	ver *messages.Verifier
 	// authRecv caches the per-type MAC receiver layouts (MAC mode only;
 	// the layouts are static per deployment size).
@@ -66,11 +66,16 @@ func (s *comState) authReceivers(t messages.Type) []crypto.Identity {
 	return rs
 }
 
-// authenticate stamps an outbound agreement message: in sig mode the
-// enclave signs it; in MAC mode it computes the pairwise authenticator
-// vector for the type's receiver set. Exactly one of the two returns is
+// authenticate stamps an outbound agreement message with the proof form its
+// type's receivers accept (messages.ProofFormOf): a pair-form message gets
+// the one MAC for its addressee in either mode; any other is signed by the
+// enclave in sig mode and gets the pairwise authenticator vector for the
+// type's receiver set in MAC mode. Exactly one of the two returns is
 // non-empty.
 func (s *comState) authenticate(host tee.Host, m messages.Signable) ([]byte, crypto.Authenticator) {
+	if messages.ProofFormOf(m.MsgType()) == messages.ProofPair {
+		return nil, s.ver.PairAuth(m, messages.PairAddressee(m.(messages.Addressed), s.n))
+	}
 	e := messages.GetEncoder()
 	defer messages.PutEncoder(e)
 	m.AppendSigning(e)

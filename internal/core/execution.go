@@ -1,6 +1,10 @@
 package core
 
 import (
+	"crypto/rand"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -152,7 +156,11 @@ type execution struct {
 	// sampled after their arrival).
 	riPending []pendingRead
 	// riSentEpoch is the epoch of the last query sent; riInFlight whether
-	// its reply is still outstanding.
+	// its reply is still outstanding. Epochs count up from a base drawn from
+	// fresh randomness at every boot (newExecution): the state here is not
+	// sealed, so counting from zero would let a reply captured before a
+	// restart — same view, same keys in a seeded deployment — confirm a query
+	// sent after it against the older frontier.
 	riSentEpoch uint64
 	riInFlight  bool
 	// riAckedEpoch/riAckedFrontier are the newest confirmed epoch and its
@@ -206,7 +214,13 @@ const riPendingMax = 4096
 // mechanism.
 const probeBudget = 32
 
-func newExecution(cfg Config, ver *messages.Verifier) *execution {
+func newExecution(cfg Config, ver *messages.Verifier) (*execution, error) {
+	var boot [8]byte
+	if _, err := io.ReadFull(rand.Reader, boot[:]); err != nil {
+		return nil, fmt.Errorf("read-index epoch base: %w", err)
+	}
+	// The top bit stays clear: no run of queries overflows the counter.
+	epochBase := binary.LittleEndian.Uint64(boot[:]) >> 1
 	e := &execution{
 		comState: newComState(cfg.N, cfg.F, cfg.ID, cfg.WatermarkWindow, ver),
 		macs: crypto.NewMACStore(cfg.MACSecret,
@@ -228,9 +242,11 @@ func newExecution(cfg Config, ver *messages.Verifier) *execution {
 		sessionKeys:  make(map[uint32]crypto.SessionKey),
 		snapshots:    make(map[uint64][]byte),
 		readHigh:     make(map[uint32]uint64),
+		riSentEpoch:  epochBase,
+		riAckedEpoch: epochBase,
 	}
 	e.snapshots[0] = e.snapshotState()
-	return e
+	return e, nil
 }
 
 // snapshotState builds the checkpoint snapshot: the application state
@@ -410,7 +426,7 @@ func (e *execution) onLeaseGrant(host tee.Host, g *messages.LeaseGrant) []tee.Ou
 	// expiry as the round nonce: the granter needs a quorum of fresh acks
 	// before it may issue servable (non-probe) grants.
 	ack := &messages.LeaseAck{Holder: e.id, View: g.View, Expiry: g.Expiry}
-	ack.Sig, ack.Auth = e.authenticate(host, ack)
+	_, ack.Auth = e.authenticate(host, ack)
 	var out []tee.OutMsg
 	if g.Granter == e.id {
 		out = append(out, localOut(crypto.RolePreparation, ack))
@@ -546,7 +562,7 @@ func (e *execution) admitLinearizableRead(host tee.Host, r *messages.ReadRequest
 func (e *execution) sendReadIndex(host tee.Host) tee.OutMsg {
 	e.evReadIndexes.Add(1)
 	ri := &messages.ReadIndex{Holder: e.id, View: e.view, Epoch: e.riSentEpoch}
-	ri.Sig, ri.Auth = e.authenticate(host, ri)
+	_, ri.Auth = e.authenticate(host, ri)
 	if p := e.primary(e.view); p != e.id {
 		return replicaOut(p, ri)
 	}
@@ -555,9 +571,11 @@ func (e *execution) sendReadIndex(host tee.Host) tee.OutMsg {
 
 // onReadIndexReply confirms a frontier for the in-flight epoch, serves
 // everything it unblocks, and starts the next round if reads arrived while
-// the query was out.
+// the query was out. Only the answer to this holder's own outstanding query
+// counts: a frontier reported to another holder, or to this one before a
+// restart, predates writes this query must cover.
 func (e *execution) onReadIndexReply(host tee.Host, rep *messages.ReadIndexReply) []tee.OutMsg {
-	if !e.leases || rep.View != e.view || !e.riInFlight || rep.Epoch != e.riSentEpoch {
+	if !e.leases || rep.Holder != e.id || rep.View != e.view || !e.riInFlight || rep.Epoch != e.riSentEpoch {
 		return nil
 	}
 	if err := e.ver.VerifyReadIndexReply(rep); err != nil {

@@ -218,7 +218,7 @@ func newHeldFixture(t *testing.T, window uint64) *heldFixture {
 	}
 	fx := &heldFixture{t: t, ver: ver, kvs: app.NewKVS(), primary: crypto.MustGenerateKeyPair()}
 	cfg := Config{N: 4, F: 1, ID: 3, Registry: reg, MACSecret: []byte(hopSecret), App: fx.kvs, WatermarkWindow: window}
-	fx.code = newExecution(cfg.withDefaults(), ver)
+	fx.code = mustExecution(t, cfg.withDefaults(), ver)
 	if fx.enc, err = tee.NewEnclave(3, crypto.RoleExecution, fx.code, tee.ZeroCostModel()); err != nil {
 		t.Fatal(err)
 	}

@@ -243,11 +243,12 @@ func (p *preparation) onReadIndex(host tee.Host, ri *messages.ReadIndex) []tee.O
 	}
 	rep := &messages.ReadIndexReply{
 		Replica:  p.id,
+		Holder:   ri.Holder,
 		View:     p.view,
 		Epoch:    ri.Epoch,
 		Frontier: p.nextSeq,
 	}
-	rep.Sig, rep.Auth = p.authenticate(host, rep)
+	_, rep.Auth = p.authenticate(host, rep)
 	if ri.Holder == p.id {
 		return []tee.OutMsg{localOut(crypto.RoleExecution, rep)}
 	}

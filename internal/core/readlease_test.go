@@ -18,12 +18,16 @@ import (
 // after its arrival).
 
 // leaseRig wires one primary Preparation enclave (replica 0, with the
-// trusted counter) and all n Execution enclaves with read leases on.
+// trusted counter) and all n Execution enclaves with read leases on. Every
+// compartment has its own verifier over its enclave's attested pairwise keys,
+// as NewReplica wires them; enclave keys come from a seeded stream, so
+// restartExec brings a holder back under the keys it had.
 type leaseRig struct {
 	t        *testing.T
 	n, f     int
+	mode     messages.AuthMode
+	ttl      time.Duration
 	reg      *crypto.Registry
-	ver      *messages.Verifier
 	secret   []byte
 	counter  *tee.TrustedCounter
 	prep     *tee.Enclave
@@ -34,45 +38,72 @@ type leaseRig struct {
 }
 
 func newLeaseRig(t *testing.T, ttl time.Duration) *leaseRig {
+	return newLeaseRigMode(t, ttl, messages.AuthSig)
+}
+
+func newLeaseRigMode(t *testing.T, ttl time.Duration, mode messages.AuthMode) *leaseRig {
 	t.Helper()
-	r := &leaseRig{t: t, n: 4, f: 1, reg: crypto.NewRegistry(), secret: []byte("lease-test")}
-	ver, err := messages.NewVerifier(r.n, r.f, r.reg, messages.SplitScheme())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.ver = ver
+	r := &leaseRig{t: t, n: 4, f: 1, mode: mode, ttl: ttl, reg: crypto.NewRegistry(), secret: []byte("lease-test")}
 	ctrID := crypto.Identity{ReplicaID: 0, Role: crypto.RoleCounter}
+	var err error
 	r.counter, err = tee.NewTrustedCounter(ctrID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.reg.Register(ctrID, r.counter.PublicKey())
+	r.prepCode = newPreparation(r.config(0, app.NewKVS()), r.verifier(), r.counter)
+	r.prep = r.launch(0, crypto.RolePreparation, r.prepCode, r.prepCode.ver)
 	for i := 0; i < r.n; i++ {
-		kvs := app.NewKVS()
-		r.apps = append(r.apps, kvs)
-		cfg := Config{
-			N: r.n, F: r.f, ID: uint32(i),
-			Registry: r.reg, MACSecret: r.secret, App: kvs,
-			ReadLeases: true, LeaseTTL: ttl,
-		}.withDefaults()
-		if i == 0 {
-			r.prepCode = newPreparation(cfg, ver, r.counter)
-			r.prep, err = tee.NewEnclave(0, crypto.RolePreparation, r.prepCode, tee.ZeroCostModel())
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.reg.Register(r.prep.Identity(), r.prep.PublicKey())
-		}
-		code := newExecution(cfg, ver)
-		enc, err := tee.NewEnclave(uint32(i), crypto.RoleExecution, code, tee.ZeroCostModel())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.reg.Register(enc.Identity(), enc.PublicKey())
-		r.execs = append(r.execs, enc)
-		r.codes = append(r.codes, code)
+		r.apps = append(r.apps, app.NewKVS())
+		r.execs = append(r.execs, nil)
+		r.codes = append(r.codes, nil)
+		r.restartExec(uint32(i))
 	}
 	return r
+}
+
+func (r *leaseRig) config(id uint32, kvs *app.KVS) Config {
+	return Config{
+		N: r.n, F: r.f, ID: id,
+		Registry: r.reg, MACSecret: r.secret, App: kvs,
+		ReadLeases: true, LeaseTTL: r.ttl, AgreementAuth: r.mode,
+	}.withDefaults()
+}
+
+// verifier builds one compartment's verifier; launch completes it.
+func (r *leaseRig) verifier() *messages.Verifier {
+	r.t.Helper()
+	ver, err := messages.NewVerifier(r.n, r.f, r.reg, messages.SplitScheme())
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	ver.Mode = r.mode
+	return ver
+}
+
+// launch starts code in an enclave keyed from the rig's seed, registers its
+// keys and hands ver the enclave's pairwise store.
+func (r *leaseRig) launch(id uint32, role crypto.Role, code tee.Code, ver *messages.Verifier) *tee.Enclave {
+	r.t.Helper()
+	enc, err := tee.NewEnclaveWithRand(id, role, code, tee.ZeroCostModel(), enclaveKeyStream(r.secret, id, role))
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.reg.Register(enc.Identity(), enc.PublicKey())
+	r.reg.RegisterECDH(enc.Identity(), enc.ECDHPublicKey())
+	ver.Self = enc.Identity()
+	ver.MACs = pairwiseMACStore(enc, r.reg)
+	return enc
+}
+
+// restartExec boots a fresh Execution compartment for replica i over the
+// application state it had: nothing of the read path is sealed, so it comes
+// back leaseless with new read-index epochs.
+func (r *leaseRig) restartExec(i uint32) {
+	r.t.Helper()
+	code := mustExecution(r.t, r.config(i, r.apps[i]), r.verifier())
+	r.execs[i] = r.launch(i, crypto.RoleExecution, code, code.ver)
+	r.codes[i] = code
 }
 
 // scanMsg extracts the first message of a type from enclave outputs,
@@ -200,12 +231,9 @@ func (r *leaseRig) renew() {
 	}
 }
 
-// read sends a MAC-authenticated ReadRequest to a replica's Execution
-// enclave and returns the reply (nil when the enclave stayed silent). A
-// linearizable read parks behind a read-index exchange; this helper
-// shuttles the query to the primary's Preparation compartment and the
-// frontier reply back, mimicking the broker.
-func (r *leaseRig) read(replica uint32, ts, minSeq uint64, linearizable bool, op []byte) *messages.ReadReply {
+// request sends a MAC-authenticated ReadRequest to a replica's Execution
+// enclave and returns what it emitted.
+func (r *leaseRig) request(replica uint32, ts, minSeq uint64, linearizable bool, op []byte) []tee.OutMsg {
 	r.t.Helper()
 	const clientID = 42
 	macs := crypto.NewMACStore(r.secret, crypto.Identity{ReplicaID: clientID, Role: crypto.RoleClient})
@@ -218,6 +246,73 @@ func (r *leaseRig) read(replica uint32, ts, minSeq uint64, linearizable bool, op
 	if err != nil {
 		r.t.Fatal(err)
 	}
+	return out
+}
+
+// query sends a linearizable read to a leased holder and returns the
+// read-index query it parks behind.
+func (r *leaseRig) query(replica uint32, ts uint64, op []byte) *messages.ReadIndex {
+	r.t.Helper()
+	ri, ok := scanMsg[*messages.ReadIndex](r.t, r.request(replica, ts, 0, true, op))
+	if !ok {
+		r.t.Fatalf("holder %d sent no read-index query", replica)
+	}
+	return ri
+}
+
+// answer hands a read-index query to the primary's Preparation compartment,
+// returning its reply (nil when it stayed silent).
+func (r *leaseRig) answer(ri *messages.ReadIndex) *messages.ReadIndexReply {
+	r.t.Helper()
+	out, err := r.prep.Invoke(wrapMessage(messages.Marshal(ri)))
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	rr, _ := scanMsg[*messages.ReadIndexReply](r.t, out)
+	return rr
+}
+
+// confirm hands a read-index reply to a holder, returning the client reply it
+// released (nil when none).
+func (r *leaseRig) confirm(replica uint32, rr *messages.ReadIndexReply) *messages.ReadReply {
+	r.t.Helper()
+	out, err := r.execs[replica].Invoke(wrapMessage(messages.Marshal(rr)))
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	rep, _ := findMsg[*messages.ReadReply](r.t, out, tee.DestClient)
+	return rep
+}
+
+// propose has the primary assign the next sequence number to a write, moving
+// its frontier past every holder's applied index.
+func (r *leaseRig) propose(ts uint64) {
+	r.t.Helper()
+	req := testRequest(r.secret, r.n, 7, ts, app.EncodePut("k", []byte("v")))
+	if _, err := r.prep.Invoke(wrapBatch(&messages.Batch{Requests: []messages.Request{req}})); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// tickExec delivers one failure-detector tick to a holder and returns the
+// client reply it released, if any.
+func (r *leaseRig) tickExec(replica uint32) *messages.ReadReply {
+	r.t.Helper()
+	out, err := r.execs[replica].Invoke([]byte{ecallTick})
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	rep, _ := findMsg[*messages.ReadReply](r.t, out, tee.DestClient)
+	return rep
+}
+
+// read runs one read end to end and returns the client reply (nil when the
+// enclave stayed silent). A linearizable read parks behind a read-index
+// exchange; this helper shuttles the query to the primary's Preparation
+// compartment and the frontier reply back, mimicking the broker.
+func (r *leaseRig) read(replica uint32, ts, minSeq uint64, linearizable bool, op []byte) *messages.ReadReply {
+	r.t.Helper()
+	out := r.request(replica, ts, minSeq, linearizable, op)
 	if rep, ok := findMsg[*messages.ReadReply](r.t, out, tee.DestClient); ok {
 		return rep
 	}
@@ -225,23 +320,11 @@ func (r *leaseRig) read(replica uint32, ts, minSeq uint64, linearizable bool, op
 	if !ok {
 		return nil
 	}
-	pout, err := r.prep.Invoke(wrapMessage(messages.Marshal(ri)))
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	rr, ok := scanMsg[*messages.ReadIndexReply](r.t, pout)
-	if !ok {
+	rr := r.answer(ri)
+	if rr == nil {
 		return nil // granter refused to answer (e.g. wrong view)
 	}
-	out, err = r.execs[replica].Invoke(wrapMessage(messages.Marshal(rr)))
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	rep, ok := findMsg[*messages.ReadReply](r.t, out, tee.DestClient)
-	if !ok {
-		return nil
-	}
-	return rep
+	return r.confirm(replica, rr)
 }
 
 // TestLeaseLocalReadServes is the fast-path happy case: a granted,
@@ -456,10 +539,7 @@ func TestLinearizableReadSeesPostGrantWrite(t *testing.T) {
 
 	// A write is proposed (and, on a quorum elsewhere, committed and acked)
 	// after the grants went out. Holder 1 has not executed it.
-	req := testRequest(r.secret, r.n, 7, 1, app.EncodePut("k", []byte("v")))
-	if _, err := r.prep.Invoke(wrapBatch(&messages.Batch{Requests: []messages.Request{req}})); err != nil {
-		t.Fatal(err)
-	}
+	r.propose(1)
 
 	// The linearizable read must NOT be served: the primary's frontier (1)
 	// is ahead of the holder's applied index (0), so the read parks.
@@ -481,12 +561,8 @@ func TestLinearizableReadSeesPostGrantWrite(t *testing.T) {
 	// the commit-path tests' job).
 	r.codes[1].lastExec = 1
 	r.apps[1].Execute(7, app.EncodePut("k", []byte("v")))
-	out, err := r.execs[1].Invoke([]byte{ecallTick})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, ok := findMsg[*messages.ReadReply](t, out, tee.DestClient)
-	if !ok || !rep.OK {
+	rep := r.tickExec(1)
+	if rep == nil || !rep.OK {
 		t.Fatalf("caught-up holder did not serve the parked read: %+v", rep)
 	}
 	if string(rep.Result) != "v" {
@@ -543,17 +619,8 @@ func TestLeaseTTLClampedToDetectionPeriod(t *testing.T) {
 // already acknowledged.
 func TestNewPrimaryWriteFence(t *testing.T) {
 	r := newLeaseRig(t, time.Second)
-	cfg := Config{
-		N: r.n, F: r.f, ID: 1,
-		Registry: r.reg, MACSecret: r.secret, App: app.NewKVS(),
-		ReadLeases: true, LeaseTTL: time.Second,
-	}.withDefaults()
-	code := newPreparation(cfg, r.ver, r.counter)
-	enc, err := tee.NewEnclave(1, crypto.RolePreparation, code, tee.ZeroCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.reg.Register(enc.Identity(), enc.PublicKey())
+	code := newPreparation(r.config(1, app.NewKVS()), r.verifier(), r.counter)
+	enc := r.launch(1, crypto.RolePreparation, code, code.ver)
 
 	// White-box view install: replica 1 becomes the primary of view 1 (the
 	// full NewView certificate path is the view-change tests' job).

@@ -101,7 +101,7 @@ func TestSealedStateWrongIdentityRefused(t *testing.T) {
 			MACSecret: seed, KeySeed: seed, App: app.NewKVS()}
 		cfg = cfg.withDefaults()
 		enc, err := tee.NewEnclaveWithRand(id, crypto.RoleExecution,
-			newExecution(cfg, ver), tee.ZeroCostModel(),
+			mustExecution(t, cfg, ver), tee.ZeroCostModel(),
 			enclaveKeyStream(seed, id, crypto.RoleExecution))
 		if err != nil {
 			t.Fatal(err)
@@ -151,7 +151,7 @@ func TestFinishRecoveryRearmsBatchFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newExecution(cfg, ver)
+	e := mustExecution(t, cfg, ver)
 	e.stallSeq = 7 // as if replay left execution mid-stall
 	e.stallTicks = missingBodyFetchAfter - 1
 	e.finishRecovery()
@@ -200,7 +200,7 @@ func TestCompartmentStateExportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code2 := newExecution(cfg, ver)
+	code2 := mustExecution(t, cfg, ver)
 	enc2, err := tee.NewEnclave(3, crypto.RoleExecution, code2, tee.ZeroCostModel())
 	if err != nil {
 		t.Fatal(err)

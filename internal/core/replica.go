@@ -132,7 +132,10 @@ func NewReplica(cfg Config) (*Replica, error) {
 
 	prepCode := newPreparation(cfg, vers[0], counter)
 	confCode := newConfirmation(cfg, vers[1])
-	execCode := newExecution(cfg, vers[2])
+	execCode, err := newExecution(cfg, vers[2])
+	if err != nil {
+		return nil, fmt.Errorf("launch execution compartment: %w", err)
+	}
 	prep, err := tee.NewEnclaveWithRand(cfg.ID, crypto.RolePreparation, prepCode, cfg.Cost, rng(crypto.RolePreparation))
 	if err != nil {
 		return nil, fmt.Errorf("launch preparation enclave: %w", err)

@@ -92,35 +92,79 @@ func TestLocalHopRemoteSignerNeverMACAccepted(t *testing.T) {
 	}
 }
 
-// TestLocalHopNotForHandedOnTypes is the safety half of the rule. A
-// PrePrepare or Prepare ends up inside the prepare certificates Confirmation
-// exports, so Confirmation must hold their signatures: a faulty co-located
-// Preparation presenting a valid hop MAC beside a garbage signature must be
-// rejected, or it could make a correct Confirmation commit on a certificate
-// it can never prove to the next primary.
+// TestLocalHopNotForHandedOnTypes is the safety half of the rule, walked over
+// the whole table. A PrePrepare or Prepare ends up inside the prepare
+// certificates Confirmation exports, a Checkpoint inside checkpoint
+// certificates, a ViewChange inside a NewView, so their receivers must hold
+// the signatures: a faulty sender presenting a valid pair MAC beside a garbage
+// signature must be rejected — co-located or remote — or it could make a
+// correct Confirmation commit on a certificate it can never prove to the next
+// primary.
 func TestLocalHopNotForHandedOnTypes(t *testing.T) {
 	fx := newFixture(t, SplitScheme())
-	prep := crypto.NewMACStore([]byte("hop-test"), crypto.Identity{ReplicaID: 1, Role: crypto.RolePreparation})
 	conf1 := hopVerifier(fx, crypto.Identity{ReplicaID: 1, Role: crypto.RoleConfirmation})
-	slot := func(m Signable) crypto.Authenticator {
-		return crypto.Authenticator{MACs: [][crypto.MACSize]byte{prep.MAC(signingBytes(m), conf1.Self)}}
+	// slot is the pair MAC the signer of m would make for conf1.
+	slot := func(m Signable, signer crypto.Identity) crypto.Authenticator {
+		mac := crypto.NewMACStore([]byte("hop-test"), signer).MAC(signingBytes(m), conf1.Self)
+		return crypto.Authenticator{MACs: [][crypto.MACSize]byte{mac}}
 	}
+	garbage := []byte("not a signature")
+	d := crypto.HashData([]byte("batch"))
 
-	p := fx.prepare(0, 5, crypto.HashData([]byte("batch")), 1)
-	p.Auth = slot(&p)
-	if err := conf1.VerifyPrepare(&p); err != nil {
-		t.Fatalf("signed Prepare rejected: %v", err)
+	// build returns, for a transferable type and a sending replica, a verify
+	// call on a copy that carries a garbage signature and, where the type has
+	// an Auth field at all, the sender's valid pair MAC for conf1.
+	build := map[Type]func(from uint32) func() error{
+		TPrePrepare: func(from uint32) func() error {
+			pp := fx.prePrepare(uint64(from), 6, testBatch(1)) // view = from: replica from proposes
+			if err := conf1.VerifyPrePrepare(pp, false); err != nil {
+				t.Fatalf("signed PrePrepare rejected: %v", err)
+			}
+			pp.Sig, pp.Auth = garbage, slot(pp, crypto.Identity{ReplicaID: from, Role: crypto.RolePreparation})
+			return func() error { return conf1.VerifyPrePrepare(pp, false) }
+		},
+		TPrepare: func(from uint32) func() error {
+			p := fx.prepare(0, 5, d, from)
+			if err := conf1.VerifyPrepare(&p); err != nil {
+				t.Fatalf("signed Prepare rejected: %v", err)
+			}
+			p.Sig, p.Auth = garbage, slot(&p, crypto.Identity{ReplicaID: from, Role: crypto.RolePreparation})
+			return func() error { return conf1.VerifyPrepare(&p) }
+		},
+		TCheckpoint: func(from uint32) func() error {
+			c := fx.checkpoint(10, d, from)
+			if err := conf1.VerifyCheckpoint(&c); err != nil {
+				t.Fatalf("signed Checkpoint rejected: %v", err)
+			}
+			c.Sig, c.Auth = garbage, slot(&c, crypto.Identity{ReplicaID: from, Role: crypto.RoleExecution})
+			return func() error { return conf1.VerifyCheckpoint(&c) }
+		},
+		TViewChange: func(from uint32) func() error {
+			vc := fx.viewChange(1, CheckpointCert{}, nil, from)
+			if err := conf1.VerifyViewChange(&vc); err != nil {
+				t.Fatalf("signed ViewChange rejected: %v", err)
+			}
+			vc.Sig = garbage // no Auth field: a MAC has nowhere to travel
+			return func() error { return conf1.VerifyViewChange(&vc) }
+		},
+		TNewView: func(from uint32) func() error {
+			nv := &NewView{View: uint64(from), Replica: from, Sig: garbage}
+			return func() error { return conf1.VerifyNewView(nv) }
+		},
 	}
-	p.Sig = []byte("not a signature")
-	if err := conf1.VerifyPrepare(&p); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("co-located Prepare accepted on its hop MAC: %v", err)
-	}
-
-	pp := fx.prePrepare(1, 6, testBatch(1)) // view 1: replica 1 proposes
-	pp.Auth = slot(pp)
-	pp.Sig = []byte("not a signature")
-	if err := conf1.VerifyPrePrepare(pp, false); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("co-located PrePrepare accepted on its hop MAC: %v", err)
+	for typ := TRequest; typ <= TReadIndexReply; typ++ {
+		if ProofFormOf(typ) != ProofTransferable {
+			continue
+		}
+		mk, ok := build[typ]
+		if !ok {
+			t.Fatalf("%s is transferable and this test has no case for it", typ)
+		}
+		for _, from := range []uint32{1, 2} { // co-located with conf1, remote
+			if err := mk(from)(); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("%s from replica %d accepted without a valid signature: %v", typ, from, err)
+			}
+		}
 	}
 	if st := conf1.Stats(); st.MACVerifies != 0 {
 		t.Fatalf("handed-on types ran %d MAC checks, want none", st.MACVerifies)

@@ -108,7 +108,8 @@ type Message interface {
 }
 
 // Signable is an agreement message authenticated over a fixed header — by
-// the sender's signature or, in MAC mode, its authenticator vector.
+// the sender's signature, its MAC-mode authenticator vector or its pair MAC,
+// as the proof form of its type has it (authRules).
 // AppendSigning appends exactly the bytes SigningBytes returns to a
 // caller-provided encoder, so hot paths that only sign, MAC or verify the
 // bytes can encode them into a pooled buffer (GetEncoder) and allocate
@@ -778,20 +779,19 @@ func (r *ReadReply) decodeBody(d *Decoder) {
 // holding fresh acks from a quorum is provably not cut off in a minority
 // partition.
 type LeaseAck struct {
-	Holder uint32 // acknowledging replica (its Execution compartment signs)
+	Holder uint32 // acknowledging replica (its Execution compartment authenticates)
 	View   uint64 // holder's current view; must match the granter's
 	Expiry int64  // echoed grant-round expiry (UnixNano)
-	Sig    []byte
-	// Auth is the MAC-mode authenticator vector (one slot per Preparation
-	// compartment). Empty in sig mode.
+	// Auth is the pair authenticator: one MAC under the pairwise key of the
+	// holder's Execution and the granter's Preparation enclave.
 	Auth crypto.Authenticator
 }
 
 // MsgType implements Message.
 func (*LeaseAck) MsgType() Type { return TLeaseAck }
 
-// SigningBytes returns the bytes the signature covers.
-func (a *LeaseAck) SigningBytes() []byte { return signingBytes(a) }
+// Addressee implements Addressed: grants come from the primary of their view.
+func (a *LeaseAck) Addressee(n int) uint32 { return uint32(a.View % uint64(n)) }
 
 // AppendSigning implements Signable.
 func (a *LeaseAck) AppendSigning(e *Encoder) {
@@ -805,7 +805,6 @@ func (a *LeaseAck) encodeBody(e *Encoder) {
 	e.U32(a.Holder)
 	e.U64(a.View)
 	e.U64(uint64(a.Expiry))
-	e.VarBytes(a.Sig)
 	e.Auth(a.Auth)
 }
 
@@ -813,8 +812,7 @@ func (a *LeaseAck) decodeBody(d *Decoder) {
 	a.Holder = d.U32()
 	a.View = d.U64()
 	a.Expiry = int64(d.U64())
-	a.Sig = d.VarBytes()
-	a.Auth = d.Auth()
+	a.Auth = d.PairAuth()
 }
 
 // ReadIndex asks the primary's Preparation compartment for its current
@@ -826,20 +824,19 @@ func (a *LeaseAck) decodeBody(d *Decoder) {
 // write. Epoch orders this holder's queries so a stale reply cannot
 // confirm a later read.
 type ReadIndex struct {
-	Holder uint32 // querying replica (its Execution compartment signs)
+	Holder uint32 // querying replica (its Execution compartment authenticates)
 	View   uint64 // holder's current view; the primary answers only its own
-	Epoch  uint64 // holder-local query sequence number
-	Sig    []byte
-	// Auth is the MAC-mode authenticator vector (one slot per Preparation
-	// compartment). Empty in sig mode.
+	Epoch  uint64 // holder-local query number, counted from a per-boot random base
+	// Auth is the pair authenticator: one MAC under the pairwise key of the
+	// holder's Execution and the primary's Preparation enclave.
 	Auth crypto.Authenticator
 }
 
 // MsgType implements Message.
 func (*ReadIndex) MsgType() Type { return TReadIndex }
 
-// SigningBytes returns the bytes the signature covers.
-func (r *ReadIndex) SigningBytes() []byte { return signingBytes(r) }
+// Addressee implements Addressed: the primary of the query's view.
+func (r *ReadIndex) Addressee(n int) uint32 { return uint32(r.View % uint64(n)) }
 
 // AppendSigning implements Signable.
 func (r *ReadIndex) AppendSigning(e *Encoder) {
@@ -853,7 +850,6 @@ func (r *ReadIndex) encodeBody(e *Encoder) {
 	e.U32(r.Holder)
 	e.U64(r.View)
 	e.U64(r.Epoch)
-	e.VarBytes(r.Sig)
 	e.Auth(r.Auth)
 }
 
@@ -861,36 +857,40 @@ func (r *ReadIndex) decodeBody(d *Decoder) {
 	r.Holder = d.U32()
 	r.View = d.U64()
 	r.Epoch = d.U64()
-	r.Sig = d.VarBytes()
-	r.Auth = d.Auth()
+	r.Auth = d.PairAuth()
 }
 
 // ReadIndexReply answers a ReadIndex with the primary's proposal frontier.
 // Frontier is the highest sequence number the primary's Preparation
 // compartment has assigned in the reply's view; view changes install the
 // frontier at or above every slot that could have committed earlier, so
-// the bound survives primary turnover.
+// the bound survives primary turnover. Holder names the one replica whose
+// query is answered and is part of the authenticated bytes: a frontier is
+// only as fresh as the query it answers, so a reply must not confirm another
+// holder's later query (epochs are holder-local, so they would not tell the
+// two apart).
 type ReadIndexReply struct {
 	Replica  uint32 // answering primary
+	Holder   uint32 // replica whose query this answers
 	View     uint64
 	Epoch    uint64 // echoed query epoch
 	Frontier uint64 // primary's highest assigned sequence number
-	Sig      []byte
-	// Auth is the MAC-mode authenticator vector (one slot per Execution
-	// compartment). Empty in sig mode.
+	// Auth is the pair authenticator: one MAC under the pairwise key of the
+	// primary's Preparation and the holder's Execution enclave.
 	Auth crypto.Authenticator
 }
 
 // MsgType implements Message.
 func (*ReadIndexReply) MsgType() Type { return TReadIndexReply }
 
-// SigningBytes returns the bytes the signature covers.
-func (r *ReadIndexReply) SigningBytes() []byte { return signingBytes(r) }
+// Addressee implements Addressed.
+func (r *ReadIndexReply) Addressee(int) uint32 { return r.Holder }
 
 // AppendSigning implements Signable.
 func (r *ReadIndexReply) AppendSigning(e *Encoder) {
 	e.U8(uint8(TReadIndexReply))
 	e.U32(r.Replica)
+	e.U32(r.Holder)
 	e.U64(r.View)
 	e.U64(r.Epoch)
 	e.U64(r.Frontier)
@@ -898,18 +898,18 @@ func (r *ReadIndexReply) AppendSigning(e *Encoder) {
 
 func (r *ReadIndexReply) encodeBody(e *Encoder) {
 	e.U32(r.Replica)
+	e.U32(r.Holder)
 	e.U64(r.View)
 	e.U64(r.Epoch)
 	e.U64(r.Frontier)
-	e.VarBytes(r.Sig)
 	e.Auth(r.Auth)
 }
 
 func (r *ReadIndexReply) decodeBody(d *Decoder) {
 	r.Replica = d.U32()
+	r.Holder = d.U32()
 	r.View = d.U64()
 	r.Epoch = d.U64()
 	r.Frontier = d.U64()
-	r.Sig = d.VarBytes()
-	r.Auth = d.Auth()
+	r.Auth = d.PairAuth()
 }

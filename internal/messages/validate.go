@@ -67,8 +67,9 @@ type Verifier struct {
 	// (AuthSig default). MACs holds the verifying compartment's pairwise
 	// attested keys and Self its identity: in AuthMAC the vector slot it
 	// checks is derived from both, in AuthSig they authenticate the hop
-	// between compartments of one replica (see verifyAuth). A Verifier
-	// without MACs (the PBFT baseline, tests) checks signatures only.
+	// between compartments of one replica, and in either mode pair-form
+	// messages (see verifyAuth). A Verifier without MACs (the PBFT baseline,
+	// tests) checks signatures only and accepts no pair-form message.
 	Mode AuthMode
 	MACs *crypto.MACStore
 	Self crypto.Identity
@@ -159,30 +160,32 @@ func (v *Verifier) timedVerifyFrom(signer crypto.Identity, msg, sig []byte) erro
 }
 
 // verifyAuth checks the authenticity of one agreement message — the single
-// funnel for every mode and hop:
+// funnel for every mode and hop, and the receiver-side reader of authRules:
 //
-//   - MAC mode: the authenticator slot addressed to this compartment, under
-//     the pairwise key shared with the sending enclave.
-//   - Sig mode, co-located hop: a message whose receiver consumes it and
-//     never hands it on (hopMACAccepted — a Commit) and whose signer is
-//     another compartment of this verifier's own replica carries, on the
-//     copy handed over inside the machine, a one-slot Auth under the two
-//     enclaves' attested pairwise key (HopAuth); that MAC is accepted in
-//     place of the signature. It proves origin exactly as the signature
-//     would — only the two enclaves hold the key, the environment between
-//     them never does — so the receiver still counts one vote of that one
-//     compartment and no quorum threshold moves; a receiver could forge such
-//     a MAC only to itself.
+//   - Pair form, either mode: exactly one slot, the MAC under the pairwise key
+//     this compartment shares with the sending enclave (PairAuth). It proves
+//     origin exactly as a signature would — only the two enclaves hold the
+//     key, the environment between them never does — and binds the addressee
+//     by key: a slot made for another compartment, or by another sender, is
+//     keyed differently. Nothing else is accepted and there is no signature to
+//     fall back to; a slot keyed before a peer re-registered (restart) fails,
+//     and the sender's next message is keyed afresh.
+//   - MAC mode otherwise: the vector slot addressed to this compartment.
+//   - Sig mode, hop form, co-located signer: the copy of a Commit that a
+//     Confirmation hands over inside the machine carries one such pair MAC
+//     (HopAuth), accepted in place of the signature; the receiver still
+//     counts one vote of that one compartment and no quorum threshold moves.
 //   - Sig mode otherwise — a remote signer whatever Auth it presents, a
-//     type that is handed on, or a local slot that is absent, garbled or
-//     keyed before a restart: the Ed25519 signature.
+//     transferable type, or a local slot that is absent, garbled or keyed
+//     before a restart: the Ed25519 signature.
 func (v *Verifier) verifyAuth(m Signable, signer crypto.Identity, sig []byte, auth crypto.Authenticator) error {
 	e := GetEncoder()
 	defer PutEncoder(e)
 	m.AppendSigning(e)
 	signing, t := e.Bytes(), m.MsgType()
-	if v.Mode != AuthMAC {
-		if hopMACAccepted(t) && v.coLocated(signer) && len(auth.MACs) == 1 {
+	form := ProofFormOf(t)
+	if form != ProofPair && v.Mode != AuthMAC {
+		if form == ProofHop && v.coLocated(signer) && len(auth.MACs) == 1 {
 			v.macOps.Add(1)
 			if v.MACs.VerifySingle(signing, auth.MACs[0], signer) == nil {
 				return nil
@@ -191,10 +194,14 @@ func (v *Verifier) verifyAuth(m Signable, signer crypto.Identity, sig []byte, au
 		return v.VerifySig(signer, signing, sig)
 	}
 	if v.MACs == nil {
-		return fmt.Errorf("%w: MAC mode without a pairwise key store", ErrInvalid)
+		return fmt.Errorf("%w: %s without a pairwise key store", ErrInvalid, t)
 	}
-	idx := AgreementAuthIndex(t, v.N, v.Self)
-	if idx < 0 {
+	idx := 0
+	if form == ProofPair {
+		if len(auth.MACs) != 1 {
+			return fmt.Errorf("%w: %s carries %d authenticator slots, want one", ErrInvalid, t, len(auth.MACs))
+		}
+	} else if idx = AgreementAuthIndex(t, v.N, v.Self); idx < 0 {
 		return fmt.Errorf("%w: %v/%v is not a %s receiver", ErrInvalid, v.Self.ReplicaID, v.Self.Role, t)
 	}
 	v.macOps.Add(1)
@@ -207,22 +214,27 @@ func (v *Verifier) coLocated(signer crypto.Identity) bool {
 	return v.MACs != nil && signer.ReplicaID == v.Self.ReplicaID && signer.Role != v.Self.Role
 }
 
-// HopAuth returns the authenticator the copy of an agreement message carries
+// PairAuth returns the one-slot authenticator this verifier's compartment
+// attaches to m for the enclave to: a MAC under the attested pairwise key of
+// the two, which only to can check and only the two can make.
+func (v *Verifier) PairAuth(m Signable, to crypto.Identity) crypto.Authenticator {
+	e := GetEncoder()
+	defer PutEncoder(e)
+	m.AppendSigning(e)
+	return crypto.Authenticator{MACs: [][crypto.MACSize]byte{v.MACs.MAC(e.Bytes(), to)}}
+}
+
+// HopAuth returns the authenticator the copy of a hop-form message carries
 // when its sender (this verifier's compartment) hands it to compartment to of
 // the same replica. In MAC mode that is the wire vector unchanged — it
-// already holds the co-located receiver's slot. In sig mode it is one MAC
-// under the pairwise key of the two enclaves, which verifyAuth accepts in
-// place of the signature the copy still carries — for the types
-// hopMACAccepted names; on any other it is ignored.
+// already holds the co-located receiver's slot. In sig mode it is the pair
+// MAC for that compartment, which verifyAuth accepts in place of the
+// signature the copy still carries.
 func (v *Verifier) HopAuth(m Signable, wire crypto.Authenticator, to crypto.Role) crypto.Authenticator {
 	if v.Mode == AuthMAC || v.MACs == nil {
 		return wire
 	}
-	e := GetEncoder()
-	defer PutEncoder(e)
-	m.AppendSigning(e)
-	peer := crypto.Identity{ReplicaID: v.Self.ReplicaID, Role: to}
-	return crypto.Authenticator{MACs: [][crypto.MACSize]byte{v.MACs.MAC(e.Bytes(), peer)}}
+	return v.PairAuth(m, crypto.Identity{ReplicaID: v.Self.ReplicaID, Role: to})
 }
 
 // NewVerifier builds a classic-consensus Verifier. N must be 3F+1 with
@@ -422,38 +434,41 @@ func (v *Verifier) VerifyLease(g *LeaseGrant) error {
 }
 
 // VerifyLeaseAck checks a lease acknowledgement: the holder must be a
-// valid replica and the message authenticated by its Execution compartment
-// (signature or the Preparation-addressed MAC slot, per mode). Freshness —
-// whether the echoed expiry still lies in the future and exceeds the
-// holder's previous acks — is the granter's job.
+// valid replica and the message carry the pair MAC of its Execution
+// compartment for this Preparation. Freshness — whether the echoed expiry
+// still lies in the future and exceeds the holder's previous acks — is the
+// granter's job.
 func (v *Verifier) VerifyLeaseAck(a *LeaseAck) error {
 	if err := v.validReplica(a.Holder); err != nil {
 		return err
 	}
 	signer := crypto.Identity{ReplicaID: a.Holder, Role: crypto.RoleExecution}
-	if err := v.verifyAuth(a, signer, a.Sig, a.Auth); err != nil {
+	if err := v.verifyAuth(a, signer, nil, a.Auth); err != nil {
 		return fmt.Errorf("%w: LeaseAck(v=%d,holder=%d): %v", ErrInvalid, a.View, a.Holder, err)
 	}
 	return nil
 }
 
 // VerifyReadIndex checks a read-index query: the holder must be a valid
-// replica and the message authenticated by its Execution compartment.
+// replica and the message carry the pair MAC of its Execution compartment for
+// this Preparation.
 func (v *Verifier) VerifyReadIndex(r *ReadIndex) error {
 	if err := v.validReplica(r.Holder); err != nil {
 		return err
 	}
 	signer := crypto.Identity{ReplicaID: r.Holder, Role: crypto.RoleExecution}
-	if err := v.verifyAuth(r, signer, r.Sig, r.Auth); err != nil {
+	if err := v.verifyAuth(r, signer, nil, r.Auth); err != nil {
 		return fmt.Errorf("%w: ReadIndex(v=%d,holder=%d): %v", ErrInvalid, r.View, r.Holder, err)
 	}
 	return nil
 }
 
 // VerifyReadIndexReply checks a read-index answer: the sender must be the
-// primary of the reply's view and the message authenticated by its
+// primary of the reply's view and the message carry the pair MAC of its
 // Preparation compartment — the same compartment that assigns sequence
-// numbers, so the frontier carries the proposer's own authority.
+// numbers, so the frontier carries the proposer's own authority — for this
+// Execution. Whether it answers this holder's outstanding query (Holder, View,
+// Epoch) is the holder's job.
 func (v *Verifier) VerifyReadIndexReply(r *ReadIndexReply) error {
 	if err := v.validReplica(r.Replica); err != nil {
 		return err
@@ -463,7 +478,7 @@ func (v *Verifier) VerifyReadIndexReply(r *ReadIndexReply) error {
 			ErrInvalid, r.View, r.Replica, v.Primary(r.View))
 	}
 	signer := crypto.Identity{ReplicaID: r.Replica, Role: crypto.RolePreparation}
-	if err := v.verifyAuth(r, signer, r.Sig, r.Auth); err != nil {
+	if err := v.verifyAuth(r, signer, nil, r.Auth); err != nil {
 		return fmt.Errorf("%w: ReadIndexReply(v=%d,epoch=%d): %v", ErrInvalid, r.View, r.Epoch, err)
 	}
 	return nil
