@@ -51,14 +51,30 @@
 //	classify → batch ecall → serial apply
 //
 // Classify runs on the transport threads, in the untrusted environment:
-// every inbound message is fully decoded there — malformed input never
-// pays for an enclave crossing — and byte-identical retransmits of
-// agreement messages are dropped by a bounded, time-rotated filter. Both
-// can only cost liveness (a wrong drop is indistinguishable from a network
-// drop), never safety. Surviving messages are framed into pooled,
+// every inbound message is checked structurally there (messages.Check:
+// known type, every length and count inside the frame, no trailing bytes —
+// a verdict, not a decode, because the broker only forwards; the enclaves
+// decode and authenticate) — malformed input never pays for an enclave
+// crossing — and byte-identical retransmits of agreement messages are
+// dropped by a bounded, time-rotated filter keyed by a seeded 64-bit hash.
+// Both can only cost liveness (a wrong drop is indistinguishable from a
+// network drop), never safety. Surviving messages are framed into pooled,
 // reference-counted buffers shared across the compartments' duplicated
 // input logs (§3.2) and recycled as soon as the enclave runtime has copied
 // them in.
+//
+// Frames move through the environment in runs. transport.Conn.Send takes
+// one or more frames for a peer: they reach its handler one by one, in
+// order, and over TCP they leave in a single socket write. The broker
+// collects the replica-bound outputs of one dispatch run per peer and
+// hands each peer's frames over together when the run's outputs are
+// exhausted, so a loaded replica pays one write(2) per peer and run where
+// it paid one per frame. There is no flush call and no timer: a run of one
+// frame is the same call with one argument, and nothing is ever held back
+// waiting for more. Inbound, a transport.Handler's data is valid until the
+// handler returns — the TCP read loop reuses one frame buffer per
+// connection behind a read buffer sized so that a peer's run arrives in
+// one read(2) — so a handler copies or decodes before handing off.
 //
 // Batch ecall amortizes the enclave-transition cost the paper identifies
 // as the dominant overhead: each dispatcher delivers whatever is queued

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -261,20 +262,24 @@ func (q *queue) close() {
 // detector's clock — guarantees a deliberate retransmission (e.g. a stuck
 // replica re-sending its ViewChange) passes through again after at most
 // two detection periods (an untouched entry survives one rotation in the
-// older generation).
+// older generation). Frames are keyed by a 64-bit hash under a seed drawn
+// per filter: a collision is one more such drop, and a remote sender cannot
+// aim one without the seed.
 type dedup struct {
-	mu  sync.Mutex
-	set *genset.Set[crypto.Digest]
+	seed maphash.Seed
+	mu   sync.Mutex
+	set  *genset.Set[uint64]
 }
 
 func newDedup(entries int) *dedup {
-	return &dedup{set: genset.New[crypto.Digest](entries)}
+	return &dedup{seed: maphash.MakeSeed(), set: genset.New[uint64](entries)}
 }
 
-// seen reports whether sum was recently submitted, recording it if not.
+// seen reports whether frame was recently submitted, recording it if not.
 // Found entries are deliberately not re-armed: a suppressed resend must
 // not extend its own suppression window.
-func (d *dedup) seen(sum crypto.Digest) bool {
+func (d *dedup) seen(frame []byte) bool {
+	sum := maphash.Bytes(d.seed, frame)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.set.Contains(sum) {
@@ -303,9 +308,9 @@ type reqKey struct {
 // untrusted: a compromised broker can drop, delay or misroute, costing
 // liveness or availability, but never integrity or confidentiality.
 //
-// The inbound hot path is a staged pipeline: classify (decode + dedup on
-// the transport threads, so garbage and retransmits never pay for an
-// enclave crossing) → batch ecall (each dispatcher delivers whatever is
+// The inbound hot path is a staged pipeline: classify (structural check +
+// dedup on the transport threads, so garbage and retransmits never pay for
+// an enclave crossing) → batch ecall (each dispatcher delivers whatever is
 // queued for its compartment, up to maxCrossing messages, in one
 // trusted-boundary crossing) → serial apply (handlers run one at a time in
 // submission order, verifying what they need when they need it).
@@ -474,6 +479,7 @@ func (b *broker) dispatch(q *queue) {
 	defer b.wg.Done()
 	var drained []ecall
 	var payloads [][]byte
+	peers := make([][][]byte, b.cfg.N) // route's scratch
 	for {
 		var ok bool
 		drained, ok = q.drain(drained[:0], maxCrossing)
@@ -518,7 +524,7 @@ func (b *broker) dispatch(q *queue) {
 			if cs != nil && len(out) > 0 && cs.st.Sync() != nil {
 				out = nil
 			}
-			b.route(out)
+			b.route(out, peers)
 			if cs != nil {
 				cs.maybeSnapshot()
 			}
@@ -526,20 +532,28 @@ func (b *broker) dispatch(q *queue) {
 	}
 }
 
-// route delivers enclave output messages.
-func (b *broker) route(out []tee.OutMsg) {
+// route delivers the output messages of one dispatch run. Local outputs are
+// enqueued and client-bound ones sent as the run is walked; replica-bound
+// ones are collected per peer, in output order, in the calling dispatcher's
+// scratch (peers, one entry per replica ID, empty between calls) and leave
+// in one Send per peer once the run is exhausted — over TCP one write(2) per
+// peer and run instead of one per frame. A run of one output is the same
+// path with one frame; nothing waits for a later run.
+func (b *broker) route(out []tee.OutMsg, peers [][][]byte) {
 	for i := range out {
 		m := &out[i]
 		switch m.Kind {
 		case tee.DestBroadcast:
 			b.observeOutbound(m.Payload)
-			if b.conn != nil {
-				_ = b.conn.BroadcastReplicas(m.Payload)
+			for id := range peers {
+				if uint32(id) != b.cfg.ID {
+					peers[id] = append(peers[id], m.Payload)
+				}
 			}
 		case tee.DestReplica:
 			b.observeOutbound(m.Payload)
-			if b.conn != nil {
-				_ = b.conn.Send(transport.ReplicaEndpoint(m.ID), m.Payload)
+			if int(m.ID) < len(peers) { // else no such endpoint, as Send would find
+				peers[m.ID] = append(peers[m.ID], m.Payload)
 			}
 		case tee.DestClient:
 			client, ts, kind := b.noteClientBound(m.Payload)
@@ -558,6 +572,16 @@ func (b *broker) route(out []tee.OutMsg) {
 			pb := frameMessage(m.Payload, 1)
 			b.submit(m.Local, pb.buf, pb)
 		}
+	}
+	for id, frames := range peers {
+		if len(frames) == 0 {
+			continue
+		}
+		if b.conn != nil {
+			_ = b.conn.Send(transport.ReplicaEndpoint(uint32(id)), frames...)
+		}
+		clear(frames) // the payloads are the run's, not the scratch's, to keep alive
+		peers[id] = frames[:0]
 	}
 }
 
@@ -623,22 +647,23 @@ func (b *broker) noteClientBound(data []byte) (client uint32, ts uint64, kind in
 	}
 	switch messages.Type(data[0]) {
 	case messages.TReply:
-		m, err := messages.Unmarshal(data)
-		if err != nil {
+		// Only the request identity is needed, and it sits in the fixed
+		// header: no decode of a frame the broker merely forwards.
+		client, ts, ok := messages.ReplyIdentity(data)
+		if !ok {
 			return 0, 0, clientBoundOther
 		}
-		rep := m.(*messages.Reply)
 		b.mReplies.Add(1)
 		b.mu.Lock()
-		key := reqKey{client: rep.ClientID, ts: rep.Timestamp}
+		key := reqKey{client: client, ts: ts}
 		delete(b.reqTimers, key)
 		delete(b.parked, key)
 		b.replied.Add(key)
 		b.mu.Unlock()
 		// The reply emerging from the Execution compartment is the
 		// untrusted side's proof the operation was applied.
-		b.tr.Stamp(rep.ClientID, rep.Timestamp, obs.StageExecute)
-		return rep.ClientID, rep.Timestamp, clientBoundReply
+		b.tr.Stamp(client, ts, obs.StageExecute)
+		return client, ts, clientBoundReply
 	case messages.TReadReply:
 		if b.tr == nil {
 			return 0, 0, clientBoundOther
@@ -654,12 +679,16 @@ func (b *broker) noteClientBound(data []byte) (client uint32, ts uint64, kind in
 }
 
 // handler is the transport inbound path — the classify stage of the
-// pipeline. It fully decodes every message in the untrusted environment
-// (on the transport threads, off the dispatcher hot path) so malformed
-// input never pays for an enclave crossing, drops byte-identical
+// pipeline. It checks every message's structure in the untrusted
+// environment (on the transport threads, off the dispatcher hot path) so
+// malformed input never pays for an enclave crossing, drops byte-identical
 // retransmits of agreement messages, then routes by type to the
 // compartments' input logs, duplicating messages exactly as §3.2
-// prescribes.
+// prescribes. It forwards, so it needs a verdict and not a message: it
+// decodes only what it reads a field of — client requests, a NewView's view,
+// and with the tracer on the sequence numbers and batch members the spans
+// are keyed by. data is the transport's (see transport.Handler); every path
+// below copies it (frameMessage) or decodes it before returning.
 func (b *broker) handler(from transport.Endpoint, data []byte) {
 	if len(data) == 0 {
 		return
@@ -680,7 +709,13 @@ func (b *broker) handler(from transport.Endpoint, data []byte) {
 	default:
 		return // unknown type
 	}
-	m, err := messages.Unmarshal(data)
+	var m messages.Message // nil on the check-only path
+	var err error
+	if b.tr != nil || t == messages.TNewView {
+		m, err = messages.Unmarshal(data)
+	} else {
+		err = messages.Check(data)
+	}
 	if err != nil {
 		b.mGarbage.Add(1)
 		return
@@ -691,7 +726,7 @@ func (b *broker) handler(from transport.Endpoint, data []byte) {
 		// Agreement traffic is deduplicated; the attest/state-transfer
 		// family below is not — those exchanges rely on identical re-asks
 		// getting through, and they are rare enough not to matter.
-		if b.dedup.seen(crypto.HashData(data)) {
+		if b.dedup.seen(data) {
 			b.mDeduped.Add(1)
 			return
 		}

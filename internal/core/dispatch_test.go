@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -17,15 +18,20 @@ import (
 // on: every compartment, view-change, recovery and cluster test then
 // doubles as the aliasing guard for the reusable copy-in buffer — a handler
 // that kept a slice of its input reads 0xFF the moment it returns and the
-// test exercising it fails loudly.
+// test exercising it fails loudly. The transport's poison does the same for
+// the frame buffer a TCP read loop hands the broker's handler.
 func TestMain(m *testing.M) {
 	tee.PoisonInbound.Store(true)
+	transport.PoisonInbound.Store(true)
 	os.Exit(m.Run())
 }
 
 // scriptCode is enclave code for dispatcher tests: it records the messages
-// it handled, in order, and answers each with one message to replica 1.
+// it handled, in order, and answers each with one message to replica 1, or
+// with what reply returns when set.
 type scriptCode struct {
+	reply func(msg []byte) []tee.OutMsg
+
 	mu      sync.Mutex
 	handled []byte // first payload byte of every message, in handler order
 }
@@ -36,6 +42,9 @@ func (c *scriptCode) HandleECall(_ tee.Host, msg []byte) []tee.OutMsg {
 	c.mu.Lock()
 	c.handled = append(c.handled, msg[0])
 	c.mu.Unlock()
+	if c.reply != nil {
+		return c.reply(msg)
+	}
 	return []tee.OutMsg{{Kind: tee.DestReplica, ID: 1, Payload: []byte{msg[0]}}}
 }
 
@@ -45,28 +54,66 @@ func (c *scriptCode) order() []byte {
 	return append([]byte(nil), c.handled...)
 }
 
+// sendCall is one Send as the broker made it: the peer, a copy of every
+// frame, and how many ecalls sat in the watched queue at that moment.
+type sendCall struct {
+	to     transport.Endpoint
+	frames [][]byte
+	queued int
+}
+
 // sendLog is a transport.Conn recording what the broker routed and, when a
 // store is attached, the store's counters at the moment of each send.
 type sendLog struct {
 	st *store.Store
+	q  *queue // watched queue, optional
+
+	called chan struct{} // signalled per Send when set
 
 	mu     sync.Mutex
-	sent   []byte
+	calls  []sendCall
+	sent   []byte // first byte of every frame, in hand-off order
 	atSend []store.Stats
 }
 
-func (l *sendLog) Send(_ transport.Endpoint, data []byte) error {
+func (l *sendLog) Send(to transport.Endpoint, frames ...[]byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.sent = append(l.sent, data[0])
-	if l.st != nil {
-		l.atSend = append(l.atSend, l.st.Stats())
+	call := sendCall{to: to}
+	if l.q != nil {
+		call.queued = l.q.len()
+	}
+	for _, f := range frames {
+		call.frames = append(call.frames, append([]byte(nil), f...))
+		l.sent = append(l.sent, f[0])
+		if l.st != nil {
+			l.atSend = append(l.atSend, l.st.Stats())
+		}
+	}
+	l.calls = append(l.calls, call)
+	if l.called != nil {
+		l.called <- struct{}{}
 	}
 	return nil
 }
 
-func (l *sendLog) BroadcastReplicas(data []byte) error {
-	return l.Send(transport.Endpoint{}, data)
+// waitCalls returns the first n Sends once that many were made.
+func (l *sendLog) waitCalls(t *testing.T, n int) []sendCall {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-l.called:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("broker made %d of %d expected Sends", i, n)
+		}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]sendCall(nil), l.calls[:n]...)
+}
+
+func (l *sendLog) BroadcastReplicas(frames ...[]byte) error {
+	return l.Send(transport.Endpoint{}, frames...)
 }
 func (l *sendLog) Close() error { return nil }
 
@@ -148,6 +195,56 @@ func TestDispatchCoalescesQueuedEcalls(t *testing.T) {
 		for _, role := range []crypto.Role{crypto.RolePreparation, crypto.RoleExecution} {
 			if st := b.enclaves[role].Stats(); st.Count != 0 {
 				t.Fatalf("k=%d: %v crossed %d times with nothing queued", tc.k, role, st.Count)
+			}
+		}
+	}
+}
+
+// TestDispatchRunLeavesInOneSendPerPeer: the replica-bound outputs of one
+// dispatch run — here k batches answered by k proposals, payload byte = slot
+// — reach the transport as one Send per peer carrying that peer's frames in
+// output order, after every local output of the run was enqueued; a run of
+// one is the same hand-off with one frame, byte for byte what was routed
+// before runs existed. Single-thread mode makes the queue depth at the
+// moment of the Send exact: the only dispatcher is inside route.
+func TestDispatchRunLeavesInOneSendPerPeer(t *testing.T) {
+	for _, k := range []int{1, 5, maxCrossing} {
+		b, codes := scriptBroker(t, true, nil)
+		// Preparation's emission order: the copy for its own Confirmation
+		// first, then the broadcast; the message to replica 2 alone shows
+		// that both replica-bound kinds share one per-peer order.
+		codes[crypto.RolePreparation].reply = func(msg []byte) []tee.OutMsg {
+			return []tee.OutMsg{
+				{Kind: tee.DestLocal, Local: crypto.RoleConfirmation, Payload: []byte{msg[0], 0xAA}},
+				{Kind: tee.DestBroadcast, Payload: []byte{msg[0], 0xBB}},
+				{Kind: tee.DestReplica, ID: 2, Payload: []byte{msg[0], 0xCC}},
+			}
+		}
+		// Buffered for every Send of the test: these three and the one the
+		// Confirmation script makes for the k local copies.
+		conn := &sendLog{q: b.queues[0], called: make(chan struct{}, 4)}
+		for _, e := range seqCalls(crypto.RolePreparation, 0, k) {
+			b.submit(e.role, e.payload, nil)
+		}
+		b.start(conn)
+		calls := conn.waitCalls(t, 3)
+		b.stopAll()
+		for i, c := range calls {
+			if want := transport.ReplicaEndpoint(uint32(i + 1)); c.to != want {
+				t.Fatalf("k=%d: send %d went to %v, want %v (one Send per peer, self skipped)", k, i, c.to, want)
+			}
+			if c.queued != k {
+				t.Fatalf("k=%d: %d local outputs queued when the run left for %v, want all %d", k, c.queued, c.to, k)
+			}
+			var want [][]byte
+			for slot := 0; slot < k; slot++ {
+				want = append(want, []byte{byte(slot), 0xBB})
+				if c.to.ID == 2 {
+					want = append(want, []byte{byte(slot), 0xCC})
+				}
+			}
+			if !reflect.DeepEqual(c.frames, want) {
+				t.Fatalf("k=%d: %v received %v, want %v", k, c.to, c.frames, want)
 			}
 		}
 	}

@@ -22,6 +22,18 @@ import (
 // malicious inputs cannot trigger huge allocations.
 const maxLen = 1 << 26 // 64 MiB
 
+// Element-count limits, shared by the decoders and the structural check
+// (Check) so the two cannot disagree on them.
+const (
+	// maxVotes bounds lists with one entry per replica: the MACs of a
+	// request, the votes of a certificate, the ViewChanges of a NewView.
+	maxVotes = 4096
+	// maxSlots bounds lists with one entry per request or sequence number:
+	// the requests of a batch, the certificates of a ViewChange, the
+	// re-issued PrePrepares of a NewView.
+	maxSlots = 1 << 16
+)
+
 // ErrDecode wraps all decoding failures.
 var ErrDecode = errors.New("messages: decode error")
 

@@ -186,7 +186,7 @@ func (r *Request) decodeBody(d *Decoder) {
 	r.ClientID = d.U32()
 	r.Timestamp = d.U64()
 	r.Payload = d.VarBytes()
-	n := d.Count(4096)
+	n := d.Count(maxVotes)
 	if n == 0 {
 		return
 	}
@@ -252,7 +252,7 @@ func UnmarshalBatch(data []byte) (*Batch, error) {
 }
 
 func (b *Batch) decode(d *Decoder) {
-	n := d.Count(1 << 16)
+	n := d.Count(maxSlots)
 	if n == 0 {
 		return
 	}

@@ -94,7 +94,7 @@ func (pc *PrepareCert) encode(e *Encoder) {
 
 func (pc *PrepareCert) decode(d *Decoder) {
 	pc.PrePrepare.decodeBody(d)
-	n := d.Count(4096)
+	n := d.Count(maxVotes)
 	if n > 0 {
 		pc.Prepares = make([]Prepare, n)
 		for i := 0; i < n; i++ {
@@ -157,7 +157,7 @@ func UnmarshalCheckpointCert(data []byte) (CheckpointCert, error) {
 func (cc *CheckpointCert) decode(d *Decoder) {
 	cc.Seq = d.U64()
 	cc.StateDigest = d.Digest()
-	n := d.Count(4096)
+	n := d.Count(maxVotes)
 	if n > 0 {
 		cc.Proof = make([]Checkpoint, n)
 		for i := 0; i < n; i++ {
@@ -219,7 +219,7 @@ func (v *ViewChange) encodeBody(e *Encoder) {
 func (v *ViewChange) decodeBody(d *Decoder) {
 	v.NewViewNum = d.U64()
 	v.Stable.decode(d)
-	n := d.Count(1 << 16)
+	n := d.Count(maxSlots)
 	if n > 0 {
 		v.Prepared = make([]PrepareCert, n)
 		for i := 0; i < n; i++ {
@@ -285,7 +285,7 @@ func (nv *NewView) encodeBody(e *Encoder) {
 
 func (nv *NewView) decodeBody(d *Decoder) {
 	nv.View = d.U64()
-	n := d.Count(4096)
+	n := d.Count(maxVotes)
 	if n > 0 {
 		nv.ViewChanges = make([]ViewChange, n)
 		for i := 0; i < n; i++ {
@@ -293,7 +293,7 @@ func (nv *NewView) decodeBody(d *Decoder) {
 		}
 	}
 	nv.Stable.decode(d)
-	m := d.Count(1 << 16)
+	m := d.Count(maxSlots)
 	if m > 0 {
 		nv.PrePrepares = make([]PrePrepare, m)
 		for i := 0; i < m; i++ {

@@ -119,6 +119,9 @@ func NewReplica(cfg Config) (*Replica, error) {
 // when joining the network, before Start.
 func (r *Replica) Handler() transport.Handler {
 	return func(from transport.Endpoint, data []byte) {
+		// data is the transport's once this returns; the verify workers get
+		// a copy.
+		data = append([]byte(nil), data...)
 		select {
 		case r.rawCh <- rawMsg{from: from, data: data}:
 		case <-r.stop:

@@ -290,14 +290,22 @@ func (c *simConn) dispatch() {
 	}
 }
 
-// Send implements Conn.
-func (c *simConn) Send(to Endpoint, data []byte) error {
+// Send implements Conn. Each frame goes through deliver on its own, in
+// argument order, so the link's fault stream draws exactly as it would for
+// the same frames sent one call each — a seeded chaos plan replays the same
+// whether or not its sender hands frames over in runs.
+func (c *simConn) Send(to Endpoint, frames ...[]byte) error {
 	select {
 	case <-c.done:
 		return ErrClosed
 	default:
 	}
-	return c.net.deliver(c.self, to, data)
+	for _, f := range frames {
+		if err := c.net.deliver(c.self, to, f); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Reachable reports whether a message sent to the endpoint right now
@@ -323,7 +331,7 @@ func (c *simConn) Reachable(to Endpoint) bool {
 }
 
 // BroadcastReplicas implements Conn.
-func (c *simConn) BroadcastReplicas(data []byte) error {
+func (c *simConn) BroadcastReplicas(frames ...[]byte) error {
 	c.net.mu.RLock()
 	ids := make([]uint32, 0, len(c.net.replicas))
 	for id := range c.net.replicas {
@@ -333,7 +341,7 @@ func (c *simConn) BroadcastReplicas(data []byte) error {
 	}
 	c.net.mu.RUnlock()
 	for _, id := range ids {
-		if err := c.Send(ReplicaEndpoint(id), data); err != nil {
+		if err := c.Send(ReplicaEndpoint(id), frames...); err != nil {
 			return err
 		}
 	}

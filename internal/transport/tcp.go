@@ -40,6 +40,7 @@ type TCPNode struct {
 	wg     sync.WaitGroup
 
 	frames atomic.Uint64
+	writes atomic.Uint64
 }
 
 // retireGrace is how long a superseded connection is still read, so frames
@@ -94,11 +95,19 @@ func (n *TCPNode) Addr() string {
 }
 
 // FramesSent returns how many frames the node has written since the last
-// ResetStats; every frame is one socket write.
+// ResetStats.
 func (n *TCPNode) FramesSent() uint64 { return n.frames.Load() }
 
-// ResetStats zeroes the FramesSent counter.
-func (n *TCPNode) ResetStats() { n.frames.Store(0) }
+// WritesTotal returns how many socket writes carried those frames: one per
+// Send call and peer, however many frames the call passed, so
+// FramesSent/WritesTotal is the mean length of the runs callers hand over.
+func (n *TCPNode) WritesTotal() uint64 { return n.writes.Load() }
+
+// ResetStats zeroes the FramesSent and WritesTotal counters.
+func (n *TCPNode) ResetStats() {
+	n.frames.Store(0)
+	n.writes.Store(0)
+}
 
 // track records an open socket and the goroutine about to read it, unless
 // the node is already closed (then it closes c and reports false). Taking
@@ -171,7 +180,7 @@ func (n *TCPNode) acceptLoop() {
 func (n *TCPNode) serveConn(c net.Conn) {
 	defer n.wg.Done()
 	p := &tcpPeer{c: c}
-	r := bufio.NewReader(c)
+	r := bufio.NewReaderSize(c, readBufSize)
 	peer, err := readHandshake(r)
 	if err != nil {
 		n.drop(p) // never routed: this closes and untracks it
@@ -181,16 +190,37 @@ func (n *TCPNode) serveConn(c net.Conn) {
 	n.readLoop(r, p)
 }
 
+// readBufSize is the read buffer of a connection: large enough that what a
+// peer wrote in one Send — a dispatch run's frames — arrives in one read(2).
+const readBufSize = 1 << 16
+
+// readLoop hands every inbound frame to the handler in one buffer it
+// reuses, which is why a Handler must not keep data.
 func (n *TCPNode) readLoop(r *bufio.Reader, p *tcpPeer) {
 	defer n.drop(p)
+	var buf []byte
 	for {
-		data, err := readFrame(r)
-		if err != nil {
+		var err error
+		if buf, err = readFrame(r, buf); err != nil {
 			return
 		}
-		n.h(p.peer, data)
+		n.h(p.peer, buf)
+		if PoisonInbound.Load() {
+			for i := range buf {
+				buf[i] = 0xFF
+			}
+		}
+		if cap(buf) > maxKeep {
+			buf = nil
+		}
 	}
 }
+
+// PoisonInbound is a test hook: while set, every read loop overwrites the
+// frame buffer with 0xFF as soon as the handler returns, so a handler that
+// kept data — which the next frame would overwrite silently — fails loudly
+// at once.
+var PoisonInbound atomic.Bool
 
 // dial establishes an outbound connection to a replica in the address book.
 func (n *TCPNode) dial(to Endpoint) (*tcpPeer, error) {
@@ -217,7 +247,7 @@ func (n *TCPNode) dial(to Endpoint) (*tcpPeer, error) {
 	// Replies and pushed messages arrive over this same connection.
 	go func() {
 		defer n.wg.Done()
-		n.readLoop(bufio.NewReader(c), p)
+		n.readLoop(bufio.NewReaderSize(c, readBufSize), p)
 	}()
 	return p, nil
 }
@@ -252,32 +282,39 @@ func (n *TCPNode) peerFor(to Endpoint) (*tcpPeer, error) {
 	return call.p, call.err
 }
 
-// Send implements Conn. The frame has been handed to the socket in one
-// write when Send returns, so the caller may reuse data at once.
-func (n *TCPNode) Send(to Endpoint, data []byte) error {
-	if len(data) > maxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(data))
+// Send implements Conn. All frames have been handed to the socket in one
+// write when Send returns, so the caller may reuse them at once; a frame
+// over the limit rejects the whole call before anything is written.
+func (n *TCPNode) Send(to Endpoint, frames ...[]byte) error {
+	if len(frames) == 0 {
+		return nil
+	}
+	for _, f := range frames {
+		if len(f) > maxFrame {
+			return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(f))
+		}
 	}
 	p, err := n.peerFor(to)
 	if err != nil {
 		return err
 	}
-	if err := p.send(data); err != nil {
+	if err := p.send(frames); err != nil {
 		n.drop(p)
 		return err
 	}
-	n.frames.Add(1)
+	n.frames.Add(uint64(len(frames)))
+	n.writes.Add(1)
 	return nil
 }
 
 // BroadcastReplicas implements Conn.
-func (n *TCPNode) BroadcastReplicas(data []byte) error {
+func (n *TCPNode) BroadcastReplicas(frames ...[]byte) error {
 	var firstErr error
 	for id := range n.addrs {
 		if n.self.Kind == KindReplica && n.self.ID == id {
 			continue
 		}
-		if err := n.Send(ReplicaEndpoint(id), data); err != nil && firstErr == nil {
+		if err := n.Send(ReplicaEndpoint(id), frames...); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -314,19 +351,24 @@ type tcpPeer struct {
 	outbound bool     // dialled by this node, not accepted
 
 	mu  sync.Mutex // serialises writes
-	buf []byte     // the frame being written, reused
+	buf []byte     // the frames being written, reused
 }
 
-// maxKeep bounds the write buffer a connection keeps between frames, so one
-// large frame (a state transfer) does not stay pinned for its lifetime.
+// maxKeep bounds the buffer a connection keeps between writes and between
+// reads, so one large frame (a state transfer) does not stay pinned for its
+// lifetime.
 const maxKeep = 1 << 16
 
-// send writes one frame, header and payload in a single socket write.
-func (p *tcpPeer) send(data []byte) error {
+// send writes the frames, each behind its length header, in a single socket
+// write.
+func (p *tcpPeer) send(frames [][]byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.buf = binary.LittleEndian.AppendUint32(p.buf[:0], uint32(len(data)))
-	p.buf = append(p.buf, data...)
+	p.buf = p.buf[:0]
+	for _, f := range frames {
+		p.buf = binary.LittleEndian.AppendUint32(p.buf, uint32(len(f)))
+		p.buf = append(p.buf, f...)
+	}
 	_, err := p.c.Write(p.buf)
 	if cap(p.buf) > maxKeep {
 		p.buf = nil
@@ -334,20 +376,26 @@ func (p *tcpPeer) send(data []byte) error {
 	return err
 }
 
-func readFrame(r *bufio.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads the next frame into buf, growing it when the frame does
+// not fit.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	hdr, err := r.Peek(4) // in place: a local array would escape through io.Reader
+	if err != nil {
 		return nil, err
 	}
-	size := binary.LittleEndian.Uint32(hdr[:])
+	size := binary.LittleEndian.Uint32(hdr)
 	if size > maxFrame {
 		return nil, fmt.Errorf("transport: inbound frame of %d bytes exceeds limit", size)
 	}
-	data := make([]byte, size)
-	if _, err := io.ReadFull(r, data); err != nil {
+	_, _ = r.Discard(4) // cannot fail: Peek just buffered them
+	if int(size) > cap(buf) {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	return data, nil
+	return buf, nil
 }
 
 func writeHandshake(c net.Conn, self Endpoint) error {

@@ -46,16 +46,29 @@ func (e Endpoint) String() string {
 // Handler receives inbound messages. Handlers for one endpoint are invoked
 // sequentially in delivery order; implementations that need concurrency
 // hand off internally.
+//
+// data belongs to the transport and is valid only until the handler
+// returns: the TCP read loop reads the next frame into the same buffer. A
+// handler that hands the message to another goroutine copies or decodes it
+// first. The three handlers in this repository do: core's broker frames a
+// copy into a pooled ecall buffer (and decodes requests with the copying
+// Decoder), client decodes with the copying Decoder, and pbft copies the
+// frame before queueing it for its verify workers.
 type Handler func(from Endpoint, data []byte)
 
 // Conn is one endpoint's attachment to a network.
 type Conn interface {
-	// Send delivers data to one endpoint. Delivery is best-effort:
-	// a nil error means the message was accepted for delivery, not that it
+	// Send delivers one or more frames to one endpoint, each to the peer's
+	// handler as its own message, in argument order; over TCP all frames of
+	// one call leave in a single socket write. The frames are the caller's
+	// again when Send returns. There is deliberately no flush and no timer:
+	// a caller that has several frames for a peer passes them together, and
+	// nothing is ever held back waiting for more. Delivery is best-effort: a
+	// nil error means the frames were accepted for delivery, not that they
 	// arrived.
-	Send(to Endpoint, data []byte) error
-	// BroadcastReplicas sends to every replica except the sender itself.
-	BroadcastReplicas(data []byte) error
+	Send(to Endpoint, frames ...[]byte) error
+	// BroadcastReplicas is Send to every replica except the sender itself.
+	BroadcastReplicas(frames ...[]byte) error
 	// Close detaches the endpoint. Further Sends fail.
 	Close() error
 }

@@ -6,12 +6,22 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// TestMain runs the package with the read loops' frame-buffer poison on:
+// every TCP test then doubles as the guard for Handler's ownership rule — a
+// handler that kept data reads 0xFF the moment it returns.
+func TestMain(m *testing.M) {
+	PoisonInbound.Store(true)
+	os.Exit(m.Run())
+}
 
 // collector is a thread-safe message sink used as a Handler in tests.
 type collector struct {
@@ -791,5 +801,177 @@ func TestTCPFramesSent(t *testing.T) {
 	client.ResetStats()
 	if got := client.FramesSent(); got != 0 {
 		t.Fatalf("FramesSent after reset = %d", got)
+	}
+}
+
+// TestTCPPoisonExposesRetainedFrame: with the test hook on, a handler that
+// keeps data (against the Handler contract) finds it overwritten as soon as
+// it returned — not one frame later with plausible bytes of that frame. The
+// handler looks at what it kept when the next, shorter frame arrives: same
+// goroutine as the read loop, so the look is ordered after the poison.
+func TestTCPPoisonExposesRetainedFrame(t *testing.T) {
+	var kept []byte
+	tail := make(chan []byte, 1)
+	server, err := ListenTCP(ReplicaEndpoint(1), "127.0.0.1:0", nil, func(_ Endpoint, data []byte) {
+		if kept == nil {
+			kept = data
+			return
+		}
+		tail <- append([]byte(nil), kept[len(data):]...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	client := DialTCP(ReplicaEndpoint(0), map[uint32]string{1: server.Addr()}, func(Endpoint, []byte) {})
+	defer client.Close()
+	first := []byte("a frame the handler keeps")
+	if err := client.Send(ReplicaEndpoint(1), first, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case got := <-tail:
+		if want := bytes.Repeat([]byte{0xFF}, len(first)-1); !bytes.Equal(got, want) {
+			t.Fatalf("retained frame still reads %q after the handler returned", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("second frame never arrived")
+	}
+}
+
+// TestTCPSendManyOneWrite: k frames passed to one Send reach the peer's
+// handler as k messages in argument order and leave in one socket write;
+// one oversized frame rejects the whole call before a byte is written; and
+// a call that grew the write buffer past maxKeep does not leave it pinned.
+func TestTCPSendManyOneWrite(t *testing.T) {
+	col := newCollector()
+	server, err := ListenTCP(ReplicaEndpoint(1), "127.0.0.1:0", nil, col.handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	client := DialTCP(ReplicaEndpoint(0), map[uint32]string{1: server.Addr()}, func(Endpoint, []byte) {})
+	defer client.Close()
+	to := ReplicaEndpoint(1)
+
+	if err := client.Send(to, []byte("a"), []byte("bb"), nil, []byte("ccc")); err != nil {
+		t.Fatal(err)
+	}
+	col.wait(t, "replica-0:ccc")
+	if got, want := col.snapshot(), []string{"replica-0:a", "replica-0:bb", "replica-0:", "replica-0:ccc"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("received %v, want %v", got, want)
+	}
+	if f, w := client.FramesSent(), client.WritesTotal(); f != 4 || w != 1 {
+		t.Fatalf("4 frames in one Send counted as %d frames in %d writes", f, w)
+	}
+
+	if err := client.Send(to, []byte("ok"), make([]byte, maxFrame+1)); err == nil {
+		t.Fatal("Send accepted a frame over the limit")
+	}
+	if f, w := client.FramesSent(), client.WritesTotal(); f != 4 || w != 1 {
+		t.Fatalf("rejected call moved the counters to %d frames in %d writes", f, w)
+	}
+	// Nothing of the rejected call was written: the next frame the peer
+	// sees is the next one sent.
+	if err := client.Send(to, []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	col.wait(t, "replica-0:after")
+	if got := col.count(); got != 5 {
+		t.Fatalf("peer received %d frames, want 5: part of the rejected call went out", got)
+	}
+
+	big := bytes.Repeat([]byte("z"), maxKeep/2)
+	if err := client.Send(to, big, big, big); err != nil {
+		t.Fatal(err)
+	}
+	col.wait(t, "replica-0:"+string(big))
+	client.mu.Lock()
+	p := client.conns[to]
+	client.mu.Unlock()
+	p.mu.Lock()
+	kept := cap(p.buf)
+	p.mu.Unlock()
+	if kept != 0 {
+		t.Fatalf("connection kept a %d-byte write buffer after a call over maxKeep", kept)
+	}
+}
+
+// deliveryLog joins a sender and one receiver on a faulty SimNet seeded with
+// seed, lets send drive the sender, and returns every fault decision and
+// every delivery the receiver saw, in order.
+func deliveryLog(t *testing.T, seed int64, send func(c Conn, to Endpoint) error) (decisions, delivered []string) {
+	t.Helper()
+	net := NewSimNet(seed)
+	defer net.Close()
+	to := ReplicaEndpoint(1)
+	done := make(chan struct{})
+	if _, err := net.Join(to, func(_ Endpoint, data []byte) {
+		if string(data) == "end" {
+			close(done)
+			return
+		}
+		delivered = append(delivered, string(data))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Join(ReplicaEndpoint(0), func(Endpoint, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.SetFaultObserver(func(ev FaultEvent) {
+		decisions = append(decisions, fmt.Sprintf("drop=%v dup=%v delay=%v", ev.Drop, ev.Dup, ev.Delay))
+	})
+	// Reordering is drawn (the decisions must match) but moves nothing: a
+	// jitter of one nanosecond rounds to no delay, so deliveries stay in
+	// send order and the two logs compare exactly on any machine.
+	net.SetFaults(Faults{DropProb: 0.3, DupProb: 0.3, ReorderProb: 0.5, Jitter: 1})
+	for i := 0; i < 40; i++ {
+		if err := send(conn, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The inbox is FIFO: a marker sent over the healed link arrives last.
+	net.SetFaults(Faults{})
+	if err := conn.Send(to, []byte("end")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("end marker never arrived")
+	}
+	return decisions, delivered
+}
+
+// TestSimNetSendManyEqualsSends is the chaos-replay guarantee of the
+// multi-frame Send: under one seed, with drop, duplicate and reorder faults
+// on, Send(to, a, b, c) draws the link's fault stream and delivers exactly
+// as three Sends do, so a seeded plan replays the same whether or not its
+// sender hands frames over in runs.
+func TestSimNetSendManyEqualsSends(t *testing.T) {
+	a, b, c := []byte("a"), []byte("b"), []byte("c")
+	manyDec, manyDel := deliveryLog(t, 7, func(conn Conn, to Endpoint) error {
+		return conn.Send(to, a, b, c)
+	})
+	eachDec, eachDel := deliveryLog(t, 7, func(conn Conn, to Endpoint) error {
+		for _, f := range [][]byte{a, b, c} {
+			if err := conn.Send(to, f); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if len(manyDec) != 120 {
+		t.Fatalf("%d fault decisions for 120 frames", len(manyDec))
+	}
+	if !reflect.DeepEqual(manyDec, eachDec) {
+		t.Fatalf("fault decisions differ:\n%v\nvs\n%v", manyDec, eachDec)
+	}
+	if !reflect.DeepEqual(manyDel, eachDel) {
+		t.Fatalf("deliveries differ:\n%v\nvs\n%v", manyDel, eachDel)
+	}
+	if all := strings.Join(manyDec, " "); !strings.Contains(all, "drop=true") || !strings.Contains(all, "dup=true") {
+		t.Fatalf("no drop or no duplicate among %d decisions: the faults did not bite", len(manyDec))
 	}
 }

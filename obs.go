@@ -79,17 +79,19 @@ func (n *Node) ResetStats() {
 	n.replica.ResetAllStats()
 }
 
-// observeTransport publishes a TCP transport's outbound frame counter
-// beside the enclave series; every frame is one socket write, so frames per
-// operation is the per-node syscall count of the untrusted hot path.
+// observeTransport publishes a TCP transport's outbound frame and socket
+// write counters beside the enclave series: writes per operation is the
+// per-node syscall count of the untrusted hot path, and frames per write
+// the length of the runs the broker hands the transport.
 // Registered at Start because every (re)start builds a fresh transport
-// after the replica's collectors were dropped; the counter joins the
+// after the replica's collectors were dropped; the counters join the
 // registry's reset epoch. No-op without WithObservability; in-process nodes
 // have no sockets and export no transport series.
 func (n *Node) observeTransport(tcp *transport.TCPNode) {
 	reg := n.observer.Registry()
 	reg.Collect(func(emit func(name string, value float64)) {
 		emit("splitbft_transport_frames_sent_total", float64(tcp.FramesSent()))
+		emit("splitbft_transport_writes_total", float64(tcp.WritesTotal()))
 	})
 	reg.OnReset(tcp.ResetStats)
 }

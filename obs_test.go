@@ -412,10 +412,10 @@ func TestMetricResetStatsSingleEpoch(t *testing.T) {
 }
 
 // TestMetricsTransportCountersOverTCP: a TCP node exports its outbound
-// frame counter beside the enclave series, so frames (= socket writes) per
-// operation and messages per trusted-boundary crossing read from one
-// scrape; the counter shares the registry's reset epoch and comes back
-// after a restart, which builds a fresh transport.
+// frame and socket-write counters beside the enclave series, so frames per
+// write, writes per operation and messages per trusted-boundary crossing
+// read from one scrape; the counters share the registry's reset epoch and
+// come back after a restart, which builds a fresh transport.
 func TestMetricsTransportCountersOverTCP(t *testing.T) {
 	nodes, cl := startTrustedMACOverTCP(t, "tcp-metrics-seed", splitbft.WithObservability())
 	for i := 0; i < 20; i++ {
@@ -434,6 +434,9 @@ func TestMetricsTransportCountersOverTCP(t *testing.T) {
 	for _, n := range nodes {
 		if frames := framesSent(n); frames == 0 {
 			t.Fatalf("node %d: no frame sent after 20 operations", n.ID())
+		}
+		if writes, ok := metricValue(t, n, "splitbft_transport_writes_total"); !ok || writes == 0 {
+			t.Fatalf("node %d: %v socket writes after 20 operations (exported: %v)", n.ID(), writes, ok)
 		}
 		var msgs, ecalls float64
 		for _, c := range []string{"preparation", "confirmation", "execution"} {
