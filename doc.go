@@ -381,6 +381,25 @@
 // collection), and the prober fetches the missing request bodies over
 // the self-certifying BatchFetch path.
 //
+// A checkpoint snapshot carries the application state and, per client,
+// the exactly-once skip state as a fixed window: the highest executed
+// timestamp and a 128-bit map of which timestamps in the window below it
+// executed (everything older counts as executed). That is exactly what
+// decides whether a retransmitted request is skipped, and nothing else is
+// encoded — not the per-replica reply bodies, nor which pruned-away
+// timestamps a reply cache still holds — so replicas with the same
+// exactly-once state vote the same checkpoint digest however they reached
+// it, state transfers included.
+//
+// State is encoded once, into the buffer it leaves in: the key-value store
+// keeps its sorted key order between checkpoints and encodes its snapshot
+// straight into the checkpoint buffer; a message handed to co-located
+// compartments and to the network is marshalled once, its outputs sharing
+// the read-only payload; sealed exports encode embedded messages in place;
+// and a sealed blob, WAL records included, is built in the buffer it is
+// written from. The on-disk sealed-blob and WAL-frame layouts do not depend
+// on it.
+//
 // Each store also keeps a sealed tail marker pinning the highest
 // fsync-durable WAL record (refreshed at snapshots and clean close);
 // recovery that finds less log than the marker promises refuses with

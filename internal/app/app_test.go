@@ -3,8 +3,11 @@ package app
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"github.com/splitbft/splitbft/internal/crypto"
 )
 
 func TestKVSPutGetDelete(t *testing.T) {
@@ -86,25 +89,92 @@ func TestKVSSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestQuickKVSSnapshotRoundTrip: puts (new keys and overwrites) and deletes
+// between snapshots, so the cached key order and encoded size are exercised
+// across invalidations. After every step Digest is the hash of Snapshot,
+// Restore(Snapshot()) round-trips, and the store encodes and hashes exactly
+// like one freshly built from the same data in another order.
 func TestQuickKVSSnapshotRoundTrip(t *testing.T) {
-	f := func(keys [][]byte, vals [][]byte) bool {
+	type step struct {
+		Key    uint8
+		Val    []byte
+		Delete bool
+	}
+	f := func(steps []step) bool {
 		k := NewKVS()
-		for i := range keys {
-			v := []byte("v")
-			if i < len(vals) {
-				v = vals[i]
+		want := make(map[string][]byte)
+		for _, s := range steps {
+			key := fmt.Sprintf("k%d", s.Key%16)
+			if s.Delete {
+				k.Execute(1, EncodeDelete(key))
+				delete(want, key)
+			} else {
+				val := bytes.Repeat(s.Val, 256)
+				k.Execute(1, EncodePut(key, val))
+				want[key] = val
 			}
-			k.Execute(1, EncodePut(string(keys[i]), v))
+			snap := k.Snapshot()
+			r := NewKVS()
+			if k.Digest() != crypto.HashData(snap) {
+				return false
+			}
+			if err := r.Restore(snap); err != nil || !bytes.Equal(r.Snapshot(), snap) || r.Digest() != k.Digest() {
+				return false
+			}
+			fresh := NewKVS()
+			for i := 15; i >= 0; i-- {
+				if v, ok := want[fmt.Sprintf("k%d", i)]; ok {
+					fresh.Execute(2, EncodePut(fmt.Sprintf("k%d", i), v))
+				}
+			}
+			if !bytes.Equal(fresh.Snapshot(), snap) || fresh.Digest() != k.Digest() {
+				return false
+			}
 		}
-		r := NewKVS()
-		if err := r.Restore(k.Snapshot()); err != nil {
-			return false
-		}
-		return r.Digest() == k.Digest()
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestKVSConcurrentSnapshotDigest: observers snapshot and hash the store
+// while it executes inserts and deletes, as tests and the benchmark do
+// beside a running replica. The cached key order is rebuilt by whichever
+// reader finds it stale, so this is a -race test of that hand-off.
+func TestKVSConcurrentSnapshotDigest(t *testing.T) {
+	k := NewKVS()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := k.Snapshot()
+				if err := NewKVS().Restore(snap); err != nil {
+					t.Error(err)
+					return
+				}
+				k.Digest()
+			}
+		}()
+	}
+	for i := 0; i < 2000; i++ {
+		key := fmt.Sprintf("k%d", i%64)
+		if i%3 == 0 {
+			k.Execute(1, EncodeDelete(key))
+		} else {
+			k.Execute(1, EncodePut(key, []byte(fmt.Sprint(i))))
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestBlockchainSealsBlocksOfFive(t *testing.T) {

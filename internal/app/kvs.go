@@ -1,8 +1,9 @@
 package app
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/splitbft/splitbft/internal/crypto"
@@ -21,10 +22,20 @@ const (
 type KVS struct {
 	mu   sync.RWMutex
 	data map[string][]byte
+	// order caches the keys in sorted order — the order of the canonical
+	// encoding Snapshot returns and Digest hashes. An insert or a delete
+	// sets it to nil; the next Snapshot or Digest rebuilds it, under the
+	// write lock. Overwriting a value keeps it. size is the exact length of
+	// that encoding, kept current by every write.
+	order []string
+	size  int
 }
 
 // NewKVS returns an empty key-value store.
-func NewKVS() *KVS { return &KVS{data: make(map[string][]byte)} }
+func NewKVS() *KVS { return &KVS{data: make(map[string][]byte), size: 4} }
+
+// entrySize is the encoded length of one key/value pair.
+func entrySize(key string, val []byte) int { return 8 + len(key) + len(val) }
 
 // EncodePut encodes a PUT operation.
 func EncodePut(key string, value []byte) []byte {
@@ -69,6 +80,12 @@ func (k *KVS) Execute(_ uint32, op []byte) []byte {
 		if d.Finish() != nil {
 			return NoOpResult
 		}
+		if old, ok := k.data[string(key)]; ok {
+			k.size += len(val) - len(old)
+		} else {
+			k.size += entrySize(string(key), val)
+			k.order = nil
+		}
 		k.data[string(key)] = val
 		return []byte("OK")
 	case opGet:
@@ -88,7 +105,11 @@ func (k *KVS) Execute(_ uint32, op []byte) []byte {
 		if d.Finish() != nil {
 			return NoOpResult
 		}
-		delete(k.data, string(key))
+		if old, ok := k.data[string(key)]; ok {
+			k.size -= entrySize(string(key), old)
+			k.order = nil
+			delete(k.data, string(key))
+		}
 		return []byte("OK")
 	default:
 		return NoOpResult
@@ -134,39 +155,54 @@ func (k *KVS) Get(key string) ([]byte, bool) {
 	return v, ok
 }
 
-// Digest implements Application: a hash over the sorted key/value pairs.
-func (k *KVS) Digest() crypto.Digest {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	keys := make([]string, 0, len(k.data))
-	for key := range k.data {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	e := messages.NewEncoder(64 * len(keys))
-	for _, key := range keys {
-		e.VarBytes([]byte(key))
-		e.VarBytes(k.data[key])
-	}
-	return crypto.HashData(e.Bytes())
-}
+// Digest implements Application: SHA-256 over the Snapshot encoding.
+func (k *KVS) Digest() crypto.Digest { return crypto.HashData(k.Snapshot()) }
 
-// Snapshot implements Application.
-func (k *KVS) Snapshot() []byte {
+// Snapshot implements Application: one allocation of the exact size, in the
+// cached key order.
+func (k *KVS) Snapshot() []byte { return AppendSnapshot(nil, k) }
+
+// AppendSnapshot appends a's Snapshot to dst and returns the extended slice.
+// A KVS encodes straight into dst, grown once to the exact size, so a caller
+// that frames the snapshot inside a larger buffer (a checkpoint, a sealed
+// export) encodes it once and never holds a second copy. Any other
+// Application's Snapshot is copied in.
+func AppendSnapshot(dst []byte, a Application) []byte {
+	k, ok := a.(*KVS)
+	if !ok {
+		return append(dst, a.Snapshot()...)
+	}
 	k.mu.RLock()
-	defer k.mu.RUnlock()
-	keys := make([]string, 0, len(k.data))
-	for key := range k.data {
-		keys = append(keys, key)
+	if k.order != nil {
+		defer k.mu.RUnlock()
+	} else {
+		// A stale order is rebuilt under the write lock only, so concurrent
+		// readers never write it.
+		k.mu.RUnlock()
+		k.mu.Lock()
+		defer k.mu.Unlock()
+		if k.order == nil {
+			k.order = make([]string, 0, len(k.data))
+			for key := range k.data {
+				k.order = append(k.order, key)
+			}
+			slices.Sort(k.order)
+		}
 	}
-	sort.Strings(keys)
-	e := messages.NewEncoder(64 * len(keys))
-	e.U32(uint32(len(keys)))
-	for _, key := range keys {
-		e.VarBytes([]byte(key))
-		e.VarBytes(k.data[key])
+	if cap(dst)-len(dst) < k.size {
+		dst = append(make([]byte, 0, len(dst)+k.size), dst...)
 	}
-	return e.Bytes()
+	// The canonical encoding: the key count, then every key and value as
+	// VarBytes, in key order.
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(k.order)))
+	for _, key := range k.order {
+		val := k.data[key]
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(key)))
+		dst = append(dst, key...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(val)))
+		dst = append(dst, val...)
+	}
+	return dst
 }
 
 // Restore implements Application.
@@ -185,8 +221,12 @@ func (k *KVS) Restore(snapshot []byte) error {
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("kvs restore: %w", err)
 	}
+	size := 4
+	for key, val := range data {
+		size += entrySize(key, val)
+	}
 	k.mu.Lock()
-	k.data = data
+	k.data, k.order, k.size = data, nil, size
 	k.mu.Unlock()
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"github.com/splitbft/splitbft/internal/app"
@@ -608,6 +609,70 @@ func TestCheckpointCarriesReplyCache(t *testing.T) {
 	}
 	if d.clients[7].maxExecuted != 5 {
 		t.Fatalf("maxExecuted = %d after merge, want 5", d.clients[7].maxExecuted)
+	}
+}
+
+// TestCheckpointSnapshotIsCanonicalAfterMerge: two replicas whose executed()
+// answers agree for every timestamp must produce the same checkpoint
+// snapshot bytes, however they got there. Here one executed a client's
+// 1..300 itself and the other executed 1..100, then caught up by merging the
+// first one's checkpoint at 300; their reply maps then hold different
+// timestamps below the window and prune at different moments, which must
+// not reach the digest — a replica whose Checkpoint votes never match its
+// peers' cannot help make a checkpoint stable.
+func TestCheckpointSnapshotIsCanonicalAfterMerge(t *testing.T) {
+	reg := crypto.NewRegistry()
+	ver, err := messages.NewVerifier(4, 1, reg, messages.SplitScheme())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(id uint32) *execution {
+		cfg := Config{
+			N: 4, F: 1, ID: id,
+			Registry: reg, MACSecret: []byte("ckpt-test"), App: app.NewKVS(),
+		}.withDefaults()
+		return mustExecution(t, cfg, ver)
+	}
+	const client = 7
+	run := func(e *execution, from, to uint64) {
+		for ts := from; ts <= to; ts++ {
+			e.app.Execute(client, app.EncodePut(fmt.Sprintf("k%d", ts%50), []byte(fmt.Sprint(ts))))
+			cl, ok := e.clients[client]
+			if !ok {
+				cl = &execClient{}
+				e.clients[client] = cl
+			}
+			cl.record(ts, &messages.Reply{ClientID: client, Timestamp: ts, Replica: e.id, Result: []byte("OK")})
+		}
+	}
+
+	peer, merged := mk(0), mk(1)
+	run(peer, 1, 300)
+	run(merged, 1, 100)
+	if err := merged.restoreState(peer.snapshotState()); err != nil {
+		t.Fatal(err)
+	}
+	checkpoints := 0
+	for ts := uint64(301); ts <= 1300; ts++ {
+		run(peer, ts, ts)
+		run(merged, ts, ts)
+		if ts%execReplyWindow != 0 {
+			continue
+		}
+		checkpoints++
+		for q := uint64(1); q <= ts+1; q++ {
+			_, a := peer.clients[client].executed(q)
+			_, b := merged.clients[client].executed(q)
+			if a != b {
+				t.Fatalf("at %d: executed(%d) = %v on the peer, %v on the merged replica", ts, q, a, b)
+			}
+		}
+		if !bytes.Equal(peer.snapshotState(), merged.snapshotState()) {
+			t.Fatalf("checkpoint at %d: equal executed() answers, different snapshot bytes", ts)
+		}
+	}
+	if checkpoints != 8 {
+		t.Fatalf("compared %d checkpoints, want 8", checkpoints)
 	}
 }
 

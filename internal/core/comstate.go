@@ -40,6 +40,10 @@ type comState struct {
 	seqBase uint64
 
 	checkpoints map[uint64]map[uint32]*messages.Checkpoint
+
+	// exportSize is the length of the compartment's previous sealed state
+	// export, the next export's buffer size (exportEncoder).
+	exportSize int
 }
 
 func newComState(n, f int, id uint32, window uint64, ver *messages.Verifier) comState {
@@ -209,13 +213,16 @@ func broadcastOut(m messages.Message) tee.OutMsg {
 // it: were the wire first, backups could commit and checkpoint a proposal
 // under load before the primary's own Confirmation and Execution had been
 // given it, and the primary would be state-transferred past its own request.
-// It also puts the co-located vote among the first a quorum counts.
+// It also puts the co-located vote among the first a quorum counts. The
+// message is marshalled once: every output carries the same read-only
+// payload (see tee.OutMsg).
 func localFirst(m messages.Message, locals ...crypto.Role) []tee.OutMsg {
+	payload := messages.Marshal(m)
 	out := make([]tee.OutMsg, 0, len(locals)+1)
 	for _, role := range locals {
-		out = append(out, localOut(role, m))
+		out = append(out, tee.OutMsg{Kind: tee.DestLocal, Local: role, Payload: payload})
 	}
-	return append(out, broadcastOut(m))
+	return append(out, tee.OutMsg{Kind: tee.DestBroadcast, Payload: payload})
 }
 
 // replicaOut builds a DestReplica output message.

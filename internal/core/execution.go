@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -18,7 +18,8 @@ import (
 
 // execReplyWindow bounds the per-client reply cache; it must exceed the
 // maximum outstanding requests per client (40 in the paper's batched
-// configuration).
+// configuration). It is a multiple of 64: the window's executed map is
+// encoded as execReplyWindow/64 words.
 const execReplyWindow = 128
 
 // execClient is the per-client exactly-once bookkeeping inside the
@@ -57,6 +58,43 @@ func (e *execClient) record(ts uint64, rep *messages.Reply) {
 			if e.maxExecuted >= execReplyWindow && old <= e.maxExecuted-execReplyWindow {
 				delete(e.replies, old)
 			}
+		}
+	}
+}
+
+// skipWindow is a client's executed map over (maxExecuted−execReplyWindow,
+// maxExecuted]: bit i%64 of word i/64 is set when maxExecuted−i executed.
+// With maxExecuted it determines executed() for every timestamp, and
+// nothing else does — which timestamps below the window the reply map still
+// holds depends on when it was last pruned and on merged state transfers.
+type skipWindow [execReplyWindow / 64]uint64
+
+// window returns the client's executed map.
+func (e *execClient) window() skipWindow {
+	var w skipWindow
+	for ts := range e.replies {
+		if i := e.maxExecuted - ts; ts <= e.maxExecuted && i < execReplyWindow {
+			w[i/64] |= 1 << (i % 64)
+		}
+	}
+	return w
+}
+
+// merge adds a transferred skip state: every timestamp it marks executed is
+// skipped from now on. Reply bodies already held are kept for resends.
+func (e *execClient) merge(maxExecuted uint64, w skipWindow) {
+	if maxExecuted > e.maxExecuted {
+		e.maxExecuted = maxExecuted
+	}
+	for i := uint64(0); i < execReplyWindow && i <= maxExecuted; i++ {
+		if w[i/64]&(1<<(i%64)) == 0 {
+			continue
+		}
+		if e.replies == nil {
+			e.replies = make(map[uint64]*messages.Reply)
+		}
+		if _, have := e.replies[maxExecuted-i]; !have {
+			e.replies[maxExecuted-i] = nil
 		}
 	}
 }
@@ -249,44 +287,47 @@ func newExecution(cfg Config, ver *messages.Verifier) (*execution, error) {
 	return e, nil
 }
 
-// snapshotState builds the checkpoint snapshot: the application state
-// wrapped with the exactly-once skip state of the reply caches (client
-// IDs, executed-timestamp high-water marks and the cached timestamp
-// window). Checkpoint digests are compared across replicas, so the
-// encoding is canonical (sorted) and carries no reply bodies — those
-// differ per replica (Replica field, MAC). Without this state a replica
-// that catches up by state transfer would re-execute a client request
-// that the primary re-ordered after a retransmit, forking its history
-// from replicas whose warm caches skip the duplicate.
+// snapshotState builds the checkpoint snapshot: the exactly-once skip state
+// of the reply caches wrapped around the application state. Per client, in
+// ID order: its ID, maxExecuted and its skipWindow. Checkpoint digests are
+// compared across replicas, so the encoding is canonical: a function of what
+// executed() answers and of the application state alone, never of reply
+// bodies (they differ per replica in the Replica field and MAC) nor of which
+// pruned-away timestamps a replica's cache still happens to hold. Without
+// the skip state a replica that catches up by state transfer would
+// re-execute a client request that the primary re-ordered after a
+// retransmit, forking its history from replicas whose warm caches skip the
+// duplicate.
+//
+// The buffer is sized for the skip state and the application encodes itself
+// into it in place (app.AppendSnapshot): one allocation the size of the
+// snapshot, no sort of the application's keys.
 func (e *execution) snapshotState() []byte {
-	enc := messages.NewEncoder(256)
 	ids := make([]uint32, 0, len(e.clients))
 	for id := range e.clients {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	enc := messages.NewEncoder(4 + len(ids)*clientSkipSize + 4)
 	enc.U32(uint32(len(ids)))
 	for _, id := range ids {
 		cl := e.clients[id]
 		enc.U32(id)
 		enc.U64(cl.maxExecuted)
-		tss := make([]uint64, 0, len(cl.replies))
-		for ts := range cl.replies {
-			tss = append(tss, ts)
-		}
-		sort.Slice(tss, func(i, j int) bool { return tss[i] < tss[j] })
-		enc.U32(uint32(len(tss)))
-		for _, ts := range tss {
-			enc.U64(ts)
+		for _, word := range cl.window() {
+			enc.U64(word)
 		}
 	}
-	enc.VarBytes(e.app.Snapshot())
+	enc.VarAppend(func(dst []byte) []byte { return app.AppendSnapshot(dst, e.app) })
 	return enc.Bytes()
 }
 
+// clientSkipSize is the encoded size of one client's skip state.
+const clientSkipSize = 4 + 8 + execReplyWindow/8
+
 // restoreState installs a checkpoint snapshot produced by snapshotState:
-// the application state plus the reply-cache skip state. Skip entries are
-// merged into (never replace) the live caches — every restored timestamp
+// the application state plus the reply-cache skip state. Skip state is
+// merged into (never replaces) the live caches — every restored timestamp
 // was executed in the history the snapshot covers, so skipping it can only
 // be correct; existing entries keep their reply bodies for resends.
 // Restored entries without a body cause duplicates to be skipped silently,
@@ -295,19 +336,18 @@ func (e *execution) snapshotState() []byte {
 func (e *execution) restoreState(snap []byte) error {
 	d := messages.NewDecoder(snap)
 	type skipState struct {
+		id          uint32
 		maxExecuted uint64
-		timestamps  []uint64
+		window      skipWindow
 	}
-	restored := make(map[uint32]skipState)
+	var restored []skipState
 	n := d.Count(1 << 20)
-	for i := 0; i < n; i++ {
-		id := d.U32()
-		st := skipState{maxExecuted: d.U64()}
-		m := d.Count(1 << 20)
-		for j := 0; j < m; j++ {
-			st.timestamps = append(st.timestamps, d.U64())
+	for i := 0; i < n && d.Err() == nil; i++ {
+		st := skipState{id: d.U32(), maxExecuted: d.U64()}
+		for w := range st.window {
+			st.window[w] = d.U64()
 		}
-		restored[id] = st
+		restored = append(restored, st)
 	}
 	appState := d.VarBytes()
 	if err := d.Finish(); err != nil {
@@ -316,23 +356,13 @@ func (e *execution) restoreState(snap []byte) error {
 	if err := e.app.Restore(appState); err != nil {
 		return err
 	}
-	for id, st := range restored {
-		cl, ok := e.clients[id]
+	for _, st := range restored {
+		cl, ok := e.clients[st.id]
 		if !ok {
 			cl = &execClient{}
-			e.clients[id] = cl
+			e.clients[st.id] = cl
 		}
-		if st.maxExecuted > cl.maxExecuted {
-			cl.maxExecuted = st.maxExecuted
-		}
-		for _, ts := range st.timestamps {
-			if cl.replies == nil {
-				cl.replies = make(map[uint64]*messages.Reply)
-			}
-			if _, have := cl.replies[ts]; !have {
-				cl.replies[ts] = nil
-			}
-		}
+		cl.merge(st.maxExecuted, st.window)
 	}
 	return nil
 }

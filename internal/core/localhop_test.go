@@ -140,6 +140,28 @@ func TestLocalFirstOutMsgOrder(t *testing.T) {
 	wantOrder(t, "maybeCheckpoint", ckpt, messages.TCheckpoint, crypto.RolePreparation, crypto.RoleConfirmation)
 }
 
+// TestLocalFirstMarshalsOnce: a message handed to two co-located
+// compartments and to the network is marshalled once — one encoding
+// allocation beside the output slice — and the three outputs share its
+// bytes.
+func TestLocalFirstMarshalsOnce(t *testing.T) {
+	b := *hopBatch(4, 1)
+	pp := &messages.PrePrepare{View: 0, Seq: 1, Digest: b.Digest(), Replica: 0, Batch: b, Sig: make([]byte, 64)}
+	var out []tee.OutMsg
+	allocs := testing.AllocsPerRun(100, func() {
+		out = localFirst(pp, crypto.RoleConfirmation, crypto.RoleExecution)
+	})
+	if allocs > 2 {
+		t.Fatalf("localFirst to two locals and the network: %.1f allocations, want 2 (one Marshal, one output slice)", allocs)
+	}
+	wantOrder(t, "localFirst", out, messages.TPrePrepare, crypto.RoleConfirmation, crypto.RoleExecution)
+	for i := range out {
+		if &out[i].Payload[0] != &out[0].Payload[0] || len(out[i].Payload) != len(out[0].Payload) {
+			t.Fatalf("output %d does not share the one encoding", i)
+		}
+	}
+}
+
 // TestLocalHopOwnCommit: Confirmation's copy of its Commit for its own
 // replica's Execution carries one hop MAC beside the signature and is
 // accepted without an Ed25519 verification; the broadcast is the parent's

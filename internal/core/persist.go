@@ -12,13 +12,18 @@
 //
 // Wire messages embedded in the state (PrePrepares, Prepares, Commits,
 // Replies, Checkpoint certificates) reuse the deterministic wire codec, so
-// the export format inherits its bounds checking.
+// the export format inherits its bounds checking. They, the batches and the
+// application state are encoded in place, behind a length prefix the
+// encoder fills in afterwards (Encoder.VarMessage, VarAppend), into a buffer
+// sized from the previous export: one buffer per export, which the enclave
+// then seals into a second (tee.Enclave.SealState).
 package core
 
 import (
 	"errors"
 	"fmt"
 
+	"github.com/splitbft/splitbft/internal/app"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/messages"
 )
@@ -26,8 +31,10 @@ import (
 // stateVersion tags every compartment export; imports refuse other
 // versions rather than guessing. Version 2 added the trusted-counter fields
 // (counter bases, the preparation counter position, the confirmation high
-// counter).
-const stateVersion = 2
+// counter); version 3 changed the skip-state layout of the checkpoint
+// snapshot Execution embeds (a fixed window per client, see snapshotState),
+// which a version-2 blob would be misparsed against.
+const stateVersion = 3
 
 // sessionCounterSlack is added to every restored session nonce counter.
 // The un-fsynced WAL tail may hold executions whose encrypted replies
@@ -38,11 +45,20 @@ const sessionCounterSlack = 1 << 20
 
 var errStateVersion = errors.New("core: unsupported compartment state version")
 
+// exportEncoder starts a state export in a buffer sized from the previous
+// one, so a steady-state export grows its buffer rarely instead of doubling
+// its way up from a guess.
+func exportEncoder(s *comState) *messages.Encoder {
+	e := messages.NewEncoder(s.exportSize + s.exportSize/8 + 1024)
+	e.U8(stateVersion)
+	return e
+}
+
 // exportComState appends the fields every compartment persists.
 func exportComState(e *messages.Encoder, s *comState) {
 	e.U64(s.view)
 	e.U64(s.lowWatermark)
-	e.VarBytes(s.stableCert.MarshalCert())
+	e.VarAppend(s.stableCert.AppendCert)
 	e.U64(s.ctrBase)
 	e.U64(s.seqBase)
 }
@@ -95,8 +111,7 @@ func (p *preparation) StateEpoch() uint64 { return p.lowWatermark }
 // safety-critical part: a primary that forgot what it proposed could
 // equivocate after a restart.
 func (p *preparation) ExportState() []byte {
-	e := messages.NewEncoder(1024)
-	e.U8(stateVersion)
+	e := exportEncoder(&p.comState)
 	exportComState(e, &p.comState)
 	e.U64(p.nextSeq)
 	// Trusted-counter position (zero in classic mode): restoring it before
@@ -119,10 +134,11 @@ func (p *preparation) ExportState() []byte {
 	}
 	if p.lastNewView != nil {
 		e.Bool(true)
-		e.VarBytes(messages.Marshal(p.lastNewView))
+		e.VarMessage(p.lastNewView)
 	} else {
 		e.Bool(false)
 	}
+	p.exportSize = e.Len()
 	return e.Bytes()
 }
 
@@ -173,14 +189,13 @@ func (c *confirmation) StateEpoch() uint64 { return c.lowWatermark }
 // dropping them across a restart could hide a prepared batch from the new
 // primary.
 func (c *confirmation) ExportState() []byte {
-	e := messages.NewEncoder(1024)
-	e.U8(stateVersion)
+	e := exportEncoder(&c.comState)
 	exportComState(e, &c.comState)
 	e.U64(c.highCtr)
 	e.Bool(c.inViewChange)
 	if c.myVC != nil {
 		e.Bool(true)
-		e.VarBytes(messages.Marshal(c.myVC))
+		e.VarMessage(c.myVC)
 	} else {
 		e.Bool(false)
 	}
@@ -196,16 +211,17 @@ func (c *confirmation) ExportState() []byte {
 			e.Bool(s.committed)
 			if s.prePrepare != nil {
 				e.Bool(true)
-				e.VarBytes(messages.Marshal(s.prePrepare))
+				e.VarMessage(s.prePrepare)
 			} else {
 				e.Bool(false)
 			}
 			e.U32(uint32(len(s.prepares)))
 			for _, prep := range s.prepares {
-				e.VarBytes(messages.Marshal(prep))
+				e.VarMessage(prep)
 			}
 		}
 	}
+	c.exportSize = e.Len()
 	return e.Bytes()
 }
 
@@ -273,8 +289,7 @@ func (e *execution) StateEpoch() uint64 { return e.lowWatermark }
 // the provisioned client sessions — everything a client-visible guarantee
 // depends on.
 func (e *execution) ExportState() []byte {
-	enc := messages.NewEncoder(4096)
-	enc.U8(stateVersion)
+	enc := exportEncoder(&e.comState)
 	exportComState(enc, &e.comState)
 	enc.U64(e.lastExec)
 
@@ -290,7 +305,7 @@ func (e *execution) ExportState() []byte {
 		enc.Digest(digest)
 		enc.U64(seq)
 		if b, ok := e.batches[digest]; ok {
-			enc.VarBytes(messages.MarshalBatch(b))
+			enc.VarAppend(func(dst []byte) []byte { return messages.AppendBatch(dst, b) })
 		} else {
 			enc.VarBytes(nil)
 		}
@@ -307,7 +322,7 @@ func (e *execution) ExportState() []byte {
 			enc.U64(seq)
 			enc.U32(uint32(len(set)))
 			for _, cm := range set {
-				enc.VarBytes(messages.Marshal(cm))
+				enc.VarMessage(cm)
 			}
 		}
 	}
@@ -324,7 +339,7 @@ func (e *execution) ExportState() []byte {
 				// timestamp was executed but no reply body is held.
 				enc.VarBytes(nil)
 			} else {
-				enc.VarBytes(messages.Marshal(rep))
+				enc.VarMessage(rep)
 			}
 		}
 	}
@@ -352,7 +367,8 @@ func (e *execution) ExportState() []byte {
 	} else {
 		enc.Bool(false)
 	}
-	enc.VarBytes(e.app.Snapshot())
+	enc.VarAppend(func(dst []byte) []byte { return app.AppendSnapshot(dst, e.app) })
+	e.exportSize = enc.Len()
 	return enc.Bytes()
 }
 

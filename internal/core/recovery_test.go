@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"github.com/splitbft/splitbft/internal/app"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/messages"
+	"github.com/splitbft/splitbft/internal/store"
 	"github.com/splitbft/splitbft/internal/tee"
 	"github.com/splitbft/splitbft/internal/transport"
 )
@@ -124,6 +127,98 @@ func TestSealedStateWrongIdentityRefused(t *testing.T) {
 	sealed[len(sealed)/2] ^= 0xff
 	if err := mk(0).UnsealState(sealed); err == nil {
 		t.Fatal("tampered sealed state accepted")
+	}
+}
+
+// testdata/sealed-v2 was written by the state-version-2 code: a WAL of
+// eight records (fixtureRecord) and a sealed Execution export, both sealed
+// by replica 2's Execution enclave keyed from fixtureSeed. Version 3 changed
+// what an export holds, not how a blob is sealed or a record framed.
+var fixtureSeed = []byte("sealed-layout-fixture")
+
+func fixtureRecord(i int) []byte {
+	return wrapMessage(messages.Marshal(&messages.Commit{View: 0, Seq: uint64(i + 1),
+		Digest: crypto.HashData([]byte{byte(i)}), Replica: uint32(i % 4)}))
+}
+
+// fixtureEnclave re-derives the enclave that sealed testdata/sealed-v2.
+func fixtureEnclave(t *testing.T) *tee.Enclave {
+	t.Helper()
+	reg := crypto.NewRegistry()
+	ver, err := messages.NewVerifier(4, 1, reg, messages.SplitScheme())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{N: 4, F: 1, ID: 2, Registry: reg, MACSecret: fixtureSeed,
+		KeySeed: fixtureSeed, App: app.NewKVS()}.withDefaults()
+	enc, err := tee.NewEnclaveWithRand(2, crypto.RoleExecution, mustExecution(t, cfg, ver),
+		tee.ZeroCostModel(), enclaveKeyStream(fixtureSeed, 2, crypto.RoleExecution))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// TestSealedWALFromVersion2Unseals: a WAL written before the in-place seal
+// recovers record for record, and its tail marker still unseals.
+func TestSealedWALFromVersion2Unseals(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"tailmark", "wal-0000000000000001.seg"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "sealed-v2", "wal", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, rec, err := store.Open(dir, store.Options{Sealer: fixtureEnclave(t), FsyncInterval: -1})
+	if err != nil {
+		t.Fatalf("open a version-2 WAL: %v", err)
+	}
+	defer st.Close()
+	if len(rec.Records) != 8 {
+		t.Fatalf("recovered %d records, want 8", len(rec.Records))
+	}
+	for i, got := range rec.Records {
+		if !bytes.Equal(got, fixtureRecord(i)) {
+			t.Fatalf("record %d differs from what was appended", i+1)
+		}
+	}
+}
+
+// TestStateExportV2Refused: the checkpoint snapshot Execution embeds changed
+// its skip-state layout in version 3, so a version-2 export is refused
+// outright rather than misparsed into a wrong skip window — the genuine one
+// in testdata and, for every compartment, a current export tagged 2.
+func TestStateExportV2Refused(t *testing.T) {
+	sealed, err := os.ReadFile(filepath.Join("testdata", "sealed-v2", "execution-v2.sealed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := fixtureEnclave(t)
+	if _, err := enc.Unseal(sealed); err != nil {
+		t.Fatalf("a version-2 sealed blob no longer unseals: %v", err)
+	}
+	if err := enc.UnsealState(sealed); !errors.Is(err, errStateVersion) {
+		t.Fatalf("version-2 export: err = %v, want errStateVersion", err)
+	}
+
+	h := newHarness(t)
+	cfg := h.cfgs[0]
+	for name, d := range map[string]tee.Durable{
+		"preparation":  newPreparation(cfg, h.ver, nil),
+		"confirmation": newConfirmation(cfg, h.ver),
+		"execution":    mustExecution(t, cfg, h.ver),
+	} {
+		pt := d.ExportState()
+		if err := d.ImportState(pt); err != nil {
+			t.Fatalf("%s: current export refused: %v", name, err)
+		}
+		pt[0] = 2
+		if err := d.ImportState(pt); !errors.Is(err, errStateVersion) {
+			t.Fatalf("%s: export tagged version 2: err = %v, want errStateVersion", name, err)
+		}
 	}
 }
 

@@ -227,7 +227,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 	if p, ok := cfg.App.(app.Persister); ok {
 		exec.RegisterOcall("fs.write", r.broker.persistBlock)
 		p.SetPersist(func(block []byte) error {
-			sealed, err := exec.Seal(block)
+			sealed, err := exec.Seal(nil, block)
 			if err != nil {
 				return err
 			}

@@ -197,6 +197,32 @@ func TestSessionRejectsTampering(t *testing.T) {
 	}
 }
 
+// TestSealRandomAppends: AppendSealRandom leaves what dst holds in place,
+// seals the same blob SealRandom returns behind it, and needs no new buffer
+// when dst has room.
+func TestSealRandomAppends(t *testing.T) {
+	key, _ := NewSessionKey()
+	s, _ := NewSession(key, 2)
+	pt, ad := []byte("sealed state"), []byte("boot")
+	dst := append(make([]byte, 0, 5+s.Overhead()+len(pt)), "frame"...)
+	out, err := s.AppendSealRandom(dst, pt, ad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(out[:5]) != "frame" || &out[0] != &dst[0] {
+		t.Fatal("AppendSealRandom did not seal in place behind dst")
+	}
+	whole, err := s.SealRandom(pt, ad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blob := range [][]byte{out[5:], whole} {
+		if got, err := s.Open(blob, ad); err != nil || !bytes.Equal(got, pt) {
+			t.Fatalf("open = %q, %v", got, err)
+		}
+	}
+}
+
 func TestSessionNonceUniqueness(t *testing.T) {
 	key, _ := NewSessionKey()
 	s, _ := NewSession(key, 0)

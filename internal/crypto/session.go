@@ -76,13 +76,26 @@ func (s *Session) Seal(plaintext, ad []byte) []byte {
 // process would reset the counter to zero and reuse nonces, which
 // catastrophically breaks GCM. Open decrypts both forms.
 func (s *Session) SealRandom(plaintext, ad []byte) ([]byte, error) {
-	nonce := make([]byte, s.aead.NonceSize())
-	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
-		return nil, fmt.Errorf("seal nonce: %w", err)
+	return s.AppendSealRandom(nil, plaintext, ad)
+}
+
+// AppendSealRandom appends SealRandom's nonce||ciphertext to dst and returns
+// the extended slice: the nonce is drawn into dst and the ciphertext sealed
+// behind it, so a caller that frames the blob (a sealed export, a WAL
+// record) builds it in its own buffer. plaintext and ad must not overlap
+// dst's spare capacity.
+func (s *Session) AppendSealRandom(dst, plaintext, ad []byte) ([]byte, error) {
+	ns := s.aead.NonceSize()
+	if need := ns + len(plaintext) + s.aead.Overhead(); cap(dst)-len(dst) < need {
+		dst = append(make([]byte, 0, len(dst)+need), dst...)
 	}
-	out := make([]byte, 0, len(nonce)+len(plaintext)+s.aead.Overhead())
-	out = append(out, nonce...)
-	return s.aead.Seal(out, nonce, plaintext, ad), nil
+	start := len(dst)
+	dst = dst[:start+ns]
+	nonce := dst[start:]
+	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
+		return dst[:start], fmt.Errorf("seal nonce: %w", err)
+	}
+	return s.aead.Seal(dst, nonce, plaintext, ad), nil
 }
 
 // Counter returns the number of counter-nonce seals performed so far. It

@@ -109,6 +109,33 @@ func (e *Encoder) VarBytes(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// VarAppend appends a VarBytes field whose content fill appends in place:
+// the bytes VarBytes(fill(nil)) writes, without the intermediate buffer.
+func (e *Encoder) VarAppend(fill func(dst []byte) []byte) {
+	start := e.beginVar()
+	e.buf = fill(e.buf)
+	e.endVar(start)
+}
+
+// VarMessage appends m as VarBytes(Marshal(m)) would, encoded in place.
+func (e *Encoder) VarMessage(m Message) {
+	start := e.beginVar()
+	e.U8(uint8(m.MsgType()))
+	m.encodeBody(e)
+	e.endVar(start)
+}
+
+// beginVar reserves a VarBytes length prefix and returns where the content
+// starts; endVar fills the prefix in once the content is appended.
+func (e *Encoder) beginVar() int {
+	e.U32(0)
+	return len(e.buf)
+}
+
+func (e *Encoder) endVar(start int) {
+	binary.LittleEndian.PutUint32(e.buf[start-4:start], uint32(len(e.buf)-start))
+}
+
 // Digest appends a fixed-size digest with no length prefix.
 func (e *Encoder) Digest(d crypto.Digest) {
 	e.buf = append(e.buf, d[:]...)

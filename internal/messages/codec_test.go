@@ -105,6 +105,26 @@ func TestVarBytesCopies(t *testing.T) {
 	}
 }
 
+// TestVarInPlaceMatchesVarBytes: the in-place length-prefixed appends write
+// exactly the bytes of VarBytes over a separately built encoding.
+func TestVarInPlaceMatchesVarBytes(t *testing.T) {
+	batch := Batch{Requests: []Request{sampleRequest(1), sampleRequest(2)}}
+	pp := &PrePrepare{View: 1, Seq: 2, Digest: batch.Digest(), Replica: 1, Batch: batch, Sig: []byte("sig")}
+	want := NewEncoder(0)
+	want.U8(7)
+	want.VarBytes(Marshal(pp))
+	want.VarBytes(MarshalBatch(&batch))
+	want.VarBytes(nil)
+	got := NewEncoder(0)
+	got.U8(7)
+	got.VarMessage(pp)
+	got.VarAppend(func(dst []byte) []byte { return AppendBatch(dst, &batch) })
+	got.VarAppend(func(dst []byte) []byte { return dst })
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("in-place VarMessage/VarAppend differ from VarBytes of the encoding")
+	}
+}
+
 // roundTrip marshals and unmarshals m, failing the test on any error, and
 // returns the decoded message.
 func roundTrip(t *testing.T, m Message) Message {
@@ -183,14 +203,14 @@ func TestCheckpointCertStandaloneRoundTrip(t *testing.T) {
 	dg := crypto.HashData([]byte("state"))
 	cp := Checkpoint{Seq: 40, StateDigest: dg, Replica: 1, Sig: []byte("sig")}
 	cert := CheckpointCert{Seq: 40, StateDigest: dg, Proof: []Checkpoint{cp, cp, cp}}
-	got, err := UnmarshalCheckpointCert(cert.MarshalCert())
+	got, err := UnmarshalCheckpointCert(cert.AppendCert(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cert, got) {
 		t.Fatalf("cert round trip mismatch:\n got %+v\nwant %+v", got, cert)
 	}
-	if _, err := UnmarshalCheckpointCert(cert.MarshalCert()[:10]); err == nil {
+	if _, err := UnmarshalCheckpointCert(cert.AppendCert(nil)[:10]); err == nil {
 		t.Fatal("truncated certificate accepted")
 	}
 }

@@ -18,14 +18,6 @@ func Marshal(m Message) []byte {
 	return out
 }
 
-// MarshalTo encodes m into the provided encoder, returning the encoder's
-// buffer. It allows callers to reuse allocation across messages.
-func MarshalTo(e *Encoder, m Message) []byte {
-	e.U8(uint8(m.MsgType()))
-	m.encodeBody(e)
-	return e.Bytes()
-}
-
 // AppendMessage appends the Marshal encoding of m to dst and returns the
 // extended slice — the allocation-free sibling of Marshal for pooled
 // buffers.

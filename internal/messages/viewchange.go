@@ -134,16 +134,16 @@ func (cc *CheckpointCert) encode(e *Encoder) {
 	e.VarBytes(cc.Vouch)
 }
 
-// MarshalCert returns the standalone encoding of the certificate, used by
+// AppendCert appends the standalone encoding of the certificate to dst, for
 // the compartment state export (internal/core's persist path). Certificates
 // embedded in wire messages are encoded inline instead.
-func (cc *CheckpointCert) MarshalCert() []byte {
-	e := NewEncoder(256)
-	cc.encode(e)
-	return e.Bytes()
+func (cc *CheckpointCert) AppendCert(dst []byte) []byte {
+	e := Encoder{buf: dst}
+	cc.encode(&e)
+	return e.buf
 }
 
-// UnmarshalCheckpointCert reverses MarshalCert.
+// UnmarshalCheckpointCert reverses AppendCert.
 func UnmarshalCheckpointCert(data []byte) (CheckpointCert, error) {
 	d := NewDecoder(data)
 	var cc CheckpointCert

@@ -7,8 +7,13 @@ package store
 // identity key stream, so only a restarted enclave with the same identity
 // can read the store back. Unseal must fail on any tampered input — the
 // store treats an unseal failure as corruption and refuses recovery.
+//
+// Seal appends the sealed form of data to dst and returns the extended
+// slice, so the store seals a WAL record straight into its pending frame; on
+// error it returns dst unextended. data must not overlap dst's spare
+// capacity.
 type Sealer interface {
-	Seal(data []byte) ([]byte, error)
+	Seal(dst, data []byte) ([]byte, error)
 	Unseal(sealed []byte) ([]byte, error)
 }
 
@@ -16,8 +21,8 @@ type Sealer interface {
 // isolate the file-system cost of the log from the sealing cost.
 type NopSealer struct{}
 
-// Seal implements Sealer by returning data unchanged.
-func (NopSealer) Seal(data []byte) ([]byte, error) { return data, nil }
+// Seal implements Sealer by appending data unchanged.
+func (NopSealer) Seal(dst, data []byte) ([]byte, error) { return append(dst, data...), nil }
 
 // Unseal implements Sealer by returning sealed unchanged.
 func (NopSealer) Unseal(sealed []byte) ([]byte, error) { return sealed, nil }

@@ -60,13 +60,15 @@ func parseIndexedName(name, prefix, suffix string) (uint64, bool) {
 	return v, true
 }
 
-// appendFrame frames one sealed record into dst.
-func appendFrame(dst, sealed []byte) []byte {
-	start := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(sealed)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(sealed))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:start+8]))
-	return append(dst, sealed...)
+// putFrameHeader fills the record header at the front of frame for the
+// sealed record that follows it: Append seals each record straight into its
+// place in the pending buffer and writes the header once the length is
+// known.
+func putFrameHeader(frame []byte) {
+	sealed := frame[recHeaderSize:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(sealed)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(sealed))
+	binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(frame[0:8]))
 }
 
 // segmentHeader builds the 16-byte segment header.

@@ -306,17 +306,10 @@ func (s *Store) recover() (*Recovered, error) {
 
 // Append seals payload and adds it to the log, returning the record's
 // index. The record becomes durable at the next group commit (or
-// immediately in synchronous mode).
+// immediately in synchronous mode). It is sealed straight into its frame in
+// the pending buffer, which the flush empties and keeps: a warm store
+// allocates nothing per record.
 func (s *Store) Append(payload []byte) (uint64, error) {
-	sealed, err := s.sealer.Seal(payload)
-	if err != nil {
-		// A seal failure skips a record mid-log, which is as bad as a
-		// write failure: it must trip the sticky barrier so the broker's
-		// pre-route Sync sees it and suppresses the enclave outputs.
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return 0, s.failLocked(err)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.crashed {
@@ -325,10 +318,19 @@ func (s *Store) Append(payload []byte) (uint64, error) {
 	if s.failed != nil {
 		return 0, s.failed
 	}
-	if len(s.pending) == 0 {
+	start := len(s.pending)
+	framed, err := s.sealer.Seal(append(s.pending, make([]byte, recHeaderSize)...), payload)
+	if err != nil {
+		// A seal failure skips a record mid-log, which is as bad as a
+		// write failure: it must trip the sticky barrier so the broker's
+		// pre-route Sync sees it and suppresses the enclave outputs.
+		return 0, s.failLocked(err)
+	}
+	putFrameHeader(framed[start:])
+	if start == 0 {
 		s.pendingFirst = s.nextIndex
 	}
-	s.pending = appendFrame(s.pending, sealed)
+	s.pending = framed
 	s.pendingCount++
 	idx := s.nextIndex
 	s.nextIndex++

@@ -25,8 +25,8 @@ func (s sessionSealer) session() *crypto.Session {
 	return sess
 }
 
-func (s sessionSealer) Seal(data []byte) ([]byte, error) {
-	return s.session().SealRandom(data, nil)
+func (s sessionSealer) Seal(dst, data []byte) ([]byte, error) {
+	return s.session().AppendSealRandom(dst, data, nil)
 }
 
 func (s sessionSealer) Unseal(sealed []byte) ([]byte, error) {
@@ -433,6 +433,51 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	}
 	if len(rec.Records) != 2 {
 		t.Fatalf("recovered %d records after fallback, want 2", len(rec.Records))
+	}
+}
+
+// aeadSealer seals like an enclave does, under one AES-GCM session built
+// once.
+type aeadSealer struct{ s *crypto.Session }
+
+func (a aeadSealer) Seal(dst, data []byte) ([]byte, error) {
+	return a.s.AppendSealRandom(dst, data, nil)
+}
+func (a aeadSealer) Unseal(sealed []byte) ([]byte, error) { return a.s.Open(sealed, nil) }
+
+// TestWALAppendWarmAllocatesNothing: a record is sealed straight into its
+// frame in the pending buffer, which a flush empties but keeps, so once the
+// buffer has grown an Append allocates nothing.
+func TestWALAppendWarmAllocatesNothing(t *testing.T) {
+	sess, err := crypto.NewSession(testKey(3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("r"), 300)
+	for name, sealer := range map[string]Sealer{"plain": NopSealer{}, "sealed": aeadSealer{sess}} {
+		s, _, err := Open(t.TempDir(), Options{Sealer: sealer, FsyncInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			if _, err := s.Append(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := s.Append(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: Append on a warm store allocates %.1f times per record", name, allocs)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -43,7 +43,7 @@ var ErrTailRollback = errors.New("store: WAL tail rollback detected")
 func (s *Store) encodeTailMark(index uint64) ([]byte, error) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], index)
-	return s.sealer.Seal(buf[:])
+	return s.sealer.Seal(nil, buf[:])
 }
 
 // writeTailMark durably records index as the new marker value. Callers

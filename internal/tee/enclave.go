@@ -34,6 +34,11 @@ const (
 
 // OutMsg is a serialized message leaving an enclave. The payload has
 // already been copied out of the enclave (and charged for) by the runtime.
+//
+// Payloads are read-only once returned. Several outputs may share one: a
+// message a compartment hands to its co-located compartments and to the
+// network is marshalled once, as the broker in turn hands one broadcast
+// payload to every peer. Whoever needs to change the bytes copies them.
 type OutMsg struct {
 	Kind    DestKind
 	ID      uint32      // replica ID (DestReplica) or client ID (DestClient)
@@ -55,8 +60,9 @@ type Host interface {
 	// Ocall invokes a named untrusted function, paying a transition plus
 	// copy costs in both directions.
 	Ocall(name string, data []byte) ([]byte, error)
-	// Seal encrypts data under the enclave's sealing key (SGX sealing).
-	Seal(data []byte) ([]byte, error)
+	// Seal encrypts data under the enclave's sealing key (SGX sealing),
+	// appending the sealed blob to dst.
+	Seal(dst, data []byte) ([]byte, error)
 	// Unseal reverses Seal.
 	Unseal(sealed []byte) ([]byte, error)
 	// MonotonicInc increments and returns the named monotonic counter.
@@ -269,15 +275,20 @@ func (e *Enclave) Ocall(name string, data []byte) ([]byte, error) {
 // the boot ID prepended (and bound as associated data) so any later boot
 // of the same enclave identity can re-derive the right subkey. Nonces are
 // random, not counted — safe within one boot's ≤2^32 seal budget, and a
-// restart rotates the subkey before the budget matters.
-func (e *Enclave) Seal(data []byte) ([]byte, error) {
-	ct, err := e.sealSess.SealRandom(data, e.bootID[:])
-	if err != nil {
-		return nil, err
+// restart rotates the subkey before the budget matters. The blob,
+// bootID ‖ nonce ‖ ciphertext, is appended to dst in one piece: with a nil
+// dst it is one allocation.
+func (e *Enclave) Seal(dst, data []byte) ([]byte, error) {
+	start := len(dst)
+	if need := sealBootIDSize + e.sealSess.Overhead() + len(data); cap(dst)-len(dst) < need {
+		dst = append(make([]byte, 0, len(dst)+need), dst...)
 	}
-	out := make([]byte, 0, sealBootIDSize+len(ct))
-	out = append(out, e.bootID[:]...)
-	return append(out, ct...), nil
+	dst = append(dst, e.bootID[:]...)
+	out, err := e.sealSess.AppendSealRandom(dst, data, e.bootID[:])
+	if err != nil {
+		return dst[:start], err
+	}
+	return out, nil
 }
 
 // Unseal implements Host: it derives (and caches) the sealing subkey of
@@ -339,7 +350,7 @@ func (e *Enclave) SealState() ([]byte, error) {
 	if !ok {
 		return nil, ErrNotDurable
 	}
-	return e.Seal(d.ExportState())
+	return e.Seal(nil, d.ExportState())
 }
 
 // UnsealState reverses SealState: it unseals the blob and installs the
@@ -437,8 +448,9 @@ const maxInboundKeep = 1 << 16
 // reusable inbound buffer — and the handler runs once per message in
 // submission order on the enclave's single logical protocol thread.
 //
-// Outputs are returned concatenated in handler order, copy-out charged;
-// their payloads are owned by the caller. The input buffers are not
+// Outputs are returned concatenated in handler order, copy-out charged per
+// output; their payloads are owned by the caller, read-only (see OutMsg).
+// The input buffers are not
 // retained, so callers may recycle them immediately.
 func (e *Enclave) InvokeBatch(msgs [][]byte) ([]OutMsg, error) {
 	if len(msgs) == 0 {

@@ -156,7 +156,7 @@ func TestOcallRegistryAndErrors(t *testing.T) {
 
 func TestSealUnsealRoundTrip(t *testing.T) {
 	e := newTestEnclave(t, &echoCode{})
-	sealed, err := e.Seal([]byte("application state"))
+	sealed, err := e.Seal(nil, []byte("application state"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,6 +174,26 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 	other := newTestEnclave(t, &echoCode{})
 	if _, err := other.Unseal(sealed); err == nil {
 		t.Fatal("foreign enclave unsealed the data")
+	}
+}
+
+// TestSealAllocatesOneBuffer: a sealed blob — boot ID, nonce, ciphertext —
+// is built in one allocation, and appended behind what dst already holds.
+func TestSealAllocatesOneBuffer(t *testing.T) {
+	e := newTestEnclave(t, &echoCode{})
+	data := bytes.Repeat([]byte("s"), 4096)
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = e.Seal(nil, data) }); allocs != 1 {
+		t.Fatalf("Seal: %.1f allocations, want 1", allocs)
+	}
+	framed, err := e.Seal([]byte("hdr"), data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(framed[:3]) != "hdr" {
+		t.Fatal("Seal overwrote what dst held")
+	}
+	if pt, err := e.Unseal(framed[3:]); err != nil || !bytes.Equal(pt, data) {
+		t.Fatalf("appended blob does not unseal: %v", err)
 	}
 }
 
@@ -376,7 +396,7 @@ func TestQuickTrustedCounterMonotonic(t *testing.T) {
 func TestQuickSealRoundTrip(t *testing.T) {
 	e := newTestEnclave(t, &echoCode{})
 	f := func(data []byte) bool {
-		sealed, err := e.Seal(data)
+		sealed, err := e.Seal(nil, data)
 		if err != nil {
 			return false
 		}
