@@ -20,10 +20,8 @@ var (
 	ErrNotAttested = client.ErrNotAttested
 )
 
-// Client submits operations to a SplitBFT deployment and waits for a
-// reply quorum of matching replies — f+1 under the default trusted
-// commit rule, 2f+1 under WithCommitRule("full"). In confidential
-// deployments, Attest must complete
+// Client submits operations to a SplitBFT deployment and waits for f+1
+// matching replies. In confidential deployments, Attest must complete
 // before Invoke: the handshake verifies an attestation quote from every
 // Execution enclave and provisions the end-to-end session key (paper
 // §4.1).
@@ -59,14 +57,6 @@ func NewClient(id uint32, opts ...Option) (*Client, error) {
 			}
 		}
 	}
-	consensus, err := o.consensusModeVal()
-	if err != nil {
-		return nil, err
-	}
-	replyQuorum, err := o.replyQuorum()
-	if err != nil {
-		return nil, err
-	}
 	linearizable, err := o.readLinearizable()
 	if err != nil {
 		return nil, err
@@ -76,8 +66,6 @@ func NewClient(id uint32, opts ...Option) (*Client, error) {
 		MACs:               crypto.NewMACStore(o.secret(), crypto.Identity{ReplicaID: id, Role: crypto.RoleClient}),
 		AuthReceivers:      core.RequestAuthReceivers(o.n),
 		ReplyRole:          crypto.RoleExecution,
-		Consensus:          consensus,
-		ReplyQuorum:        replyQuorum,
 		Confidential:       o.confidential,
 		Registry:           reg,
 		ExecMeasurement:    core.ExecutionMeasurement(),
@@ -115,9 +103,8 @@ func (c *Client) ID() uint32 { return c.id }
 // invocations; on non-confidential deployments it is a no-op.
 func (c *Client) Attest() error { return c.inner.Attest() }
 
-// Invoke submits one operation and blocks until the configured reply
-// quorum of matching replies (see WithCommitRule) arrives or the invoke
-// timeout expires. In confidential deployments the
+// Invoke submits one operation and blocks until f+1 matching replies
+// arrive or the invoke timeout expires. In confidential deployments the
 // payload is encrypted end to end and the result decrypted before return.
 func (c *Client) Invoke(op []byte) ([]byte, error) { return c.inner.Invoke(op) }
 

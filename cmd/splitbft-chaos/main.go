@@ -21,7 +21,7 @@ func main() {
 	plan := flag.String("plan", "kitchen-sink", fmt.Sprintf("fault plan: %s", strings.Join(chaos.PlanNames(), ", ")))
 	duration := flag.Duration("duration", 10*time.Second, "fault-schedule window (quiescence checks run after)")
 	consensus := flag.String("consensus", "classic", "agreement mode: classic (3f+1) or trusted (2f+1)")
-	auth := flag.String("auth", "sig", "agreement authenticator: sig or mac")
+	auth := flag.String("auth", "", "agreement authenticator: sig or mac; empty is sig in classic and mac in trusted consensus")
 	readLeases := flag.Bool("read-leases", true, "enable the lease-anchored local-read fast path")
 	persist := flag.Bool("persist", true, "run with durable stores so crash-restarts recover from disk")
 	writers := flag.Int("writers", 2, "writer clients (one register each)")

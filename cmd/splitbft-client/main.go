@@ -26,7 +26,6 @@ func main() {
 	secret := flag.String("secret", "splitbft-dev-secret", "shared deployment secret")
 	confidential := flag.Bool("confidential", true, "end-to-end encrypt payloads")
 	consensus := flag.String("consensus", "classic", "consensus mode: classic (3f+1) or trusted (counter-backed 2f+1); must match the replicas")
-	commitRule := flag.String("commit-rule", "trusted", "reply quorum to wait for: trusted (f+1) or full (2f+1)")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request timeout")
 	flag.Parse()
 
@@ -40,7 +39,6 @@ func main() {
 		splitbft.WithFaults(*f),
 		splitbft.WithKeySeed([]byte(*secret)),
 		splitbft.WithConsensusMode(*consensus),
-		splitbft.WithCommitRule(*commitRule),
 		splitbft.WithInvokeTimeout(*timeout),
 	}
 	if *confidential {

@@ -41,7 +41,7 @@ func main() {
 	readLeases := flag.Bool("read-leases", false, "enable the lease-anchored local read fast path")
 	readConsistency := flag.String("read-consistency", "linearizable", "leased-read consistency: linearizable or session")
 
-	auth := flag.String("auth", "sig", "agreement authentication: sig or mac")
+	auth := flag.String("auth", "", "agreement authentication: sig or mac; empty is sig in classic and mac in trusted consensus")
 	consensus := flag.String("consensus", "classic", "consensus mode: classic (3f+1) or trusted (counter-backed 2f+1)")
 	batch := flag.Int("batch", 1, "agreement batch size")
 	confidential := flag.Bool("confidential", false, "end-to-end encrypt payloads")

@@ -25,7 +25,7 @@ import (
 
 func main() {
 	id := flag.Uint("id", 0, "replica ID in [0, n)")
-	n := flag.Int("n", 4, "number of replicas (3f+1)")
+	n := flag.Int("n", 4, "number of replicas (3f+1, or 2f+1 in trusted consensus)")
 	f := flag.Int("f", 1, "fault threshold")
 	listen := flag.String("listen", "", "listen address (default: own entry in -peers)")
 	peers := flag.String("peers", "", "comma-separated replica addresses, indexed by ID")
@@ -35,7 +35,7 @@ func main() {
 	simulation := flag.Bool("simulation", false, "SGX simulation mode (no transition cost)")
 	singleThread := flag.Bool("single-thread", false, "serialize all ecalls through one thread")
 	batch := flag.Int("batch", splitbft.DefaultBatchSize, "batch size (1 disables batching)")
-	auth := flag.String("auth", "sig", "agreement authentication: sig (Ed25519 baseline) or mac (pairwise-HMAC fast path); must match across the deployment")
+	auth := flag.String("auth", "", "agreement authentication: sig (Ed25519 baseline) or mac (pairwise-HMAC fast path); empty is sig in classic and mac in trusted consensus; must match across the deployment")
 	consensus := flag.String("consensus", "classic", "consensus mode: classic (3f+1) or trusted (counter-backed 2f+1); must match across the deployment")
 	dataDir := flag.String("data-dir", "", "sealed durability directory: per-compartment WAL + snapshots; the replica recovers from it on start (empty = in-memory only)")
 	stats := flag.Duration("stats", 10*time.Second, "stats print interval (0 disables)")

@@ -23,78 +23,59 @@ func TestConsensusModeOptionValidation(t *testing.T) {
 	if _, err := splitbft.NewCluster(3, splitbft.WithConsensusMode("classic")); err == nil {
 		t.Fatal("classic mode accepted a 2f+1 group")
 	}
-	if _, err := splitbft.NewCluster(3, splitbft.WithConsensusMode("trusted"), splitbft.WithCommitRule("eventually")); err == nil {
-		t.Fatal("unknown commit rule accepted")
+	// Trusted consensus runs MAC agreement only: an explicit "sig" beside
+	// it is rejected by every constructor, not silently overridden.
+	trustedSig := []splitbft.Option{splitbft.WithConsensusMode("trusted"), splitbft.WithAgreementAuth("sig")}
+	if _, err := splitbft.NewCluster(3, trustedSig...); err == nil {
+		t.Fatal("NewCluster accepted trusted consensus with sig agreement")
+	}
+	addrs := []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"}
+	tcp := append(trustedSig, splitbft.WithTransportTCP(addrs...), splitbft.WithKeySeed([]byte("trusted-sig")))
+	if _, err := splitbft.NewNode(0, tcp...); err == nil {
+		t.Fatal("NewNode accepted trusted consensus with sig agreement")
+	}
+	if _, err := splitbft.NewClient(100, tcp...); err == nil {
+		t.Fatal("NewClient accepted trusted consensus with sig agreement")
 	}
 }
 
 // TestTrustedModeFacadeRoundTrip drives the 2f+1 trusted-counter mode over
-// the public surface in both auth modes and checks the crypto profile:
-// the leader creates counter attestations, every replica verifies them,
-// and the cluster stays in agreement.
+// the public surface, with no auth option (trusted implies MAC), and checks
+// the crypto profile: the leader creates counter attestations, every
+// replica verifies them, and the cluster stays in agreement.
 func TestTrustedModeFacadeRoundTrip(t *testing.T) {
-	for _, auth := range []string{"sig", "mac"} {
-		t.Run(auth, func(t *testing.T) {
-			cluster, err := splitbft.NewCluster(3,
-				splitbft.WithConsensusMode("trusted"),
-				splitbft.WithAgreementAuth(auth),
-				splitbft.WithBatchSize(1),
-				splitbft.WithNetworkSeed(17),
-			)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("mac", func(t *testing.T) {
+		cluster, err := splitbft.NewCluster(3,
+			splitbft.WithConsensusMode("trusted"),
+			splitbft.WithBatchSize(1),
+			splitbft.WithNetworkSeed(17),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cluster.Close()
+		if cluster.N() != 3 || cluster.F() != 1 {
+			t.Fatalf("got n=%d f=%d, want n=3 f=1", cluster.N(), cluster.F())
+		}
+		cl, err := cluster.NewClient(100, splitbft.WithInvokeTimeout(20*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			if _, err := cl.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+				t.Fatalf("op %d: %v", i, err)
 			}
-			defer cluster.Close()
-			if cluster.N() != 3 || cluster.F() != 1 {
-				t.Fatalf("got n=%d f=%d, want n=3 f=1", cluster.N(), cluster.F())
+		}
+		waitForAgreement(t, cluster, []int{0, 1, 2})
+		if cs := cluster.Node(0).CryptoStats(); cs.CounterCreates == 0 {
+			t.Fatal("trusted-mode leader created no counter attestations")
+		}
+		for id := 0; id < 3; id++ {
+			if cs := cluster.Node(id).CryptoStats(); cs.CounterVerifies == 0 {
+				t.Fatalf("replica %d verified no counter attestations", id)
 			}
-			cl, err := cluster.NewClient(100, splitbft.WithInvokeTimeout(20*time.Second))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 10; i++ {
-				if _, err := cl.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
-					t.Fatalf("op %d: %v", i, err)
-				}
-			}
-			waitForAgreement(t, cluster, []int{0, 1, 2})
-			if cs := cluster.Node(0).CryptoStats(); cs.CounterCreates == 0 {
-				t.Fatal("trusted-mode leader created no counter attestations")
-			}
-			for id := 0; id < 3; id++ {
-				if cs := cluster.Node(id).CryptoStats(); cs.CounterVerifies == 0 {
-					t.Fatalf("replica %d verified no counter attestations", id)
-				}
-			}
-		})
-	}
-}
-
-// TestCommitRuleFull: the conservative dual-commit rule waits for 2f+1
-// matching replies instead of the default f+1 — with all replicas up it
-// must still complete.
-func TestCommitRuleFull(t *testing.T) {
-	cluster, err := splitbft.NewCluster(3,
-		splitbft.WithConsensusMode("trusted"),
-		splitbft.WithCommitRule("full"),
-		splitbft.WithBatchSize(1),
-		splitbft.WithNetworkSeed(19),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	cl, err := cluster.NewClient(100, splitbft.WithInvokeTimeout(20*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Put("k", []byte("v")); err != nil {
-		t.Fatalf("full-commit PUT: %v", err)
-	}
-	res, err := cl.Get("k")
-	if err != nil || string(res) != "v" {
-		t.Fatalf("full-commit GET = %q, %v", res, err)
-	}
+		}
+	})
 }
 
 // runConsensusLedger replays the fixed seeded workload from the auth-mode
@@ -221,24 +202,21 @@ func runConsensusLedger(t *testing.T, mode, auth string, inFlight bool) [][]byte
 // TestConsensusModeLedgerParity is the acceptance check for the trusted
 // fast path: the same seeded workload — crash/restart and a forced view
 // change included — must produce ledgers byte-identical across replicas
-// AND byte-identical between classic and trusted consensus. Dropping the
+// AND byte-identical between classic×sig and trusted×mac. Dropping the
 // Prepare phase changes how agreement is proven, never what is agreed —
 // and neither does proving it with MAC-vector attestations and vouched
-// certificates (trusted×mac, view change forced over an in-flight slot)
-// instead of signed ones.
+// certificates (view change forced over an in-flight slot) instead of
+// signed Prepares.
 func TestConsensusModeLedgerParity(t *testing.T) {
-	trusted := runConsensusLedger(t, "trusted", "sig", false)
-	trustedMAC := runConsensusLedger(t, "trusted", "mac", true)
+	trusted := runConsensusLedger(t, "trusted", "mac", true)
 	classic := runConsensusLedger(t, "classic", "sig", false)
-	for name, snaps := range map[string][][]byte{"trusted×sig": trusted, "trusted×mac": trustedMAC} {
-		for i := 1; i < len(snaps); i++ {
-			if !bytes.Equal(snaps[i], snaps[0]) {
-				t.Fatalf("%s replicas diverged: snapshot %d != snapshot 0", name, i)
-			}
+	for i := 1; i < len(trusted); i++ {
+		if !bytes.Equal(trusted[i], trusted[0]) {
+			t.Fatalf("trusted×mac replicas diverged: snapshot %d != snapshot 0", i)
 		}
-		if !bytes.Equal(snaps[0], classic[0]) {
-			t.Fatalf("%s ledger differs from classic-mode ledger on the same workload", name)
-		}
+	}
+	if !bytes.Equal(trusted[0], classic[0]) {
+		t.Fatal("trusted×mac ledger differs from the classic×sig ledger on the same workload")
 	}
 }
 

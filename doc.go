@@ -106,7 +106,8 @@
 // rule for choosing is the receiver's: if it may ever have to hand the
 // message on as part of a proof, it needs the signature; if it only
 // consumes the message, the MAC proves all it needs. WithAgreementAuth
-// selects how far the rule is taken.
+// selects how far the rule is taken in classic consensus; trusted
+// consensus runs "mac" only.
 //
 // The decision is one table (authRules in internal/messages/auth.go), read
 // by the one site that stamps outgoing messages and the one that checks
@@ -212,36 +213,33 @@
 // hosts a trusted monotonic counter, and a PrePrepare is acceptable only
 // with a gap-free counter attestation (the counter enclave's
 // authentication of the counter value bound to the proposal digest, with
-// the value advancing in lockstep with the sequence number: an Ed25519
-// signature under the counter's attested key in "sig" mode, in "mac" mode
-// a vector of HMACs — one per verifying Preparation and Confirmation
-// compartment, under pairwise keys from the counter's own attested X25519
-// exchange). A primary cannot assign two batches the same counter value
-// and cannot skip values unnoticed, so equivocation is prevented at the
-// source: the attested PrePrepare is the prepare certificate, the
-// Prepare round (n² messages and their verification) leaves the critical
-// path, quorums shrink to f+1, and the group shrinks to n = 2f+1. View
-// changes carry each replica's highest attested counter and NewView
-// re-pins the counter base, so re-issued proposals stay gap-free across
-// views.
+// the value advancing in lockstep with the sequence number: a vector of
+// HMACs — one per verifying Preparation and Confirmation compartment,
+// under pairwise keys from the counter's own attested X25519 exchange). A
+// primary cannot assign two batches the same counter value and cannot skip
+// values unnoticed, so equivocation is prevented at the source: the
+// attested PrePrepare is the prepare certificate, the Prepare round (n²
+// messages and their verification) leaves the critical path, quorums
+// shrink to f+1, and the group shrinks to n = 2f+1. View changes carry
+// each replica's highest attested counter and NewView re-pins the counter
+// base, so re-issued proposals stay gap-free across views.
 //
-// WithCommitRule is the DuoBFT-style dual-commit knob, client-local:
-// "trusted" (default) returns from Invoke after f+1 matching replies,
-// "full" waits for the classical 2f+1. The trade, as with the MAC fast
-// path, is throughput bought with the trust the paper already places in
-// attested compartments: a fully compromised counter enclave could
-// attest conflicting histories and break safety at f+1 quorums, where
-// classic mode's cross-checking would catch it. Both modes produce
-// byte-identical ledgers on the same workload, regression-tested across
-// crash/restart and forced view changes; `splitbft-bench -exp consensus`
-// measures the swap: on the Ed25519-bound default path, dropping a whole
-// signing-and-verifying round is a 1.6–1.9x throughput gain, and on the
-// MAC fast path trusted mode runs at ~1.7x of classic (it lost ~25% while
-// attestations were Ed25519 in both modes).
+// Trusted mode implies WithAgreementAuth("mac"), and "sig" beside it is a
+// construction error, so three agreement corners exist: classic×sig,
+// classic×mac and trusted×mac. A client returns from Invoke after f+1
+// matching replies in each. The trade, as with the MAC fast path, is
+// throughput bought with the trust the paper already places in attested
+// compartments: a fully compromised counter enclave could attest
+// conflicting histories and break safety at f+1 quorums, where classic
+// mode's cross-checking would catch it. The trusted×mac and classic×sig
+// ledgers are byte-identical on the same workload, regression-tested
+// across crash/restart and a view change forced over an in-flight slot;
+// `splitbft-bench -exp consensus` measures the swap: under MAC agreement
+// trusted mode runs at ~1.6x of classic.
 //
-// What is signed where under MAC agreement: the attestation on every
-// PrePrepare (live proposals and NewView re-issues alike) is the MAC
-// vector, so the trusted×mac normal case runs no Ed25519 at all.
+// What is signed where: the attestation on every PrePrepare (live
+// proposals and NewView re-issues alike) is the MAC vector, so the
+// trusted×mac normal case runs no Ed25519 at all.
 // Signatures stay exactly where a proof is handed to a third party:
 // ViewChange and NewView themselves, and the certificates inside them — a
 // prepare certificate exported into a ViewChange drops the

@@ -125,40 +125,48 @@ type ConsensusPoint struct {
 	Result    Result
 }
 
+// consensusCorners are the three agreement configurations a deployment can
+// run: classic consensus with either auth mode, trusted consensus with MAC.
+var consensusCorners = []ConsensusPoint{
+	{Consensus: "classic", Auth: "sig"},
+	{Consensus: "classic", Auth: "mac"},
+	{Consensus: "trusted", Auth: "mac"},
+}
+
 // ConsensusAblation measures the trusted-counter consensus mode against
-// classic SplitBFT across both authentication modes: a 2×2 grid. The
-// trusted rows replace the all-to-all Prepare round (and its per-message
-// verification) with one counter attestation on each PrePrepare, so on a
-// single core the win shows up as removed crypto and messaging work, not
-// as parallelism. The group shrinks to 2f+1 alongside, which is the other
-// half of the mode's resource argument.
+// classic SplitBFT in each of the three agreement corners. The trusted row
+// replaces the all-to-all Prepare round (and its per-message verification)
+// with one counter attestation on each PrePrepare, so on a single core the
+// win shows up as removed crypto and messaging work, not as parallelism.
+// The group shrinks to 2f+1 alongside, which is the other half of the
+// mode's resource argument.
 func ConsensusAblation(clients int, measure time.Duration) ([]ConsensusPoint, error) {
-	out := make([]ConsensusPoint, 0, 4)
-	for _, consensus := range []string{"classic", "trusted"} {
-		for _, auth := range []string{"sig", "mac"} {
-			res, err := Run(RunConfig{
-				System:        SplitKVS,
-				Clients:       clients,
-				Batched:       false,
-				Measure:       measure,
-				AgreementAuth: auth,
-				ConsensusMode: consensus,
-			})
-			if err != nil {
-				return out, fmt.Errorf("consensus ablation @%s/%s: %w", consensus, auth, err)
-			}
-			out = append(out, ConsensusPoint{Consensus: consensus, Auth: auth, Result: res})
+	out := make([]ConsensusPoint, 0, len(consensusCorners))
+	for _, c := range consensusCorners {
+		res, err := Run(RunConfig{
+			System:        SplitKVS,
+			Clients:       clients,
+			Batched:       false,
+			Measure:       measure,
+			AgreementAuth: c.Auth,
+			ConsensusMode: c.Consensus,
+		})
+		if err != nil {
+			return out, fmt.Errorf("consensus ablation @%s/%s: %w", c.Consensus, c.Auth, err)
 		}
+		c.Result = res
+		out = append(out, c)
 	}
 	return out, nil
 }
 
-// TrustedSpeedup returns the trusted/classic throughput ratio for one auth
-// mode (0 when either point is missing).
-func TrustedSpeedup(points []ConsensusPoint, auth string) float64 {
+// TrustedSpeedup returns the trusted/classic throughput ratio under MAC
+// agreement, the one auth mode both consensus modes run (0 when either
+// point is missing).
+func TrustedSpeedup(points []ConsensusPoint) float64 {
 	var classic, trusted float64
 	for _, p := range points {
-		if p.Auth != auth {
+		if p.Auth != "mac" {
 			continue
 		}
 		switch p.Consensus {
@@ -174,7 +182,7 @@ func TrustedSpeedup(points []ConsensusPoint, auth string) float64 {
 	return trusted / classic
 }
 
-// FormatConsensusAblation renders the 2×2 consensus×auth grid with the
+// FormatConsensusAblation renders the three agreement corners with the
 // leader's crypto-op profile: what verification work the dropped Prepare
 // round removed, and what counter-attestation work replaced it.
 func FormatConsensusAblation(points []ConsensusPoint) string {
@@ -190,10 +198,8 @@ func FormatConsensusAblation(points []ConsensusPoint) string {
 			p.Result.SigVerifies, p.Result.MACVerifies,
 			p.Result.CounterCreates, p.Result.CounterVerifies)
 	}
-	for _, auth := range []string{"sig", "mac"} {
-		if s := TrustedSpeedup(points, auth); s > 0 {
-			fmt.Fprintf(&sb, "\ntrusted/classic throughput ratio (%s): %.2fx", auth, s)
-		}
+	if s := TrustedSpeedup(points); s > 0 {
+		fmt.Fprintf(&sb, "\ntrusted/classic throughput ratio (mac): %.2fx", s)
 	}
 	sb.WriteString("\n")
 	return sb.String()

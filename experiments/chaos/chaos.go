@@ -29,7 +29,8 @@ type Config struct {
 	// Consensus is the agreement mode: "classic" (3f+1) or "trusted"
 	// (2f+1).
 	Consensus string
-	// Auth is the agreement authenticator: "sig" or "mac".
+	// Auth is the agreement authenticator: "sig" or "mac". Empty is the
+	// consensus mode's default (sig in classic, mac in trusted).
 	Auth string
 	// ReadLeases enables the lease-anchored local-read fast path.
 	ReadLeases bool
@@ -57,9 +58,6 @@ func (c *Config) fill() {
 	}
 	if c.Consensus == "" {
 		c.Consensus = "classic"
-	}
-	if c.Auth == "" {
-		c.Auth = "sig"
 	}
 	if c.Writers <= 0 {
 		c.Writers = 2

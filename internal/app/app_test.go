@@ -2,7 +2,9 @@ package app
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -295,6 +297,40 @@ func TestQuickBlockchainNeverPanicsOnGarbageRestore(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreAllocationBoundedByInput: a few-byte snapshot that declares
+// the most entries its decoder admits (2^24 headers or KVS keys, 2^20
+// pending transactions) is refused without allocating for the entries it
+// claims. Before the bound, the header claim alone asked for 1.7 GB.
+func TestRestoreAllocationBoundedByInput(t *testing.T) {
+	claim := func(prefix []byte, n uint32) []byte {
+		return append(binary.LittleEndian.AppendUint32(prefix, n), 1, 2, 3, 4, 5, 6, 7)
+	}
+	noHeaders := binary.LittleEndian.AppendUint32(nil, 0)
+	cases := []struct {
+		name     string
+		app      Application
+		snapshot []byte
+	}{
+		{"blockchain-headers", NewBlockchain(5, nil), claim(nil, 1<<24)},
+		{"blockchain-pending", NewBlockchain(5, nil), claim(noHeaders, 1<<20)},
+		{"kvs", NewKVS(), claim(nil, 1<<24)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := c.app.Restore(c.snapshot)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("restored a %d-byte snapshot claiming more entries than it holds", len(c.snapshot))
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Fatalf("allocated %d bytes refusing a %d-byte snapshot, want under 1 MiB", alloc, len(c.snapshot))
+			}
+		})
 	}
 }
 

@@ -181,18 +181,26 @@ func (b *Blockchain) Snapshot() []byte {
 	return e.Bytes()
 }
 
-// Restore implements Application.
+// Minimum encoded sizes of a snapshot's entries: a header is an index and
+// three digests, a pending transaction a client ID and a length prefix.
+const (
+	headerWireSize = 8 + 3*len(crypto.Digest{})
+	txWireSize     = 4 + 4
+)
+
+// Restore implements Application. A snapshot is peer- or disk-supplied, so
+// the counts it declares size nothing beyond what its bytes can hold.
 func (b *Blockchain) Restore(snapshot []byte) error {
 	d := messages.NewDecoder(snapshot)
 	nh := d.Count(1 << 24)
-	headers := make([]BlockHeader, 0, nh)
-	for i := 0; i < nh; i++ {
+	headers := make([]BlockHeader, 0, min(nh, d.Remaining()/headerWireSize))
+	for i := 0; i < nh && d.Err() == nil; i++ {
 		h := BlockHeader{Index: d.U64(), PrevHash: d.Digest(), TxRoot: d.Digest(), Hash: d.Digest()}
 		headers = append(headers, h)
 	}
 	np := d.Count(1 << 20)
-	pending := make([]Tx, 0, np)
-	for i := 0; i < np; i++ {
+	pending := make([]Tx, 0, min(np, d.Remaining()/txWireSize))
+	for i := 0; i < np && d.Err() == nil; i++ {
 		pending = append(pending, Tx{ClientID: d.U32(), Op: d.VarBytes()})
 	}
 	if err := d.Finish(); err != nil {

@@ -205,11 +205,12 @@ func AppendSnapshot(dst []byte, a Application) []byte {
 	return dst
 }
 
-// Restore implements Application.
+// Restore implements Application. The declared key count sizes the map only
+// as far as the snapshot's bytes can hold entries (two length prefixes each).
 func (k *KVS) Restore(snapshot []byte) error {
 	d := messages.NewDecoder(snapshot)
 	n := d.Count(1 << 24)
-	data := make(map[string][]byte, n)
+	data := make(map[string][]byte, min(n, d.Remaining()/8))
 	for i := 0; i < n; i++ {
 		key := d.VarBytes()
 		val := d.VarBytes()

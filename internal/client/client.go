@@ -45,14 +45,6 @@ type Config struct {
 	// ReplyRole is the role whose identity authenticates replies
 	// (RoleReplica for the baseline, RoleExecution for SplitBFT).
 	ReplyRole crypto.Role
-	// Consensus is the deployment's consensus mode; the client needs it to
-	// validate the group shape (trusted groups are 2F+1, not 3F+1) when it
-	// builds a verifier for the attestation handshake.
-	Consensus messages.ConsensusMode
-	// ReplyQuorum is how many matching replies resolve an invocation
-	// (the dual-commit knob): 0 defaults to F+1 — the fast trusted-commit
-	// rule — while 2F+1 is the conservative full-commit rule.
-	ReplyQuorum int
 	// Confidential enables end-to-end payload encryption to the Execution
 	// enclaves. Requires Attest before Invoke.
 	Confidential bool
@@ -90,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Timeout == 0 {
 		c.Timeout = defaults.InvokeTimeout
-	}
-	if c.ReplyQuorum == 0 {
-		c.ReplyQuorum = c.F + 1
 	}
 	return c
 }
@@ -236,10 +225,6 @@ func (c *Client) Attest() error {
 		return err
 	}
 
-	ver, err := messages.NewVerifierMode(c.cfg.N, c.cfg.F, c.cfg.Registry, messages.SplitScheme(), c.cfg.Consensus)
-	if err != nil {
-		return err
-	}
 	req := &messages.AttestRequest{ClientID: c.cfg.ID, Nonce: nonce, ClientPub: clientPub}
 	data := messages.Marshal(req)
 	for id := uint32(0); int(id) < c.cfg.N; id++ {
@@ -258,7 +243,7 @@ func (c *Client) Attest() error {
 			if provisioned[q.Replica] || q.Nonce != nonce {
 				continue
 			}
-			if err := ver.VerifyQuote(q, c.cfg.ExecMeasurement, nonce); err != nil {
+			if err := messages.VerifyQuote(c.cfg.Registry, c.cfg.N, q, c.cfg.ExecMeasurement, nonce); err != nil {
 				continue // forged or stale quote; keep waiting for a real one
 			}
 			peer, err := ecdh.X25519().NewPublicKey(q.EnclavePub[:])
@@ -543,7 +528,8 @@ func (c *Client) advanceWatermark(seq uint64) {
 }
 
 // onReply verifies a reply MAC, decrypts confidential results, and resolves
-// the pending call once ReplyQuorum replicas agree on the result.
+// the pending call once f+1 replicas agree on the result: at least one of
+// them is a correct replica that executed the operation.
 func (c *Client) onReply(rep *messages.Reply) {
 	if rep.ClientID != c.cfg.ID {
 		return
@@ -580,7 +566,7 @@ func (c *Client) onReply(rep *messages.Reply) {
 			matching++
 		}
 	}
-	if matching >= c.cfg.ReplyQuorum {
+	if matching > c.cfg.F {
 		select {
 		case ca.done <- result:
 		default:

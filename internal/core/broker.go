@@ -330,6 +330,8 @@ type broker struct {
 	pendingKeys  map[reqKey]bool
 	batchSince   time.Time
 	viewEstimate uint64
+	newView      uint64 // highest view a NewView was seen for
+	askedView    uint64 // highest view this replica's own ViewChange asked for
 	reqTimers    map[reqKey]time.Time
 	// parked holds the body of every client request this replica has seen
 	// but not yet observed a reply for, whether or not it is the primary.
@@ -585,15 +587,42 @@ func (b *broker) route(out []tee.OutMsg, peers [][][]byte) {
 	}
 }
 
-// observeOutbound stamps lifecycle spans from this replica's own outbound
-// protocol traffic — the only untrusted-visible evidence of progress
-// inside the enclaves. Free when tracing is off; when on it decodes only
-// the three message kinds it cares about.
+// observeOutbound reads this replica's own outbound protocol traffic — the
+// only untrusted-visible evidence of progress inside the enclaves. Its
+// ViewChanges and NewViews steer the failure detector and batching duty
+// whether or not tracing is on; with tracing on it also stamps lifecycle
+// spans, decoding only the message kinds it cares about.
 func (b *broker) observeOutbound(data []byte) {
-	if b.tr == nil || len(data) == 0 {
+	if len(data) == 0 {
 		return
 	}
-	switch messages.Type(data[0]) {
+	typ := messages.Type(data[0])
+	switch typ {
+	case messages.TViewChange:
+		// The Confirmation enclave left its view, on its own suspicion or
+		// by joining f+1 others: the NewView of the view it asked for will
+		// restart the failure detector (observeNewView).
+		m, err := messages.Unmarshal(data)
+		if err != nil {
+			return
+		}
+		b.mu.Lock()
+		b.askedView = max(b.askedView, m.(*messages.ViewChange).NewViewNum)
+		b.mu.Unlock()
+		return
+	case messages.TNewView:
+		// This replica is the new primary announcing the view change.
+		m, err := messages.Unmarshal(data)
+		if err != nil {
+			return
+		}
+		b.observeNewView(m.(*messages.NewView))
+		return
+	}
+	if b.tr == nil {
+		return
+	}
+	switch typ {
 	case messages.TPrePrepare:
 		// Own proposal leaving the Preparation compartment: link the batch
 		// members to their sequence number (followers link in handler).
@@ -620,13 +649,6 @@ func (b *broker) observeOutbound(data []byte) {
 		// A frontier query leaving the Execution compartment confirms every
 		// read pending at this moment (queries are batched per epoch).
 		b.tr.StampActiveReads(obs.StageReadIndex)
-	case messages.TNewView:
-		// This replica is the new primary announcing the view change.
-		m, err := messages.Unmarshal(data)
-		if err != nil {
-			return
-		}
-		b.observeNewView(m.(*messages.NewView))
 	}
 }
 
@@ -808,13 +830,31 @@ func (b *broker) handler(from transport.Endpoint, data []byte) {
 // as one observed view change (retransmits don't), and voids the
 // tracer's pending commit-vote counts — votes from the deposed view
 // cannot certify sequence numbers in the new one.
+//
+// The first NewView of a view re-proposes the parked requests if this
+// replica leads it, even when the failure detector already moved the
+// estimate there: that earlier promotion reached a Preparation enclave
+// still in the old view, which drops batches it cannot lead. If this
+// replica's own ViewChange asked for the view, the NewView also restarts
+// the failure detector (as PBFT restarts a backup's timer on entering a
+// view); else the detector, still timing the request from the old view,
+// fires as soon as a slow or late-joined view change completes, and where
+// every live replica is needed for a quorum that deposes the view before
+// its first commit. The NewView is unauthenticated here, so a forged one
+// can delay suspicion at most once per view this replica asked for.
 func (b *broker) observeNewView(nv *messages.NewView) {
 	advanced := false
 	var promoted *messages.Batch
 	b.mu.Lock()
-	if nv.View > b.viewEstimate {
-		b.viewEstimate = nv.View
-		advanced = true
+	if nv.View > b.newView {
+		b.newView = nv.View
+		if nv.View <= b.askedView {
+			b.lastSuspect = time.Now()
+		}
+		if nv.View > b.viewEstimate {
+			b.viewEstimate = nv.View
+			advanced = true
+		}
 		promoted = b.promoteParkedLocked()
 	}
 	b.mu.Unlock()

@@ -425,5 +425,81 @@ func TestBrokerViewEstimateFollowsNewView(t *testing.T) {
 	}
 }
 
+// TestBrokerNewViewRepromotesParked: the failure detector's own bump can
+// move the view estimate onto the view this replica will lead before that
+// view exists, and the batch it promotes then reaches a Preparation enclave
+// still in the old view, which drops it. The NewView that installs the view
+// must promote the parked requests again — once — or they wait for the
+// client's backed-off retransmit while the detector deposes view after view.
+func TestBrokerNewViewRepromotesParked(t *testing.T) {
+	b, cfg := newTestBroker(t, false) // replica 0 leads views 0, 4, 8, ...
+	b.cfg.BatchSize = 1
+	b.cfg.RequestTimeout = 10 * time.Millisecond
+	b.mu.Lock()
+	b.viewEstimate = 3
+	b.mu.Unlock()
+	req := testRequest(cfg.MACSecret, cfg.N, 9, 1, []byte("op"))
+	b.onClientRequest(messages.Marshal(&req))
+	if got := b.mBatches.Load(); got != 0 {
+		t.Fatalf("backup broker submitted %d batches", got)
+	}
+	b.onTick(time.Now().Add(20 * time.Millisecond)) // suspects view 3, estimate 4
+	if got := b.mBatches.Load(); got != 1 {
+		t.Fatalf("detector bump promoted %d batches, want 1", got)
+	}
+	nv := &messages.NewView{View: 4, Replica: 0}
+	b.observeNewView(nv)
+	if got := b.mBatches.Load(); got != 2 {
+		t.Fatalf("%d batches after the NewView of a view this replica leads, want 2", got)
+	}
+	if got := b.mViewChanges.Load(); got != 1 {
+		t.Fatalf("view changes = %d, want 1: the NewView confirms the view the detector moved to", got)
+	}
+	b.observeNewView(nv) // a retransmit
+	if got := b.mBatches.Load(); got != 2 {
+		t.Fatalf("a retransmitted NewView promoted again: %d batches, want 2", got)
+	}
+}
+
+// TestBrokerNewViewRestartsDetector: the NewView of a view this replica's
+// own ViewChange asked for restarts the failure detector, so the new view
+// gets a full RequestTimeout even for a request pending since the old one.
+// A NewView for a view it never asked for — as a forged one would be —
+// restarts nothing.
+func TestBrokerNewViewRestartsDetector(t *testing.T) {
+	// withOldRequest returns a broker holding a request that has been
+	// pending for two RequestTimeouts.
+	withOldRequest := func() *broker {
+		b, cfg := newTestBroker(t, false)
+		b.cfg.RequestTimeout = time.Minute
+		req := testRequest(cfg.MACSecret, cfg.N, 9, 1, []byte("op"))
+		b.onClientRequest(messages.Marshal(&req))
+		b.mu.Lock()
+		b.reqTimers[reqKey{client: 9, ts: 1}] = time.Now().Add(-2 * time.Minute)
+		b.mu.Unlock()
+		return b
+	}
+
+	b := withOldRequest()
+	b.observeOutbound(messages.Marshal(&messages.ViewChange{NewViewNum: 1, Replica: 0}))
+	b.observeNewView(&messages.NewView{View: 1, Replica: 1})
+	installed := time.Now()
+	b.onTick(installed.Add(30 * time.Second))
+	if got := b.mSuspects.Load(); got != 0 {
+		t.Fatalf("suspected %d times inside the new view's first RequestTimeout", got)
+	}
+	b.onTick(installed.Add(61 * time.Second))
+	if got := b.mSuspects.Load(); got != 1 {
+		t.Fatalf("suspects = %d once the new view's RequestTimeout passed, want 1", got)
+	}
+
+	b = withOldRequest()
+	b.observeNewView(&messages.NewView{View: 5, Replica: 1})
+	b.onTick(time.Now())
+	if got := b.mSuspects.Load(); got != 1 {
+		t.Fatalf("suspects = %d after a NewView this replica never asked for, want 1", got)
+	}
+}
+
 // transportEndpoint returns an arbitrary source endpoint for handler calls.
 func transportEndpoint() transport.Endpoint { return transport.ClientEndpoint(99) }

@@ -20,6 +20,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"github.com/splitbft/splitbft/internal/app"
@@ -43,7 +44,8 @@ const (
 
 // Config parameterizes one SplitBFT replica (three enclaves plus broker).
 type Config struct {
-	// N is the number of replicas (3F+1); F the fault threshold.
+	// N is the number of replicas (3F+1, or 2F+1 in trusted consensus); F
+	// the fault threshold.
 	N, F int
 	// ID is this replica's index in [0, N).
 	ID uint32
@@ -81,8 +83,9 @@ type Config struct {
 	// (default) runs three-phase PBFT over N = 3F+1; ConsensusTrusted binds
 	// every PrePrepare to the primary's trusted monotonic counter, skips
 	// the Prepare phase entirely, and runs over N = 2F+1 with F+1 quorums.
-	// All replicas of a deployment must agree on the mode; it composes with
-	// either AgreementAuth and with persistence.
+	// All replicas of a deployment must agree on the mode. Trusted
+	// consensus requires AgreementAuth = AuthMAC (messages.ValidConsensus)
+	// and composes with persistence.
 	ConsensusMode messages.ConsensusMode
 
 	// Cost is the enclave cost model (hardware, simulation, or zero).
@@ -178,11 +181,8 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
-	if !messages.ValidConsensus(c.ConsensusMode, c.N, c.F) {
-		if c.ConsensusMode == messages.ConsensusTrusted {
-			return errors.New("core: N must equal 2F+1 in trusted consensus mode")
-		}
-		return errors.New("core: N must equal 3F+1")
+	if err := messages.ValidConsensus(c.ConsensusMode, c.AgreementAuth, c.N, c.F); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	if int(c.ID) >= c.N {
 		return errors.New("core: ID out of range")

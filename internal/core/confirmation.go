@@ -258,8 +258,7 @@ func (c *confirmation) startViewChange(host tee.Host, target uint64) []tee.OutMs
 // cert is the bare proposal header plus this enclave's signature over the
 // aggregated claim ("a prepare certificate for (view, seq, digest)
 // exists"). In sig mode the cert carries the transferable evidence itself:
-// the counter-attested header (trusted) or the 2f signed Prepares
-// (classic).
+// the signed proposal and the 2f signed Prepares.
 func (c *confirmation) prepareCerts(host tee.Host) []messages.PrepareCert {
 	best := make(map[uint64]*messages.PrepareCert)
 	for _, vs := range c.slots {
@@ -283,12 +282,6 @@ func (c *confirmation) prepareCerts(host tee.Host) []messages.PrepareCert {
 					Attestor:   c.id,
 				}
 				pc.Vouch = host.Sign(messages.PrepareCertClaim(pc.View(), pc.Seq(), pc.Digest()))
-			} else if c.trustedMode() {
-				// The Ed25519 counter attestation is itself the transferable
-				// proof: a slot only holds a counter-valid proposal.
-				pp := *s.prePrepare
-				pp.Sig = nil
-				pc = &messages.PrepareCert{PrePrepare: pp}
 			} else {
 				pc = &messages.PrepareCert{PrePrepare: *s.prePrepare}
 				for _, p := range s.prepares {

@@ -90,12 +90,11 @@ func NewReplica(cfg Config) (*Replica, error) {
 	var caches []*messages.VerifyCache
 	compartmentRoles := [3]crypto.Role{crypto.RolePreparation, crypto.RoleConfirmation, crypto.RoleExecution}
 	for i := range vers {
-		ver, err := messages.NewVerifierMode(cfg.N, cfg.F, cfg.Registry, messages.SplitScheme(), cfg.ConsensusMode)
+		ver, err := messages.NewVerifierMode(cfg.N, cfg.F, cfg.Registry, messages.SplitScheme(), cfg.ConsensusMode, cfg.AgreementAuth)
 		if err != nil {
 			return nil, err
 		}
 		ver.Cache = messages.NewVerifyCache(verifyCacheEntries)
-		ver.Mode = cfg.AgreementAuth
 		ver.Self = crypto.Identity{ReplicaID: cfg.ID, Role: compartmentRoles[i]}
 		caches = append(caches, ver.Cache)
 		vers[i] = ver
@@ -113,8 +112,9 @@ func NewReplica(cfg Config) (*Replica, error) {
 	// its Ed25519 and X25519 keys before any compartment sees traffic. With
 	// a KeySeed both derive from the counter's own stream so peer processes
 	// can compute them (RegisterDeterministicKeys mirrors the derivation).
-	// On the MAC fast path the counter attests with pairwise HMACs, keyed
-	// by the same attested-ECDH establishment the compartments use.
+	// The counter attests with pairwise HMACs, keyed by the same
+	// attested-ECDH establishment the compartments use; its Ed25519 key
+	// signs lease grants.
 	var counter *tee.TrustedCounter
 	if cfg.ConsensusMode == messages.ConsensusTrusted || cfg.ReadLeases {
 		ctrID := crypto.Identity{ReplicaID: cfg.ID, Role: crypto.RoleCounter}
@@ -125,9 +125,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 		}
 		cfg.Registry.Register(ctrID, counter.PublicKey())
 		cfg.Registry.RegisterECDH(ctrID, counter.ECDHPublicKey())
-		if cfg.AgreementAuth == messages.AuthMAC {
-			counter.AttestWithMACs(pairwiseMACStore(counter, cfg.Registry), messages.CounterAuthReceivers(cfg.N))
-		}
+		counter.AttestWithMACs(pairwiseMACStore(counter, cfg.Registry), messages.CounterAuthReceivers(cfg.N))
 	}
 
 	prepCode := newPreparation(cfg, vers[0], counter)

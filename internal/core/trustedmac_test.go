@@ -22,6 +22,18 @@ func withTrustedMAC(c *Config) {
 	c.AgreementAuth = messages.AuthMAC
 }
 
+// TestTrustedConsensusRequiresMAC: a replica configured for trusted
+// consensus under signatures is refused before any enclave launches.
+func TestTrustedConsensusRequiresMAC(t *testing.T) {
+	_, err := NewReplica(Config{
+		N: 3, F: 1, ConsensusMode: messages.ConsensusTrusted, AgreementAuth: messages.AuthSig,
+		Registry: crypto.NewRegistry(), MACSecret: []byte("s"), App: app.NewKVS(),
+	})
+	if err == nil {
+		t.Fatal("NewReplica accepted trusted consensus with sig agreement")
+	}
+}
+
 // TestTrustedMACReplicatesWithoutSignatures: the fault-free trusted×mac
 // normal case runs on HMACs alone — attestations are created and checked
 // (five checks per operation at n = 3), but no Ed25519 verification runs.

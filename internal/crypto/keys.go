@@ -129,9 +129,9 @@ const (
 	// the whole replica is one unit of failure with one key.
 	RoleReplica
 	// RoleCounter is the trusted monotonic counter enclave used by the
-	// trusted consensus mode. Its Ed25519 key signs counter attestations
-	// (sig mode) and read-lease grants only; its X25519 key seeds the
-	// pairwise keys of MAC-mode attestations.
+	// trusted consensus mode and read leases. Its Ed25519 key signs
+	// read-lease grants only; its X25519 key seeds the pairwise keys of
+	// counter attestations.
 	RoleCounter
 )
 

@@ -166,8 +166,8 @@ func AgreementAuthIndex(t Type, n int, self crypto.Identity) int {
 	return authIndex(vectorRoles(t), n, self)
 }
 
-// CounterAuthReceivers returns the layout of a MAC-mode trusted-counter
-// attestation (PrePrepare.CtrSig): the compartments that verify one, by
+// CounterAuthReceivers returns the layout of a trusted-counter attestation
+// (PrePrepare.CtrSig): the compartments that verify one, by
 // the same block rule — Preparation block then Confirmation block, 2n
 // entries. Execution never checks the attestation; it acts on Commits.
 func CounterAuthReceivers(n int) []crypto.Identity {

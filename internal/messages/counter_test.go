@@ -9,20 +9,21 @@ import (
 )
 
 // trustedMACSecret keys the secret-derived pairwise stores that stand in
-// for the attested-ECDH keys in MAC-mode fixtures (the derivation source
-// is irrelevant to the verification logic).
+// for the attested-ECDH keys in the fixtures (the derivation source is
+// irrelevant to the verification logic).
 var trustedMACSecret = []byte("counter-test")
 
-// authModes is what every trusted-counter test below runs under.
-var authModes = []AuthMode{AuthSig, AuthMAC}
+// authModes is what every trusted-counter test below runs under: the
+// agreement auth modes trusted consensus admits, which is MAC alone.
+var authModes = []AuthMode{AuthMAC}
 
 // newTrustedFixture builds a fully keyed 2f+1 trusted-consensus group:
-// per-replica compartment keys plus the counter enclaves' attestation
-// keys. In MAC mode fx.ver checks as replica 2's Confirmation compartment.
-// The tests below play the byzantine leader against it — forging,
-// gapping, replaying and transplanting counter attestations — and expect
-// the Verifier to reject every variant.
-func newTrustedFixture(t *testing.T, scheme SignerScheme, mode AuthMode) *fixture {
+// per-replica compartment keys plus the counter enclaves' keys, with fx.ver
+// checking as replica 2's Confirmation compartment. The tests below play
+// the byzantine leader against it — forging, gapping, replaying and
+// transplanting counter attestations — and expect the Verifier to reject
+// every variant.
+func newTrustedFixture(t *testing.T) *fixture {
 	t.Helper()
 	fx := &fixture{t: t, n: 3, f: 1, reg: crypto.NewRegistry(), keys: make(map[crypto.Identity]*crypto.KeyPair)}
 	roles := []crypto.Role{
@@ -37,38 +38,30 @@ func newTrustedFixture(t *testing.T, scheme SignerScheme, mode AuthMode) *fixtur
 			fx.reg.Register(id, kp.Public)
 		}
 	}
-	fx.ver = fx.trustedVerifier(scheme, mode, crypto.Identity{ReplicaID: 2, Role: crypto.RoleConfirmation})
+	fx.ver = fx.trustedVerifier(crypto.Identity{ReplicaID: 2, Role: crypto.RoleConfirmation})
 	return fx
 }
 
 // trustedVerifier builds the fixture's verifier as seen from compartment
-// self (which only matters in MAC mode: it selects the attestation slot).
-func (fx *fixture) trustedVerifier(scheme SignerScheme, mode AuthMode, self crypto.Identity) *Verifier {
+// self, which selects the attestation slot it checks.
+func (fx *fixture) trustedVerifier(self crypto.Identity) *Verifier {
 	fx.t.Helper()
-	ver, err := NewVerifierMode(fx.n, fx.f, fx.reg, scheme, ConsensusTrusted)
+	ver, err := NewVerifierMode(fx.n, fx.f, fx.reg, SplitScheme(), ConsensusTrusted, AuthMAC)
 	if err != nil {
 		fx.t.Fatal(err)
 	}
-	ver.Mode = mode
-	if mode == AuthMAC {
-		ver.Self = self
-		ver.MACs = crypto.NewMACStore(trustedMACSecret, self)
-	}
+	ver.Self = self
+	ver.MACs = crypto.NewMACStore(trustedMACSecret, self)
 	return ver
 }
 
-// attestAs binds value to pp the way a counter enclave does — over the
-// counter-digest of the proposal, with an Ed25519 signature in sig mode or
-// the per-receiver HMAC vector in MAC mode — but under signer's keys, which
-// only for the proposer's own RoleCounter identity yields a genuine
-// attestation.
+// attestAs binds value to pp the way a counter enclave does — the
+// per-receiver HMAC vector over the counter-digest of the proposal — but
+// under signer's pairwise keys, which only for the proposer's own
+// RoleCounter identity yields a genuine attestation.
 func (fx *fixture) attestAs(signer crypto.Identity, pp *PrePrepare, value uint64) {
 	pp.CtrVal = value
 	msg := crypto.CounterSigningBytes(signer.ReplicaID, value, CounterDigest(pp))
-	if fx.ver.Mode != AuthMAC {
-		pp.CtrSig = fx.sign(signer.ReplicaID, signer.Role, msg)
-		return
-	}
 	macs := crypto.NewMACStore(trustedMACSecret, signer)
 	pp.CtrSig = nil
 	for _, r := range CounterAuthReceivers(fx.n) {
@@ -82,37 +75,48 @@ func (fx *fixture) attest(pp *PrePrepare, value uint64) {
 	fx.attestAs(crypto.Identity{ReplicaID: pp.Replica, Role: crypto.RoleCounter}, pp, value)
 }
 
+// TestValidConsensusGroupSizes: the three agreement corners, and each way
+// out of them — a wrong group shape for the mode, a negative threshold, or
+// trusted consensus under signatures.
 func TestValidConsensusGroupSizes(t *testing.T) {
 	cases := []struct {
 		mode ConsensusMode
+		auth AuthMode
 		n, f int
 		ok   bool
 	}{
-		{ConsensusClassic, 4, 1, true},
-		{ConsensusClassic, 3, 1, false},
-		{ConsensusClassic, 7, 2, true},
-		{ConsensusTrusted, 3, 1, true},
-		{ConsensusTrusted, 4, 1, false},
-		{ConsensusTrusted, 5, 2, true},
-		{ConsensusTrusted, 3, -1, false},
+		{ConsensusClassic, AuthSig, 4, 1, true},
+		{ConsensusClassic, AuthMAC, 4, 1, true},
+		{ConsensusClassic, AuthSig, 3, 1, false},
+		{ConsensusClassic, AuthMAC, 3, 1, false},
+		{ConsensusClassic, AuthSig, 7, 2, true},
+		{ConsensusTrusted, AuthMAC, 3, 1, true},
+		{ConsensusTrusted, AuthMAC, 4, 1, false},
+		{ConsensusTrusted, AuthMAC, 5, 2, true},
+		{ConsensusTrusted, AuthMAC, 3, -1, false},
+		{ConsensusTrusted, AuthSig, 3, 1, false},
+		{ConsensusTrusted, AuthSig, 5, 2, false},
 	}
 	for _, c := range cases {
-		if got := ValidConsensus(c.mode, c.n, c.f); got != c.ok {
-			t.Errorf("ValidConsensus(%v, n=%d, f=%d) = %v, want %v", c.mode, c.n, c.f, got, c.ok)
+		if err := ValidConsensus(c.mode, c.auth, c.n, c.f); (err == nil) != c.ok {
+			t.Errorf("ValidConsensus(%v, %v, n=%d, f=%d) = %v, want ok=%v", c.mode, c.auth, c.n, c.f, err, c.ok)
 		}
 	}
-	if _, err := NewVerifierMode(4, 1, crypto.NewRegistry(), SplitScheme(), ConsensusTrusted); err == nil {
-		t.Fatal("trusted verifier accepted a 3f+1 group")
+	if _, err := NewVerifierMode(4, 1, crypto.NewRegistry(), SplitScheme(), ConsensusTrusted, AuthMAC); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("trusted verifier accepted a 3f+1 group: %v", err)
+	}
+	if _, err := NewVerifierMode(3, 1, crypto.NewRegistry(), SplitScheme(), ConsensusTrusted, AuthSig); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("trusted verifier accepted sig agreement: %v", err)
 	}
 }
 
 // TestTrustedCounterAttestationChecks walks the byzantine-leader attack
-// surface of the counter binding in both auth modes: each tampered
-// proposal must fail VerifyCounterAt while the honest one passes.
+// surface of the counter binding: each tampered proposal must fail
+// VerifyCounterAt while the honest one passes.
 func TestTrustedCounterAttestationChecks(t *testing.T) {
 	for _, mode := range authModes {
 		t.Run(mode.String(), func(t *testing.T) {
-			fx := newTrustedFixture(t, SplitScheme(), mode)
+			fx := newTrustedFixture(t)
 
 			good := fx.prePrepare(0, 1, testBatch(1))
 			fx.attest(good, 1)
@@ -131,9 +135,8 @@ func TestTrustedCounterAttestationChecks(t *testing.T) {
 			}
 
 			// Forged: right value, right shape, but authenticated outside
-			// the counter enclave — here with the leader's Preparation key
-			// (its Ed25519 key in sig mode, its pairwise MAC key in MAC
-			// mode).
+			// the counter enclave — here with the pairwise keys of the leader's
+			// Preparation compartment.
 			forged := fx.prePrepare(0, 1, testBatch(1))
 			fx.attestAs(crypto.Identity{ReplicaID: 0, Role: crypto.RolePreparation}, forged, 1)
 			if err := fx.ver.VerifyCounterAt(forged, 0, 0); err == nil {
@@ -186,10 +189,10 @@ func TestTrustedCounterAttestationChecks(t *testing.T) {
 	}
 }
 
-// TestMACCounterAttestationVector covers what only the MAC form can get
-// wrong: the vector's shape and the per-receiver slots.
+// TestMACCounterAttestationVector covers what a MAC vector can get wrong
+// beyond the attacks above: its shape and the per-receiver slots.
 func TestMACCounterAttestationVector(t *testing.T) {
-	fx := newTrustedFixture(t, SplitScheme(), AuthMAC)
+	fx := newTrustedFixture(t)
 	good := fx.prePrepare(0, 1, testBatch(1))
 	fx.attest(good, 1)
 	full := good.CtrSig
@@ -232,8 +235,8 @@ func TestMACCounterAttestationVector(t *testing.T) {
 	// Valid for Preparation, corrupt for Confirmation: the environment
 	// garbles one slot in transit. Only the addressed compartment stalls —
 	// its peers, checking their own slots, still accept.
-	prep2 := fx.trustedVerifier(SplitScheme(), AuthMAC, crypto.Identity{ReplicaID: 2, Role: crypto.RolePreparation})
-	conf1 := fx.trustedVerifier(SplitScheme(), AuthMAC, crypto.Identity{ReplicaID: 1, Role: crypto.RoleConfirmation})
+	prep2 := fx.trustedVerifier(crypto.Identity{ReplicaID: 2, Role: crypto.RolePreparation})
+	conf1 := fx.trustedVerifier(crypto.Identity{ReplicaID: 1, Role: crypto.RoleConfirmation})
 	for name, v := range map[string]*Verifier{"preparation 2": prep2, "confirmation 1": conf1} {
 		if err := v.VerifyCounterAt(&flipped, 0, 0); err != nil {
 			t.Fatalf("%s rejected an attestation whose own slot is intact: %v", name, err)
@@ -244,34 +247,27 @@ func TestMACCounterAttestationVector(t *testing.T) {
 	}
 
 	// Execution is not an addressee: it never verifies attestations.
-	exec := fx.trustedVerifier(SplitScheme(), AuthMAC, crypto.Identity{ReplicaID: 2, Role: crypto.RoleExecution})
+	exec := fx.trustedVerifier(crypto.Identity{ReplicaID: 2, Role: crypto.RoleExecution})
 	if err := exec.VerifyCounterAt(good, 0, 0); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("Execution verifier accepted a counter attestation: %v", err)
 	}
 }
 
 // trustedPrepareCert builds what a trusted-mode replica exports as its
-// prepared proof — no Prepares either way. Sig mode: the stripped proposal
-// whose Ed25519 counter attestation IS the certificate. MAC mode: the bare
-// header (CtrVal kept, attestation dropped) vouched for by replica 2's
-// Confirmation enclave.
+// prepared proof: no Prepares, the bare header (CtrVal kept, attestation
+// dropped) vouched for by replica 2's Confirmation enclave.
 func (fx *fixture) trustedPrepareCert(view, seq, ctr uint64, batch Batch) PrepareCert {
 	pp := fx.prePrepare(view, seq, batch)
 	fx.attest(pp, ctr)
-	if fx.ver.Mode == AuthMAC {
-		pc := PrepareCert{PrePrepare: *pp.StripAuth(), Attestor: 2}
-		pc.Vouch = fx.sign(2, fx.ver.Scheme.ViewChange, PrepareCertClaim(view, seq, pp.Digest))
-		return pc
-	}
-	pp = pp.StripBatch()
-	pp.Sig = nil
-	return PrepareCert{PrePrepare: *pp}
+	pc := PrepareCert{PrePrepare: *pp.StripAuth(), Attestor: 2}
+	pc.Vouch = fx.sign(2, fx.ver.Scheme.ViewChange, PrepareCertClaim(view, seq, pp.Digest))
+	return pc
 }
 
 func TestTrustedPrepareCertVerify(t *testing.T) {
 	for _, mode := range authModes {
 		t.Run(mode.String(), func(t *testing.T) {
-			fx := newTrustedFixture(t, SplitScheme(), mode)
+			fx := newTrustedFixture(t)
 			pc := fx.trustedPrepareCert(0, 1, 1, testBatch(1))
 			if err := fx.ver.VerifyPrepareCert(&pc); err != nil {
 				t.Fatalf("trusted prepare cert rejected: %v", err)
@@ -279,8 +275,8 @@ func TestTrustedPrepareCertVerify(t *testing.T) {
 			if len(pc.Prepares) != 0 {
 				t.Fatalf("trusted prepare cert carries %d Prepares, want none", len(pc.Prepares))
 			}
-			if mode == AuthMAC && (len(pc.PrePrepare.CtrSig) != 0 || pc.PrePrepare.CtrVal != 1) {
-				t.Fatalf("MAC-mode cert header: CtrVal=%d with %d attestation bytes, want the value and no attestation",
+			if len(pc.PrePrepare.CtrSig) != 0 || pc.PrePrepare.CtrVal != 1 {
+				t.Fatalf("cert header: CtrVal=%d with %d attestation bytes, want the value and no attestation",
 					pc.PrePrepare.CtrVal, len(pc.PrePrepare.CtrSig))
 			}
 
@@ -288,36 +284,30 @@ func TestTrustedPrepareCertVerify(t *testing.T) {
 			// with genuine evidence from that replica's own enclaves.
 			rogue := fx.trustedPrepareCert(0, 1, 1, testBatch(1))
 			rogue.PrePrepare.Replica = 1
-			if mode == AuthSig {
-				fx.attestAs(crypto.Identity{ReplicaID: 1, Role: crypto.RoleCounter}, &rogue.PrePrepare, 1)
-			}
 			if err := fx.ver.VerifyPrepareCert(&rogue); err == nil {
 				t.Fatal("trusted prepare cert from non-primary accepted")
 			}
 
-			// Stripped of its proof — the attestation in sig mode, the
-			// vouch in MAC mode — the cert proves nothing; in MAC mode a
-			// leftover attestation vector is no substitute for the vouch.
+			// Stripped of its vouch the cert proves nothing, and a leftover
+			// attestation vector is no substitute for it.
 			naked := fx.trustedPrepareCert(0, 1, 1, testBatch(1))
-			naked.PrePrepare.CtrSig, naked.Vouch = nil, nil
+			naked.Vouch = nil
 			if err := fx.ver.VerifyPrepareCert(&naked); err == nil {
 				t.Fatal("trusted prepare cert without proof accepted")
 			}
-			if mode == AuthMAC {
-				pp := fx.prePrepare(0, 1, testBatch(1))
-				fx.attest(pp, 1)
-				unvouched := PrepareCert{PrePrepare: *pp.StripBatch(), Attestor: 2}
-				if err := fx.ver.VerifyPrepareCert(&unvouched); err == nil {
-					t.Fatal("MAC-mode cert carrying only a (non-transferable) attestation vector accepted")
-				}
-				// A vouch binds (view, seq, digest): it does not carry over
-				// to another batch.
-				moved := fx.trustedPrepareCert(0, 1, 1, testBatch(1))
-				other := testBatch(2)
-				moved.PrePrepare.Digest = other.Digest()
-				if err := fx.ver.VerifyPrepareCert(&moved); err == nil {
-					t.Fatal("vouch replayed onto a different batch accepted")
-				}
+			pp := fx.prePrepare(0, 1, testBatch(1))
+			fx.attest(pp, 1)
+			unvouched := PrepareCert{PrePrepare: *pp.StripBatch(), Attestor: 2}
+			if err := fx.ver.VerifyPrepareCert(&unvouched); err == nil {
+				t.Fatal("cert carrying only a (non-transferable) attestation vector accepted")
+			}
+			// A vouch binds (view, seq, digest): it does not carry over to another
+			// batch.
+			moved := fx.trustedPrepareCert(0, 1, 1, testBatch(1))
+			other := testBatch(2)
+			moved.PrePrepare.Digest = other.Digest()
+			if err := fx.ver.VerifyPrepareCert(&moved); err == nil {
+				t.Fatal("vouch replayed onto a different batch accepted")
 			}
 		})
 	}
@@ -330,7 +320,7 @@ func TestTrustedPrepareCertVerify(t *testing.T) {
 func TestViewChangeStaleCounterClaim(t *testing.T) {
 	for _, mode := range authModes {
 		t.Run(mode.String(), func(t *testing.T) {
-			fx := newTrustedFixture(t, SplitScheme(), mode)
+			fx := newTrustedFixture(t)
 			pc := fx.trustedPrepareCert(0, 3, 3, testBatch(3))
 
 			honest := ViewChange{NewViewNum: 1, Stable: CheckpointCert{}, Prepared: []PrepareCert{pc}, Replica: 2, HighCtr: 3}
@@ -355,13 +345,13 @@ func TestViewChangeStaleCounterClaim(t *testing.T) {
 // TestTrustedNewViewCounterBase: the re-issued proposals in a NewView must
 // consume FRESH counter values starting at the advertised CtrBase — a new
 // leader reusing the old view's values (or skipping ahead) is rejected by
-// every correct replica, so it can neither rewrite nor skip slots. In MAC
-// mode the ViewChanges carry vouched certificates and the re-issues carry
-// MAC-vector attestations from the new primary's counter.
+// every correct replica, so it can neither rewrite nor skip slots. The
+// ViewChanges carry vouched certificates and the re-issues carry MAC-vector
+// attestations from the new primary's counter.
 func TestTrustedNewViewCounterBase(t *testing.T) {
 	for _, mode := range authModes {
 		t.Run(mode.String(), func(t *testing.T) {
-			fx := newTrustedFixture(t, SplitScheme(), mode)
+			fx := newTrustedFixture(t)
 			pc := fx.trustedPrepareCert(0, 1, 1, testBatch(1))
 
 			mkVC := func(replica uint32) ViewChange {
@@ -373,14 +363,10 @@ func TestTrustedNewViewCounterBase(t *testing.T) {
 
 			// The new primary (replica 1) re-issues seq 1. Its own counter
 			// has already produced `base` values, so the re-issue consumes
-			// base+1. MAC-mode re-issues carry no authenticator of their
-			// own (the NewView signature covers them).
-			var sign NewViewSigner
-			if mode == AuthSig {
-				sign = func(b []byte) []byte { return fx.sign(1, fx.ver.Scheme.PrePrepare, b) }
-			}
+			// base+1. Re-issues carry no authenticator of their own (the NewView
+			// signature covers them).
 			build := func(base uint64, reissueCtr uint64) *NewView {
-				stable, pps := ComputeNewViewPrePrepares(1, 1, vcs, sign)
+				stable, pps := ComputeNewViewPrePrepares(1, 1, vcs, nil)
 				for i := range pps {
 					fx.attest(&pps[i], reissueCtr+uint64(i))
 				}

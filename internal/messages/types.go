@@ -278,9 +278,9 @@ type PrePrepare struct {
 	Auth crypto.Authenticator
 	// CtrVal/CtrSig bind the proposal to the primary's trusted monotonic
 	// counter in trusted consensus mode: CtrSig is the counter enclave's
-	// attestation over (Replica, CtrVal, CounterDigest(pp)) — an Ed25519
-	// signature in sig mode, in MAC mode the concatenated HMAC vector laid
-	// out per CounterAuthReceivers (see Verifier.VerifyCounter). Because
+	// attestation over (Replica, CtrVal, CounterDigest(pp)), the
+	// concatenated HMAC vector laid out per CounterAuthReceivers (see
+	// Verifier.VerifyCounter). Because
 	// the bound digest covers the full signed header, the attestation
 	// cannot be replayed for a different view, sequence, batch, or
 	// proposer. Zero and empty in classic mode.

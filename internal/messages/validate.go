@@ -52,7 +52,7 @@ func BaselineScheme() SignerScheme {
 }
 
 // Verifier validates protocol messages and quorum certificates for a system
-// of N = 3F+1 replicas under a signer scheme.
+// of N replicas under a signer scheme.
 type Verifier struct {
 	N      int
 	F      int
@@ -75,8 +75,9 @@ type Verifier struct {
 	Self crypto.Identity
 
 	// Consensus selects the agreement variant (ConsensusClassic default).
-	// In ConsensusTrusted, N must be 2F+1, Quorum shrinks to F+1, and a
-	// counter-attested PrePrepare stands in for the Prepare bundle.
+	// In ConsensusTrusted, N must be 2F+1, Mode is AuthMAC, Quorum shrinks
+	// to F+1, and a counter-attested PrePrepare stands in for the Prepare
+	// bundle.
 	Consensus ConsensusMode
 
 	// Crypto-op accounting for the auth ablation: how many Ed25519
@@ -99,11 +100,8 @@ type VerifierStats struct {
 	// MACVerifies counts agreement-MAC (HMAC) verifications.
 	MACVerifies uint64
 	// CounterVerifies counts trusted-counter attestation checks (trusted
-	// consensus mode), whichever form the attestation takes. Cache-served
-	// re-checks are included: the number attributes how often the counter
-	// stood in for a Prepare quorum, not raw crypto work — that shows in
-	// SigVerifies/SigTime for signed attestations and in MACVerifies for
-	// MAC-vector ones.
+	// consensus mode): how often the counter stood in for a Prepare quorum.
+	// The crypto work behind them shows in MACVerifies.
 	CounterVerifies uint64
 	// LeaseVerifies counts read-lease attestation checks (read-lease fast
 	// path). Like CounterVerifies it includes cache-served re-checks: the
@@ -237,23 +235,19 @@ func (v *Verifier) HopAuth(m Signable, wire crypto.Authenticator, to crypto.Role
 	return v.PairAuth(m, crypto.Identity{ReplicaID: v.Self.ReplicaID, Role: to})
 }
 
-// NewVerifier builds a classic-consensus Verifier. N must be 3F+1 with
-// F >= 0.
+// NewVerifier builds a classic-consensus, sig-mode Verifier. N must be 3F+1
+// with F >= 0.
 func NewVerifier(n, f int, reg *crypto.Registry, scheme SignerScheme) (*Verifier, error) {
-	return NewVerifierMode(n, f, reg, scheme, ConsensusClassic)
+	return NewVerifierMode(n, f, reg, scheme, ConsensusClassic, AuthSig)
 }
 
-// NewVerifierMode builds a Verifier for the given consensus mode: N must be
-// 3F+1 in classic mode, 2F+1 in trusted mode, with F >= 0.
-func NewVerifierMode(n, f int, reg *crypto.Registry, scheme SignerScheme, mode ConsensusMode) (*Verifier, error) {
-	if !ValidConsensus(mode, n, f) {
-		want := "3f+1"
-		if mode == ConsensusTrusted {
-			want = "2f+1"
-		}
-		return nil, fmt.Errorf("%w: n=%d must equal %s (f=%d, %s consensus)", ErrInvalid, n, want, f, mode)
+// NewVerifierMode builds a Verifier for one of the agreement corners
+// ValidConsensus admits.
+func NewVerifierMode(n, f int, reg *crypto.Registry, scheme SignerScheme, mode ConsensusMode, auth AuthMode) (*Verifier, error) {
+	if err := ValidConsensus(mode, auth, n, f); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	return &Verifier{N: n, F: f, Reg: reg, Scheme: scheme, Consensus: mode}, nil
+	return &Verifier{N: n, F: f, Reg: reg, Scheme: scheme, Consensus: mode, Mode: auth}, nil
 }
 
 // Primary returns the primary replica for a view.
@@ -333,17 +327,17 @@ func (v *Verifier) checkPrePrepare(pp *PrePrepare, requireBatch, needAuth bool) 
 
 // VerifyCounter checks the trusted-counter attestation a PrePrepare
 // carries: the counter enclave of the proposing replica must have
-// authenticated (Replica, CtrVal, CounterDigest(pp)) — with an Ed25519
-// signature in sig mode, with the HMAC addressed to this compartment in
-// MAC mode (CtrSig is then the vector laid out per CounterAuthReceivers,
-// each entry under the attested pairwise key of counter and receiver).
-// This is the one place the two forms are told apart. Because the bound
-// digest hashes the full signed header, a forged attestation fails the
-// check itself, a transplanted one (lifted from another proposer) fails
+// authenticated (Replica, CtrVal, CounterDigest(pp)) with the HMAC
+// addressed to this compartment. CtrSig is the vector laid out per
+// CounterAuthReceivers, each entry under the attested pairwise key of
+// counter and receiver, and must have exactly the layout's size: a
+// truncated or padded one is rejected whole, not indexed into. Because the
+// bound digest hashes the full signed header, a forged attestation fails
+// the check itself, a transplanted one (lifted from another proposer) fails
 // the key lookup and digest binding, and a replayed one (reused for a
 // different view, sequence, or batch) fails the digest binding.
 //
-// A MAC attestation convinces only its addressee: a receiver holding the
+// An attestation convinces only its addressee: a receiver holding the
 // pairwise key could forge one to itself and to nobody else, and slots
 // garbled in transit stall exactly the compartments they address — the
 // same non-transferability PrePrepare/Commit Auth vectors already have.
@@ -354,38 +348,28 @@ func (v *Verifier) VerifyCounter(pp *PrePrepare) error {
 		return fmt.Errorf("%w: PrePrepare(v=%d,n=%d) carries no counter attestation", ErrInvalid, pp.View, pp.Seq)
 	}
 	v.ctrOps.Add(1)
-	signer := crypto.Identity{ReplicaID: pp.Replica, Role: crypto.RoleCounter}
-	msg := crypto.CounterSigningBytes(pp.Replica, pp.CtrVal, CounterDigest(pp))
-	var err error
-	if v.Mode == AuthMAC {
-		err = v.verifyCounterMAC(signer, msg, pp.CtrSig)
-	} else {
-		err = v.VerifySig(signer, msg, pp.CtrSig)
-	}
-	if err != nil {
+	if err := v.verifyCounterMAC(pp); err != nil {
 		return fmt.Errorf("%w: PrePrepare(v=%d,n=%d) counter attestation: %v", ErrInvalid, pp.View, pp.Seq, err)
 	}
 	return nil
 }
 
-// verifyCounterMAC checks this compartment's entry of a MAC-vector counter
-// attestation. The vector must have exactly the deployment's layout size:
-// a truncated or padded one is rejected whole, not indexed into.
-func (v *Verifier) verifyCounterMAC(signer crypto.Identity, msg, vec []byte) error {
+func (v *Verifier) verifyCounterMAC(pp *PrePrepare) error {
 	if v.MACs == nil {
-		return errors.New("MAC mode without a pairwise key store")
+		return errors.New("no pairwise key store")
 	}
 	idx := authIndex(counterAuthRoles, v.N, v.Self)
 	if idx < 0 {
 		return fmt.Errorf("%v/%v verifies no counter attestations", v.Self.ReplicaID, v.Self.Role)
 	}
-	if want := len(counterAuthRoles) * v.N * crypto.MACSize; len(vec) != want {
-		return fmt.Errorf("attestation vector is %d bytes, layout needs %d", len(vec), want)
+	if want := len(counterAuthRoles) * v.N * crypto.MACSize; len(pp.CtrSig) != want {
+		return fmt.Errorf("attestation vector is %d bytes, layout needs %d", len(pp.CtrSig), want)
 	}
 	var mac [crypto.MACSize]byte
-	copy(mac[:], vec[idx*crypto.MACSize:])
+	copy(mac[:], pp.CtrSig[idx*crypto.MACSize:])
 	v.macOps.Add(1)
-	return v.MACs.VerifySingle(msg, mac, signer)
+	signer := crypto.Identity{ReplicaID: pp.Replica, Role: crypto.RoleCounter}
+	return v.MACs.VerifySingle(crypto.CounterSigningBytes(pp.Replica, pp.CtrVal, CounterDigest(pp)), mac, signer)
 }
 
 // VerifyCounterAt checks a live PrePrepare against the gap-free assignment
@@ -528,25 +512,16 @@ func (v *Verifier) VerifyCheckpoint(c *Checkpoint) error {
 // consensus mode): the attesting Confirmation enclave's signature over the
 // aggregated claim — what that enclave accepted (the Prepare quorum in
 // classic, the counter attestation in trusted) was MAC'd to it alone and
-// is not transferable, so the single vouch is the whole proof. Trusted sig
-// mode: the Ed25519 counter attestation on the stripped PrePrepare is the
-// entire proof — an accepted counter-valid proposal is already prepared.
-// Classic sig mode: a valid PrePrepare plus 2f valid matching Prepares
-// from distinct backups.
+// is not transferable, so the single vouch is the whole proof. Sig mode: a
+// valid PrePrepare plus 2f valid matching Prepares from distinct backups.
 func (v *Verifier) VerifyPrepareCert(pc *PrepareCert) error {
-	if v.Mode == AuthMAC || v.Consensus == ConsensusTrusted {
+	if v.Mode == AuthMAC {
 		if err := v.validReplica(pc.PrePrepare.Replica); err != nil {
 			return fmt.Errorf("prepare cert: %w", err)
 		}
 		if pc.PrePrepare.Replica != v.Primary(pc.View()) {
 			return fmt.Errorf("%w: prepare cert for view %d names proposer %d, primary is %d",
 				ErrInvalid, pc.View(), pc.PrePrepare.Replica, v.Primary(pc.View()))
-		}
-		if v.Mode != AuthMAC {
-			if err := v.VerifyCounter(&pc.PrePrepare); err != nil {
-				return fmt.Errorf("prepare cert: %w", err)
-			}
-			return nil
 		}
 		if err := v.validReplica(pc.Attestor); err != nil {
 			return fmt.Errorf("prepare cert attestor: %w", err)
@@ -781,14 +756,15 @@ func (v *Verifier) VerifyNewView(nv *NewView) error {
 	return nil
 }
 
-// VerifyQuote checks an attestation quote signature against the registered
-// identity key and the expected enclave measurement.
-func (v *Verifier) VerifyQuote(q *AttestQuote, wantMeasurement crypto.Digest, wantNonce [32]byte) error {
-	if err := v.validReplica(q.Replica); err != nil {
-		return err
+// VerifyQuote checks an attestation quote from one of n replicas: its
+// signature against the registered identity key, the expected enclave
+// measurement and the handshake nonce.
+func VerifyQuote(reg *crypto.Registry, n int, q *AttestQuote, wantMeasurement crypto.Digest, wantNonce [32]byte) error {
+	if int(q.Replica) >= n {
+		return fmt.Errorf("%w: replica id %d out of range (n=%d)", ErrInvalid, q.Replica, n)
 	}
 	signer := crypto.Identity{ReplicaID: q.Replica, Role: crypto.Role(q.Role)}
-	if err := v.Reg.VerifyFrom(signer, q.SigningBytes(), q.Sig); err != nil {
+	if err := reg.VerifyFrom(signer, q.SigningBytes(), q.Sig); err != nil {
 		return fmt.Errorf("%w: quote: %v", ErrInvalid, err)
 	}
 	if q.Measurement != wantMeasurement {

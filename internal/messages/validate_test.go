@@ -357,14 +357,17 @@ func TestVerifyQuote(t *testing.T) {
 		Measurement: meas, EnclavePub: [32]byte{9}, Nonce: nonce,
 	}
 	q.Sig = fx.sign(1, crypto.RoleExecution, q.SigningBytes())
-	if err := fx.ver.VerifyQuote(q, meas, nonce); err != nil {
+	if err := VerifyQuote(fx.reg, fx.n, q, meas, nonce); err != nil {
 		t.Fatalf("valid quote rejected: %v", err)
 	}
-	if err := fx.ver.VerifyQuote(q, crypto.HashData([]byte("other")), nonce); err == nil {
+	if err := VerifyQuote(fx.reg, fx.n, q, crypto.HashData([]byte("other")), nonce); err == nil {
 		t.Fatal("quote with wrong measurement accepted")
 	}
 	var otherNonce [32]byte
-	if err := fx.ver.VerifyQuote(q, meas, otherNonce); err == nil {
+	if err := VerifyQuote(fx.reg, fx.n, q, meas, otherNonce); err == nil {
 		t.Fatal("replayed quote accepted")
+	}
+	if err := VerifyQuote(fx.reg, 1, q, meas, nonce); err == nil {
+		t.Fatal("quote from a replica outside the group accepted")
 	}
 }

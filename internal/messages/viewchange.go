@@ -61,9 +61,6 @@ func (c *Checkpoint) decodeBody(d *Decoder) {
 //     trusted) signs the aggregated claim (PrepareCertClaim). Sound
 //     because an attested agreement enclave is trusted to check it
 //     correctly.
-//
-// In trusted consensus sig mode the cert is the PrePrepare header with its
-// Ed25519 counter attestation and nothing else.
 type PrepareCert struct {
 	PrePrepare PrePrepare
 	Prepares   []Prepare

@@ -22,8 +22,8 @@ type TrustedCounter struct {
 	id      crypto.Identity
 	key     *crypto.KeyPair
 	ecdhKey *ecdh.PrivateKey
-	// macs and receivers, once set by AttestWithMACs, make attestations
-	// pairwise HMAC vectors instead of Ed25519 signatures.
+	// macs and receivers, set by AttestWithMACs, key the pairwise HMAC
+	// vector every attestation carries.
 	macs      *crypto.MACStore
 	receivers []crypto.Identity
 	next      uint64
@@ -31,8 +31,7 @@ type TrustedCounter struct {
 	grants    uint64
 }
 
-// NewTrustedCounter creates a trusted counter owned by id with a random
-// attestation key.
+// NewTrustedCounter creates a trusted counter owned by id with random keys.
 func NewTrustedCounter(id crypto.Identity) (*TrustedCounter, error) {
 	return NewTrustedCounterWithRand(id, nil)
 }
@@ -43,7 +42,7 @@ func NewTrustedCounter(id crypto.Identity) (*TrustedCounter, error) {
 // stream, separate from the compartment enclaves' streams) so every
 // process derives the same counter public keys; nil uses crypto/rand.
 // Read order is part of the derivation contract (RegisterDeterministicKeys
-// in the core package mirrors it): the Ed25519 attestation key first, then
+// in the core package mirrors it): the Ed25519 lease-signing key first, then
 // 32 bytes of X25519 key material — fed to NewPrivateKey directly for the
 // reason NewEnclaveWithRand gives.
 func NewTrustedCounterWithRand(id crypto.Identity, rng io.Reader) (*TrustedCounter, error) {
@@ -68,8 +67,8 @@ func NewTrustedCounterWithRand(id crypto.Identity, rng io.Reader) (*TrustedCount
 // Identity returns the identity the counter's keys are registered under.
 func (t *TrustedCounter) Identity() crypto.Identity { return t.id }
 
-// PublicKey returns the counter's Ed25519 verification key (signed
-// attestations and read-lease grants).
+// PublicKey returns the counter's Ed25519 verification key (read-lease
+// grants).
 func (t *TrustedCounter) PublicKey() []byte { return t.key.Public }
 
 // ECDHPublicKey returns the counter's X25519 public key, registered beside
@@ -88,21 +87,19 @@ func (t *TrustedCounter) PairwiseMAC(peerPub [32]byte) (crypto.MACKey, error) {
 	return pairwiseMACKey(t.ecdhKey, peerPub)
 }
 
-// AttestWithMACs switches CreateAttestation from Ed25519 signatures to
-// HMAC vectors: one MAC per entry of receivers, in order, under the
-// pairwise key macs derives for that receiver. Call it before the first
-// attestation (deployment wiring, MAC agreement-auth mode); read-lease
-// grants stay signed either way.
+// AttestWithMACs installs the keys CreateAttestation authenticates with:
+// one MAC per entry of receivers, in order, under the pairwise key macs
+// derives for that receiver. Call it before the first attestation
+// (deployment wiring); read-lease grants are signed regardless.
 func (t *TrustedCounter) AttestWithMACs(macs *crypto.MACStore, receivers []crypto.Identity) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.macs, t.receivers = macs, receivers
 }
 
-// CounterAttestation binds a counter value to a message digest. Sig
-// authenticates crypto.CounterSigningBytes(Replica, Value, Digest): an
-// Ed25519 signature, or after AttestWithMACs the concatenated HMAC vector
-// (crypto.MACSize bytes per receiver, in receiver order).
+// CounterAttestation binds a counter value to a message digest. Sig is the
+// concatenated HMAC vector over crypto.CounterSigningBytes(Replica, Value,
+// Digest), crypto.MACSize bytes per receiver, in receiver order.
 type CounterAttestation struct {
 	Replica uint32
 	Value   uint64
@@ -114,6 +111,8 @@ type CounterAttestation struct {
 // the attestation. Values are strictly increasing with no gaps, so a
 // verifier that tracks the last value per replica detects both equivocation
 // (same value, two digests — impossible to produce) and suppression (gaps).
+// Before AttestWithMACs the attestation carries no authenticator, which
+// every verifier rejects.
 func (t *TrustedCounter) CreateAttestation(digest crypto.Digest) CounterAttestation {
 	t.mu.Lock()
 	t.next++
@@ -122,11 +121,10 @@ func (t *TrustedCounter) CreateAttestation(digest crypto.Digest) CounterAttestat
 	macs, receivers := t.macs, t.receivers
 	t.mu.Unlock()
 	att := CounterAttestation{Replica: t.id.ReplicaID, Value: v, Digest: digest}
-	msg := crypto.CounterSigningBytes(att.Replica, att.Value, att.Digest)
 	if macs == nil {
-		att.Sig = t.key.Sign(msg)
 		return att
 	}
+	msg := crypto.CounterSigningBytes(att.Replica, att.Value, att.Digest)
 	att.Sig = make([]byte, 0, len(receivers)*crypto.MACSize)
 	for _, r := range receivers {
 		mac := macs.MAC(msg, r)
@@ -227,12 +225,6 @@ func (t *TrustedCounter) Import(next uint64) {
 	if next > t.next {
 		t.next = next
 	}
-}
-
-// VerifyAttestation checks a signed attestation under the counter's public
-// key.
-func VerifyAttestation(pub []byte, att CounterAttestation) bool {
-	return crypto.Verify(pub, crypto.CounterSigningBytes(att.Replica, att.Value, att.Digest), att.Sig)
 }
 
 // VerifyLease checks a read lease under the granting counter's public key.

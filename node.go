@@ -138,14 +138,6 @@ func NewNode(id uint32, opts ...Option) (*Node, error) {
 // runs recovery before returning.
 func (n *Node) buildReplica() error {
 	o := &n.opts
-	authMode, err := o.agreementAuthMode()
-	if err != nil {
-		return err
-	}
-	consensus, err := o.consensusModeVal()
-	if err != nil {
-		return err
-	}
 	application := o.application()
 	// A rebuilt replica registers fresh stat collectors; drop the dead
 	// replica's first so the registry never reads freed state (no-op on a
@@ -158,8 +150,8 @@ func (n *Node) buildReplica() error {
 		KeySeed:            o.keySeed,
 		App:                application,
 		Confidential:       o.confidential,
-		AgreementAuth:      authMode,
-		ConsensusMode:      consensus,
+		AgreementAuth:      o.auth,
+		ConsensusMode:      o.consensus,
 		Cost:               o.costModel(),
 		SingleThread:       o.singleThread,
 		DataDir:            o.nodeDataDir(n.id),

@@ -423,6 +423,17 @@ func TestMetricsTransportCountersOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// f+1 replies answer a Put, so a backup may still be catching up: wait
+	// until every node has executed the burst, and with it sent its votes.
+	deadline := time.Now().Add(15 * time.Second)
+	for _, n := range nodes {
+		for n.ExecutedOps() < 20 {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d executed %d of 20 operations", n.ID(), n.ExecutedOps())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	framesSent := func(n *splitbft.Node) float64 {
 		t.Helper()
 		v, ok := metricValue(t, n, "splitbft_transport_frames_sent_total")
@@ -440,8 +451,11 @@ func TestMetricsTransportCountersOverTCP(t *testing.T) {
 		}
 		var msgs, ecalls float64
 		for _, c := range []string{"preparation", "confirmation", "execution"} {
-			m, _ := metricValue(t, n, `splitbft_ecall_msgs_total{compartment="`+c+`"}`)
+			// Each read is its own scrape while traffic still crosses, so
+			// crossings are read first: every crossing delivers at least one
+			// message, and a later scrape can only hold more of them.
 			e, _ := metricValue(t, n, `splitbft_ecalls_total{compartment="`+c+`"}`)
+			m, _ := metricValue(t, n, `splitbft_ecall_msgs_total{compartment="`+c+`"}`)
 			msgs, ecalls = msgs+m, ecalls+e
 		}
 		if ecalls == 0 || msgs < ecalls {
@@ -468,7 +482,7 @@ func TestMetricsTransportCountersOverTCP(t *testing.T) {
 	// The peers notice the dead connection on their first send after the
 	// restart and redial on the next, so keep the group busy until the
 	// restarted node has been reached and answered.
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for i := 0; framesSent(backup) == 0; i++ {
 		if _, err := cl.Put(fmt.Sprintf("after-restart-%d", i), []byte("v")); err != nil {
 			t.Fatal(err)

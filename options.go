@@ -53,7 +53,10 @@ type options struct {
 
 	agreementAuth string
 	consensusMode string
-	commitRule    string
+	// consensus and auth are the two strings above, resolved and checked by
+	// resolveGroup.
+	consensus messages.ConsensusMode
+	auth      messages.AuthMode
 
 	readLeases      bool
 	readConsistency string
@@ -95,10 +98,11 @@ func buildOptions(opts []Option) options {
 	return o
 }
 
-// resolveGroup derives and validates the replica-group shape (n, f). When n
-// was not fixed by a cluster it comes from the TCP address list; f defaults
-// to the largest tolerable threshold — (n-1)/3 in classic consensus,
-// (n-1)/2 in trusted consensus, whose groups are 2f+1.
+// resolveGroup resolves the consensus and agreement-auth options and the
+// replica-group shape (n, f), and checks them together with
+// messages.ValidConsensus. When n was not fixed by a cluster it comes from
+// the TCP address list; f defaults to the largest threshold the group
+// tolerates.
 func (o *options) resolveGroup() error {
 	if o.n == 0 {
 		o.n = len(o.tcpAddrs)
@@ -106,25 +110,18 @@ func (o *options) resolveGroup() error {
 	if o.n == 0 {
 		return errors.New("splitbft: group size unknown — use WithTransportTCP or build through NewCluster")
 	}
-	mode, err := o.consensusModeVal()
-	if err != nil {
+	var err error
+	if o.consensus, err = o.consensusModeVal(); err != nil {
+		return err
+	}
+	if o.auth, err = o.agreementAuthMode(o.consensus); err != nil {
 		return err
 	}
 	if !o.fSet {
-		if mode == messages.ConsensusTrusted {
-			o.f = (o.n - 1) / 2
-		} else {
-			o.f = (o.n - 1) / 3
-		}
+		o.f = messages.MaxFaults(o.consensus, o.n)
 	}
-	if !messages.ValidConsensus(mode, o.n, o.f) {
-		if mode == messages.ConsensusTrusted {
-			return fmt.Errorf("splitbft: n must equal 2f+1 in trusted consensus mode (n=%d, f=%d)", o.n, o.f)
-		}
-		return fmt.Errorf("splitbft: n must equal 3f+1 (n=%d, f=%d)", o.n, o.f)
-	}
-	if _, err := o.replyQuorum(); err != nil {
-		return err
+	if err := messages.ValidConsensus(o.consensus, o.auth, o.n, o.f); err != nil {
+		return fmt.Errorf("splitbft: %w", err)
 	}
 	if len(o.tcpAddrs) > 0 && len(o.tcpAddrs) != o.n {
 		return fmt.Errorf("splitbft: WithTransportTCP needs one address per replica (%d addresses, n=%d)", len(o.tcpAddrs), o.n)
@@ -158,8 +155,9 @@ func (o *options) application() Application {
 	return NewKVStore()
 }
 
-// WithFaults fixes the fault threshold f. The group size must equal 3f+1.
-// Default: the largest threshold the group tolerates, (n-1)/3.
+// WithFaults fixes the fault threshold f. The group size must equal 3f+1
+// in classic consensus and 2f+1 in trusted consensus. Default: the largest
+// threshold the group tolerates, (n-1)/3 or (n-1)/2 respectively.
 func WithFaults(f int) Option {
 	return func(o *options) { o.f = f; o.fSet = true }
 }
@@ -236,33 +234,34 @@ func WithSingleThread() Option {
 // WithAgreementAuth selects how replicas authenticate normal-case
 // agreement traffic (PrePrepare/Prepare/Commit/Checkpoint) to each other:
 //
-//   - "sig" (the default): every message carries an Ed25519 signature
-//     from its sending compartment — the paper's baseline, transferable
-//     to third parties.
-//   - "mac": the trusted-compartment fast path. Attested agreement
-//     enclaves derive pairwise symmetric keys from the X25519 exchange
-//     performed at registration and authenticate with HMAC vectors
-//     (~100× cheaper than Ed25519 on the verify side). Ed25519 remains
-//     where third-party verifiability is required — ViewChange/NewView —
-//     and the certificates they carry become single enclave-signed
-//     digests of the locally validated quorum instead of 2f+1 signature
-//     bundles. With WithConsensusMode("trusted") the counter attestation
-//     on every PrePrepare is an HMAC vector as well (one entry per
-//     verifying Preparation and Confirmation compartment), so the normal
-//     case runs no Ed25519 at all; read-lease grants stay signed.
+//   - "sig" (the default in classic consensus): every message carries an
+//     Ed25519 signature from its sending compartment — the paper's
+//     baseline, transferable to third parties.
+//   - "mac" (the default, and the only mode, in trusted consensus): the
+//     trusted-compartment fast path. Attested agreement enclaves derive
+//     pairwise symmetric keys from the X25519 exchange performed at
+//     registration and authenticate with HMAC vectors (~100× cheaper than
+//     Ed25519 on the verify side). Ed25519 remains where third-party
+//     verifiability is required — ViewChange/NewView — and the
+//     certificates they carry become single enclave-signed digests of the
+//     locally validated quorum instead of 2f+1 signature bundles.
 //
-// All nodes of a deployment must use the same mode. MAC mode leans on the
-// compartment trust model: a fully compromised (not merely crashed)
+// All nodes of a deployment must use the same mode; "sig" beside
+// WithConsensusMode("trusted") is a construction error. MAC mode leans on
+// the compartment trust model: a fully compromised (not merely crashed)
 // agreement enclave could vouch for quorums it never saw; see the README
 // authentication section for what degrades.
 func WithAgreementAuth(mode string) Option {
 	return func(o *options) { o.agreementAuth = mode }
 }
 
-// agreementAuthMode resolves the option string ("" defaults to sig).
-func (o *options) agreementAuthMode() (messages.AuthMode, error) {
+// agreementAuthMode resolves the option string; "" is the consensus mode's
+// default.
+func (o *options) agreementAuthMode(consensus messages.ConsensusMode) (messages.AuthMode, error) {
 	switch o.agreementAuth {
-	case "", "sig":
+	case "":
+		return messages.DefaultAuth(consensus), nil
+	case "sig":
 		return messages.AuthSig, nil
 	case "mac":
 		return messages.AuthMAC, nil
@@ -285,14 +284,15 @@ func (o *options) agreementAuthMode() (messages.AuthMode, error) {
 //     the Prepare round (one full all-to-all phase plus its verification)
 //     entirely. Groups shrink to n = 2f+1 with f+1 quorums.
 //
-// All nodes of a deployment must use the same mode. Trusted mode composes
-// with either WithAgreementAuth — which also decides the form of the
-// counter attestation: an Ed25519 signature under "sig", a pairwise HMAC
-// vector under "mac", with prepare certificates exported into a ViewChange
+// All nodes of a deployment must use the same mode. Trusted mode implies
+// WithAgreementAuth("mac"): the counter attestation is a pairwise HMAC
+// vector (one entry per verifying Preparation and Confirmation
+// compartment), prepare certificates exported into a ViewChange are
 // vouched for by an enclave signature in place of the non-transferable
-// attestation — and with WithPersistence; it leans on the compartment
-// trust model — see the README consensus section for what degrades if a
-// counter enclave is compromised rather than crashed.
+// attestation, and the normal case runs no Ed25519 at all; read-lease
+// grants stay signed. It composes with WithPersistence and leans on the
+// compartment trust model — see the README consensus section for what
+// degrades if a counter enclave is compromised rather than crashed.
 func WithConsensusMode(mode string) Option {
 	return func(o *options) { o.consensusMode = mode }
 }
@@ -306,36 +306,6 @@ func (o *options) consensusModeVal() (messages.ConsensusMode, error) {
 		return messages.ConsensusTrusted, nil
 	default:
 		return messages.ConsensusClassic, fmt.Errorf("splitbft: unknown consensus mode %q (want \"classic\" or \"trusted\")", o.consensusMode)
-	}
-}
-
-// WithCommitRule selects the reply quorum a Client waits for before
-// accepting a result (the DuoBFT-style dual-commit knob):
-//
-//   - "trusted" (the default): f+1 matching replies. At least one comes
-//     from a correct replica that executed the operation, which is the
-//     standard PBFT client rule and the fast path in trusted consensus.
-//   - "full": 2f+1 matching replies — the conservative rule. The result is
-//     backed by a full commit quorum of replicas that all executed it,
-//     which in trusted consensus mode means the client no longer depends
-//     on the counter enclaves of the f fastest replicas alone.
-//
-// The rule is client-local: replicas execute and reply identically under
-// either, so clients with different rules can share one deployment.
-func WithCommitRule(rule string) Option {
-	return func(o *options) { o.commitRule = rule }
-}
-
-// replyQuorum resolves the commit rule to a reply-quorum size for this
-// group shape (0 never reaches the client: resolveGroup ran first).
-func (o *options) replyQuorum() (int, error) {
-	switch o.commitRule {
-	case "", "trusted":
-		return o.f + 1, nil
-	case "full":
-		return 2*o.f + 1, nil
-	default:
-		return 0, fmt.Errorf("splitbft: unknown commit rule %q (want \"trusted\" or \"full\")", o.commitRule)
 	}
 }
 

@@ -19,8 +19,13 @@ mkdir -p "$BIN" "$DATA"
 SECRET="smoke-secret"
 # SPLITBFT_AUTH=mac runs the same scenario on the MAC-authenticated
 # agreement fast path (pairwise keys derived deterministically across the
-# separate processes from -secret).
-AUTH="${SPLITBFT_AUTH:-sig}"
+# separate processes from -secret). Unset, the replicas run the consensus
+# mode's default: sig in classic, mac in trusted.
+AUTH_ARGS=()
+if [ -n "${SPLITBFT_AUTH:-}" ]; then
+    AUTH_ARGS=(-auth "$SPLITBFT_AUTH")
+fi
+AUTH="${SPLITBFT_AUTH:-default}"
 # SPLITBFT_CONSENSUS=trusted runs the counter-backed 2f+1 mode: a
 # three-replica group whose recovery must also restore the sealed trusted
 # counter position before rejoining.
@@ -59,7 +64,7 @@ start_replica() {
     # down — and this test runs most of its ops exactly then.
     "$BIN/splitbft-replica" -id "$id" -n "$N" -f 1 \
         -peers "$PEERS" -secret "$SECRET" -confidential=false \
-        -auth "$AUTH" -consensus "$CONSENSUS" \
+        "${AUTH_ARGS[@]}" -consensus "$CONSENSUS" \
         -data-dir "$DATA/r$id" -stats 0 \
         -metrics-addr "127.0.0.1:$((17500 + id))" \
         >"$WORK/replica-$id.log" 2>&1 &

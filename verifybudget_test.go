@@ -62,7 +62,7 @@ func TestVerifyBudget(t *testing.T) {
 	if macs < 2 {
 		t.Fatalf("only %.2f hop-MAC verifications per op: Executions are not taking their own replica's Commit on the MAC", macs)
 	}
-	sigs, _ = verifiesPerOp(t, 3, ops, splitbft.WithConsensusMode("trusted"), splitbft.WithAgreementAuth("mac"))
+	sigs, _ = verifiesPerOp(t, 3, ops, splitbft.WithConsensusMode("trusted"))
 	if sigs != 0 {
 		t.Fatalf("trusted×mac spent %.2f Ed25519 verifications per op, want 0", sigs)
 	}
