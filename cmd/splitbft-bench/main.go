@@ -25,7 +25,6 @@ import (
 
 	"github.com/splitbft/splitbft/experiments/bench"
 	"github.com/splitbft/splitbft/experiments/faultmodel"
-	"github.com/splitbft/splitbft/experiments/load"
 	"github.com/splitbft/splitbft/experiments/loc"
 )
 
@@ -136,18 +135,16 @@ func main() {
 		})
 	}
 	if all || *exp == "readlease" {
-		run("Ablation — lease-anchored local reads (90/10 open-loop mix)", func() error {
-			cfg := load.ReadLeaseConfig{Trace: *trace}
+		run("Ablation — lease-anchored local reads (90/10 GET/PUT mix)", func() error {
+			rClients := 40
 			if *quick {
-				cfg.Rate = 2000
-				cfg.Warmup = 400 * time.Millisecond
-				cfg.Measure = 1200 * time.Millisecond
+				rClients = 10
 			}
-			pts, err := load.ReadLeaseAblation(cfg)
+			pts, err := bench.ReadLeaseAblation(rClients, *measure, *trace)
 			if err != nil {
 				return err
 			}
-			fmt.Print(load.FormatReadLeaseAblation(pts))
+			fmt.Print(bench.FormatReadLeaseAblation(pts))
 			return writeJSON("readlease", pts)
 		})
 	}

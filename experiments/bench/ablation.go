@@ -118,6 +118,94 @@ func AuthSpeedup(points []AuthPoint) float64 {
 	return mac / sig
 }
 
+// ReadLeasePoint is one measurement of the read-lease ablation.
+type ReadLeasePoint struct {
+	Leases bool
+	Result Result
+}
+
+// ReadLeaseAblation measures the lease-anchored local read fast path
+// against agreement reads on the SplitBFT KVS: the same 90/10 GET/PUT mix
+// runs twice, leases off (every GET is ordered) and then on (lease-holding
+// Execution compartments answer GETs locally). The clients are closed-loop,
+// so each point's read ops/s is the read path's capacity. With trace, each
+// point also carries the leader's per-stage latency breakdown.
+func ReadLeaseAblation(clients int, measure time.Duration, trace bool) ([]ReadLeasePoint, error) {
+	out := make([]ReadLeasePoint, 0, 2)
+	for _, leases := range []bool{false, true} {
+		res, err := Run(RunConfig{
+			System:     SplitKVS,
+			Clients:    clients,
+			Measure:    measure,
+			ReadLeases: leases,
+			ReadMix:    true,
+			Trace:      trace,
+		})
+		if err != nil {
+			return out, fmt.Errorf("read-lease ablation (leases=%v): %w", leases, err)
+		}
+		out = append(out, ReadLeasePoint{Leases: leases, Result: res})
+	}
+	return out, nil
+}
+
+// ReadLeaseSpeedup returns the leases-on/off read throughput ratio (0 when
+// either point is missing).
+func ReadLeaseSpeedup(points []ReadLeasePoint) float64 {
+	var off, on float64
+	for _, p := range points {
+		if p.Leases {
+			on = p.Result.ReadThroughput
+		} else {
+			off = p.Result.ReadThroughput
+		}
+	}
+	if off == 0 {
+		return 0
+	}
+	return on / off
+}
+
+// FormatReadLeaseAblation renders both points, the read throughput ratio
+// and, for traced points, the leader's stage table.
+func FormatReadLeaseAblation(points []ReadLeasePoint) string {
+	var sb strings.Builder
+	sb.WriteString("Ablation — lease-anchored local reads (SplitBFT KVS, unbatched, 90/10 GET/PUT)\n\n")
+	fmt.Fprintf(&sb, "%-6s %10s %10s %10s %10s %12s %8s\n",
+		"Leases", "reads/s", "writes/s", "read p50", "read p99", "local-reads", "grants")
+	sb.WriteString(strings.Repeat("-", 72) + "\n")
+	for _, p := range points {
+		r := p.Result
+		fmt.Fprintf(&sb, "%-6s %10.0f %10.0f %10v %10v %12d %8d\n",
+			onOff(p.Leases), r.ReadThroughput, r.Throughput-r.ReadThroughput,
+			r.ReadP50Lat.Round(time.Microsecond), r.ReadP99Lat.Round(time.Microsecond),
+			r.LocalReads, r.LeaseGrants)
+	}
+	if s := ReadLeaseSpeedup(points); s > 0 {
+		fmt.Fprintf(&sb, "\nread throughput ratio (leases on / off): %.2fx\n", s)
+	}
+	for _, p := range points {
+		if len(p.Result.Stages) == 0 {
+			continue
+		}
+		fmt.Fprintf(&sb, "\nstage latency, leases %s (leader's view):\n", onOff(p.Leases))
+		fmt.Fprintf(&sb, "  %-16s %10s %12s %12s %12s %12s\n", "stage", "spans", "mean", "p50", "p99", "max")
+		for _, s := range p.Result.Stages {
+			fmt.Fprintf(&sb, "  %-16s %10d %12v %12v %12v %12v\n", s.Stage, s.Count,
+				s.Mean.Round(time.Microsecond), s.P50.Round(time.Microsecond),
+				s.P99.Round(time.Microsecond), s.Max.Round(time.Microsecond))
+		}
+	}
+	return sb.String()
+}
+
+func onOff(b bool) string {
+	if b {
+		return "on"
+	}
+	return "off"
+}
+
 // ConsensusPoint is one measurement of the consensus-mode ablation.
 type ConsensusPoint struct {
 	Consensus string // "classic" or "trusted"

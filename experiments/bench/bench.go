@@ -89,7 +89,21 @@ type RunConfig struct {
 	// shrinks from benchN to 2*benchF+1 replicas, matching how the mode
 	// would actually be deployed.
 	ConsensusMode string
+	// ReadLeases turns on the lease-anchored local read fast path on
+	// SplitBFT systems — the read-lease ablation.
+	ReadLeases bool
+	// ReadMix makes every worker send a GET (through InvokeRead) for the
+	// key its own PUTs write, with one PUT in every readMixPeriod
+	// operations: the 90/10 GET/PUT mix. KVS systems only.
+	ReadMix bool
+	// Trace turns on request-lifecycle tracing on SplitBFT systems;
+	// Result.Stages then carries the leader's per-stage breakdown.
+	Trace bool
 }
+
+// readMixPeriod makes a ReadMix worker's every tenth operation (its first
+// included, so the key exists before it is read) a PUT.
+const readMixPeriod = 10
 
 func (c RunConfig) withDefaults() RunConfig {
 	if c.Clients == 0 {
@@ -105,6 +119,19 @@ func (c RunConfig) withDefaults() RunConfig {
 		c.Measure = time.Second
 	}
 	return c
+}
+
+// validate refuses knobs the chosen system would silently ignore: an
+// ablation point that ran without its feature must not be reported as one
+// that ran with it.
+func (c RunConfig) validate() error {
+	if c.ReadMix && c.System.IsBlockchain() {
+		return fmt.Errorf("bench: ReadMix needs a KVS system, not %v", c.System)
+	}
+	if (c.ReadLeases || c.Trace) && !c.System.IsSplit() {
+		return fmt.Errorf("bench: ReadLeases and Trace need a SplitBFT system, not %v", c.System)
+	}
+	return nil
 }
 
 // Outstanding returns the per-client concurrency (paper: 40 when batched).
@@ -165,18 +192,37 @@ type Result struct {
 	// classic consensus).
 	CounterCreates  uint64
 	CounterVerifies uint64
+	// ReadOps, ReadThroughput, ReadP50Lat and ReadP99Lat split the GETs out
+	// of a ReadMix run (zero otherwise). Ops and Throughput count both
+	// classes, so the writes are the difference.
+	ReadOps        uint64
+	ReadThroughput float64
+	ReadP50Lat     time.Duration
+	ReadP99Lat     time.Duration
+	// LocalReads sums the reads every replica served on the lease fast
+	// path, and LeaseGrants counts the leases the leader's counter issued,
+	// both over the measure window (0 without ReadLeases).
+	LocalReads  uint64
+	LeaseGrants uint64
+	// Stages is the leader's per-stage request latency breakdown (Trace
+	// runs only).
+	Stages []splitbft.StageLatency
 }
 
 // recorder collects latencies from concurrent workers.
 type recorder struct {
 	mu        sync.Mutex
 	latencies []time.Duration
+	reads     []time.Duration // the GETs among latencies
 	errors    uint64
 }
 
-func (r *recorder) record(d time.Duration) {
+func (r *recorder) record(d time.Duration, read bool) {
 	r.mu.Lock()
 	r.latencies = append(r.latencies, d)
+	if read {
+		r.reads = append(r.reads, d)
+	}
 	r.mu.Unlock()
 }
 
@@ -191,20 +237,30 @@ func (r *recorder) summarize(res *Result, elapsed time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	res.Ops = uint64(len(r.latencies))
+	res.ReadOps = uint64(len(r.reads))
 	res.Elapsed = elapsed
 	res.Errors = r.errors
 	if elapsed > 0 {
 		res.Throughput = float64(res.Ops) / elapsed.Seconds()
+		res.ReadThroughput = float64(res.ReadOps) / elapsed.Seconds()
 	}
+	res.ReadP50Lat, res.ReadP99Lat = percentiles(r.reads)
 	if len(r.latencies) == 0 {
 		return
 	}
-	sort.Slice(r.latencies, func(i, j int) bool { return r.latencies[i] < r.latencies[j] })
 	var sum time.Duration
 	for _, d := range r.latencies {
 		sum += d
 	}
 	res.MeanLat = sum / time.Duration(len(r.latencies))
-	res.P50Lat = r.latencies[len(r.latencies)/2]
-	res.P99Lat = r.latencies[len(r.latencies)*99/100]
+	res.P50Lat, res.P99Lat = percentiles(r.latencies)
+}
+
+// percentiles sorts ds in place and returns its p50 and p99 (0 when empty).
+func percentiles(ds []time.Duration) (p50, p99 time.Duration) {
+	if len(ds) == 0 {
+		return 0, 0
+	}
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[len(ds)/2], ds[len(ds)*99/100]
 }

@@ -1,6 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -59,6 +63,188 @@ func TestRecoveryAblation(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+func TestReadLeaseAblation(t *testing.T) {
+	pts, err := ReadLeaseAblation(4, 500*time.Millisecond, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 2 || pts[0].Leases || !pts[1].Leases {
+		t.Fatalf("want leases off then on, got %+v", pts)
+	}
+	off, on := pts[0].Result, pts[1].Result
+	for _, r := range []Result{off, on} {
+		if r.ReadOps == 0 || r.Errors > 0 {
+			t.Fatalf("mixed run incomplete: ops %d, reads %d, errors %d", r.Ops, r.ReadOps, r.Errors)
+		}
+	}
+	if off.LocalReads != 0 {
+		t.Fatalf("leases off served %d local reads", off.LocalReads)
+	}
+	if on.LocalReads == 0 || on.LeaseGrants == 0 {
+		t.Fatalf("leases on: %d local reads, %d grants", on.LocalReads, on.LeaseGrants)
+	}
+	if on.ReadThroughput <= off.ReadThroughput {
+		t.Fatalf("leased reads %.0f/s not above agreement reads %.0f/s", on.ReadThroughput, off.ReadThroughput)
+	}
+	if len(on.Stages) == 0 {
+		t.Fatal("traced run carries no stage rows")
+	}
+	out := FormatReadLeaseAblation(pts)
+	for _, want := range []string{"local-reads", "read throughput ratio", "stage latency, leases on"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestRunConfigValidation(t *testing.T) {
+	for _, cfg := range []RunConfig{
+		{System: SplitBlockchain, ReadMix: true},
+		{System: PBFTBlockchain, ReadMix: true},
+		{System: PBFTKVS, ReadLeases: true},
+		{System: PBFTKVS, Trace: true},
+	} {
+		if _, err := Run(cfg); err == nil {
+			t.Fatalf("Run accepted %+v", cfg)
+		}
+	}
+	for _, cfg := range []RunConfig{
+		{System: SplitKVS, ReadMix: true, ReadLeases: true, Trace: true},
+		{System: SplitBlockchain, Trace: true},
+		{System: PBFTKVS, ReadMix: true},
+	} {
+		if err := cfg.validate(); err != nil {
+			t.Fatalf("%+v refused: %v", cfg, err)
+		}
+	}
+}
+
+func TestRecorderSplitsReads(t *testing.T) {
+	rec := &recorder{}
+	// 1..100 ms; every tenth a write, the rest reads.
+	for i := 1; i <= 100; i++ {
+		rec.record(time.Duration(i)*time.Millisecond, i%10 != 0)
+	}
+	rec.fail()
+	var res Result
+	rec.summarize(&res, 2*time.Second)
+	if res.Ops != 100 || res.ReadOps != 90 || res.Errors != 1 {
+		t.Fatalf("ops %d, reads %d, errors %d; want 100, 90, 1", res.Ops, res.ReadOps, res.Errors)
+	}
+	if res.Throughput != 50 || res.ReadThroughput != 45 {
+		t.Fatalf("throughput %.1f, read throughput %.1f; want 50, 45", res.Throughput, res.ReadThroughput)
+	}
+	if res.MeanLat != 50500*time.Microsecond {
+		t.Fatalf("mean %v, want 50.5ms", res.MeanLat)
+	}
+	if res.P50Lat != 51*time.Millisecond || res.P99Lat != 100*time.Millisecond {
+		t.Fatalf("p50 %v, p99 %v; want 51ms, 100ms", res.P50Lat, res.P99Lat)
+	}
+	// The reads skip every multiple of 10: the 46th is 51 ms, the 90th 99 ms.
+	if res.ReadP50Lat != 51*time.Millisecond || res.ReadP99Lat != 99*time.Millisecond {
+		t.Fatalf("read p50 %v, read p99 %v; want 51ms, 99ms", res.ReadP50Lat, res.ReadP99Lat)
+	}
+}
+
+func TestPercentiles(t *testing.T) {
+	if p50, p99 := percentiles(nil); p50 != 0 || p99 != 0 {
+		t.Fatalf("empty: p50 %v, p99 %v", p50, p99)
+	}
+	ds := []time.Duration{5, 4, 3, 2, 1}
+	if p50, p99 := percentiles(ds); p50 != 3 || p99 != 5 {
+		t.Fatalf("p50 %v, p99 %v; want 3, 5", p50, p99)
+	}
+	for i := 1; i < len(ds); i++ {
+		if ds[i-1] > ds[i] {
+			t.Fatalf("not sorted in place: %v", ds)
+		}
+	}
+}
+
+func TestReadLeaseSpeedup(t *testing.T) {
+	off := ReadLeasePoint{Leases: false, Result: Result{ReadThroughput: 100}}
+	on := ReadLeasePoint{Leases: true, Result: Result{ReadThroughput: 800}}
+	if s := ReadLeaseSpeedup([]ReadLeasePoint{off, on}); s != 8 {
+		t.Fatalf("speedup %v, want 8", s)
+	}
+	if s := ReadLeaseSpeedup([]ReadLeasePoint{on, off}); s != 8 {
+		t.Fatalf("speedup with points reversed %v, want 8", s)
+	}
+	if s := ReadLeaseSpeedup([]ReadLeasePoint{on}); s != 0 {
+		t.Fatalf("speedup without the off point %v, want 0", s)
+	}
+	if s := ReadLeaseSpeedup(nil); s != 0 {
+		t.Fatalf("speedup of nothing %v, want 0", s)
+	}
+}
+
+func TestFormatReadLeaseAblationUntraced(t *testing.T) {
+	pts := []ReadLeasePoint{
+		{Leases: false, Result: Result{Throughput: 110, ReadThroughput: 100}},
+		{Leases: true, Result: Result{Throughput: 880, ReadThroughput: 800, LocalReads: 1234, LeaseGrants: 5}},
+	}
+	out := FormatReadLeaseAblation(pts)
+	if !strings.Contains(out, "read throughput ratio (leases on / off): 8.00x") {
+		t.Fatalf("report missing the ratio:\n%s", out)
+	}
+	if strings.Contains(out, "stage latency") {
+		t.Fatalf("untraced report carries a stage table:\n%s", out)
+	}
+	var onRow []string
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == "on" {
+			onRow = f
+		}
+	}
+	// Leases, reads/s, writes/s, read p50, read p99, local-reads, grants.
+	if len(onRow) != 7 || onRow[1] != "800" || onRow[2] != "80" || onRow[5] != "1234" || onRow[6] != "5" {
+		t.Fatalf("leases-on row %q:\n%s", onRow, out)
+	}
+	if out := FormatReadLeaseAblation(pts[1:]); strings.Contains(out, "ratio") {
+		t.Fatalf("ratio printed without the leases-off point:\n%s", out)
+	}
+}
+
+func TestWriteJSONEnvelope(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "perf")
+	pts := []ReadLeasePoint{{Leases: true, Result: Result{System: SplitKVS, LocalReads: 42}}}
+	path, err := WriteJSON(dir, "readlease", pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := filepath.Join(dir, "BENCH_readlease.json"); path != want {
+		t.Fatalf("path %q, want %q", path, want)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Schema  string           `json:"schema"`
+		Exp     string           `json:"exp"`
+		Env     Env              `json:"env"`
+		Results []ReadLeasePoint `json:"results"`
+	}
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Schema != EnvelopeSchema || got.Exp != "readlease" {
+		t.Fatalf("schema %q, exp %q", got.Schema, got.Exp)
+	}
+	env := got.Env
+	if env.GitSHA == "" || env.GoVersion != runtime.Version() ||
+		env.GOOS != runtime.GOOS || env.GOARCH != runtime.GOARCH ||
+		env.NumCPU != runtime.NumCPU() || env.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Fatalf("environment stamp %+v", env)
+	}
+	if _, err := time.Parse(time.RFC3339, env.Date); err != nil {
+		t.Fatalf("date %q: %v", env.Date, err)
+	}
+	if len(got.Results) != 1 || !got.Results[0].Leases || got.Results[0].Result.LocalReads != 42 {
+		t.Fatalf("results did not round-trip: %+v", got.Results)
 	}
 }
 

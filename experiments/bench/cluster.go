@@ -26,6 +26,7 @@ var benchSecret = []byte("splitbft-bench-secret")
 // client driving the PBFT baseline.
 type benchClient interface {
 	Invoke(op []byte) ([]byte, error)
+	InvokeRead(op []byte) ([]byte, error)
 	Close()
 }
 
@@ -91,6 +92,12 @@ func startSplitCluster(cfg RunConfig, batchSize int, batchTimeout, requestTimeou
 	}
 	if cfg.System == SplitKVSSingleThread {
 		opts = append(opts, splitbft.WithSingleThread())
+	}
+	if cfg.ReadLeases {
+		opts = append(opts, splitbft.WithReadLeases(true))
+	}
+	if cfg.Trace {
+		opts = append(opts, splitbft.WithObservability())
 	}
 	if cfg.AgreementAuth != "" {
 		opts = append(opts, splitbft.WithAgreementAuth(cfg.AgreementAuth))

@@ -9,11 +9,9 @@ import (
 )
 
 // Env is the environment metadata stamped onto every machine-readable
-// benchmark result. Perf trajectory points are committed to the repo and
-// compared across PRs; without knowing what machine and commit produced a
-// point, a comparison is numerology. NumCPU in particular drives the
-// regression gate's noise handling: points from differently sized machines
-// are compared advisorily, not gated hard.
+// benchmark result. Points are committed to the repo under perf/; without
+// knowing what machine and commit produced a point, reading one against
+// another is numerology.
 type Env struct {
 	GitSHA     string `json:"git_sha"`
 	Date       string `json:"date"` // RFC3339, UTC
@@ -37,17 +35,6 @@ func CollectEnv() Env {
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-}
-
-// Comparable reports whether two environments are similar enough for a
-// hard throughput gate: same CPU budget, same OS/architecture. Differing
-// Go versions stay comparable — catching a toolchain-induced regression is
-// a feature, not noise.
-func (e Env) Comparable(other Env) bool {
-	return e.NumCPU == other.NumCPU &&
-		e.GOMAXPROCS == other.GOMAXPROCS &&
-		e.GOOS == other.GOOS &&
-		e.GOARCH == other.GOARCH
 }
 
 func gitSHA() string {

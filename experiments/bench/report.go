@@ -30,8 +30,8 @@ type Envelope struct {
 // dir/BENCH_<exp>.json (creating dir if needed) and returns the path —
 // the machine-readable sibling of the Format* renderers. Results are
 // wrapped in a versioned Envelope with environment metadata so the files
-// can be committed as the repo's perf trajectory (and compared by the CI
-// regression gate), not just uploaded as throwaway CI artifacts.
+// can be committed under perf/, not just uploaded as throwaway CI
+// artifacts.
 func WriteJSON(dir, exp string, v any) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("bench: json output dir: %w", err)

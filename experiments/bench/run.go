@@ -15,6 +15,9 @@ import (
 // per-compartment ecall profile.
 func Run(cfg RunConfig) (Result, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return Result{}, err
+	}
 	h, err := startCluster(cfg)
 	if err != nil {
 		return Result{}, err
@@ -32,8 +35,9 @@ func Run(cfg RunConfig) (Result, error) {
 	}
 
 	// Closed-loop workers: each performs synchronous PUT operations
-	// (blockchain: raw transactions) back to back. In batched mode each
-	// client runs Outstanding() workers sharing its timestamp counter.
+	// (blockchain: raw transactions; ReadMix: GETs among them) back to
+	// back. In batched mode each client runs Outstanding() workers sharing
+	// its timestamp counter.
 	var wg sync.WaitGroup
 	for ci, cl := range h.clients {
 		for w := 0; w < cfg.Outstanding(); w++ {
@@ -47,14 +51,21 @@ func Run(cfg RunConfig) (Result, error) {
 				} else {
 					op = splitbft.EncodePut(key, payload)
 				}
-				for !stop.Load() {
+				get := splitbft.EncodeGet(key)
+				for i := 0; !stop.Load(); i++ {
+					read := cfg.ReadMix && i%readMixPeriod != 0
 					start := time.Now()
-					_, err := cl.Invoke(op)
+					var err error
+					if read {
+						_, err = cl.InvokeRead(get)
+					} else {
+						_, err = cl.Invoke(op)
+					}
 					if measuring.Load() {
 						if err != nil {
 							rec.fail()
 						} else {
-							rec.record(time.Since(start))
+							rec.record(time.Since(start), read)
 						}
 					}
 				}
@@ -63,9 +74,10 @@ func Run(cfg RunConfig) (Result, error) {
 	}
 
 	time.Sleep(cfg.Warmup)
-	// Reset the leader's enclave stats so Figure 4 reflects steady state.
-	if len(h.splitNodes) > 0 {
-		h.splitNodes[0].ResetEnclaveStats()
+	// Reset the nodes' stats so Figure 4 and the lease counters reflect
+	// steady state.
+	for _, n := range h.splitNodes {
+		n.ResetStats()
 	}
 	measuring.Store(true)
 	begin := time.Now()
@@ -103,6 +115,11 @@ func Run(cfg RunConfig) (Result, error) {
 		res.SigCPUFraction = cs.SigCPUFraction(elapsed)
 		res.CounterCreates = cs.CounterCreates
 		res.CounterVerifies = cs.CounterVerifies
+		res.LeaseGrants = cs.LeaseGrants
+		for _, n := range h.splitNodes {
+			res.LocalReads += n.LocalReads()
+		}
+		res.Stages = h.splitNodes[0].StageLatencies()
 	}
 	return res, nil
 }

@@ -91,14 +91,25 @@ func (r *Replica) WALError() error {
 }
 
 // ResetAllStats zeroes every stat surface this replica owns in one call:
-// the per-compartment ecall/crypto/cache counters (ResetEnclaveStats),
-// the broker's message counters, the protocol-event counters, and the
-// request tracer. Callers that previously combined ResetEnclaveStats with
-// ad-hoc per-counter resets mixed measurement epochs — counters zeroed at
-// slightly different times — so this is the only reset entry point the
-// observability layer exposes.
+// the per-compartment ecall statistics, the verify-cache counters (cached
+// entries are kept), the crypto-op and local-read counters, the broker's
+// message counters, the protocol-event counters, and the request tracer.
+// Zeroing them at slightly different times would mix measurement epochs,
+// so this is the only reset entry point.
 func (r *Replica) ResetAllStats() {
-	r.ResetEnclaveStats()
+	r.prep.ResetStats()
+	r.conf.ResetStats()
+	r.exec.ResetStats()
+	for _, c := range r.caches {
+		c.Reset()
+	}
+	for _, v := range r.vers {
+		v.ResetStats()
+	}
+	if r.counter != nil {
+		r.counter.ResetCreates()
+	}
+	r.execCode.localReads.Store(0)
 	b := r.broker
 	b.mReplies.Store(0)
 	b.mBatches.Store(0)

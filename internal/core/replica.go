@@ -406,25 +406,6 @@ func (r *Replica) EnclaveStats() map[crypto.Role]tee.ECallSnapshot {
 	}
 }
 
-// ResetEnclaveStats zeroes the per-compartment ecall statistics, the
-// verify-cache counters (cached entries are kept) and the crypto-op
-// counters.
-func (r *Replica) ResetEnclaveStats() {
-	r.prep.ResetStats()
-	r.conf.ResetStats()
-	r.exec.ResetStats()
-	for _, c := range r.caches {
-		c.Reset()
-	}
-	for _, v := range r.vers {
-		v.ResetStats()
-	}
-	if r.counter != nil {
-		r.counter.ResetCreates()
-	}
-	r.execCode.localReads.Store(0)
-}
-
 // CrashEnclave kills one compartment (fault injection: the environment can
 // crash an enclave at any time). Role must be one of the three compartment
 // roles.

@@ -430,11 +430,3 @@ func (n *Node) DedupedMsgs() uint64 { return n.replica.DedupedMsgs() }
 // untrusted classify stage dropped before they paid for an enclave
 // crossing.
 func (n *Node) DroppedGarbage() uint64 { return n.replica.DroppedGarbage() }
-
-// ResetEnclaveStats zeroes every measurement surface of the node.
-//
-// Deprecated: it is now an alias for ResetStats. It historically reset
-// only the enclave-adjacent counters, which left the broker's counters on
-// the old epoch; callers mixing both surfaces over one window measured
-// across inconsistent epochs.
-func (n *Node) ResetEnclaveStats() { n.ResetStats() }

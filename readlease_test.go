@@ -68,6 +68,53 @@ func TestReadLeaseFastPath(t *testing.T) {
 	}
 }
 
+// TestReadLeaseCountersReset: ResetStats starts a new epoch for the
+// fast-path read counter too, so a measurement window that resets every
+// node counts only the local reads served inside it.
+func TestReadLeaseCountersReset(t *testing.T) {
+	cluster, err := splitbft.NewCluster(4,
+		splitbft.WithReadLeases(true),
+		splitbft.WithBatchSize(1),
+		splitbft.WithNetworkSeed(8),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	cl, err := cluster.NewClient(204)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	if _, err := cl.Put("epoch", []byte("1")); err != nil {
+		t.Fatalf("PUT: %v", err)
+	}
+	const reads = 24
+	readAll := func() {
+		t.Helper()
+		for i := 0; i < reads; i++ {
+			if res, err := cl.Get("epoch"); err != nil || string(res) != "1" {
+				t.Fatalf("GET %d = %q, %v", i, res, err)
+			}
+		}
+	}
+	readAll()
+	if sumLocalReads(cluster) == 0 {
+		t.Fatal("no reads were served on the local fast path")
+	}
+	for _, n := range cluster.Nodes() {
+		n.ResetStats()
+	}
+	if got := sumLocalReads(cluster); got != 0 {
+		t.Fatalf("%d local reads survived ResetStats", got)
+	}
+	readAll()
+	if got := sumLocalReads(cluster); got == 0 || got > reads*4 {
+		t.Fatalf("%d local reads counted for %d GETs after the reset", got, reads)
+	}
+}
+
 // TestReadLeaseReadYourWrites interleaves writes and session-consistency
 // reads in a confidential deployment: every read must observe the
 // client's own latest write, no matter which replica serves it — the
