@@ -57,10 +57,6 @@ func NewClient(id uint32, opts ...Option) (*Client, error) {
 			}
 		}
 	}
-	linearizable, err := o.readLinearizable()
-	if err != nil {
-		return nil, err
-	}
 	inner, err := client.New(client.Config{
 		ID: id, N: o.n, F: o.f,
 		MACs:               crypto.NewMACStore(o.secret(), crypto.Identity{ReplicaID: id, Role: crypto.RoleClient}),
@@ -72,7 +68,6 @@ func NewClient(id uint32, opts ...Option) (*Client, error) {
 		RetransmitInterval: o.retransmit,
 		Timeout:            o.invokeTimeout,
 		ReadLeases:         o.readLeases,
-		ReadLinearizable:   linearizable,
 	})
 	if err != nil {
 		return nil, err
@@ -109,11 +104,11 @@ func (c *Client) Attest() error { return c.inner.Attest() }
 func (c *Client) Invoke(op []byte) ([]byte, error) { return c.inner.Invoke(op) }
 
 // InvokeRead submits a read-only operation. On deployments built with
-// WithReadLeases it tries the lease-anchored local read fast path first —
-// one request to one replica, one attested reply — and transparently falls
-// back to the ordered path whenever the fast path refuses, so the result
-// is never stale (consistency per WithReadConsistency). Without read
-// leases it is identical to Invoke. The operation must be side-effect-free;
+// WithReadLeases it tries the leased local read fast path first — one
+// request to one replica, confirmed by that replica's read-index round to
+// the primary, one attested reply — and transparently falls back to the
+// ordered path whenever the fast path refuses, so the result is
+// linearizable either way. Without read leases it is identical to Invoke. The operation must be side-effect-free;
 // applications enforce this and refuse mutating ops on the fast path.
 func (c *Client) InvokeRead(op []byte) ([]byte, error) { return c.inner.InvokeRead(op) }
 

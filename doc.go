@@ -318,20 +318,17 @@
 // new primary's write fence (2.5×TTL after installing its view, parked
 // batches flush when it lifts). WithLeaseTTL is clamped to
 // RequestTimeout/4 so fence plus TTL fit inside one failure-detection
-// period. Expiry is counter-anchored and holders refuse inside a
-// clock-skew guard margin of TTL/8 before expiry, so bounded skew
+// period. Expiry is signed by the counter enclave and holders refuse
+// inside a clock-skew guard margin of TTL/8 before expiry, so bounded skew
 // between granter and holder cannot stretch a lease past its revocation
 // window; a view change additionally invalidates all outstanding leases
 // immediately (leaseValid requires the granter to be the current view's
 // primary).
 //
-// WithReadConsistency("session") drops the read-index round for
-// read-your-writes consistency: the client sends its last-seen sequence
-// as a watermark and any lease-holding replica executed at least that
-// far answers immediately — no frontier wait, no wall-clock assumption.
-// Leases are deliberately ephemeral — never written to the WAL or sealed
-// state — so a restarted replica is leaseless until the primary
-// re-grants.
+// Every leased read takes the read index: there is one read contract,
+// linearizable, and no weaker level to opt into. Leases are deliberately
+// ephemeral — never written to the WAL or sealed state — so a restarted
+// replica is leaseless until the primary re-grants.
 //
 // The degradation story is fail-closed: a replica with no lease, an
 // expired lease, a deposed view or an application that cannot prove the

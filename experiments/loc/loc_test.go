@@ -141,6 +141,33 @@ func TestTable2OverThisRepo(t *testing.T) {
 	if !strings.Contains(text, "Preparation Enc.") || !strings.Contains(text, "Trusted Counter") {
 		t.Fatalf("formatted table incomplete:\n%s", text)
 	}
+	// 5. Every non-test file of internal/core is counted exactly once:
+	//    either in the shared types or in one row's own logic.
+	shared, err := sharedFiles(repoRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	placed := make(map[string]int)
+	for _, f := range shared {
+		placed[f]++
+	}
+	for _, comp := range TCBComponents() {
+		for _, f := range comp.Files {
+			placed[f]++
+		}
+	}
+	core, err := filepath.Glob(filepath.Join(repoRoot(t), "internal", "core", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range core {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		if f := "internal/core/" + filepath.Base(path); placed[f] != 1 {
+			t.Errorf("%s falls in %d Table 2 places, want exactly 1", f, placed[f])
+		}
+	}
 }
 
 func TestPackageBreakdown(t *testing.T) {

@@ -52,20 +52,14 @@ type Config struct {
 	// confidential mode.
 	Registry        *crypto.Registry
 	ExecMeasurement crypto.Digest
-	// ReadLeases routes InvokeRead through the lease-anchored local read
-	// fast path: the read goes to a single replica (spread round-robin
-	// across the group) and one attested reply resolves it. A refused or
-	// lost fast-path read falls back to the full agreement path, so the
-	// worst case is one extra round-trip on top of a classic read. Off,
-	// InvokeRead is identical to Invoke.
+	// ReadLeases routes InvokeRead through the leased local read fast path:
+	// the read goes to a single replica (spread round-robin across the
+	// group), which serves it once it has applied a read-index frontier
+	// sampled after the read arrived, and one attested reply resolves it. A
+	// refused or lost fast-path read falls back to the full agreement path,
+	// so the worst case is one extra round-trip on top of a classic read.
+	// Off, InvokeRead is identical to Invoke.
 	ReadLeases bool
-	// ReadLinearizable selects the consistency level of leased reads:
-	// true (linearizable) requires the serving replica to have applied
-	// everything proposed up to its lease grant; false (session) only
-	// requires it to have applied this client's own writes
-	// (read-your-writes + monotonic reads). Both levels require a valid
-	// lease; session merely relaxes the freshness anchor.
-	ReadLinearizable bool
 	// RetransmitInterval is how long to wait for a reply quorum before
 	// resending the request to all replicas. Default
 	// defaults.RetransmitInterval, aligned with the replica failure
@@ -101,12 +95,6 @@ type Client struct {
 
 	ts atomic.Uint64
 
-	// watermark is the highest agreement sequence this client has observed
-	// applied (from write replies and read replies). It is the MinSeq floor
-	// for session-consistency reads: a replica may only answer once it has
-	// applied at least this far, which yields read-your-writes and
-	// monotonic reads across replicas.
-	watermark atomic.Uint64
 	// readRR spreads fast-path reads round-robin across replicas; seeded
 	// with the client ID so a fleet of clients doesn't converge on one
 	// replica.
@@ -262,7 +250,7 @@ func (c *Client) Attest() error {
 			prov := &messages.ProvisionKey{
 				ClientID:   c.cfg.ID,
 				Replica:    q.Replica,
-				WrappedKey: wrapSess.Seal(sessionKey[:], ProvisionAD(c.cfg.ID)),
+				WrappedKey: wrapSess.Seal(sessionKey[:], crypto.ProvisionAD(c.cfg.ID)),
 			}
 			if err := c.conn.Send(transport.ReplicaEndpoint(q.Replica), messages.Marshal(prov)); err != nil {
 				return err
@@ -282,35 +270,6 @@ func (c *Client) Attest() error {
 	return nil
 }
 
-// ProvisionAD binds the wrapped session-key blob to the provisioning
-// client; the Execution compartment computes the same bytes when
-// unwrapping.
-func ProvisionAD(clientID uint32) []byte {
-	e := messages.NewEncoder(8)
-	e.U32(clientID)
-	return e.Bytes()
-}
-
-// RequestAD binds a confidential payload to (client, timestamp); it is the
-// AES-GCM associated data for request payloads. Exported because the
-// Execution compartment must compute the same bytes.
-func RequestAD(clientID uint32, timestamp uint64) []byte {
-	e := messages.NewEncoder(12)
-	e.U32(clientID)
-	e.U64(timestamp)
-	return e.Bytes()
-}
-
-// ReplyAD binds a confidential reply to (client, timestamp). The replica ID
-// is intentionally excluded so honest replicas produce comparable
-// ciphertext contents (plaintexts are compared after decryption anyway).
-func ReplyAD(clientID uint32, timestamp uint64) []byte {
-	e := messages.NewEncoder(12)
-	e.U32(clientID)
-	e.U64(timestamp)
-	return e.Bytes()
-}
-
 // Invoke submits op and blocks until f+1 matching replies arrive or the
 // timeout expires. In confidential mode op is encrypted end-to-end and the
 // returned result is the decrypted plaintext.
@@ -321,7 +280,7 @@ func (c *Client) Invoke(op []byte) ([]byte, error) {
 	ts := c.ts.Add(1)
 	payload := op
 	if c.cfg.Confidential {
-		payload = c.sendSess.Seal(op, RequestAD(c.cfg.ID, ts))
+		payload = c.sendSess.Seal(op, crypto.RequestAD(c.cfg.ID, ts))
 	}
 	req := &messages.Request{ClientID: c.cfg.ID, Timestamp: ts, Payload: payload}
 	auth := c.cfg.MACs.Authenticate(req.AuthenticatedBytes(), c.cfg.AuthReceivers)
@@ -421,12 +380,13 @@ func (c *Client) Resends() uint64 { return c.resends.Load() }
 
 // InvokeRead submits a read-only operation. With ReadLeases off it is
 // exactly Invoke. With ReadLeases on it first tries the local-read fast
-// path — one ReadRequest to one replica, one attested ReadReply back — and
-// falls back to the agreement path whenever the fast path refuses (replica
-// leaseless, lease near expiry, replica behind the session watermark, app
-// says the op isn't side-effect-free) or the reply doesn't arrive within
-// one retransmit interval. The fallback makes the fast path purely an
-// optimization: reads are never served stale, only slower.
+// path — one ReadRequest to one replica, which confirms it with a
+// read-index round to the primary, one attested ReadReply back — and falls
+// back to the agreement path whenever the fast path refuses (replica
+// leaseless, lease near expiry, app says the op isn't side-effect-free) or
+// the reply doesn't arrive within one retransmit interval. The fallback
+// makes the fast path purely an optimization: reads are linearizable and
+// never served stale, only slower.
 func (c *Client) InvokeRead(op []byte) ([]byte, error) {
 	if !c.cfg.ReadLeases {
 		return c.Invoke(op)
@@ -437,16 +397,10 @@ func (c *Client) InvokeRead(op []byte) ([]byte, error) {
 	ts := c.ts.Add(1)
 	payload := op
 	if c.cfg.Confidential {
-		payload = c.sendSess.Seal(op, RequestAD(c.cfg.ID, ts))
+		payload = c.sendSess.Seal(op, crypto.RequestAD(c.cfg.ID, ts))
 	}
 	target := (c.readRR.Add(1) - 1) % uint32(c.cfg.N)
-	req := &messages.ReadRequest{
-		ClientID:     c.cfg.ID,
-		Timestamp:    ts,
-		MinSeq:       c.watermark.Load(),
-		Linearizable: c.cfg.ReadLinearizable,
-		Payload:      payload,
-	}
+	req := &messages.ReadRequest{ClientID: c.cfg.ID, Timestamp: ts, Payload: payload}
 	req.MAC = c.cfg.MACs.MAC(req.AuthenticatedBytes(),
 		crypto.Identity{ReplicaID: target, Role: c.cfg.ReplyRole})
 
@@ -477,13 +431,12 @@ func (c *Client) InvokeRead(op []byte) ([]byte, error) {
 		if rep.OK {
 			result := rep.Result
 			if c.cfg.Confidential {
-				pt, err := c.recvSess.Open(result, ReplyAD(rep.ClientID, rep.Timestamp))
+				pt, err := c.recvSess.Open(result, crypto.ReplyAD(rep.ClientID, rep.Timestamp))
 				if err != nil {
 					return c.Invoke(op)
 				}
 				result = pt
 			}
-			c.advanceWatermark(rep.AppliedSeq)
 			return result, nil
 		}
 		// Explicit refusal: the replica answered but would not serve the
@@ -517,16 +470,6 @@ func (c *Client) onReadReply(rep *messages.ReadReply) {
 	}
 }
 
-// advanceWatermark raises the session watermark to seq (monotonic).
-func (c *Client) advanceWatermark(seq uint64) {
-	for {
-		cur := c.watermark.Load()
-		if seq <= cur || c.watermark.CompareAndSwap(cur, seq) {
-			return
-		}
-	}
-}
-
 // onReply verifies a reply MAC, decrypts confidential results, and resolves
 // the pending call once f+1 replicas agree on the result: at least one of
 // them is a correct replica that executed the operation.
@@ -538,10 +481,6 @@ func (c *Client) onReply(rep *messages.Reply) {
 	if err := c.cfg.MACs.VerifySingle(rep.AuthenticatedBytes(), rep.MAC, sender); err != nil {
 		return
 	}
-	// The reply is MAC-authenticated by an Execution compartment, which is
-	// trusted under the fault model, so its applied sequence is honest:
-	// advance the session watermark so later leased reads see this write.
-	c.advanceWatermark(rep.Seq)
 	result := rep.Result
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -550,7 +489,7 @@ func (c *Client) onReply(rep *messages.Reply) {
 		return
 	}
 	if ca.sealed {
-		pt, err := c.recvSess.Open(result, ReplyAD(rep.ClientID, rep.Timestamp))
+		pt, err := c.recvSess.Open(result, crypto.ReplyAD(rep.ClientID, rep.Timestamp))
 		if err != nil {
 			return
 		}

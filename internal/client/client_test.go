@@ -330,18 +330,3 @@ func TestClientConfigValidation(t *testing.T) {
 		t.Fatal("confidential config without registry accepted")
 	}
 }
-
-func TestADFunctionsAreDistinct(t *testing.T) {
-	if bytes.Equal(RequestAD(1, 2), RequestAD(1, 3)) {
-		t.Fatal("RequestAD must depend on timestamp")
-	}
-	if bytes.Equal(RequestAD(1, 2), RequestAD(2, 2)) {
-		t.Fatal("RequestAD must depend on client")
-	}
-	if !bytes.Equal(ReplyAD(1, 2), ReplyAD(1, 2)) {
-		t.Fatal("ReplyAD must be deterministic")
-	}
-	if bytes.Equal(ProvisionAD(1), ProvisionAD(2)) {
-		t.Fatal("ProvisionAD must depend on client")
-	}
-}

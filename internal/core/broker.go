@@ -302,6 +302,14 @@ type reqKey struct {
 	ts     uint64
 }
 
+// pendingReq is a client request awaiting its reply: the body, for
+// re-proposal after a view change, and when it first arrived, for the
+// failure detector.
+type pendingReq struct {
+	req   *messages.Request
+	since time.Time
+}
+
 // broker is the untrusted environment of a SplitBFT replica (§5): a shim
 // layer where enclaves register. It handles all I/O for the enclaves —
 // network sends, the ecall queues, request batching, and timers. It is
@@ -332,19 +340,19 @@ type broker struct {
 	viewEstimate uint64
 	newView      uint64 // highest view a NewView was seen for
 	askedView    uint64 // highest view this replica's own ViewChange asked for
-	reqTimers    map[reqKey]time.Time
-	// parked holds the body of every client request this replica has seen
-	// but not yet observed a reply for, whether or not it is the primary.
-	// Clients broadcast to all replicas, so a replica that becomes primary
-	// mid-request can propose from here immediately instead of waiting for
-	// the client's next (backed-off) retransmit. Pruned with reqTimers.
-	parked map[reqKey]*messages.Request
+	// awaiting holds every client request this replica has seen but not yet
+	// observed a reply for, whether or not it is the primary. Its arrival
+	// time drives the failure detector; its body lets a replica that
+	// becomes primary mid-request propose it immediately instead of waiting
+	// for the client's next (backed-off) retransmit — clients broadcast to
+	// all replicas.
+	awaiting map[reqKey]pendingReq
 	// replied remembers requests this replica already answered. A copy
 	// that arrives after the Reply left (over TCP the client's direct copy
-	// can trail the primary's PrePrepare) must not re-arm reqTimers or
-	// parked — nothing would ever clear them again, and the failure
-	// detector would suspect a healthy primary one timeout later. Aged on
-	// the failure detector's clock like dedup, so it stays bounded.
+	// can trail the primary's PrePrepare) must not re-arm awaiting — nothing
+	// would ever clear it again, and the failure detector would suspect a
+	// healthy primary one timeout later. Aged on the failure detector's
+	// clock like dedup, so it stays bounded.
 	replied     *genset.Set[reqKey]
 	lastSuspect time.Time
 	lastRotate  time.Time
@@ -398,8 +406,7 @@ func newBroker(cfg Config, prep, conf, exec *tee.Enclave, stores map[crypto.Role
 		stores:      stores,
 		dedup:       newDedup(dedupEntries),
 		pendingKeys: make(map[reqKey]bool),
-		reqTimers:   make(map[reqKey]time.Time),
-		parked:      make(map[reqKey]*messages.Request),
+		awaiting:    make(map[reqKey]pendingReq),
 		replied:     genset.New[reqKey](dedupEntries),
 		fetchBudget: fetchBudgetPerPeriod,
 		stop:        make(chan struct{}),
@@ -659,7 +666,7 @@ const (
 	clientBoundReadReply
 )
 
-// noteClientBound inspects outbound client traffic to clear request timers
+// noteClientBound inspects outbound client traffic to clear awaited requests
 // and count executed operations. The broker may read these envelopes — the
 // confidential payload inside is ciphertext. It returns the request
 // identity and kind so route can close the lifecycle span after the send.
@@ -678,8 +685,7 @@ func (b *broker) noteClientBound(data []byte) (client uint32, ts uint64, kind in
 		b.mReplies.Add(1)
 		b.mu.Lock()
 		key := reqKey{client: client, ts: ts}
-		delete(b.reqTimers, key)
-		delete(b.parked, key)
+		delete(b.awaiting, key)
 		b.replied.Add(key)
 		b.mu.Unlock()
 		// The reply emerging from the Execution compartment is the
@@ -812,7 +818,8 @@ func (b *broker) handler(from transport.Endpoint, data []byte) {
 		// compartment. Not deduplicated — a retransmitted read must be
 		// re-answered... by the enclave's replay guard, which drops it
 		// cheaply (the reply could only have been refused or served once);
-		// grants are unique per counter value and replies per epoch anyway.
+		// grants are unique by their strictly increasing expiry, and replies
+		// per epoch, anyway.
 		b.submitShared(data, crypto.RoleExecution)
 	case messages.TLeaseAck, messages.TReadIndex:
 		// Holder-to-granter legs of the lease fast path: both terminate in
@@ -831,7 +838,7 @@ func (b *broker) handler(from transport.Endpoint, data []byte) {
 // tracer's pending commit-vote counts — votes from the deposed view
 // cannot certify sequence numbers in the new one.
 //
-// The first NewView of a view re-proposes the parked requests if this
+// The first NewView of a view re-proposes the awaited requests if this
 // replica leads it, even when the failure detector already moved the
 // estimate there: that earlier promotion reached a Preparation enclave
 // still in the old view, which drops batches it cannot lead. If this
@@ -855,7 +862,7 @@ func (b *broker) observeNewView(nv *messages.NewView) {
 			b.viewEstimate = nv.View
 			advanced = true
 		}
-		promoted = b.promoteParkedLocked()
+		promoted = b.promoteAwaitingLocked()
 	}
 	b.mu.Unlock()
 	if advanced {
@@ -867,7 +874,7 @@ func (b *broker) observeNewView(nv *messages.NewView) {
 	}
 }
 
-// promoteParkedLocked queues every parked, not-yet-replied request for
+// promoteAwaitingLocked queues every request awaiting a reply for
 // proposal if this replica now believes it holds batching duty. Clients
 // broadcast each request to all replicas, but only the then-primary queues
 // it on arrival — without promotion a new primary sits on a pending
@@ -878,11 +885,11 @@ func (b *broker) observeNewView(nv *messages.NewView) {
 // twice is filtered by the Execution compartments' exactly-once caches.
 // Returns a full batch to submit (nil if below BatchSize — the batch
 // timeout flushes the remainder).
-func (b *broker) promoteParkedLocked() *messages.Batch {
-	if !b.believesPrimaryLocked() || len(b.parked) == 0 {
+func (b *broker) promoteAwaitingLocked() *messages.Batch {
+	if !b.believesPrimaryLocked() || len(b.awaiting) == 0 {
 		return nil
 	}
-	for key, req := range b.parked {
+	for key, p := range b.awaiting {
 		if b.pendingKeys[key] {
 			continue
 		}
@@ -890,7 +897,7 @@ func (b *broker) promoteParkedLocked() *messages.Batch {
 			b.batchSince = time.Now()
 		}
 		b.pendingKeys[key] = true
-		b.pendingReqs.Push(*req)
+		b.pendingReqs.Push(*p.req)
 	}
 	if b.pendingReqs.Len() >= b.cfg.BatchSize {
 		return b.takeBatchLocked()
@@ -920,13 +927,8 @@ func (b *broker) onClientRequest(data []byte) {
 	b.mu.Lock()
 	// An already-answered request arms nothing; it still goes to batching
 	// below, so a genuine retransmit gets its cached reply.
-	if !b.replied.Contains(key) {
-		if _, ok := b.reqTimers[key]; !ok {
-			b.reqTimers[key] = time.Now()
-		}
-		if _, ok := b.parked[key]; !ok {
-			b.parked[key] = req
-		}
+	if _, ok := b.awaiting[key]; !ok && !b.replied.Contains(key) {
+		b.awaiting[key] = pendingReq{req: req, since: time.Now()}
 	}
 	if b.believesPrimaryLocked() && !b.pendingKeys[key] {
 		if b.pendingReqs.Len() == 0 {
@@ -1023,17 +1025,16 @@ func (b *broker) onTick(now time.Time) {
 	}
 	// Failure detection: any request pending longer than the timeout.
 	if now.Sub(b.lastSuspect) > b.cfg.RequestTimeout {
-		for key, since := range b.reqTimers {
-			if now.Sub(since) > 10*b.cfg.RequestTimeout {
+		for key, p := range b.awaiting {
+			if now.Sub(p.since) > 10*b.cfg.RequestTimeout {
 				// Stale entry (e.g. pre-dedup retransmit, or a request
 				// executed before a state transfer skipped this replica
 				// past the reply). A still-live client retransmits well
-				// inside this horizon and re-arms both maps.
-				delete(b.reqTimers, key)
-				delete(b.parked, key)
+				// inside this horizon and re-arms it.
+				delete(b.awaiting, key)
 				continue
 			}
-			if now.Sub(since) > b.cfg.RequestTimeout {
+			if now.Sub(p.since) > b.cfg.RequestTimeout {
 				suspect = true
 				suspectView = b.viewEstimate
 				break
@@ -1046,7 +1047,7 @@ func (b *broker) onTick(now time.Time) {
 	}
 	var promoted *messages.Batch
 	if suspect {
-		promoted = b.promoteParkedLocked()
+		promoted = b.promoteAwaitingLocked()
 	}
 	b.mu.Unlock()
 	if batch != nil {
@@ -1058,7 +1059,7 @@ func (b *broker) onTick(now time.Time) {
 	if tick {
 		// Periodic environment nudge into Execution: drives the rejoin
 		// probe (and the missing-body stall detector) even when no
-		// protocol traffic flows, and ages out parked linearizable reads.
+		// protocol traffic flows, and ages out parked leased reads.
 		// Never persisted — see persistRun.
 		b.submit(crypto.RoleExecution, []byte{ecallTick}, nil)
 	}

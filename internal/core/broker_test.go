@@ -289,7 +289,7 @@ func TestBrokerBatchesOnlyWhenPrimary(t *testing.T) {
 	b.onClientRequest(messages.Marshal(&req2))
 	b.mu.Lock()
 	pending = b.pendingReqs.Len()
-	timers := len(b.reqTimers)
+	timers := len(b.awaiting)
 	b.mu.Unlock()
 	if pending != 0 {
 		t.Fatal("backup broker buffered a batch")
@@ -393,10 +393,10 @@ func TestBrokerLateRequestCopyAfterReply(t *testing.T) {
 	req := testRequest(cfg.MACSecret, cfg.N, 9, 1, []byte("op"))
 	b.onClientRequest(messages.Marshal(&req))
 	b.mu.Lock()
-	parked, timers, pending := len(b.parked), len(b.reqTimers), b.pendingReqs.Len()
+	awaiting, pending := len(b.awaiting), b.pendingReqs.Len()
 	b.mu.Unlock()
-	if parked != 0 || timers != 0 {
-		t.Fatalf("late copy left %d parked requests and %d timers behind", parked, timers)
+	if awaiting != 0 {
+		t.Fatalf("late copy left %d requests awaiting a reply behind", awaiting)
 	}
 	if pending != 1 {
 		t.Fatalf("late copy not handed to batching: %d pending", pending)
@@ -461,6 +461,36 @@ func TestBrokerNewViewRepromotesParked(t *testing.T) {
 	}
 }
 
+// TestBrokerDropsStalePending: a request awaiting its reply for more than
+// ten RequestTimeouts is stale (a pre-dedup retransmit, or one a state
+// transfer skipped this replica past). The prune drops it without suspecting
+// the primary, and a later view-estimate bump onto a view this replica leads
+// does not re-propose its body.
+func TestBrokerDropsStalePending(t *testing.T) {
+	b, cfg := newTestBroker(t, false) // replica 0 leads views 0, 4, 8, ...
+	b.cfg.BatchSize = 1
+	b.cfg.RequestTimeout = 10 * time.Millisecond
+	b.mu.Lock()
+	b.viewEstimate = 3
+	b.mu.Unlock()
+	req := testRequest(cfg.MACSecret, cfg.N, 9, 1, []byte("op"))
+	b.onClientRequest(messages.Marshal(&req))
+	b.onTick(time.Now().Add(11 * b.cfg.RequestTimeout))
+	if got := b.mSuspects.Load(); got != 0 {
+		t.Fatalf("a stale entry raised %d suspects", got)
+	}
+	b.mu.Lock()
+	awaiting := len(b.awaiting)
+	b.mu.Unlock()
+	if awaiting != 0 {
+		t.Fatalf("%d stale entries survived the prune", awaiting)
+	}
+	b.observeNewView(&messages.NewView{View: 4, Replica: 0})
+	if got := b.mBatches.Load(); got != 0 {
+		t.Fatalf("the view bump promoted %d batches from a pruned entry", got)
+	}
+}
+
 // TestBrokerNewViewRestartsDetector: the NewView of a view this replica's
 // own ViewChange asked for restarts the failure detector, so the new view
 // gets a full RequestTimeout even for a request pending since the old one.
@@ -475,7 +505,10 @@ func TestBrokerNewViewRestartsDetector(t *testing.T) {
 		req := testRequest(cfg.MACSecret, cfg.N, 9, 1, []byte("op"))
 		b.onClientRequest(messages.Marshal(&req))
 		b.mu.Lock()
-		b.reqTimers[reqKey{client: 9, ts: 1}] = time.Now().Add(-2 * time.Minute)
+		key := reqKey{client: 9, ts: 1}
+		p := b.awaiting[key]
+		p.since = time.Now().Add(-2 * time.Minute)
+		b.awaiting[key] = p
 		b.mu.Unlock()
 		return b
 	}

@@ -3,6 +3,11 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -449,5 +454,31 @@ func TestSplitUnattestedConfidentialClientGetsNoOp(t *testing.T) {
 	}
 	if !bytes.Equal(got, []byte("NOTFOUND")) {
 		t.Fatalf("unattested write took effect: %q", got)
+	}
+}
+
+// TestCoreDoesNotImportClient: the compartments and their environment link
+// no client code. What the Execution compartment shares with clients — the
+// AEAD associated-data layouts — lives in internal/crypto beside Session, so
+// the client library stays outside every enclave's TCB.
+func TestCoreDoesNotImportClient(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); strings.HasSuffix(p, "/internal/client") {
+				t.Errorf("%s imports %s — internal/core must not link the client library", path, p)
+			}
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/splitbft/splitbft/internal/app"
-	"github.com/splitbft/splitbft/internal/client"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/messages"
 	"github.com/splitbft/splitbft/internal/tee"
@@ -183,15 +182,15 @@ type execution struct {
 	// a replayed authenticated read must not burn enclave CPU forever.
 	readHigh map[uint32]uint64
 
-	// Read-index confirmation state (linearizable reads). A linearizable
-	// read is never served off lease state alone: the holder first asks the
-	// primary's Preparation compartment for its proposal frontier with a
-	// ReadIndex query sent AFTER the read arrived. Any write acknowledged to
-	// any client before the query was proposed at or below that frontier, so
-	// once lastExec covers it the read observes every prior acked write.
-	// Queries are batched by epoch: one query is in flight at a time, reads
-	// arriving meanwhile wait for the next epoch (their frontier must be
-	// sampled after their arrival).
+	// Read-index confirmation state. A leased read is never served off
+	// lease state alone: the holder first asks the primary's Preparation
+	// compartment for its proposal frontier with a ReadIndex query sent
+	// AFTER the read arrived. Any write acknowledged to any client before
+	// the query was proposed at or below that frontier, so once lastExec
+	// covers it the read observes every prior acked write. Queries are
+	// batched by epoch: one query is in flight at a time, reads arriving
+	// meanwhile wait for the next epoch (their frontier must be sampled
+	// after their arrival).
 	riPending []pendingRead
 	// riSentEpoch is the epoch of the last query sent; riInFlight whether
 	// its reply is still outstanding. Epochs count up from a base drawn from
@@ -229,7 +228,7 @@ type execution struct {
 // any traffic flows.
 const missingBodyFetchAfter = 32
 
-// pendingRead is a linearizable read parked until its read-index epoch is
+// pendingRead is a leased read parked until its read-index epoch is
 // confirmed and applied. seenTick ages it out: a read still pending after a
 // full failure-detector period is refused — its client has long since
 // fallen back to the agreement path.
@@ -487,14 +486,13 @@ func (e *execution) leaseValid(now time.Time) bool {
 }
 
 // onReadRequest admits a read under the held lease — the whole point of
-// the lease fast path: no PrePrepare, no quorum, one attested reply.
-// Session reads are answered immediately off the applied index; a
-// linearizable read is parked until a read-index frontier sampled after
-// its arrival is confirmed and applied. Refusals are explicit (OK=false)
-// so the client falls back to agreement immediately. The reply cache
-// (execClient) is deliberately untouched: leased reads are
-// side-effect-free and unordered, so caching them would pollute the
-// exactly-once bookkeeping of the write path.
+// the lease fast path: no PrePrepare, no quorum, one attested reply. The
+// read is parked until a read-index frontier sampled after its arrival is
+// confirmed and applied. Refusals are explicit (OK=false) so the client
+// falls back to agreement immediately. The reply cache (execClient) is
+// deliberately untouched: leased reads are side-effect-free and unordered,
+// so caching them would pollute the exactly-once bookkeeping of the write
+// path.
 func (e *execution) onReadRequest(host tee.Host, r *messages.ReadRequest) []tee.OutMsg {
 	if !e.leases {
 		return nil
@@ -512,41 +510,39 @@ func (e *execution) onReadRequest(host tee.Host, r *messages.ReadRequest) []tee.
 		return nil // unauthenticated: drop, like any forged client traffic
 	}
 	e.readHigh[r.ClientID] = r.Timestamp
-	if r.Linearizable {
-		return e.admitLinearizableRead(host, r)
+	if _, ok := e.app.(app.ReadExecutor); !ok || !e.leaseValid(e.clock.Now()) || len(e.riPending) >= riPendingMax {
+		return []tee.OutMsg{e.readReply(r, false)}
 	}
-	return []tee.OutMsg{e.answerRead(r)}
+	// The read's epoch names the first query sent at or after its arrival:
+	// if no query is in flight one goes out now; otherwise the read waits
+	// for the round after the in-flight one — the in-flight query was sent
+	// before this read arrived, so its frontier could miss a write acked in
+	// between (exactly the stale-read hazard of anchoring reads at grant
+	// time).
+	var out []tee.OutMsg
+	epoch := e.riSentEpoch + 1
+	if !e.riInFlight {
+		e.riSentEpoch = epoch
+		e.riInFlight = true
+		out = append(out, e.sendReadIndex(host))
+	}
+	e.riPending = append(e.riPending, pendingRead{req: r, epoch: epoch})
+	return out
 }
 
-// answerRead runs the serve checks and builds the (served or refused)
-// ReadReply for r.
-func (e *execution) answerRead(r *messages.ReadRequest) tee.OutMsg {
-	rep := &messages.ReadReply{
-		Replica:    e.id,
-		ClientID:   r.ClientID,
-		Timestamp:  r.Timestamp,
-		View:       e.view,
-		AppliedSeq: e.lastExec,
+// readReply answers r: with serve set it runs the serve checks and returns
+// the result when they pass; otherwise, or when a check fails, it is an
+// explicit OK=false refusal — the client's signal to take the agreement
+// path.
+func (e *execution) readReply(r *messages.ReadRequest, serve bool) tee.OutMsg {
+	rep := &messages.ReadReply{Replica: e.id, ClientID: r.ClientID, Timestamp: r.Timestamp, View: e.view}
+	if serve {
+		rep.Result, rep.OK = e.serveLocalRead(r)
 	}
-	if result, ok := e.serveLocalRead(r); ok {
-		rep.OK = true
-		rep.Result = result
+	if rep.OK {
 		e.localReads.Add(1)
-	}
-	rep.MAC = e.clientMAC(rep, r.ClientID)
-	return clientOut(r.ClientID, rep)
-}
-
-// refuseRead builds an explicit OK=false reply: the client's signal to
-// take the agreement path.
-func (e *execution) refuseRead(r *messages.ReadRequest) tee.OutMsg {
-	e.evLeaseRefusals.Add(1)
-	rep := &messages.ReadReply{
-		Replica:    e.id,
-		ClientID:   r.ClientID,
-		Timestamp:  r.Timestamp,
-		View:       e.view,
-		AppliedSeq: e.lastExec,
+	} else {
+		e.evLeaseRefusals.Add(1)
 	}
 	rep.MAC = e.clientMAC(rep, r.ClientID)
 	return clientOut(r.ClientID, rep)
@@ -560,31 +556,6 @@ func (e *execution) clientMAC(m interface{ AppendAuthenticated(*messages.Encoder
 	mac := e.macs.MAC(enc.Bytes(), crypto.Identity{ReplicaID: client, Role: crypto.RoleClient})
 	messages.PutEncoder(enc)
 	return mac
-}
-
-// admitLinearizableRead parks a linearizable read behind a read-index
-// confirmation. The read's epoch names the first query sent at or after
-// its arrival: if no query is in flight one goes out now; otherwise the
-// read waits for the round after the in-flight one — the in-flight query
-// was sent before this read arrived, so its frontier could miss a write
-// acked in between (exactly the stale-read hazard of anchoring reads at
-// grant time).
-func (e *execution) admitLinearizableRead(host tee.Host, r *messages.ReadRequest) []tee.OutMsg {
-	if _, ok := e.app.(app.ReadExecutor); !ok {
-		return []tee.OutMsg{e.refuseRead(r)}
-	}
-	if !e.leaseValid(e.clock.Now()) || len(e.riPending) >= riPendingMax {
-		return []tee.OutMsg{e.refuseRead(r)}
-	}
-	var out []tee.OutMsg
-	epoch := e.riSentEpoch + 1
-	if !e.riInFlight {
-		e.riSentEpoch = epoch
-		e.riInFlight = true
-		out = append(out, e.sendReadIndex(host))
-	}
-	e.riPending = append(e.riPending, pendingRead{req: r, epoch: epoch})
-	return out
 }
 
 // sendReadIndex (re)transmits the current epoch's frontier query to the
@@ -626,10 +597,10 @@ func (e *execution) onReadIndexReply(host tee.Host, rep *messages.ReadIndexReply
 	return out
 }
 
-// flushReads settles every pending linearizable read whose outcome is now
-// decided: refuse all of them the moment the lease stops being valid
-// (fail-closed — the client falls back to agreement), serve those whose
-// confirmed frontier is applied.
+// flushReads settles every pending read whose outcome is now decided:
+// refuse all of them the moment the lease stops being valid (fail-closed —
+// the client falls back to agreement), serve those whose confirmed frontier
+// is applied.
 func (e *execution) flushReads() []tee.OutMsg {
 	if len(e.riPending) == 0 {
 		return nil
@@ -640,9 +611,9 @@ func (e *execution) flushReads() []tee.OutMsg {
 	for _, pr := range e.riPending {
 		switch {
 		case !valid:
-			out = append(out, e.refuseRead(pr.req))
+			out = append(out, e.readReply(pr.req, false))
 		case pr.epoch <= e.riAckedEpoch && e.lastExec >= e.riAckedFrontier:
-			out = append(out, e.answerRead(pr.req))
+			out = append(out, e.readReply(pr.req, true))
 		default:
 			keep = append(keep, pr)
 		}
@@ -667,7 +638,7 @@ func (e *execution) onReadTick(host tee.Host) []tee.OutMsg {
 	for i := range e.riPending {
 		pr := e.riPending[i]
 		if pr.seenTick {
-			out = append(out, e.refuseRead(pr.req))
+			out = append(out, e.readReply(pr.req, false))
 			continue
 		}
 		pr.seenTick = true
@@ -683,26 +654,22 @@ func (e *execution) onReadTick(host tee.Host) []tee.OutMsg {
 	return out
 }
 
-// serveLocalRead runs the admission checks and, when they pass, executes
-// the read against the application without ordering it. Admission:
+// serveLocalRead runs the serve checks and, when they pass, executes the
+// read against the application without ordering it:
 //
 //   - the application must expose a side-effect-free read path
 //     (app.ReadExecutor) — anything else must be ordered;
-//   - the lease must be valid at serve time (view match, not near expiry);
-//   - the applied index must cover the client's session watermark
-//     (read-your-writes + monotonic reads). Linearizable reads carry an
-//     additional admission — a read-index frontier confirmed after arrival
-//     and applied — enforced by the pending-read machinery before this
-//     function runs.
+//   - the lease must be valid at serve time (view match, not near expiry).
+//
+// The read's other admission — a read-index frontier confirmed after its
+// arrival and applied — is enforced by the pending-read machinery before
+// this function runs.
 func (e *execution) serveLocalRead(r *messages.ReadRequest) ([]byte, bool) {
 	ra, ok := e.app.(app.ReadExecutor)
 	if !ok {
 		return nil, false
 	}
 	if !e.leaseValid(e.clock.Now()) {
-		return nil, false
-	}
-	if e.lastExec < r.MinSeq {
 		return nil, false
 	}
 	op := r.Payload
@@ -712,7 +679,7 @@ func (e *execution) serveLocalRead(r *messages.ReadRequest) ([]byte, bool) {
 		if !ok {
 			return nil, false
 		}
-		pt, err := sess.Open(r.Payload, client.RequestAD(r.ClientID, r.Timestamp))
+		pt, err := sess.Open(r.Payload, crypto.RequestAD(r.ClientID, r.Timestamp))
 		if err != nil {
 			return nil, false
 		}
@@ -723,7 +690,7 @@ func (e *execution) serveLocalRead(r *messages.ReadRequest) ([]byte, bool) {
 		return nil, false // not a read-only op: it must go through agreement
 	}
 	if e.confidential {
-		result = sess.Seal(result, client.ReplyAD(r.ClientID, r.Timestamp))
+		result = sess.Seal(result, crypto.ReplyAD(r.ClientID, r.Timestamp))
 	}
 	return result, true
 }
@@ -877,7 +844,6 @@ func (e *execution) executeBatch(host tee.Host, batch *messages.Batch) []tee.Out
 			ClientID:  req.ClientID,
 			Timestamp: req.Timestamp,
 			Replica:   e.id,
-			Seq:       e.lastExec,
 			Result:    result,
 		}
 		rep.MAC = e.clientMAC(rep, req.ClientID)
@@ -909,7 +875,7 @@ func (e *execution) executeOne(req *messages.Request) []byte {
 		if !ok {
 			return app.NoOpResult // no session: cannot decrypt, no-op
 		}
-		pt, err := sess.Open(req.Payload, client.RequestAD(req.ClientID, req.Timestamp))
+		pt, err := sess.Open(req.Payload, crypto.RequestAD(req.ClientID, req.Timestamp))
 		if err != nil {
 			return app.NoOpResult // corrupted ciphertext: no-op
 		}
@@ -917,7 +883,7 @@ func (e *execution) executeOne(req *messages.Request) []byte {
 	}
 	result := e.app.Execute(req.ClientID, op)
 	if e.confidential {
-		result = sess.Seal(result, client.ReplyAD(req.ClientID, req.Timestamp))
+		result = sess.Seal(result, crypto.ReplyAD(req.ClientID, req.Timestamp))
 	}
 	return result
 }
@@ -1116,12 +1082,12 @@ func (e *execution) onNewView(host tee.Host, nv *messages.NewView) []tee.OutMsg 
 	if e.lease != nil && e.lease.View != e.view {
 		e.lease = nil
 	}
-	// Pending linearizable reads were waiting on a frontier from the deposed
-	// primary: refuse them all (fail-closed), and forget the in-flight query
-	// — a late reply for it fails the view check.
+	// Pending reads were waiting on a frontier from the deposed primary:
+	// refuse them all (fail-closed), and forget the in-flight query — a late
+	// reply for it fails the view check.
 	var out []tee.OutMsg
 	for i := range e.riPending {
-		out = append(out, e.refuseRead(e.riPending[i].req))
+		out = append(out, e.readReply(e.riPending[i].req, false))
 		e.riPending[i] = pendingRead{}
 	}
 	e.riPending = e.riPending[:0]
@@ -1152,7 +1118,7 @@ func (e *execution) onProvisionKey(host tee.Host, pk *messages.ProvisionKey) {
 	if err != nil {
 		return
 	}
-	keyBytes, err := wrapSess.Open(pk.WrappedKey, client.ProvisionAD(pk.ClientID))
+	keyBytes, err := wrapSess.Open(pk.WrappedKey, crypto.ProvisionAD(pk.ClientID))
 	if err != nil || len(keyBytes) != crypto.SessionKeySize {
 		return
 	}

@@ -16,9 +16,9 @@ type EventStats struct {
 	// ViewChanges counts advances of this replica's view estimate —
 	// observed NewView messages and its own suspicion-driven bumps.
 	ViewChanges uint64
-	// LeaseRefusals counts linearizable reads the Execution compartment
-	// refused to serve locally (expired/absent lease, stale frontier) —
-	// each one fell back to the agreement or read-index path.
+	// LeaseRefusals counts leased reads the Execution compartment refused
+	// to serve locally (expired/absent lease, unconfirmed frontier, an op
+	// that is not read-only) — each one fell back to the agreement path.
 	LeaseRefusals uint64
 	// ReadIndexes counts read-index confirmation rounds this replica
 	// started as lease holder.

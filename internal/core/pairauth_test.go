@@ -198,7 +198,7 @@ func TestPairAuthBadSlotFallsBack(t *testing.T) {
 				if r.prepCode.acksFresh(time.Now()) {
 					t.Fatal("unauthenticated acks made the granter believe it is reachable")
 				}
-				if rep := r.read(1, 1, 0, true, get); rep == nil || rep.OK {
+				if rep := r.read(1, 1, get); rep == nil || rep.OK {
 					t.Fatalf("read served without a servable lease: %+v", rep)
 				}
 			})
@@ -232,7 +232,7 @@ func TestPairAuthBadSlotFallsBack(t *testing.T) {
 			r := newLeaseRigMode(t, time.Second, mode)
 			r.armLeases()
 			for _, holder := range []uint32{1, 0} {
-				if rep := r.read(holder, 1, 0, true, get); rep == nil || !rep.OK {
+				if rep := r.read(holder, 1, get); rep == nil || !rep.OK {
 					t.Fatalf("holder %d refused a read with valid slots: %+v", holder, rep)
 				}
 			}

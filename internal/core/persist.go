@@ -33,8 +33,9 @@ import (
 // (counter bases, the preparation counter position, the confirmation high
 // counter); version 3 changed the skip-state layout of the checkpoint
 // snapshot Execution embeds (a fixed window per client, see snapshotState),
-// which a version-2 blob would be misparsed against.
-const stateVersion = 3
+// which a version-2 blob would be misparsed against; version 4 dropped the
+// executed sequence number from the Reply bodies Execution caches.
+const stateVersion = 4
 
 // sessionCounterSlack is added to every restored session nonce counter.
 // The un-fsynced WAL tail may hold executions whose encrypted replies

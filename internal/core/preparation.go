@@ -163,16 +163,14 @@ func (p *preparation) maybeGrantLeases() []tee.OutMsg {
 	p.lastExpiry = expiry
 	out := make([]tee.OutMsg, 0, p.n)
 	for holder := uint32(0); int(holder) < p.n; holder++ {
-		att := p.counter.GrantLease(holder, p.view, p.nextSeq, expiry, probe)
+		att := p.counter.GrantLease(holder, p.view, expiry, probe)
 		g := &messages.LeaseGrant{
-			Granter:   att.Granter,
-			Holder:    att.Holder,
-			View:      att.View,
-			AnchorSeq: att.AnchorSeq,
-			CtrVal:    att.CtrVal,
-			Expiry:    att.Expiry,
-			Probe:     att.Probe,
-			Sig:       att.Sig,
+			Granter: att.Granter,
+			Holder:  att.Holder,
+			View:    att.View,
+			Expiry:  att.Expiry,
+			Probe:   att.Probe,
+			Sig:     att.Sig,
 		}
 		if holder == p.id {
 			out = append(out, localOut(crypto.RoleExecution, g))
@@ -365,7 +363,7 @@ func (p *preparation) proposeBatch(host tee.Host, batch *messages.Batch) []tee.O
 	p.record(pp.View, pp.Seq, pp.Digest)
 	out := localFirst(pp, crypto.RoleConfirmation, crypto.RoleExecution)
 	// Piggyback lease renewal on proposal traffic: under load the leases
-	// ride along for free and the anchor tracks the write frontier.
+	// ride along for free.
 	return append(out, p.maybeGrantLeases()...)
 }
 

@@ -10,12 +10,11 @@ import (
 	"github.com/splitbft/splitbft/internal/tee"
 )
 
-// Lease-anchored local read tests: drive the Preparation (granter) and
-// Execution (holder) compartments directly, probing the fail-closed
-// admission rules — an expired, revoked, forged, probe-only, or missing
-// lease must refuse the local read, and a linearizable read must never be
-// served off lease state alone (it needs a read-index frontier sampled
-// after its arrival).
+// Leased local read tests: drive the Preparation (granter) and Execution
+// (holder) compartments directly, probing the fail-closed admission rules —
+// an expired, revoked, forged, probe-only, or missing lease must refuse the
+// local read, and a read must never be served off lease state alone (it
+// needs a read-index frontier sampled after its arrival).
 
 // leaseRig wires one primary Preparation enclave (replica 0, with the
 // trusted counter) and all n Execution enclaves with read leases on. Every
@@ -233,14 +232,11 @@ func (r *leaseRig) renew() {
 
 // request sends a MAC-authenticated ReadRequest to a replica's Execution
 // enclave and returns what it emitted.
-func (r *leaseRig) request(replica uint32, ts, minSeq uint64, linearizable bool, op []byte) []tee.OutMsg {
+func (r *leaseRig) request(replica uint32, ts uint64, op []byte) []tee.OutMsg {
 	r.t.Helper()
 	const clientID = 42
 	macs := crypto.NewMACStore(r.secret, crypto.Identity{ReplicaID: clientID, Role: crypto.RoleClient})
-	req := &messages.ReadRequest{
-		ClientID: clientID, Timestamp: ts, MinSeq: minSeq,
-		Linearizable: linearizable, Payload: op,
-	}
+	req := &messages.ReadRequest{ClientID: clientID, Timestamp: ts, Payload: op}
 	req.MAC = macs.MAC(req.AuthenticatedBytes(), crypto.Identity{ReplicaID: replica, Role: crypto.RoleExecution})
 	out, err := r.execs[replica].Invoke(wrapMessage(messages.Marshal(req)))
 	if err != nil {
@@ -249,11 +245,11 @@ func (r *leaseRig) request(replica uint32, ts, minSeq uint64, linearizable bool,
 	return out
 }
 
-// query sends a linearizable read to a leased holder and returns the
-// read-index query it parks behind.
+// query sends a read to a leased holder and returns the read-index query it
+// parks behind.
 func (r *leaseRig) query(replica uint32, ts uint64, op []byte) *messages.ReadIndex {
 	r.t.Helper()
-	ri, ok := scanMsg[*messages.ReadIndex](r.t, r.request(replica, ts, 0, true, op))
+	ri, ok := scanMsg[*messages.ReadIndex](r.t, r.request(replica, ts, op))
 	if !ok {
 		r.t.Fatalf("holder %d sent no read-index query", replica)
 	}
@@ -307,12 +303,12 @@ func (r *leaseRig) tickExec(replica uint32) *messages.ReadReply {
 }
 
 // read runs one read end to end and returns the client reply (nil when the
-// enclave stayed silent). A linearizable read parks behind a read-index
+// enclave stayed silent). An admitted read parks behind a read-index
 // exchange; this helper shuttles the query to the primary's Preparation
 // compartment and the frontier reply back, mimicking the broker.
-func (r *leaseRig) read(replica uint32, ts, minSeq uint64, linearizable bool, op []byte) *messages.ReadReply {
+func (r *leaseRig) read(replica uint32, ts uint64, op []byte) *messages.ReadReply {
 	r.t.Helper()
-	out := r.request(replica, ts, minSeq, linearizable, op)
+	out := r.request(replica, ts, op)
 	if rep, ok := findMsg[*messages.ReadReply](r.t, out, tee.DestClient); ok {
 		return rep
 	}
@@ -328,15 +324,15 @@ func (r *leaseRig) read(replica uint32, ts, minSeq uint64, linearizable bool, op
 }
 
 // TestLeaseLocalReadServes is the fast-path happy case: a granted,
-// verified, in-view, ack-armed lease serves a linearizable read locally —
+// verified, in-view, ack-armed lease serves a read locally —
 // one read-index round trip to the primary, one attested reply, no
 // agreement round.
 func TestLeaseLocalReadServes(t *testing.T) {
 	r := newLeaseRig(t, time.Second)
 	r.armLeases()
-	rep := r.read(1, 1, 0, true, app.EncodeGet("missing"))
+	rep := r.read(1, 1, app.EncodeGet("missing"))
 	if rep == nil || !rep.OK {
-		t.Fatalf("leased linearizable read refused: %+v", rep)
+		t.Fatalf("leased read refused: %+v", rep)
 	}
 	if string(rep.Result) != "NOTFOUND" {
 		t.Fatalf("read result = %q, want NOTFOUND", rep.Result)
@@ -354,7 +350,7 @@ func TestLeaseLocalReadServes(t *testing.T) {
 // not a result.
 func TestLeaselessReadRefused(t *testing.T) {
 	r := newLeaseRig(t, time.Second)
-	rep := r.read(2, 1, 0, false, app.EncodeGet("k"))
+	rep := r.read(2, 1, app.EncodeGet("k"))
 	if rep == nil {
 		t.Fatal("expected an explicit refusal reply, got silence")
 	}
@@ -364,8 +360,7 @@ func TestLeaselessReadRefused(t *testing.T) {
 }
 
 // TestProbeGrantNotServable: a probe grant is a reachability check, not a
-// lease — a holder that installed nothing but probes must refuse reads in
-// both consistency modes.
+// lease — a holder that installed nothing but probes must refuse reads.
 func TestProbeGrantNotServable(t *testing.T) {
 	r := newLeaseRig(t, time.Second)
 	probes := r.grants()
@@ -373,11 +368,8 @@ func TestProbeGrantNotServable(t *testing.T) {
 		t.Fatal("first grant round is not probe-only")
 	}
 	r.deliver(1, probes[1])
-	if rep := r.read(1, 1, 0, false, app.EncodeGet("k")); rep == nil || rep.OK {
-		t.Fatalf("probe grant served a session read: %+v", rep)
-	}
-	if rep := r.read(1, 2, 0, true, app.EncodeGet("k")); rep == nil || rep.OK {
-		t.Fatalf("probe grant served a linearizable read: %+v", rep)
+	if rep := r.read(1, 1, app.EncodeGet("k")); rep == nil || rep.OK {
+		t.Fatalf("probe grant served a read: %+v", rep)
 	}
 }
 
@@ -445,50 +437,63 @@ func TestLeaseWrongHolderIgnored(t *testing.T) {
 	if ack := r.deliver(2, grants[1]); ack != nil { // replica 2 gets replica 1's grant
 		t.Fatal("misaddressed grant was acknowledged")
 	}
-	if rep := r.read(2, 1, 0, false, app.EncodeGet("k")); rep == nil || rep.OK {
+	if rep := r.read(2, 1, app.EncodeGet("k")); rep == nil || rep.OK {
 		t.Fatalf("misaddressed grant armed the fast path: %+v", rep)
 	}
 }
 
-// TestLeaseForgedSignatureRejected: a lease whose counter signature does
-// not verify must be dropped — the broker relays grants, so a corrupt or
-// malicious environment can tamper with them. Flipping the probe flag is
-// the most dangerous forgery (it would turn a reachability probe into a
-// servable lease), so it is covered explicitly.
+// TestLeaseForgedSignatureRejected: a lease with any signed field altered
+// must be dropped — the broker relays grants, so a corrupt or malicious
+// environment can tamper with them. Each case rewrites one field of a
+// genuine grant and delivers it to the holder the forgery names, whose view
+// is aligned with the forged one, so only the counter signature stands
+// between the forgery and an installed lease. Flipping the probe flag is
+// the most dangerous forgery: it would turn a reachability probe into a
+// servable lease.
 func TestLeaseForgedSignatureRejected(t *testing.T) {
-	r := newLeaseRig(t, time.Second)
-	grants := r.grants()
-	g := *grants[1]
-	g.AnchorSeq++ // payload no longer matches the signature
-	if ack := r.deliver(1, &g); ack != nil {
-		t.Fatal("forged lease was acknowledged")
-	}
-	probe := *grants[1]
-	probe.Probe = false // probe laundered into a servable lease
-	if ack := r.deliver(1, &probe); ack != nil {
-		t.Fatal("probe-flag forgery was acknowledged")
-	}
-	if rep := r.read(1, 1, 0, false, app.EncodeGet("k")); rep == nil || rep.OK {
-		t.Fatalf("forged lease served a local read: %+v", rep)
+	for _, tc := range []struct {
+		field  string
+		to     uint32
+		tamper func(g *messages.LeaseGrant)
+	}{
+		{"Holder", 2, func(g *messages.LeaseGrant) { g.Holder = 2 }},
+		{"View", 1, func(g *messages.LeaseGrant) { g.View += 4 }}, // same primary, n = 4
+		{"Expiry", 1, func(g *messages.LeaseGrant) { g.Expiry += int64(time.Hour) }},
+		{"Probe", 1, func(g *messages.LeaseGrant) { g.Probe = !g.Probe }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			r := newLeaseRig(t, time.Second)
+			genuine := r.grants()[1]
+			forged := *genuine
+			tc.tamper(&forged)
+			r.codes[tc.to].view = forged.View
+			if ack := r.deliver(tc.to, &forged); ack != nil {
+				t.Fatalf("grant with a forged %s was acknowledged", tc.field)
+			}
+			if rep := r.read(tc.to, 1, app.EncodeGet("k")); rep == nil || rep.OK {
+				t.Fatalf("forged %s served a local read: %+v", tc.field, rep)
+			}
+			r.codes[tc.to].view = genuine.View
+			if ack := r.deliver(1, genuine); ack == nil {
+				t.Fatal("the genuine grant was not acknowledged")
+			}
+		})
 	}
 }
 
 // TestLeaseExpiryFailsClosed: after the TTL passes, the ex-leaseholder —
 // think of it as partitioned away from the primary, missing every renewal
-// — must refuse local reads in both consistency modes.
+// — must refuse local reads.
 func TestLeaseExpiryFailsClosed(t *testing.T) {
 	ttl := 80 * time.Millisecond
 	r := newLeaseRig(t, ttl)
 	r.armLeases()
-	if rep := r.read(1, 1, 0, true, app.EncodeGet("k")); rep == nil || !rep.OK {
+	if rep := r.read(1, 1, app.EncodeGet("k")); rep == nil || !rep.OK {
 		t.Fatalf("fresh lease refused: %+v", rep)
 	}
 	time.Sleep(ttl + 20*time.Millisecond)
-	if rep := r.read(1, 2, 0, true, app.EncodeGet("k")); rep == nil || rep.OK {
-		t.Fatal("expired lease served a linearizable read")
-	}
-	if rep := r.read(1, 3, 0, false, app.EncodeGet("k")); rep == nil || rep.OK {
-		t.Fatal("expired lease served a session read")
+	if rep := r.read(1, 2, app.EncodeGet("k")); rep == nil || rep.OK {
+		t.Fatal("expired lease served a read")
 	}
 }
 
@@ -498,40 +503,23 @@ func TestLeaseExpiryFailsClosed(t *testing.T) {
 func TestLeaseViewChangeRevokes(t *testing.T) {
 	r := newLeaseRig(t, time.Second)
 	r.armLeases()
-	if rep := r.read(1, 1, 0, false, app.EncodeGet("k")); rep == nil || !rep.OK {
+	if rep := r.read(1, 1, app.EncodeGet("k")); rep == nil || !rep.OK {
 		t.Fatalf("fresh lease refused: %+v", rep)
 	}
 	// White-box: advance the compartment's view as an installed NewView
 	// would (crafting a full valid NewView certificate is the view-change
 	// tests' job); leaseValid must now refuse the view-0 lease.
 	r.codes[1].view = 1
-	if rep := r.read(1, 2, 0, false, app.EncodeGet("k")); rep == nil || rep.OK {
+	if rep := r.read(1, 2, app.EncodeGet("k")); rep == nil || rep.OK {
 		t.Fatal("deposed view's lease served a local read")
-	}
-	if rep := r.read(1, 3, 0, true, app.EncodeGet("k")); rep == nil || rep.OK {
-		t.Fatal("deposed view's lease served a linearizable read")
-	}
-}
-
-// TestSessionReadHonorsWatermark: a session read carries the client's
-// MinSeq watermark; a replica that has not applied that far must refuse —
-// this is what makes the fast path read-your-writes.
-func TestSessionReadHonorsWatermark(t *testing.T) {
-	r := newLeaseRig(t, time.Second)
-	r.armLeases()
-	if rep := r.read(1, 1, 5, false, app.EncodeGet("k")); rep == nil || rep.OK {
-		t.Fatal("lagging replica served a session read past its watermark")
-	}
-	if rep := r.read(1, 2, 0, false, app.EncodeGet("k")); rep == nil || !rep.OK {
-		t.Fatalf("watermark-satisfying session read refused: %+v", rep)
 	}
 }
 
 // TestLinearizableReadSeesPostGrantWrite is the stale-read regression the
 // read-index confirmation exists for: a write proposed AFTER the holder's
 // lease was granted must be observed by a later linearizable read, or the
-// read must wait. Anchoring admission at grant time (the old AnchorSeq
-// check) failed exactly this: the lease predates the write, so a lagging
+// read must wait. Anchoring admission at the primary's frontier as of grant
+// time fails exactly this: the lease predates the write, so a lagging
 // holder under a still-valid lease would serve the stale value.
 func TestLinearizableReadSeesPostGrantWrite(t *testing.T) {
 	r := newLeaseRig(t, time.Second)
@@ -541,19 +529,13 @@ func TestLinearizableReadSeesPostGrantWrite(t *testing.T) {
 	// after the grants went out. Holder 1 has not executed it.
 	r.propose(1)
 
-	// The linearizable read must NOT be served: the primary's frontier (1)
-	// is ahead of the holder's applied index (0), so the read parks.
-	if rep := r.read(1, 1, 0, true, app.EncodeGet("k")); rep != nil {
-		t.Fatalf("linearizable read answered while behind the frontier: %+v", rep)
+	// The read must NOT be served: the primary's frontier (1) is ahead of
+	// the holder's applied index (0), so the read parks.
+	if rep := r.read(1, 1, app.EncodeGet("k")); rep != nil {
+		t.Fatalf("read answered while behind the frontier: %+v", rep)
 	}
 	if got := len(r.codes[1].riPending); got != 1 {
-		t.Fatalf("pending linearizable reads = %d, want 1", got)
-	}
-
-	// A session read (weaker contract, no cross-client recency) still
-	// serves off the applied index.
-	if rep := r.read(1, 2, 0, false, app.EncodeGet("k")); rep == nil || !rep.OK {
-		t.Fatalf("session read refused on a replica behind the frontier: %+v", rep)
+		t.Fatalf("pending reads = %d, want 1", got)
 	}
 
 	// Once the holder catches up past the frontier, the parked read is
@@ -569,7 +551,7 @@ func TestLinearizableReadSeesPostGrantWrite(t *testing.T) {
 		t.Fatalf("parked read returned %q, want the post-grant write %q", rep.Result, "v")
 	}
 	if got := len(r.codes[1].riPending); got != 0 {
-		t.Fatalf("pending linearizable reads = %d after flush, want 0", got)
+		t.Fatalf("pending reads = %d after flush, want 0", got)
 	}
 }
 
@@ -580,13 +562,13 @@ func TestLinearizableReadSeesPostGrantWrite(t *testing.T) {
 func TestReadReplayDropped(t *testing.T) {
 	r := newLeaseRig(t, time.Second)
 	r.armLeases()
-	if rep := r.read(1, 5, 0, false, app.EncodeGet("k")); rep == nil || !rep.OK {
+	if rep := r.read(1, 5, app.EncodeGet("k")); rep == nil || !rep.OK {
 		t.Fatalf("fresh read refused: %+v", rep)
 	}
-	if rep := r.read(1, 5, 0, false, app.EncodeGet("k")); rep != nil {
+	if rep := r.read(1, 5, app.EncodeGet("k")); rep != nil {
 		t.Fatalf("replayed read was answered: %+v", rep)
 	}
-	if rep := r.read(1, 3, 0, false, app.EncodeGet("k")); rep != nil {
+	if rep := r.read(1, 3, app.EncodeGet("k")); rep != nil {
 		t.Fatalf("stale-timestamp read was answered: %+v", rep)
 	}
 	if got := r.codes[1].localReads.Load(); got != 1 {
@@ -672,7 +654,7 @@ func TestReadsBypassReplyCache(t *testing.T) {
 		// Keep the lease renewed across the loop — the TTL is clamped to
 		// RequestTimeout/4, which a 64-read loop can outlive under -race.
 		r.renew()
-		if rep := r.read(1, ts, 0, true, app.EncodeGet("k")); rep == nil || !rep.OK {
+		if rep := r.read(1, ts, app.EncodeGet("k")); rep == nil || !rep.OK {
 			t.Fatalf("read %d refused: %+v", ts, rep)
 		}
 	}

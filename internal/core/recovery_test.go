@@ -132,8 +132,8 @@ func TestSealedStateWrongIdentityRefused(t *testing.T) {
 
 // testdata/sealed-v2 was written by the state-version-2 code: a WAL of
 // eight records (fixtureRecord) and a sealed Execution export, both sealed
-// by replica 2's Execution enclave keyed from fixtureSeed. Version 3 changed
-// what an export holds, not how a blob is sealed or a record framed.
+// by replica 2's Execution enclave keyed from fixtureSeed. Versions 3 and 4
+// changed what an export holds, not how a blob is sealed or a record framed.
 var fixtureSeed = []byte("sealed-layout-fixture")
 
 func fixtureRecord(i int) []byte {
@@ -188,9 +188,10 @@ func TestSealedWALFromVersion2Unseals(t *testing.T) {
 }
 
 // TestStateExportV2Refused: the checkpoint snapshot Execution embeds changed
-// its skip-state layout in version 3, so a version-2 export is refused
-// outright rather than misparsed into a wrong skip window — the genuine one
-// in testdata and, for every compartment, a current export tagged 2.
+// its skip-state layout in version 3, and the Reply bodies it caches lost a
+// field in version 4, so older exports are refused outright rather than
+// misparsed — the genuine version-2 one in testdata and, for every
+// compartment, a current export tagged 2 or 3.
 func TestStateExportV2Refused(t *testing.T) {
 	sealed, err := os.ReadFile(filepath.Join("testdata", "sealed-v2", "execution-v2.sealed"))
 	if err != nil {
@@ -215,9 +216,11 @@ func TestStateExportV2Refused(t *testing.T) {
 		if err := d.ImportState(pt); err != nil {
 			t.Fatalf("%s: current export refused: %v", name, err)
 		}
-		pt[0] = 2
-		if err := d.ImportState(pt); !errors.Is(err, errStateVersion) {
-			t.Fatalf("%s: export tagged version 2: err = %v, want errStateVersion", name, err)
+		for _, old := range []byte{2, 3} {
+			pt[0] = old
+			if err := d.ImportState(pt); !errors.Is(err, errStateVersion) {
+				t.Fatalf("%s: export tagged version %d: err = %v, want errStateVersion", name, old, err)
+			}
 		}
 	}
 }

@@ -21,21 +21,18 @@ const leaseSigningTag = 0xF3
 
 // LeaseSigningBytes is the canonical byte layout a read-lease grant signs:
 // the granting replica (the primary owning the counter), the lease-holding
-// replica, the view the lease is valid in, the primary's proposal frontier
-// at grant time, the counter value at grant time, the wall-clock expiry
-// (UnixNano), and the probe flag (a probe grant is acknowledged but never
-// installed, so the flag must be unforgeable — flipping it would turn a
-// reachability probe into a servable lease). Signed under the granter's
-// RoleCounter key, so a lease carries the same trust anchor as a counter
-// attestation and is revoked by the same view-change machinery.
-func LeaseSigningBytes(granter, holder uint32, view, anchorSeq, ctrVal uint64, expiry int64, probe bool) []byte {
-	buf := make([]byte, 0, 1+4+4+8+8+8+8+1)
+// replica, the view the lease is valid in, the wall-clock expiry (UnixNano),
+// and the probe flag (a probe grant is acknowledged but never installed, so
+// the flag must be unforgeable — flipping it would turn a reachability probe
+// into a servable lease). Signed under the granter's RoleCounter key, so a
+// lease carries the same trust anchor as a counter attestation and is
+// revoked by the same view-change machinery.
+func LeaseSigningBytes(granter, holder uint32, view uint64, expiry int64, probe bool) []byte {
+	buf := make([]byte, 0, 1+4+4+8+8+1)
 	buf = append(buf, leaseSigningTag)
 	buf = binary.LittleEndian.AppendUint32(buf, granter)
 	buf = binary.LittleEndian.AppendUint32(buf, holder)
 	buf = binary.LittleEndian.AppendUint64(buf, view)
-	buf = binary.LittleEndian.AppendUint64(buf, anchorSeq)
-	buf = binary.LittleEndian.AppendUint64(buf, ctrVal)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(expiry))
 	if probe {
 		return append(buf, 1)

@@ -122,3 +122,24 @@ func (s *Session) Open(sealed, ad []byte) ([]byte, error) {
 
 // Overhead returns the total ciphertext expansion of Seal (nonce + tag).
 func (s *Session) Overhead() int { return s.aead.NonceSize() + s.aead.Overhead() }
+
+// ProvisionAD binds the wrapped session-key blob to the provisioning
+// client; the client seals under it and the Execution compartment opens.
+func ProvisionAD(clientID uint32) []byte {
+	return binary.LittleEndian.AppendUint32(make([]byte, 0, 4), clientID)
+}
+
+// RequestAD binds a confidential request payload to (client, timestamp):
+// the AES-GCM associated data the client seals under and the Execution
+// compartment opens with.
+func RequestAD(clientID uint32, timestamp uint64) []byte {
+	ad := binary.LittleEndian.AppendUint32(make([]byte, 0, 12), clientID)
+	return binary.LittleEndian.AppendUint64(ad, timestamp)
+}
+
+// ReplyAD binds a confidential reply to (client, timestamp). The replica ID
+// is intentionally excluded so honest replicas produce comparable
+// ciphertext contents (plaintexts are compared after decryption anyway).
+func ReplyAD(clientID uint32, timestamp uint64) []byte {
+	return RequestAD(clientID, timestamp)
+}

@@ -70,14 +70,14 @@ func Check(data []byte) error {
 		checkBatch(&d)
 		d.skip(4)
 	case TLeaseGrant:
-		d.skip(4 + 4 + 8 + 8 + 8 + 8 + 1)
+		d.skip(4 + 4 + 8 + 8 + 1)
 		d.skipVar()
 	case TReadRequest:
-		d.skip(4 + 8 + 8 + 1)
+		d.skip(4 + 8)
 		d.skipVar()
 		d.skip(crypto.MACSize)
 	case TReadReply:
-		d.skip(4 + 4 + 8 + 8 + 8 + 1)
+		d.skip(4 + 4 + 8 + 8 + 1)
 		d.skipVar()
 		d.skip(crypto.MACSize)
 	case TLeaseAck, TReadIndex:
@@ -179,8 +179,8 @@ func checkViewChange(d *Decoder) {
 }
 
 // replyFixed is the width of a Reply's fixed header: View, ClientID,
-// Timestamp, Replica, Seq.
-const replyFixed = 8 + 4 + 8 + 4 + 8
+// Timestamp, Replica.
+const replyFixed = 8 + 4 + 8 + 4
 
 // ReplyIdentity reads the request a marshalled Reply answers from its fixed
 // header, for the environment's bookkeeping on replies it forwards; ok is

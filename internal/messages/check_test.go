@@ -38,7 +38,7 @@ func wireSamples() []Message {
 		ppSig, ppMAC, prepSig, prepMAC,
 		&Commit{View: 3, Seq: 9, Digest: dg, Replica: 2, Sig: []byte("s2")},
 		&Commit{View: 3, Seq: 9, Digest: dg, Replica: 2, Auth: auth},
-		&Reply{View: 1, ClientID: 5, Timestamp: 6, Replica: 2, Seq: 9, Result: []byte("ok"), MAC: [crypto.MACSize]byte{1}},
+		&Reply{View: 1, ClientID: 5, Timestamp: 6, Replica: 2, Result: []byte("ok"), MAC: [crypto.MACSize]byte{1}},
 		cpSig, cpMAC, vcSig, vcMAC,
 		&NewView{View: 4, ViewChanges: []ViewChange{*vcSig, *vcSig}, Stable: stableSig, PrePrepares: []PrePrepare{*ppSig.StripBatch()}, Sig: []byte("s5")},
 		&NewView{View: 4, ViewChanges: []ViewChange{*vcMAC, *vcMAC}, Stable: stableMAC, PrePrepares: []PrePrepare{*ppMAC.StripBatch()}, CtrBase: 12, Sig: []byte("s5")},
@@ -52,9 +52,13 @@ func wireSamples() []Message {
 		&BatchFetch{Seq: 9, Digest: dg, Replica: 3},
 		&BatchReply{Seq: 9, Digest: dg, Batch: batch, Replica: 0},
 		&StateProbe{Have: 77, Replica: 3},
-		&LeaseGrant{Granter: 0, Holder: 2, View: 4, AnchorSeq: 9, CtrVal: 12, Expiry: 1 << 40, Probe: true, Sig: []byte("lease")},
-		&ReadRequest{ClientID: 5, Timestamp: 6, MinSeq: 9, Linearizable: true, Payload: []byte("get"), MAC: [crypto.MACSize]byte{4}},
-		&ReadReply{Replica: 2, ClientID: 5, Timestamp: 6, View: 4, AppliedSeq: 9, OK: true, Result: []byte("v"), MAC: [crypto.MACSize]byte{5}},
+		&LeaseGrant{Granter: 0, Holder: 2, View: 4, Expiry: 1 << 40, Probe: true, Sig: []byte("lease")},
+		// A servable grant as the counter signs it: a full Ed25519 signature.
+		&LeaseGrant{Granter: 0, Holder: 2, View: 4, Expiry: 1 << 40, Sig: make([]byte, 64)},
+		&ReadRequest{ClientID: 5, Timestamp: 6, Payload: []byte("get"), MAC: [crypto.MACSize]byte{4}},
+		&ReadReply{Replica: 2, ClientID: 5, Timestamp: 6, View: 4, OK: true, Result: []byte("v"), MAC: [crypto.MACSize]byte{5}},
+		// A refusal: no result, so a zero length prefix right before the MAC.
+		&ReadReply{Replica: 2, ClientID: 5, Timestamp: 6, View: 4, MAC: [crypto.MACSize]byte{5}},
 		&LeaseAck{Holder: 2, View: 4, Expiry: 1 << 40, Auth: pair},
 		&ReadIndex{Holder: 2, View: 4, Epoch: 8, Auth: pair},
 		&ReadIndexReply{Replica: 0, Holder: 2, View: 4, Epoch: 8, Frontier: 9, Auth: pair},
@@ -121,7 +125,7 @@ func FuzzCheckAgreesWithUnmarshal(f *testing.F) {
 // reads, and refuses anything that is not a Reply with its whole fixed
 // header.
 func TestReplyIdentityMatchesDecode(t *testing.T) {
-	rep := &Reply{View: 1<<40 + 1, ClientID: 0xC0FFEE, Timestamp: 1<<50 + 3, Replica: 2, Seq: 9, Result: []byte("ok")}
+	rep := &Reply{View: 1<<40 + 1, ClientID: 0xC0FFEE, Timestamp: 1<<50 + 3, Replica: 2, Result: []byte("ok")}
 	data := Marshal(rep)
 	client, ts, ok := ReplyIdentity(data)
 	if !ok || client != rep.ClientID || ts != rep.Timestamp {

@@ -450,14 +450,8 @@ type Reply struct {
 	ClientID  uint32
 	Timestamp uint64
 	Replica   uint32
-	// Seq is the agreement sequence number the operation executed at. The
-	// client keeps the highest Seq it has seen as its session watermark, so
-	// a later session-consistent read can require at least this much
-	// history from whichever replica serves it. Zero where the executing
-	// engine does not track it (the monolithic pbft baseline).
-	Seq    uint64
-	Result []byte
-	MAC    [crypto.MACSize]byte
+	Result    []byte
+	MAC       [crypto.MACSize]byte
 }
 
 // MsgType implements Message.
@@ -478,7 +472,6 @@ func (r *Reply) AppendAuthenticated(e *Encoder) {
 	e.U32(r.ClientID)
 	e.U64(r.Timestamp)
 	e.U32(r.Replica)
-	e.U64(r.Seq)
 	e.VarBytes(r.Result)
 }
 
@@ -487,7 +480,6 @@ func (r *Reply) encodeBody(e *Encoder) {
 	e.U32(r.ClientID)
 	e.U64(r.Timestamp)
 	e.U32(r.Replica)
-	e.U64(r.Seq)
 	e.VarBytes(r.Result)
 	e.MAC(r.MAC)
 }
@@ -497,7 +489,6 @@ func (r *Reply) decodeBody(d *Decoder) {
 	r.ClientID = d.U32()
 	r.Timestamp = d.U64()
 	r.Replica = d.U32()
-	r.Seq = d.U64()
 	r.Result = d.VarBytes()
 	r.MAC = d.MAC()
 }
@@ -613,12 +604,10 @@ func (r *BatchReply) decodeBody(d *Decoder) {
 // authentication of its own: a forged or replayed grant either fails the
 // signature check or re-delivers a lease the holder already has.
 type LeaseGrant struct {
-	Granter   uint32 // primary replica owning the counter
-	Holder    uint32 // replica authorized to serve local reads
-	View      uint64 // view the lease is valid in (view change revokes)
-	AnchorSeq uint64 // primary's proposal frontier at grant time (informational)
-	CtrVal    uint64 // counter position at grant time
-	Expiry    int64  // UnixNano wall-clock bound
+	Granter uint32 // primary replica owning the counter
+	Holder  uint32 // replica authorized to serve local reads
+	View    uint64 // view the lease is valid in (view change revokes)
+	Expiry  int64  // UnixNano wall-clock bound
 	// Probe marks a non-servable grant: the holder acknowledges it (proving
 	// reachability to the granter) but never installs it. The primary sends
 	// probes until a quorum of fresh LeaseAcks authorizes real grants, so a
@@ -634,8 +623,6 @@ func (g *LeaseGrant) encodeBody(e *Encoder) {
 	e.U32(g.Granter)
 	e.U32(g.Holder)
 	e.U64(g.View)
-	e.U64(g.AnchorSeq)
-	e.U64(g.CtrVal)
 	e.U64(uint64(g.Expiry))
 	e.Bool(g.Probe)
 	e.VarBytes(g.Sig)
@@ -645,27 +632,22 @@ func (g *LeaseGrant) decodeBody(d *Decoder) {
 	g.Granter = d.U32()
 	g.Holder = d.U32()
 	g.View = d.U64()
-	g.AnchorSeq = d.U64()
-	g.CtrVal = d.U64()
 	g.Expiry = int64(d.U64())
 	g.Probe = d.Bool()
 	g.Sig = d.VarBytes()
 }
 
 // ReadRequest asks one replica's Execution compartment to serve a read
-// locally under its lease, without running agreement. MinSeq is the
-// client's session watermark: the replica must have applied at least that
-// sequence before answering, which yields read-your-writes in session mode
-// and, combined with the lease admission rules, linearizability in
-// linearizable mode. The MAC authenticates client → target Execution
-// enclave (a single MAC, not a vector — the request goes to one replica).
+// locally under its lease, without running agreement. The replica answers
+// only once it has applied a read-index frontier sampled after the request
+// arrived, which makes the read linearizable. The MAC authenticates client
+// → target Execution enclave (a single MAC, not a vector — the request goes
+// to one replica).
 type ReadRequest struct {
-	ClientID     uint32
-	Timestamp    uint64 // client-local sequence number (read namespace)
-	MinSeq       uint64 // lowest applied sequence acceptable to the client
-	Linearizable bool   // false = explicit session consistency
-	Payload      []byte // read-only operation (ciphertext when confidential)
-	MAC          [crypto.MACSize]byte
+	ClientID  uint32
+	Timestamp uint64 // client-local sequence number (read namespace)
+	Payload   []byte // read-only operation (ciphertext when confidential)
+	MAC       [crypto.MACSize]byte
 }
 
 // MsgType implements Message.
@@ -684,16 +666,12 @@ func (r *ReadRequest) AppendAuthenticated(e *Encoder) {
 	e.U8(uint8(TReadRequest))
 	e.U32(r.ClientID)
 	e.U64(r.Timestamp)
-	e.U64(r.MinSeq)
-	e.Bool(r.Linearizable)
 	e.VarBytes(r.Payload)
 }
 
 func (r *ReadRequest) encodeBody(e *Encoder) {
 	e.U32(r.ClientID)
 	e.U64(r.Timestamp)
-	e.U64(r.MinSeq)
-	e.Bool(r.Linearizable)
 	e.VarBytes(r.Payload)
 	e.MAC(r.MAC)
 }
@@ -701,28 +679,24 @@ func (r *ReadRequest) encodeBody(e *Encoder) {
 func (r *ReadRequest) decodeBody(d *Decoder) {
 	r.ClientID = d.U32()
 	r.Timestamp = d.U64()
-	r.MinSeq = d.U64()
-	r.Linearizable = d.Bool()
 	r.Payload = d.VarBytes()
 	r.MAC = d.MAC()
 }
 
 // ReadReply answers a ReadRequest. OK=false is an explicit, authenticated
-// refusal (no lease, lease expired or near expiry, applied index behind
-// the admission bound): the client falls back to the agreement path
-// immediately instead of waiting out a timeout. AppliedSeq is the
-// replica's applied sequence at serve time and advances the client's
-// session watermark. A single verified reply is accepted — the lease, not
-// a reply quorum, carries the linearizability argument.
+// refusal (no lease, lease expired or near expiry, read-index round not
+// confirmed in time): the client falls back to the agreement path
+// immediately instead of waiting out a timeout. A single verified reply is
+// accepted — the lease and the read index, not a reply quorum, carry the
+// linearizability argument.
 type ReadReply struct {
-	Replica    uint32
-	ClientID   uint32
-	Timestamp  uint64
-	View       uint64
-	AppliedSeq uint64
-	OK         bool
-	Result     []byte
-	MAC        [crypto.MACSize]byte
+	Replica   uint32
+	ClientID  uint32
+	Timestamp uint64
+	View      uint64
+	OK        bool
+	Result    []byte
+	MAC       [crypto.MACSize]byte
 }
 
 // MsgType implements Message.
@@ -743,7 +717,6 @@ func (r *ReadReply) AppendAuthenticated(e *Encoder) {
 	e.U32(r.ClientID)
 	e.U64(r.Timestamp)
 	e.U64(r.View)
-	e.U64(r.AppliedSeq)
 	e.Bool(r.OK)
 	e.VarBytes(r.Result)
 }
@@ -753,7 +726,6 @@ func (r *ReadReply) encodeBody(e *Encoder) {
 	e.U32(r.ClientID)
 	e.U64(r.Timestamp)
 	e.U64(r.View)
-	e.U64(r.AppliedSeq)
 	e.Bool(r.OK)
 	e.VarBytes(r.Result)
 	e.MAC(r.MAC)
@@ -764,7 +736,6 @@ func (r *ReadReply) decodeBody(d *Decoder) {
 	r.ClientID = d.U32()
 	r.Timestamp = d.U64()
 	r.View = d.U64()
-	r.AppliedSeq = d.U64()
 	r.OK = d.Bool()
 	r.Result = d.VarBytes()
 	r.MAC = d.MAC()

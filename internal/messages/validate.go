@@ -394,7 +394,7 @@ func (v *Verifier) VerifyCounterAt(pp *PrePrepare, ctrBase, seqBase uint64) erro
 // VerifyLease checks a read-lease grant: the granter must be the primary
 // of the lease's view and the signature must verify under the granter's
 // counter-enclave key (RoleCounter) over the canonical lease layout. The
-// time-validity and applied-index admission checks are the lease holder's
+// time-validity and read-index admission checks are the lease holder's
 // job — this validates only provenance, so a grant forged by the untrusted
 // environment or transplanted from another view/holder is rejected here.
 func (v *Verifier) VerifyLease(g *LeaseGrant) error {
@@ -410,7 +410,7 @@ func (v *Verifier) VerifyLease(g *LeaseGrant) error {
 	}
 	v.leaseOps.Add(1)
 	signer := crypto.Identity{ReplicaID: g.Granter, Role: crypto.RoleCounter}
-	msg := crypto.LeaseSigningBytes(g.Granter, g.Holder, g.View, g.AnchorSeq, g.CtrVal, g.Expiry, g.Probe)
+	msg := crypto.LeaseSigningBytes(g.Granter, g.Holder, g.View, g.Expiry, g.Probe)
 	if err := v.VerifySig(signer, msg, g.Sig); err != nil {
 		return fmt.Errorf("%w: LeaseGrant(v=%d,holder=%d): %v", ErrInvalid, g.View, g.Holder, err)
 	}

@@ -136,43 +136,35 @@ func (t *TrustedCounter) CreateAttestation(digest crypto.Digest) CounterAttestat
 // LeaseAttestation is a time-bounded read lease issued by the primary's
 // counter enclave: it authorizes Holder's Execution compartment to serve
 // reads locally while the lease is fresh. The lease binds the view it was
-// issued in (a view change revokes every outstanding lease at once), the
-// agreement sequence number the holder must have applied before serving
-// (linearizability anchor), and the counter value at grant time.
+// issued in, so a view change revokes every outstanding lease at once.
 type LeaseAttestation struct {
-	Granter   uint32
-	Holder    uint32
-	View      uint64
-	AnchorSeq uint64
-	CtrVal    uint64
-	Expiry    int64 // UnixNano wall-clock bound
+	Granter uint32
+	Holder  uint32
+	View    uint64
+	Expiry  int64 // UnixNano wall-clock bound
 	// Probe marks a reachability probe: holders acknowledge it but must
 	// never install or serve under it.
 	Probe bool
 	Sig   []byte
 }
 
-// GrantLease issues a signed read lease to holder, anchored at the current
-// counter position. The expiry is chosen by the caller (the Preparation
-// compartment renews leases on the failure-detector clock), as is the
-// probe flag (a probe is acknowledged, never installed); the counter only
-// binds and signs, it does not keep lease state — revocation is by expiry
-// and by view change, not by the counter.
-func (t *TrustedCounter) GrantLease(holder uint32, view, anchorSeq uint64, expiry int64, probe bool) LeaseAttestation {
+// GrantLease issues a signed read lease to holder. The expiry is chosen by
+// the caller (the Preparation compartment renews leases on the
+// failure-detector clock), as is the probe flag (a probe is acknowledged,
+// never installed); the counter only signs, it does not keep lease state —
+// revocation is by expiry and by view change, not by the counter.
+func (t *TrustedCounter) GrantLease(holder uint32, view uint64, expiry int64, probe bool) LeaseAttestation {
 	t.mu.Lock()
-	ctr := t.next
 	t.grants++
 	t.mu.Unlock()
 	att := LeaseAttestation{
-		Granter:   t.id.ReplicaID,
-		Holder:    holder,
-		View:      view,
-		AnchorSeq: anchorSeq,
-		CtrVal:    ctr,
-		Expiry:    expiry,
-		Probe:     probe,
+		Granter: t.id.ReplicaID,
+		Holder:  holder,
+		View:    view,
+		Expiry:  expiry,
+		Probe:   probe,
 	}
-	att.Sig = t.key.Sign(crypto.LeaseSigningBytes(att.Granter, att.Holder, att.View, att.AnchorSeq, att.CtrVal, att.Expiry, att.Probe))
+	att.Sig = t.key.Sign(crypto.LeaseSigningBytes(att.Granter, att.Holder, att.View, att.Expiry, att.Probe))
 	return att
 }
 
@@ -225,11 +217,4 @@ func (t *TrustedCounter) Import(next uint64) {
 	if next > t.next {
 		t.next = next
 	}
-}
-
-// VerifyLease checks a read lease under the granting counter's public key.
-func VerifyLease(pub []byte, att LeaseAttestation) bool {
-	return crypto.Verify(pub,
-		crypto.LeaseSigningBytes(att.Granter, att.Holder, att.View, att.AnchorSeq, att.CtrVal, att.Expiry, att.Probe),
-		att.Sig)
 }

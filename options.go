@@ -58,9 +58,8 @@ type options struct {
 	consensus messages.ConsensusMode
 	auth      messages.AuthMode
 
-	readLeases      bool
-	readConsistency string
-	leaseTTL        time.Duration
+	readLeases bool
+	leaseTTL   time.Duration
 
 	batchSize          int
 	batchTimeout       time.Duration
@@ -320,16 +319,17 @@ func (o *options) consensusModeVal() (messages.ConsensusMode, error) {
 //   - A lease-holding replica's Execution compartment serves Client read
 //     operations locally: no PrePrepare, no quorum, one attested reply.
 //     Reads spread round-robin across the group, so read throughput scales
-//     with n instead of being serialized through agreement. Linearizable
-//     reads are confirmed with a batched read-index round to the primary
-//     (the read waits until local execution reaches the primary's proposal
-//     frontier sampled after the read arrived), so a read observes every
-//     write acknowledged before it began.
-//   - Replicas fail closed. A leaseless, expiring, or lagging replica
-//     refuses and the client transparently re-issues the read through the
-//     agreement path, so reads are never stale — at worst slower.
+//     with n instead of being serialized through agreement. Every leased
+//     read is linearizable: it is confirmed with a batched read-index round
+//     to the primary (the read waits until local execution reaches the
+//     primary's proposal frontier sampled after the read arrived), so it
+//     observes every write acknowledged before it began.
+//   - Replicas fail closed. A leaseless or expiring replica, or one whose
+//     read-index round stalls, refuses and the client transparently
+//     re-issues the read through the agreement path, so reads are never
+//     stale — at worst slower.
 //
-// Leases are anchored in the same trusted counter that orders proposals
+// Leases are signed by the same trusted counter enclave that orders proposals
 // (and revoked by view changes: a new primary additionally fences writes
 // for 2.5× the lease TTL so no old-view lease can miss a new-view write),
 // so the fast path leans on the compartment trust model exactly as the
@@ -340,36 +340,6 @@ func (o *options) consensusModeVal() (messages.ConsensusMode, error) {
 // read-path section for the soundness argument.
 func WithReadLeases(on bool) Option {
 	return func(o *options) { o.readLeases = on }
-}
-
-// WithReadConsistency selects the consistency level of leased reads:
-//
-//   - "linearizable" (the default): the serving replica confirms each read
-//     with a batched read-index round — it waits until it has applied
-//     everything the primary had proposed when the read arrived — so the
-//     read reflects every operation acknowledged to any client before it
-//     was issued.
-//   - "session": the replica only needs to have applied this client's own
-//     observed prefix (read-your-writes + monotonic reads). Weaker across
-//     clients, but skips the read-index round entirely and admits local
-//     reads on replicas that lag the primary.
-//
-// The level is client-local; it has no effect without WithReadLeases.
-func WithReadConsistency(level string) Option {
-	return func(o *options) { o.readConsistency = level }
-}
-
-// readLinearizable resolves the consistency string ("" defaults to
-// linearizable).
-func (o *options) readLinearizable() (bool, error) {
-	switch o.readConsistency {
-	case "", "linearizable":
-		return true, nil
-	case "session":
-		return false, nil
-	default:
-		return true, fmt.Errorf("splitbft: unknown read consistency %q (want \"linearizable\" or \"session\")", o.readConsistency)
-	}
 }
 
 // WithLeaseTTL bounds a read lease's validity from its grant time (leases

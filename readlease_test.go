@@ -40,9 +40,8 @@ func TestReadLeaseFastPath(t *testing.T) {
 	if _, err := cl.Put("balance", []byte("42")); err != nil {
 		t.Fatalf("PUT: %v", err)
 	}
-	// The write replies carry the applied sequence, and the put's batch
-	// piggybacked lease grants to every replica, so subsequent reads can
-	// go local. Spread enough reads that the round-robin hits everyone.
+	// The put's batch piggybacked lease grants to every replica, so
+	// subsequent reads can go local. Spread enough reads that the round-robin hits everyone.
 	const reads = 24
 	for i := 0; i < reads; i++ {
 		res, err := cl.Get("balance")
@@ -115,14 +114,13 @@ func TestReadLeaseCountersReset(t *testing.T) {
 	}
 }
 
-// TestReadLeaseReadYourWrites interleaves writes and session-consistency
-// reads in a confidential deployment: every read must observe the
-// client's own latest write, no matter which replica serves it — the
-// MinSeq watermark at work, end to end through the sealed payload path.
+// TestReadLeaseReadYourWrites interleaves writes and leased reads in a
+// confidential deployment: every read must observe the client's own latest
+// write, no matter which replica serves it — the read index at work, end to
+// end through the sealed payload path.
 func TestReadLeaseReadYourWrites(t *testing.T) {
 	cluster, err := splitbft.NewCluster(4,
 		splitbft.WithReadLeases(true),
-		splitbft.WithReadConsistency("session"),
 		splitbft.WithConfidential(),
 		splitbft.WithBatchSize(1),
 		splitbft.WithNetworkSeed(9),
