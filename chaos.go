@@ -30,9 +30,6 @@ type DiskFaults = store.FaultInjector
 // wrong.
 func (n *Node) SetClockSkew(d time.Duration) { n.clock.SetSkew(d) }
 
-// ClockSkew returns the node's current lease-clock offset.
-func (n *Node) ClockSkew() time.Duration { return n.clock.Skew() }
-
 // DiskFaults returns the node's disk fault injector, shared by all three
 // compartment durability stores (inert without WithPersistence). Injected
 // write/fsync errors are sticky per store — like a real device error, only

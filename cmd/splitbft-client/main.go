@@ -21,7 +21,6 @@ import (
 func main() {
 	id := flag.Uint("id", 100, "client ID")
 	n := flag.Int("n", 4, "number of replicas")
-	f := flag.Int("f", 1, "fault threshold")
 	replicas := flag.String("replicas", "", "comma-separated replica addresses, indexed by ID")
 	secret := flag.String("secret", "splitbft-dev-secret", "shared deployment secret")
 	confidential := flag.Bool("confidential", true, "end-to-end encrypt payloads")
@@ -36,7 +35,6 @@ func main() {
 
 	opts := []splitbft.Option{
 		splitbft.WithTransportTCP(addrs...),
-		splitbft.WithFaults(*f),
 		splitbft.WithKeySeed([]byte(*secret)),
 		splitbft.WithConsensusMode(*consensus),
 		splitbft.WithInvokeTimeout(*timeout),

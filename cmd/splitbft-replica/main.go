@@ -26,7 +26,6 @@ import (
 func main() {
 	id := flag.Uint("id", 0, "replica ID in [0, n)")
 	n := flag.Int("n", 4, "number of replicas (3f+1, or 2f+1 in trusted consensus)")
-	f := flag.Int("f", 1, "fault threshold")
 	listen := flag.String("listen", "", "listen address (default: own entry in -peers)")
 	peers := flag.String("peers", "", "comma-separated replica addresses, indexed by ID")
 	secret := flag.String("secret", "splitbft-dev-secret", "shared deployment secret")
@@ -49,13 +48,11 @@ func main() {
 
 	opts := []splitbft.Option{
 		splitbft.WithTransportTCP(addrs...),
-		splitbft.WithFaults(*f),
 		splitbft.WithKeySeed([]byte(*secret)),
 		splitbft.WithBatchSize(*batch),
 	}
 	switch *appName {
-	case "kvs":
-		opts = append(opts, splitbft.WithKVStore())
+	case "kvs": // the default application
 	case "blockchain":
 		opts = append(opts, splitbft.WithBlockchain(splitbft.DefaultBlockSize))
 	default:

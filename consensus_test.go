@@ -300,10 +300,23 @@ func TestTrustedModeTCP(t *testing.T) {
 // honest stale timer this test is not about. Without one, every honest
 // timer is cleared moments after the burst, and a re-armed one — never
 // cleared — fires within one timeout of idleness.
-func TestNoSpuriousSuspicionOverTCP(t *testing.T) {
+func TestNoSpuriousSuspicionOverTCP(t *testing.T) { noSpuriousSuspicionOverTCP(t, 250) }
+
+// TestNoSpuriousSuspicionAcrossCheckpointsOverTCP runs the same burst across
+// two checkpoints (at 100 and 200), where a replica that falls behind is
+// state-transferred past requests it may have had in flight: the stale-timer
+// case the test above stays clear of.
+func TestNoSpuriousSuspicionAcrossCheckpointsOverTCP(t *testing.T) {
+	noSpuriousSuspicionOverTCP(t, 100)
+}
+
+// noSpuriousSuspicionOverTCP puts a 240-op burst through a trusted×mac group
+// over TCP with the given checkpoint interval, idles one and a half request
+// timeouts, and requires that no replica suspected anyone.
+func noSpuriousSuspicionOverTCP(t *testing.T, checkpointInterval uint64) {
 	const timeout = 500 * time.Millisecond
 	nodes, cl := startTrustedMACOverTCP(t, "tcp-suspicion-seed",
-		splitbft.WithRequestTimeout(timeout), splitbft.WithCheckpointInterval(250))
+		splitbft.WithRequestTimeout(timeout), splitbft.WithCheckpointInterval(checkpointInterval))
 	for i := 0; i < 240; i++ {
 		if _, err := cl.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
 			t.Fatalf("op %d over TCP: %v", i, err)

@@ -336,7 +336,7 @@
 // full agreement (Invoke) — a read is never served stale, it just gets
 // slower. Replayed ReadRequests are dropped by a per-client timestamp
 // watermark before MAC verification, and leased reads bypass the
-// exactly-once reply cache (they are side-effect-free, so
+// per-client exactly-once records (they are side-effect-free, so
 // retransmission is harmless), keeping read-heavy workloads from growing
 // server-side client state. `splitbft-bench -exp readlease` measures
 // the effect on a closed-loop 90/10 GET/PUT mix: perf/BENCH_readlease.json
@@ -377,14 +377,15 @@
 // the self-certifying BatchFetch path.
 //
 // A checkpoint snapshot carries the application state and, per client,
-// the exactly-once skip state as a fixed window: the highest executed
-// timestamp and a 128-bit map of which timestamps in the window below it
-// executed (everything older counts as executed). That is exactly what
-// decides whether a retransmitted request is skipped, and nothing else is
-// encoded — not the per-replica reply bodies, nor which pruned-away
-// timestamps a reply cache still holds — so replicas with the same
-// exactly-once state vote the same checkpoint digest however they reached
-// it, state transfers included.
+// the executed window Execution stores as its exactly-once record: the
+// highest executed timestamp and a 128-bit map of which timestamps in the
+// window below it executed (everything older counts as executed). That is
+// exactly what decides whether a retransmitted request is skipped, and
+// nothing else is encoded — not the per-replica reply bodies, which the
+// record holds only for timestamps its window marks — so replicas with the
+// same exactly-once state vote the same checkpoint digest however they
+// reached it, state transfers included. The sealed export writes the same
+// window with the same codec, then the held bodies.
 //
 // State is encoded once, into the buffer it leaves in: the key-value store
 // keeps its sorted key order between checkpoints and encodes its snapshot

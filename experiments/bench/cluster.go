@@ -54,25 +54,23 @@ func buildApp(sys System) splitbft.Application {
 // as the examples and CLIs; the PBFT baseline keeps its own wiring.
 func startCluster(cfg RunConfig) (*clusterHandle, error) {
 	batchSize := 1
-	batchTimeout := time.Millisecond
 	if cfg.Batched {
 		batchSize = splitbft.DefaultBatchSize
 		if cfg.BatchSizeOverride > 0 {
 			batchSize = cfg.BatchSizeOverride
 		}
-		batchTimeout = splitbft.DefaultBatchTimeout
 	}
 	// A generous request timeout keeps the failure detector quiet under
 	// benchmark load (there are no faults to detect here).
 	const requestTimeout = 5 * time.Second
 
 	if cfg.System.IsSplit() {
-		return startSplitCluster(cfg, batchSize, batchTimeout, requestTimeout)
+		return startSplitCluster(cfg, batchSize, requestTimeout)
 	}
-	return startPBFTCluster(cfg, batchSize, batchTimeout, requestTimeout)
+	return startPBFTCluster(cfg, batchSize, requestTimeout)
 }
 
-func startSplitCluster(cfg RunConfig, batchSize int, batchTimeout, requestTimeout time.Duration) (*clusterHandle, error) {
+func startSplitCluster(cfg RunConfig, batchSize int, requestTimeout time.Duration) (*clusterHandle, error) {
 	cost := splitbft.DefaultCostModel()
 	if cfg.System == SplitKVSSimulation {
 		cost = splitbft.SimulationCostModel()
@@ -81,13 +79,11 @@ func startSplitCluster(cfg RunConfig, batchSize int, batchTimeout, requestTimeou
 		cost = *cfg.CostOverride
 	}
 	opts := []splitbft.Option{
-		splitbft.WithFaults(benchF),
 		splitbft.WithNetworkSeed(42),
 		splitbft.WithApp(func() splitbft.Application { return buildApp(cfg.System) }),
 		splitbft.WithConfidential(),
 		splitbft.WithCostModel(cost),
 		splitbft.WithBatchSize(batchSize),
-		splitbft.WithBatchTimeout(batchTimeout),
 		splitbft.WithRequestTimeout(requestTimeout),
 	}
 	if cfg.System == SplitKVSSingleThread {
@@ -148,7 +144,7 @@ func startSplitCluster(cfg RunConfig, batchSize int, batchTimeout, requestTimeou
 	return h, nil
 }
 
-func startPBFTCluster(cfg RunConfig, batchSize int, batchTimeout, requestTimeout time.Duration) (*clusterHandle, error) {
+func startPBFTCluster(cfg RunConfig, batchSize int, requestTimeout time.Duration) (*clusterHandle, error) {
 	net := transport.NewSimNet(42)
 	reg := crypto.NewRegistry()
 	var replicas []*pbft.Replica
@@ -176,7 +172,7 @@ func startPBFTCluster(cfg RunConfig, batchSize int, batchTimeout, requestTimeout
 			MACs:           crypto.NewMACStore(benchSecret, pbft.ReplicaIdentity(uint32(i))),
 			App:            buildApp(cfg.System),
 			BatchSize:      batchSize,
-			BatchTimeout:   batchTimeout,
+			BatchTimeout:   splitbft.DefaultBatchTimeout,
 			RequestTimeout: requestTimeout,
 		}
 		r, err := pbft.NewReplica(rcfg)

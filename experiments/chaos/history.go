@@ -85,17 +85,6 @@ func (h *history) writeAcked(key string, v uint64) {
 	h.mu.Unlock()
 }
 
-// lastAcked returns the newest acknowledged value for key.
-func (h *history) lastAcked(key string) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	kh := h.keys[key]
-	if kh == nil || len(kh.acks) == 0 {
-		return 0
-	}
-	return kh.acks[len(kh.acks)-1].v
-}
-
 // readDone checks a completed read of key that began at start and
 // returned value v (0 = key absent). A nil return means the read is
 // consistent; otherwise the returned string describes the offending

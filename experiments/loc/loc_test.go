@@ -170,6 +170,31 @@ func TestTable2OverThisRepo(t *testing.T) {
 	}
 }
 
+// TestTCBBudget pins each compartment's own logic lines (Table 2's Logic
+// column) so an enclave cannot quietly grow, the way TestVerifyBudget pins
+// signature verifications. Shrinking a row is always fine; lower its budget
+// with it. Growing one is a decision to argue in review, not a drift.
+func TestTCBBudget(t *testing.T) {
+	budget := map[string]int{
+		"Preparation Enc.":  415,
+		"Confirmation Enc.": 354,
+		"Execution Enc.":    1201,
+	}
+	rows, err := Table2(repoRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if max, ok := budget[r.Name]; ok && r.LogicLOC > max {
+			t.Errorf("%s has %d logic lines, budget %d", r.Name, r.LogicLOC, max)
+		}
+		delete(budget, r.Name)
+	}
+	for name := range budget {
+		t.Errorf("Table 2 has no %q row to hold to its budget", name)
+	}
+}
+
 func TestPackageBreakdown(t *testing.T) {
 	bd, err := PackageBreakdown(repoRoot(t))
 	if err != nil {

@@ -30,6 +30,3 @@ func (c *SkewClock) Now() time.Time {
 
 // SetSkew replaces the clock's offset.
 func (c *SkewClock) SetSkew(d time.Duration) { c.off.Store(int64(d)) }
-
-// Skew returns the current offset.
-func (c *SkewClock) Skew() time.Duration { return time.Duration(c.off.Load()) }

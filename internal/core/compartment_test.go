@@ -551,22 +551,25 @@ func TestCheckpointCarriesReplyCache(t *testing.T) {
 		return mustExecution(t, cfg, ver)
 	}
 
+	// withReplies builds client 7's record as replica id executed its
+	// timestamps 3 and 5.
+	withReplies := func(id uint32, tss ...uint64) *execClient {
+		cl := &execClient{}
+		for _, ts := range tss {
+			cl.record(ts, &messages.Reply{ClientID: 7, Timestamp: ts, Replica: id, Result: []byte(fmt.Sprintf("r%d", ts))})
+		}
+		return cl
+	}
 	a := mk(0)
 	a.app.Execute(7, app.EncodePut("k", []byte("v")))
-	a.clients[7] = &execClient{maxExecuted: 5, replies: map[uint64]*messages.Reply{
-		3: {ClientID: 7, Timestamp: 3, Replica: 0, Result: []byte("r3")},
-		5: {ClientID: 7, Timestamp: 5, Replica: 0, Result: []byte("r5")},
-	}}
+	a.clients[7] = withReplies(0, 3, 5)
 	snap := a.snapshotState()
 
 	// Same history on replica 1: identical skip state, different reply
 	// bodies (Replica field). The checkpoint digests must still agree.
 	b := mk(1)
 	b.app.Execute(7, app.EncodePut("k", []byte("v")))
-	b.clients[7] = &execClient{maxExecuted: 5, replies: map[uint64]*messages.Reply{
-		3: {ClientID: 7, Timestamp: 3, Replica: 1, Result: []byte("r3")},
-		5: {ClientID: 7, Timestamp: 5, Replica: 1, Result: []byte("r5")},
-	}}
+	b.clients[7] = withReplies(1, 3, 5)
 	if crypto.HashData(snap) != crypto.HashData(b.snapshotState()) {
 		t.Fatal("checkpoint digest depends on per-replica reply bodies")
 	}
@@ -595,9 +598,7 @@ func TestCheckpointCarriesReplyCache(t *testing.T) {
 	// Merging must not clobber a live cache: existing reply bodies survive
 	// so retransmits are still answered.
 	d := mk(3)
-	d.clients[7] = &execClient{maxExecuted: 3, replies: map[uint64]*messages.Reply{
-		3: {ClientID: 7, Timestamp: 3, Replica: 3, Result: []byte("r3")},
-	}}
+	d.clients[7] = withReplies(3, 3)
 	if err := d.restoreState(snap); err != nil {
 		t.Fatalf("restoreState (merge): %v", err)
 	}
@@ -616,10 +617,10 @@ func TestCheckpointCarriesReplyCache(t *testing.T) {
 // answers agree for every timestamp must produce the same checkpoint
 // snapshot bytes, however they got there. Here one executed a client's
 // 1..300 itself and the other executed 1..100, then caught up by merging the
-// first one's checkpoint at 300; their reply maps then hold different
-// timestamps below the window and prune at different moments, which must
-// not reach the digest — a replica whose Checkpoint votes never match its
-// peers' cannot help make a checkpoint stable.
+// first one's checkpoint at 300; their records then hold different reply
+// bodies (the merged one has none for what it took from the checkpoint),
+// which must not reach the digest — a replica whose Checkpoint votes never
+// match its peers' cannot help make a checkpoint stable.
 func TestCheckpointSnapshotIsCanonicalAfterMerge(t *testing.T) {
 	reg := crypto.NewRegistry()
 	ver, err := messages.NewVerifier(4, 1, reg, messages.SplitScheme())

@@ -233,13 +233,6 @@ var (
 // keys.
 func ExecutionMeasurement() crypto.Digest { return measExecution }
 
-// PreparationMeasurement returns the Preparation compartment's measurement.
-func PreparationMeasurement() crypto.Digest { return measPreparation }
-
-// ConfirmationMeasurement returns the Confirmation compartment's
-// measurement.
-func ConfirmationMeasurement() crypto.Digest { return measConfirmation }
-
 // Ecall payload tags: the first byte of every ecall distinguishes wire
 // messages from environment-local calls.
 const (

@@ -15,87 +15,90 @@ import (
 	"github.com/splitbft/splitbft/internal/tee"
 )
 
-// execReplyWindow bounds the per-client reply cache; it must exceed the
-// maximum outstanding requests per client (40 in the paper's batched
-// configuration). It is a multiple of 64: the window's executed map is
-// encoded as execReplyWindow/64 words.
+// execReplyWindow is the span of timestamps below a client's newest executed
+// one that Execution tells apart, and so the most reply bodies it holds per
+// client; it must exceed the maximum outstanding requests per client (40 in
+// the paper's batched configuration). It is the 128 bits of skipWindow.
 const execReplyWindow = 128
 
-// execClient is the per-client exactly-once bookkeeping inside the
-// Execution enclave. A window of recent replies is cached per timestamp:
-// with many outstanding requests per client, batches execute a client's
-// timestamps out of order, so a single highest-timestamp check would
-// silently drop requests.
+// skipWindow is a client's executed map over (maxExecuted−execReplyWindow,
+// maxExecuted]: bit i%64 of word i/64 is set when maxExecuted−i executed.
+type skipWindow [2]uint64
+
+// has reports whether bit i is set; i must be below execReplyWindow.
+func (w *skipWindow) has(i uint64) bool { return w[i/64]&(1<<(i%64)) != 0 }
+
+// shift moves the window's top up by s timestamps: bit i becomes bit i+s,
+// and bits pushed past the window drop out. Go shifts of 64 or more bits
+// give zero, which covers every s.
+func (w *skipWindow) shift(s uint64) {
+	w[1] = w[1]<<s | w[0]>>(64-s) | w[0]<<(s-64)
+	w[0] <<= s
+}
+
+// execClient is a client's exactly-once record inside the Execution enclave:
+// which of its timestamps executed, and the replies to those still inside
+// the window. Batches execute a client's outstanding requests out of order,
+// so a single highest-timestamp check would silently drop requests. Every
+// timestamp at or below maxExecuted−execReplyWindow counts as executed.
+// replies holds a body only for a timestamp whose window bit is set; one
+// merged in by state transfer has none, and a duplicate of it is skipped
+// silently.
 type execClient struct {
 	maxExecuted uint64
+	window      skipWindow
 	replies     map[uint64]*messages.Reply
 }
 
 // executed reports whether ts was already executed, returning the cached
-// reply when still held.
-func (e *execClient) executed(ts uint64) (*messages.Reply, bool) {
-	if rep, ok := e.replies[ts]; ok {
-		return rep, true
+// reply when one is held.
+func (c *execClient) executed(ts uint64) (*messages.Reply, bool) {
+	if ts > c.maxExecuted {
+		return nil, false
 	}
-	if e.maxExecuted >= execReplyWindow && ts <= e.maxExecuted-execReplyWindow {
-		return nil, true
+	if i := c.maxExecuted - ts; i < execReplyWindow && !c.window.has(i) {
+		return nil, false
 	}
-	return nil, false
+	return c.replies[ts], true
 }
 
-// record stores a reply and prunes the cache window.
-func (e *execClient) record(ts uint64, rep *messages.Reply) {
-	if e.replies == nil {
-		e.replies = make(map[uint64]*messages.Reply)
+// record marks ts executed with reply rep.
+func (c *execClient) record(ts uint64, rep *messages.Reply) {
+	c.advance(ts)
+	i := c.maxExecuted - ts
+	if i >= execReplyWindow {
+		return // below the window: counted executed already
 	}
-	e.replies[ts] = rep
-	if ts > e.maxExecuted {
-		e.maxExecuted = ts
+	c.window[i/64] |= 1 << (i % 64)
+	if c.replies == nil {
+		c.replies = make(map[uint64]*messages.Reply)
 	}
-	if len(e.replies) > 2*execReplyWindow {
-		for old := range e.replies {
-			if e.maxExecuted >= execReplyWindow && old <= e.maxExecuted-execReplyWindow {
-				delete(e.replies, old)
-			}
-		}
-	}
+	c.replies[ts] = rep
 }
 
-// skipWindow is a client's executed map over (maxExecuted−execReplyWindow,
-// maxExecuted]: bit i%64 of word i/64 is set when maxExecuted−i executed.
-// With maxExecuted it determines executed() for every timestamp, and
-// nothing else does — which timestamps below the window the reply map still
-// holds depends on when it was last pruned and on merged state transfers.
-type skipWindow [execReplyWindow / 64]uint64
-
-// window returns the client's executed map.
-func (e *execClient) window() skipWindow {
-	var w skipWindow
-	for ts := range e.replies {
-		if i := e.maxExecuted - ts; ts <= e.maxExecuted && i < execReplyWindow {
-			w[i/64] |= 1 << (i % 64)
-		}
-	}
-	return w
+// merge marks executed every timestamp a transferred window topped at
+// maxExecuted marks. Bodies already held are kept for resends.
+func (c *execClient) merge(maxExecuted uint64, w skipWindow) {
+	c.advance(maxExecuted)
+	w.shift(c.maxExecuted - maxExecuted)
+	c.window[0] |= w[0]
+	c.window[1] |= w[1]
 }
 
-// merge adds a transferred skip state: every timestamp it marks executed is
-// skipped from now on. Reply bodies already held are kept for resends.
-func (e *execClient) merge(maxExecuted uint64, w skipWindow) {
-	if maxExecuted > e.maxExecuted {
-		e.maxExecuted = maxExecuted
+// advance raises the window's top to maxExecuted, dropping the bodies of
+// the timestamps that leave the window.
+func (c *execClient) advance(maxExecuted uint64) {
+	if maxExecuted <= c.maxExecuted {
+		return
 	}
-	for i := uint64(0); i < execReplyWindow && i <= maxExecuted; i++ {
-		if w[i/64]&(1<<(i%64)) == 0 {
-			continue
-		}
-		if e.replies == nil {
-			e.replies = make(map[uint64]*messages.Reply)
-		}
-		if _, have := e.replies[maxExecuted-i]; !have {
-			e.replies[maxExecuted-i] = nil
+	s := maxExecuted - c.maxExecuted
+	for i := uint64(execReplyWindow) - min(s, execReplyWindow); i < execReplyWindow; i++ {
+		if c.window.has(i) {
+			delete(c.replies, c.maxExecuted-i)
 		}
 	}
+	c.window.shift(s)
+	c.maxExecuted = maxExecuted
 }
 
 // execution is the Execution compartment (§3.2): it collects a quorum of
@@ -134,13 +137,10 @@ type execution struct {
 	committed map[uint64]crypto.Digest
 	lastExec  uint64
 
-	clients    map[uint32]*execClient
-	sessions   map[uint32]*crypto.Session
-	clientPubs map[uint32][32]byte
-	// sessionKeys mirrors sessions with the raw key material so sealed
-	// state exports can reconstruct the sessions after a restart (the
-	// AEAD inside crypto.Session is not serializable).
-	sessionKeys map[uint32]crypto.SessionKey
+	clients map[uint32]*execClient
+	// sessions is per replica and unordered, so it stays out of clients:
+	// the checkpoint snapshot is a function of the ordered history alone.
+	sessions map[uint32]clientSession
 
 	snapshots map[uint64][]byte
 	// probing/probesLeft drive the rejoin nudge: while armed (set by
@@ -274,9 +274,7 @@ func newExecution(cfg Config, ver *messages.Verifier) (*execution, error) {
 		commits:      make(map[uint64]map[uint64]map[uint32]*messages.Commit),
 		committed:    make(map[uint64]crypto.Digest),
 		clients:      make(map[uint32]*execClient),
-		sessions:     make(map[uint32]*crypto.Session),
-		clientPubs:   make(map[uint32][32]byte),
-		sessionKeys:  make(map[uint32]crypto.SessionKey),
+		sessions:     make(map[uint32]clientSession),
 		snapshots:    make(map[uint64][]byte),
 		readHigh:     make(map[uint32]uint64),
 		riSentEpoch:  epochBase,
@@ -286,19 +284,17 @@ func newExecution(cfg Config, ver *messages.Verifier) (*execution, error) {
 	return e, nil
 }
 
-// snapshotState builds the checkpoint snapshot: the exactly-once skip state
-// of the reply caches wrapped around the application state. Per client, in
-// ID order: its ID, maxExecuted and its skipWindow. Checkpoint digests are
-// compared across replicas, so the encoding is canonical: a function of what
-// executed() answers and of the application state alone, never of reply
-// bodies (they differ per replica in the Replica field and MAC) nor of which
-// pruned-away timestamps a replica's cache still happens to hold. Without
-// the skip state a replica that catches up by state transfer would
-// re-execute a client request that the primary re-ordered after a
-// retransmit, forking its history from replicas whose warm caches skip the
-// duplicate.
+// snapshotState builds the checkpoint snapshot: every client's executed
+// window (appendClientWindow, in ID order) wrapped around the application
+// state. Checkpoint digests are compared across replicas, so the encoding is
+// canonical: a function of what executed() answers and of the application
+// state alone, never of reply bodies (they differ per replica in the Replica
+// field and MAC). Without the windows a replica that catches up by state
+// transfer would re-execute a client request that the primary re-ordered
+// after a retransmit, forking its history from replicas whose records skip
+// the duplicate.
 //
-// The buffer is sized for the skip state and the application encodes itself
+// The buffer is sized for the windows and the application encodes itself
 // into it in place (app.AppendSnapshot): one allocation the size of the
 // snapshot, no sort of the application's keys.
 func (e *execution) snapshotState() []byte {
@@ -310,43 +306,48 @@ func (e *execution) snapshotState() []byte {
 	enc := messages.NewEncoder(4 + len(ids)*clientSkipSize + 4)
 	enc.U32(uint32(len(ids)))
 	for _, id := range ids {
-		cl := e.clients[id]
-		enc.U32(id)
-		enc.U64(cl.maxExecuted)
-		for _, word := range cl.window() {
-			enc.U64(word)
-		}
+		appendClientWindow(enc, id, e.clients[id])
 	}
 	enc.VarAppend(func(dst []byte) []byte { return app.AppendSnapshot(dst, e.app) })
 	return enc.Bytes()
 }
 
-// clientSkipSize is the encoded size of one client's skip state.
+// clientSkipSize is the encoded size of one client's window.
 const clientSkipSize = 4 + 8 + execReplyWindow/8
 
+// appendClientWindow encodes a client's executed window as the checkpoint
+// snapshot, state transfer and the sealed export all carry it: its ID,
+// maxExecuted and the window's words.
+func appendClientWindow(enc *messages.Encoder, id uint32, c *execClient) {
+	enc.U32(id)
+	enc.U64(c.maxExecuted)
+	enc.U64(c.window[0])
+	enc.U64(c.window[1])
+}
+
+// decodeClientWindow reads what appendClientWindow wrote, as a record that
+// holds no reply bodies.
+func decodeClientWindow(d *messages.Decoder) (uint32, *execClient) {
+	id := d.U32()
+	c := &execClient{maxExecuted: d.U64()}
+	c.window[0], c.window[1] = d.U64(), d.U64()
+	return id, c
+}
+
 // restoreState installs a checkpoint snapshot produced by snapshotState:
-// the application state plus the reply-cache skip state. Skip state is
-// merged into (never replaces) the live caches — every restored timestamp
-// was executed in the history the snapshot covers, so skipping it can only
-// be correct; existing entries keep their reply bodies for resends.
-// Restored entries without a body cause duplicates to be skipped silently,
-// which is safe: ordering already happened, and live replicas answer the
-// retransmit from their caches.
+// the application state plus every client's executed window, merged into
+// (never replacing) the live records. Every restored timestamp was executed
+// in the history the snapshot covers, so skipping it can only be correct;
+// held reply bodies stay for resends. A duplicate of a timestamp with no
+// body is skipped silently, which is safe: ordering already happened, and
+// live replicas answer the retransmit from their records.
 func (e *execution) restoreState(snap []byte) error {
 	d := messages.NewDecoder(snap)
-	type skipState struct {
-		id          uint32
-		maxExecuted uint64
-		window      skipWindow
-	}
-	var restored []skipState
 	n := d.Count(1 << 20)
+	restored := make(map[uint32]*execClient, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		st := skipState{id: d.U32(), maxExecuted: d.U64()}
-		for w := range st.window {
-			st.window[w] = d.U64()
-		}
-		restored = append(restored, st)
+		id, c := decodeClientWindow(d)
+		restored[id] = c
 	}
 	appState := d.VarBytes()
 	if err := d.Finish(); err != nil {
@@ -355,13 +356,13 @@ func (e *execution) restoreState(snap []byte) error {
 	if err := e.app.Restore(appState); err != nil {
 		return err
 	}
-	for _, st := range restored {
-		cl, ok := e.clients[st.id]
+	for id, c := range restored {
+		cl, ok := e.clients[id]
 		if !ok {
 			cl = &execClient{}
-			e.clients[st.id] = cl
+			e.clients[id] = cl
 		}
-		cl.merge(st.maxExecuted, st.window)
+		cl.merge(c.maxExecuted, c.window)
 	}
 	return nil
 }
@@ -489,10 +490,9 @@ func (e *execution) leaseValid(now time.Time) bool {
 // the lease fast path: no PrePrepare, no quorum, one attested reply. The
 // read is parked until a read-index frontier sampled after its arrival is
 // confirmed and applied. Refusals are explicit (OK=false) so the client
-// falls back to agreement immediately. The reply cache (execClient) is
-// deliberately untouched: leased reads are side-effect-free and unordered,
-// so caching them would pollute the exactly-once bookkeeping of the write
-// path.
+// falls back to agreement immediately. The exactly-once records (clients)
+// are deliberately untouched: leased reads are side-effect-free and
+// unordered, so recording them would pollute the write path's windows.
 func (e *execution) onReadRequest(host tee.Host, r *messages.ReadRequest) []tee.OutMsg {
 	if !e.leases {
 		return nil
@@ -675,8 +675,7 @@ func (e *execution) serveLocalRead(r *messages.ReadRequest) ([]byte, bool) {
 	op := r.Payload
 	var sess *crypto.Session
 	if e.confidential {
-		sess, ok = e.sessions[r.ClientID]
-		if !ok {
+		if sess = e.sessions[r.ClientID].aead; sess == nil {
 			return nil, false
 		}
 		pt, err := sess.Open(r.Payload, crypto.RequestAD(r.ClientID, r.Timestamp))
@@ -870,9 +869,7 @@ func (e *execution) executeOne(req *messages.Request) []byte {
 	op := req.Payload
 	var sess *crypto.Session
 	if e.confidential {
-		var ok bool
-		sess, ok = e.sessions[req.ClientID]
-		if !ok {
+		if sess = e.sessions[req.ClientID].aead; sess == nil {
 			return app.NoOpResult // no session: cannot decrypt, no-op
 		}
 		pt, err := sess.Open(req.Payload, crypto.RequestAD(req.ClientID, req.Timestamp))
@@ -1096,21 +1093,32 @@ func (e *execution) onNewView(host tee.Host, nv *messages.NewView) []tee.OutMsg 
 	return append(out, e.tryExecute(host)...)
 }
 
+// clientSession is a client's attested session with this enclave: the ECDH
+// key it attested with and, once provisioned, its session key s_enc and the
+// AEAD built from it (nil until then).
+type clientSession struct {
+	pub  [32]byte
+	key  crypto.SessionKey
+	aead *crypto.Session
+}
+
 // onAttestRequest answers a client attestation challenge with this
 // enclave's quote and remembers the client's ECDH key for provisioning.
 func (e *execution) onAttestRequest(host tee.Host, ar *messages.AttestRequest) []tee.OutMsg {
-	e.clientPubs[ar.ClientID] = ar.ClientPub
+	s := e.sessions[ar.ClientID]
+	s.pub = ar.ClientPub
+	e.sessions[ar.ClientID] = s
 	return []tee.OutMsg{clientOut(ar.ClientID, host.Quote(ar.Nonce))}
 }
 
 // onProvisionKey unwraps the client's session key s_enc (§4.1) under the
 // X25519-derived pairwise key and installs the session.
 func (e *execution) onProvisionKey(host tee.Host, pk *messages.ProvisionKey) {
-	pub, ok := e.clientPubs[pk.ClientID]
+	s, ok := e.sessions[pk.ClientID]
 	if !ok {
 		return
 	}
-	wrapKey, err := host.DeriveSession(pub)
+	wrapKey, err := host.DeriveSession(s.pub)
 	if err != nil {
 		return
 	}
@@ -1127,17 +1135,17 @@ func (e *execution) onProvisionKey(host tee.Host, pk *messages.ProvisionKey) {
 	// Re-provisioning the same key must not reset the nonce counter: a WAL
 	// replay of this ProvisionKey after a recovered snapshot would
 	// otherwise rewind the session below nonces already used on the wire.
-	if cur, ok := e.sessionKeys[pk.ClientID]; ok && cur == sk {
+	if s.aead != nil && s.key == sk {
 		return
 	}
 	// Direction 10+id keeps reply nonces disjoint across the n Execution
 	// enclaves sharing s_enc.
-	sess, err := crypto.NewSession(sk, byte(10+e.id))
+	aead, err := crypto.NewSession(sk, byte(10+e.id))
 	if err != nil {
 		return
 	}
-	e.sessions[pk.ClientID] = sess
-	e.sessionKeys[pk.ClientID] = sk
+	s.key, s.aead = sk, aead
+	e.sessions[pk.ClientID] = s
 }
 
 // onStateRequest serves the stable snapshot to a lagging peer.

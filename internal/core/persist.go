@@ -4,11 +4,12 @@
 // A compartment's sealed snapshot must capture everything that a WAL
 // replay starting *at* the snapshot point cannot rebuild: the agreement
 // bookkeeping above the stable checkpoint (proposals, prepare slots,
-// in-flight commits), the application state, the exactly-once reply
-// caches, and the provisioned client sessions. Transient collections that
-// peers re-feed on their own — checkpoint vote sets, view-change
-// collections — are deliberately left out; losing them costs at most one
-// detection period of liveness, never safety.
+// in-flight commits), the application state, the exactly-once records (each
+// client's executed window, in the encoding the checkpoint snapshot uses,
+// plus the reply bodies it still covers), and the attested client sessions.
+// Transient collections that peers re-feed on their own — checkpoint vote
+// sets, view-change collections — are deliberately left out; losing them
+// costs at most one detection period of liveness, never safety.
 //
 // Wire messages embedded in the state (PrePrepares, Prepares, Commits,
 // Replies, Checkpoint certificates) reuse the deterministic wire codec, so
@@ -34,8 +35,10 @@ import (
 // counter); version 3 changed the skip-state layout of the checkpoint
 // snapshot Execution embeds (a fixed window per client, see snapshotState),
 // which a version-2 blob would be misparsed against; version 4 dropped the
-// executed sequence number from the Reply bodies Execution caches.
-const stateVersion = 4
+// executed sequence number from the Reply bodies Execution caches; version 5
+// stores each client's executed window instead of a timestamp per body and
+// body-less skip entries, and one record per attested session.
+const stateVersion = 5
 
 // sessionCounterSlack is added to every restored session nonce counter.
 // The un-fsynced WAL tail may hold executions whose encrypted replies
@@ -286,9 +289,9 @@ func (c *confirmation) ImportState(data []byte) error {
 func (e *execution) StateEpoch() uint64 { return e.lowWatermark }
 
 // ExportState implements tee.Durable. Alongside the agreement bookkeeping
-// it captures the application state, the exactly-once reply caches, and
-// the provisioned client sessions — everything a client-visible guarantee
-// depends on.
+// it captures the application state, the exactly-once records, and the
+// attested client sessions — everything a client-visible guarantee depends
+// on.
 func (e *execution) ExportState() []byte {
 	enc := exportEncoder(&e.comState)
 	exportComState(enc, &e.comState)
@@ -327,38 +330,28 @@ func (e *execution) ExportState() []byte {
 			}
 		}
 	}
-	// Exactly-once reply caches.
+	// Exactly-once records: the executed window as the checkpoint snapshot
+	// carries it, then the reply bodies it still holds.
 	enc.U32(uint32(len(e.clients)))
 	for id, cl := range e.clients {
-		enc.U32(id)
-		enc.U64(cl.maxExecuted)
+		appendClientWindow(enc, id, cl)
 		enc.U32(uint32(len(cl.replies)))
-		for ts, rep := range cl.replies {
-			enc.U64(ts)
-			if rep == nil {
-				// Skip-only entry installed by state transfer: the
-				// timestamp was executed but no reply body is held.
-				enc.VarBytes(nil)
-			} else {
-				enc.VarMessage(rep)
-			}
+		for _, rep := range cl.replies {
+			enc.VarMessage(rep)
 		}
 	}
-	// Confidential sessions: raw key + nonce position.
-	enc.U32(uint32(len(e.sessionKeys)))
-	for id, key := range e.sessionKeys {
+	// Attested sessions: the client's ECDH key, and once provisioned the
+	// raw session key (the AEAD is not serializable) and nonce position.
+	enc.U32(uint32(len(e.sessions)))
+	for id, s := range e.sessions {
 		enc.U32(id)
-		enc.VarBytes(key[:])
-		var counter uint64
-		if s, ok := e.sessions[id]; ok {
-			counter = s.Counter()
+		enc.VarBytes(s.pub[:])
+		if s.aead == nil {
+			enc.VarBytes(nil)
+			continue
 		}
-		enc.U64(counter)
-	}
-	enc.U32(uint32(len(e.clientPubs)))
-	for id, pub := range e.clientPubs {
-		enc.U32(id)
-		enc.VarBytes(pub[:])
+		enc.VarBytes(s.key[:])
+		enc.U64(s.aead.Counter())
 	}
 	// The stable snapshot (served to lagging peers) and the live
 	// application state at lastExec.
@@ -430,63 +423,54 @@ func (e *execution) ImportState(data []byte) error {
 	}
 	e.clients = make(map[uint32]*execClient)
 	n = d.Count(1 << 20)
-	for i := 0; i < n; i++ {
-		id := d.U32()
-		cl := &execClient{maxExecuted: d.U64(), replies: make(map[uint64]*messages.Reply)}
-		nReps := d.Count(1 << 16)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		id, cl := decodeClientWindow(d)
+		nReps := d.Count(execReplyWindow)
 		for j := 0; j < nReps; j++ {
-			ts := d.U64()
-			raw := d.VarBytes()
-			if len(raw) == 0 {
-				cl.replies[ts] = nil // skip-only entry, no cached body
-				continue
-			}
-			m, err := messages.Unmarshal(raw)
+			rep, err := decodeMessage[*messages.Reply](d)
 			if err != nil {
 				return err
 			}
-			rep, ok := m.(*messages.Reply)
-			if !ok {
-				return fmt.Errorf("core: state holds %s where reply expected", m.MsgType())
+			// A body is held only for a timestamp its record's window marks.
+			_, done := cl.executed(rep.Timestamp)
+			if rep.ClientID != id || !done || cl.maxExecuted-rep.Timestamp >= execReplyWindow {
+				return fmt.Errorf("core: client %d record holds a reply to client %d timestamp %d it does not mark executed",
+					id, rep.ClientID, rep.Timestamp)
 			}
-			cl.replies[ts] = rep
+			if cl.replies == nil {
+				cl.replies = make(map[uint64]*messages.Reply, nReps)
+			}
+			cl.replies[rep.Timestamp] = rep
 		}
 		e.clients[id] = cl
 	}
-	e.sessions = make(map[uint32]*crypto.Session)
-	e.sessionKeys = make(map[uint32]crypto.SessionKey)
+	e.sessions = make(map[uint32]clientSession)
 	n = d.Count(1 << 16)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		id := d.U32()
-		keyBytes := d.VarBytes()
-		counter := d.U64()
-		if len(keyBytes) != crypto.SessionKeySize {
-			return fmt.Errorf("core: session key for client %d has %d bytes", id, len(keyBytes))
+		var s clientSession
+		pub := d.VarBytes()
+		if len(pub) != len(s.pub) {
+			return fmt.Errorf("core: client %d ECDH key has %d bytes", id, len(pub))
 		}
-		var key crypto.SessionKey
-		copy(key[:], keyBytes)
-		sess, err := crypto.NewSession(key, byte(10+e.id))
-		if err != nil {
-			return err
+		copy(s.pub[:], pub)
+		// An empty key is a session attested but never provisioned.
+		if key := d.VarBytes(); len(key) > 0 {
+			if len(key) != crypto.SessionKeySize {
+				return fmt.Errorf("core: session key for client %d has %d bytes", id, len(key))
+			}
+			copy(s.key[:], key)
+			aead, err := crypto.NewSession(s.key, byte(10+e.id))
+			if err != nil {
+				return err
+			}
+			// The nonce-counter slack is applied once, in finishRecovery —
+			// it runs after both this import and the WAL replay, covering
+			// imported and replay-created sessions uniformly.
+			aead.SetCounter(d.U64())
+			s.aead = aead
 		}
-		// The nonce-counter slack is applied once, in finishRecovery —
-		// it runs after both this import and the WAL replay, covering
-		// imported and replay-created sessions uniformly.
-		sess.SetCounter(counter)
-		e.sessions[id] = sess
-		e.sessionKeys[id] = key
-	}
-	e.clientPubs = make(map[uint32][32]byte)
-	n = d.Count(1 << 16)
-	for i := 0; i < n; i++ {
-		id := d.U32()
-		pubBytes := d.VarBytes()
-		if len(pubBytes) != 32 {
-			return fmt.Errorf("core: client %d ECDH key has %d bytes", id, len(pubBytes))
-		}
-		var pub [32]byte
-		copy(pub[:], pubBytes)
-		e.clientPubs[id] = pub
+		e.sessions[id] = s
 	}
 	e.snapshots = make(map[uint64][]byte)
 	if d.Bool() {
@@ -509,7 +493,9 @@ func (e *execution) ImportState(data []byte) error {
 // flows.
 func (e *execution) finishRecovery() {
 	for _, s := range e.sessions {
-		s.SetCounter(s.Counter() + sessionCounterSlack)
+		if s.aead != nil {
+			s.aead.SetCounter(s.aead.Counter() + sessionCounterSlack)
+		}
 	}
 	e.stallSeq = 0
 	e.stallTicks = 0

@@ -132,7 +132,7 @@ func TestSealedStateWrongIdentityRefused(t *testing.T) {
 
 // testdata/sealed-v2 was written by the state-version-2 code: a WAL of
 // eight records (fixtureRecord) and a sealed Execution export, both sealed
-// by replica 2's Execution enclave keyed from fixtureSeed. Versions 3 and 4
+// by replica 2's Execution enclave keyed from fixtureSeed. Versions 3 to 5
 // changed what an export holds, not how a blob is sealed or a record framed.
 var fixtureSeed = []byte("sealed-layout-fixture")
 
@@ -188,10 +188,11 @@ func TestSealedWALFromVersion2Unseals(t *testing.T) {
 }
 
 // TestStateExportV2Refused: the checkpoint snapshot Execution embeds changed
-// its skip-state layout in version 3, and the Reply bodies it caches lost a
-// field in version 4, so older exports are refused outright rather than
+// its skip-state layout in version 3, the Reply bodies it caches lost a
+// field in version 4, and its exactly-once records and sessions changed
+// layout in version 5, so older exports are refused outright rather than
 // misparsed — the genuine version-2 one in testdata and, for every
-// compartment, a current export tagged 2 or 3.
+// compartment, a current export tagged 2, 3 or 4.
 func TestStateExportV2Refused(t *testing.T) {
 	sealed, err := os.ReadFile(filepath.Join("testdata", "sealed-v2", "execution-v2.sealed"))
 	if err != nil {
@@ -216,7 +217,7 @@ func TestStateExportV2Refused(t *testing.T) {
 		if err := d.ImportState(pt); err != nil {
 			t.Fatalf("%s: current export refused: %v", name, err)
 		}
-		for _, old := range []byte{2, 3} {
+		for _, old := range []byte{2, 3, 4} {
 			pt[0] = old
 			if err := d.ImportState(pt); !errors.Is(err, errStateVersion) {
 				t.Fatalf("%s: export tagged version %d: err = %v, want errStateVersion", name, old, err)

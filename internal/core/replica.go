@@ -307,19 +307,6 @@ func (r *Replica) closeStores() {
 // stores at construction (zero value without persistence).
 func (r *Replica) Recovery() RecoveryStats { return r.recovery }
 
-// StoreStats returns the per-compartment durability store counters, nil
-// without persistence.
-func (r *Replica) StoreStats() map[crypto.Role]store.Stats {
-	if r.stores == nil {
-		return nil
-	}
-	out := make(map[crypto.Role]store.Stats, len(r.stores))
-	for role, cs := range r.stores {
-		out[role] = cs.st.Stats()
-	}
-	return out
-}
-
 // ExecutedOps returns the number of client operations this replica has
 // replied to.
 func (r *Replica) ExecutedOps() uint64 { return r.broker.mReplies.Load() }

@@ -208,15 +208,6 @@ func (n *SimNet) UnblockOneWay(from, to Endpoint) {
 	delete(n.blocked, [2]Endpoint{from, to})
 }
 
-// HealAll removes every directional block installed on the network.
-func (n *SimNet) HealAll() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for k := range n.blocked {
-		delete(n.blocked, k)
-	}
-}
-
 // Isolate blocks all links to and from e (a crashed or partitioned node).
 func (n *SimNet) Isolate(e Endpoint) {
 	n.mu.Lock()

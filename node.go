@@ -157,7 +157,6 @@ func (n *Node) buildReplica() error {
 		DataDir:            o.nodeDataDir(n.id),
 		CheckpointInterval: o.checkpointInterval,
 		BatchSize:          o.batchSize,
-		BatchTimeout:       o.batchTimeout,
 		RequestTimeout:     o.requestTimeout,
 		ReadLeases:         o.readLeases,
 		LeaseTTL:           o.leaseTTL,

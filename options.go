@@ -43,7 +43,6 @@ type Option func(*options)
 // options is the resolved configuration shared by the three constructors.
 type options struct {
 	n, f int
-	fSet bool
 
 	newApp       func() Application
 	confidential bool
@@ -62,7 +61,6 @@ type options struct {
 	leaseTTL   time.Duration
 
 	batchSize          int
-	batchTimeout       time.Duration
 	requestTimeout     time.Duration
 	checkpointInterval uint64
 
@@ -100,8 +98,7 @@ func buildOptions(opts []Option) options {
 // resolveGroup resolves the consensus and agreement-auth options and the
 // replica-group shape (n, f), and checks them together with
 // messages.ValidConsensus. When n was not fixed by a cluster it comes from
-// the TCP address list; f defaults to the largest threshold the group
-// tolerates.
+// the TCP address list; f is the largest threshold the group tolerates.
 func (o *options) resolveGroup() error {
 	if o.n == 0 {
 		o.n = len(o.tcpAddrs)
@@ -116,9 +113,7 @@ func (o *options) resolveGroup() error {
 	if o.auth, err = o.agreementAuthMode(o.consensus); err != nil {
 		return err
 	}
-	if !o.fSet {
-		o.f = messages.MaxFaults(o.consensus, o.n)
-	}
+	o.f = messages.MaxFaults(o.consensus, o.n)
 	if err := messages.ValidConsensus(o.consensus, o.auth, o.n, o.f); err != nil {
 		return fmt.Errorf("splitbft: %w", err)
 	}
@@ -154,24 +149,11 @@ func (o *options) application() Application {
 	return NewKVStore()
 }
 
-// WithFaults fixes the fault threshold f. The group size must equal 3f+1
-// in classic consensus and 2f+1 in trusted consensus. Default: the largest
-// threshold the group tolerates, (n-1)/3 or (n-1)/2 respectively.
-func WithFaults(f int) Option {
-	return func(o *options) { o.f = f; o.fSet = true }
-}
-
 // WithApp installs the replicated application. The factory runs once per
 // replica: every replica needs its own state-machine instance. Default:
 // NewKVStore.
 func WithApp(newApp func() Application) Option {
 	return func(o *options) { o.newApp = newApp }
-}
-
-// WithKVStore selects the key-value store application (the default),
-// readable in option lists that spell out the workload.
-func WithKVStore() Option {
-	return func(o *options) { o.newApp = func() Application { return NewKVStore() } }
 }
 
 // WithBlockchain selects the blockchain (distributed ledger) application
@@ -202,12 +184,6 @@ func WithCostModel(m CostModel) Option {
 // batching. Default DefaultBatchSize.
 func WithBatchSize(n int) Option {
 	return func(o *options) { o.batchSize = n }
-}
-
-// WithBatchTimeout bounds how long the primary waits to fill a batch.
-// Default DefaultBatchTimeout.
-func WithBatchTimeout(d time.Duration) Option {
-	return func(o *options) { o.batchTimeout = d }
 }
 
 // WithRequestTimeout sets the replica failure-detector timeout: how long an

@@ -62,7 +62,7 @@ start_replica() {
     # -confidential=false: the CLI client attests against all n Execution
     # enclaves before invoking, which cannot complete while one replica is
     # down — and this test runs most of its ops exactly then.
-    "$BIN/splitbft-replica" -id "$id" -n "$N" -f 1 \
+    "$BIN/splitbft-replica" -id "$id" -n "$N" \
         -peers "$PEERS" -secret "$SECRET" -confidential=false \
         "${AUTH_ARGS[@]}" -consensus "$CONSENSUS" \
         -data-dir "$DATA/r$id" -stats 0 \
@@ -73,7 +73,7 @@ start_replica() {
 }
 
 client() {
-    "$BIN/splitbft-client" -id 100 -n "$N" -f 1 \
+    "$BIN/splitbft-client" -id 100 -n "$N" \
         -replicas "$PEERS" -secret "$SECRET" -confidential=false \
         -consensus "$CONSENSUS" -timeout 30s "$@"
 }

@@ -179,9 +179,6 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := splitbft.NewCluster(5); err == nil {
 		t.Error("NewCluster(5) accepted a group size that is not 3f+1")
 	}
-	if _, err := splitbft.NewCluster(4, splitbft.WithFaults(2)); err == nil {
-		t.Error("NewCluster(4, WithFaults(2)) accepted an inconsistent fault threshold")
-	}
 	if _, err := splitbft.NewNode(0); err == nil {
 		t.Error("NewNode without a transport succeeded")
 	}
