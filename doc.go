@@ -364,10 +364,12 @@
 // loses and everything committed during the outage, closed through the
 // ordinary checkpoint/state-transfer path (plus targeted BatchFetch
 // retransmission of committed-but-missing request bodies) once the node
-// rejoins. A recovered replica also nudges: while it may still be
-// behind, its broker tick broadcasts a StateProbe announcing how far it
-// got, and any peer whose stable checkpoint is ahead answers with the
-// certified snapshot — so the outage gap closes even on an idle cluster
+// rejoins. Execution asks for state with one message, a StateProbe
+// announcing how far it got: any peer whose stable checkpoint is ahead
+// answers with the certified snapshot. It sends one to a voter of a
+// stable certificate that is ahead of its last executed slot, and a
+// recovered replica also nudges: while it may still be behind, its broker
+// tick broadcasts one — so the outage gap closes even on an idle cluster
 // where no client traffic would otherwise reveal it. Sub-checkpoint
 // gaps — too recent for any peer to own a newer stable checkpoint — are
 // closed by the probe too: Confirmation compartments answer with

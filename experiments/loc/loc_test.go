@@ -178,7 +178,7 @@ func TestTCBBudget(t *testing.T) {
 	budget := map[string]int{
 		"Preparation Enc.":  415,
 		"Confirmation Enc.": 354,
-		"Execution Enc.":    1201,
+		"Execution Enc.":    1165,
 	}
 	rows, err := Table2(repoRoot(t))
 	if err != nil {

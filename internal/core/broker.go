@@ -45,26 +45,18 @@ func (cs *comStore) drain() { cs.wg.Wait() }
 // indistinguishable from a crash just before it, and the recovery path
 // closes any such gap through peer state transfer. Environment timer
 // ticks are skipped: they mutate no replayable state, and persisting one
-// per detection period would grow an idle cluster's WAL forever.
+// per detection period would grow an idle cluster's WAL forever. So is
+// read-lease traffic (see routeRow).
 func (cs *comStore) persistRun(run []ecall) {
 	for k := range run {
-		if len(run[k].payload) == 1 && run[k].payload[0] == ecallTick {
+		p := run[k].payload
+		if len(p) == 1 && p[0] == ecallTick {
 			continue
 		}
-		// Read-lease traffic is also skipped: leases, acks, and
-		// read-index exchanges are deliberately ephemeral (a restarted
-		// replica must come back leaseless and fail closed, and a replayed
-		// frontier would be stale anyway) and local reads mutate no
-		// replicated state, so replaying any of it would be wrong or
-		// wasted.
-		if len(run[k].payload) > 1 && run[k].payload[0] == ecallMessage {
-			switch messages.Type(run[k].payload[1]) {
-			case messages.TLeaseGrant, messages.TReadRequest,
-				messages.TLeaseAck, messages.TReadIndex, messages.TReadIndexReply:
-				continue
-			}
+		if len(p) > 1 && p[0] == ecallMessage && inboundRoutes[p[1]].lease {
+			continue
 		}
-		_, _ = cs.st.Append(run[k].payload)
+		_, _ = cs.st.Append(p)
 	}
 }
 
@@ -357,7 +349,7 @@ type broker struct {
 	lastSuspect time.Time
 	lastRotate  time.Time
 	lastLease   time.Time // last lease-clock tick into Preparation
-	fetchBudget int       // remaining BatchFetch forwards this period
+	fetchBudget int       // remaining budgeted forwards this period
 
 	blocksMu sync.Mutex
 	blocks   [][]byte // sealed blockchain blocks persisted via ocall
@@ -386,13 +378,13 @@ type broker struct {
 // filter and the answered-request memory.
 const dedupEntries = 1 << 13
 
-// fetchBudgetPerPeriod caps how many BatchFetch messages this replica
-// serves per failure-detector period. BatchFetch is unauthenticated and
-// its reply carries full request bodies addressed to the *claimed*
-// requester, so without a bound, forged fetches would make every honest
-// replica reflect amplified traffic at a victim. Genuine recovery needs a
+// fetchBudgetPerPeriod caps how many BatchFetch and StateProbe asks this
+// replica serves per failure-detector period. They are unauthenticated and
+// their replies carry request bodies or snapshots addressed to the
+// *claimed* requester, so without a bound, forged asks would make every
+// honest replica reflect amplified traffic at a victim. Genuine recovery needs a
 // handful per period; the cap is untrusted-side, so over-dropping costs
-// liveness only (the checkpoint state-transfer path remains).
+// liveness only (a dropped ask is re-sent, and admitted next period).
 const fetchBudgetPerPeriod = 128
 
 func newBroker(cfg Config, prep, conf, exec *tee.Enclave, stores map[crypto.Role]*comStore) *broker {
@@ -706,18 +698,73 @@ func (b *broker) noteClientBound(data []byte) (client uint32, ts uint64, kind in
 	return 0, 0, clientBoundOther
 }
 
+// routeRow is what the untrusted environment does with one replica-bound
+// message type: the compartments whose input logs get a copy (the §3.2
+// duplication); whether byte-identical retransmits are dropped before they
+// pay for an enclave crossing (agreement traffic only: the attest and
+// state-transfer exchanges rely on identical re-asks getting through);
+// whether it spends fetchBudget; and whether it is read-lease traffic,
+// which persistRun keeps out of the WAL — leases, acks and read-index
+// exchanges are deliberately ephemeral (a restarted replica must come back
+// leaseless and fail closed, and a replayed frontier would be stale) and
+// local reads mutate no replicated state.
+type routeRow struct {
+	to                   []crypto.Role
+	dedup, budget, lease bool
+}
+
+var (
+	toAll      = []crypto.Role{crypto.RolePreparation, crypto.RoleConfirmation, crypto.RoleExecution}
+	toPrepConf = []crypto.Role{crypto.RolePreparation, crypto.RoleConfirmation}
+	toConfExec = []crypto.Role{crypto.RoleConfirmation, crypto.RoleExecution}
+	toPrep     = []crypto.Role{crypto.RolePreparation}
+	toConf     = []crypto.Role{crypto.RoleConfirmation}
+	toExec     = []crypto.Role{crypto.RoleExecution}
+)
+
+// inboundRoutes is the broker's one list of the message types a replica
+// accepts from the network, with a row for every Type value; a type whose
+// row names no compartment is dropped. Client requests are not routed but
+// batched (onClientRequest). The table lives here rather than in
+// internal/messages because routing is the environment's job, and every
+// enclave links the messages package.
+var inboundRoutes = [256]routeRow{
+	// Preparation prepares a PrePrepare, Confirmation matches it against
+	// Prepares, Execution takes the request bodies from it.
+	messages.TPrePrepare:    {to: toAll, dedup: true},
+	messages.TPrepare:       {to: toConf, dedup: true},
+	messages.TCommit:        {to: toExec, dedup: true},
+	messages.TCheckpoint:    {to: toAll, dedup: true},
+	messages.TViewChange:    {to: toPrepConf, dedup: true},
+	messages.TNewView:       {to: toAll, dedup: true},
+	messages.TAttestRequest: {to: toExec},
+	messages.TProvisionKey:  {to: toExec},
+	messages.TStateReply:    {to: toExec},
+	messages.TBatchFetch:    {to: toExec, budget: true},
+	messages.TBatchReply:    {to: toExec},
+	// Confirmation answers with its Commit tail, Execution with a newer
+	// stable snapshot: together they close gaps of any size.
+	messages.TStateProbe: {to: toConfExec, budget: true},
+	// Read-lease fast path, not deduplicated: a resent read meets the
+	// enclave's replay guard; grants are unique by expiry, replies by epoch.
+	messages.TLeaseGrant:     {to: toExec, lease: true},
+	messages.TReadRequest:    {to: toExec, lease: true},
+	messages.TLeaseAck:       {to: toPrep, lease: true},
+	messages.TReadIndex:      {to: toPrep, lease: true},
+	messages.TReadIndexReply: {to: toExec, lease: true},
+}
+
 // handler is the transport inbound path — the classify stage of the
 // pipeline. It checks every message's structure in the untrusted
 // environment (on the transport threads, off the dispatcher hot path) so
-// malformed input never pays for an enclave crossing, drops byte-identical
-// retransmits of agreement messages, then routes by type to the
-// compartments' input logs, duplicating messages exactly as §3.2
-// prescribes. It forwards, so it needs a verdict and not a message: it
-// decodes only what it reads a field of — client requests, a NewView's view,
-// and with the tracer on the sequence numbers and batch members the spans
-// are keyed by. data is the transport's (see transport.Handler); every path
-// below copies it (frameMessage) or decodes it before returning.
-func (b *broker) handler(from transport.Endpoint, data []byte) {
+// malformed input never pays for an enclave crossing, then applies the
+// type's row of inboundRoutes. It forwards, so it needs a verdict and not a
+// message: it decodes only what it reads a field of — client requests, a
+// NewView's view, and with the tracer on the sequence numbers and batch
+// members the spans are keyed by. data is the transport's (see
+// transport.Handler); every path below copies it (frameMessage) or decodes
+// it before returning.
+func (b *broker) handler(_ transport.Endpoint, data []byte) {
 	if len(data) == 0 {
 		return
 	}
@@ -726,16 +773,9 @@ func (b *broker) handler(from transport.Endpoint, data []byte) {
 		b.onClientRequest(data)
 		return
 	}
-	switch t {
-	case messages.TPrePrepare, messages.TPrepare, messages.TCommit,
-		messages.TCheckpoint, messages.TViewChange, messages.TNewView,
-		messages.TAttestRequest, messages.TProvisionKey,
-		messages.TStateRequest, messages.TStateReply,
-		messages.TBatchFetch, messages.TBatchReply, messages.TStateProbe,
-		messages.TLeaseGrant, messages.TReadRequest,
-		messages.TLeaseAck, messages.TReadIndex, messages.TReadIndexReply:
-	default:
-		return // unknown type
+	r := &inboundRoutes[t]
+	if r.to == nil {
+		return // unknown type, or one no compartment takes from the network
 	}
 	var m messages.Message // nil on the check-only path
 	var err error
@@ -748,87 +788,38 @@ func (b *broker) handler(from transport.Endpoint, data []byte) {
 		b.mGarbage.Add(1)
 		return
 	}
-	switch t {
-	case messages.TPrePrepare, messages.TPrepare, messages.TCommit,
-		messages.TCheckpoint, messages.TViewChange, messages.TNewView:
-		// Agreement traffic is deduplicated; the attest/state-transfer
-		// family below is not — those exchanges rely on identical re-asks
-		// getting through, and they are rare enough not to matter.
-		if b.dedup.seen(data) {
-			b.mDeduped.Add(1)
-			return
-		}
+	if r.dedup && b.dedup.seen(data) {
+		b.mDeduped.Add(1)
+		return
 	}
-	switch t {
-	case messages.TPrePrepare:
-		if b.tr != nil {
-			// Link the batch members to their sequence number so later
-			// per-seq protocol events (commits) reach their spans.
-			pp := m.(*messages.PrePrepare)
-			for i := range pp.Batch.Requests {
-				r := &pp.Batch.Requests[i]
-				b.tr.Link(pp.Seq, r.ClientID, r.Timestamp)
-			}
-		}
-		// Duplicated into all three input logs (Preparation prepares it,
-		// Confirmation matches it against Prepares, Execution needs the
-		// request bodies).
-		b.submitShared(data, crypto.RolePreparation, crypto.RoleConfirmation, crypto.RoleExecution)
-	case messages.TPrepare:
-		b.submitShared(data, crypto.RoleConfirmation)
-	case messages.TCommit:
-		if b.tr != nil {
-			c := m.(*messages.Commit)
-			b.tr.CommitVote(c.Seq, b.cfg.N-b.cfg.F)
-		}
-		b.submitShared(data, crypto.RoleExecution)
-	case messages.TCheckpoint:
-		b.submitShared(data, crypto.RolePreparation, crypto.RoleConfirmation, crypto.RoleExecution)
-	case messages.TViewChange:
-		b.submitShared(data, crypto.RolePreparation, crypto.RoleConfirmation)
-	case messages.TNewView:
-		b.observeNewView(m.(*messages.NewView))
-		b.submitShared(data, crypto.RolePreparation, crypto.RoleConfirmation, crypto.RoleExecution)
-	case messages.TBatchFetch, messages.TStateProbe:
-		// Unauthenticated ask-for-retransmission family whose answers carry
-		// bulk data at the claimed requester: bounded per period — see
-		// fetchBudgetPerPeriod.
+	if r.budget {
 		b.mu.Lock()
-		allowed := b.fetchBudget > 0
-		if allowed {
+		spent := b.fetchBudget > 0
+		if spent {
 			b.fetchBudget--
 		}
 		b.mu.Unlock()
-		if allowed {
-			if t == messages.TStateProbe {
-				// Confirmation answers with the sub-checkpoint Commit
-				// tail, Execution with a snapshot once a newer checkpoint
-				// is stable — together they cover outage gaps of any size.
-				b.submitShared(data, crypto.RoleConfirmation, crypto.RoleExecution)
-			} else {
-				b.submitShared(data, crypto.RoleExecution)
-			}
+		if !spent {
+			return
 		}
-	case messages.TLeaseGrant, messages.TReadRequest, messages.TReadIndexReply:
-		if t == messages.TReadRequest && b.tr != nil {
-			r := m.(*messages.ReadRequest)
-			b.tr.Begin(r.ClientID, r.Timestamp, true)
-		}
-		// Read-lease fast path: all three terminate in the Execution
-		// compartment. Not deduplicated — a retransmitted read must be
-		// re-answered... by the enclave's replay guard, which drops it
-		// cheaply (the reply could only have been refused or served once);
-		// grants are unique by their strictly increasing expiry, and replies
-		// per epoch, anyway.
-		b.submitShared(data, crypto.RoleExecution)
-	case messages.TLeaseAck, messages.TReadIndex:
-		// Holder-to-granter legs of the lease fast path: both terminate in
-		// the (primary's) Preparation compartment.
-		b.submitShared(data, crypto.RolePreparation)
-	default: // attest/provision/state-transfer family
-		b.submitShared(data, crypto.RoleExecution)
 	}
-	_ = from
+	// Observation hooks: m is decoded only for them (see above).
+	switch m := m.(type) {
+	case *messages.PrePrepare:
+		// Link the batch members to their sequence number so later
+		// per-seq protocol events (commits) reach their spans.
+		for i := range m.Batch.Requests {
+			req := &m.Batch.Requests[i]
+			b.tr.Link(m.Seq, req.ClientID, req.Timestamp)
+		}
+	case *messages.Commit:
+		b.tr.CommitVote(m.Seq, b.cfg.N-b.cfg.F)
+	case *messages.ReadRequest:
+		b.tr.Begin(m.ClientID, m.Timestamp, true)
+	case *messages.NewView:
+		b.observeNewView(m)
+	}
+	b.submitShared(data, r.to...)
 }
 
 // observeNewView updates the broker's view estimate so batching

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -8,6 +11,7 @@ import (
 	"github.com/splitbft/splitbft/internal/app"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/messages"
+	"github.com/splitbft/splitbft/internal/store"
 	"github.com/splitbft/splitbft/internal/tee"
 	"github.com/splitbft/splitbft/internal/transport"
 )
@@ -229,41 +233,252 @@ func TestBrokerQueueTopology(t *testing.T) {
 	}
 }
 
+// lastType is the highest wire message type; wireZeros checks nothing
+// follows it.
+const lastType = messages.TReadIndexReply
+
+// wireZeros returns the zero value of every wire message type, by type.
+func wireZeros(t *testing.T) map[messages.Type]messages.Message {
+	t.Helper()
+	all := []messages.Message{
+		&messages.Request{}, &messages.PrePrepare{}, &messages.Prepare{},
+		&messages.Commit{}, &messages.Reply{}, &messages.Checkpoint{},
+		&messages.ViewChange{}, &messages.NewView{}, &messages.AttestRequest{},
+		&messages.AttestQuote{}, &messages.ProvisionKey{}, &messages.StateRequest{},
+		&messages.StateReply{}, &messages.Suspect{}, &messages.BatchFetch{},
+		&messages.BatchReply{}, &messages.StateProbe{}, &messages.LeaseGrant{},
+		&messages.ReadRequest{}, &messages.ReadReply{}, &messages.LeaseAck{},
+		&messages.ReadIndex{}, &messages.ReadIndexReply{},
+	}
+	zeros := make(map[messages.Type]messages.Message, len(all))
+	for _, m := range all {
+		zeros[m.MsgType()] = m
+	}
+	for typ := messages.Type(1); typ <= lastType; typ++ {
+		if zeros[typ] == nil {
+			t.Fatalf("no zero message for %v", typ)
+		}
+	}
+	if name := (lastType + 1).String(); !strings.HasPrefix(name, "Type(") {
+		t.Fatalf("%s follows lastType", name)
+	}
+	return zeros
+}
+
+// wireFrame encodes the zero message of typ, or a bare type byte for a
+// value no message has.
+func wireFrame(zeros map[messages.Type]messages.Message, typ messages.Type) []byte {
+	if m := zeros[typ]; m != nil {
+		return messages.Marshal(m)
+	}
+	return []byte{byte(typ)}
+}
+
+// wantRoutes is what the broker does with each replica-bound type: copies
+// into the Preparation, Confirmation and Execution queues, and whether it
+// deduplicates, charges the fetch budget and keeps the type out of the WAL.
+// Every type not listed is dropped.
+var wantRoutes = map[messages.Type]struct {
+	copies               [3]int
+	dedup, budget, lease bool
+}{
+	messages.TPrePrepare:     {copies: [3]int{1, 1, 1}, dedup: true},
+	messages.TPrepare:        {copies: [3]int{0, 1, 0}, dedup: true},
+	messages.TCommit:         {copies: [3]int{0, 0, 1}, dedup: true},
+	messages.TCheckpoint:     {copies: [3]int{1, 1, 1}, dedup: true},
+	messages.TViewChange:     {copies: [3]int{1, 1, 0}, dedup: true},
+	messages.TNewView:        {copies: [3]int{1, 1, 1}, dedup: true},
+	messages.TAttestRequest:  {copies: [3]int{0, 0, 1}},
+	messages.TProvisionKey:   {copies: [3]int{0, 0, 1}},
+	messages.TStateReply:     {copies: [3]int{0, 0, 1}},
+	messages.TBatchFetch:     {copies: [3]int{0, 0, 1}, budget: true},
+	messages.TBatchReply:     {copies: [3]int{0, 0, 1}},
+	messages.TStateProbe:     {copies: [3]int{0, 1, 1}, budget: true},
+	messages.TLeaseGrant:     {copies: [3]int{0, 0, 1}, lease: true},
+	messages.TReadRequest:    {copies: [3]int{0, 0, 1}, lease: true},
+	messages.TLeaseAck:       {copies: [3]int{1, 0, 0}, lease: true},
+	messages.TReadIndex:      {copies: [3]int{1, 0, 0}, lease: true},
+	messages.TReadIndexReply: {copies: [3]int{0, 0, 1}, lease: true},
+}
+
+// TestBrokerRoutingTable pins the classify stage for every type value: how
+// many copies land in each compartment queue, that a byte-identical resend
+// is dropped exactly for the deduplicated types, and that an exhausted
+// fetch budget drops exactly the budgeted ones. Client requests go to
+// batching and to no queue; the health probe's ping and unknown types are
+// dropped.
 func TestBrokerRoutingTable(t *testing.T) {
 	b, _ := newTestBroker(t, false)
-	// Count what lands in each queue for each inbound message type.
-	depth := func(q *queue) int { return q.len() }
-	drain := func() {
-		for _, q := range b.queues {
-			q.reset()
+	zeros := wireZeros(t)
+	queued := func() [3]int {
+		var got [3]int
+		for i, role := range compartmentRoles {
+			got[i] = b.queueFor(role).len()
+			b.queueFor(role).reset()
+		}
+		return got
+	}
+	for typ := messages.Type(0); typ <= lastType+1; typ++ {
+		want := wantRoutes[typ]
+		frame := wireFrame(zeros, typ)
+		b.handler(transportEndpoint(), frame)
+		if got := queued(); got != want.copies {
+			t.Errorf("%v routed %v, want %v", typ, got, want.copies)
+		}
+		resend := want.copies
+		if want.dedup {
+			resend = [3]int{}
+		}
+		b.handler(transportEndpoint(), frame)
+		if got := queued(); got != resend {
+			t.Errorf("%v resent: routed %v, want %v", typ, got, resend)
+		}
+		b.mu.Lock()
+		b.fetchBudget = 0
+		b.mu.Unlock()
+		broke := resend
+		if want.budget {
+			broke = [3]int{}
+		}
+		b.handler(transportEndpoint(), frame)
+		if got := queued(); got != broke {
+			t.Errorf("%v without budget: routed %v, want %v", typ, got, broke)
+		}
+		b.mu.Lock()
+		b.fetchBudget = fetchBudgetPerPeriod
+		b.mu.Unlock()
+	}
+	// The request went to batching, three times under one key.
+	b.mu.Lock()
+	batched := b.pendingReqs.Len()
+	b.mu.Unlock()
+	if batched != 1 {
+		t.Errorf("primary broker batched %d requests, want 1", batched)
+	}
+	garbage := b.mGarbage.Load()
+	b.handler(transportEndpoint(), []byte{messages.ProbePing})
+	if got := queued(); got != [3]int{} || b.mGarbage.Load() != garbage {
+		t.Errorf("health ping routed %v, counted as garbage %d times", got, b.mGarbage.Load()-garbage)
+	}
+}
+
+// TestBrokerFetchBudgetRotates: the 129th budgeted ask of one detection
+// period is dropped, whatever its type, and asks are admitted again once
+// the failure detector's clock rotates the period.
+func TestBrokerFetchBudgetRotates(t *testing.T) {
+	b, cfg := newTestBroker(t, false)
+	exec := b.queueFor(crypto.RoleExecution)
+	now := time.Now()
+	b.onTick(now) // opens a period
+	exec.reset()
+	fetch := messages.Marshal(&messages.BatchFetch{Seq: 1, Replica: 2})
+	for i := 0; i < fetchBudgetPerPeriod; i++ {
+		b.handler(transportEndpoint(), fetch)
+	}
+	if got := exec.len(); got != fetchBudgetPerPeriod {
+		t.Fatalf("admitted %d of %d budgeted asks", got, fetchBudgetPerPeriod)
+	}
+	probe := messages.Marshal(&messages.StateProbe{Have: 1, Replica: 2})
+	b.handler(transportEndpoint(), probe)
+	b.onTick(now.Add(cfg.RequestTimeout / 2)) // same period
+	b.handler(transportEndpoint(), fetch)
+	if got := exec.len(); got != fetchBudgetPerPeriod {
+		t.Fatalf("%d asks past the budget admitted", got-fetchBudgetPerPeriod)
+	}
+	b.onTick(now.Add(2 * cfg.RequestTimeout)) // rotates; queues a tick
+	exec.reset()
+	b.handler(transportEndpoint(), probe)
+	if got := exec.len(); got != 1 {
+		t.Fatalf("after rotation %d asks admitted, want 1", got)
+	}
+}
+
+// TestBrokerWALSkipsLeaseTraffic runs a broker with a WAL under every
+// compartment over one copy of every routed type and environment ticks:
+// each compartment's log holds exactly the non-lease types routed to it,
+// in arrival order, and no tick.
+func TestBrokerWALSkipsLeaseTraffic(t *testing.T) {
+	dirs := make(map[crypto.Role]string)
+	stores := make(map[crypto.Role]*comStore)
+	for _, role := range compartmentRoles {
+		dirs[role] = t.TempDir()
+		st, _, err := store.Open(dirs[role], store.Options{FsyncInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[role] = &comStore{st: st}
+	}
+	b, _ := scriptBroker(t, false, stores)
+	zeros := wireZeros(t)
+	want := make(map[crypto.Role][]byte)
+	for typ := messages.Type(0); typ <= lastType+1; typ++ {
+		b.handler(transportEndpoint(), wireFrame(zeros, typ))
+		for i, role := range compartmentRoles {
+			if wantRoutes[typ].copies[i] > 0 && !wantRoutes[typ].lease {
+				want[role] = append(want[role], byte(typ))
+			}
 		}
 	}
-	cases := []struct {
-		msg              messages.Message
-		prep, conf, exec int
-	}{
-		{&messages.PrePrepare{}, 1, 1, 1}, // duplicated into all three logs
-		{&messages.Prepare{}, 0, 1, 0},
-		{&messages.Commit{}, 0, 0, 1},
-		{&messages.Checkpoint{}, 1, 1, 1},
-		{&messages.ViewChange{}, 1, 1, 0},
-		{&messages.NewView{}, 1, 1, 1},
-		{&messages.AttestRequest{}, 0, 0, 1},
-		{&messages.ProvisionKey{}, 0, 0, 1},
-		{&messages.StateRequest{}, 0, 0, 1},
-		{&messages.StateReply{}, 0, 0, 1},
+	var ticks []ecall
+	for _, role := range compartmentRoles {
+		ticks = append(ticks, ecall{role: role, payload: []byte{ecallTick}})
 	}
-	for _, tc := range cases {
-		drain()
-		b.handler(transportEndpoint(), messages.Marshal(tc.msg))
-		got := [3]int{
-			depth(b.queueFor(crypto.RolePreparation)),
-			depth(b.queueFor(crypto.RoleConfirmation)),
-			depth(b.queueFor(crypto.RoleExecution)),
+	runQueued(b, &sendLog{}, ticks)
+	for _, role := range compartmentRoles {
+		cs := stores[role]
+		cs.drain()
+		if err := cs.st.Close(); err != nil {
+			t.Fatal(err)
 		}
-		want := [3]int{tc.prep, tc.conf, tc.exec}
-		if got != want {
-			t.Errorf("%s routed %v, want %v", tc.msg.MsgType(), got, want)
+		st, rec, err := store.Open(dirs[role], store.Options{FsyncInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = st.Close()
+		var got []byte
+		for _, r := range rec.Records {
+			if len(r) < 2 || r[0] != ecallMessage {
+				t.Fatalf("%v logged %x, want only messages", role, r)
+			}
+			got = append(got, r[1])
+		}
+		if !bytes.Equal(got, want[role]) {
+			t.Errorf("%v logged types %v, want %v", role, got, want[role])
+		}
+	}
+}
+
+// TestInboundRoutesMatchAuthRules cross-checks the untrusted routing table
+// against the receivers the authentication rules give each authenticated
+// type: a compartment that verifies a type must be the one it is routed
+// to. ViewChange and NewView are signed in both modes and name no
+// receivers; their routes are pinned by TestBrokerRoutingTable alone.
+func TestInboundRoutesMatchAuthRules(t *testing.T) {
+	const n = 4
+	zeros := wireZeros(t)
+	for typ := messages.Type(0); typ <= lastType+1; typ++ {
+		form := messages.ProofFormOf(typ)
+		if form == 0 {
+			continue
+		}
+		var want []crypto.Role
+		if form == messages.ProofPair {
+			want = []crypto.Role{messages.PairAddressee(zeros[typ].(messages.Addressed), n).Role}
+		} else {
+			for _, id := range messages.AgreementAuthReceivers(typ, n) {
+				if !slices.Contains(want, id.Role) {
+					want = append(want, id.Role)
+				}
+			}
+		}
+		if want == nil {
+			if typ != messages.TViewChange && typ != messages.TNewView {
+				t.Errorf("%v is authenticated but names no receivers", typ)
+			}
+			continue
+		}
+		if got := inboundRoutes[typ].to; !slices.Equal(got, want) {
+			t.Errorf("%v routed to %v, authenticated for %v", typ, got, want)
 		}
 	}
 }

@@ -530,6 +530,113 @@ func TestExecutionCatchesUpViaStateTransfer(t *testing.T) {
 	}
 }
 
+// TestExecutionAsksForStateWithProbe: an Execution compartment that
+// installs a stable certificate ahead of its lastExec asks a voter of the
+// certificate for state with StateProbe{Have: lastExec} — not the
+// certificate's sequence number, which peers at that same stable point
+// would not answer — and a voter whose stable point has moved past the
+// certificate answers with its newer snapshot, which the asker installs.
+func TestExecutionAsksForStateWithProbe(t *testing.T) {
+	h := newHarness(t)
+	secret := []byte("compartment-test")
+
+	// Execute seq 1 so that lastExec is neither zero nor a checkpoint.
+	confKeys := make(map[uint32]*crypto.KeyPair)
+	execKeys := make(map[uint32]*crypto.KeyPair)
+	for r := uint32(0); r < 3; r++ {
+		confKeys[r] = h.byzantineSigner(r, crypto.RoleConfirmation)
+		execKeys[r] = h.byzantineSigner(r, crypto.RoleExecution)
+	}
+	req := testRequest(secret, h.n, 7, 1, app.EncodePut("k", []byte("v")))
+	b := messages.Batch{Requests: []messages.Request{req}}
+	pp := &messages.PrePrepare{View: 0, Seq: 1, Digest: b.Digest(), Replica: 0, Batch: b}
+	pp.Sig = h.byzantineSigner(0, crypto.RolePreparation).Sign(pp.SigningBytes())
+	h.invoke(3, crypto.RoleExecution, pp)
+	for r := uint32(0); r < 3; r++ {
+		c := &messages.Commit{View: 0, Seq: 1, Digest: pp.Digest, Replica: r}
+		c.Sig = confKeys[r].Sign(c.SigningBytes())
+		h.invoke(3, crypto.RoleExecution, c)
+	}
+	if _, ok := h.apps[3].Get("k"); !ok {
+		t.Fatal("seq 1 did not execute")
+	}
+
+	// The group checkpoints at 10; the third vote makes the certificate.
+	var out []tee.OutMsg
+	digest10 := crypto.HashData([]byte("state at 10"))
+	for r := uint32(0); r < 3; r++ {
+		cp := &messages.Checkpoint{Seq: 10, StateDigest: digest10, Replica: r}
+		cp.Sig = execKeys[r].Sign(cp.SigningBytes())
+		out = h.invoke(3, crypto.RoleExecution, cp)
+	}
+	if len(out) != 1 || out[0].Kind != tee.DestReplica || out[0].ID > 2 {
+		t.Fatalf("behind the certificate, execution emitted %+v; want one message to a voter", out)
+	}
+	ask, ok := findMsg[*messages.StateProbe](t, out, tee.DestReplica)
+	if !ok {
+		t.Fatalf("state ask is a %v, want a StateProbe", messages.Type(out[0].Payload[0]))
+	}
+	if ask.Have != 1 || ask.Replica != 3 {
+		t.Fatalf("state ask = %+v, want Have 1 (lastExec) from replica 3", ask)
+	}
+
+	// The voter has meanwhile gone stable at 20.
+	peerState := app.NewKVS()
+	peerState.Execute(7, app.EncodePut("a", []byte("1")))
+	enc := messages.NewEncoder(256)
+	enc.U32(0)
+	enc.VarBytes(peerState.Snapshot())
+	snap := enc.Bytes()
+	cert := messages.CheckpointCert{Seq: 20, StateDigest: crypto.HashData(snap)}
+	for r := uint32(0); r < 3; r++ {
+		cp := messages.Checkpoint{Seq: 20, StateDigest: cert.StateDigest, Replica: r}
+		cp.Sig = execKeys[r].Sign(cp.SigningBytes())
+		cert.Proof = append(cert.Proof, cp)
+	}
+	voter := out[0].ID
+	h.invoke(voter, crypto.RoleExecution, &messages.StateReply{Cert: cert, Snapshot: snap, Replica: (voter + 1) % 3})
+	answer := h.invoke(voter, crypto.RoleExecution, ask)
+	rep, ok := findMsg[*messages.StateReply](t, answer, tee.DestReplica)
+	if !ok || len(answer) != 1 || answer[0].ID != 3 || rep.Cert.Seq != 20 {
+		t.Fatalf("voter stable at 20 answered the ask with %+v; want its snapshot, to replica 3", answer)
+	}
+	h.invoke(3, crypto.RoleExecution, rep)
+	if v, ok := h.apps[3].Get("a"); !ok || !bytes.Equal(v, []byte("1")) {
+		t.Fatal("the newer snapshot was not installed")
+	}
+}
+
+// TestExecutionAsksAttestorForState: a vouched (MAC-mode) certificate names
+// no voters, so an Execution compartment behind it asks the attestor, or
+// every peer when it attested the certificate itself — with the same
+// StateProbe{Have: lastExec} it sends a voter.
+func TestExecutionAsksAttestorForState(t *testing.T) {
+	reg := crypto.NewRegistry()
+	ver, err := messages.NewVerifier(4, 1, reg, messages.SplitScheme())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{N: 4, F: 1, ID: 3, Registry: reg, MACSecret: []byte("vouch"), App: app.NewKVS()}.withDefaults()
+	for _, tc := range []struct {
+		attestor uint32
+		kind     tee.DestKind
+	}{
+		{attestor: 1, kind: tee.DestReplica},
+		{attestor: 3, kind: tee.DestBroadcast},
+	} {
+		e := mustExecution(t, cfg, ver)
+		e.lastExec = 4
+		out := e.installStable(nil, messages.CheckpointCert{Seq: 10, Attestor: tc.attestor, Vouch: []byte("vouch")})
+		if len(out) != 1 || out[0].Kind != tc.kind || (tc.kind == tee.DestReplica && out[0].ID != tc.attestor) {
+			t.Fatalf("attestor %d: asked %+v, want one %v message", tc.attestor, out, tc.kind)
+		}
+		ask, ok := findMsg[*messages.StateProbe](t, out, tc.kind)
+		if !ok || ask.Have != 4 || ask.Replica != 3 {
+			t.Fatalf("attestor %d: ask %+v, want StateProbe{Have: 4, Replica: 3}", tc.attestor, ask)
+		}
+	}
+}
+
 // TestCheckpointCarriesReplyCache pins the exactly-once contract across
 // state transfer: checkpoint snapshots must carry the reply-cache skip
 // state (so a replica that catches up by state transfer does not

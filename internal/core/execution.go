@@ -373,12 +373,16 @@ func (e *execution) Measurement() crypto.Digest { return measExecution }
 // HandleECall implements tee.Code.
 func (e *execution) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
 	if len(raw) == 1 && raw[0] == ecallTick {
-		// Environment timer tick: no message, just the liveness nudges.
-		out := e.onProbeTick()
-		if more := e.tickStall(); more != nil {
-			out = append(out, more...)
+		// Environment timer tick: no message, just the liveness nudges,
+		// aging parked reads out (their clients have long since fallen back
+		// after a full detector period) and retransmitting a lost frontier
+		// query.
+		out := append(e.onProbeTick(), e.tickStall()...)
+		out = append(out, e.settleReads(false, true)...)
+		if e.riInFlight && len(e.riPending) > 0 {
+			out = append(out, e.sendReadIndex(host))
 		}
-		return append(out, e.onReadTick(host)...)
+		return out
 	}
 	out := e.handleMessage(host, raw)
 	if more := e.tickStall(); more != nil {
@@ -387,7 +391,7 @@ func (e *execution) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
 	if len(e.riPending) > 0 {
 		// Any message may have advanced lastExec past a confirmed frontier:
 		// serve what became servable.
-		out = append(out, e.flushReads()...)
+		out = append(out, e.settleReads(false, false)...)
 	}
 	return out
 }
@@ -413,8 +417,6 @@ func (e *execution) handleMessage(host tee.Host, raw []byte) []tee.OutMsg {
 		return e.onAttestRequest(host, msg)
 	case *messages.ProvisionKey:
 		e.onProvisionKey(host, msg)
-	case *messages.StateRequest:
-		return e.onStateRequest(msg)
 	case *messages.StateReply:
 		return e.onStateReply(host, msg)
 	case *messages.BatchFetch:
@@ -585,7 +587,7 @@ func (e *execution) onReadIndexReply(host tee.Host, rep *messages.ReadIndexReply
 	e.riInFlight = false
 	e.riAckedEpoch = rep.Epoch
 	e.riAckedFrontier = rep.Frontier
-	out := e.flushReads()
+	out := e.settleReads(false, false)
 	for _, pr := range e.riPending {
 		if pr.epoch > e.riAckedEpoch {
 			e.riSentEpoch++
@@ -597,60 +599,35 @@ func (e *execution) onReadIndexReply(host tee.Host, rep *messages.ReadIndexReply
 	return out
 }
 
-// flushReads settles every pending read whose outcome is now decided:
-// refuse all of them the moment the lease stops being valid (fail-closed —
-// the client falls back to agreement), serve those whose confirmed frontier
-// is applied.
-func (e *execution) flushReads() []tee.OutMsg {
+// settleReads walks the parked reads once, answering each whose outcome is
+// decided and keeping the rest. All are refused when refuseAll is set or the
+// lease stopped being valid (fail-closed — the client falls back to
+// agreement); otherwise a read whose epoch is confirmed and whose frontier is
+// applied is served. With age set (the environment's failure-detector tick)
+// a read still pending since the previous tick is refused and the others are
+// marked.
+func (e *execution) settleReads(refuseAll, age bool) []tee.OutMsg {
 	if len(e.riPending) == 0 {
 		return nil
 	}
-	valid := e.leaseValid(e.clock.Now())
+	refuseAll = refuseAll || !e.leaseValid(e.clock.Now())
 	var out []tee.OutMsg
 	keep := e.riPending[:0]
 	for _, pr := range e.riPending {
 		switch {
-		case !valid:
+		case refuseAll:
 			out = append(out, e.readReply(pr.req, false))
 		case pr.epoch <= e.riAckedEpoch && e.lastExec >= e.riAckedFrontier:
 			out = append(out, e.readReply(pr.req, true))
+		case age && pr.seenTick:
+			out = append(out, e.readReply(pr.req, false))
 		default:
+			pr.seenTick = pr.seenTick || age
 			keep = append(keep, pr)
 		}
 	}
-	for i := len(keep); i < len(e.riPending); i++ {
-		e.riPending[i] = pendingRead{} // drop refs for GC
-	}
+	clear(e.riPending[len(keep):]) // drop refs for GC
 	e.riPending = keep
-	return out
-}
-
-// onReadTick runs read-path maintenance on the environment's
-// failure-detector tick: settle what the clock decided, age out reads
-// whose client has long since fallen back (anything pending a full
-// detector period), and retransmit a lost frontier query.
-func (e *execution) onReadTick(host tee.Host) []tee.OutMsg {
-	if !e.leases {
-		return nil
-	}
-	out := e.flushReads()
-	keep := e.riPending[:0]
-	for i := range e.riPending {
-		pr := e.riPending[i]
-		if pr.seenTick {
-			out = append(out, e.readReply(pr.req, false))
-			continue
-		}
-		pr.seenTick = true
-		keep = append(keep, pr)
-	}
-	for i := len(keep); i < len(e.riPending); i++ {
-		e.riPending[i] = pendingRead{}
-	}
-	e.riPending = keep
-	if e.riInFlight && len(e.riPending) > 0 {
-		out = append(out, e.sendReadIndex(host))
-	}
 	return out
 }
 
@@ -987,27 +964,31 @@ func (e *execution) installStable(_ tee.Host, cert messages.CheckpointCert) []te
 		return nil
 	}
 	e.gc()
-	if e.lastExec < cert.Seq {
-		// Fell behind the group: fetch the snapshot from a replica that
-		// contributed to the certificate. A MAC-mode cert names no voters
-		// (single vouch) — if its attestor is a peer, ask there; a cert
-		// this compartment attested itself identifies nobody ahead, so
-		// broadcast the request and take the first verifying reply.
-		for i := range cert.Proof {
-			if cert.Proof[i].Replica != e.id {
-				return []tee.OutMsg{replicaOut(cert.Proof[i].Replica,
-					&messages.StateRequest{Seq: cert.Seq, Replica: e.id})}
-			}
-		}
-		if len(cert.Vouch) > 0 {
-			req := &messages.StateRequest{Seq: cert.Seq, Replica: e.id}
-			if cert.Attestor != e.id {
-				return []tee.OutMsg{replicaOut(cert.Attestor, req)}
-			}
-			return []tee.OutMsg{broadcastOut(req)}
-		}
+	if e.lastExec >= cert.Seq {
+		return nil
 	}
-	return nil
+	// Fell behind the group: ask a replica that contributed to the
+	// certificate for its state. A MAC-mode cert names no voters (single
+	// vouch) — if its attestor is a peer, ask there; a cert this compartment
+	// attested itself identifies nobody ahead, so broadcast the ask and take
+	// the first verifying reply. The ask is the rejoin nudge's StateProbe
+	// with Have at lastExec, not cert.Seq: a peer answers whenever its
+	// stable point is ahead of Have, so one stable at cert.Seq serves it and
+	// so does one that has moved on.
+	ask := &messages.StateProbe{Have: e.lastExec, Replica: e.id}
+	var out tee.OutMsg
+	switch i := slices.IndexFunc(cert.Proof, func(cp messages.Checkpoint) bool { return cp.Replica != e.id }); {
+	case i >= 0:
+		out = replicaOut(cert.Proof[i].Replica, ask)
+	case len(cert.Vouch) == 0:
+		return nil
+	case cert.Attestor != e.id:
+		out = replicaOut(cert.Attestor, ask)
+	default:
+		out = broadcastOut(ask)
+	}
+	e.evProbesSent.Add(1)
+	return []tee.OutMsg{out}
 }
 
 // onProbeTick runs on every environment timer tick: while the rejoin
@@ -1044,7 +1025,8 @@ func (e *execution) onProbeTick() []tee.OutMsg {
 	return out
 }
 
-// onStateProbe answers a peer's rejoin nudge when this replica's stable
+// onStateProbe answers a peer's StateProbe — its rejoin nudge or its ask
+// for state behind a stable certificate — when this replica's stable
 // checkpoint is ahead of the prober: the reply is a full StateReply whose
 // certificate the prober verifies, so serving a forged probe leaks
 // nothing and cannot corrupt anyone (bandwidth only, budgeted by the
@@ -1082,12 +1064,7 @@ func (e *execution) onNewView(host tee.Host, nv *messages.NewView) []tee.OutMsg 
 	// Pending reads were waiting on a frontier from the deposed primary:
 	// refuse them all (fail-closed), and forget the in-flight query — a late
 	// reply for it fails the view check.
-	var out []tee.OutMsg
-	for i := range e.riPending {
-		out = append(out, e.readReply(e.riPending[i].req, false))
-		e.riPending[i] = pendingRead{}
-	}
-	e.riPending = e.riPending[:0]
+	out := e.settleReads(true, false)
 	e.riInFlight = false
 	e.gc()
 	return append(out, e.tryExecute(host)...)
@@ -1146,16 +1123,6 @@ func (e *execution) onProvisionKey(host tee.Host, pk *messages.ProvisionKey) {
 	}
 	s.key, s.aead = sk, aead
 	e.sessions[pk.ClientID] = s
-}
-
-// onStateRequest serves the stable snapshot to a lagging peer.
-func (e *execution) onStateRequest(req *messages.StateRequest) []tee.OutMsg {
-	snap, ok := e.snapshots[req.Seq]
-	if !ok || e.stableCert.Seq != req.Seq || int(req.Replica) >= e.n || req.Replica == e.id {
-		return nil
-	}
-	return []tee.OutMsg{replicaOut(req.Replica,
-		&messages.StateReply{Cert: e.stableCert, Snapshot: snap, Replica: e.id})}
 }
 
 // onStateReply installs a verified snapshot and resumes execution.

@@ -26,8 +26,8 @@ type EventStats struct {
 	// StallFetches counts checkpoint-stall body fetches: a compartment
 	// held a certificate without the batch body and had to ask peers.
 	StallFetches uint64
-	// ProbesSent and ProbesAnswered count state-transfer probes, both
-	// directions.
+	// ProbesSent and ProbesAnswered count StateProbes, both directions:
+	// the rejoin nudge and the ask for state behind a stable certificate.
 	ProbesSent     uint64
 	ProbesAnswered uint64
 }

@@ -555,6 +555,32 @@ func TestLinearizableReadSeesPostGrantWrite(t *testing.T) {
 	}
 }
 
+// TestParkedReadAgesOut: a read parked behind the frontier survives the
+// first failure-detector tick and is refused on the second — its client has
+// fallen back to the agreement path by then.
+func TestParkedReadAgesOut(t *testing.T) {
+	r := newLeaseRig(t, time.Second)
+	r.armLeases()
+	r.propose(1)
+	if rep := r.read(1, 1, app.EncodeGet("k")); rep != nil {
+		t.Fatalf("read answered while behind the frontier: %+v", rep)
+	}
+	r.renew()
+	if rep := r.tickExec(1); rep != nil {
+		t.Fatalf("first tick answered the parked read: %+v", rep)
+	}
+	if got := len(r.codes[1].riPending); got != 1 {
+		t.Fatalf("pending reads = %d after one tick, want 1", got)
+	}
+	r.renew()
+	if rep := r.tickExec(1); rep == nil || rep.OK {
+		t.Fatalf("second tick answered %+v, want a refusal", rep)
+	}
+	if got := len(r.codes[1].riPending); got != 0 {
+		t.Fatalf("pending reads = %d after two ticks, want 0", got)
+	}
+}
+
 // TestReadReplayDropped: a replayed (or timestamp-reordered) ReadRequest
 // must be dropped before any MAC or application work — the replay guard
 // that stops the broker from burning enclave CPU with one captured

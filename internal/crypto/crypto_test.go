@@ -198,8 +198,8 @@ func TestSessionRejectsTampering(t *testing.T) {
 }
 
 // TestSealRandomAppends: AppendSealRandom leaves what dst holds in place,
-// seals the same blob SealRandom returns behind it, and needs no new buffer
-// when dst has room.
+// needs no new buffer when dst has room, grows one when it has none, and
+// every blob it seals opens to the plaintext.
 func TestSealRandomAppends(t *testing.T) {
 	key, _ := NewSessionKey()
 	s, _ := NewSession(key, 2)
@@ -212,14 +212,20 @@ func TestSealRandomAppends(t *testing.T) {
 	if string(out[:5]) != "frame" || &out[0] != &dst[0] {
 		t.Fatal("AppendSealRandom did not seal in place behind dst")
 	}
-	whole, err := s.SealRandom(pt, ad)
+	whole, err := s.AppendSealRandom(nil, pt, ad)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(whole) != s.Overhead()+len(pt) {
+		t.Fatalf("sealed %d bytes, want %d", len(whole), s.Overhead()+len(pt))
 	}
 	for _, blob := range [][]byte{out[5:], whole} {
 		if got, err := s.Open(blob, ad); err != nil || !bytes.Equal(got, pt) {
 			t.Fatalf("open = %q, %v", got, err)
 		}
+	}
+	if _, err := s.Open(whole, []byte("other")); err == nil {
+		t.Fatal("sealed blob opened under the wrong associated data")
 	}
 }
 

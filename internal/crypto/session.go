@@ -70,20 +70,15 @@ func (s *Session) Seal(plaintext, ad []byte) []byte {
 	return s.aead.Seal(out, nonce, plaintext, ad)
 }
 
-// SealRandom encrypts like Seal but under a fresh random nonce instead of
-// the session counter. It is the sealing primitive for data that must stay
+// AppendSealRandom encrypts like Seal but under a fresh random nonce instead
+// of the session counter, appending nonce||ciphertext to dst and returning
+// the extended slice. It is the sealing primitive for data that must stay
 // decryptable across process restarts (durable storage): a restarted
 // process would reset the counter to zero and reuse nonces, which
-// catastrophically breaks GCM. Open decrypts both forms.
-func (s *Session) SealRandom(plaintext, ad []byte) ([]byte, error) {
-	return s.AppendSealRandom(nil, plaintext, ad)
-}
-
-// AppendSealRandom appends SealRandom's nonce||ciphertext to dst and returns
-// the extended slice: the nonce is drawn into dst and the ciphertext sealed
-// behind it, so a caller that frames the blob (a sealed export, a WAL
-// record) builds it in its own buffer. plaintext and ad must not overlap
-// dst's spare capacity.
+// catastrophically breaks GCM. Open decrypts both forms. The nonce is drawn
+// into dst and the ciphertext sealed behind it, so a caller that frames the
+// blob (a sealed export, a WAL record) builds it in its own buffer.
+// plaintext and ad must not overlap dst's spare capacity.
 func (s *Session) AppendSealRandom(dst, plaintext, ad []byte) ([]byte, error) {
 	ns := s.aead.NonceSize()
 	if need := ns + len(plaintext) + s.aead.Overhead(); cap(dst)-len(dst) < need {

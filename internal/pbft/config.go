@@ -16,18 +16,12 @@ import (
 
 	"github.com/splitbft/splitbft/internal/app"
 	"github.com/splitbft/splitbft/internal/crypto"
+	"github.com/splitbft/splitbft/internal/defaults"
 	"github.com/splitbft/splitbft/internal/messages"
 )
 
-// Defaults for Config fields left zero.
-const (
-	DefaultCheckpointInterval = 128
-	DefaultWatermarkWindow    = 2 * DefaultCheckpointInterval
-	DefaultBatchSize          = 200
-	DefaultBatchTimeout       = 10 * time.Millisecond
-	DefaultRequestTimeout     = 500 * time.Millisecond
-	DefaultVerifyWorkers      = 4
-)
+// verifyWorkers is the authentication worker pool size.
+const verifyWorkers = 4
 
 // Config parameterizes one PBFT replica.
 type Config struct {
@@ -62,30 +56,25 @@ type Config struct {
 	// RequestTimeout is how long a replica waits for progress on a pending
 	// request before suspecting the primary and starting a view change.
 	RequestTimeout time.Duration
-
-	// VerifyWorkers sets the authentication worker pool size.
-	VerifyWorkers int
 }
 
-// withDefaults fills zero fields.
+// withDefaults fills zero fields from the defaults SplitBFT uses, so the
+// baseline is measured under the same protocol parameters.
 func (c Config) withDefaults() Config {
 	if c.CheckpointInterval == 0 {
-		c.CheckpointInterval = DefaultCheckpointInterval
+		c.CheckpointInterval = defaults.CheckpointInterval
 	}
 	if c.WatermarkWindow == 0 {
-		c.WatermarkWindow = DefaultWatermarkWindow
+		c.WatermarkWindow = defaults.WatermarkWindow
 	}
 	if c.BatchSize == 0 {
-		c.BatchSize = DefaultBatchSize
+		c.BatchSize = defaults.BatchSize
 	}
 	if c.BatchTimeout == 0 {
-		c.BatchTimeout = DefaultBatchTimeout
+		c.BatchTimeout = defaults.BatchTimeout
 	}
 	if c.RequestTimeout == 0 {
-		c.RequestTimeout = DefaultRequestTimeout
-	}
-	if c.VerifyWorkers == 0 {
-		c.VerifyWorkers = DefaultVerifyWorkers
+		c.RequestTimeout = defaults.RequestTimeout
 	}
 	return c
 }

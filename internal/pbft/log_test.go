@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/splitbft/splitbft/internal/crypto"
+	"github.com/splitbft/splitbft/internal/defaults"
 	"github.com/splitbft/splitbft/internal/messages"
 )
 
@@ -256,12 +257,11 @@ func TestBaselineAuthReceivers(t *testing.T) {
 func TestDefaultsApplied(t *testing.T) {
 	c := Config{}.withDefaults()
 	for name, got := range map[string]bool{
-		"checkpoint interval": c.CheckpointInterval == DefaultCheckpointInterval,
-		"watermark window":    c.WatermarkWindow == DefaultWatermarkWindow,
-		"batch size":          c.BatchSize == DefaultBatchSize,
-		"batch timeout":       c.BatchTimeout == DefaultBatchTimeout,
-		"request timeout":     c.RequestTimeout == DefaultRequestTimeout,
-		"verify workers":      c.VerifyWorkers == DefaultVerifyWorkers,
+		"checkpoint interval": c.CheckpointInterval == defaults.CheckpointInterval,
+		"watermark window":    c.WatermarkWindow == defaults.WatermarkWindow,
+		"batch size":          c.BatchSize == defaults.BatchSize,
+		"batch timeout":       c.BatchTimeout == defaults.BatchTimeout,
+		"request timeout":     c.RequestTimeout == defaults.RequestTimeout,
 	} {
 		if !got {
 			t.Fatalf("default not applied: %s", name)

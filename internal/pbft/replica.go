@@ -132,7 +132,7 @@ func (r *Replica) Handler() transport.Handler {
 // Start begins processing with the given connection.
 func (r *Replica) Start(conn transport.Conn) {
 	r.conn = conn
-	for i := 0; i < r.cfg.VerifyWorkers; i++ {
+	for i := 0; i < verifyWorkers; i++ {
 		r.wg.Add(1)
 		go r.verifyWorker()
 	}

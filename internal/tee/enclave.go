@@ -47,11 +47,9 @@ type OutMsg struct {
 }
 
 // Host is the view of the runtime available to code running inside an
-// enclave: signing with the enclave identity key, sealing, monotonic
-// counters, and explicit ocalls into the untrusted environment.
+// enclave: signing with the enclave identity key, sealing, and explicit
+// ocalls into the untrusted environment.
 type Host interface {
-	// ReplicaID returns the hosting replica's ID.
-	ReplicaID() uint32
 	// Identity returns the enclave's identity (replica, role).
 	Identity() crypto.Identity
 	// Sign signs with the enclave's private identity key. The key never
@@ -65,10 +63,6 @@ type Host interface {
 	Seal(dst, data []byte) ([]byte, error)
 	// Unseal reverses Seal.
 	Unseal(sealed []byte) ([]byte, error)
-	// MonotonicInc increments and returns the named monotonic counter.
-	MonotonicInc(name string) uint64
-	// MonotonicGet returns the named monotonic counter without changing it.
-	MonotonicGet(name string) uint64
 	// Quote produces attestation evidence bound to nonce (see attest.go).
 	Quote(nonce [32]byte) *messages.AttestQuote
 	// DeriveSession computes the key shared with a client's X25519 public
@@ -97,7 +91,7 @@ var ErrNoOcall = errors.New("tee: unregistered ocall")
 type OcallFunc func(data []byte) ([]byte, error)
 
 // Enclave is one simulated SGX enclave: identity keys, sealing key,
-// monotonic counters, cost accounting, and the single-thread execution
+// cost accounting, and the single-thread execution
 // guarantee. Create with NewEnclave; drive with Invoke.
 type Enclave struct {
 	replicaID uint32
@@ -125,7 +119,6 @@ type Enclave struct {
 	execMu   sync.Mutex // enforces single-threaded enclave execution
 	stats    ECallStats
 	crashed  bool
-	counters sync.Map // string -> *counterCell
 	ocallsMu sync.RWMutex
 	ocalls   map[string]OcallFunc
 
@@ -135,11 +128,6 @@ type Enclave struct {
 	// nothing in steady state.
 	inbuf  []byte
 	inside [][]byte
-}
-
-type counterCell struct {
-	mu sync.Mutex
-	v  uint64
 }
 
 // NewEnclave creates and "launches" an enclave running code on the given
@@ -226,9 +214,6 @@ func deriveSealSession(base crypto.SessionKey, bootID [sealBootIDSize]byte) (*cr
 	copy(sub[:], mac.Sum(nil))
 	return crypto.NewSession(sub, 2)
 }
-
-// ReplicaID implements Host.
-func (e *Enclave) ReplicaID() uint32 { return e.replicaID }
 
 // Identity implements Host.
 func (e *Enclave) Identity() crypto.Identity {
@@ -384,28 +369,6 @@ func (e *Enclave) StateEpoch() uint64 {
 		return d.StateEpoch()
 	}
 	return 0
-}
-
-// MonotonicInc implements Host.
-func (e *Enclave) MonotonicInc(name string) uint64 {
-	cell, _ := e.counters.LoadOrStore(name, &counterCell{})
-	c := cell.(*counterCell)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.v++
-	return c.v
-}
-
-// MonotonicGet implements Host.
-func (e *Enclave) MonotonicGet(name string) uint64 {
-	cell, ok := e.counters.Load(name)
-	if !ok {
-		return 0
-	}
-	c := cell.(*counterCell)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
 }
 
 // ErrCrashed is returned by Invoke after Crash was called: the environment

@@ -197,24 +197,6 @@ func TestSealAllocatesOneBuffer(t *testing.T) {
 	}
 }
 
-func TestMonotonicCounters(t *testing.T) {
-	e := newTestEnclave(t, &echoCode{})
-	if got := e.MonotonicGet("view"); got != 0 {
-		t.Fatalf("fresh counter = %d", got)
-	}
-	for i := uint64(1); i <= 5; i++ {
-		if got := e.MonotonicInc("view"); got != i {
-			t.Fatalf("inc %d = %d", i, got)
-		}
-	}
-	if got := e.MonotonicInc("other"); got != 1 {
-		t.Fatalf("independent counter = %d", got)
-	}
-	if got := e.MonotonicGet("view"); got != 5 {
-		t.Fatalf("get = %d", got)
-	}
-}
-
 func TestQuoteAndSessionDerivation(t *testing.T) {
 	meas := crypto.HashData([]byte("exec-code"))
 	e := newTestEnclave(t, &echoCode{meas: meas})
