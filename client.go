@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"github.com/splitbft/splitbft/internal/client"
+	"github.com/splitbft/splitbft/internal/compartment/execution"
 	"github.com/splitbft/splitbft/internal/core"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/transport"
@@ -64,7 +65,7 @@ func NewClient(id uint32, opts ...Option) (*Client, error) {
 		ReplyRole:          crypto.RoleExecution,
 		Confidential:       o.confidential,
 		Registry:           reg,
-		ExecMeasurement:    core.ExecutionMeasurement(),
+		ExecMeasurement:    execution.Measurement(),
 		RetransmitInterval: o.retransmit,
 		Timeout:            o.invokeTimeout,
 		ReadLeases:         o.readLeases,

@@ -465,9 +465,15 @@
 // seed, the live plan step and the offending history. See README
 // "Chaos testing".
 //
-// The protocol engine lives under internal/ (internal/core is the
-// compartmentalized replica, internal/pbft the monolithic baseline the
-// paper compares against); the experiment harness reproducing the paper's
+// The protocol engine lives under internal/, one package per enclave: the
+// three compartments are internal/compartment/preparation, confirmation and
+// execution, linking only the trusted code they share in
+// internal/compartment; internal/tee is the enclave runtime and
+// internal/counter the trusted counter enclave; internal/core is the
+// untrusted environment of a replica (enclave wiring, broker,
+// observability), and internal/pbft the monolithic baseline the paper
+// compares against. Table 2 (cmd/tcbcount) counts each enclave as its
+// package's import closure. The experiment harness reproducing the paper's
 // tables and figures is public under experiments/ and is driven by
 // cmd/splitbft-bench. See README.md for the full architecture overview.
 package splitbft

@@ -1,14 +1,16 @@
 // Package loc is a small tokei-style line counter for Go sources, used to
 // regenerate Table 2 of the paper (TCB sizes per compartment): it splits
-// files into code, comment and blank lines and groups this repository's
-// packages into the paper's TCB categories (shared types, per-compartment
-// logic, untrusted environment, trusted counter).
+// files into code, comment and blank lines, and computes each TCB row from
+// the import closure of the package the row is built from, as the go command
+// reports it.
 package loc
 
 import (
+	"bytes"
 	"fmt"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -108,89 +110,83 @@ func CountDir(root string, includeTests bool) (Counts, error) {
 	return total, err
 }
 
-// Component is one row of the Table 2 analysis: a named TCB component and
-// the files of its own logic. Enclave rows also link the shared types.
-type Component struct {
-	Name    string
-	Enclave bool     // links the shared types (sharedFiles)
-	Files   []string // the row's own logic, paths relative to the repo root
+// tcbRows maps this repository onto the paper's Table 2: each row is a TCB
+// component named by the one package it is built from. The three enclaves
+// each link exactly their package's import closure; the enclave runtime and
+// the trusted counter get rows of their own, and the untrusted environment is
+// the replica wiring around the enclaves.
+var tcbRows = []struct{ name, pkg string }{
+	{"Preparation Enc.", "internal/compartment/preparation"},
+	{"Confirmation Enc.", "internal/compartment/confirmation"},
+	{"Execution Enc.", "internal/compartment/execution"},
+	{"Enclave Runtime", "internal/tee"},
+	{"Trusted Counter", "internal/counter"},
+	{"Untrusted Env.", "internal/core"},
 }
 
-// sharedPackages are linked into every enclave whole — message definitions,
-// codec and verifier, crypto — so every non-test file in them counts in the
-// shared-types column, and a file added there is counted without editing a
-// list.
-var sharedPackages = []string{"internal/messages", "internal/crypto"}
-
-// sharedCore are the internal/core files every compartment links: the
-// common compartment state, the configuration, the sealed export/import
-// code and the skewable clock.
-var sharedCore = []string{
-	"internal/core/comstate.go",
-	"internal/core/config.go",
-	"internal/core/persist.go",
-	"internal/core/clock.go",
+// goPackage is one package of the repository's module as go list reports it:
+// its non-test source files and the module packages it links, directly or
+// not, as paths relative to the module root.
+type goPackage struct {
+	Files []string
+	Deps  []string
 }
 
-// TCBComponents maps this repository onto the paper's Table 2 rows: the
-// per-enclave logic is each compartment's source file (Execution adds the
-// applications it hosts); the untrusted environment is the broker, replica
-// wiring, key derivation, observability and transport; the trusted counter
-// is the hybrid-BFT counter enclave.
-func TCBComponents() []Component {
-	return []Component{
-		{Name: "Preparation Enc.", Enclave: true, Files: []string{"internal/core/preparation.go"}},
-		{Name: "Confirmation Enc.", Enclave: true, Files: []string{"internal/core/confirmation.go"}},
-		{Name: "Execution Enc.", Enclave: true, Files: []string{
-			"internal/core/execution.go",
-			"internal/app/app.go",
-			"internal/app/kvs.go",
-			"internal/app/blockchain.go",
-		}},
-		{Name: "Untrusted Env.", Files: []string{
-			"internal/core/broker.go",
-			"internal/core/replica.go",
-			"internal/core/keys.go",
-			"internal/core/observe.go",
-			"internal/transport/transport.go",
-			"internal/transport/simnet.go",
-			"internal/transport/tcp.go",
-		}},
-		{Name: "Trusted Counter", Files: []string{"internal/tee/counter.go"}},
+// listPackages asks the go command for pkgs (paths relative to root) and
+// every module package they link, keyed by relative path.
+func listPackages(root string, pkgs ...string) (map[string]goPackage, error) {
+	args := []string{"list", "-deps", "-f",
+		`{{if .Module}}{{.Module.Path}}/|{{.ImportPath}}|{{.Dir}}|{{join .GoFiles ","}}|{{join .Deps ","}}{{end}}`}
+	for _, p := range pkgs {
+		args = append(args, "./"+p)
 	}
-}
-
-// sharedFiles returns the shared-types column under root: every non-test Go
-// file of the shared packages, then the shared core files.
-func sharedFiles(root string) ([]string, error) {
-	var files []string
-	for _, pkg := range sharedPackages {
-		matches, err := filepath.Glob(filepath.Join(root, pkg, "*.go"))
-		if err != nil {
-			return nil, fmt.Errorf("loc: %w", err)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = root
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("loc: go list: %w: %s", err, stderr.String())
+	}
+	byPath := make(map[string]goPackage)
+	for _, line := range strings.Split(string(out), "\n") {
+		f := strings.Split(line, "|") // module/, import path, dir, files, deps
+		if len(f) != 5 {
+			continue // a standard-library package prints an empty line
 		}
-		for _, m := range matches {
-			if !strings.HasSuffix(m, "_test.go") {
-				files = append(files, pkg+"/"+filepath.Base(m))
+		var pkg goPackage
+		for _, name := range strings.Split(f[3], ",") {
+			if name != "" {
+				pkg.Files = append(pkg.Files, filepath.Join(f[2], name))
 			}
 		}
+		for _, dep := range strings.Split(f[4], ",") {
+			if rel, ok := strings.CutPrefix(dep, f[0]); ok {
+				pkg.Deps = append(pkg.Deps, rel)
+			}
+		}
+		byPath[strings.TrimPrefix(f[1], f[0])] = pkg
 	}
-	return append(files, sharedCore...), nil
+	return byPath, nil
 }
 
-// TableRow is one line of the regenerated Table 2.
+// TableRow is one line of the regenerated Table 2. Logic is the row's own
+// package; Shared is every other module package its closure links, minus
+// the packages that have rows of their own.
 type TableRow struct {
 	Name      string
+	Package   string
+	Shared    []string // relative paths, sorted
 	SharedLOC int
 	LogicLOC  int
 	TotalLOC  int
 }
 
-// codeLines sums the code lines of files under root.
-func codeLines(root string, files []string) (int, error) {
+// codeLines sums the code lines of files.
+func codeLines(files []string) (int, error) {
 	n := 0
 	for _, f := range files {
-		c, err := CountFile(filepath.Join(root, f))
+		c, err := CountFile(f)
 		if err != nil {
 			return 0, err
 		}
@@ -201,24 +197,38 @@ func codeLines(root string, files []string) (int, error) {
 
 // Table2 computes the TCB analysis over the repository rooted at root.
 func Table2(root string) ([]TableRow, error) {
-	shared, err := sharedFiles(root)
+	entries := make([]string, len(tcbRows))
+	hasRow := make(map[string]bool, len(tcbRows))
+	for i, r := range tcbRows {
+		entries[i] = r.pkg
+		hasRow[r.pkg] = true
+	}
+	pkgs, err := listPackages(root, entries...)
 	if err != nil {
 		return nil, err
 	}
-	sharedLOC, err := codeLines(root, shared)
-	if err != nil {
-		return nil, fmt.Errorf("shared types: %w", err)
-	}
-	components := TCBComponents()
-	rows := make([]TableRow, 0, len(components))
-	for _, comp := range components {
-		row := TableRow{Name: comp.Name}
-		if comp.Enclave {
-			row.SharedLOC = sharedLOC
+	rows := make([]TableRow, 0, len(tcbRows))
+	for _, r := range tcbRows {
+		own, ok := pkgs[r.pkg]
+		if !ok {
+			return nil, fmt.Errorf("loc: row %s: no package %s", r.name, r.pkg)
 		}
-		if row.LogicLOC, err = codeLines(root, comp.Files); err != nil {
-			return nil, fmt.Errorf("component %s: %w", comp.Name, err)
+		row := TableRow{Name: r.name, Package: r.pkg}
+		if row.LogicLOC, err = codeLines(own.Files); err != nil {
+			return nil, fmt.Errorf("row %s: %w", r.name, err)
 		}
+		for _, dep := range own.Deps {
+			if hasRow[dep] {
+				continue
+			}
+			row.Shared = append(row.Shared, dep)
+			n, err := codeLines(pkgs[dep].Files)
+			if err != nil {
+				return nil, fmt.Errorf("row %s: %w", r.name, err)
+			}
+			row.SharedLOC += n
+		}
+		sort.Strings(row.Shared)
 		row.TotalLOC = row.SharedLOC + row.LogicLOC
 		rows = append(rows, row)
 	}

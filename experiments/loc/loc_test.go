@@ -3,6 +3,7 @@ package loc
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -97,39 +98,77 @@ func repoRoot(t *testing.T) string {
 }
 
 func TestTable2OverThisRepo(t *testing.T) {
-	rows, err := Table2(repoRoot(t))
+	root := repoRoot(t)
+	rows, err := Table2(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
-		t.Fatalf("table has %d rows, want 5", len(rows))
+	if len(rows) != len(tcbRows) {
+		t.Fatalf("table has %d rows, want %d", len(rows), len(tcbRows))
 	}
 	byName := make(map[string]TableRow)
 	for _, r := range rows {
 		byName[r.Name] = r
 	}
-	// Structural properties the paper's Table 2 exhibits:
-	// 1. Enclaves share a common types base, so SharedLOC is equal across
-	//    the three enclaves and nonzero.
-	prep, conf, exec := byName["Preparation Enc."], byName["Confirmation Enc."], byName["Execution Enc."]
-	if prep.SharedLOC == 0 || prep.SharedLOC != conf.SharedLOC || conf.SharedLOC != exec.SharedLOC {
-		t.Fatalf("shared LOC should match across enclaves: %d %d %d",
-			prep.SharedLOC, conf.SharedLOC, exec.SharedLOC)
+	// 1. Shared is the closure rule: every module package the row's entry
+	//    package links, directly or not, except the packages with rows of
+	//    their own; Logic is the entry package alone. Both count every
+	//    non-test file of their packages.
+	hasRow := make(map[string]bool)
+	for _, r := range tcbRows {
+		hasRow[r.pkg] = true
 	}
-	// 2. The execution enclave is the largest (it contains the apps).
+	for _, r := range rows {
+		closure := closureOf(t, root, r.Package)
+		var want []string
+		for _, p := range closure {
+			if !hasRow[p] {
+				want = append(want, p)
+			}
+		}
+		if !slices.Equal(r.Shared, want) {
+			t.Errorf("%s shares %v, want its closure less the rows: %v", r.Name, r.Shared, want)
+		}
+		shared := 0
+		for _, p := range r.Shared {
+			shared += dirCode(t, root, p)
+		}
+		if r.SharedLOC != shared || r.LogicLOC != dirCode(t, root, r.Package) || r.TotalLOC != r.SharedLOC+r.LogicLOC {
+			t.Errorf("%s counts shared %d, logic %d, total %d; its files hold %d and %d",
+				r.Name, r.SharedLOC, r.LogicLOC, r.TotalLOC, shared, dirCode(t, root, r.Package))
+		}
+	}
+	// 2. Every enclave links the shared compartment code and the message
+	//    definitions, the runtime and the counter are rows of their own, and
+	//    only Execution links the applications it hosts.
+	prep, conf, exec := byName["Preparation Enc."], byName["Confirmation Enc."], byName["Execution Enc."]
+	for _, r := range []TableRow{prep, conf, exec} {
+		for _, p := range []string{"internal/compartment", "internal/messages", "internal/crypto"} {
+			if !slices.Contains(r.Shared, p) {
+				t.Errorf("%s does not share %s", r.Name, p)
+			}
+		}
+		if slices.Contains(r.Shared, "internal/tee") || slices.Contains(r.Shared, "internal/counter") {
+			t.Errorf("%s counts a row of its own in its shared column: %v", r.Name, r.Shared)
+		}
+	}
+	if !slices.Contains(exec.Shared, "internal/app") || slices.Contains(prep.Shared, "internal/app") || slices.Contains(conf.Shared, "internal/app") {
+		t.Error("the applications belong to Execution's column alone")
+	}
+	// 3. The execution enclave is the largest (it links the apps).
 	if exec.TotalLOC <= prep.TotalLOC || exec.TotalLOC <= conf.TotalLOC {
 		t.Fatalf("execution enclave should be largest: prep=%d conf=%d exec=%d",
 			prep.TotalLOC, conf.TotalLOC, exec.TotalLOC)
 	}
-	// 3. The trusted counter is far smaller than any enclave.
+	// 4. The trusted counter is far smaller than any enclave.
 	tc := byName["Trusted Counter"]
 	if tc.TotalLOC == 0 || tc.TotalLOC*3 > prep.TotalLOC {
 		t.Fatalf("trusted counter should be much smaller than an enclave: %d vs %d",
 			tc.TotalLOC, prep.TotalLOC)
 	}
-	// 4. Individual enclaves are significantly smaller than the whole
+	// 5. Individual enclaves are significantly smaller than the whole
 	//    codebase (the attack-surface argument of §5).
-	whole, err := CountDir(repoRoot(t), false)
+	whole, err := CountDir(root, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,56 +180,124 @@ func TestTable2OverThisRepo(t *testing.T) {
 	if !strings.Contains(text, "Preparation Enc.") || !strings.Contains(text, "Trusted Counter") {
 		t.Fatalf("formatted table incomplete:\n%s", text)
 	}
-	// 5. Every non-test file of internal/core is counted exactly once:
-	//    either in the shared types or in one row's own logic.
-	shared, err := sharedFiles(repoRoot(t))
+}
+
+// closureOf is pkg's module closure, itself excluded, sorted.
+func closureOf(t *testing.T, root, pkg string) []string {
+	t.Helper()
+	pkgs, err := listPackages(root, pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	placed := make(map[string]int)
-	for _, f := range shared {
-		placed[f]++
-	}
-	for _, comp := range TCBComponents() {
-		for _, f := range comp.Files {
-			placed[f]++
-		}
-	}
-	core, err := filepath.Glob(filepath.Join(repoRoot(t), "internal", "core", "*.go"))
+	deps := slices.Clone(pkgs[pkg].Deps)
+	slices.Sort(deps)
+	return deps
+}
+
+// dirCode counts the code lines of a package directory's non-test files.
+func dirCode(t *testing.T, root, pkg string) int {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(root, pkg, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range core {
-		if strings.HasSuffix(path, "_test.go") {
+	n := 0
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
 			continue
 		}
-		if f := "internal/core/" + filepath.Base(path); placed[f] != 1 {
-			t.Errorf("%s falls in %d Table 2 places, want exactly 1", f, placed[f])
+		c, err := CountFile(f)
+		if err != nil {
+			t.Fatal(err)
 		}
+		n += c.Code
+	}
+	return n
+}
+
+// TestEnclaveClosures guards what each enclave links, so the compiler, not a
+// list, keeps a compartment apart from the environment and from the other
+// compartments: no enclave links the untrusted environment's packages —
+// observability, transport, storage, the broker's ring, the client library,
+// the replica wiring, the PBFT baseline — or another compartment; only
+// Execution links the applications; and the environment links no client
+// code.
+func TestEnclaveClosures(t *testing.T) {
+	root := repoRoot(t)
+	compartments := []string{
+		"internal/compartment/preparation",
+		"internal/compartment/confirmation",
+		"internal/compartment/execution",
+	}
+	untrusted := []string{
+		"internal/obs", "internal/transport", "internal/store", "internal/ring",
+		"internal/client", "internal/core", "internal/pbft",
+	}
+	for _, c := range compartments {
+		closure := closureOf(t, root, c)
+		for _, p := range append(slices.Clone(untrusted), compartments...) {
+			if p != c && slices.Contains(closure, p) {
+				t.Errorf("%s links %s", c, p)
+			}
+		}
+		if linksApp := slices.Contains(closure, "internal/app"); linksApp != strings.HasSuffix(c, "/execution") {
+			t.Errorf("%s links internal/app: %v", c, linksApp)
+		}
+	}
+	if slices.Contains(closureOf(t, root, "internal/core"), "internal/client") {
+		t.Error("internal/core links the client library")
 	}
 }
 
-// TestTCBBudget pins each compartment's own logic lines (Table 2's Logic
-// column) so an enclave cannot quietly grow, the way TestVerifyBudget pins
-// signature verifications. Shrinking a row is always fine; lower its budget
-// with it. Growing one is a decision to argue in review, not a drift.
+// TestREADMETable2 keeps the Table 2 committed in README.md the one this
+// package computes.
+func TestREADMETable2(t *testing.T) {
+	root := repoRoot(t)
+	rows, err := Table2(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := FormatTable2(rows); !strings.Contains(string(readme), want) {
+		t.Fatalf("README.md does not hold the current Table 2; regenerate it with go run ./cmd/tcbcount:\n%s", want)
+	}
+}
+
+// TestTCBBudget pins each trusted row's total lines and each compartment's
+// own logic lines (Table 2's Total and Logic columns) so an enclave cannot
+// quietly grow, the way TestVerifyBudget pins signature verifications.
+// Shrinking a row is always fine; lower its budget with it. Growing one is a
+// decision to argue in review, not a drift.
 func TestTCBBudget(t *testing.T) {
-	budget := map[string]int{
-		"Preparation Enc.":  415,
-		"Confirmation Enc.": 354,
-		"Execution Enc.":    1165,
+	type budget struct{ total, logic int }
+	budgets := map[string]budget{
+		"Preparation Enc.":  {3346, 474},
+		"Confirmation Enc.": {3310, 438},
+		"Execution Enc.":    {4209, 976},
+		"Enclave Runtime":   {3071, 0},
+		"Trusted Counter":   {600, 0},
 	}
 	rows, err := Table2(repoRoot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if max, ok := budget[r.Name]; ok && r.LogicLOC > max {
-			t.Errorf("%s has %d logic lines, budget %d", r.Name, r.LogicLOC, max)
+		b, ok := budgets[r.Name]
+		if !ok {
+			continue
 		}
-		delete(budget, r.Name)
+		if r.TotalLOC > b.total {
+			t.Errorf("%s has %d lines in total, budget %d", r.Name, r.TotalLOC, b.total)
+		}
+		if b.logic > 0 && r.LogicLOC > b.logic {
+			t.Errorf("%s has %d logic lines, budget %d", r.Name, r.LogicLOC, b.logic)
+		}
+		delete(budgets, r.Name)
 	}
-	for name := range budget {
+	for name := range budgets {
 		t.Errorf("Table 2 has no %q row to hold to its budget", name)
 	}
 }

@@ -1,4 +1,4 @@
-package core
+package compartment
 
 import (
 	"sync/atomic"

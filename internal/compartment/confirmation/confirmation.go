@@ -1,6 +1,9 @@
-package core
+// Package confirmation is the Confirmation compartment (§3.2), one enclave
+// of a SplitBFT replica.
+package confirmation
 
 import (
+	"github.com/splitbft/splitbft/internal/compartment"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/messages"
 	"github.com/splitbft/splitbft/internal/tee"
@@ -15,13 +18,13 @@ type confSlot struct {
 	committed  bool
 }
 
-// confirmation is the Confirmation compartment (§3.2): it confirms that a
+// Compartment is the Confirmation compartment (§3.2): it confirms that a
 // batch was prepared by a quorum — event handler (3), waiting for one
 // PrePrepare plus 2f matching Prepares before emitting a Commit — and it
 // initiates view changes (5). Per principle P5 its only cross-compartment
 // transition, the Commit, rides on a full prepare certificate.
-type confirmation struct {
-	comState
+type Compartment struct {
+	compartment.State
 
 	slots map[uint64]map[uint64]*confSlot // view → seq → slot
 	// inViewChange is set after sending a ViewChange: the compartment then
@@ -47,20 +50,21 @@ type confirmation struct {
 	highCtr uint64
 }
 
-func newConfirmation(cfg Config, ver *messages.Verifier) *confirmation {
-	return &confirmation{
-		comState: newComState(cfg.N, cfg.F, cfg.ID, cfg.WatermarkWindow, ver),
-		slots:    make(map[uint64]map[uint64]*confSlot),
-		vcSeen:   make(map[uint64]map[uint32]bool),
+// New builds the Confirmation compartment of replica cfg.ID.
+func New(cfg compartment.Config, ver *messages.Verifier) *Compartment {
+	return &Compartment{
+		State:  compartment.NewState(cfg, ver),
+		slots:  make(map[uint64]map[uint64]*confSlot),
+		vcSeen: make(map[uint64]map[uint32]bool),
 	}
 }
 
 // Measurement implements tee.Code.
-func (c *confirmation) Measurement() crypto.Digest { return measConfirmation }
+func (c *Compartment) Measurement() crypto.Digest { return compartment.Measure("confirmation") }
 
 // HandleECall implements tee.Code.
-func (c *confirmation) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
-	if len(raw) == 0 || raw[0] != ecallMessage {
+func (c *Compartment) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
+	if len(raw) == 0 || raw[0] != compartment.EcallMessage {
 		return nil
 	}
 	m, err := messages.Unmarshal(raw[1:])
@@ -86,7 +90,7 @@ func (c *confirmation) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
 	return nil
 }
 
-func (c *confirmation) slot(view, seq uint64) *confSlot {
+func (c *Compartment) slot(view, seq uint64) *confSlot {
 	vs, ok := c.slots[view]
 	if !ok {
 		vs = make(map[uint64]*confSlot)
@@ -103,20 +107,20 @@ func (c *confirmation) slot(view, seq uint64) *confSlot {
 // onPrePrepare records the proposal side of a prepare certificate. The
 // Confirmation compartment receives every PrePrepare duplicated into its
 // input log (§3.2); request bodies are irrelevant here, only the header.
-func (c *confirmation) onPrePrepare(host tee.Host, pp *messages.PrePrepare) []tee.OutMsg {
-	if pp.View != c.view || c.inViewChange || !c.inWindow(pp.Seq) {
+func (c *Compartment) onPrePrepare(host tee.Host, pp *messages.PrePrepare) []tee.OutMsg {
+	if pp.View != c.View || c.inViewChange || !c.InWindow(pp.Seq) {
 		return nil
 	}
-	if err := c.ver.VerifyPrePrepare(pp, false); err != nil {
+	if err := c.Ver.VerifyPrePrepare(pp, false); err != nil {
 		return nil
 	}
-	if c.trustedMode() {
+	if c.TrustedMode() {
 		// The counter attestation replaces the Prepare quorum: only a
 		// proposal satisfying the view's affine assignment law enters the
 		// slot, and maybeCommit then needs no Prepares at all. Equivocation
 		// cannot land — two digests at one slot would need the same counter
 		// value twice, which the counter enclave never signs.
-		if err := c.ver.VerifyCounterAt(pp, c.ctrBase, c.seqBase); err != nil {
+		if err := c.Ver.VerifyCounterAt(pp, c.CtrBase, c.SeqBase); err != nil {
 			return nil
 		}
 	}
@@ -134,8 +138,8 @@ func (c *confirmation) onPrePrepare(host tee.Host, pp *messages.PrePrepare) []te
 // onPrepare collects Prepares from Preparation enclaves (event handler 3).
 // In trusted consensus mode the phase does not exist: correct replicas never
 // send Prepares and received ones are dropped unverified.
-func (c *confirmation) onPrepare(host tee.Host, p *messages.Prepare) []tee.OutMsg {
-	if c.trustedMode() || p.View != c.view || c.inViewChange || !c.inWindow(p.Seq) {
+func (c *Compartment) onPrepare(host tee.Host, p *messages.Prepare) []tee.OutMsg {
+	if c.TrustedMode() || p.View != c.View || c.inViewChange || !c.InWindow(p.Seq) {
 		return nil
 	}
 	s := c.slot(p.View, p.Seq)
@@ -151,7 +155,7 @@ func (c *confirmation) onPrepare(host tee.Host, p *messages.Prepare) []tee.OutMs
 	if s.prePrepare != nil && p.Digest != s.prePrepare.Digest {
 		return nil
 	}
-	if err := c.ver.VerifyPrepare(p); err != nil {
+	if err := c.Ver.VerifyPrepare(p); err != nil {
 		return nil
 	}
 	s.prepares[p.Replica] = p
@@ -164,13 +168,13 @@ func (c *confirmation) onPrepare(host tee.Host, p *messages.Prepare) []tee.OutMs
 // mode the counter-verified PrePrepare alone is the certificate — onPrePrepare
 // only admits proposals passing the affine assignment law, so the Prepare
 // round (and its all-to-all traffic plus verification) is skipped entirely.
-func (c *confirmation) maybeCommit(host tee.Host, view, seq uint64) []tee.OutMsg {
+func (c *Compartment) maybeCommit(host tee.Host, view, seq uint64) []tee.OutMsg {
 	s := c.slot(view, seq)
 	if s.committed || s.prePrepare == nil {
 		return nil
 	}
-	need := 2 * c.f
-	if c.trustedMode() {
+	need := 2 * c.F
+	if c.TrustedMode() {
 		need = 0
 	}
 	matching := 0
@@ -183,17 +187,17 @@ func (c *confirmation) maybeCommit(host tee.Host, view, seq uint64) []tee.OutMsg
 		return nil
 	}
 	s.committed = true
-	cm := &messages.Commit{View: view, Seq: seq, Digest: s.prePrepare.Digest, Replica: c.id}
-	cm.Sig, cm.Auth = c.authenticate(host, cm)
+	cm := &messages.Commit{View: view, Seq: seq, Digest: s.prePrepare.Digest, Replica: c.ID}
+	cm.Sig, cm.Auth = c.Authenticate(host, cm)
 	// The copy for this replica's own Execution goes first (see localFirst)
 	// and carries the hop authenticator beside the signature: Execution
 	// consumes Commits and hands none on, so over the in-machine hop a
 	// pairwise MAC is all the proof it needs (Verifier.HopAuth).
 	own := *cm
-	own.Auth = c.ver.HopAuth(cm, cm.Auth, crypto.RoleExecution)
+	own.Auth = c.Ver.HopAuth(cm, cm.Auth, crypto.RoleExecution)
 	return []tee.OutMsg{
-		localOut(crypto.RoleExecution, &own),
-		broadcastOut(cm),
+		compartment.LocalOut(crypto.RoleExecution, &own),
+		compartment.BroadcastOut(cm),
 	}
 }
 
@@ -202,7 +206,7 @@ func (c *confirmation) maybeCommit(host tee.Host, view, seq uint64) []tee.OutMsg
 // one can only force an unnecessary view change (liveness), never break
 // safety. The ViewChange carries the stable checkpoint certificate and all
 // prepare certificates from in_conf.
-func (c *confirmation) onSuspect(host tee.Host, s *messages.Suspect) []tee.OutMsg {
+func (c *Compartment) onSuspect(host tee.Host, s *messages.Suspect) []tee.OutMsg {
 	if c.inViewChange {
 		// Still waiting for a NewView: resend our ViewChange (it or the
 		// NewView may have been dropped); escalate only after the backoff
@@ -214,25 +218,25 @@ func (c *confirmation) onSuspect(host tee.Host, s *messages.Suspect) []tee.OutMs
 		if c.vcResends < 2<<backoff && c.myVC != nil {
 			c.vcResends++
 			return []tee.OutMsg{
-				broadcastOut(c.myVC),
-				localOut(crypto.RolePreparation, c.myVC),
+				compartment.BroadcastOut(c.myVC),
+				compartment.LocalOut(crypto.RolePreparation, c.myVC),
 			}
 		}
 		c.vcBackoff++
-		return c.startViewChange(host, c.view+1)
+		return c.startViewChange(host, c.View+1)
 	}
-	if s.View < c.view {
+	if s.View < c.View {
 		return nil
 	}
-	return c.startViewChange(host, c.view+1)
+	return c.startViewChange(host, c.View+1)
 }
 
-func (c *confirmation) startViewChange(host tee.Host, target uint64) []tee.OutMsg {
+func (c *Compartment) startViewChange(host tee.Host, target uint64) []tee.OutMsg {
 	vc := &messages.ViewChange{
 		NewViewNum: target,
-		Stable:     c.stableCert,
+		Stable:     c.StableCert,
 		Prepared:   c.prepareCerts(host),
-		Replica:    c.id,
+		Replica:    c.ID,
 		HighCtr:    c.highCtr,
 	}
 	// The ViewChange itself always carries an Ed25519 signature: it is
@@ -241,13 +245,13 @@ func (c *confirmation) startViewChange(host tee.Host, target uint64) []tee.OutMs
 	vc.Sig = host.Sign(vc.SigningBytes())
 	// Upon sending the ViewChange the enclave increases its view and stops
 	// processing Prepares or sending Commits in the old view (§4.4).
-	c.view = target
+	c.View = target
 	c.inViewChange = true
 	c.myVC = vc
 	c.vcResends = 0
 	return []tee.OutMsg{
-		broadcastOut(vc),
-		localOut(crypto.RolePreparation, vc),
+		compartment.BroadcastOut(vc),
+		compartment.LocalOut(crypto.RolePreparation, vc),
 	}
 }
 
@@ -259,11 +263,11 @@ func (c *confirmation) startViewChange(host tee.Host, target uint64) []tee.OutMs
 // aggregated claim ("a prepare certificate for (view, seq, digest)
 // exists"). In sig mode the cert carries the transferable evidence itself:
 // the signed proposal and the 2f signed Prepares.
-func (c *confirmation) prepareCerts(host tee.Host) []messages.PrepareCert {
+func (c *Compartment) prepareCerts(host tee.Host) []messages.PrepareCert {
 	best := make(map[uint64]*messages.PrepareCert)
 	for _, vs := range c.slots {
 		for seq, s := range vs {
-			if seq <= c.lowWatermark || s.prePrepare == nil {
+			if seq <= c.LowWatermark || s.prePrepare == nil {
 				continue
 			}
 			matching := 0
@@ -272,20 +276,20 @@ func (c *confirmation) prepareCerts(host tee.Host) []messages.PrepareCert {
 					matching++
 				}
 			}
-			if !c.trustedMode() && matching < 2*c.f {
+			if !c.TrustedMode() && matching < 2*c.F {
 				continue
 			}
 			var pc *messages.PrepareCert
-			if c.macMode() {
+			if c.MACMode() {
 				pc = &messages.PrepareCert{
 					PrePrepare: *s.prePrepare.StripAuth(),
-					Attestor:   c.id,
+					Attestor:   c.ID,
 				}
 				pc.Vouch = host.Sign(messages.PrepareCertClaim(pc.View(), pc.Seq(), pc.Digest()))
 			} else {
 				pc = &messages.PrepareCert{PrePrepare: *s.prePrepare}
 				for _, p := range s.prepares {
-					if p.Digest == s.prePrepare.Digest && len(pc.Prepares) < 2*c.f {
+					if p.Digest == s.prePrepare.Digest && len(pc.Prepares) < 2*c.F {
 						pc.Prepares = append(pc.Prepares, *p)
 					}
 				}
@@ -325,8 +329,8 @@ const probeTailBudget = 64
 // certificates and fetches the missing bodies over the (self-certifying)
 // BatchReply path. Re-issued Commits are authenticated exactly like live
 // ones, so a forged probe yields nothing a retransmission wouldn't.
-func (c *confirmation) onStateProbe(host tee.Host, p *messages.StateProbe) []tee.OutMsg {
-	if int(p.Replica) >= c.n || p.Replica == c.id || c.inViewChange {
+func (c *Compartment) onStateProbe(host tee.Host, p *messages.StateProbe) []tee.OutMsg {
+	if int(p.Replica) >= c.N || p.Replica == c.ID || c.inViewChange {
 		return nil
 	}
 	// Best (highest) view per committed sequence above the prober's
@@ -366,20 +370,20 @@ func (c *confirmation) onStateProbe(host tee.Host, p *messages.StateProbe) []tee
 	out := make([]tee.OutMsg, 0, len(seqs))
 	for _, seq := range seqs {
 		ts := best[seq]
-		cm := &messages.Commit{View: ts.view, Seq: seq, Digest: ts.digest, Replica: c.id}
-		cm.Sig, cm.Auth = c.authenticate(host, cm)
-		out = append(out, replicaOut(p.Replica, cm))
+		cm := &messages.Commit{View: ts.view, Seq: seq, Digest: ts.digest, Replica: c.ID}
+		cm.Sig, cm.Auth = c.Authenticate(host, cm)
+		out = append(out, compartment.ReplicaOut(p.Replica, cm))
 	}
 	return out
 }
 
 // onPeerViewChange implements the f+1 join rule: when more than f distinct
 // replicas demand views above ours, join the smallest to preserve liveness.
-func (c *confirmation) onPeerViewChange(host tee.Host, vc *messages.ViewChange) []tee.OutMsg {
-	if vc.NewViewNum <= c.view {
+func (c *Compartment) onPeerViewChange(host tee.Host, vc *messages.ViewChange) []tee.OutMsg {
+	if vc.NewViewNum <= c.View {
 		return nil
 	}
-	if err := c.ver.VerifyViewChange(vc); err != nil {
+	if err := c.Ver.VerifyViewChange(vc); err != nil {
 		return nil
 	}
 	set, ok := c.vcSeen[vc.NewViewNum]
@@ -391,7 +395,7 @@ func (c *confirmation) onPeerViewChange(host tee.Host, vc *messages.ViewChange) 
 	distinct := make(map[uint32]bool)
 	minTarget := vc.NewViewNum
 	for target, ids := range c.vcSeen {
-		if target <= c.view {
+		if target <= c.View {
 			continue
 		}
 		for id := range ids {
@@ -401,7 +405,7 @@ func (c *confirmation) onPeerViewChange(host tee.Host, vc *messages.ViewChange) 
 			minTarget = target
 		}
 	}
-	if len(distinct) > c.f {
+	if len(distinct) > c.F {
 		return c.startViewChange(host, minTarget)
 	}
 	return nil
@@ -415,39 +419,39 @@ func (c *confirmation) onPeerViewChange(host tee.Host, vc *messages.ViewChange) 
 // holds (§4). The re-issued PrePrepares are ingested into the input log
 // (after per-message signature checks) so the prepare certificates of the
 // new view can complete.
-func (c *confirmation) onNewView(host tee.Host, nv *messages.NewView) []tee.OutMsg {
-	if c.trustedMode() && nv.View >= c.view {
+func (c *Compartment) onNewView(host tee.Host, nv *messages.NewView) []tee.OutMsg {
+	if c.TrustedMode() && nv.View >= c.View {
 		// With direct commits there are no Prepare votes from correct
 		// Preparation enclaves to filter false re-issues, so the paper's
 		// corner case no longer protects this compartment: it must validate
 		// the NewView fully itself — including the recomputation from the
 		// ViewChanges and the counter attestation on every re-issued slot —
 		// before any re-issue can reach maybeCommit.
-		if err := c.ver.VerifyNewView(nv); err != nil {
+		if err := c.Ver.VerifyNewView(nv); err != nil {
 			return nil
 		}
 	}
-	if !c.applyNewViewCheckpoint(nv) {
+	if !c.ApplyNewViewCheckpoint(nv) {
 		return nil
 	}
 	c.inViewChange = false
 	c.vcBackoff = 0
 	c.gc()
 	for target := range c.vcSeen {
-		if target <= c.view {
+		if target <= c.View {
 			delete(c.vcSeen, target)
 		}
 	}
 	var out []tee.OutMsg
 	for i := range nv.PrePrepares {
 		pp := &nv.PrePrepares[i]
-		if pp.View != c.view || !c.inWindow(pp.Seq) {
+		if pp.View != c.View || !c.InWindow(pp.Seq) {
 			continue
 		}
 		// Re-issued proposals are validated like live ones in sig mode; in
 		// MAC mode they carry no per-message authenticator and ride on the
 		// NewView signature checked in applyNewViewCheckpoint above.
-		if err := c.ver.VerifyReissuedPrePrepare(pp); err != nil {
+		if err := c.Ver.VerifyReissuedPrePrepare(pp); err != nil {
 			continue
 		}
 		s := c.slot(pp.View, pp.Seq)
@@ -463,21 +467,21 @@ func (c *confirmation) onNewView(host tee.Host, nv *messages.NewView) []tee.OutM
 }
 
 // onCheckpointGC is the duplicated checkpoint handler (9).
-func (c *confirmation) onCheckpointGC(host tee.Host, cp *messages.Checkpoint) {
-	cert := c.onCheckpoint(host, cp)
+func (c *Compartment) onCheckpointGC(host tee.Host, cp *messages.Checkpoint) {
+	cert := c.OnCheckpoint(host, cp)
 	if cert == nil {
 		return
 	}
-	if c.advanceStable(*cert) {
+	if c.AdvanceStable(*cert) {
 		c.gc()
 	}
 }
 
 // gc prunes slots at or below the watermark.
-func (c *confirmation) gc() {
+func (c *Compartment) gc() {
 	for view, vs := range c.slots {
 		for seq := range vs {
-			if seq <= c.lowWatermark {
+			if seq <= c.LowWatermark {
 				delete(vs, seq)
 			}
 		}
@@ -485,4 +489,94 @@ func (c *confirmation) gc() {
 			delete(c.slots, view)
 		}
 	}
+}
+
+// ExportState implements tee.Durable. Slots carry the prepare
+// certificates this compartment would contribute to a view change;
+// dropping them across a restart could hide a prepared batch from the new
+// primary.
+func (c *Compartment) ExportState() []byte {
+	e := c.BeginExport()
+	e.U64(c.highCtr)
+	e.Bool(c.inViewChange)
+	if c.myVC != nil {
+		e.Bool(true)
+		e.VarMessage(c.myVC)
+	} else {
+		e.Bool(false)
+	}
+	nSlots := 0
+	for _, vs := range c.slots {
+		nSlots += len(vs)
+	}
+	e.U32(uint32(nSlots))
+	for view, vs := range c.slots {
+		for seq, s := range vs {
+			e.U64(view)
+			e.U64(seq)
+			e.Bool(s.committed)
+			if s.prePrepare != nil {
+				e.Bool(true)
+				e.VarMessage(s.prePrepare)
+			} else {
+				e.Bool(false)
+			}
+			e.U32(uint32(len(s.prepares)))
+			for _, prep := range s.prepares {
+				e.VarMessage(prep)
+			}
+		}
+	}
+	return c.EndExport(e)
+}
+
+// ImportState implements tee.Durable.
+func (c *Compartment) ImportState(data []byte) error {
+	d, err := c.BeginImport(data, "confirmation")
+	if err != nil {
+		return err
+	}
+	c.highCtr = d.U64()
+	c.inViewChange = d.Bool()
+	c.myVC = nil
+	c.vcResends = 0
+	c.vcBackoff = 0
+	if d.Bool() {
+		vc, err := compartment.DecodeMessage[*messages.ViewChange](d)
+		if err != nil {
+			return err
+		}
+		c.myVC = vc
+	}
+	c.slots = make(map[uint64]map[uint64]*confSlot)
+	c.vcSeen = make(map[uint64]map[uint32]bool)
+	nSlots := d.Count(1 << 20)
+	for i := 0; i < nSlots; i++ {
+		view := d.U64()
+		seq := d.U64()
+		s := &confSlot{prepares: make(map[uint32]*messages.Prepare)}
+		s.committed = d.Bool()
+		if d.Bool() {
+			pp, err := compartment.DecodeMessage[*messages.PrePrepare](d)
+			if err != nil {
+				return err
+			}
+			s.prePrepare = pp
+		}
+		nPreps := d.Count(1 << 12)
+		for j := 0; j < nPreps; j++ {
+			prep, err := compartment.DecodeMessage[*messages.Prepare](d)
+			if err != nil {
+				return err
+			}
+			s.prepares[prep.Replica] = prep
+		}
+		vs, ok := c.slots[view]
+		if !ok {
+			vs = make(map[uint64]*confSlot)
+			c.slots[view] = vs
+		}
+		vs[seq] = s
+	}
+	return d.Finish()
 }

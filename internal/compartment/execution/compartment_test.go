@@ -1,4 +1,4 @@
-package core
+package execution
 
 import (
 	"bytes"
@@ -6,7 +6,11 @@ import (
 	"testing"
 
 	"github.com/splitbft/splitbft/internal/app"
+	"github.com/splitbft/splitbft/internal/compartment"
+	"github.com/splitbft/splitbft/internal/compartment/confirmation"
+	"github.com/splitbft/splitbft/internal/compartment/preparation"
 	"github.com/splitbft/splitbft/internal/crypto"
+	"github.com/splitbft/splitbft/internal/defaults"
 	"github.com/splitbft/splitbft/internal/messages"
 	"github.com/splitbft/splitbft/internal/tee"
 )
@@ -14,7 +18,9 @@ import (
 // Compartment-level adversarial tests: drive the compartment code directly
 // through the enclave runtime, playing a Byzantine peer-enclave that signs
 // with real (compromised) keys. These probe the quorum rules (P5) at the
-// finest granularity the paper argues about.
+// finest granularity the paper argues about. The harness runs all three
+// compartments; it lives with Execution because most of its tests inspect
+// Execution's state.
 
 // harness wires n replicas' worth of compartment key material without
 // brokers or networks: tests deliver ecalls by hand.
@@ -28,18 +34,55 @@ type harness struct {
 	// enclaves by (replica, role)
 	enclaves map[crypto.Identity]*tee.Enclave
 	apps     []*app.KVS
-	cfgs     []Config
+	cfgs     []compartment.Config
+}
+
+// withDefaults fills what a replica defaults in a compartment configuration:
+// the agreement intervals, and a lease TTL within the detection period.
+func withDefaults(cfg compartment.Config) compartment.Config {
+	if cfg.CheckpointInterval == 0 {
+		cfg.CheckpointInterval = defaults.CheckpointInterval
+	}
+	if cfg.WatermarkWindow == 0 {
+		cfg.WatermarkWindow = defaults.WatermarkWindow
+	}
+	if maxTTL := defaults.RequestTimeout / 4; cfg.LeaseTTL == 0 || cfg.LeaseTTL > maxTTL {
+		cfg.LeaseTTL = maxTTL
+	}
+	return cfg
 }
 
 // mustExecution builds an Execution compartment, failing the test when the
 // boot randomness it draws is unavailable.
-func mustExecution(t testing.TB, cfg Config, ver *messages.Verifier) *execution {
+func mustExecution(t testing.TB, cfg compartment.Config, application app.Application, ver *messages.Verifier) *Compartment {
 	t.Helper()
-	e, err := newExecution(cfg, ver)
+	e, err := New(cfg, application, ver)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// wrapMessage frames a wire message as an ecall payload.
+func wrapMessage(data []byte) []byte {
+	return append([]byte{compartment.EcallMessage}, data...)
+}
+
+// wrapBatch frames a request batch as an ecall payload.
+func wrapBatch(b *messages.Batch) []byte {
+	return append([]byte{compartment.EcallBatch}, messages.MarshalBatch(b)...)
+}
+
+// requestAuthReceivers is the client MAC-vector layout of a request: the n
+// Preparation enclaves, then the n Execution enclaves.
+func requestAuthReceivers(n int) []crypto.Identity {
+	out := make([]crypto.Identity, 0, 2*n)
+	for _, role := range []crypto.Role{crypto.RolePreparation, crypto.RoleExecution} {
+		for i := 0; i < n; i++ {
+			out = append(out, crypto.Identity{ReplicaID: uint32(i), Role: role})
+		}
+	}
+	return out
 }
 
 func newHarness(t *testing.T) *harness {
@@ -55,13 +98,12 @@ func newHarness(t *testing.T) *harness {
 	for i := 0; i < h.n; i++ {
 		kvs := app.NewKVS()
 		h.apps = append(h.apps, kvs)
-		cfg := Config{N: h.n, F: h.f, ID: uint32(i), Registry: h.reg, MACSecret: secret, App: kvs}
-		cfg = cfg.withDefaults()
+		cfg := withDefaults(compartment.Config{N: h.n, F: h.f, ID: uint32(i), MACSecret: secret})
 		h.cfgs = append(h.cfgs, cfg)
 		for role, code := range map[crypto.Role]tee.Code{
-			crypto.RolePreparation:  newPreparation(cfg, ver, nil),
-			crypto.RoleConfirmation: newConfirmation(cfg, ver),
-			crypto.RoleExecution:    mustExecution(t, cfg, ver),
+			crypto.RolePreparation:  preparation.New(cfg, ver, nil),
+			crypto.RoleConfirmation: confirmation.New(cfg, ver),
+			crypto.RoleExecution:    mustExecution(t, cfg, kvs, ver),
 		} {
 			enc, err := tee.NewEnclave(uint32(i), role, code, tee.ZeroCostModel())
 			if err != nil {
@@ -106,7 +148,7 @@ func (h *harness) byzantineSigner(replica uint32, role crypto.Role) *crypto.KeyP
 func testRequest(macSecret []byte, n int, clientID uint32, ts uint64, op []byte) messages.Request {
 	req := messages.Request{ClientID: clientID, Timestamp: ts, Payload: op}
 	macs := crypto.NewMACStore(macSecret, crypto.Identity{ReplicaID: clientID, Role: crypto.RoleClient})
-	req.Auth = macs.Authenticate(req.AuthenticatedBytes(), RequestAuthReceivers(n))
+	req.Auth = macs.Authenticate(req.AuthenticatedBytes(), requestAuthReceivers(n))
 	return req
 }
 
@@ -616,7 +658,7 @@ func TestExecutionAsksAttestorForState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{N: 4, F: 1, ID: 3, Registry: reg, MACSecret: []byte("vouch"), App: app.NewKVS()}.withDefaults()
+	cfg := withDefaults(compartment.Config{N: 4, F: 1, ID: 3, MACSecret: []byte("vouch")})
 	for _, tc := range []struct {
 		attestor uint32
 		kind     tee.DestKind
@@ -624,7 +666,7 @@ func TestExecutionAsksAttestorForState(t *testing.T) {
 		{attestor: 1, kind: tee.DestReplica},
 		{attestor: 3, kind: tee.DestBroadcast},
 	} {
-		e := mustExecution(t, cfg, ver)
+		e := mustExecution(t, cfg, app.NewKVS(), ver)
 		e.lastExec = 4
 		out := e.installStable(nil, messages.CheckpointCert{Seq: 10, Attestor: tc.attestor, Vouch: []byte("vouch")})
 		if len(out) != 1 || out[0].Kind != tc.kind || (tc.kind == tee.DestReplica && out[0].ID != tc.attestor) {
@@ -650,12 +692,9 @@ func TestCheckpointCarriesReplyCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(id uint32) *execution {
-		cfg := Config{
-			N: 4, F: 1, ID: id,
-			Registry: reg, MACSecret: []byte("ckpt-test"), App: app.NewKVS(),
-		}.withDefaults()
-		return mustExecution(t, cfg, ver)
+	mk := func(id uint32) *Compartment {
+		cfg := withDefaults(compartment.Config{N: 4, F: 1, ID: id, MACSecret: []byte("ckpt-test")})
+		return mustExecution(t, cfg, app.NewKVS(), ver)
 	}
 
 	// withReplies builds client 7's record as replica id executed its
@@ -734,15 +773,12 @@ func TestCheckpointSnapshotIsCanonicalAfterMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(id uint32) *execution {
-		cfg := Config{
-			N: 4, F: 1, ID: id,
-			Registry: reg, MACSecret: []byte("ckpt-test"), App: app.NewKVS(),
-		}.withDefaults()
-		return mustExecution(t, cfg, ver)
+	mk := func(id uint32) *Compartment {
+		cfg := withDefaults(compartment.Config{N: 4, F: 1, ID: id, MACSecret: []byte("ckpt-test")})
+		return mustExecution(t, cfg, app.NewKVS(), ver)
 	}
 	const client = 7
-	run := func(e *execution, from, to uint64) {
+	run := func(e *Compartment, from, to uint64) {
 		for ts := from; ts <= to; ts++ {
 			e.app.Execute(client, app.EncodePut(fmt.Sprintf("k%d", ts%50), []byte(fmt.Sprint(ts))))
 			cl, ok := e.clients[client]
@@ -750,7 +786,7 @@ func TestCheckpointSnapshotIsCanonicalAfterMerge(t *testing.T) {
 				cl = &execClient{}
 				e.clients[client] = cl
 			}
-			cl.record(ts, &messages.Reply{ClientID: client, Timestamp: ts, Replica: e.id, Result: []byte("OK")})
+			cl.record(ts, &messages.Reply{ClientID: client, Timestamp: ts, Replica: e.ID, Result: []byte("OK")})
 		}
 	}
 

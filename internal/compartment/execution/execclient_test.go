@@ -1,4 +1,4 @@
-package core
+package execution
 
 import (
 	"bytes"
@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/splitbft/splitbft/internal/app"
+	"github.com/splitbft/splitbft/internal/compartment"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/messages"
 	"github.com/splitbft/splitbft/internal/tee"
@@ -17,27 +18,27 @@ import (
 
 // newTestExecution builds replica id's Execution compartment of a
 // four-replica group keyed from secret.
-func newTestExecution(t testing.TB, id uint32, secret string) *execution {
+func newTestExecution(t testing.TB, id uint32, secret string) *Compartment {
 	t.Helper()
 	reg := crypto.NewRegistry()
 	ver, err := messages.NewVerifier(4, 1, reg, messages.SplitScheme())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{N: 4, F: 1, ID: id, Registry: reg, MACSecret: []byte(secret), App: app.NewKVS()}.withDefaults()
-	return mustExecution(t, cfg, ver)
+	cfg := withDefaults(compartment.Config{N: 4, F: 1, ID: id, MACSecret: []byte(secret)})
+	return mustExecution(t, cfg, app.NewKVS(), ver)
 }
 
 // recordAt executes ts for client on e as executeBatch does: the
 // application runs the write and the reply lands in the client's record.
-func recordAt(e *execution, client uint32, ts uint64) {
+func recordAt(e *Compartment, client uint32, ts uint64) {
 	e.app.Execute(client, app.EncodePut(fmt.Sprintf("c%d", client), []byte(fmt.Sprint(ts))))
 	cl, ok := e.clients[client]
 	if !ok {
 		cl = &execClient{}
 		e.clients[client] = cl
 	}
-	cl.record(ts, &messages.Reply{ClientID: client, Timestamp: ts, Replica: e.id, Result: []byte("OK")})
+	cl.record(ts, &messages.Reply{ClientID: client, Timestamp: ts, Replica: e.ID, Result: []byte("OK")})
 }
 
 // windowOf marks the given timestamps executed in a window topped at max.
@@ -177,7 +178,7 @@ func TestExecClientMatchesModel(t *testing.T) {
 // execEnclave wraps replica 0's Execution compartment, keyed from seed, in an
 // enclave: the same seed re-derives the same sealing and ECDH keys, as after
 // a restart.
-func execEnclave(t *testing.T, seed string) (*execution, *tee.Enclave) {
+func execEnclave(t *testing.T, seed string) (*Compartment, *tee.Enclave) {
 	t.Helper()
 	e := newTestExecution(t, 0, seed)
 	enc, err := tee.NewEnclaveWithRand(0, crypto.RoleExecution, e, tee.ZeroCostModel(),
@@ -230,7 +231,7 @@ func attest(t *testing.T, enc *tee.Enclave, client uint32, sk *crypto.SessionKey
 func TestAttestStateStaysOutOfCheckpoint(t *testing.T) {
 	a, encA := execEnclave(t, "attest-a")
 	b := newTestExecution(t, 1, "attest-a")
-	for _, e := range []*execution{a, b} {
+	for _, e := range []*Compartment{a, b} {
 		for _, ts := range []uint64{1, 3, 2} {
 			recordAt(e, 7, ts)
 		}
@@ -252,7 +253,7 @@ func TestAttestStateStaysOutOfCheckpoint(t *testing.T) {
 // TestSealedExportRoundTrip: a sealed Execution export, unsealed by the same
 // enclave identity after a restart, answers executed() as before, keeps the
 // bodies for resends, and restores every attested session — a provisioned
-// one opens what it sealed before the export, and after finishRecovery its
+// one opens what it sealed before the export, and after FinishRecovery its
 // nonce counter has moved past anything the old process may have used.
 func TestSealedExportRoundTrip(t *testing.T) {
 	const seed = "export-round-trip"
@@ -280,7 +281,7 @@ func TestSealedExportRoundTrip(t *testing.T) {
 	if err := encB.UnsealState(blob); err != nil {
 		t.Fatal(err)
 	}
-	b.finishRecovery()
+	b.FinishRecovery()
 
 	for id := range a.clients {
 		for ts := uint64(0); ts <= 420; ts++ {

@@ -1,4 +1,6 @@
-package core
+// Package execution is the Execution compartment (§3.2), one enclave of a
+// SplitBFT replica, and the only one that links the application.
+package execution
 
 import (
 	"crypto/rand"
@@ -6,10 +8,10 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"github.com/splitbft/splitbft/internal/app"
+	"github.com/splitbft/splitbft/internal/compartment"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/messages"
 	"github.com/splitbft/splitbft/internal/tee"
@@ -101,15 +103,15 @@ func (c *execClient) advance(maxExecuted uint64) {
 	c.maxExecuted = maxExecuted
 }
 
-// execution is the Execution compartment (§3.2): it collects a quorum of
+// Compartment is the Execution compartment (§3.2): it collects a quorum of
 // Commits (event handler 4), executes authenticated requests against the
 // application state it hosts, replies to clients, and originates
 // Checkpoints (8). In confidential mode it is the only component that ever
 // sees request/reply plaintext: payloads are decrypted after the commit
 // certificate is verified and results are encrypted before they leave the
 // enclave (opportunity o3).
-type execution struct {
-	comState
+type Compartment struct {
+	compartment.State
 	macs         *crypto.MACStore
 	confidential bool
 	ckptInterval uint64
@@ -144,7 +146,7 @@ type execution struct {
 
 	snapshots map[uint64][]byte
 	// probing/probesLeft drive the rejoin nudge: while armed (set by
-	// finishRecovery after a restart), every environment tick broadcasts a
+	// FinishRecovery after a restart), every environment tick broadcasts a
 	// StateProbe so peers whose stable checkpoint is ahead push the gap
 	// closed even when no protocol traffic flows (the idle-cluster rejoin
 	// case). Probing disarms when a state transfer lands or the budget
@@ -164,17 +166,7 @@ type execution struct {
 	leases      bool
 	lease       *messages.LeaseGrant
 	leaseMargin time.Duration
-	clock       *SkewClock
-	localReads  atomic.Uint64
-	// Protocol-event counters the observability layer reads from the
-	// untrusted side (the localReads pattern): plain atomics, never part
-	// of the sealed persistent state, safe for the environment to read
-	// while the protocol thread writes.
-	evLeaseRefusals  atomic.Uint64
-	evReadIndexes    atomic.Uint64
-	evStallFetches   atomic.Uint64
-	evProbesSent     atomic.Uint64
-	evProbesAnswered atomic.Uint64
+	clock       *compartment.SkewClock
 	// readHigh tracks, per client, the highest ReadRequest timestamp already
 	// accepted past MAC verification. Clients never reuse a read timestamp,
 	// so anything at or below the watermark is a replay (or stale
@@ -194,7 +186,7 @@ type execution struct {
 	riPending []pendingRead
 	// riSentEpoch is the epoch of the last query sent; riInFlight whether
 	// its reply is still outstanding. Epochs count up from a base drawn from
-	// fresh randomness at every boot (newExecution): the state here is not
+	// fresh randomness at every boot (New): the state here is not
 	// sealed, so counting from zero would let a reply captured before a
 	// restart — same view, same keys in a seeded deployment — confirm a query
 	// sent after it against the older frontier.
@@ -251,20 +243,22 @@ const riPendingMax = 4096
 // mechanism.
 const probeBudget = 32
 
-func newExecution(cfg Config, ver *messages.Verifier) (*execution, error) {
+// New builds the Execution compartment of replica cfg.ID over the
+// application it hosts.
+func New(cfg compartment.Config, application app.Application, ver *messages.Verifier) (*Compartment, error) {
 	var boot [8]byte
 	if _, err := io.ReadFull(rand.Reader, boot[:]); err != nil {
 		return nil, fmt.Errorf("read-index epoch base: %w", err)
 	}
 	// The top bit stays clear: no run of queries overflows the counter.
 	epochBase := binary.LittleEndian.Uint64(boot[:]) >> 1
-	e := &execution{
-		comState: newComState(cfg.N, cfg.F, cfg.ID, cfg.WatermarkWindow, ver),
+	e := &Compartment{
+		State: compartment.NewState(cfg, ver),
 		macs: crypto.NewMACStore(cfg.MACSecret,
 			crypto.Identity{ReplicaID: cfg.ID, Role: crypto.RoleExecution}),
 		confidential: cfg.Confidential,
 		ckptInterval: cfg.CheckpointInterval,
-		app:          cfg.App,
+		app:          application,
 		leases:       cfg.ReadLeases,
 		leaseMargin:  cfg.LeaseTTL / 8,
 		clock:        cfg.Clock,
@@ -297,7 +291,7 @@ func newExecution(cfg Config, ver *messages.Verifier) (*execution, error) {
 // The buffer is sized for the windows and the application encodes itself
 // into it in place (app.AppendSnapshot): one allocation the size of the
 // snapshot, no sort of the application's keys.
-func (e *execution) snapshotState() []byte {
+func (e *Compartment) snapshotState() []byte {
 	ids := make([]uint32, 0, len(e.clients))
 	for id := range e.clients {
 		ids = append(ids, id)
@@ -341,7 +335,7 @@ func decodeClientWindow(d *messages.Decoder) (uint32, *execClient) {
 // held reply bodies stay for resends. A duplicate of a timestamp with no
 // body is skipped silently, which is safe: ordering already happened, and
 // live replicas answer the retransmit from their records.
-func (e *execution) restoreState(snap []byte) error {
+func (e *Compartment) restoreState(snap []byte) error {
 	d := messages.NewDecoder(snap)
 	n := d.Count(1 << 20)
 	restored := make(map[uint32]*execClient, n)
@@ -368,11 +362,16 @@ func (e *execution) restoreState(snap []byte) error {
 }
 
 // Measurement implements tee.Code.
-func (e *execution) Measurement() crypto.Digest { return measExecution }
+func (e *Compartment) Measurement() crypto.Digest { return Measurement() }
+
+// Measurement returns the Execution compartment's code measurement, which
+// clients verify attestation quotes against before provisioning session
+// keys.
+func Measurement() crypto.Digest { return compartment.Measure("execution") }
 
 // HandleECall implements tee.Code.
-func (e *execution) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
-	if len(raw) == 1 && raw[0] == ecallTick {
+func (e *Compartment) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
+	if len(raw) == 1 && raw[0] == compartment.EcallTick {
 		// Environment timer tick: no message, just the liveness nudges,
 		// aging parked reads out (their clients have long since fallen back
 		// after a full detector period) and retransmitting a lost frontier
@@ -396,8 +395,8 @@ func (e *execution) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
 	return out
 }
 
-func (e *execution) handleMessage(host tee.Host, raw []byte) []tee.OutMsg {
-	if len(raw) == 0 || raw[0] != ecallMessage {
+func (e *Compartment) handleMessage(host tee.Host, raw []byte) []tee.OutMsg {
+	if len(raw) == 0 || raw[0] != compartment.EcallMessage {
 		return nil
 	}
 	m, err := messages.Unmarshal(raw[1:])
@@ -444,26 +443,26 @@ func (e *execution) handleMessage(host tee.Host, raw []byte) []tee.OutMsg {
 // inhabit. A replayed old grant is rejected by the freshness comparison
 // (it can only lower the expiry), and its ack cannot refresh the granter's
 // reachability record (the echoed expiry is monotonically tracked there).
-func (e *execution) onLeaseGrant(host tee.Host, g *messages.LeaseGrant) []tee.OutMsg {
-	if !e.leases || g.Holder != e.id {
+func (e *Compartment) onLeaseGrant(host tee.Host, g *messages.LeaseGrant) []tee.OutMsg {
+	if !e.leases || g.Holder != e.ID {
 		return nil
 	}
-	if err := e.ver.VerifyLease(g); err != nil {
+	if err := e.Ver.VerifyLease(g); err != nil {
 		return nil
 	}
-	if g.View != e.view {
+	if g.View != e.View {
 		return nil
 	}
 	// Ack every verified current-view grant, probe or real, echoing its
 	// expiry as the round nonce: the granter needs a quorum of fresh acks
 	// before it may issue servable (non-probe) grants.
-	ack := &messages.LeaseAck{Holder: e.id, View: g.View, Expiry: g.Expiry}
-	_, ack.Auth = e.authenticate(host, ack)
+	ack := &messages.LeaseAck{Holder: e.ID, View: g.View, Expiry: g.Expiry}
+	_, ack.Auth = e.Authenticate(host, ack)
 	var out []tee.OutMsg
-	if g.Granter == e.id {
-		out = append(out, localOut(crypto.RolePreparation, ack))
-	} else if int(g.Granter) < e.n {
-		out = append(out, replicaOut(g.Granter, ack))
+	if g.Granter == e.ID {
+		out = append(out, compartment.LocalOut(crypto.RolePreparation, ack))
+	} else if int(g.Granter) < e.N {
+		out = append(out, compartment.ReplicaOut(g.Granter, ack))
 	}
 	if g.Probe {
 		return out // reachability probe: acknowledged, never installed
@@ -480,9 +479,9 @@ func (e *execution) onLeaseGrant(host tee.Host, g *messages.LeaseGrant) []tee.Ou
 // change revokes every outstanding lease instantly on correct replicas),
 // and be more than the clock-skew margin away from expiry. Fail-closed on
 // every branch — a refusal only pushes the client onto the agreement path.
-func (e *execution) leaseValid(now time.Time) bool {
+func (e *Compartment) leaseValid(now time.Time) bool {
 	g := e.lease
-	if g == nil || g.View != e.view {
+	if g == nil || g.View != e.View {
 		return false
 	}
 	return now.UnixNano()+int64(e.leaseMargin) < g.Expiry
@@ -495,7 +494,7 @@ func (e *execution) leaseValid(now time.Time) bool {
 // falls back to agreement immediately. The exactly-once records (clients)
 // are deliberately untouched: leased reads are side-effect-free and
 // unordered, so recording them would pollute the write path's windows.
-func (e *execution) onReadRequest(host tee.Host, r *messages.ReadRequest) []tee.OutMsg {
+func (e *Compartment) onReadRequest(host tee.Host, r *messages.ReadRequest) []tee.OutMsg {
 	if !e.leases {
 		return nil
 	}
@@ -536,23 +535,18 @@ func (e *execution) onReadRequest(host tee.Host, r *messages.ReadRequest) []tee.
 // the result when they pass; otherwise, or when a check fails, it is an
 // explicit OK=false refusal — the client's signal to take the agreement
 // path.
-func (e *execution) readReply(r *messages.ReadRequest, serve bool) tee.OutMsg {
-	rep := &messages.ReadReply{Replica: e.id, ClientID: r.ClientID, Timestamp: r.Timestamp, View: e.view}
+func (e *Compartment) readReply(r *messages.ReadRequest, serve bool) tee.OutMsg {
+	rep := &messages.ReadReply{Replica: e.ID, ClientID: r.ClientID, Timestamp: r.Timestamp, View: e.View}
 	if serve {
 		rep.Result, rep.OK = e.serveLocalRead(r)
 	}
-	if rep.OK {
-		e.localReads.Add(1)
-	} else {
-		e.evLeaseRefusals.Add(1)
-	}
 	rep.MAC = e.clientMAC(rep, r.ClientID)
-	return clientOut(r.ClientID, rep)
+	return compartment.ClientOut(r.ClientID, rep)
 }
 
 // clientMAC authenticates a client-bound message to its client, encoding
 // the covered bytes in a pooled buffer.
-func (e *execution) clientMAC(m interface{ AppendAuthenticated(*messages.Encoder) }, client uint32) [crypto.MACSize]byte {
+func (e *Compartment) clientMAC(m interface{ AppendAuthenticated(*messages.Encoder) }, client uint32) [crypto.MACSize]byte {
 	enc := messages.GetEncoder()
 	m.AppendAuthenticated(enc)
 	mac := e.macs.MAC(enc.Bytes(), crypto.Identity{ReplicaID: client, Role: crypto.RoleClient})
@@ -562,14 +556,13 @@ func (e *execution) clientMAC(m interface{ AppendAuthenticated(*messages.Encoder
 
 // sendReadIndex (re)transmits the current epoch's frontier query to the
 // primary's Preparation compartment.
-func (e *execution) sendReadIndex(host tee.Host) tee.OutMsg {
-	e.evReadIndexes.Add(1)
-	ri := &messages.ReadIndex{Holder: e.id, View: e.view, Epoch: e.riSentEpoch}
-	_, ri.Auth = e.authenticate(host, ri)
-	if p := e.primary(e.view); p != e.id {
-		return replicaOut(p, ri)
+func (e *Compartment) sendReadIndex(host tee.Host) tee.OutMsg {
+	ri := &messages.ReadIndex{Holder: e.ID, View: e.View, Epoch: e.riSentEpoch}
+	_, ri.Auth = e.Authenticate(host, ri)
+	if p := e.Primary(e.View); p != e.ID {
+		return compartment.ReplicaOut(p, ri)
 	}
-	return localOut(crypto.RolePreparation, ri)
+	return compartment.LocalOut(crypto.RolePreparation, ri)
 }
 
 // onReadIndexReply confirms a frontier for the in-flight epoch, serves
@@ -577,11 +570,11 @@ func (e *execution) sendReadIndex(host tee.Host) tee.OutMsg {
 // the query was out. Only the answer to this holder's own outstanding query
 // counts: a frontier reported to another holder, or to this one before a
 // restart, predates writes this query must cover.
-func (e *execution) onReadIndexReply(host tee.Host, rep *messages.ReadIndexReply) []tee.OutMsg {
-	if !e.leases || rep.Holder != e.id || rep.View != e.view || !e.riInFlight || rep.Epoch != e.riSentEpoch {
+func (e *Compartment) onReadIndexReply(host tee.Host, rep *messages.ReadIndexReply) []tee.OutMsg {
+	if !e.leases || rep.Holder != e.ID || rep.View != e.View || !e.riInFlight || rep.Epoch != e.riSentEpoch {
 		return nil
 	}
-	if err := e.ver.VerifyReadIndexReply(rep); err != nil {
+	if err := e.Ver.VerifyReadIndexReply(rep); err != nil {
 		return nil
 	}
 	e.riInFlight = false
@@ -606,7 +599,7 @@ func (e *execution) onReadIndexReply(host tee.Host, rep *messages.ReadIndexReply
 // applied is served. With age set (the environment's failure-detector tick)
 // a read still pending since the previous tick is refused and the others are
 // marked.
-func (e *execution) settleReads(refuseAll, age bool) []tee.OutMsg {
+func (e *Compartment) settleReads(refuseAll, age bool) []tee.OutMsg {
 	if len(e.riPending) == 0 {
 		return nil
 	}
@@ -641,7 +634,7 @@ func (e *execution) settleReads(refuseAll, age bool) []tee.OutMsg {
 // The read's other admission — a read-index frontier confirmed after its
 // arrival and applied — is enforced by the pending-read machinery before
 // this function runs.
-func (e *execution) serveLocalRead(r *messages.ReadRequest) ([]byte, bool) {
+func (e *Compartment) serveLocalRead(r *messages.ReadRequest) ([]byte, bool) {
 	ra, ok := e.app.(app.ReadExecutor)
 	if !ok {
 		return nil, false
@@ -687,18 +680,18 @@ func (e *execution) serveLocalRead(r *messages.ReadRequest) ([]byte, bool) {
 // without authentication owns the slot at its batchSeq: there is never more
 // than one per slot of the window, and re-sending a held body at a higher
 // sequence number only moves it to a slot nobody else can then take for free.
-func (e *execution) onPrePrepare(host tee.Host, pp *messages.PrePrepare) []tee.OutMsg {
-	if !e.inWindow(pp.Seq) {
+func (e *Compartment) onPrePrepare(host tee.Host, pp *messages.PrePrepare) []tee.OutMsg {
+	if !e.InWindow(pp.Seq) {
 		return nil
 	}
-	if err := e.ver.CheckProposalBody(pp); err != nil {
+	if err := e.Ver.CheckProposalBody(pp); err != nil {
 		return nil
 	}
 	_, cached := e.batches[pp.Digest]
 	if !cached || pp.Seq > e.batchSeq[pp.Digest] {
 		if _, occupied := e.held[pp.Seq]; !occupied {
 			e.held[pp.Seq] = pp.Digest
-		} else if e.ver.VerifyPrePrepare(pp, true) != nil {
+		} else if e.Ver.VerifyPrePrepare(pp, true) != nil {
 			return nil
 		}
 		if !cached {
@@ -714,8 +707,8 @@ func (e *execution) onPrePrepare(host tee.Host, pp *messages.PrePrepare) []tee.O
 
 // onCommit is event handler (4): collect 2f+1 matching Commits from
 // distinct Confirmation enclaves (P5), then execute in order.
-func (e *execution) onCommit(host tee.Host, c *messages.Commit) []tee.OutMsg {
-	if !e.inWindow(c.Seq) || c.Seq <= e.lastExec {
+func (e *Compartment) onCommit(host tee.Host, c *messages.Commit) []tee.OutMsg {
+	if !e.InWindow(c.Seq) || c.Seq <= e.lastExec {
 		return nil
 	}
 	if _, done := e.committed[c.Seq]; done {
@@ -729,7 +722,7 @@ func (e *execution) onCommit(host tee.Host, c *messages.Commit) []tee.OutMsg {
 	if _, dup := e.commits[c.View][c.Seq][c.Replica]; dup {
 		return nil
 	}
-	if err := e.ver.VerifyCommit(c); err != nil {
+	if err := e.Ver.VerifyCommit(c); err != nil {
 		return nil
 	}
 	vs, ok := e.commits[c.View]
@@ -749,7 +742,7 @@ func (e *execution) onCommit(host tee.Host, c *messages.Commit) []tee.OutMsg {
 			matching++
 		}
 	}
-	if matching < e.quorum() {
+	if matching < e.Quorum() {
 		return nil
 	}
 	e.committed[c.Seq] = c.Digest
@@ -759,11 +752,11 @@ func (e *execution) onCommit(host tee.Host, c *messages.Commit) []tee.OutMsg {
 
 // tryExecute executes committed batches strictly in sequence order,
 // producing replies and periodic checkpoints.
-func (e *execution) tryExecute(host tee.Host) []tee.OutMsg {
+func (e *Compartment) tryExecute(host tee.Host) []tee.OutMsg {
 	var out []tee.OutMsg
 	for {
 		next := e.lastExec + 1
-		if next <= e.lowWatermark {
+		if next <= e.LowWatermark {
 			return out // covered by a stable checkpoint; state transfer
 		}
 		digest, ok := e.committed[next]
@@ -799,7 +792,7 @@ func (e *execution) tryExecute(host tee.Host) []tee.OutMsg {
 
 // executeBatch authenticates, decrypts, executes and answers every request
 // in a batch.
-func (e *execution) executeBatch(host tee.Host, batch *messages.Batch) []tee.OutMsg {
+func (e *Compartment) executeBatch(host tee.Host, batch *messages.Batch) []tee.OutMsg {
 	out := make([]tee.OutMsg, 0, len(batch.Requests))
 	for i := range batch.Requests {
 		req := &batch.Requests[i]
@@ -810,21 +803,21 @@ func (e *execution) executeBatch(host tee.Host, batch *messages.Batch) []tee.Out
 		}
 		if rep, done := entry.executed(req.Timestamp); done {
 			if rep != nil {
-				out = append(out, clientOut(req.ClientID, rep))
+				out = append(out, compartment.ClientOut(req.ClientID, rep))
 			}
 			continue
 		}
 		result := e.executeOne(req)
 		rep := &messages.Reply{
-			View:      e.view,
+			View:      e.View,
 			ClientID:  req.ClientID,
 			Timestamp: req.Timestamp,
-			Replica:   e.id,
+			Replica:   e.ID,
 			Result:    result,
 		}
 		rep.MAC = e.clientMAC(rep, req.ClientID)
 		entry.record(req.Timestamp, rep)
-		out = append(out, clientOut(req.ClientID, rep))
+		out = append(out, compartment.ClientOut(req.ClientID, rep))
 	}
 	_ = host
 	return out
@@ -833,9 +826,9 @@ func (e *execution) executeBatch(host tee.Host, batch *messages.Batch) []tee.Out
 // executeOne runs a single request: MAC check, decryption, application
 // execution, and reply encryption. Every failure path degrades to a no-op
 // result (§4.1) — ordering already happened, so the slot must advance.
-func (e *execution) executeOne(req *messages.Request) []byte {
+func (e *Compartment) executeOne(req *messages.Request) []byte {
 	clientID := crypto.Identity{ReplicaID: req.ClientID, Role: crypto.RoleClient}
-	slot := e.n + int(e.id) // Execution MACs follow the Preparation block
+	slot := e.N + int(e.ID) // Execution MACs follow the Preparation block
 	enc := messages.GetEncoder()
 	req.AppendAuthenticated(enc)
 	err := e.macs.VerifyIndexed(enc.Bytes(), req.Auth, slot, clientID)
@@ -865,7 +858,7 @@ func (e *execution) executeOne(req *messages.Request) []byte {
 // tickStall runs once per ecall: while execution is blocked on a
 // committed slot whose body is missing, the counter advances, and after
 // missingBodyFetchAfter messages a retransmission request goes out.
-func (e *execution) tickStall() []tee.OutMsg {
+func (e *Compartment) tickStall() []tee.OutMsg {
 	next := e.lastExec + 1
 	if e.stallSeq != next {
 		return nil // not armed, or execution moved past the stall
@@ -891,29 +884,28 @@ func (e *execution) tickStall() []tee.OutMsg {
 // request bodies are missing. The checkpoint-driven state-transfer path
 // still covers the gap if every fetch is lost — this is the fast path,
 // not the only one.
-func (e *execution) fetchBody(seq uint64, digest crypto.Digest) []tee.OutMsg {
-	e.evStallFetches.Add(1)
-	return []tee.OutMsg{broadcastOut(&messages.BatchFetch{Seq: seq, Digest: digest, Replica: e.id})}
+func (e *Compartment) fetchBody(seq uint64, digest crypto.Digest) []tee.OutMsg {
+	return []tee.OutMsg{compartment.BroadcastOut(&messages.BatchFetch{Seq: seq, Digest: digest, Replica: e.ID})}
 }
 
 // onBatchFetch serves a peer's missing-body request from the batch cache.
-func (e *execution) onBatchFetch(f *messages.BatchFetch) []tee.OutMsg {
-	if int(f.Replica) >= e.n || f.Replica == e.id {
+func (e *Compartment) onBatchFetch(f *messages.BatchFetch) []tee.OutMsg {
+	if int(f.Replica) >= e.N || f.Replica == e.ID {
 		return nil
 	}
 	b, ok := e.batches[f.Digest]
 	if !ok {
 		return nil
 	}
-	return []tee.OutMsg{replicaOut(f.Replica,
-		&messages.BatchReply{Seq: f.Seq, Digest: f.Digest, Batch: *b, Replica: e.id})}
+	return []tee.OutMsg{compartment.ReplicaOut(f.Replica,
+		&messages.BatchReply{Seq: f.Seq, Digest: f.Digest, Batch: *b, Replica: e.ID})}
 }
 
 // onBatchReply installs a retransmitted batch body. The reply needs no
 // signature: it is only accepted for a slot this compartment already holds
 // a commit certificate for, and the batch must hash to the certified
 // digest — a forged body cannot match.
-func (e *execution) onBatchReply(host tee.Host, r *messages.BatchReply) []tee.OutMsg {
+func (e *Compartment) onBatchReply(host tee.Host, r *messages.BatchReply) []tee.OutMsg {
 	want, committed := e.committed[r.Seq]
 	if !committed || want != r.Digest {
 		return nil // not waiting on this slot: refuse (bounds the cache)
@@ -935,15 +927,15 @@ func (e *execution) onBatchReply(host tee.Host, r *messages.BatchReply) []tee.Ou
 // maybeCheckpoint originates a Checkpoint at interval boundaries (event
 // handler 8): the Execution compartment holds the application state, so it
 // is the source of checkpoints (§3.2).
-func (e *execution) maybeCheckpoint(host tee.Host, seq uint64) []tee.OutMsg {
+func (e *Compartment) maybeCheckpoint(host tee.Host, seq uint64) []tee.OutMsg {
 	if seq%e.ckptInterval != 0 {
 		return nil
 	}
 	snap := e.snapshotState()
 	e.snapshots[seq] = snap
-	cp := &messages.Checkpoint{Seq: seq, StateDigest: crypto.HashData(snap), Replica: e.id}
-	cp.Sig, cp.Auth = e.authenticate(host, cp)
-	out := localFirst(cp, crypto.RolePreparation, crypto.RoleConfirmation)
+	cp := &messages.Checkpoint{Seq: seq, StateDigest: crypto.HashData(snap), Replica: e.ID}
+	cp.Sig, cp.Auth = e.Authenticate(host, cp)
+	out := compartment.LocalFirst(cp, crypto.RolePreparation, crypto.RoleConfirmation)
 	// Count our own checkpoint towards stability.
 	out = append(out, e.onCheckpointMsg(host, cp)...)
 	return out
@@ -951,16 +943,16 @@ func (e *execution) maybeCheckpoint(host tee.Host, seq uint64) []tee.OutMsg {
 
 // onCheckpointMsg collects checkpoint votes and garbage-collects once
 // stable.
-func (e *execution) onCheckpointMsg(host tee.Host, c *messages.Checkpoint) []tee.OutMsg {
-	cert := e.onCheckpoint(host, c)
+func (e *Compartment) onCheckpointMsg(host tee.Host, c *messages.Checkpoint) []tee.OutMsg {
+	cert := e.OnCheckpoint(host, c)
 	if cert == nil {
 		return nil
 	}
 	return e.installStable(host, *cert)
 }
 
-func (e *execution) installStable(_ tee.Host, cert messages.CheckpointCert) []tee.OutMsg {
-	if !e.advanceStable(cert) {
+func (e *Compartment) installStable(_ tee.Host, cert messages.CheckpointCert) []tee.OutMsg {
+	if !e.AdvanceStable(cert) {
 		return nil
 	}
 	e.gc()
@@ -975,19 +967,18 @@ func (e *execution) installStable(_ tee.Host, cert messages.CheckpointCert) []te
 	// with Have at lastExec, not cert.Seq: a peer answers whenever its
 	// stable point is ahead of Have, so one stable at cert.Seq serves it and
 	// so does one that has moved on.
-	ask := &messages.StateProbe{Have: e.lastExec, Replica: e.id}
+	ask := &messages.StateProbe{Have: e.lastExec, Replica: e.ID}
 	var out tee.OutMsg
-	switch i := slices.IndexFunc(cert.Proof, func(cp messages.Checkpoint) bool { return cp.Replica != e.id }); {
+	switch i := slices.IndexFunc(cert.Proof, func(cp messages.Checkpoint) bool { return cp.Replica != e.ID }); {
 	case i >= 0:
-		out = replicaOut(cert.Proof[i].Replica, ask)
+		out = compartment.ReplicaOut(cert.Proof[i].Replica, ask)
 	case len(cert.Vouch) == 0:
 		return nil
-	case cert.Attestor != e.id:
-		out = replicaOut(cert.Attestor, ask)
+	case cert.Attestor != e.ID:
+		out = compartment.ReplicaOut(cert.Attestor, ask)
 	default:
-		out = broadcastOut(ask)
+		out = compartment.BroadcastOut(ask)
 	}
-	e.evProbesSent.Add(1)
 	return []tee.OutMsg{out}
 }
 
@@ -995,7 +986,7 @@ func (e *execution) installStable(_ tee.Host, cert messages.CheckpointCert) []te
 // nudge is armed, broadcast a StateProbe announcing how far this replica
 // got, so any peer whose stable checkpoint is ahead answers with the
 // snapshot — closing a post-restart outage gap without client traffic.
-func (e *execution) onProbeTick() []tee.OutMsg {
+func (e *Compartment) onProbeTick() []tee.OutMsg {
 	if !e.probing {
 		return nil
 	}
@@ -1004,12 +995,11 @@ func (e *execution) onProbeTick() []tee.OutMsg {
 		return nil
 	}
 	e.probesLeft--
-	e.evProbesSent.Add(1)
 	have := e.lastExec
-	if e.stableCert.Seq > have {
-		have = e.stableCert.Seq
+	if e.StableCert.Seq > have {
+		have = e.StableCert.Seq
 	}
-	out := []tee.OutMsg{broadcastOut(&messages.StateProbe{Have: have, Replica: e.id})}
+	out := []tee.OutMsg{compartment.BroadcastOut(&messages.StateProbe{Have: have, Replica: e.ID})}
 	// Sub-checkpoint outage tail: peers answer a probe below any stable
 	// checkpoint by re-sending their Commits for the gap slots (there is
 	// no snapshot to transfer), so the next slot may already hold a
@@ -1031,20 +1021,19 @@ func (e *execution) onProbeTick() []tee.OutMsg {
 // certificate the prober verifies, so serving a forged probe leaks
 // nothing and cannot corrupt anyone (bandwidth only, budgeted by the
 // broker alongside BatchFetch).
-func (e *execution) onStateProbe(p *messages.StateProbe) []tee.OutMsg {
-	if int(p.Replica) >= e.n || p.Replica == e.id {
+func (e *Compartment) onStateProbe(p *messages.StateProbe) []tee.OutMsg {
+	if int(p.Replica) >= e.N || p.Replica == e.ID {
 		return nil
 	}
-	if e.stableCert.Seq <= p.Have {
+	if e.StableCert.Seq <= p.Have {
 		return nil // prober is current (or ahead): nothing to offer
 	}
-	snap, ok := e.snapshots[e.stableCert.Seq]
+	snap, ok := e.snapshots[e.StableCert.Seq]
 	if !ok {
 		return nil
 	}
-	e.evProbesAnswered.Add(1)
-	return []tee.OutMsg{replicaOut(p.Replica,
-		&messages.StateReply{Cert: e.stableCert, Snapshot: snap, Replica: e.id})}
+	return []tee.OutMsg{compartment.ReplicaOut(p.Replica,
+		&messages.StateReply{Cert: e.StableCert, Snapshot: snap, Replica: e.ID})}
 }
 
 // onNewView applies the view and checkpoint (handler 7'), and records the
@@ -1052,13 +1041,13 @@ func (e *execution) onStateProbe(p *messages.StateProbe) []tee.OutMsg {
 // embedded PrePrepares are not validated here (only Preparation does), but
 // execution still requires a commit certificate per slot, so a forged
 // NewView cannot make this compartment execute anything (§4).
-func (e *execution) onNewView(host tee.Host, nv *messages.NewView) []tee.OutMsg {
-	if !e.applyNewViewCheckpoint(nv) {
+func (e *Compartment) onNewView(host tee.Host, nv *messages.NewView) []tee.OutMsg {
+	if !e.ApplyNewViewCheckpoint(nv) {
 		return nil
 	}
 	// Drop a lease from a deposed view eagerly. leaseValid would refuse it
 	// anyway (view mismatch) — this just frees the reference.
-	if e.lease != nil && e.lease.View != e.view {
+	if e.lease != nil && e.lease.View != e.View {
 		e.lease = nil
 	}
 	// Pending reads were waiting on a frontier from the deposed primary:
@@ -1081,16 +1070,16 @@ type clientSession struct {
 
 // onAttestRequest answers a client attestation challenge with this
 // enclave's quote and remembers the client's ECDH key for provisioning.
-func (e *execution) onAttestRequest(host tee.Host, ar *messages.AttestRequest) []tee.OutMsg {
+func (e *Compartment) onAttestRequest(host tee.Host, ar *messages.AttestRequest) []tee.OutMsg {
 	s := e.sessions[ar.ClientID]
 	s.pub = ar.ClientPub
 	e.sessions[ar.ClientID] = s
-	return []tee.OutMsg{clientOut(ar.ClientID, host.Quote(ar.Nonce))}
+	return []tee.OutMsg{compartment.ClientOut(ar.ClientID, host.Quote(ar.Nonce))}
 }
 
 // onProvisionKey unwraps the client's session key s_enc (§4.1) under the
 // X25519-derived pairwise key and installs the session.
-func (e *execution) onProvisionKey(host tee.Host, pk *messages.ProvisionKey) {
+func (e *Compartment) onProvisionKey(host tee.Host, pk *messages.ProvisionKey) {
 	s, ok := e.sessions[pk.ClientID]
 	if !ok {
 		return
@@ -1117,7 +1106,7 @@ func (e *execution) onProvisionKey(host tee.Host, pk *messages.ProvisionKey) {
 	}
 	// Direction 10+id keeps reply nonces disjoint across the n Execution
 	// enclaves sharing s_enc.
-	aead, err := crypto.NewSession(sk, byte(10+e.id))
+	aead, err := crypto.NewSession(sk, byte(10+e.ID))
 	if err != nil {
 		return
 	}
@@ -1126,11 +1115,11 @@ func (e *execution) onProvisionKey(host tee.Host, pk *messages.ProvisionKey) {
 }
 
 // onStateReply installs a verified snapshot and resumes execution.
-func (e *execution) onStateReply(host tee.Host, rep *messages.StateReply) []tee.OutMsg {
+func (e *Compartment) onStateReply(host tee.Host, rep *messages.StateReply) []tee.OutMsg {
 	if rep.Cert.Seq <= e.lastExec {
 		return nil
 	}
-	if err := e.ver.VerifyCheckpointCert(&rep.Cert); err != nil {
+	if err := e.Ver.VerifyCheckpointCert(&rep.Cert); err != nil {
 		return nil
 	}
 	if crypto.HashData(rep.Snapshot) != rep.Cert.StateDigest {
@@ -1141,7 +1130,7 @@ func (e *execution) onStateReply(host tee.Host, rep *messages.StateReply) []tee.
 	}
 	e.snapshots[rep.Cert.Seq] = rep.Snapshot
 	e.lastExec = rep.Cert.Seq
-	e.advanceStable(rep.Cert)
+	e.AdvanceStable(rep.Cert)
 	e.gc()
 	// The outage gap just closed (to the group's stable point at least):
 	// stop nudging peers.
@@ -1150,10 +1139,10 @@ func (e *execution) onStateReply(host tee.Host, rep *messages.StateReply) []tee.
 }
 
 // gc prunes execution bookkeeping below the watermark.
-func (e *execution) gc() {
+func (e *Compartment) gc() {
 	for view, vs := range e.commits {
 		for seq := range vs {
-			if seq <= e.lowWatermark {
+			if seq <= e.LowWatermark {
 				delete(vs, seq)
 			}
 		}
@@ -1162,24 +1151,24 @@ func (e *execution) gc() {
 		}
 	}
 	for seq := range e.committed {
-		if seq <= e.lowWatermark {
+		if seq <= e.LowWatermark {
 			delete(e.committed, seq)
 		}
 	}
 	for seq := range e.snapshots {
-		if seq < e.lowWatermark {
+		if seq < e.LowWatermark {
 			delete(e.snapshots, seq)
 		}
 	}
 	for seq := range e.held {
-		if seq <= e.lowWatermark {
+		if seq <= e.LowWatermark {
 			delete(e.held, seq)
 		}
 	}
 	// Batch bodies below the watermark can no longer be executed; drop
 	// them to bound the cache.
 	for d, seq := range e.batchSeq {
-		if seq <= e.lowWatermark {
+		if seq <= e.LowWatermark {
 			delete(e.batchSeq, d)
 			delete(e.batches, d)
 		}

@@ -1,4 +1,4 @@
-package core
+package execution
 
 import (
 	"crypto/ecdh"
@@ -33,8 +33,8 @@ func (r *leaseRig) wantFallback(replica uint32) {
 	if rep := r.tickExec(replica); rep == nil || rep.OK {
 		r.t.Fatalf("unconfirmed read was not refused after a detector period: %+v", rep)
 	}
-	if got := r.codes[replica].localReads.Load(); got != 0 {
-		r.t.Fatalf("localReads = %d: an unconfirmed read was served", got)
+	if got := r.served[replica]; got != 0 {
+		r.t.Fatalf("served reads = %d: an unconfirmed read was served", got)
 	}
 }
 
@@ -84,8 +84,8 @@ func TestReadIndexReplyBoundToHolder(t *testing.T) {
 			if rep := r.confirm(1, own); rep != nil {
 				t.Fatalf("read served while behind its own frontier: %+v", rep)
 			}
-			if got := r.codes[1].localReads.Load(); got != 0 {
-				t.Fatalf("localReads = %d, want 0", got)
+			if got := r.served[1]; got != 0 {
+				t.Fatalf("served reads = %d, want 0", got)
 			}
 		})
 	}
@@ -109,8 +109,8 @@ func TestReadIndexEpochFreshAcrossRestart(t *testing.T) {
 	if after := r.codes[1].riSentEpoch; after == before {
 		t.Fatalf("two boots drew the same epoch base %d", after)
 	}
-	r.prepCode.lastGrant = time.Time{} // renewal is due
-	r.renew()                          // the restarted holder is leased again
+	r.renewalDue()
+	r.renew() // the restarted holder is leased again
 	r.propose(1)
 
 	ri := r.query(1, 1, get) // a fresh boot has no read-timestamp history either
@@ -154,9 +154,9 @@ func slotFaults() []slotFault {
 			return sender.PairAuth(m, to)
 		}},
 		{"slot made by another sender", func(r *leaseRig, sender *messages.Verifier, m messages.Addressed) crypto.Authenticator {
-			other := r.codes[3].ver
+			other := r.codes[3].Ver
 			if other == sender {
-				other = r.codes[2].ver
+				other = r.codes[2].Ver
 			}
 			return other.PairAuth(m, messages.PairAddressee(m, r.n))
 		}},
@@ -190,14 +190,12 @@ func TestPairAuthBadSlotFallsBack(t *testing.T) {
 					if ack == nil {
 						t.Fatalf("holder %d did not ack", holder)
 					}
-					ack.Auth = fault.make(r, r.codes[holder].ver, ack)
+					ack.Auth = fault.make(r, r.codes[holder].Ver, ack)
 					if round := r.feedAck(ack); len(round) != 0 {
 						t.Fatalf("an ack with %s counted toward the quorum", fault.name)
 					}
 				}
-				if r.prepCode.acksFresh(time.Now()) {
-					t.Fatal("unauthenticated acks made the granter believe it is reachable")
-				}
+				r.wantProbeOnly() // unauthenticated acks prove no reachability
 				if rep := r.read(1, 1, get); rep == nil || rep.OK {
 					t.Fatalf("read served without a servable lease: %+v", rep)
 				}
@@ -206,7 +204,7 @@ func TestPairAuthBadSlotFallsBack(t *testing.T) {
 				r := newLeaseRigMode(t, time.Second, mode)
 				r.armLeases()
 				ri := r.query(1, 1, get)
-				ri.Auth = fault.make(r, r.codes[1].ver, ri)
+				ri.Auth = fault.make(r, r.codes[1].Ver, ri)
 				if rr := r.answer(ri); rr != nil {
 					t.Fatalf("primary answered a query with %s: %+v", fault.name, rr)
 				}
@@ -219,7 +217,7 @@ func TestPairAuthBadSlotFallsBack(t *testing.T) {
 				if rr == nil {
 					t.Fatal("primary did not answer")
 				}
-				rr.Auth = fault.make(r, r.prepCode.ver, rr)
+				rr.Auth = fault.make(r, r.prepVer, rr)
 				if rep := r.confirm(1, rr); rep != nil {
 					t.Fatalf("holder served on a reply with %s: %+v", fault.name, rep)
 				}

@@ -1,10 +1,15 @@
-package core
+package execution
 
 import (
+	"fmt"
+	"io"
 	"testing"
 	"time"
 
 	"github.com/splitbft/splitbft/internal/app"
+	"github.com/splitbft/splitbft/internal/compartment"
+	"github.com/splitbft/splitbft/internal/compartment/preparation"
+	"github.com/splitbft/splitbft/internal/counter"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/messages"
 	"github.com/splitbft/splitbft/internal/tee"
@@ -20,20 +25,26 @@ import (
 // trusted counter) and all n Execution enclaves with read leases on. Every
 // compartment has its own verifier over its enclave's attested pairwise keys,
 // as NewReplica wires them; enclave keys come from a seeded stream, so
-// restartExec brings a holder back under the keys it had.
+// restartExec brings a holder back under the keys it had. The granter runs
+// on its own clock, which the rig moves forward to make a renewal due.
 type leaseRig struct {
-	t        *testing.T
-	n, f     int
-	mode     messages.AuthMode
-	ttl      time.Duration
-	reg      *crypto.Registry
-	secret   []byte
-	counter  *tee.TrustedCounter
-	prep     *tee.Enclave
-	prepCode *preparation // white-box view of the granter
-	execs    []*tee.Enclave
-	codes    []*execution // white-box views of the Execution compartments
-	apps     []*app.KVS
+	t         *testing.T
+	n, f      int
+	mode      messages.AuthMode
+	ttl       time.Duration
+	reg       *crypto.Registry
+	secret    []byte
+	counter   *counter.Counter
+	prep      *tee.Enclave
+	prepVer   *messages.Verifier
+	prepClock *compartment.SkewClock
+	prepSkew  time.Duration
+	execs     []*tee.Enclave
+	codes     []*Compartment // white-box views of the Execution compartments
+	apps      []*app.KVS
+	// served counts, per holder, the reads its Execution compartment
+	// answered with a served (OK) ReadReply.
+	served []int
 }
 
 func newLeaseRig(t *testing.T, ttl time.Duration) *leaseRig {
@@ -45,28 +56,73 @@ func newLeaseRigMode(t *testing.T, ttl time.Duration, mode messages.AuthMode) *l
 	r := &leaseRig{t: t, n: 4, f: 1, mode: mode, ttl: ttl, reg: crypto.NewRegistry(), secret: []byte("lease-test")}
 	ctrID := crypto.Identity{ReplicaID: 0, Role: crypto.RoleCounter}
 	var err error
-	r.counter, err = tee.NewTrustedCounter(ctrID)
+	r.counter, err = counter.New(ctrID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.reg.Register(ctrID, r.counter.PublicKey())
-	r.prepCode = newPreparation(r.config(0, app.NewKVS()), r.verifier(), r.counter)
-	r.prep = r.launch(0, crypto.RolePreparation, r.prepCode, r.prepCode.ver)
+	r.prepVer, r.prepClock = r.verifier(), new(compartment.SkewClock)
+	prepCfg := r.config(0)
+	prepCfg.Clock = r.prepClock
+	r.prep = r.launch(0, crypto.RolePreparation, preparation.New(prepCfg, r.prepVer, r.counter), r.prepVer)
 	for i := 0; i < r.n; i++ {
 		r.apps = append(r.apps, app.NewKVS())
 		r.execs = append(r.execs, nil)
 		r.codes = append(r.codes, nil)
+		r.served = append(r.served, 0)
 		r.restartExec(uint32(i))
 	}
 	return r
 }
 
-func (r *leaseRig) config(id uint32, kvs *app.KVS) Config {
-	return Config{
-		N: r.n, F: r.f, ID: id,
-		Registry: r.reg, MACSecret: r.secret, App: kvs,
-		ReadLeases: true, LeaseTTL: r.ttl, AgreementAuth: r.mode,
-	}.withDefaults()
+func (r *leaseRig) config(id uint32) compartment.Config {
+	return withDefaults(compartment.Config{
+		N: r.n, F: r.f, ID: id, MACSecret: r.secret,
+		ReadLeases: true, LeaseTTL: r.ttl,
+	})
+}
+
+// renewalDue moves the granter's clock one renewal period (a quarter of the
+// TTL) forward, so its next tick issues a grant round.
+func (r *leaseRig) renewalDue() {
+	r.prepSkew += r.config(0).LeaseTTL / 4
+	r.prepClock.SetSkew(r.prepSkew)
+}
+
+// wantProbeOnly asserts that the granter does not believe itself reachable:
+// its next due grant round is probe-only.
+func (r *leaseRig) wantProbeOnly() {
+	r.t.Helper()
+	r.renewalDue()
+	for holder, g := range r.grants() {
+		if !g.Probe {
+			r.t.Fatalf("granter issued a servable grant to %d without an ack quorum", holder)
+		}
+	}
+}
+
+// enclaveKeyStream is the replica environment's derivation of an enclave's
+// key stream from the deployment seed.
+func enclaveKeyStream(seed []byte, replica uint32, role crypto.Role) io.Reader {
+	return crypto.NewKeyStream(seed, "enclave", fmt.Sprintf("%d", replica), role.String())
+}
+
+// pairwiseKeyer is an enclave that establishes attested pairwise MAC keys.
+type pairwiseKeyer interface {
+	Identity() crypto.Identity
+	PairwiseMAC(peerPub [32]byte) (crypto.MACKey, error)
+}
+
+// pairwiseMACStore keys enc's MACs from its X25519 exchange with each
+// registered peer, as the replica environment does.
+func pairwiseMACStore(enc pairwiseKeyer, reg *crypto.Registry) *crypto.MACStore {
+	return crypto.NewDerivedMACStore(enc.Identity(), func(peer crypto.Identity) (crypto.MACKey, error) {
+		pub, err := reg.LookupECDH(peer)
+		if err != nil {
+			return crypto.MACKey{}, err
+		}
+		return enc.PairwiseMAC(pub)
+	}, reg.ECDHEpoch)
 }
 
 // verifier builds one compartment's verifier; launch completes it.
@@ -100,9 +156,10 @@ func (r *leaseRig) launch(id uint32, role crypto.Role, code tee.Code, ver *messa
 // back leaseless with new read-index epochs.
 func (r *leaseRig) restartExec(i uint32) {
 	r.t.Helper()
-	code := mustExecution(r.t, r.config(i, r.apps[i]), r.verifier())
-	r.execs[i] = r.launch(i, crypto.RoleExecution, code, code.ver)
+	code := mustExecution(r.t, r.config(i), r.apps[i], r.verifier())
+	r.execs[i] = r.launch(i, crypto.RoleExecution, code, code.Ver)
 	r.codes[i] = code
+	r.served[i] = 0
 }
 
 // scanMsg extracts the first message of a type from enclave outputs,
@@ -122,11 +179,21 @@ func scanMsg[T messages.Message](t *testing.T, out []tee.OutMsg) (T, bool) {
 	return zero, false
 }
 
+// note counts the reads a holder's outputs serve.
+func (r *leaseRig) note(replica uint32, out []tee.OutMsg) []tee.OutMsg {
+	for i := range out {
+		if _, _, served, ok := messages.ReadReplyHeader(out[i].Payload); ok && served {
+			r.served[replica]++
+		}
+	}
+	return out
+}
+
 // grants ticks the primary's Preparation compartment and collects the
 // emitted lease grants, keyed by holder.
 func (r *leaseRig) grants() map[uint32]*messages.LeaseGrant {
 	r.t.Helper()
-	out, err := r.prep.Invoke([]byte{ecallTick})
+	out, err := r.prep.Invoke([]byte{compartment.EcallTick})
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -242,7 +309,7 @@ func (r *leaseRig) request(replica uint32, ts uint64, op []byte) []tee.OutMsg {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	return out
+	return r.note(replica, out)
 }
 
 // query sends a read to a leased holder and returns the read-index query it
@@ -276,7 +343,7 @@ func (r *leaseRig) confirm(replica uint32, rr *messages.ReadIndexReply) *message
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	rep, _ := findMsg[*messages.ReadReply](r.t, out, tee.DestClient)
+	rep, _ := findMsg[*messages.ReadReply](r.t, r.note(replica, out), tee.DestClient)
 	return rep
 }
 
@@ -294,11 +361,11 @@ func (r *leaseRig) propose(ts uint64) {
 // client reply it released, if any.
 func (r *leaseRig) tickExec(replica uint32) *messages.ReadReply {
 	r.t.Helper()
-	out, err := r.execs[replica].Invoke([]byte{ecallTick})
+	out, err := r.execs[replica].Invoke([]byte{compartment.EcallTick})
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	rep, _ := findMsg[*messages.ReadReply](r.t, out, tee.DestClient)
+	rep, _ := findMsg[*messages.ReadReply](r.t, r.note(replica, out), tee.DestClient)
 	return rep
 }
 
@@ -337,8 +404,8 @@ func TestLeaseLocalReadServes(t *testing.T) {
 	if string(rep.Result) != "NOTFOUND" {
 		t.Fatalf("read result = %q, want NOTFOUND", rep.Result)
 	}
-	if got := r.codes[1].localReads.Load(); got != 1 {
-		t.Fatalf("localReads = %d, want 1", got)
+	if got := r.served[1]; got != 1 {
+		t.Fatalf("served reads = %d, want 1", got)
 	}
 	if r.counter.LeaseGrants() == 0 {
 		t.Fatal("counter recorded no lease grants")
@@ -420,9 +487,7 @@ func TestLeaseAckReplayRejected(t *testing.T) {
 	if round := r.feedAck(ack1); len(round) != 0 {
 		t.Fatal("replayed ack triggered a grant round")
 	}
-	if r.prepCode.acksFresh(time.Now()) {
-		t.Fatal("two holders plus replays counted as an ack quorum")
-	}
+	r.wantProbeOnly() // two holders plus replays are no ack quorum
 	// A genuine third holder completes it.
 	if round := r.feedAck(r.deliver(2, probes[2])); len(round) == 0 {
 		t.Fatal("third distinct ack did not complete the quorum")
@@ -466,14 +531,14 @@ func TestLeaseForgedSignatureRejected(t *testing.T) {
 			genuine := r.grants()[1]
 			forged := *genuine
 			tc.tamper(&forged)
-			r.codes[tc.to].view = forged.View
+			r.codes[tc.to].View = forged.View
 			if ack := r.deliver(tc.to, &forged); ack != nil {
 				t.Fatalf("grant with a forged %s was acknowledged", tc.field)
 			}
 			if rep := r.read(tc.to, 1, app.EncodeGet("k")); rep == nil || rep.OK {
 				t.Fatalf("forged %s served a local read: %+v", tc.field, rep)
 			}
-			r.codes[tc.to].view = genuine.View
+			r.codes[tc.to].View = genuine.View
 			if ack := r.deliver(1, genuine); ack == nil {
 				t.Fatal("the genuine grant was not acknowledged")
 			}
@@ -509,7 +574,7 @@ func TestLeaseViewChangeRevokes(t *testing.T) {
 	// White-box: advance the compartment's view as an installed NewView
 	// would (crafting a full valid NewView certificate is the view-change
 	// tests' job); leaseValid must now refuse the view-0 lease.
-	r.codes[1].view = 1
+	r.codes[1].View = 1
 	if rep := r.read(1, 2, app.EncodeGet("k")); rep == nil || rep.OK {
 		t.Fatal("deposed view's lease served a local read")
 	}
@@ -597,75 +662,8 @@ func TestReadReplayDropped(t *testing.T) {
 	if rep := r.read(1, 3, app.EncodeGet("k")); rep != nil {
 		t.Fatalf("stale-timestamp read was answered: %+v", rep)
 	}
-	if got := r.codes[1].localReads.Load(); got != 1 {
-		t.Fatalf("localReads = %d, want 1 (replays must not serve)", got)
-	}
-}
-
-// TestLeaseTTLClampedToDetectionPeriod: a lease must never outlive
-// view-change detection, whatever the caller asked for — withDefaults
-// clamps the TTL to RequestTimeout/4 (and defaults a zero TTL there).
-func TestLeaseTTLClampedToDetectionPeriod(t *testing.T) {
-	base := Config{RequestTimeout: 400 * time.Millisecond}
-	if got := base.withDefaults().LeaseTTL; got != 100*time.Millisecond {
-		t.Fatalf("default LeaseTTL = %v, want RequestTimeout/4 = 100ms", got)
-	}
-	base.LeaseTTL = 2 * time.Second // 5× the detection period: unsafe
-	if got := base.withDefaults().LeaseTTL; got != 100*time.Millisecond {
-		t.Fatalf("oversized LeaseTTL clamped to %v, want 100ms", got)
-	}
-	base.LeaseTTL = 20 * time.Millisecond // below the clamp: honored
-	if got := base.withDefaults().LeaseTTL; got != 20*time.Millisecond {
-		t.Fatalf("small LeaseTTL rewritten to %v, want 20ms", got)
-	}
-}
-
-// TestNewPrimaryWriteFence: a primary taking over a lease-enabled
-// deployment must not assign fresh proposals until every lease its
-// predecessor could have kept alive has expired — otherwise a partitioned
-// holder could serve a linearizable read missing a write the new view
-// already acknowledged.
-func TestNewPrimaryWriteFence(t *testing.T) {
-	r := newLeaseRig(t, time.Second)
-	code := newPreparation(r.config(1, app.NewKVS()), r.verifier(), r.counter)
-	enc := r.launch(1, crypto.RolePreparation, code, code.ver)
-
-	// White-box view install: replica 1 becomes the primary of view 1 (the
-	// full NewView certificate path is the view-change tests' job).
-	code.installView(1, messages.CheckpointCert{}, nil, 0)
-	if code.leaseFence.IsZero() {
-		t.Fatal("view install did not arm the write fence")
-	}
-	req := testRequest(r.secret, r.n, 7, 1, app.EncodePut("k", []byte("v")))
-	out, err := enc.Invoke(wrapBatch(&messages.Batch{Requests: []messages.Request{req}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := scanMsg[*messages.PrePrepare](t, out); ok {
-		t.Fatal("fenced new primary proposed a fresh batch")
-	}
-	if got := len(code.fenced); got != 1 {
-		t.Fatalf("fenced batches parked = %d, want 1", got)
-	}
-	// Fence passed: the lease tick flushes the parked batch — no client
-	// retransmission needed (that dependency would race the failure
-	// detector into another view change).
-	code.leaseFence = time.Now().Add(-time.Millisecond)
-	out, err = enc.Invoke([]byte{ecallTick})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := scanMsg[*messages.PrePrepare](t, out); !ok {
-		t.Fatal("lease tick did not flush the parked batch after the fence")
-	}
-	// And fresh batches flow directly again.
-	req2 := testRequest(r.secret, r.n, 7, 2, app.EncodePut("k", []byte("w")))
-	out, err = enc.Invoke(wrapBatch(&messages.Batch{Requests: []messages.Request{req2}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := scanMsg[*messages.PrePrepare](t, out); !ok {
-		t.Fatal("post-fence proposal did not go out")
+	if got := r.served[1]; got != 1 {
+		t.Fatalf("served reads = %d, want 1 (replays must not serve)", got)
 	}
 }
 
@@ -687,7 +685,7 @@ func TestReadsBypassReplyCache(t *testing.T) {
 	if got := len(r.codes[1].clients); got != 0 {
 		t.Fatalf("reply cache holds %d client entries after a read-only run, want 0", got)
 	}
-	if got := r.codes[1].localReads.Load(); got != 64 {
-		t.Fatalf("localReads = %d, want 64", got)
+	if got := r.served[1]; got != 64 {
+		t.Fatalf("served reads = %d, want 64", got)
 	}
 }

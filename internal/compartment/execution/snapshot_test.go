@@ -1,4 +1,4 @@
-package core
+package execution
 
 import (
 	"bytes"
@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/splitbft/splitbft/internal/app"
+	"github.com/splitbft/splitbft/internal/compartment"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/messages"
 )
@@ -15,15 +16,15 @@ import (
 // benchmark's workloads: 1024 keys of 64-byte values, 8 clients each with a
 // full reply window, 16 cached batches of 32 requests, and a stable
 // checkpoint snapshot — and no key inserted since that snapshot.
-func steadyExecution(tb testing.TB) *execution {
+func steadyExecution(tb testing.TB) *Compartment {
 	tb.Helper()
 	reg := crypto.NewRegistry()
 	ver, err := messages.NewVerifier(4, 1, reg, messages.SplitScheme())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := Config{N: 4, F: 1, ID: 0, Registry: reg, MACSecret: []byte("steady"), App: app.NewKVS()}.withDefaults()
-	e := mustExecution(tb, cfg, ver)
+	cfg := withDefaults(compartment.Config{N: 4, F: 1, ID: 0, MACSecret: []byte("steady")})
+	e := mustExecution(tb, cfg, app.NewKVS(), ver)
 	value := bytes.Repeat([]byte("v"), 64)
 	for k := 0; k < 1024; k++ {
 		e.app.Execute(1, app.EncodePut(fmt.Sprintf("key-%04d", k), value))
@@ -31,7 +32,7 @@ func steadyExecution(tb testing.TB) *execution {
 	for c := uint32(1000); c < 1008; c++ {
 		cl := &execClient{}
 		for ts := uint64(1); ts <= 2*execReplyWindow; ts++ {
-			cl.record(ts, &messages.Reply{ClientID: c, Timestamp: ts, Replica: e.id, Result: []byte("OK")})
+			cl.record(ts, &messages.Reply{ClientID: c, Timestamp: ts, Replica: e.ID, Result: []byte("OK")})
 		}
 		e.clients[c] = cl
 	}
@@ -44,7 +45,7 @@ func steadyExecution(tb testing.TB) *execution {
 		d := b.Digest()
 		e.batches[d], e.batchSeq[d] = b, s
 	}
-	e.snapshots[e.stableCert.Seq] = e.snapshotState()
+	e.snapshots[e.StableCert.Seq] = e.snapshotState()
 	return e
 }
 

@@ -1,35 +1,39 @@
-package core
+// Package preparation is the Preparation compartment (§3.2), one enclave of
+// a SplitBFT replica.
+package preparation
 
 import (
 	"time"
 
+	"github.com/splitbft/splitbft/internal/compartment"
+	"github.com/splitbft/splitbft/internal/counter"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/messages"
 	"github.com/splitbft/splitbft/internal/tee"
 )
 
-// preparation is the Preparation compartment (§3.2): it starts the ordering
+// Compartment is the Preparation compartment (§3.2): it starts the ordering
 // of client batches. On the primary it authenticates client requests,
 // assigns sequence numbers and emits PrePrepares (event handler 1); on
 // backups it validates PrePrepares and emits Prepares (2). It also handles
 // ViewChanges (6) and creates/validates NewViews (7), plus the duplicated
 // checkpoint handlers (9, 7').
-type preparation struct {
-	comState
+type Compartment struct {
+	compartment.State
 	macs *crypto.MACStore
 	// counter is the trusted monotonic counter enclave (trusted consensus
 	// mode only, nil in classic). The primary binds every PrePrepare to the
 	// next counter value; because the counter and the sequence space advance
 	// in lockstep, backups can verify gap-freeness with the affine law
-	// CtrVal = ctrBase + (Seq - seqBase) alone.
-	counter *tee.TrustedCounter
+	// CtrVal = CtrBase + (Seq - SeqBase) alone.
+	counter *counter.Counter
 
 	// Read-lease issuance (primary duty, ReadLeases deployments). Leases
 	// piggyback on proposal and checkpoint traffic and renew on the
 	// failure-detector tick, so holders stay leased on idle clusters too.
 	leases    bool
 	leaseTTL  time.Duration
-	clock     *SkewClock
+	clock     *compartment.SkewClock
 	lastGrant time.Time
 	// lastGrantProbe records whether the last grant round was probe-only,
 	// so the first quorum of acks can trigger an immediate real round
@@ -74,12 +78,15 @@ type preparation struct {
 	lastNewView *messages.NewView
 }
 
-func newPreparation(cfg Config, ver *messages.Verifier, counter *tee.TrustedCounter) *preparation {
-	return &preparation{
-		comState: newComState(cfg.N, cfg.F, cfg.ID, cfg.WatermarkWindow, ver),
+// New builds the Preparation compartment of replica cfg.ID. ctr is the
+// replica's trusted counter enclave, nil unless the deployment runs trusted
+// consensus or read leases.
+func New(cfg compartment.Config, ver *messages.Verifier, ctr *counter.Counter) *Compartment {
+	return &Compartment{
+		State: compartment.NewState(cfg, ver),
 		macs: crypto.NewMACStore(cfg.MACSecret,
 			crypto.Identity{ReplicaID: cfg.ID, Role: crypto.RolePreparation}),
-		counter:     counter,
+		counter:     ctr,
 		leases:      cfg.ReadLeases,
 		leaseTTL:    cfg.LeaseTTL,
 		clock:       cfg.Clock,
@@ -90,27 +97,27 @@ func newPreparation(cfg Config, ver *messages.Verifier, counter *tee.TrustedCoun
 }
 
 // Measurement implements tee.Code.
-func (p *preparation) Measurement() crypto.Digest { return measPreparation }
+func (p *Compartment) Measurement() crypto.Digest { return compartment.Measure("preparation") }
 
 // HandleECall implements tee.Code.
-func (p *preparation) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
+func (p *Compartment) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
 	if len(raw) == 0 {
 		return nil
 	}
 	switch raw[0] {
-	case ecallBatch:
+	case compartment.EcallBatch:
 		batch, err := messages.UnmarshalBatch(raw[1:])
 		if err != nil {
 			return nil
 		}
 		return p.onBatch(host, batch)
-	case ecallTick:
+	case compartment.EcallTick:
 		// Lease-clock tick (read-lease deployments only): renew the
 		// outstanding read leases even when no proposal or checkpoint
 		// traffic would carry a grant, and flush any batches the write
 		// fence parked. Ticks are never persisted.
 		return append(p.flushFenced(host), p.maybeGrantLeases()...)
-	case ecallMessage:
+	case compartment.EcallMessage:
 		m, err := messages.Unmarshal(raw[1:])
 		if err != nil {
 			return nil
@@ -145,8 +152,8 @@ func (p *preparation) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
 // that can prove it is not isolated with a minority, which is what keeps a
 // deposed primary in a partition from renewing its holders' leases
 // forever. Returns nil in non-lease deployments and on backups.
-func (p *preparation) maybeGrantLeases() []tee.OutMsg {
-	if !p.leases || p.counter == nil || p.primary(p.view) != p.id {
+func (p *Compartment) maybeGrantLeases() []tee.OutMsg {
+	if !p.leases || p.counter == nil || p.Primary(p.View) != p.ID {
 		return nil
 	}
 	now := p.clock.Now()
@@ -161,9 +168,9 @@ func (p *preparation) maybeGrantLeases() []tee.OutMsg {
 		expiry = p.lastExpiry + 1 // expiry doubles as the ack-round nonce
 	}
 	p.lastExpiry = expiry
-	out := make([]tee.OutMsg, 0, p.n)
-	for holder := uint32(0); int(holder) < p.n; holder++ {
-		att := p.counter.GrantLease(holder, p.view, expiry, probe)
+	out := make([]tee.OutMsg, 0, p.N)
+	for holder := uint32(0); int(holder) < p.N; holder++ {
+		att := p.counter.GrantLease(holder, p.View, expiry, probe)
 		g := &messages.LeaseGrant{
 			Granter: att.Granter,
 			Holder:  att.Holder,
@@ -172,10 +179,10 @@ func (p *preparation) maybeGrantLeases() []tee.OutMsg {
 			Probe:   att.Probe,
 			Sig:     att.Sig,
 		}
-		if holder == p.id {
-			out = append(out, localOut(crypto.RoleExecution, g))
+		if holder == p.ID {
+			out = append(out, compartment.LocalOut(crypto.RoleExecution, g))
 		} else {
-			out = append(out, replicaOut(holder, g))
+			out = append(out, compartment.ReplicaOut(holder, g))
 		}
 	}
 	return out
@@ -184,7 +191,7 @@ func (p *preparation) maybeGrantLeases() []tee.OutMsg {
 // acksFresh reports whether a quorum of holders has acknowledged a grant
 // round whose expiry still lies in the future — the reachability proof
 // that authorizes real (servable) grants.
-func (p *preparation) acksFresh(now time.Time) bool {
+func (p *Compartment) acksFresh(now time.Time) bool {
 	ns := now.UnixNano()
 	fresh := 0
 	for _, exp := range p.ackExpiry {
@@ -192,7 +199,7 @@ func (p *preparation) acksFresh(now time.Time) bool {
 			fresh++
 		}
 	}
-	return fresh >= p.quorum()
+	return fresh >= p.Quorum()
 }
 
 // onLeaseAck records a holder's acknowledgement of a grant round. The
@@ -202,14 +209,14 @@ func (p *preparation) acksFresh(now time.Time) bool {
 // grant time. When the quorum first forms right after a probe round, a
 // real round goes out immediately so the fast path arms without waiting
 // out the renewal throttle.
-func (p *preparation) onLeaseAck(a *messages.LeaseAck) []tee.OutMsg {
-	if !p.leases || p.primary(p.view) != p.id {
+func (p *Compartment) onLeaseAck(a *messages.LeaseAck) []tee.OutMsg {
+	if !p.leases || p.Primary(p.View) != p.ID {
 		return nil
 	}
-	if a.View != p.view || a.Expiry > p.lastExpiry {
+	if a.View != p.View || a.Expiry > p.lastExpiry {
 		return nil
 	}
-	if err := p.ver.VerifyLeaseAck(a); err != nil {
+	if err := p.Ver.VerifyLeaseAck(a); err != nil {
 		return nil
 	}
 	if a.Expiry <= p.ackExpiry[a.Holder] {
@@ -232,30 +239,30 @@ func (p *preparation) onLeaseAck(a *messages.LeaseAck) []tee.OutMsg {
 // back to the agreement path. The frontier check needs no extra fence —
 // this compartment's nextSeq is installed at or above every re-issued slot
 // on view entry, so the bound survives primary turnover.
-func (p *preparation) onReadIndex(host tee.Host, ri *messages.ReadIndex) []tee.OutMsg {
-	if !p.leases || p.primary(p.view) != p.id || ri.View != p.view {
+func (p *Compartment) onReadIndex(host tee.Host, ri *messages.ReadIndex) []tee.OutMsg {
+	if !p.leases || p.Primary(p.View) != p.ID || ri.View != p.View {
 		return nil
 	}
-	if err := p.ver.VerifyReadIndex(ri); err != nil {
+	if err := p.Ver.VerifyReadIndex(ri); err != nil {
 		return nil
 	}
 	rep := &messages.ReadIndexReply{
-		Replica:  p.id,
+		Replica:  p.ID,
 		Holder:   ri.Holder,
-		View:     p.view,
+		View:     p.View,
 		Epoch:    ri.Epoch,
 		Frontier: p.nextSeq,
 	}
-	_, rep.Auth = p.authenticate(host, rep)
-	if ri.Holder == p.id {
-		return []tee.OutMsg{localOut(crypto.RoleExecution, rep)}
+	_, rep.Auth = p.Authenticate(host, rep)
+	if ri.Holder == p.ID {
+		return []tee.OutMsg{compartment.LocalOut(crypto.RoleExecution, rep)}
 	}
-	return []tee.OutMsg{replicaOut(ri.Holder, rep)}
+	return []tee.OutMsg{compartment.ReplicaOut(ri.Holder, rep)}
 }
 
 // record stores an accepted proposal digest, reporting false on conflict
 // (equivocation) or duplication.
-func (p *preparation) record(view, seq uint64, d crypto.Digest) bool {
+func (p *Compartment) record(view, seq uint64, d crypto.Digest) bool {
 	vs, ok := p.proposals[view]
 	if !ok {
 		vs = make(map[uint64]crypto.Digest)
@@ -276,8 +283,8 @@ const fencedBatchMax = 128
 // from the environment, assigns the next sequence number and emits the
 // PrePrepare — into the local Confirmation and Execution compartments (the
 // duplicated input logs of §3.2), then to the network.
-func (p *preparation) onBatch(host tee.Host, batch *messages.Batch) []tee.OutMsg {
-	if p.primary(p.view) != p.id {
+func (p *Compartment) onBatch(host tee.Host, batch *messages.Batch) []tee.OutMsg {
+	if p.Primary(p.View) != p.ID {
 		return nil // the environment misjudged the view; liveness only
 	}
 	if p.leases && !p.leaseFence.IsZero() && p.clock.Now().Before(p.leaseFence) {
@@ -300,11 +307,11 @@ func (p *preparation) onBatch(host tee.Host, batch *messages.Batch) []tee.OutMsg
 // before any new one), and duplicate requests from overlapping client
 // retransmissions are harmless — the Execution compartments' exactly-once
 // bookkeeping answers them from the reply cache.
-func (p *preparation) flushFenced(host tee.Host) []tee.OutMsg {
+func (p *Compartment) flushFenced(host tee.Host) []tee.OutMsg {
 	if len(p.fenced) == 0 {
 		return nil
 	}
-	if p.primary(p.view) != p.id {
+	if p.Primary(p.View) != p.ID {
 		p.fenced = nil // deposed while fenced: the next primary re-collects
 		return nil
 	}
@@ -322,7 +329,7 @@ func (p *preparation) flushFenced(host tee.Host) []tee.OutMsg {
 
 // proposeBatch authenticates a client batch, assigns the next sequence
 // number and emits the PrePrepare.
-func (p *preparation) proposeBatch(host tee.Host, batch *messages.Batch) []tee.OutMsg {
+func (p *Compartment) proposeBatch(host tee.Host, batch *messages.Batch) []tee.OutMsg {
 	valid := batch.Requests[:0]
 	enc := messages.GetEncoder()
 	for i := range batch.Requests {
@@ -330,7 +337,7 @@ func (p *preparation) proposeBatch(host tee.Host, batch *messages.Batch) []tee.O
 		client := crypto.Identity{ReplicaID: req.ClientID, Role: crypto.RoleClient}
 		enc.Reset()
 		req.AppendAuthenticated(enc)
-		if err := p.macs.VerifyIndexed(enc.Bytes(), req.Auth, int(p.id), client); err != nil {
+		if err := p.macs.VerifyIndexed(enc.Bytes(), req.Auth, int(p.ID), client); err != nil {
 			continue // unauthenticated request: drop from the batch
 		}
 		valid = append(valid, *req)
@@ -339,29 +346,29 @@ func (p *preparation) proposeBatch(host tee.Host, batch *messages.Batch) []tee.O
 	if len(valid) == 0 {
 		return nil
 	}
-	if !p.inWindow(p.nextSeq + 1) {
+	if !p.InWindow(p.nextSeq + 1) {
 		return nil // window exhausted; the environment will resubmit
 	}
 	p.nextSeq++
 	b := messages.Batch{Requests: valid}
 	pp := &messages.PrePrepare{
-		View:    p.view,
+		View:    p.View,
 		Seq:     p.nextSeq,
 		Digest:  b.Digest(),
-		Replica: p.id,
+		Replica: p.ID,
 		Batch:   b,
 	}
-	pp.Sig, pp.Auth = p.authenticate(host, pp)
-	if p.trustedMode() {
+	pp.Sig, pp.Auth = p.Authenticate(host, pp)
+	if p.TrustedMode() {
 		// Bind the proposal to the next counter value. nextSeq and the
 		// counter advance in lockstep from the view's bases, so the
-		// attestation lands exactly on ctrBase + (Seq - seqBase) — the
+		// attestation lands exactly on CtrBase + (Seq - SeqBase) — the
 		// affine law backups enforce in place of the Prepare phase.
 		att := p.counter.CreateAttestation(messages.CounterDigest(pp))
 		pp.CtrVal, pp.CtrSig = att.Value, att.Sig
 	}
 	p.record(pp.View, pp.Seq, pp.Digest)
-	out := localFirst(pp, crypto.RoleConfirmation, crypto.RoleExecution)
+	out := compartment.LocalFirst(pp, crypto.RoleConfirmation, crypto.RoleExecution)
 	// Piggyback lease renewal on proposal traffic: under load the leases
 	// ride along for free.
 	return append(out, p.maybeGrantLeases()...)
@@ -369,22 +376,22 @@ func (p *preparation) proposeBatch(host tee.Host, batch *messages.Batch) []tee.O
 
 // onPrePrepare is event handler (2): a backup validates the primary's
 // proposal and emits its Prepare.
-func (p *preparation) onPrePrepare(host tee.Host, pp *messages.PrePrepare) []tee.OutMsg {
-	if pp.View != p.view || !p.inWindow(pp.Seq) {
+func (p *Compartment) onPrePrepare(host tee.Host, pp *messages.PrePrepare) []tee.OutMsg {
+	if pp.View != p.View || !p.InWindow(pp.Seq) {
 		return nil
 	}
-	if p.primary(p.view) == p.id {
+	if p.Primary(p.View) == p.ID {
 		return nil // the primary ignores foreign proposals in its view
 	}
-	if err := p.ver.VerifyPrePrepare(pp, true); err != nil {
+	if err := p.Ver.VerifyPrePrepare(pp, true); err != nil {
 		return nil
 	}
-	if p.trustedMode() {
+	if p.TrustedMode() {
 		// Trusted consensus: a counter-valid proposal needs no Prepare —
 		// the attestation plus the affine law is the whole vote. Record it
 		// (the input-log slice still feeds equivocation detection) and stop;
 		// the Confirmation compartment commits directly off its copy.
-		if err := p.ver.VerifyCounterAt(pp, p.ctrBase, p.seqBase); err != nil {
+		if err := p.Ver.VerifyCounterAt(pp, p.CtrBase, p.SeqBase); err != nil {
 			return nil
 		}
 		p.record(pp.View, pp.Seq, pp.Digest)
@@ -393,24 +400,24 @@ func (p *preparation) onPrePrepare(host tee.Host, pp *messages.PrePrepare) []tee
 	if !p.record(pp.View, pp.Seq, pp.Digest) {
 		return nil // duplicate or equivocation: prepare only once
 	}
-	prep := &messages.Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Replica: p.id}
-	prep.Sig, prep.Auth = p.authenticate(host, prep)
-	return localFirst(prep, crypto.RoleConfirmation)
+	prep := &messages.Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Replica: p.ID}
+	prep.Sig, prep.Auth = p.Authenticate(host, prep)
+	return compartment.LocalFirst(prep, crypto.RoleConfirmation)
 }
 
 // onViewChange is event handler (6): the Preparation compartment of the new
 // primary collects 2f+1 ViewChanges and emits the NewView.
-func (p *preparation) onViewChange(host tee.Host, vc *messages.ViewChange) []tee.OutMsg {
-	if vc.NewViewNum <= p.view {
+func (p *Compartment) onViewChange(host tee.Host, vc *messages.ViewChange) []tee.OutMsg {
+	if vc.NewViewNum <= p.View {
 		// A straggler still asking for a view we installed: if we are its
 		// primary, retransmit the NewView (it may have been lost).
-		if p.primary(p.view) == p.id && p.lastNewView != nil &&
-			p.lastNewView.View == p.view && int(vc.Replica) < p.n && vc.Replica != p.id {
-			return []tee.OutMsg{replicaOut(vc.Replica, p.lastNewView)}
+		if p.Primary(p.View) == p.ID && p.lastNewView != nil &&
+			p.lastNewView.View == p.View && int(vc.Replica) < p.N && vc.Replica != p.ID {
+			return []tee.OutMsg{compartment.ReplicaOut(vc.Replica, p.lastNewView)}
 		}
 		return nil
 	}
-	if err := p.ver.VerifyViewChange(vc); err != nil {
+	if err := p.Ver.VerifyViewChange(vc); err != nil {
 		return nil
 	}
 	set, ok := p.viewChanges[vc.NewViewNum]
@@ -422,14 +429,14 @@ func (p *preparation) onViewChange(host tee.Host, vc *messages.ViewChange) []tee
 		return nil
 	}
 	set[vc.Replica] = vc
-	if p.primary(vc.NewViewNum) != p.id || len(set) < p.quorum() {
+	if p.Primary(vc.NewViewNum) != p.ID || len(set) < p.Quorum() {
 		return nil
 	}
 	// Become the primary of the new view.
-	vcs := make([]messages.ViewChange, 0, p.quorum())
+	vcs := make([]messages.ViewChange, 0, p.Quorum())
 	for _, v := range set {
 		vcs = append(vcs, *v)
-		if len(vcs) == p.quorum() {
+		if len(vcs) == p.Quorum() {
 			break
 		}
 	}
@@ -437,12 +444,12 @@ func (p *preparation) onViewChange(host tee.Host, vc *messages.ViewChange) []tee
 	// their own: they travel only inside the NewView, whose Ed25519
 	// signature (same signing compartment) covers them.
 	var sign messages.NewViewSigner
-	if !p.macMode() {
+	if !p.MACMode() {
 		sign = host.Sign
 	}
-	stable, pps := messages.ComputeNewViewPrePrepares(vc.NewViewNum, p.id, vcs, sign)
+	stable, pps := messages.ComputeNewViewPrePrepares(vc.NewViewNum, p.ID, vcs, sign)
 	var ctrBase uint64
-	if p.trustedMode() {
+	if p.TrustedMode() {
 		// Attest the re-issues with fresh counter values. CtrBase is the
 		// counter position before attesting; the re-issues (contiguous from
 		// Stable.Seq+1 by construction) consume CtrBase+1..CtrBase+k in
@@ -461,7 +468,7 @@ func (p *preparation) onViewChange(host tee.Host, vc *messages.ViewChange) []tee
 		ViewChanges: vcs,
 		Stable:      stable,
 		PrePrepares: pps,
-		Replica:     p.id,
+		Replica:     p.ID,
 		CtrBase:     ctrBase,
 	}
 	nv.Sig = host.Sign(nv.SigningBytes())
@@ -469,9 +476,9 @@ func (p *preparation) onViewChange(host tee.Host, vc *messages.ViewChange) []tee
 	p.installView(nv.View, stable, pps, ctrBase)
 	delete(p.viewChanges, vc.NewViewNum)
 	out := []tee.OutMsg{
-		broadcastOut(nv),
-		localOut(crypto.RoleConfirmation, nv),
-		localOut(crypto.RoleExecution, nv),
+		compartment.BroadcastOut(nv),
+		compartment.LocalOut(crypto.RoleConfirmation, nv),
+		compartment.LocalOut(crypto.RoleExecution, nv),
 	}
 	// The new primary re-leases the group immediately: every lease from
 	// the previous view is dead on arrival at any correct Execution
@@ -484,35 +491,35 @@ func (p *preparation) onViewChange(host tee.Host, vc *messages.ViewChange) []tee
 // including recomputing the re-issued PrePrepares from the embedded
 // ViewChanges, the complex logic the paper notes is repeated here — and
 // prepare the re-issued slots.
-func (p *preparation) onNewView(host tee.Host, nv *messages.NewView) []tee.OutMsg {
-	if nv.View < p.view {
+func (p *Compartment) onNewView(host tee.Host, nv *messages.NewView) []tee.OutMsg {
+	if nv.View < p.View {
 		return nil
 	}
-	if err := p.ver.VerifyNewView(nv); err != nil {
+	if err := p.Ver.VerifyNewView(nv); err != nil {
 		return nil
 	}
 	p.installView(nv.View, nv.Stable, nv.PrePrepares, nv.CtrBase)
 	var out []tee.OutMsg
-	if p.primary(nv.View) != p.id {
+	if p.Primary(nv.View) != p.ID {
 		for i := range nv.PrePrepares {
 			pp := &nv.PrePrepares[i]
-			if pp.Seq <= p.lowWatermark || !p.record(pp.View, pp.Seq, pp.Digest) {
+			if pp.Seq <= p.LowWatermark || !p.record(pp.View, pp.Seq, pp.Digest) {
 				continue
 			}
-			if p.trustedMode() {
+			if p.TrustedMode() {
 				continue // counter-attested re-issues need no Prepare votes
 			}
-			prep := &messages.Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Replica: p.id}
-			prep.Sig, prep.Auth = p.authenticate(host, prep)
-			out = append(out, localFirst(prep, crypto.RoleConfirmation)...)
+			prep := &messages.Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Replica: p.ID}
+			prep.Sig, prep.Auth = p.Authenticate(host, prep)
+			out = append(out, compartment.LocalFirst(prep, crypto.RoleConfirmation)...)
 		}
 	}
 	return out
 }
 
 // installView moves the compartment into a new view.
-func (p *preparation) installView(view uint64, stable messages.CheckpointCert, pps []messages.PrePrepare, ctrBase uint64) {
-	p.view = view
+func (p *Compartment) installView(view uint64, stable messages.CheckpointCert, pps []messages.PrePrepare, ctrBase uint64) {
+	p.View = view
 	p.lastGrant = time.Time{} // a new view's primary leases afresh, at once
 	// Reachability must be proven anew under the new view: old acks echo
 	// grant rounds of a dead primary.
@@ -523,26 +530,26 @@ func (p *preparation) installView(view uint64, stable messages.CheckpointCert, p
 		p.leaseFence = p.clock.Now().Add(2*p.leaseTTL + p.leaseTTL/2)
 	}
 	p.fenced = nil // parked batches re-arrive via client retransmission
-	p.advanceStable(stable)
-	if p.trustedMode() {
+	p.AdvanceStable(stable)
+	if p.TrustedMode() {
 		// Re-pin the affine counter law: proposals of the new view consume
 		// ctrBase+1.. sequence-aligned at the stable checkpoint.
-		p.ctrBase, p.seqBase = ctrBase, stable.Seq
+		p.CtrBase, p.SeqBase = ctrBase, stable.Seq
 	}
-	maxSeq := p.lowWatermark
+	maxSeq := p.LowWatermark
 	for i := range pps {
 		if pps[i].Seq > maxSeq {
 			maxSeq = pps[i].Seq
 		}
-		if p.primary(view) == p.id {
+		if p.Primary(view) == p.ID {
 			p.record(pps[i].View, pps[i].Seq, pps[i].Digest)
 		}
 	}
 	if maxSeq > p.nextSeq {
 		p.nextSeq = maxSeq
 	}
-	if p.nextSeq < p.lowWatermark {
-		p.nextSeq = p.lowWatermark
+	if p.nextSeq < p.LowWatermark {
+		p.nextSeq = p.LowWatermark
 	}
 	p.gc()
 	for target := range p.viewChanges {
@@ -553,24 +560,24 @@ func (p *preparation) installView(view uint64, stable messages.CheckpointCert, p
 }
 
 // onCheckpointGC is the duplicated checkpoint handler (9).
-func (p *preparation) onCheckpointGC(host tee.Host, c *messages.Checkpoint) {
-	cert := p.onCheckpoint(host, c)
+func (p *Compartment) onCheckpointGC(host tee.Host, c *messages.Checkpoint) {
+	cert := p.OnCheckpoint(host, c)
 	if cert == nil {
 		return
 	}
-	if p.advanceStable(*cert) {
-		if p.nextSeq < p.lowWatermark {
-			p.nextSeq = p.lowWatermark
+	if p.AdvanceStable(*cert) {
+		if p.nextSeq < p.LowWatermark {
+			p.nextSeq = p.LowWatermark
 		}
 		p.gc()
 	}
 }
 
 // gc prunes proposals at or below the watermark.
-func (p *preparation) gc() {
+func (p *Compartment) gc() {
 	for view, vs := range p.proposals {
 		for seq := range vs {
-			if seq <= p.lowWatermark {
+			if seq <= p.LowWatermark {
 				delete(vs, seq)
 			}
 		}
@@ -578,4 +585,71 @@ func (p *preparation) gc() {
 			delete(p.proposals, view)
 		}
 	}
+}
+
+// ExportState implements tee.Durable. The proposal record is the
+// safety-critical part: a primary that forgot what it proposed could
+// equivocate after a restart.
+func (p *Compartment) ExportState() []byte {
+	e := p.BeginExport()
+	e.U64(p.nextSeq)
+	// Trusted-counter position (zero in classic mode): restoring it before
+	// WAL replay keeps the counter and the sequence space in lockstep — the
+	// replayed proposals re-create their attestations deterministically from
+	// here, landing the counter exactly where the fsynced log ends.
+	var ctr uint64
+	if p.counter != nil {
+		ctr = p.counter.Export()
+	}
+	e.U64(ctr)
+	e.U32(uint32(len(p.proposals)))
+	for view, vs := range p.proposals {
+		e.U64(view)
+		e.U32(uint32(len(vs)))
+		for seq, digest := range vs {
+			e.U64(seq)
+			e.Digest(digest)
+		}
+	}
+	if p.lastNewView != nil {
+		e.Bool(true)
+		e.VarMessage(p.lastNewView)
+	} else {
+		e.Bool(false)
+	}
+	return p.EndExport(e)
+}
+
+// ImportState implements tee.Durable.
+func (p *Compartment) ImportState(data []byte) error {
+	d, err := p.BeginImport(data, "preparation")
+	if err != nil {
+		return err
+	}
+	p.nextSeq = d.U64()
+	if ctr := d.U64(); p.counter != nil {
+		p.counter.Import(ctr)
+	}
+	p.proposals = make(map[uint64]map[uint64]crypto.Digest)
+	nViews := d.Count(1 << 16)
+	for i := 0; i < nViews; i++ {
+		view := d.U64()
+		vs := make(map[uint64]crypto.Digest)
+		nSeqs := d.Count(1 << 20)
+		for j := 0; j < nSeqs; j++ {
+			seq := d.U64()
+			vs[seq] = d.Digest()
+		}
+		p.proposals[view] = vs
+	}
+	p.viewChanges = make(map[uint64]map[uint32]*messages.ViewChange)
+	p.lastNewView = nil
+	if d.Bool() {
+		nv, err := compartment.DecodeMessage[*messages.NewView](d)
+		if err != nil {
+			return err
+		}
+		p.lastNewView = nv
+	}
+	return d.Finish()
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/splitbft/splitbft/internal/compartment"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/genset"
 	"github.com/splitbft/splitbft/internal/messages"
@@ -50,10 +51,10 @@ func (cs *comStore) drain() { cs.wg.Wait() }
 func (cs *comStore) persistRun(run []ecall) {
 	for k := range run {
 		p := run[k].payload
-		if len(p) == 1 && p[0] == ecallTick {
+		if len(p) == 1 && p[0] == compartment.EcallTick {
 			continue
 		}
-		if len(p) > 1 && p[0] == ecallMessage && inboundRoutes[p[1]].lease {
+		if len(p) > 1 && p[0] == compartment.EcallMessage && inboundRoutes[p[1]].lease {
 			continue
 		}
 		_, _ = cs.st.Append(p)
@@ -130,13 +131,12 @@ func (pb *pooledBuf) release() {
 	}
 }
 
-// frameMessage frames encoded wire-message bytes as an ecallMessage
+// frameMessage frames encoded wire-message bytes as an EcallMessage
 // payload in a pooled buffer carrying refs references (one per
-// destination queue). wrapMessage in config.go is the unpooled sibling
-// with the same byte layout, kept for compartment-level tests.
+// destination queue).
 func frameMessage(data []byte, refs int32) *pooledBuf {
 	pb := newPooledBuf(refs, len(data)+1)
-	pb.buf = append(pb.buf, ecallMessage)
+	pb.buf = append(pb.buf, compartment.EcallMessage)
 	pb.buf = append(pb.buf, data...)
 	return pb
 }
@@ -145,16 +145,16 @@ func frameMessage(data []byte, refs int32) *pooledBuf {
 // straight into the pooled buffer.
 func frameMsg(m messages.Message, refs int32) *pooledBuf {
 	pb := newPooledBuf(refs, 64)
-	pb.buf = append(pb.buf, ecallMessage)
+	pb.buf = append(pb.buf, compartment.EcallMessage)
 	pb.buf = messages.AppendMessage(pb.buf, m)
 	return pb
 }
 
-// frameBatch frames a request batch as an ecallBatch payload (single
+// frameBatch frames a request batch as an EcallBatch payload (single
 // destination: the Preparation compartment).
 func frameBatch(b *messages.Batch) *pooledBuf {
 	pb := newPooledBuf(1, 64)
-	pb.buf = append(pb.buf, ecallBatch)
+	pb.buf = append(pb.buf, compartment.EcallBatch)
 	pb.buf = messages.AppendBatch(pb.buf, b)
 	return pb
 }
@@ -366,6 +366,15 @@ type broker struct {
 	mDeduped     atomic.Uint64 // retransmits dropped pre-ecall
 	mViewChanges atomic.Uint64 // view-estimate advances (observed NewView or own suspicion)
 
+	// Execution's protocol events, counted by countEvent from the outputs
+	// the broker forwards.
+	mLocalReads     atomic.Uint64 // ReadReplys served under a lease
+	mLeaseRefusals  atomic.Uint64 // ReadReplys refusing the local read
+	mReadIndexes    atomic.Uint64 // ReadIndex frontier queries
+	mStallFetches   atomic.Uint64 // BatchFetches for a missing body
+	mProbesSent     atomic.Uint64 // StateProbes: rejoin nudges and state asks
+	mProbesAnswered atomic.Uint64 // StateReplys answering a peer's probe
+
 	// tr is the request-lifecycle tracer (nil when observability is off).
 	// Every stamp below sits behind a nil check; the broker stamps spans at
 	// exactly the points where requests cross a compartment boundary it can
@@ -387,14 +396,10 @@ const dedupEntries = 1 << 13
 // liveness only (a dropped ask is re-sent, and admitted next period).
 const fetchBudgetPerPeriod = 128
 
-func newBroker(cfg Config, prep, conf, exec *tee.Enclave, stores map[crypto.Role]*comStore) *broker {
+func newBroker(cfg Config, enclaves [3]*tee.Enclave, stores map[crypto.Role]*comStore) *broker {
 	b := &broker{
-		cfg: cfg,
-		enclaves: map[crypto.Role]*tee.Enclave{
-			crypto.RolePreparation:  prep,
-			crypto.RoleConfirmation: conf,
-			crypto.RoleExecution:    exec,
-		},
+		cfg:         cfg,
+		enclaves:    make(map[crypto.Role]*tee.Enclave, len(enclaves)),
 		stores:      stores,
 		dedup:       newDedup(dedupEntries),
 		pendingKeys: make(map[reqKey]bool),
@@ -403,6 +408,9 @@ func newBroker(cfg Config, prep, conf, exec *tee.Enclave, stores map[crypto.Role
 		fetchBudget: fetchBudgetPerPeriod,
 		stop:        make(chan struct{}),
 		tr:          cfg.Obs.Trace(),
+	}
+	for _, enc := range enclaves {
+		b.enclaves[enc.Identity().Role] = enc
 	}
 	if cfg.SingleThread {
 		b.queues = []*queue{newQueue()}
@@ -543,6 +551,7 @@ func (b *broker) dispatch(q *queue) {
 func (b *broker) route(out []tee.OutMsg, peers [][][]byte) {
 	for i := range out {
 		m := &out[i]
+		b.countEvent(m.Payload)
 		switch m.Kind {
 		case tee.DestBroadcast:
 			b.observeOutbound(m.Payload)
@@ -583,6 +592,33 @@ func (b *broker) route(out []tee.OutMsg, peers [][][]byte) {
 		}
 		clear(frames) // the payloads are the run's, not the scratch's, to keep alive
 		peers[id] = frames[:0]
+	}
+}
+
+// countEvent counts the protocol event an enclave output stands for, by its
+// type byte alone. Only the Execution compartment emits these types, so the
+// environment counts its reads, fetches and probes without reading enclave
+// memory; outputs it never forwards — a crashed enclave's, a WAL replay's, a
+// run whose inputs failed to sync — count nothing.
+func (b *broker) countEvent(data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	switch messages.Type(data[0]) {
+	case messages.TReadReply:
+		if _, _, served, ok := messages.ReadReplyHeader(data); ok && served {
+			b.mLocalReads.Add(1)
+		} else if ok {
+			b.mLeaseRefusals.Add(1)
+		}
+	case messages.TReadIndex:
+		b.mReadIndexes.Add(1)
+	case messages.TBatchFetch:
+		b.mStallFetches.Add(1)
+	case messages.TStateProbe:
+		b.mProbesSent.Add(1)
+	case messages.TStateReply:
+		b.mProbesAnswered.Add(1)
 	}
 }
 
@@ -685,15 +721,11 @@ func (b *broker) noteClientBound(data []byte) (client uint32, ts uint64, kind in
 		b.tr.Stamp(client, ts, obs.StageExecute)
 		return client, ts, clientBoundReply
 	case messages.TReadReply:
-		if b.tr == nil {
+		client, ts, _, ok := messages.ReadReplyHeader(data)
+		if !ok {
 			return 0, 0, clientBoundOther
 		}
-		m, err := messages.Unmarshal(data)
-		if err != nil {
-			return 0, 0, clientBoundOther
-		}
-		rep := m.(*messages.ReadReply)
-		return rep.ClientID, rep.Timestamp, clientBoundReadReply
+		return client, ts, clientBoundReadReply
 	}
 	return 0, 0, clientBoundOther
 }
@@ -1052,7 +1084,7 @@ func (b *broker) onTick(now time.Time) {
 		// probe (and the missing-body stall detector) even when no
 		// protocol traffic flows, and ages out parked leased reads.
 		// Never persisted — see persistRun.
-		b.submit(crypto.RoleExecution, []byte{ecallTick}, nil)
+		b.submit(crypto.RoleExecution, []byte{compartment.EcallTick}, nil)
 	}
 	if leaseTick {
 		// With read leases on, the Preparation compartment runs on its own
@@ -1061,7 +1093,7 @@ func (b *broker) onTick(now time.Time) {
 		// an idle cluster keeps serving local reads. Deliberately NOT the
 		// Execution tick above — lease renewal must not drain Execution's
 		// rejoin-probe budget or distort its stall detector.
-		b.submit(crypto.RolePreparation, []byte{ecallTick}, nil)
+		b.submit(crypto.RolePreparation, []byte{compartment.EcallTick}, nil)
 	}
 	if suspect {
 		b.mSuspects.Add(1)

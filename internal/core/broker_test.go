@@ -9,6 +9,10 @@ import (
 	"time"
 
 	"github.com/splitbft/splitbft/internal/app"
+	"github.com/splitbft/splitbft/internal/compartment"
+	"github.com/splitbft/splitbft/internal/compartment/confirmation"
+	"github.com/splitbft/splitbft/internal/compartment/execution"
+	"github.com/splitbft/splitbft/internal/compartment/preparation"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/messages"
 	"github.com/splitbft/splitbft/internal/store"
@@ -114,7 +118,7 @@ func TestQueueConcurrentProducers(t *testing.T) {
 func TestQueueSteadyStateNoGrowth(t *testing.T) {
 	q := newQueue()
 	const total, depth = 100_000, 32
-	payload := []byte{ecallMessage}
+	payload := []byte{compartment.EcallMessage}
 	for i := 0; i < total; i++ {
 		q.push(ecall{payload: payload})
 		if i >= depth {
@@ -167,7 +171,7 @@ func TestQueueDrainBatches(t *testing.T) {
 
 func BenchmarkBrokerQueue(b *testing.B) {
 	q := newQueue()
-	payload := []byte{ecallMessage}
+	payload := []byte{compartment.EcallMessage}
 	b.Run("PushPop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q.push(ecall{payload: payload})
@@ -190,13 +194,8 @@ func BenchmarkBrokerQueue(b *testing.B) {
 func newTestBroker(t *testing.T, singleThread bool) (*broker, Config) {
 	t.Helper()
 	reg := crypto.NewRegistry()
-	cfg := Config{
-		N: 4, F: 1, ID: 0,
-		Registry:  reg,
-		MACSecret: []byte("broker-test"),
-		App:       app.NewKVS(),
-	}
-	cfg.SingleThread = singleThread
+	cfg := Config{Registry: reg, App: app.NewKVS(), SingleThread: singleThread}
+	cfg.N, cfg.F, cfg.MACSecret = 4, 1, []byte("broker-test")
 	cfg = cfg.withDefaults()
 	ver, err := messages.NewVerifier(cfg.N, cfg.F, reg, messages.SplitScheme())
 	if err != nil {
@@ -210,10 +209,14 @@ func newTestBroker(t *testing.T, singleThread bool) (*broker, Config) {
 		reg.Register(enc.Identity(), enc.PublicKey())
 		return enc
 	}
-	prep := mk(crypto.RolePreparation, newPreparation(cfg, ver, nil))
-	conf := mk(crypto.RoleConfirmation, newConfirmation(cfg, ver))
-	exec := mk(crypto.RoleExecution, mustExecution(t, cfg, ver))
-	return newBroker(cfg, prep, conf, exec, nil), cfg
+	execCode, err := execution.New(cfg.Config, cfg.App, ver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep := mk(crypto.RolePreparation, preparation.New(cfg.Config, ver, nil))
+	conf := mk(crypto.RoleConfirmation, confirmation.New(cfg.Config, ver))
+	exec := mk(crypto.RoleExecution, execCode)
+	return newBroker(cfg, [3]*tee.Enclave{prep, conf, exec}, nil), cfg
 }
 
 func TestBrokerQueueTopology(t *testing.T) {
@@ -421,7 +424,7 @@ func TestBrokerWALSkipsLeaseTraffic(t *testing.T) {
 	}
 	var ticks []ecall
 	for _, role := range compartmentRoles {
-		ticks = append(ticks, ecall{role: role, payload: []byte{ecallTick}})
+		ticks = append(ticks, ecall{role: role, payload: []byte{compartment.EcallTick}})
 	}
 	runQueued(b, &sendLog{}, ticks)
 	for _, role := range compartmentRoles {
@@ -437,7 +440,7 @@ func TestBrokerWALSkipsLeaseTraffic(t *testing.T) {
 		_ = st.Close()
 		var got []byte
 		for _, r := range rec.Records {
-			if len(r) < 2 || r[0] != ecallMessage {
+			if len(r) < 2 || r[0] != compartment.EcallMessage {
 				t.Fatalf("%v logged %x, want only messages", role, r)
 			}
 			got = append(got, r[1])
@@ -527,7 +530,7 @@ func TestBrokerBatchCutOnSize(t *testing.T) {
 	}
 	q := b.queueFor(crypto.RolePreparation)
 	e, ok := q.pop()
-	if !ok || e.payload[0] != ecallBatch {
+	if !ok || e.payload[0] != compartment.EcallBatch {
 		t.Fatal("preparation queue does not hold a batch ecall")
 	}
 	batch, err := messages.UnmarshalBatch(e.payload[1:])
@@ -746,6 +749,43 @@ func TestBrokerNewViewRestartsDetector(t *testing.T) {
 	b.onTick(time.Now())
 	if got := b.mSuspects.Load(); got != 1 {
 		t.Fatalf("suspects = %d after a NewView this replica never asked for, want 1", got)
+	}
+}
+
+// TestBrokerCountsExecutionEvents: the broker counts Execution's protocol
+// events by the type of each output it routes, whatever its destination —
+// a served and a refused ReadReply, a ReadIndex to the primary and to the
+// replica's own Preparation, a BatchFetch, a StateProbe and a StateReply —
+// and nothing for the other outputs it forwards.
+func TestBrokerCountsExecutionEvents(t *testing.T) {
+	b, cfg := newTestBroker(t, false)
+	out := []tee.OutMsg{
+		{Kind: tee.DestClient, ID: 42, Payload: messages.Marshal(&messages.ReadReply{ClientID: 42, Timestamp: 1, OK: true})},
+		{Kind: tee.DestClient, ID: 42, Payload: messages.Marshal(&messages.ReadReply{ClientID: 42, Timestamp: 2})},
+		{Kind: tee.DestReplica, ID: 1, Payload: messages.Marshal(&messages.ReadIndex{Holder: 0, Epoch: 1})},
+		{Kind: tee.DestLocal, Local: crypto.RolePreparation, Payload: messages.Marshal(&messages.ReadIndex{Holder: 0, Epoch: 2})},
+		{Kind: tee.DestBroadcast, Payload: messages.Marshal(&messages.BatchFetch{Seq: 5, Replica: 0})},
+		{Kind: tee.DestReplica, ID: 2, Payload: messages.Marshal(&messages.StateProbe{Have: 3, Replica: 0})},
+		{Kind: tee.DestReplica, ID: 3, Payload: messages.Marshal(&messages.StateReply{Replica: 0})},
+		{Kind: tee.DestClient, ID: 42, Payload: messages.Marshal(&messages.Reply{ClientID: 42, Timestamp: 3})},
+		{Kind: tee.DestBroadcast, Payload: messages.Marshal(&messages.Commit{Seq: 5, Replica: 0})},
+	}
+	b.route(out, make([][][]byte, cfg.N))
+	for name, got := range map[string]uint64{
+		"local reads":     b.mLocalReads.Load(),
+		"lease refusals":  b.mLeaseRefusals.Load(),
+		"read indexes":    b.mReadIndexes.Load(),
+		"stall fetches":   b.mStallFetches.Load(),
+		"probes sent":     b.mProbesSent.Load(),
+		"probes answered": b.mProbesAnswered.Load(),
+	} {
+		want := uint64(1)
+		if name == "read indexes" {
+			want = 2
+		}
+		if got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

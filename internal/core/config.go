@@ -1,21 +1,11 @@
-// Package core implements SplitBFT: PBFT compartmentalized into three
-// independently-failing trusted compartments per replica (paper §3–§4).
-//
-//   - The Preparation compartment receives client batches, assigns sequence
-//     numbers (primary), emits PrePrepares/Prepares, and creates/validates
-//     NewView messages.
-//   - The Confirmation compartment collects prepare certificates
-//     (1 PrePrepare + 2f Prepares), emits Commits, and initiates view
-//     changes.
-//   - The Execution compartment collects commit certificates (2f+1
-//     Commits), executes client requests against the application, replies
-//     (encrypted) to clients, and originates Checkpoints.
-//
-// Each compartment runs inside a simulated SGX enclave (internal/tee) with
-// its own key pair, log, view variable and watermarks; compartments only
-// change state on quorum certificates (principle P5). The untrusted broker
-// (environment) handles networking, batching and timers — all of which can
-// only hurt liveness, never safety (principle P1).
+// Package core is the untrusted environment of a SplitBFT replica (paper
+// §3–§5): it launches the three compartment enclaves — packages
+// compartment/preparation, compartment/confirmation and
+// compartment/execution, each linking only the shared trusted code in
+// package compartment — and runs the broker that handles their networking,
+// batching, timers and durable storage, all of which can only hurt
+// liveness, never safety (principle P1). It reads no compartment's memory:
+// what it knows of the compartments it learns from the messages they emit.
 package core
 
 import (
@@ -24,6 +14,7 @@ import (
 	"time"
 
 	"github.com/splitbft/splitbft/internal/app"
+	"github.com/splitbft/splitbft/internal/compartment"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/defaults"
 	"github.com/splitbft/splitbft/internal/messages"
@@ -32,31 +23,17 @@ import (
 	"github.com/splitbft/splitbft/internal/tee"
 )
 
-// Defaults for Config fields left zero, shared with the client library and
-// the public facade through internal/defaults.
-const (
-	DefaultCheckpointInterval = defaults.CheckpointInterval
-	DefaultWatermarkWindow    = defaults.WatermarkWindow
-	DefaultBatchSize          = defaults.BatchSize
-	DefaultBatchTimeout       = defaults.BatchTimeout
-	DefaultRequestTimeout     = defaults.RequestTimeout
-)
-
 // Config parameterizes one SplitBFT replica (three enclaves plus broker).
 type Config struct {
-	// N is the number of replicas (3F+1, or 2F+1 in trusted consensus); F
-	// the fault threshold.
-	N, F int
-	// ID is this replica's index in [0, N).
-	ID uint32
+	// Config holds what the compartments read: the group shape, client MAC
+	// secret, confidentiality, agreement intervals, read leases and the
+	// lease clock.
+	compartment.Config
 
 	// Registry resolves enclave public keys; NewReplica registers this
 	// replica's enclave keys into it (the deployment-time attestation
 	// step).
 	Registry *crypto.Registry
-	// MACSecret derives the pairwise client MAC keys for the Preparation
-	// and Execution enclaves.
-	MACSecret []byte
 	// KeySeed, when set, derives the enclave key pairs deterministically
 	// so separate processes can compute each other's public keys with
 	// RegisterDeterministicKeys — the multi-process stand-in for the
@@ -66,9 +43,6 @@ type Config struct {
 
 	// App is the replicated application, run inside the Execution enclave.
 	App app.Application
-	// Confidential enables end-to-end encrypted requests/replies. Clients
-	// must attest and provision a session key before invoking.
-	Confidential bool
 
 	// AgreementAuth selects how normal-case agreement traffic (PrePrepare,
 	// Prepare, Commit, Checkpoint) is authenticated between replicas:
@@ -109,12 +83,11 @@ type Config struct {
 	// (2ms); negative fsyncs on every append.
 	FsyncInterval time.Duration
 
-	// Agreement parameters; see the pbft package for semantics.
-	CheckpointInterval uint64
-	WatermarkWindow    uint64
-	BatchSize          int
-	BatchTimeout       time.Duration
-	RequestTimeout     time.Duration
+	// Batching and failure-detection parameters; see the pbft package for
+	// semantics.
+	BatchSize      int
+	BatchTimeout   time.Duration
+	RequestTimeout time.Duration
 
 	// Obs attaches the observability layer: the metrics registry collects
 	// every stat surface of the replica and the tracer records sampled
@@ -123,30 +96,6 @@ type Config struct {
 	// degrades to a nil check on the hot path.
 	Obs *obs.Observer
 
-	// ReadLeases enables the lease-anchored local read fast path: the
-	// primary's trusted counter enclave issues time-bounded read leases to
-	// every replica (piggybacked on proposal traffic and renewed on the
-	// failure-detector clock), and a lease-holding Execution compartment
-	// serves ReadRequests locally — no agreement round. Works in either
-	// consensus mode (it instantiates the counter enclave on its own in
-	// classic mode). Leaseless or stale replicas refuse, and clients fall
-	// back to the agreement path, so the worst case is classic read cost.
-	ReadLeases bool
-	// LeaseTTL bounds a read lease's validity from its grant time. It must
-	// stay below the failure-detector period (RequestTimeout): leases are
-	// the window in which a replica partitioned away from a view change can
-	// still believe its lease, so they must expire before the rest of the
-	// cluster has detected the failure, elected a new primary, and started
-	// committing new writes. withDefaults therefore clamps LeaseTTL to
-	// RequestTimeout/4 — a new primary's write fence (2.5×TTL) then still
-	// fits inside one detection period. Renewal runs at TTL/4 and the
-	// clock-skew margin is TTL/8. 0 means RequestTimeout/4.
-	LeaseTTL time.Duration
-
-	// Clock, when non-nil, replaces real time on the lease-safety paths
-	// (grant freshness, holder validity, the new-primary write fence) so
-	// chaos tests can inject per-replica clock skew. Nil reads real time.
-	Clock *SkewClock
 	// DiskFaults, when non-nil, is shared by all three compartments'
 	// durability stores as their chaos fault injector (write error, fsync
 	// error, slow-disk stall). Nil injects nothing.
@@ -155,19 +104,19 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.CheckpointInterval == 0 {
-		c.CheckpointInterval = DefaultCheckpointInterval
+		c.CheckpointInterval = defaults.CheckpointInterval
 	}
 	if c.WatermarkWindow == 0 {
-		c.WatermarkWindow = DefaultWatermarkWindow
+		c.WatermarkWindow = defaults.WatermarkWindow
 	}
 	if c.BatchSize == 0 {
-		c.BatchSize = DefaultBatchSize
+		c.BatchSize = defaults.BatchSize
 	}
 	if c.BatchTimeout == 0 {
-		c.BatchTimeout = DefaultBatchTimeout
+		c.BatchTimeout = defaults.BatchTimeout
 	}
 	if c.RequestTimeout == 0 {
-		c.RequestTimeout = DefaultRequestTimeout
+		c.RequestTimeout = defaults.RequestTimeout
 	}
 	// Default and clamp: a lease must never outlive view-change detection
 	// (the failure detector suspects after one RequestTimeout), or a
@@ -216,46 +165,4 @@ func RequestAuthReceivers(n int) []crypto.Identity {
 		out = append(out, crypto.Identity{ReplicaID: uint32(i), Role: crypto.RoleExecution})
 	}
 	return out
-}
-
-// Compartment code measurements. In real SGX these would be MRENCLAVE
-// values of the three (ideally diversely implemented) enclave binaries;
-// here they are stable digests of the compartment names so attestation has
-// something meaningful to check.
-var (
-	measPreparation  = crypto.HashData([]byte("splitbft/preparation/v1"))
-	measConfirmation = crypto.HashData([]byte("splitbft/confirmation/v1"))
-	measExecution    = crypto.HashData([]byte("splitbft/execution/v1"))
-)
-
-// ExecutionMeasurement returns the Execution compartment's measurement;
-// clients verify attestation quotes against it before provisioning session
-// keys.
-func ExecutionMeasurement() crypto.Digest { return measExecution }
-
-// Ecall payload tags: the first byte of every ecall distinguishes wire
-// messages from environment-local calls.
-const (
-	ecallMessage byte = 1 // a messages.Marshal envelope follows
-	ecallBatch   byte = 2 // a messages.MarshalBatch body follows (env → Preparation)
-	// ecallTick is an empty periodic nudge from the environment's failure
-	// detector into the Execution compartment (rejoin probing while a
-	// recovered replica may be behind). Ticks carry no state the WAL must
-	// replay and are never persisted.
-	ecallTick byte = 3
-)
-
-// wrapMessage frames a wire message as an ecall payload.
-func wrapMessage(data []byte) []byte {
-	out := make([]byte, 0, len(data)+1)
-	out = append(out, ecallMessage)
-	return append(out, data...)
-}
-
-// wrapBatch frames a request batch as an ecall payload.
-func wrapBatch(b *messages.Batch) []byte {
-	body := messages.MarshalBatch(b)
-	out := make([]byte, 0, len(body)+1)
-	out = append(out, ecallBatch)
-	return append(out, body...)
 }

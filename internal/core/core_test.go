@@ -3,18 +3,16 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"go/parser"
-	"go/token"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/splitbft/splitbft/internal/app"
 	"github.com/splitbft/splitbft/internal/client"
+	"github.com/splitbft/splitbft/internal/compartment/execution"
 	"github.com/splitbft/splitbft/internal/crypto"
+	"github.com/splitbft/splitbft/internal/messages"
+	"github.com/splitbft/splitbft/internal/tee"
 	"github.com/splitbft/splitbft/internal/transport"
 )
 
@@ -71,12 +69,8 @@ func newClusterN(t *testing.T, n, f int, useBlockchain bool, opts ...clusterOpt)
 			c.kvs = append(c.kvs, kvs)
 			a = kvs
 		}
-		cfg := Config{
-			N: c.n, F: c.f, ID: uint32(i),
-			Registry:  c.reg,
-			MACSecret: c.secret,
-			App:       a,
-		}
+		cfg := Config{Registry: c.reg, App: a}
+		cfg.N, cfg.F, cfg.ID, cfg.MACSecret = c.n, c.f, uint32(i), c.secret
 		withFastTimers(&cfg)
 		for _, opt := range opts {
 			opt(&cfg)
@@ -119,7 +113,7 @@ func (c *cluster) client(id uint32) *client.Client {
 		ReplyRole:          crypto.RoleExecution,
 		Confidential:       c.conf,
 		Registry:           c.reg,
-		ExecMeasurement:    ExecutionMeasurement(),
+		ExecMeasurement:    execution.Measurement(),
 		RetransmitInterval: 300 * time.Millisecond,
 		// Generous: view-change tests share the machine with CPU-heavy
 		// benchmark packages under `go test ./...`, and the simulated
@@ -140,6 +134,41 @@ func (c *cluster) client(id uint32) *client.Client {
 	c.clients = append(c.clients, cl)
 	return cl
 }
+
+// testRequest is client clientID's request at ts, MAC-authenticated to
+// every compartment that checks it in an n-replica group keyed from
+// macSecret.
+func testRequest(macSecret []byte, n int, clientID uint32, ts uint64, op []byte) messages.Request {
+	req := messages.Request{ClientID: clientID, Timestamp: ts, Payload: op}
+	macs := crypto.NewMACStore(macSecret, crypto.Identity{ReplicaID: clientID, Role: crypto.RoleClient})
+	req.Auth = macs.Authenticate(req.AuthenticatedBytes(), RequestAuthReceivers(n))
+	return req
+}
+
+// findMsg extracts the first message of a type from enclave outputs.
+func findMsg[T messages.Message](t *testing.T, out []tee.OutMsg, kind tee.DestKind) (T, bool) {
+	t.Helper()
+	var zero T
+	for i := range out {
+		if out[i].Kind != kind {
+			continue
+		}
+		m, err := messages.Unmarshal(out[i].Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typed, ok := m.(T); ok {
+			return typed, true
+		}
+	}
+	return zero, false
+}
+
+// wrapMessage frames a wire message as the broker delivers it to an enclave.
+func wrapMessage(data []byte) []byte { return frameMessage(data, 1).buf }
+
+// wrapBatch frames a request batch as the broker delivers it to Preparation.
+func wrapBatch(b *messages.Batch) []byte { return frameBatch(b).buf }
 
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -457,28 +486,20 @@ func TestSplitUnattestedConfidentialClientGetsNoOp(t *testing.T) {
 	}
 }
 
-// TestCoreDoesNotImportClient: the compartments and their environment link
-// no client code. What the Execution compartment shares with clients — the
-// AEAD associated-data layouts — lives in internal/crypto beside Session, so
-// the client library stays outside every enclave's TCB.
-func TestCoreDoesNotImportClient(t *testing.T) {
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
+// TestLeaseTTLClampedToDetectionPeriod: a lease must never outlive
+// view-change detection, whatever the caller asked for — withDefaults
+// clamps the TTL to RequestTimeout/4 (and defaults a zero TTL there).
+func TestLeaseTTLClampedToDetectionPeriod(t *testing.T) {
+	base := Config{RequestTimeout: 400 * time.Millisecond}
+	if got := base.withDefaults().LeaseTTL; got != 100*time.Millisecond {
+		t.Fatalf("default LeaseTTL = %v, want RequestTimeout/4 = 100ms", got)
 	}
-	fset := token.NewFileSet()
-	for _, path := range files {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); strings.HasSuffix(p, "/internal/client") {
-				t.Errorf("%s imports %s — internal/core must not link the client library", path, p)
-			}
-		}
+	base.LeaseTTL = 2 * time.Second // 5× the detection period: unsafe
+	if got := base.withDefaults().LeaseTTL; got != 100*time.Millisecond {
+		t.Fatalf("oversized LeaseTTL clamped to %v, want 100ms", got)
+	}
+	base.LeaseTTL = 20 * time.Millisecond // below the clamp: honored
+	if got := base.withDefaults().LeaseTTL; got != 20*time.Millisecond {
+		t.Fatalf("small LeaseTTL rewritten to %v, want 20ms", got)
 	}
 }

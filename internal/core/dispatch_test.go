@@ -133,8 +133,10 @@ func scriptBroker(t *testing.T, singleThread bool, stores map[crypto.Role]*comSt
 			cs.enc = enc
 		}
 	}
-	cfg := Config{N: 4, F: 1, SingleThread: singleThread}.withDefaults()
-	b := newBroker(cfg, encs[crypto.RolePreparation], encs[crypto.RoleConfirmation], encs[crypto.RoleExecution], stores)
+	cfg := Config{SingleThread: singleThread}
+	cfg.N, cfg.F = 4, 1
+	cfg = cfg.withDefaults()
+	b := newBroker(cfg, [3]*tee.Enclave{encs[crypto.RolePreparation], encs[crypto.RoleConfirmation], encs[crypto.RoleExecution]}, stores)
 	return b, codes
 }
 

@@ -28,12 +28,11 @@ func enclaveKeyStream(seed []byte, replica uint32, role crypto.Role) io.Reader {
 // counter-attestation keys of trusted consensus — with peer processes they
 // never attest live.
 func RegisterDeterministicKeys(reg *crypto.Registry, seed []byte, n int) error {
-	roles := []crypto.Role{crypto.RolePreparation, crypto.RoleConfirmation, crypto.RoleExecution}
 	for id := 0; id < n; id++ {
 		// The counter enclave's keys come from its own stream, separate
 		// from the compartment enclaves' streams (the compartments'
 		// identity → seal → ECDH read order stays untouched), read as
-		// tee.NewTrustedCounterWithRand reads them: identity key, then ECDH
+		// counter.NewWithRand reads them: identity key, then ECDH
 		// key, no sealing key in between. They are registered
 		// unconditionally: harmless in classic deployments, and required
 		// before any trusted-mode peer process verifies a counter
@@ -41,7 +40,7 @@ func RegisterDeterministicKeys(reg *crypto.Registry, seed []byte, n int) error {
 		if err := registerStreamKeys(reg, seed, uint32(id), crypto.RoleCounter, false); err != nil {
 			return err
 		}
-		for _, role := range roles {
+		for _, role := range compartmentRoles {
 			if err := registerStreamKeys(reg, seed, uint32(id), role, true); err != nil {
 				return err
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/splitbft/splitbft/internal/app"
+	"github.com/splitbft/splitbft/internal/compartment"
 	"github.com/splitbft/splitbft/internal/crypto"
 )
 
@@ -12,11 +13,12 @@ func TestDeterministicKeysMatchEnclaves(t *testing.T) {
 	seed := []byte("deployment-seed")
 	reg1 := crypto.NewRegistry()
 	r, err := NewReplica(Config{
-		N: 4, F: 1, ID: 2,
-		Registry: reg1, MACSecret: []byte("s"), KeySeed: seed,
-		App: app.NewKVS(),
-		// Read leases launch the counter enclave on a classic group too.
-		ReadLeases: true,
+		Config: compartment.Config{
+			N: 4, F: 1, ID: 2, MACSecret: []byte("s"),
+			// Read leases launch the counter enclave on a classic group too.
+			ReadLeases: true,
+		},
+		Registry: reg1, KeySeed: seed, App: app.NewKVS(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,13 +5,16 @@ import (
 	"github.com/splitbft/splitbft/internal/obs"
 )
 
-// compartmentRoles is the fixed emission order for per-compartment series;
-// it matches the construction order of r.vers and r.caches in NewReplica.
+// compartmentRoles is the order NewReplica builds the compartments' enclaves,
+// verifiers and caches in, and the emission order of per-compartment series.
 var compartmentRoles = [3]crypto.Role{crypto.RolePreparation, crypto.RoleConfirmation, crypto.RoleExecution}
 
 // EventStats are the protocol-event counters the untrusted environment
-// tracks outside the enclaves (the obs registry exposes them as series;
-// this struct is the programmatic view).
+// keeps outside the enclaves (the obs registry exposes them as series; this
+// struct is the programmatic view). The broker counts each from the messages
+// it forwards: its own view estimate, and the type of every Execution
+// output, so nothing is read from enclave memory and an output a WAL replay
+// discards counts nothing.
 type EventStats struct {
 	// ViewChanges counts advances of this replica's view estimate —
 	// observed NewView messages and its own suspicion-driven bumps.
@@ -36,17 +39,13 @@ type EventStats struct {
 func (r *Replica) Events() EventStats {
 	return EventStats{
 		ViewChanges:    r.broker.mViewChanges.Load(),
-		LeaseRefusals:  r.execCode.evLeaseRefusals.Load(),
-		ReadIndexes:    r.execCode.evReadIndexes.Load(),
-		StallFetches:   r.execCode.evStallFetches.Load(),
-		ProbesSent:     r.execCode.evProbesSent.Load(),
-		ProbesAnswered: r.execCode.evProbesAnswered.Load(),
+		LeaseRefusals:  r.broker.mLeaseRefusals.Load(),
+		ReadIndexes:    r.broker.mReadIndexes.Load(),
+		StallFetches:   r.broker.mStallFetches.Load(),
+		ProbesSent:     r.broker.mProbesSent.Load(),
+		ProbesAnswered: r.broker.mProbesAnswered.Load(),
 	}
 }
-
-// ViewChanges returns how many times this replica's view estimate
-// advanced (observed NewView or own suspicion).
-func (r *Replica) ViewChanges() uint64 { return r.broker.mViewChanges.Load() }
 
 // compartmentName is the full paper name of a compartment's role, used as
 // the metrics label and healthz key; Role.String() is the short wire form.
@@ -67,11 +66,11 @@ func compartmentName(role crypto.Role) string {
 // (a real deployment would ask the hypervisor whether the enclave process
 // still runs).
 func (r *Replica) EnclavesAlive() map[string]bool {
-	return map[string]bool{
-		compartmentName(crypto.RolePreparation):  !r.prep.Crashed(),
-		compartmentName(crypto.RoleConfirmation): !r.conf.Crashed(),
-		compartmentName(crypto.RoleExecution):    !r.exec.Crashed(),
+	out := make(map[string]bool, len(r.enclaves))
+	for i, enc := range r.enclaves {
+		out[compartmentName(compartmentRoles[i])] = !enc.Crashed()
 	}
+	return out
 }
 
 // WALError returns the first sticky write failure across the
@@ -97,9 +96,9 @@ func (r *Replica) WALError() error {
 // Zeroing them at slightly different times would mix measurement epochs,
 // so this is the only reset entry point.
 func (r *Replica) ResetAllStats() {
-	r.prep.ResetStats()
-	r.conf.ResetStats()
-	r.exec.ResetStats()
+	for _, enc := range r.enclaves {
+		enc.ResetStats()
+	}
 	for _, c := range r.caches {
 		c.Reset()
 	}
@@ -109,7 +108,6 @@ func (r *Replica) ResetAllStats() {
 	if r.counter != nil {
 		r.counter.ResetCreates()
 	}
-	r.execCode.localReads.Store(0)
 	b := r.broker
 	b.mReplies.Store(0)
 	b.mBatches.Store(0)
@@ -117,12 +115,12 @@ func (r *Replica) ResetAllStats() {
 	b.mGarbage.Store(0)
 	b.mDeduped.Store(0)
 	b.mViewChanges.Store(0)
-	e := r.execCode
-	e.evLeaseRefusals.Store(0)
-	e.evReadIndexes.Store(0)
-	e.evStallFetches.Store(0)
-	e.evProbesSent.Store(0)
-	e.evProbesAnswered.Store(0)
+	b.mLocalReads.Store(0)
+	b.mLeaseRefusals.Store(0)
+	b.mReadIndexes.Store(0)
+	b.mStallFetches.Store(0)
+	b.mProbesSent.Store(0)
+	b.mProbesAnswered.Store(0)
 	r.cfg.Obs.Trace().Reset()
 }
 
@@ -176,7 +174,7 @@ func (r *Replica) registerObs() {
 		emit("splitbft_suspects_total", float64(r.Suspects()))
 		emit("splitbft_dedup_drops_total", float64(r.DedupedMsgs()))
 		emit("splitbft_garbage_drops_total", float64(r.DroppedGarbage()))
-		emit("splitbft_view_changes_total", float64(r.ViewChanges()))
+		emit("splitbft_view_changes_total", float64(r.broker.mViewChanges.Load()))
 		emit("splitbft_persisted_blocks_total", float64(r.PersistedBlocks()))
 		emit("splitbft_lease_grants_total", float64(r.LeaseGrants()))
 		emit("splitbft_counter_creates_total", float64(r.CounterCreates()))

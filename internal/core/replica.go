@@ -7,6 +7,10 @@ import (
 	"time"
 
 	"github.com/splitbft/splitbft/internal/app"
+	"github.com/splitbft/splitbft/internal/compartment/confirmation"
+	"github.com/splitbft/splitbft/internal/compartment/execution"
+	"github.com/splitbft/splitbft/internal/compartment/preparation"
+	"github.com/splitbft/splitbft/internal/counter"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/messages"
 	"github.com/splitbft/splitbft/internal/store"
@@ -29,11 +33,10 @@ const replayChunk = 64
 // registers this replica's enclave public keys (the deployment-time
 // attestation step).
 type Replica struct {
-	cfg    Config
-	prep   *tee.Enclave
-	conf   *tee.Enclave
-	exec   *tee.Enclave
-	broker *broker
+	cfg Config
+	// enclaves are the compartments' enclaves, in compartmentRoles order.
+	enclaves [3]*tee.Enclave
+	broker   *broker
 	// caches are the per-compartment verification caches, for stats. Each
 	// compartment owns its own cache — compartments share no state (§3.2),
 	// so a cache is enclave-local.
@@ -46,10 +49,7 @@ type Replica struct {
 	recovery RecoveryStats
 	// counter is the trusted monotonic counter enclave (trusted consensus
 	// mode or read leases; nil otherwise).
-	counter *tee.TrustedCounter
-	// execCode is the Execution compartment's protocol code, kept for the
-	// read-lease statistics (LocalReads).
-	execCode *execution
+	counter *counter.Counter
 }
 
 // RecoveryStats describes what a replica reconstructed from its durability
@@ -88,7 +88,6 @@ func NewReplica(cfg Config) (*Replica, error) {
 	// signers are co-located with it.
 	var vers [3]*messages.Verifier
 	var caches []*messages.VerifyCache
-	compartmentRoles := [3]crypto.Role{crypto.RolePreparation, crypto.RoleConfirmation, crypto.RoleExecution}
 	for i := range vers {
 		ver, err := messages.NewVerifierMode(cfg.N, cfg.F, cfg.Registry, messages.SplitScheme(), cfg.ConsensusMode, cfg.AgreementAuth)
 		if err != nil {
@@ -115,58 +114,47 @@ func NewReplica(cfg Config) (*Replica, error) {
 	// The counter attests with pairwise HMACs, keyed by the same
 	// attested-ECDH establishment the compartments use; its Ed25519 key
 	// signs lease grants.
-	var counter *tee.TrustedCounter
+	var ctr *counter.Counter
 	if cfg.ConsensusMode == messages.ConsensusTrusted || cfg.ReadLeases {
 		ctrID := crypto.Identity{ReplicaID: cfg.ID, Role: crypto.RoleCounter}
 		var err error
-		counter, err = tee.NewTrustedCounterWithRand(ctrID, rng(crypto.RoleCounter))
+		ctr, err = counter.NewWithRand(ctrID, rng(crypto.RoleCounter))
 		if err != nil {
 			return nil, fmt.Errorf("launch counter enclave: %w", err)
 		}
-		cfg.Registry.Register(ctrID, counter.PublicKey())
-		cfg.Registry.RegisterECDH(ctrID, counter.ECDHPublicKey())
-		counter.AttestWithMACs(pairwiseMACStore(counter, cfg.Registry), messages.CounterAuthReceivers(cfg.N))
+		cfg.Registry.Register(ctrID, ctr.PublicKey())
+		cfg.Registry.RegisterECDH(ctrID, ctr.ECDHPublicKey())
+		ctr.AttestWithMACs(pairwiseMACStore(ctr, cfg.Registry), messages.CounterAuthReceivers(cfg.N))
 	}
 
-	prepCode := newPreparation(cfg, vers[0], counter)
-	confCode := newConfirmation(cfg, vers[1])
-	execCode, err := newExecution(cfg, vers[2])
+	prepCode := preparation.New(cfg.Config, vers[0], ctr)
+	confCode := confirmation.New(cfg.Config, vers[1])
+	execCode, err := execution.New(cfg.Config, cfg.App, vers[2])
 	if err != nil {
 		return nil, fmt.Errorf("launch execution compartment: %w", err)
 	}
-	prep, err := tee.NewEnclaveWithRand(cfg.ID, crypto.RolePreparation, prepCode, cfg.Cost, rng(crypto.RolePreparation))
-	if err != nil {
-		return nil, fmt.Errorf("launch preparation enclave: %w", err)
-	}
-	conf, err := tee.NewEnclaveWithRand(cfg.ID, crypto.RoleConfirmation, confCode, cfg.Cost, rng(crypto.RoleConfirmation))
-	if err != nil {
-		return nil, fmt.Errorf("launch confirmation enclave: %w", err)
-	}
-	exec, err := tee.NewEnclaveWithRand(cfg.ID, crypto.RoleExecution, execCode, cfg.Cost, rng(crypto.RoleExecution))
-	if err != nil {
-		return nil, fmt.Errorf("launch execution enclave: %w", err)
-	}
-
-	// Register the enclaves' identity and X25519 keys: in a real
-	// deployment the operators verify attestation quotes and exchange
-	// these out of band. The X25519 keys seed the pairwise agreement-MAC
-	// channels of the MAC fast path.
-	for _, enc := range []*tee.Enclave{prep, conf, exec} {
+	r := &Replica{cfg: cfg, caches: caches, vers: vers[:], counter: ctr}
+	for i, code := range [3]tee.Code{prepCode, confCode, execCode} {
+		role := compartmentRoles[i]
+		enc, err := tee.NewEnclaveWithRand(cfg.ID, role, code, cfg.Cost, rng(role))
+		if err != nil {
+			return nil, fmt.Errorf("launch %s enclave: %w", compartmentName(role), err)
+		}
+		// Register the enclave's identity and X25519 keys: in a real
+		// deployment the operators verify attestation quotes and exchange
+		// these out of band. The X25519 keys seed the pairwise agreement-MAC
+		// channels of the MAC fast path.
 		cfg.Registry.Register(enc.Identity(), enc.PublicKey())
 		cfg.Registry.RegisterECDH(enc.Identity(), enc.ECDHPublicKey())
-	}
-
-	// Pairwise key establishment: each compartment derives the MAC key it
-	// shares with any peer compartment lazily, from its enclave's X25519 key
-	// and the peer's registered public key — both ends of a pair compute the
-	// same key without it ever leaving the two enclaves. MAC mode keys its
-	// agreement vectors from the store; sig mode keys only the hop between
-	// compartments of this replica (Verifier.HopAuth).
-	for i, enc := range []*tee.Enclave{prep, conf, exec} {
+		// Pairwise key establishment: the compartment derives the MAC key it
+		// shares with any peer compartment lazily, from its enclave's X25519
+		// key and the peer's registered public key — both ends of a pair
+		// compute the same key without it ever leaving the two enclaves. MAC
+		// mode keys its agreement vectors from the store; sig mode keys only
+		// the hop between compartments of this replica (Verifier.HopAuth).
 		vers[i].MACs = pairwiseMACStore(enc, cfg.Registry)
+		r.enclaves[i] = enc
 	}
-
-	r := &Replica{cfg: cfg, prep: prep, conf: conf, exec: exec, caches: caches, vers: vers[:], counter: counter, execCode: execCode}
 
 	// Durability: open the per-compartment stores and recover — sealed
 	// snapshot first, then WAL replay — before any broker thread runs.
@@ -176,7 +164,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 	if cfg.DataDir != "" {
 		begin := time.Now()
 		r.stores = make(map[crypto.Role]*comStore, 3)
-		for _, enc := range []*tee.Enclave{prep, conf, exec} {
+		for _, enc := range r.enclaves {
 			role := enc.Identity().Role
 			st, recovered, err := store.Open(
 				filepath.Join(cfg.DataDir, role.String()),
@@ -213,16 +201,17 @@ func NewReplica(cfg Config) (*Replica, error) {
 			r.recovery.Replay += time.Since(replayBegin)
 			r.recovery.WALRecords += uint64(len(recovered.Records))
 		}
-		execCode.finishRecovery()
+		execCode.FinishRecovery()
 		r.recovery.Total = time.Since(begin)
 	}
 
-	r.broker = newBroker(cfg, prep, conf, exec, r.stores)
+	r.broker = newBroker(cfg, r.enclaves, r.stores)
 
 	// Persisting applications (app.Persister) write sealed state through an
 	// ocall (§6: one ocall per block written encrypted to untrusted
 	// storage).
 	if p, ok := cfg.App.(app.Persister); ok {
+		exec := r.Enclave(crypto.RoleExecution)
 		exec.RegisterOcall("fs.write", r.broker.persistBlock)
 		p.SetPersist(func(block []byte) error {
 			sealed, err := exec.Seal(nil, block)
@@ -280,9 +269,9 @@ func (r *Replica) Stop() {
 // mutating state, the stores drop their un-fsynced group-commit tail
 // (exactly what a real kill would lose), and the broker threads stop.
 func (r *Replica) Crash() {
-	r.prep.Crash()
-	r.conf.Crash()
-	r.exec.Crash()
+	for _, enc := range r.enclaves {
+		enc.Crash()
+	}
 	for _, cs := range r.stores {
 		cs.st.Crash()
 	}
@@ -367,7 +356,7 @@ func (r *Replica) LeaseGrants() uint64 {
 
 // LocalReads returns the number of reads this replica's Execution
 // compartment served locally under a lease, without agreement.
-func (r *Replica) LocalReads() uint64 { return r.execCode.localReads.Load() }
+func (r *Replica) LocalReads() uint64 { return r.broker.mLocalReads.Load() }
 
 // CounterCreates returns the number of counter attestations this replica's
 // counter enclave created since boot or the last stats reset (zero in
@@ -386,37 +375,27 @@ func (r *Replica) PersistedBlocks() int { return r.broker.persistedBlocks() }
 // EnclaveStats returns per-compartment ecall statistics (the Figure 4
 // instrumentation).
 func (r *Replica) EnclaveStats() map[crypto.Role]tee.ECallSnapshot {
-	return map[crypto.Role]tee.ECallSnapshot{
-		crypto.RolePreparation:  r.prep.Stats(),
-		crypto.RoleConfirmation: r.conf.Stats(),
-		crypto.RoleExecution:    r.exec.Stats(),
+	out := make(map[crypto.Role]tee.ECallSnapshot, len(r.enclaves))
+	for i, enc := range r.enclaves {
+		out[compartmentRoles[i]] = enc.Stats()
 	}
+	return out
 }
 
 // CrashEnclave kills one compartment (fault injection: the environment can
 // crash an enclave at any time). Role must be one of the three compartment
 // roles.
 func (r *Replica) CrashEnclave(role crypto.Role) {
-	switch role {
-	case crypto.RolePreparation:
-		r.prep.Crash()
-	case crypto.RoleConfirmation:
-		r.conf.Crash()
-	case crypto.RoleExecution:
-		r.exec.Crash()
+	if enc := r.Enclave(role); enc != nil {
+		enc.Crash()
 	}
 }
 
-// Enclave exposes a compartment's enclave for tests and fault injection.
+// Enclave exposes a compartment's enclave for tests and fault injection; nil
+// for any other role.
 func (r *Replica) Enclave(role crypto.Role) *tee.Enclave {
-	switch role {
-	case crypto.RolePreparation:
-		return r.prep
-	case crypto.RoleConfirmation:
-		return r.conf
-	case crypto.RoleExecution:
-		return r.exec
-	default:
-		return nil
+	if i := int(role) - int(crypto.RolePreparation); i >= 0 && i < len(r.enclaves) {
+		return r.enclaves[i]
 	}
+	return nil
 }

@@ -25,10 +25,12 @@ func withTrustedMAC(c *Config) {
 // TestTrustedConsensusRequiresMAC: a replica configured for trusted
 // consensus under signatures is refused before any enclave launches.
 func TestTrustedConsensusRequiresMAC(t *testing.T) {
-	_, err := NewReplica(Config{
-		N: 3, F: 1, ConsensusMode: messages.ConsensusTrusted, AgreementAuth: messages.AuthSig,
-		Registry: crypto.NewRegistry(), MACSecret: []byte("s"), App: app.NewKVS(),
-	})
+	cfg := Config{
+		ConsensusMode: messages.ConsensusTrusted, AgreementAuth: messages.AuthSig,
+		Registry: crypto.NewRegistry(), App: app.NewKVS(),
+	}
+	cfg.N, cfg.F, cfg.MACSecret = 3, 1, []byte("s")
+	_, err := NewReplica(cfg)
 	if err == nil {
 		t.Fatal("NewReplica accepted trusted consensus with sig agreement")
 	}

@@ -1,4 +1,6 @@
-package tee
+// Package counter is the trusted monotonic counter enclave: the anchor of
+// trusted consensus and of read leases, and Table 2's comparison point.
+package counter
 
 import (
 	"crypto/ecdh"
@@ -10,14 +12,13 @@ import (
 	"github.com/splitbft/splitbft/internal/crypto"
 )
 
-// TrustedCounter is the minimal trusted subsystem used by hybrid BFT
-// protocols (MinBFT, CheapBFT, Hybster): a monotonic counter whose
-// attestations bind a unique, gap-free counter value to each message,
+// Counter is the minimal trusted subsystem used by hybrid BFT protocols
+// (MinBFT, CheapBFT, Hybster): a monotonic counter whose attestations bind a unique, gap-free counter value to each message,
 // preventing equivocation. Classic SplitBFT does not rely on it for
 // safety — it assumes enclaves themselves may fail — but the trusted
 // consensus mode (ConsensusTrusted) binds it into PrePrepare assignment
 // to drop the Prepare phase and shrink the group to 2f+1.
-type TrustedCounter struct {
+type Counter struct {
 	mu      sync.Mutex
 	id      crypto.Identity
 	key     *crypto.KeyPair
@@ -31,21 +32,21 @@ type TrustedCounter struct {
 	grants    uint64
 }
 
-// NewTrustedCounter creates a trusted counter owned by id with random keys.
-func NewTrustedCounter(id crypto.Identity) (*TrustedCounter, error) {
-	return NewTrustedCounterWithRand(id, nil)
+// New creates a trusted counter owned by id with random keys.
+func New(id crypto.Identity) (*Counter, error) {
+	return NewWithRand(id, nil)
 }
 
-// NewTrustedCounterWithRand is NewTrustedCounter with an explicit entropy
-// source for the counter's keys. Multi-process deployments pass a
+// NewWithRand is New with an explicit entropy source for the counter's
+// keys. Multi-process deployments pass a
 // crypto.KeyStream derived from the shared deployment secret (its own
 // stream, separate from the compartment enclaves' streams) so every
 // process derives the same counter public keys; nil uses crypto/rand.
 // Read order is part of the derivation contract (RegisterDeterministicKeys
 // in the core package mirrors it): the Ed25519 lease-signing key first, then
 // 32 bytes of X25519 key material — fed to NewPrivateKey directly for the
-// reason NewEnclaveWithRand gives.
-func NewTrustedCounterWithRand(id crypto.Identity, rng io.Reader) (*TrustedCounter, error) {
+// reason tee.NewEnclaveWithRand gives.
+func NewWithRand(id crypto.Identity, rng io.Reader) (*Counter, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
@@ -61,20 +62,20 @@ func NewTrustedCounterWithRand(id crypto.Identity, rng io.Reader) (*TrustedCount
 	if err != nil {
 		return nil, fmt.Errorf("counter ECDH key: %w", err)
 	}
-	return &TrustedCounter{id: id, key: kp, ecdhKey: ek}, nil
+	return &Counter{id: id, key: kp, ecdhKey: ek}, nil
 }
 
 // Identity returns the identity the counter's keys are registered under.
-func (t *TrustedCounter) Identity() crypto.Identity { return t.id }
+func (t *Counter) Identity() crypto.Identity { return t.id }
 
 // PublicKey returns the counter's Ed25519 verification key (read-lease
 // grants).
-func (t *TrustedCounter) PublicKey() []byte { return t.key.Public }
+func (t *Counter) PublicKey() []byte { return t.key.Public }
 
 // ECDHPublicKey returns the counter's X25519 public key, registered beside
 // PublicKey so verifying compartments can establish their pairwise
 // attestation-MAC key with this counter.
-func (t *TrustedCounter) ECDHPublicKey() [32]byte {
+func (t *Counter) ECDHPublicKey() [32]byte {
 	var pub [32]byte
 	copy(pub[:], t.ecdhKey.PublicKey().Bytes())
 	return pub
@@ -82,25 +83,25 @@ func (t *TrustedCounter) ECDHPublicKey() [32]byte {
 
 // PairwiseMAC derives the attestation-MAC key shared with a verifying
 // compartment from its attested X25519 public key, exactly as
-// Enclave.PairwiseMAC does for agreement traffic.
-func (t *TrustedCounter) PairwiseMAC(peerPub [32]byte) (crypto.MACKey, error) {
-	return pairwiseMACKey(t.ecdhKey, peerPub)
+// tee.Enclave.PairwiseMAC does for agreement traffic.
+func (t *Counter) PairwiseMAC(peerPub [32]byte) (crypto.MACKey, error) {
+	return crypto.PairwiseMACKey(t.ecdhKey, peerPub)
 }
 
 // AttestWithMACs installs the keys CreateAttestation authenticates with:
 // one MAC per entry of receivers, in order, under the pairwise key macs
 // derives for that receiver. Call it before the first attestation
 // (deployment wiring); read-lease grants are signed regardless.
-func (t *TrustedCounter) AttestWithMACs(macs *crypto.MACStore, receivers []crypto.Identity) {
+func (t *Counter) AttestWithMACs(macs *crypto.MACStore, receivers []crypto.Identity) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.macs, t.receivers = macs, receivers
 }
 
-// CounterAttestation binds a counter value to a message digest. Sig is the
+// Attestation binds a counter value to a message digest. Sig is the
 // concatenated HMAC vector over crypto.CounterSigningBytes(Replica, Value,
 // Digest), crypto.MACSize bytes per receiver, in receiver order.
-type CounterAttestation struct {
+type Attestation struct {
 	Replica uint32
 	Value   uint64
 	Digest  crypto.Digest
@@ -113,14 +114,14 @@ type CounterAttestation struct {
 // (same value, two digests — impossible to produce) and suppression (gaps).
 // Before AttestWithMACs the attestation carries no authenticator, which
 // every verifier rejects.
-func (t *TrustedCounter) CreateAttestation(digest crypto.Digest) CounterAttestation {
+func (t *Counter) CreateAttestation(digest crypto.Digest) Attestation {
 	t.mu.Lock()
 	t.next++
 	t.creates++
 	v := t.next
 	macs, receivers := t.macs, t.receivers
 	t.mu.Unlock()
-	att := CounterAttestation{Replica: t.id.ReplicaID, Value: v, Digest: digest}
+	att := Attestation{Replica: t.id.ReplicaID, Value: v, Digest: digest}
 	if macs == nil {
 		return att
 	}
@@ -153,7 +154,7 @@ type LeaseAttestation struct {
 // failure-detector clock), as is the probe flag (a probe is acknowledged,
 // never installed); the counter only signs, it does not keep lease state —
 // revocation is by expiry and by view change, not by the counter.
-func (t *TrustedCounter) GrantLease(holder uint32, view uint64, expiry int64, probe bool) LeaseAttestation {
+func (t *Counter) GrantLease(holder uint32, view uint64, expiry int64, probe bool) LeaseAttestation {
 	t.mu.Lock()
 	t.grants++
 	t.mu.Unlock()
@@ -170,14 +171,14 @@ func (t *TrustedCounter) GrantLease(holder uint32, view uint64, expiry int64, pr
 
 // LeaseGrants returns the number of leases granted since boot (or since
 // the last ResetCreates). A statistic, like Creates.
-func (t *TrustedCounter) LeaseGrants() uint64 {
+func (t *Counter) LeaseGrants() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.grants
 }
 
 // Value returns the last assigned counter value.
-func (t *TrustedCounter) Value() uint64 {
+func (t *Counter) Value() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.next
@@ -186,7 +187,7 @@ func (t *TrustedCounter) Value() uint64 {
 // Creates returns the number of attestations created since boot (or since
 // the last ResetCreates). Unlike Value it is a statistic, not protocol
 // state: Import after recovery restores Value but not Creates.
-func (t *TrustedCounter) Creates() uint64 {
+func (t *Counter) Creates() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.creates
@@ -194,7 +195,7 @@ func (t *TrustedCounter) Creates() uint64 {
 
 // ResetCreates zeroes the creation and lease-grant statistics (between
 // benchmark phases).
-func (t *TrustedCounter) ResetCreates() {
+func (t *Counter) ResetCreates() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.creates = 0
@@ -202,7 +203,7 @@ func (t *TrustedCounter) ResetCreates() {
 }
 
 // Export returns the counter position for sealed persistence.
-func (t *TrustedCounter) Export() uint64 {
+func (t *Counter) Export() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.next
@@ -211,7 +212,7 @@ func (t *TrustedCounter) Export() uint64 {
 // Import restores the counter position from a sealed snapshot. The counter
 // never moves backward: a stale import below the current position is
 // ignored, preserving monotonicity across overlapping recovery paths.
-func (t *TrustedCounter) Import(next uint64) {
+func (t *Counter) Import(next uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if next > t.next {

@@ -1,6 +1,7 @@
 package crypto
 
 import (
+	"crypto/ecdh"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
@@ -227,4 +228,23 @@ func (m *MACStore) VerifySingle(msg []byte, mac [MACSize]byte, sender Identity) 
 		return fmt.Errorf("%w: from %v/%v", ErrBadMAC, sender.ReplicaID, sender.Role)
 	}
 	return nil
+}
+
+// PairwiseMACKey is the X25519-plus-expansion step behind every attested
+// pairwise MAC key: compartment enclaves and the counter enclave derive
+// through it, so both ends of any pair arrive at the same key.
+func PairwiseMACKey(priv *ecdh.PrivateKey, peerPub [32]byte) (MACKey, error) {
+	peer, err := ecdh.X25519().NewPublicKey(peerPub[:])
+	if err != nil {
+		return MACKey{}, fmt.Errorf("crypto: bad peer ECDH key: %w", err)
+	}
+	shared, err := priv.ECDH(peer)
+	if err != nil {
+		return MACKey{}, fmt.Errorf("crypto: pairwise ECDH: %w", err)
+	}
+	h := hmac.New(sha256.New, []byte("splitbft-replica-mac-v1"))
+	h.Write(shared)
+	var key MACKey
+	copy(key[:], h.Sum(nil))
+	return key, nil
 }

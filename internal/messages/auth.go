@@ -80,7 +80,7 @@ type authRule struct {
 }
 
 // authRules is the table. Verifier.verifyAuth (what a receiver accepts) and
-// core's comState.authenticate (what a sender attaches) are its two readers.
+// compartment.State.Authenticate (what a sender attaches) are its two readers.
 //
 // Why Commit is the only hop type although a PrePrepare or Prepare into
 // Confirmation crosses a hop just as local: Confirmation exports both inside

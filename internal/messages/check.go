@@ -77,7 +77,7 @@ func Check(data []byte) error {
 		d.skipVar()
 		d.skip(crypto.MACSize)
 	case TReadReply:
-		d.skip(4 + 4 + 8 + 8 + 1)
+		d.skip(readReplyFixed)
 		d.skipVar()
 		d.skip(crypto.MACSize)
 	case TLeaseAck, TReadIndex:
@@ -190,4 +190,19 @@ func ReplyIdentity(data []byte) (client uint32, ts uint64, ok bool) {
 		return 0, 0, false
 	}
 	return binary.LittleEndian.Uint32(data[9:]), binary.LittleEndian.Uint64(data[13:]), true
+}
+
+// readReplyFixed is the width of a ReadReply's fixed header: Replica,
+// ClientID, Timestamp, View, OK.
+const readReplyFixed = 4 + 4 + 8 + 8 + 1
+
+// ReadReplyHeader reads, from its fixed header, the read a marshalled
+// ReadReply answers and whether it was served, for the environment's
+// bookkeeping on the replies it forwards; ok is false when data is not a
+// ReadReply or is shorter than that header.
+func ReadReplyHeader(data []byte) (client uint32, ts uint64, served, ok bool) {
+	if len(data) < 1+readReplyFixed || Type(data[0]) != TReadReply {
+		return 0, 0, false, false
+	}
+	return binary.LittleEndian.Uint32(data[5:]), binary.LittleEndian.Uint64(data[9:]), data[readReplyFixed] != 0, true
 }

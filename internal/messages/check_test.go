@@ -139,6 +139,26 @@ func TestReplyIdentityMatchesDecode(t *testing.T) {
 	}
 }
 
+// TestReadReplyHeaderMatchesDecode: the header peek reads what the decoder
+// reads, served or refused, and refuses anything that is not a ReadReply
+// with its whole fixed header.
+func TestReadReplyHeaderMatchesDecode(t *testing.T) {
+	for _, served := range []bool{true, false} {
+		rep := &ReadReply{Replica: 3, ClientID: 0xC0FFEE, Timestamp: 1<<50 + 3, View: 1<<40 + 1, OK: served, Result: []byte("v")}
+		data := Marshal(rep)
+		client, ts, gotServed, ok := ReadReplyHeader(data)
+		if !ok || client != rep.ClientID || ts != rep.Timestamp || gotServed != served {
+			t.Fatalf("ReadReplyHeader = (%d, %d, %v, %v), want (%d, %d, %v, true)", client, ts, gotServed, ok, rep.ClientID, rep.Timestamp, served)
+		}
+		if _, _, _, ok := ReadReplyHeader(data[:readReplyFixed]); ok {
+			t.Fatal("accepted a ReadReply cut inside its fixed header")
+		}
+	}
+	if _, _, _, ok := ReadReplyHeader(Marshal(&Reply{ClientID: 1, Timestamp: 2})); ok {
+		t.Fatal("accepted a frame that is not a ReadReply")
+	}
+}
+
 // classifyProposal is a proposal as mac-tcp carries it: one small request,
 // a 3n-slot authenticator vector and a 2n-slot counter attestation at n = 3.
 func classifyProposal() []byte {

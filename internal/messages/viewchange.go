@@ -132,8 +132,8 @@ func (cc *CheckpointCert) encode(e *Encoder) {
 }
 
 // AppendCert appends the standalone encoding of the certificate to dst, for
-// the compartment state export (internal/core's persist path). Certificates
-// embedded in wire messages are encoded inline instead.
+// the compartment state export (internal/compartment's State.BeginExport).
+// Certificates embedded in wire messages are encoded inline instead.
 func (cc *CheckpointCert) AppendCert(dst []byte) []byte {
 	e := Encoder{buf: dst}
 	cc.encode(&e)

@@ -20,23 +20,39 @@ func (r *Replica) onRequest(req *messages.Request) {
 		return
 	}
 	d := req.Digest()
-	if _, pending := r.pendingSince[d]; !pending {
-		r.pendingSince[d] = time.Now()
+	if _, pending := r.pending[d]; !pending {
+		r.pending[d] = pendingReq{req: *req, since: time.Now()}
 	}
 	// Batch at the primary. Retransmissions re-enter the batch buffer even
-	// if already tracked: after a view change the new primary must propose
-	// requests it previously only observed as a backup. The exactly-once
-	// client table makes re-proposals harmless.
-	if r.isPrimary(r.view) && !r.inViewChange && !r.pendingDigest[d] {
-		if r.pendingReqs.Len() == 0 {
-			r.batchSince = time.Now()
-		}
-		r.pendingDigest[d] = true
-		r.pendingReqs.Push(*req)
+	// if already tracked; the exactly-once client table makes re-proposals
+	// harmless.
+	if r.isPrimary(r.view) && !r.inViewChange {
+		r.batchPending(req)
 		if r.pendingReqs.Len() >= r.cfg.BatchSize {
 			r.cutBatch()
 		}
 	}
+}
+
+// pendingReq is a request awaiting execution: its body, for proposal by
+// whichever replica leads when it is due, and when it first arrived, for the
+// failure detector.
+type pendingReq struct {
+	req   messages.Request
+	since time.Time
+}
+
+// batchPending adds req to the primary's batch buffer unless it is there.
+func (r *Replica) batchPending(req *messages.Request) {
+	d := req.Digest()
+	if r.pendingDigest[d] {
+		return
+	}
+	if r.pendingReqs.Len() == 0 {
+		r.batchSince = time.Now()
+	}
+	r.pendingDigest[d] = true
+	r.pendingReqs.Push(*req)
 }
 
 // cutBatch turns the buffered requests into a PrePrepare and starts
@@ -85,7 +101,7 @@ func (r *Replica) storePrePrepare(pp *messages.PrePrepare) {
 
 // onPrePrepare handles the primary's proposal at a backup.
 func (r *Replica) onPrePrepare(pp *messages.PrePrepare) {
-	if pp.View != r.view || r.inViewChange || !r.inWindow(pp.Seq) {
+	if r.holdEarly(pp.View, pp) || pp.View != r.view || r.inViewChange || !r.inWindow(pp.Seq) {
 		return
 	}
 	if r.isPrimary(r.view) {
@@ -113,7 +129,7 @@ func (r *Replica) onPrePrepare(pp *messages.PrePrepare) {
 
 // onPrepare collects backup votes.
 func (r *Replica) onPrepare(p *messages.Prepare) {
-	if p.View != r.view || r.inViewChange || !r.inWindow(p.Seq) {
+	if r.holdEarly(p.View, p) || p.View != r.view || r.inViewChange || !r.inWindow(p.Seq) {
 		return
 	}
 	s := r.log.slot(p.View, p.Seq)
@@ -150,7 +166,7 @@ func (r *Replica) maybePrepared(view, seq uint64) {
 
 // onCommit collects commit votes.
 func (r *Replica) onCommit(c *messages.Commit) {
-	if c.View != r.view || r.inViewChange || !r.inWindow(c.Seq) {
+	if r.holdEarly(c.View, c) || c.View != r.view || r.inViewChange || !r.inWindow(c.Seq) {
 		return
 	}
 	s := r.log.slot(c.View, c.Seq)
@@ -223,7 +239,7 @@ func (r *Replica) executeBatch(batch *messages.Batch) {
 	for i := range batch.Requests {
 		req := &batch.Requests[i]
 		entry := r.clients.entry(req.ClientID)
-		delete(r.pendingSince, req.Digest())
+		delete(r.pending, req.Digest())
 		if rep, done := entry.executed(req.Timestamp); done {
 			if rep != nil {
 				r.sendClient(req.ClientID, rep)
@@ -250,6 +266,7 @@ func (r *Replica) executeBatch(batch *messages.Batch) {
 // afterExecute produces a checkpoint at interval boundaries.
 func (r *Replica) afterExecute(seq uint64) {
 	r.progressMade()
+	r.vcBackoff = 0
 	if seq%r.cfg.CheckpointInterval != 0 {
 		return
 	}

@@ -286,6 +286,36 @@ func TestViewChangePreservesCommittedState(t *testing.T) {
 	}
 }
 
+// TestNewPrimaryProposesRequestSeenAsBackup: a request the backups saw once,
+// while the primary was already unreachable, executes after the view change
+// without any retransmission: the new primary proposes what it held as a
+// backup.
+func TestNewPrimaryProposesRequestSeenAsBackup(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	c := newCluster(t, 4, 1, func(cfg *Config) { cfg.RequestTimeout = timeout })
+	c.net.Isolate(transport.ReplicaEndpoint(0))
+	conn, err := c.net.Join(transport.ClientEndpoint(100), func(transport.Endpoint, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	macs := crypto.NewMACStore(c.secret, crypto.Identity{ReplicaID: 100, Role: crypto.RoleClient})
+	raw := (&clientRequest{clientID: 100, timestamp: 1, payload: app.EncodePut("k", []byte("v"))}).marshal(macs, c.n)
+	for id := 1; id < c.n; id++ {
+		if err := conn.Send(transport.ReplicaEndpoint(uint32(id)), raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*timeout, "the request executes in a later view", func() bool {
+		executed := 0
+		for _, r := range c.replicas[1:] {
+			if r.ExecutedOps() > 0 {
+				executed++
+			}
+		}
+		return executed > c.f
+	})
+}
+
 func TestLaggingReplicaCatchesUpViaStateTransfer(t *testing.T) {
 	c := newCluster(t, 4, 1, func(cfg *Config) {
 		cfg.CheckpointInterval = 5

@@ -66,7 +66,14 @@ type Replica struct {
 	myVC         *messages.ViewChange
 	lastNewView  *messages.NewView
 	viewChanges  map[uint64]map[uint32]*messages.ViewChange
-	pendingSince map[digestKey]time.Time
+	// pending holds every request this replica has seen but not executed,
+	// with its body, so that a replica which becomes primary proposes what
+	// it saw as a backup instead of waiting for the client to retransmit.
+	// Its arrival stamps drive the failure detector.
+	pending map[digestKey]pendingReq
+	// early holds agreement messages of the view being entered that arrived
+	// before its NewView (see holdEarly).
+	early        []messages.Message
 	lastProgress time.Time
 
 	// Metrics (atomics, readable from any goroutine).
@@ -107,7 +114,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 		batchStore:       make(map[crypto.Digest]*messages.Batch),
 		pendingDigest:    make(map[digestKey]bool),
 		viewChanges:      make(map[uint64]map[uint32]*messages.ViewChange),
-		pendingSince:     make(map[digestKey]time.Time),
+		pending:          make(map[digestKey]pendingReq),
 		lastProgress:     time.Now(),
 	}
 	// Genesis snapshot so the zero checkpoint certificate is restorable.

@@ -8,12 +8,15 @@ import (
 
 // checkRequestTimeouts suspects the primary when a tracked request has been
 // pending longer than the request timeout without any execution progress,
-// and escalates to further views if the view change itself stalls.
+// and escalates to further views if the view change itself stalls. Both
+// periods double with every view entered since the last execution (PBFT's
+// doubling timeout), so a new view whose NewView takes longer to verify than
+// one period is not deposed before its first commit.
 func (r *Replica) checkRequestTimeouts(now time.Time) {
-	if len(r.pendingSince) == 0 && !r.inViewChange {
+	if len(r.pending) == 0 && !r.inViewChange {
 		return
 	}
-	timeout := r.cfg.RequestTimeout
+	timeout := r.cfg.RequestTimeout << min(r.vcBackoff, 6)
 	if r.inViewChange {
 		// Escalate to the next view only after the exponential-backoff
 		// deadline (PBFT doubles the view-change timeout per view to
@@ -33,9 +36,9 @@ func (r *Replica) checkRequestTimeouts(now time.Time) {
 		return
 	}
 	oldest := now
-	for _, since := range r.pendingSince {
-		if since.Before(oldest) {
-			oldest = since
+	for _, p := range r.pending {
+		if p.since.Before(oldest) {
+			oldest = p.since
 		}
 	}
 	if now.Sub(oldest) > timeout && now.Sub(r.lastProgress) > timeout {
@@ -55,10 +58,11 @@ func (r *Replica) startViewChange(target uint64) {
 	r.view = target
 	r.mView.Store(target)
 	r.progressMade()
-	// Drop the batching buffer: a new primary will re-order client
-	// requests on retransmission.
+	// Drop the batching buffer: the new view's primary batches every
+	// pending request when it installs the view (installNewView).
 	r.pendingReqs.Reset()
 	r.pendingDigest = make(map[digestKey]bool)
+	r.early = nil
 
 	vc := &messages.ViewChange{
 		NewViewNum: target,
@@ -68,11 +72,7 @@ func (r *Replica) startViewChange(target uint64) {
 	}
 	vc.Sig = r.sign(vc.SigningBytes())
 	r.myVC = vc
-	backoff := r.vcBackoff
-	if backoff > 6 {
-		backoff = 6
-	}
-	r.vcDeadline = time.Now().Add(2 * r.cfg.RequestTimeout << backoff)
+	r.vcDeadline = time.Now().Add(2 * r.cfg.RequestTimeout << min(r.vcBackoff, 6))
 	r.recordViewChange(vc)
 	r.broadcast(vc)
 	r.maybeNewView(target)
@@ -173,7 +173,7 @@ func (r *Replica) installNewView(nv *messages.NewView) {
 	r.mView.Store(nv.View)
 	r.inViewChange = false
 	r.mInVC.Store(false)
-	r.vcBackoff = 0
+	r.vcBackoff++ // until the new view executes (afterExecute)
 	r.progressMade()
 	if nv.Stable.Seq > r.lowWatermark {
 		r.installStable(nv.Stable)
@@ -209,4 +209,45 @@ func (r *Replica) installNewView(nv *messages.NewView) {
 			delete(r.viewChanges, target)
 		}
 	}
+	// The failure detector times the pending requests afresh in the new
+	// view, and its primary proposes them: a request seen only as a backup
+	// must not wait for the client's next, backed-off retransmit while the
+	// detector deposes one view after another.
+	now := time.Now()
+	for d, p := range r.pending {
+		if _, done := r.clients.entry(p.req.ClientID).executed(p.req.Timestamp); done {
+			delete(r.pending, d) // executed, e.g. inside a state transfer
+			continue
+		}
+		p.since = now
+		r.pending[d] = p
+		if r.isPrimary(nv.View) {
+			r.batchPending(&p.req)
+		}
+	}
+	if r.isPrimary(nv.View) && r.pendingReqs.Len() > 0 {
+		r.cutBatch()
+	}
+	early := r.early
+	r.early = nil
+	for _, m := range early {
+		r.dispatch(event{msg: m})
+	}
+}
+
+// earlyMax bounds the agreement messages held for a view being entered: a
+// watermark window of one proposal, its Prepares and its Commits.
+const earlyMax = 4096
+
+// holdEarly keeps an agreement message of the view this replica is changing
+// into for installNewView to replay, and reports whether it did. Messages are
+// verified in parallel, so the new primary's first proposal — and the votes
+// on it — routinely overtake its larger NewView; dropping them would leave
+// the view without progress until the failure detector deposes it.
+func (r *Replica) holdEarly(view uint64, m messages.Message) bool {
+	if !r.inViewChange || view != r.vcTarget || len(r.early) >= earlyMax {
+		return false
+	}
+	r.early = append(r.early, m)
+	return true
 }

@@ -70,24 +70,5 @@ func (e *Enclave) ECDHPublicKey() [32]byte {
 // label domain-separates these keys from client session keys derived over
 // the same exchange.
 func (e *Enclave) PairwiseMAC(peerPub [32]byte) (crypto.MACKey, error) {
-	return pairwiseMACKey(e.ecdhKey, peerPub)
-}
-
-// pairwiseMACKey is the X25519-plus-expansion step behind every attested
-// pairwise MAC key: compartment enclaves and the counter enclave derive
-// through it, so both ends of any pair arrive at the same key.
-func pairwiseMACKey(priv *ecdh.PrivateKey, peerPub [32]byte) (crypto.MACKey, error) {
-	peer, err := ecdh.X25519().NewPublicKey(peerPub[:])
-	if err != nil {
-		return crypto.MACKey{}, fmt.Errorf("tee: bad peer ECDH key: %w", err)
-	}
-	shared, err := priv.ECDH(peer)
-	if err != nil {
-		return crypto.MACKey{}, fmt.Errorf("tee: pairwise ECDH: %w", err)
-	}
-	h := hmac.New(sha256.New, []byte("splitbft-replica-mac-v1"))
-	h.Write(shared)
-	var key crypto.MACKey
-	copy(key[:], h.Sum(nil))
-	return key, nil
+	return crypto.PairwiseMACKey(e.ecdhKey, peerPub)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/splitbft/splitbft/internal/compartment"
 	"github.com/splitbft/splitbft/internal/core"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/obs"
@@ -41,7 +42,7 @@ type Node struct {
 	// Restart (each rebuilt replica is handed the same objects) — a chaos
 	// plan that skews a clock and later restarts the node keeps the skew,
 	// matching a machine whose system clock is simply wrong.
-	clock *core.SkewClock
+	clock *compartment.SkewClock
 	disk  *store.FaultInjector
 }
 
@@ -123,7 +124,7 @@ func NewNode(id uint32, opts ...Option) (*Node, error) {
 			return nil, err
 		}
 	}
-	n := &Node{id: id, opts: o, reg: reg, clock: new(core.SkewClock), disk: new(store.FaultInjector)}
+	n := &Node{id: id, opts: o, reg: reg, clock: new(compartment.SkewClock), disk: new(store.FaultInjector)}
 	if o.obsOn {
 		n.observer = obs.NewObserver(o.traceSample)
 	}
@@ -144,25 +145,27 @@ func (n *Node) buildReplica() error {
 	// nil observer or first build).
 	n.observer.Registry().DropCollectors()
 	replica, err := core.NewReplica(core.Config{
-		N: o.n, F: o.f, ID: n.id,
-		Registry:           n.reg,
-		MACSecret:          o.secret(),
-		KeySeed:            o.keySeed,
-		App:                application,
-		Confidential:       o.confidential,
-		AgreementAuth:      o.auth,
-		ConsensusMode:      o.consensus,
-		Cost:               o.costModel(),
-		SingleThread:       o.singleThread,
-		DataDir:            o.nodeDataDir(n.id),
-		CheckpointInterval: o.checkpointInterval,
-		BatchSize:          o.batchSize,
-		RequestTimeout:     o.requestTimeout,
-		ReadLeases:         o.readLeases,
-		LeaseTTL:           o.leaseTTL,
-		Obs:                n.observer,
-		Clock:              n.clock,
-		DiskFaults:         n.disk,
+		Config: compartment.Config{
+			N: o.n, F: o.f, ID: n.id,
+			MACSecret:          o.secret(),
+			Confidential:       o.confidential,
+			CheckpointInterval: o.checkpointInterval,
+			ReadLeases:         o.readLeases,
+			LeaseTTL:           o.leaseTTL,
+			Clock:              n.clock,
+		},
+		Registry:       n.reg,
+		KeySeed:        o.keySeed,
+		App:            application,
+		AgreementAuth:  o.auth,
+		ConsensusMode:  o.consensus,
+		Cost:           o.costModel(),
+		SingleThread:   o.singleThread,
+		DataDir:        o.nodeDataDir(n.id),
+		BatchSize:      o.batchSize,
+		RequestTimeout: o.requestTimeout,
+		Obs:            n.observer,
+		DiskFaults:     n.disk,
 	})
 	if err != nil {
 		return err
