@@ -7,8 +7,9 @@
 // each running in its own (simulated) SGX enclave with its own keys, log
 // and view state. Compartments change state only on quorum certificates,
 // so a compromise of one compartment type cannot undo agreement reached by
-// the others; the untrusted broker handles networking, batching and timers
-// and can only hurt liveness, never safety.
+// the others; the untrusted broker handles networking, batching and every
+// timer, counter and budget, and can only hurt liveness, never safety.
+// Enclaves check and answer, the broker times and decides.
 //
 // # Public API
 //
@@ -368,9 +369,10 @@
 // announcing how far it got: any peer whose stable checkpoint is ahead
 // answers with the certified snapshot. It sends one to a voter of a
 // stable certificate that is ahead of its last executed slot, and a
-// recovered replica also nudges: while it may still be behind, its broker
-// tick broadcasts one — so the outage gap closes even on an idle cluster
-// where no client traffic would otherwise reveal it. Sub-checkpoint
+// recovered replica also nudges: for 32 detector periods the broker's
+// period query asks Execution for one — so the outage gap closes even on
+// an idle cluster where no client traffic would otherwise reveal it.
+// Sub-checkpoint
 // gaps — too recent for any peer to own a newer stable checkpoint — are
 // closed by the probe too: Confirmation compartments answer with
 // re-authenticated Commits for committed slots above the prober's
@@ -467,13 +469,13 @@
 //
 // The protocol engine lives under internal/, one package per enclave: the
 // three compartments are internal/compartment/preparation, confirmation and
-// execution, linking only the trusted code they share in
-// internal/compartment; internal/tee is the enclave runtime and
+// execution, which check and answer, linking only the trusted code they
+// share in internal/compartment; internal/tee is the enclave runtime and
 // internal/counter the trusted counter enclave; internal/core is the
-// untrusted environment of a replica (enclave wiring, broker,
-// observability), and internal/pbft the monolithic baseline the paper
-// compares against. Table 2 (cmd/tcbcount) counts each enclave as its
-// package's import closure. The experiment harness reproducing the paper's
-// tables and figures is public under experiments/ and is driven by
+// untrusted environment of a replica (enclave wiring, the broker that times
+// and decides, observability), and internal/pbft the monolithic baseline
+// the paper compares against. Table 2 (cmd/tcbcount) counts each enclave
+// as its package's import closure. The experiment harness reproducing the
+// paper's tables and figures is public under experiments/ and is driven by
 // cmd/splitbft-bench. See README.md for the full architecture overview.
 package splitbft

@@ -67,11 +67,11 @@ type Config struct {
 const (
 	EcallMessage byte = 1 // a messages.Marshal envelope follows
 	EcallBatch   byte = 2 // a messages.MarshalBatch body follows (env → Preparation)
-	// EcallTick is an empty periodic nudge from the environment's timers:
-	// the failure detector's into Execution (rejoin probing, stall fetches,
-	// parked-read aging) and, with read leases on, the lease clock's into
-	// Preparation. Ticks carry no state the WAL must replay and are never
-	// persisted.
+	// EcallTick is the environment's query: the tag and a flags byte. Into
+	// Preparation it is the lease clock, flags ignored; Execution answers it
+	// from current state and the flags alone (execution.TickPeriod,
+	// TickProbe). When to ask is the environment's decision. Ticks carry no
+	// state the WAL must replay and are never persisted.
 	EcallTick byte = 3
 )
 

@@ -319,8 +319,8 @@ func (c *Compartment) prepareCerts(host tee.Host) []messages.PrepareCert {
 // it only bounds the reply to a forged probe claiming Have far in the past.
 const probeTailBudget = 64
 
-// onStateProbe closes sub-checkpoint outage tails. A recovered replica
-// probing with Have below slots this compartment already committed cannot
+// onStateProbe closes sub-checkpoint outage tails. A recovered replica whose
+// StateProbe has Have below slots this compartment already committed cannot
 // be served by state transfer — no checkpoint newer than Have is stable —
 // and on an idle cluster no traffic re-delivers the missed Commits. The
 // input log still holds every committed slot above the watermark, so

@@ -394,10 +394,13 @@ func TestExecutionStallsWithoutBody(t *testing.T) {
 	}
 }
 
-// TestExecutionFetchesMissingBody is the regression test for the stall at
-// tryExecute: a committed slot whose PrePrepare body is missing must
-// broadcast a BatchFetch (once), and a matching BatchReply must unblock
-// execution — without waiting for checkpoint-driven state transfer.
+// TestExecutionFetchesMissingBody: a committed slot whose PrePrepare body
+// is missing is never fetched off a message — Commits overtake their
+// PrePrepare all the time — but the environment's query answers a
+// BatchFetch for it while it stays blocked, the same answer for the same
+// state, and a matching BatchReply unblocks execution without waiting for
+// checkpoint-driven state transfer. When to ask is the broker's policy
+// (core.TestBrokerFetchPolicy).
 func TestExecutionFetchesMissingBody(t *testing.T) {
 	h := newHarness(t)
 	secret := []byte("compartment-test")
@@ -406,33 +409,27 @@ func TestExecutionFetchesMissingBody(t *testing.T) {
 	digest := b.Digest()
 
 	exec := h.enclave(3, crypto.RoleExecution)
-	var fetches int
-	var lastCommit []byte
+	query := []byte{compartment.EcallTick, 0}
 	for r := uint32(0); r < 3; r++ {
 		byz := h.byzantineSigner(r, crypto.RoleConfirmation)
 		c := &messages.Commit{View: 0, Seq: 1, Digest: digest, Replica: r}
 		c.Sig = byz.Sign(c.SigningBytes())
-		lastCommit = wrapMessage(messages.Marshal(c))
-		out, _ := exec.Invoke(lastCommit)
+		out, _ := exec.Invoke(wrapMessage(messages.Marshal(c)))
 		if _, ok := findMsg[*messages.BatchFetch](t, out, tee.DestBroadcast); ok {
-			t.Fatal("fetch fired eagerly — transient reordering would flood peers")
+			t.Fatal("a message fetched the body: transient reordering would flood peers")
 		}
 	}
-	// The slot stays blocked while traffic keeps flowing (duplicate
-	// commits stand in for it); each time the stall threshold is crossed,
-	// one fetch goes out — periodic, so a fetch lost to the network gets
-	// retried, but never a flood.
-	for i := 0; i < 2*missingBodyFetchAfter; i++ {
-		out, _ := exec.Invoke(lastCommit)
-		if f, ok := findMsg[*messages.BatchFetch](t, out, tee.DestBroadcast); ok {
-			fetches++
-			if f.Seq != 1 || f.Digest != digest || f.Replica != 3 {
-				t.Fatalf("BatchFetch = %+v", f)
-			}
-		}
+	first, _ := exec.Invoke(query)
+	f, ok := findMsg[*messages.BatchFetch](t, first, tee.DestBroadcast)
+	if !ok || len(first) != 1 {
+		t.Fatalf("query on a blocked slot answered %d messages, want one BatchFetch", len(first))
 	}
-	if fetches != 2 {
-		t.Fatalf("execution broadcast %d BatchFetches over 2 stall periods, want 2", fetches)
+	if f.Seq != 1 || f.Digest != digest || f.Replica != 3 {
+		t.Fatalf("BatchFetch = %+v", f)
+	}
+	second, _ := exec.Invoke(query)
+	if len(second) != 1 || !bytes.Equal(second[0].Payload, first[0].Payload) || second[0].Kind != first[0].Kind {
+		t.Fatal("the same state answered two identical queries differently")
 	}
 
 	// A forged reply (different batch content) must be refused.
@@ -457,6 +454,9 @@ func TestExecutionFetchesMissingBody(t *testing.T) {
 	}
 	if v, ok := h.apps[3].Get("k"); !ok || !bytes.Equal(v, []byte("v")) {
 		t.Fatal("state not applied after batch retransmission")
+	}
+	if out, _ := exec.Invoke(query); len(out) != 0 {
+		t.Fatalf("query after the body landed answered %d messages, want none", len(out))
 	}
 }
 
@@ -668,7 +668,7 @@ func TestExecutionAsksAttestorForState(t *testing.T) {
 	} {
 		e := mustExecution(t, cfg, app.NewKVS(), ver)
 		e.lastExec = 4
-		out := e.installStable(nil, messages.CheckpointCert{Seq: 10, Attestor: tc.attestor, Vouch: []byte("vouch")})
+		out := e.installStable(messages.CheckpointCert{Seq: 10, Attestor: tc.attestor, Vouch: []byte("vouch")})
 		if len(out) != 1 || out[0].Kind != tc.kind || (tc.kind == tee.DestReplica && out[0].ID != tc.attestor) {
 			t.Fatalf("attestor %d: asked %+v, want one %v message", tc.attestor, out, tc.kind)
 		}

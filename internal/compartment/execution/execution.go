@@ -3,12 +3,7 @@
 package execution
 
 import (
-	"crypto/rand"
-	"encoding/binary"
-	"fmt"
-	"io"
 	"slices"
-	"time"
 
 	"github.com/splitbft/splitbft/internal/app"
 	"github.com/splitbft/splitbft/internal/compartment"
@@ -16,92 +11,6 @@ import (
 	"github.com/splitbft/splitbft/internal/messages"
 	"github.com/splitbft/splitbft/internal/tee"
 )
-
-// execReplyWindow is the span of timestamps below a client's newest executed
-// one that Execution tells apart, and so the most reply bodies it holds per
-// client; it must exceed the maximum outstanding requests per client (40 in
-// the paper's batched configuration). It is the 128 bits of skipWindow.
-const execReplyWindow = 128
-
-// skipWindow is a client's executed map over (maxExecuted−execReplyWindow,
-// maxExecuted]: bit i%64 of word i/64 is set when maxExecuted−i executed.
-type skipWindow [2]uint64
-
-// has reports whether bit i is set; i must be below execReplyWindow.
-func (w *skipWindow) has(i uint64) bool { return w[i/64]&(1<<(i%64)) != 0 }
-
-// shift moves the window's top up by s timestamps: bit i becomes bit i+s,
-// and bits pushed past the window drop out. Go shifts of 64 or more bits
-// give zero, which covers every s.
-func (w *skipWindow) shift(s uint64) {
-	w[1] = w[1]<<s | w[0]>>(64-s) | w[0]<<(s-64)
-	w[0] <<= s
-}
-
-// execClient is a client's exactly-once record inside the Execution enclave:
-// which of its timestamps executed, and the replies to those still inside
-// the window. Batches execute a client's outstanding requests out of order,
-// so a single highest-timestamp check would silently drop requests. Every
-// timestamp at or below maxExecuted−execReplyWindow counts as executed.
-// replies holds a body only for a timestamp whose window bit is set; one
-// merged in by state transfer has none, and a duplicate of it is skipped
-// silently.
-type execClient struct {
-	maxExecuted uint64
-	window      skipWindow
-	replies     map[uint64]*messages.Reply
-}
-
-// executed reports whether ts was already executed, returning the cached
-// reply when one is held.
-func (c *execClient) executed(ts uint64) (*messages.Reply, bool) {
-	if ts > c.maxExecuted {
-		return nil, false
-	}
-	if i := c.maxExecuted - ts; i < execReplyWindow && !c.window.has(i) {
-		return nil, false
-	}
-	return c.replies[ts], true
-}
-
-// record marks ts executed with reply rep.
-func (c *execClient) record(ts uint64, rep *messages.Reply) {
-	c.advance(ts)
-	i := c.maxExecuted - ts
-	if i >= execReplyWindow {
-		return // below the window: counted executed already
-	}
-	c.window[i/64] |= 1 << (i % 64)
-	if c.replies == nil {
-		c.replies = make(map[uint64]*messages.Reply)
-	}
-	c.replies[ts] = rep
-}
-
-// merge marks executed every timestamp a transferred window topped at
-// maxExecuted marks. Bodies already held are kept for resends.
-func (c *execClient) merge(maxExecuted uint64, w skipWindow) {
-	c.advance(maxExecuted)
-	w.shift(c.maxExecuted - maxExecuted)
-	c.window[0] |= w[0]
-	c.window[1] |= w[1]
-}
-
-// advance raises the window's top to maxExecuted, dropping the bodies of
-// the timestamps that leave the window.
-func (c *execClient) advance(maxExecuted uint64) {
-	if maxExecuted <= c.maxExecuted {
-		return
-	}
-	s := maxExecuted - c.maxExecuted
-	for i := uint64(execReplyWindow) - min(s, execReplyWindow); i < execReplyWindow; i++ {
-		if c.window.has(i) {
-			delete(c.replies, c.maxExecuted-i)
-		}
-	}
-	c.window.shift(s)
-	c.maxExecuted = maxExecuted
-}
 
 // Compartment is the Execution compartment (§3.2): it collects a quorum of
 // Commits (event handler 4), executes authenticated requests against the
@@ -145,113 +54,16 @@ type Compartment struct {
 	sessions map[uint32]clientSession
 
 	snapshots map[uint64][]byte
-	// probing/probesLeft drive the rejoin nudge: while armed (set by
-	// FinishRecovery after a restart), every environment tick broadcasts a
-	// StateProbe so peers whose stable checkpoint is ahead push the gap
-	// closed even when no protocol traffic flows (the idle-cluster rejoin
-	// case). Probing disarms when a state transfer lands or the budget
-	// runs out — a recovered replica that was never behind stops nudging
-	// after probeBudget unanswered rounds.
-	probing    bool
-	probesLeft int
-
-	// Read-lease state (ReadLeases deployments). lease is the verified
-	// grant currently held — deliberately NOT part of the sealed persistent
-	// state: a restarted replica comes back leaseless and refuses local
-	// reads (fail-closed) until the primary re-grants. leaseMargin is the
-	// near-expiry refusal margin, the clock-skew allowance: this replica
-	// stops serving that long before the nominal expiry, so a primary and
-	// holder whose clocks disagree by less than the margin never disagree
-	// about whether a lease was live.
-	leases      bool
-	lease       *messages.LeaseGrant
-	leaseMargin time.Duration
-	clock       *compartment.SkewClock
-	// readHigh tracks, per client, the highest ReadRequest timestamp already
-	// accepted past MAC verification. Clients never reuse a read timestamp,
-	// so anything at or below the watermark is a replay (or stale
-	// retransmit): it is dropped before any MAC, AEAD or application work —
-	// a replayed authenticated read must not burn enclave CPU forever.
-	readHigh map[uint32]uint64
-
-	// Read-index confirmation state. A leased read is never served off
-	// lease state alone: the holder first asks the primary's Preparation
-	// compartment for its proposal frontier with a ReadIndex query sent
-	// AFTER the read arrived. Any write acknowledged to any client before
-	// the query was proposed at or below that frontier, so once lastExec
-	// covers it the read observes every prior acked write. Queries are
-	// batched by epoch: one query is in flight at a time, reads arriving
-	// meanwhile wait for the next epoch (their frontier must be sampled
-	// after their arrival).
-	riPending []pendingRead
-	// riSentEpoch is the epoch of the last query sent; riInFlight whether
-	// its reply is still outstanding. Epochs count up from a base drawn from
-	// fresh randomness at every boot (New): the state here is not
-	// sealed, so counting from zero would let a reply captured before a
-	// restart — same view, same keys in a seeded deployment — confirm a query
-	// sent after it against the older frontier.
-	riSentEpoch uint64
-	riInFlight  bool
-	// riAckedEpoch/riAckedFrontier are the newest confirmed epoch and its
-	// frontier. The frontier only grows within a view (nextSeq is
-	// monotonic), so serving older epochs against the newest frontier is
-	// conservative, never unsound.
-	riAckedEpoch    uint64
-	riAckedFrontier uint64
-
-	// stallSeq/stallTicks drive the missing-body retransmission trigger:
-	// when execution blocks on a committed slot whose body is absent,
-	// every further ecall ticks the counter, and a fetch goes out each
-	// time it crosses the threshold. Commits legitimately overtake their
-	// PrePrepare in the input queue all the time — eager fetching on
-	// first sight would flood peers with full-body replies for gaps that
-	// resolve by themselves a few queue positions later; and the periodic
-	// re-fetch (rather than a one-shot) means a request or reply lost to
-	// a partition is simply retried under the next burst of traffic.
-	stallSeq   uint64
-	stallTicks int
+	readLeases
 }
-
-// missingBodyFetchAfter is how many subsequent ecalls a committed slot may
-// stay blocked on a missing body before a BatchFetch goes out (and between
-// re-sends while it stays blocked). Transient queue reordering resolves
-// well below it; a genuinely lost body (e.g. committed from a recovered
-// WAL whose PrePrepare fell in the un-fsynced tail) crosses it as soon as
-// any traffic flows.
-const missingBodyFetchAfter = 32
-
-// pendingRead is a leased read parked until its read-index epoch is
-// confirmed and applied. seenTick ages it out: a read still pending after a
-// full failure-detector period is refused — its client has long since
-// fallen back to the agreement path.
-type pendingRead struct {
-	req      *messages.ReadRequest
-	epoch    uint64
-	seenTick bool
-}
-
-// riPendingMax bounds the pending-read queue; admission past it refuses
-// immediately (the client falls back to agreement, losing only latency).
-const riPendingMax = 4096
-
-// probeBudget bounds how many environment ticks a recovered replica
-// broadcasts StateProbes for. Peers answer only while actually ahead, so
-// a replica that recovered fully current drains the budget quietly; a
-// genuinely behind one is answered on the first delivered probe, and if
-// every probe is lost the ordinary traffic-driven checkpoint/state-
-// transfer path still covers the gap — probing is a nudge, not the only
-// mechanism.
-const probeBudget = 32
 
 // New builds the Execution compartment of replica cfg.ID over the
 // application it hosts.
 func New(cfg compartment.Config, application app.Application, ver *messages.Verifier) (*Compartment, error) {
-	var boot [8]byte
-	if _, err := io.ReadFull(rand.Reader, boot[:]); err != nil {
-		return nil, fmt.Errorf("read-index epoch base: %w", err)
+	leases, err := newReadLeases(cfg)
+	if err != nil {
+		return nil, err
 	}
-	// The top bit stays clear: no run of queries overflows the counter.
-	epochBase := binary.LittleEndian.Uint64(boot[:]) >> 1
 	e := &Compartment{
 		State: compartment.NewState(cfg, ver),
 		macs: crypto.NewMACStore(cfg.MACSecret,
@@ -259,9 +71,6 @@ func New(cfg compartment.Config, application app.Application, ver *messages.Veri
 		confidential: cfg.Confidential,
 		ckptInterval: cfg.CheckpointInterval,
 		app:          application,
-		leases:       cfg.ReadLeases,
-		leaseMargin:  cfg.LeaseTTL / 8,
-		clock:        cfg.Clock,
 		batches:      make(map[crypto.Digest]*messages.Batch),
 		batchSeq:     make(map[crypto.Digest]uint64),
 		held:         make(map[uint64]crypto.Digest),
@@ -270,95 +79,10 @@ func New(cfg compartment.Config, application app.Application, ver *messages.Veri
 		clients:      make(map[uint32]*execClient),
 		sessions:     make(map[uint32]clientSession),
 		snapshots:    make(map[uint64][]byte),
-		readHigh:     make(map[uint32]uint64),
-		riSentEpoch:  epochBase,
-		riAckedEpoch: epochBase,
+		readLeases:   leases,
 	}
 	e.snapshots[0] = e.snapshotState()
 	return e, nil
-}
-
-// snapshotState builds the checkpoint snapshot: every client's executed
-// window (appendClientWindow, in ID order) wrapped around the application
-// state. Checkpoint digests are compared across replicas, so the encoding is
-// canonical: a function of what executed() answers and of the application
-// state alone, never of reply bodies (they differ per replica in the Replica
-// field and MAC). Without the windows a replica that catches up by state
-// transfer would re-execute a client request that the primary re-ordered
-// after a retransmit, forking its history from replicas whose records skip
-// the duplicate.
-//
-// The buffer is sized for the windows and the application encodes itself
-// into it in place (app.AppendSnapshot): one allocation the size of the
-// snapshot, no sort of the application's keys.
-func (e *Compartment) snapshotState() []byte {
-	ids := make([]uint32, 0, len(e.clients))
-	for id := range e.clients {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	enc := messages.NewEncoder(4 + len(ids)*clientSkipSize + 4)
-	enc.U32(uint32(len(ids)))
-	for _, id := range ids {
-		appendClientWindow(enc, id, e.clients[id])
-	}
-	enc.VarAppend(func(dst []byte) []byte { return app.AppendSnapshot(dst, e.app) })
-	return enc.Bytes()
-}
-
-// clientSkipSize is the encoded size of one client's window.
-const clientSkipSize = 4 + 8 + execReplyWindow/8
-
-// appendClientWindow encodes a client's executed window as the checkpoint
-// snapshot, state transfer and the sealed export all carry it: its ID,
-// maxExecuted and the window's words.
-func appendClientWindow(enc *messages.Encoder, id uint32, c *execClient) {
-	enc.U32(id)
-	enc.U64(c.maxExecuted)
-	enc.U64(c.window[0])
-	enc.U64(c.window[1])
-}
-
-// decodeClientWindow reads what appendClientWindow wrote, as a record that
-// holds no reply bodies.
-func decodeClientWindow(d *messages.Decoder) (uint32, *execClient) {
-	id := d.U32()
-	c := &execClient{maxExecuted: d.U64()}
-	c.window[0], c.window[1] = d.U64(), d.U64()
-	return id, c
-}
-
-// restoreState installs a checkpoint snapshot produced by snapshotState:
-// the application state plus every client's executed window, merged into
-// (never replacing) the live records. Every restored timestamp was executed
-// in the history the snapshot covers, so skipping it can only be correct;
-// held reply bodies stay for resends. A duplicate of a timestamp with no
-// body is skipped silently, which is safe: ordering already happened, and
-// live replicas answer the retransmit from their records.
-func (e *Compartment) restoreState(snap []byte) error {
-	d := messages.NewDecoder(snap)
-	n := d.Count(1 << 20)
-	restored := make(map[uint32]*execClient, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		id, c := decodeClientWindow(d)
-		restored[id] = c
-	}
-	appState := d.VarBytes()
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	if err := e.app.Restore(appState); err != nil {
-		return err
-	}
-	for id, c := range restored {
-		cl, ok := e.clients[id]
-		if !ok {
-			cl = &execClient{}
-			e.clients[id] = cl
-		}
-		cl.merge(c.maxExecuted, c.window)
-	}
-	return nil
 }
 
 // Measurement implements tee.Code.
@@ -371,26 +95,49 @@ func Measurement() crypto.Digest { return compartment.Measure("execution") }
 
 // HandleECall implements tee.Code.
 func (e *Compartment) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
-	if len(raw) == 1 && raw[0] == compartment.EcallTick {
-		// Environment timer tick: no message, just the liveness nudges,
-		// aging parked reads out (their clients have long since fallen back
-		// after a full detector period) and retransmitting a lost frontier
-		// query.
-		out := append(e.onProbeTick(), e.tickStall()...)
-		out = append(out, e.settleReads(false, true)...)
+	if len(raw) == 2 && raw[0] == compartment.EcallTick {
+		return e.onQuery(host, raw[1])
+	}
+	// Any message may have advanced lastExec past a confirmed frontier:
+	// serve what became servable.
+	return append(e.handleMessage(host, raw), e.settleReads(false)...)
+}
+
+// Flags of the environment's query, the second byte of a
+// compartment.EcallTick ecall.
+const (
+	TickPeriod byte = 1 << iota // a failure-detector period passed
+	TickProbe                   // announce how far this replica got
+)
+
+// onQuery answers the environment's query (compartment.EcallTick) from
+// current state alone: the same state and flags give the same answer, and
+// when to ask, and which answers to forward, is the environment's decision.
+func (e *Compartment) onQuery(host tee.Host, flags byte) []tee.OutMsg {
+	var out []tee.OutMsg
+	// The next slot committed but its body never arrived (lost PrePrepare,
+	// or it committed while this replica was down): ask peers to retransmit
+	// it rather than wait for a checkpoint to trigger state transfer.
+	next := e.lastExec + 1
+	if digest, ok := e.committed[next]; ok && !digest.IsZero() {
+		if _, cached := e.batches[digest]; !cached {
+			out = append(out, compartment.BroadcastOut(&messages.BatchFetch{Seq: next, Digest: digest, Replica: e.ID}))
+		}
+	}
+	if flags&TickPeriod != 0 {
+		// Refuse parked reads whose lease lapsed with no message to notice,
+		// and retransmit a lost frontier query.
+		out = append(out, e.settleReads(false)...)
 		if e.riInFlight && len(e.riPending) > 0 {
 			out = append(out, e.sendReadIndex(host))
 		}
-		return out
 	}
-	out := e.handleMessage(host, raw)
-	if more := e.tickStall(); more != nil {
-		out = append(out, more...)
-	}
-	if len(e.riPending) > 0 {
-		// Any message may have advanced lastExec past a confirmed frontier:
-		// serve what became servable.
-		out = append(out, e.settleReads(false, false)...)
+	if flags&TickProbe != 0 {
+		// Announce how far this replica got: a peer whose stable checkpoint
+		// is ahead answers with its snapshot, and peers' Confirmation
+		// compartments re-send their Commits for the slots above it — a
+		// post-restart gap closes without client traffic.
+		out = append(out, compartment.BroadcastOut(&messages.StateProbe{Have: max(e.lastExec, e.StableCert.Seq), Replica: e.ID}))
 	}
 	return out
 }
@@ -432,236 +179,6 @@ func (e *Compartment) handleMessage(host tee.Host, raw []byte) []tee.OutMsg {
 		return e.onReadIndexReply(host, msg)
 	}
 	return nil
-}
-
-// onLeaseGrant acknowledges and (for non-probe grants) installs a verified
-// read lease addressed to this replica. Grants carry the counter enclave's
-// signature, so the untrusted broker cannot mint one; grants for any view
-// but the compartment's current one are dead on arrival — neither acked
-// nor installed — which is what makes a quorum of acks a proof that the
-// granter is the primary of the view 2f+1 Execution compartments actually
-// inhabit. A replayed old grant is rejected by the freshness comparison
-// (it can only lower the expiry), and its ack cannot refresh the granter's
-// reachability record (the echoed expiry is monotonically tracked there).
-func (e *Compartment) onLeaseGrant(host tee.Host, g *messages.LeaseGrant) []tee.OutMsg {
-	if !e.leases || g.Holder != e.ID {
-		return nil
-	}
-	if err := e.Ver.VerifyLease(g); err != nil {
-		return nil
-	}
-	if g.View != e.View {
-		return nil
-	}
-	// Ack every verified current-view grant, probe or real, echoing its
-	// expiry as the round nonce: the granter needs a quorum of fresh acks
-	// before it may issue servable (non-probe) grants.
-	ack := &messages.LeaseAck{Holder: e.ID, View: g.View, Expiry: g.Expiry}
-	_, ack.Auth = e.Authenticate(host, ack)
-	var out []tee.OutMsg
-	if g.Granter == e.ID {
-		out = append(out, compartment.LocalOut(crypto.RolePreparation, ack))
-	} else if int(g.Granter) < e.N {
-		out = append(out, compartment.ReplicaOut(g.Granter, ack))
-	}
-	if g.Probe {
-		return out // reachability probe: acknowledged, never installed
-	}
-	if cur := e.lease; cur != nil && cur.View == g.View && g.Expiry <= cur.Expiry {
-		return out // stale or duplicate grant
-	}
-	e.lease = g
-	return out
-}
-
-// leaseValid reports whether the held lease authorizes serving local reads
-// right now: it must exist, match the compartment's current view (a view
-// change revokes every outstanding lease instantly on correct replicas),
-// and be more than the clock-skew margin away from expiry. Fail-closed on
-// every branch — a refusal only pushes the client onto the agreement path.
-func (e *Compartment) leaseValid(now time.Time) bool {
-	g := e.lease
-	if g == nil || g.View != e.View {
-		return false
-	}
-	return now.UnixNano()+int64(e.leaseMargin) < g.Expiry
-}
-
-// onReadRequest admits a read under the held lease — the whole point of
-// the lease fast path: no PrePrepare, no quorum, one attested reply. The
-// read is parked until a read-index frontier sampled after its arrival is
-// confirmed and applied. Refusals are explicit (OK=false) so the client
-// falls back to agreement immediately. The exactly-once records (clients)
-// are deliberately untouched: leased reads are side-effect-free and
-// unordered, so recording them would pollute the write path's windows.
-func (e *Compartment) onReadRequest(host tee.Host, r *messages.ReadRequest) []tee.OutMsg {
-	if !e.leases {
-		return nil
-	}
-	if r.Timestamp <= e.readHigh[r.ClientID] {
-		// Replay (or stale retransmit): clients never reuse a read
-		// timestamp, so drop before any MAC, AEAD or application work.
-		return nil
-	}
-	enc := messages.GetEncoder()
-	r.AppendAuthenticated(enc)
-	err := e.macs.VerifySingle(enc.Bytes(), r.MAC, crypto.Identity{ReplicaID: r.ClientID, Role: crypto.RoleClient})
-	messages.PutEncoder(enc)
-	if err != nil {
-		return nil // unauthenticated: drop, like any forged client traffic
-	}
-	e.readHigh[r.ClientID] = r.Timestamp
-	if _, ok := e.app.(app.ReadExecutor); !ok || !e.leaseValid(e.clock.Now()) || len(e.riPending) >= riPendingMax {
-		return []tee.OutMsg{e.readReply(r, false)}
-	}
-	// The read's epoch names the first query sent at or after its arrival:
-	// if no query is in flight one goes out now; otherwise the read waits
-	// for the round after the in-flight one — the in-flight query was sent
-	// before this read arrived, so its frontier could miss a write acked in
-	// between (exactly the stale-read hazard of anchoring reads at grant
-	// time).
-	var out []tee.OutMsg
-	epoch := e.riSentEpoch + 1
-	if !e.riInFlight {
-		e.riSentEpoch = epoch
-		e.riInFlight = true
-		out = append(out, e.sendReadIndex(host))
-	}
-	e.riPending = append(e.riPending, pendingRead{req: r, epoch: epoch})
-	return out
-}
-
-// readReply answers r: with serve set it runs the serve checks and returns
-// the result when they pass; otherwise, or when a check fails, it is an
-// explicit OK=false refusal — the client's signal to take the agreement
-// path.
-func (e *Compartment) readReply(r *messages.ReadRequest, serve bool) tee.OutMsg {
-	rep := &messages.ReadReply{Replica: e.ID, ClientID: r.ClientID, Timestamp: r.Timestamp, View: e.View}
-	if serve {
-		rep.Result, rep.OK = e.serveLocalRead(r)
-	}
-	rep.MAC = e.clientMAC(rep, r.ClientID)
-	return compartment.ClientOut(r.ClientID, rep)
-}
-
-// clientMAC authenticates a client-bound message to its client, encoding
-// the covered bytes in a pooled buffer.
-func (e *Compartment) clientMAC(m interface{ AppendAuthenticated(*messages.Encoder) }, client uint32) [crypto.MACSize]byte {
-	enc := messages.GetEncoder()
-	m.AppendAuthenticated(enc)
-	mac := e.macs.MAC(enc.Bytes(), crypto.Identity{ReplicaID: client, Role: crypto.RoleClient})
-	messages.PutEncoder(enc)
-	return mac
-}
-
-// sendReadIndex (re)transmits the current epoch's frontier query to the
-// primary's Preparation compartment.
-func (e *Compartment) sendReadIndex(host tee.Host) tee.OutMsg {
-	ri := &messages.ReadIndex{Holder: e.ID, View: e.View, Epoch: e.riSentEpoch}
-	_, ri.Auth = e.Authenticate(host, ri)
-	if p := e.Primary(e.View); p != e.ID {
-		return compartment.ReplicaOut(p, ri)
-	}
-	return compartment.LocalOut(crypto.RolePreparation, ri)
-}
-
-// onReadIndexReply confirms a frontier for the in-flight epoch, serves
-// everything it unblocks, and starts the next round if reads arrived while
-// the query was out. Only the answer to this holder's own outstanding query
-// counts: a frontier reported to another holder, or to this one before a
-// restart, predates writes this query must cover.
-func (e *Compartment) onReadIndexReply(host tee.Host, rep *messages.ReadIndexReply) []tee.OutMsg {
-	if !e.leases || rep.Holder != e.ID || rep.View != e.View || !e.riInFlight || rep.Epoch != e.riSentEpoch {
-		return nil
-	}
-	if err := e.Ver.VerifyReadIndexReply(rep); err != nil {
-		return nil
-	}
-	e.riInFlight = false
-	e.riAckedEpoch = rep.Epoch
-	e.riAckedFrontier = rep.Frontier
-	out := e.settleReads(false, false)
-	for _, pr := range e.riPending {
-		if pr.epoch > e.riAckedEpoch {
-			e.riSentEpoch++
-			e.riInFlight = true
-			out = append(out, e.sendReadIndex(host))
-			break
-		}
-	}
-	return out
-}
-
-// settleReads walks the parked reads once, answering each whose outcome is
-// decided and keeping the rest. All are refused when refuseAll is set or the
-// lease stopped being valid (fail-closed — the client falls back to
-// agreement); otherwise a read whose epoch is confirmed and whose frontier is
-// applied is served. With age set (the environment's failure-detector tick)
-// a read still pending since the previous tick is refused and the others are
-// marked.
-func (e *Compartment) settleReads(refuseAll, age bool) []tee.OutMsg {
-	if len(e.riPending) == 0 {
-		return nil
-	}
-	refuseAll = refuseAll || !e.leaseValid(e.clock.Now())
-	var out []tee.OutMsg
-	keep := e.riPending[:0]
-	for _, pr := range e.riPending {
-		switch {
-		case refuseAll:
-			out = append(out, e.readReply(pr.req, false))
-		case pr.epoch <= e.riAckedEpoch && e.lastExec >= e.riAckedFrontier:
-			out = append(out, e.readReply(pr.req, true))
-		case age && pr.seenTick:
-			out = append(out, e.readReply(pr.req, false))
-		default:
-			pr.seenTick = pr.seenTick || age
-			keep = append(keep, pr)
-		}
-	}
-	clear(e.riPending[len(keep):]) // drop refs for GC
-	e.riPending = keep
-	return out
-}
-
-// serveLocalRead runs the serve checks and, when they pass, executes the
-// read against the application without ordering it:
-//
-//   - the application must expose a side-effect-free read path
-//     (app.ReadExecutor) — anything else must be ordered;
-//   - the lease must be valid at serve time (view match, not near expiry).
-//
-// The read's other admission — a read-index frontier confirmed after its
-// arrival and applied — is enforced by the pending-read machinery before
-// this function runs.
-func (e *Compartment) serveLocalRead(r *messages.ReadRequest) ([]byte, bool) {
-	ra, ok := e.app.(app.ReadExecutor)
-	if !ok {
-		return nil, false
-	}
-	if !e.leaseValid(e.clock.Now()) {
-		return nil, false
-	}
-	op := r.Payload
-	var sess *crypto.Session
-	if e.confidential {
-		if sess = e.sessions[r.ClientID].aead; sess == nil {
-			return nil, false
-		}
-		pt, err := sess.Open(r.Payload, crypto.RequestAD(r.ClientID, r.Timestamp))
-		if err != nil {
-			return nil, false
-		}
-		op = pt
-	}
-	result, ok := ra.ExecuteRead(r.ClientID, op)
-	if !ok {
-		return nil, false // not a read-only op: it must go through agreement
-	}
-	if e.confidential {
-		result = sess.Seal(result, crypto.ReplyAD(r.ClientID, r.Timestamp))
-	}
-	return result, true
 }
 
 // onPrePrepare caches the full request bodies for later execution. This
@@ -772,27 +289,20 @@ func (e *Compartment) tryExecute(host tee.Host) []tee.OutMsg {
 		}
 		batch, ok := e.batches[digest]
 		if !ok {
-			// The body never arrived (lost PrePrepare, or it committed
-			// while this replica was down): arm the stall detector —
-			// tickStall asks peers to retransmit the gap if the slot
-			// stays blocked, instead of waiting for the next checkpoint
-			// to trigger state transfer.
-			if e.stallSeq != next {
-				e.stallSeq = next
-				e.stallTicks = 0
-			}
+			// The body never arrived: the environment's query fetches it
+			// (onQuery).
 			return out
 		}
 		delete(e.committed, next)
 		e.lastExec = next
-		out = append(out, e.executeBatch(host, batch)...)
+		out = append(out, e.executeBatch(batch)...)
 		out = append(out, e.maybeCheckpoint(host, next)...)
 	}
 }
 
 // executeBatch authenticates, decrypts, executes and answers every request
 // in a batch.
-func (e *Compartment) executeBatch(host tee.Host, batch *messages.Batch) []tee.OutMsg {
+func (e *Compartment) executeBatch(batch *messages.Batch) []tee.OutMsg {
 	out := make([]tee.OutMsg, 0, len(batch.Requests))
 	for i := range batch.Requests {
 		req := &batch.Requests[i]
@@ -819,7 +329,6 @@ func (e *Compartment) executeBatch(host tee.Host, batch *messages.Batch) []tee.O
 		entry.record(req.Timestamp, rep)
 		out = append(out, compartment.ClientOut(req.ClientID, rep))
 	}
-	_ = host
 	return out
 }
 
@@ -853,39 +362,6 @@ func (e *Compartment) executeOne(req *messages.Request) []byte {
 		result = sess.Seal(result, crypto.ReplyAD(req.ClientID, req.Timestamp))
 	}
 	return result
-}
-
-// tickStall runs once per ecall: while execution is blocked on a
-// committed slot whose body is missing, the counter advances, and after
-// missingBodyFetchAfter messages a retransmission request goes out.
-func (e *Compartment) tickStall() []tee.OutMsg {
-	next := e.lastExec + 1
-	if e.stallSeq != next {
-		return nil // not armed, or execution moved past the stall
-	}
-	digest, committed := e.committed[next]
-	if !committed || digest.IsZero() {
-		e.stallSeq = 0
-		return nil
-	}
-	if _, have := e.batches[digest]; have {
-		e.stallSeq = 0 // body arrived; tryExecute will consume it
-		return nil
-	}
-	e.stallTicks++
-	if e.stallTicks < missingBodyFetchAfter {
-		return nil
-	}
-	e.stallTicks = 0 // periodic: re-fetch if the slot stays blocked
-	return e.fetchBody(next, digest)
-}
-
-// fetchBody broadcasts a BatchFetch for a committed sequence number whose
-// request bodies are missing. The checkpoint-driven state-transfer path
-// still covers the gap if every fetch is lost — this is the fast path,
-// not the only one.
-func (e *Compartment) fetchBody(seq uint64, digest crypto.Digest) []tee.OutMsg {
-	return []tee.OutMsg{compartment.BroadcastOut(&messages.BatchFetch{Seq: seq, Digest: digest, Replica: e.ID})}
 }
 
 // onBatchFetch serves a peer's missing-body request from the batch cache.
@@ -948,10 +424,10 @@ func (e *Compartment) onCheckpointMsg(host tee.Host, c *messages.Checkpoint) []t
 	if cert == nil {
 		return nil
 	}
-	return e.installStable(host, *cert)
+	return e.installStable(*cert)
 }
 
-func (e *Compartment) installStable(_ tee.Host, cert messages.CheckpointCert) []tee.OutMsg {
+func (e *Compartment) installStable(cert messages.CheckpointCert) []tee.OutMsg {
 	if !e.AdvanceStable(cert) {
 		return nil
 	}
@@ -980,39 +456,6 @@ func (e *Compartment) installStable(_ tee.Host, cert messages.CheckpointCert) []
 		out = compartment.BroadcastOut(ask)
 	}
 	return []tee.OutMsg{out}
-}
-
-// onProbeTick runs on every environment timer tick: while the rejoin
-// nudge is armed, broadcast a StateProbe announcing how far this replica
-// got, so any peer whose stable checkpoint is ahead answers with the
-// snapshot — closing a post-restart outage gap without client traffic.
-func (e *Compartment) onProbeTick() []tee.OutMsg {
-	if !e.probing {
-		return nil
-	}
-	if e.probesLeft <= 0 {
-		e.probing = false
-		return nil
-	}
-	e.probesLeft--
-	have := e.lastExec
-	if e.StableCert.Seq > have {
-		have = e.StableCert.Seq
-	}
-	out := []tee.OutMsg{compartment.BroadcastOut(&messages.StateProbe{Have: have, Replica: e.ID})}
-	// Sub-checkpoint outage tail: peers answer a probe below any stable
-	// checkpoint by re-sending their Commits for the gap slots (there is
-	// no snapshot to transfer), so the next slot may already hold a
-	// certificate whose body never arrived. An idle cluster generates no
-	// ecall traffic to advance the stall counter, so fetch the body on the
-	// probe clock instead of waiting out tickStall.
-	next := e.lastExec + 1
-	if digest, ok := e.committed[next]; ok && !digest.IsZero() {
-		if _, cached := e.batches[digest]; !cached {
-			out = append(out, e.fetchBody(next, digest)...)
-		}
-	}
-	return out
 }
 
 // onStateProbe answers a peer's StateProbe — its rejoin nudge or its ask
@@ -1045,73 +488,13 @@ func (e *Compartment) onNewView(host tee.Host, nv *messages.NewView) []tee.OutMs
 	if !e.ApplyNewViewCheckpoint(nv) {
 		return nil
 	}
-	// Drop a lease from a deposed view eagerly. leaseValid would refuse it
-	// anyway (view mismatch) — this just frees the reference.
-	if e.lease != nil && e.lease.View != e.View {
-		e.lease = nil
-	}
 	// Pending reads were waiting on a frontier from the deposed primary:
 	// refuse them all (fail-closed), and forget the in-flight query — a late
 	// reply for it fails the view check.
-	out := e.settleReads(true, false)
+	out := e.settleReads(true)
 	e.riInFlight = false
 	e.gc()
 	return append(out, e.tryExecute(host)...)
-}
-
-// clientSession is a client's attested session with this enclave: the ECDH
-// key it attested with and, once provisioned, its session key s_enc and the
-// AEAD built from it (nil until then).
-type clientSession struct {
-	pub  [32]byte
-	key  crypto.SessionKey
-	aead *crypto.Session
-}
-
-// onAttestRequest answers a client attestation challenge with this
-// enclave's quote and remembers the client's ECDH key for provisioning.
-func (e *Compartment) onAttestRequest(host tee.Host, ar *messages.AttestRequest) []tee.OutMsg {
-	s := e.sessions[ar.ClientID]
-	s.pub = ar.ClientPub
-	e.sessions[ar.ClientID] = s
-	return []tee.OutMsg{compartment.ClientOut(ar.ClientID, host.Quote(ar.Nonce))}
-}
-
-// onProvisionKey unwraps the client's session key s_enc (§4.1) under the
-// X25519-derived pairwise key and installs the session.
-func (e *Compartment) onProvisionKey(host tee.Host, pk *messages.ProvisionKey) {
-	s, ok := e.sessions[pk.ClientID]
-	if !ok {
-		return
-	}
-	wrapKey, err := host.DeriveSession(s.pub)
-	if err != nil {
-		return
-	}
-	wrapSess, err := crypto.NewSession(wrapKey, 0)
-	if err != nil {
-		return
-	}
-	keyBytes, err := wrapSess.Open(pk.WrappedKey, crypto.ProvisionAD(pk.ClientID))
-	if err != nil || len(keyBytes) != crypto.SessionKeySize {
-		return
-	}
-	var sk crypto.SessionKey
-	copy(sk[:], keyBytes)
-	// Re-provisioning the same key must not reset the nonce counter: a WAL
-	// replay of this ProvisionKey after a recovered snapshot would
-	// otherwise rewind the session below nonces already used on the wire.
-	if s.aead != nil && s.key == sk {
-		return
-	}
-	// Direction 10+id keeps reply nonces disjoint across the n Execution
-	// enclaves sharing s_enc.
-	aead, err := crypto.NewSession(sk, byte(10+e.ID))
-	if err != nil {
-		return
-	}
-	s.key, s.aead = sk, aead
-	e.sessions[pk.ClientID] = s
 }
 
 // onStateReply installs a verified snapshot and resumes execution.
@@ -1132,9 +515,6 @@ func (e *Compartment) onStateReply(host tee.Host, rep *messages.StateReply) []te
 	e.lastExec = rep.Cert.Seq
 	e.AdvanceStable(rep.Cert)
 	e.gc()
-	// The outage gap just closed (to the group's stable point at least):
-	// stop nudging peers.
-	e.probing = false
 	return e.tryExecute(host)
 }
 

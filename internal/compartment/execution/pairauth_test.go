@@ -20,18 +20,20 @@ import (
 var bothAuthModes = []messages.AuthMode{messages.AuthSig, messages.AuthMAC}
 
 // wantFallback asserts the liveness-only outcome of an unconfirmed read: it
-// stays parked, and after a full detector period the holder refuses it
-// explicitly, which sends the client to the agreement path.
+// stays parked and unserved under a live lease (its client falls back to the
+// agreement path on its own retransmit timer), and once the lease lapses the
+// holder's next period query refuses it explicitly.
 func (r *leaseRig) wantFallback(replica uint32) {
 	r.t.Helper()
 	if got := len(r.codes[replica].riPending); got != 1 {
 		r.t.Fatalf("pending linearizable reads = %d, want the one unconfirmed read", got)
 	}
-	if rep := r.tickExec(replica); rep != nil {
-		r.t.Fatalf("read settled after one tick: %+v", rep)
+	if rep := r.tickExec(replica, TickPeriod); rep != nil {
+		r.t.Fatalf("unconfirmed read settled under a live lease: %+v", rep)
 	}
-	if rep := r.tickExec(replica); rep == nil || rep.OK {
-		r.t.Fatalf("unconfirmed read was not refused after a detector period: %+v", rep)
+	r.lapse(replica)
+	if rep := r.tickExec(replica, TickPeriod); rep == nil || rep.OK {
+		r.t.Fatalf("unconfirmed read was not refused once the lease lapsed: %+v", rep)
 	}
 	if got := r.served[replica]; got != 0 {
 		r.t.Fatalf("served reads = %d: an unconfirmed read was served", got)

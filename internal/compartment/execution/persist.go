@@ -210,22 +210,11 @@ func (e *Compartment) ImportState(data []byte) error {
 // before the replica starts serving: it advances every session nonce
 // counter past anything the pre-crash process may have used (the sole
 // application of sessionCounterSlack, covering snapshot-imported and
-// replay-created sessions alike), and re-arms the missing-body stall
-// detector — replay discards enclave outputs, so a BatchFetch fired
-// during replay went nowhere; the live one re-fires as soon as traffic
-// flows.
+// replay-created sessions alike).
 func (e *Compartment) FinishRecovery() {
 	for _, s := range e.sessions {
 		if s.aead != nil {
 			s.aead.SetCounter(s.aead.Counter() + sessionCounterSlack)
 		}
 	}
-	e.stallSeq = 0
-	e.stallTicks = 0
-	// Arm the rejoin nudge: whatever committed while this replica was down
-	// is invisible to the local log, and on an idle cluster no checkpoint
-	// traffic would ever reveal it. Probing asks the peers directly; if
-	// none is ahead the budget drains quietly.
-	e.probing = true
-	e.probesLeft = probeBudget
 }

@@ -152,28 +152,6 @@ func TestStateExportV2Refused(t *testing.T) {
 	}
 }
 
-// TestFinishRecoveryRearmsBatchFetch: WAL replay discards enclave
-// outputs, so a BatchFetch fired during replay went nowhere — recovery
-// must reset the stall detector so the live one re-fires cleanly.
-func TestFinishRecoveryRearmsBatchFetch(t *testing.T) {
-	cfg := withDefaults(compartment.Config{N: 4, F: 1, ID: 3, MACSecret: []byte("s")})
-	ver, err := messages.NewVerifier(cfg.N, cfg.F, crypto.NewRegistry(), messages.SplitScheme())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := mustExecution(t, cfg, app.NewKVS(), ver)
-	e.stallSeq = 7 // as if replay left execution mid-stall
-	e.stallTicks = missingBodyFetchAfter - 1
-	e.FinishRecovery()
-	if e.stallSeq != 0 || e.stallTicks != 0 {
-		t.Fatalf("recovery left the stall detector armed: stallSeq=%d ticks=%d",
-			e.stallSeq, e.stallTicks)
-	}
-	if out := e.fetchBody(7, crypto.HashData([]byte("d"))); len(out) != 1 {
-		t.Fatal("fetchBody suppressed after recovery")
-	}
-}
-
 // TestCompartmentStateExportRoundTrip drives a slice of protocol traffic
 // through an execution compartment, exports its state, imports it into a
 // fresh instance and checks the observable state matches.

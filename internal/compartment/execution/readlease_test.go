@@ -16,7 +16,7 @@ import (
 )
 
 // Leased local read tests: drive the Preparation (granter) and Execution
-// (holder) compartments directly, probing the fail-closed admission rules —
+// (holder) compartments directly, exercising the fail-closed admission rules —
 // an expired, revoked, forged, probe-only, or missing lease must refuse the
 // local read, and a read must never be served off lease state alone (it
 // needs a read-index frontier sampled after its arrival).
@@ -357,16 +357,23 @@ func (r *leaseRig) propose(ts uint64) {
 	}
 }
 
-// tickExec delivers one failure-detector tick to a holder and returns the
-// client reply it released, if any.
-func (r *leaseRig) tickExec(replica uint32) *messages.ReadReply {
+// tickExec delivers one environment query with the given flags to a
+// holder and returns the client reply it released, if any.
+func (r *leaseRig) tickExec(replica uint32, flags byte) *messages.ReadReply {
 	r.t.Helper()
-	out, err := r.execs[replica].Invoke([]byte{compartment.EcallTick})
+	out, err := r.execs[replica].Invoke([]byte{compartment.EcallTick, flags})
 	if err != nil {
 		r.t.Fatal(err)
 	}
 	rep, _ := findMsg[*messages.ReadReply](r.t, r.note(replica, out), tee.DestClient)
 	return rep
+}
+
+// lapse moves a holder's lease clock past the expiry of any lease it holds.
+func (r *leaseRig) lapse(replica uint32) {
+	clock := new(compartment.SkewClock)
+	clock.SetSkew(2 * r.config(replica).LeaseTTL)
+	r.codes[replica].clock = clock
 }
 
 // read runs one read end to end and returns the client reply (nil when the
@@ -608,7 +615,7 @@ func TestLinearizableReadSeesPostGrantWrite(t *testing.T) {
 	// the commit-path tests' job).
 	r.codes[1].lastExec = 1
 	r.apps[1].Execute(7, app.EncodePut("k", []byte("v")))
-	rep := r.tickExec(1)
+	rep := r.tickExec(1, TickPeriod)
 	if rep == nil || !rep.OK {
 		t.Fatalf("caught-up holder did not serve the parked read: %+v", rep)
 	}
@@ -620,29 +627,30 @@ func TestLinearizableReadSeesPostGrantWrite(t *testing.T) {
 	}
 }
 
-// TestParkedReadAgesOut: a read parked behind the frontier survives the
-// first failure-detector tick and is refused on the second — its client has
-// fallen back to the agreement path by then.
-func TestParkedReadAgesOut(t *testing.T) {
+// TestParkedReadRefusedOnLeaseLapse: a read parked behind the frontier
+// stays parked while the lease is live, and once the lease lapses with no
+// message to notice it, the next period query refuses it — fail-closed, the
+// client falls back to agreement. A query without the period flag leaves
+// parked reads alone.
+func TestParkedReadRefusedOnLeaseLapse(t *testing.T) {
 	r := newLeaseRig(t, time.Second)
 	r.armLeases()
 	r.propose(1)
 	if rep := r.read(1, 1, app.EncodeGet("k")); rep != nil {
 		t.Fatalf("read answered while behind the frontier: %+v", rep)
 	}
-	r.renew()
-	if rep := r.tickExec(1); rep != nil {
-		t.Fatalf("first tick answered the parked read: %+v", rep)
+	if rep := r.tickExec(1, TickPeriod); rep != nil {
+		t.Fatalf("period query under a live lease answered the parked read: %+v", rep)
 	}
-	if got := len(r.codes[1].riPending); got != 1 {
-		t.Fatalf("pending reads = %d after one tick, want 1", got)
+	r.lapse(1)
+	if rep := r.tickExec(1, 0); rep != nil {
+		t.Fatalf("query without the period flag answered the parked read: %+v", rep)
 	}
-	r.renew()
-	if rep := r.tickExec(1); rep == nil || rep.OK {
-		t.Fatalf("second tick answered %+v, want a refusal", rep)
+	if rep := r.tickExec(1, TickPeriod); rep == nil || rep.OK {
+		t.Fatalf("period query after the lease lapsed answered %+v, want a refusal", rep)
 	}
 	if got := len(r.codes[1].riPending); got != 0 {
-		t.Fatalf("pending reads = %d after two ticks, want 0", got)
+		t.Fatalf("pending reads = %d after the refusal, want 0", got)
 	}
 }
 

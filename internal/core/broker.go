@@ -1,306 +1,18 @@
 package core
 
 import (
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/splitbft/splitbft/internal/compartment"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/genset"
 	"github.com/splitbft/splitbft/internal/messages"
 	"github.com/splitbft/splitbft/internal/obs"
 	"github.com/splitbft/splitbft/internal/ring"
-	"github.com/splitbft/splitbft/internal/store"
 	"github.com/splitbft/splitbft/internal/tee"
 	"github.com/splitbft/splitbft/internal/transport"
 )
-
-// comStore pairs a compartment's durable store with its enclave and the
-// snapshot-generation bookkeeping. lastEpoch is touched only by the
-// dispatcher thread serving the compartment (or the single dispatcher in
-// SingleThread mode), so it needs no lock; snapBusy is shared with the
-// background snapshot writer.
-type comStore struct {
-	st  *store.Store
-	enc *tee.Enclave
-	// lastEpoch is the newest epoch whose snapshot durably landed; it is
-	// atomic because the background writer advances it on success while
-	// the dispatcher reads it.
-	lastEpoch atomic.Uint64
-	snapBusy  atomic.Bool
-	// wg joins the in-flight background snapshot write: a store handoff
-	// (Replica.Stop/Crash followed by a restart) must not leave the old
-	// writer racing the new store for the directory.
-	wg sync.WaitGroup
-}
-
-// drain waits for an in-flight background snapshot write to finish.
-func (cs *comStore) drain() { cs.wg.Wait() }
-
-// persistRun appends a run of same-compartment ecall payloads to the WAL
-// before they are delivered. Append errors need no handling here: the
-// store's failure is sticky, so the pre-route Sync in dispatch sees it
-// and suppresses the outputs — a record lost with no output escaping is
-// indistinguishable from a crash just before it, and the recovery path
-// closes any such gap through peer state transfer. Environment timer
-// ticks are skipped: they mutate no replayable state, and persisting one
-// per detection period would grow an idle cluster's WAL forever. So is
-// read-lease traffic (see routeRow).
-func (cs *comStore) persistRun(run []ecall) {
-	for k := range run {
-		p := run[k].payload
-		if len(p) == 1 && p[0] == compartment.EcallTick {
-			continue
-		}
-		if len(p) > 1 && p[0] == compartment.EcallMessage && inboundRoutes[p[1]].lease {
-			continue
-		}
-		_, _ = cs.st.Append(p)
-	}
-}
-
-// maybeSnapshot seals a state snapshot when the compartment's stable
-// checkpoint advanced since the last one — tying snapshot cadence (and
-// therefore WAL garbage collection) to the protocol's checkpoints. Only
-// the state export runs on the dispatcher; the file write and its fsyncs
-// happen on a background goroutine with the coverage index captured now,
-// so checkpoint-sized I/O never stalls agreement traffic. One write is in
-// flight at a time; a skipped epoch retries at the next advance.
-func (cs *comStore) maybeSnapshot() {
-	ep := cs.enc.StateEpoch()
-	if ep <= cs.lastEpoch.Load() || cs.snapBusy.Load() {
-		return
-	}
-	sealed, err := cs.enc.SealState()
-	if err != nil {
-		return // e.g. crashed enclave: no snapshot, WAL keeps growing
-	}
-	index := cs.st.Stats().NextIndex - 1
-	cs.snapBusy.Store(true)
-	cs.wg.Add(1)
-	go func() {
-		defer cs.wg.Done()
-		// The epoch advances only when the snapshot durably landed, so a
-		// failed write is retried at the next checkpoint advance rather
-		// than silently skipped (which would leave the WAL growing
-		// without GC until the crash after next).
-		if cs.st.WriteSnapshotAt(sealed, index) == nil {
-			cs.lastEpoch.Store(ep)
-		}
-		cs.snapBusy.Store(false)
-	}()
-}
-
-// pooledBuf is a reference-counted ecall payload buffer recycled through a
-// sync.Pool. Messages duplicated into several compartments' input logs
-// (§3.2) share one buffer with one reference per queue; the enclave
-// runtime copies payloads across the trusted boundary (and charges for
-// it), so the untrusted-side buffer is dead as soon as its last ecall has
-// been invoked and can be reused without another allocation — the pooled
-// zero-copy path of the staged pipeline.
-type pooledBuf struct {
-	buf  []byte
-	refs atomic.Int32
-}
-
-var bufPool = sync.Pool{New: func() any { return new(pooledBuf) }}
-
-// newPooledBuf takes a buffer from the pool with refs references and at
-// least sizeHint capacity, length zero.
-func newPooledBuf(refs int32, sizeHint int) *pooledBuf {
-	pb := bufPool.Get().(*pooledBuf)
-	pb.refs.Store(refs)
-	if cap(pb.buf) < sizeHint {
-		pb.buf = make([]byte, 0, sizeHint)
-	} else {
-		pb.buf = pb.buf[:0]
-	}
-	return pb
-}
-
-// release drops one reference, returning the buffer to the pool when the
-// last holder is done. Oversized one-off buffers (state snapshots) are let
-// go to the GC instead so the pool's steady-state footprint stays small.
-func (pb *pooledBuf) release() {
-	if pb.refs.Add(-1) == 0 {
-		if cap(pb.buf) <= 1<<16 {
-			bufPool.Put(pb)
-		}
-	}
-}
-
-// frameMessage frames encoded wire-message bytes as an EcallMessage
-// payload in a pooled buffer carrying refs references (one per
-// destination queue).
-func frameMessage(data []byte, refs int32) *pooledBuf {
-	pb := newPooledBuf(refs, len(data)+1)
-	pb.buf = append(pb.buf, compartment.EcallMessage)
-	pb.buf = append(pb.buf, data...)
-	return pb
-}
-
-// frameMsg is frameMessage for a not-yet-encoded message: it marshals
-// straight into the pooled buffer.
-func frameMsg(m messages.Message, refs int32) *pooledBuf {
-	pb := newPooledBuf(refs, 64)
-	pb.buf = append(pb.buf, compartment.EcallMessage)
-	pb.buf = messages.AppendMessage(pb.buf, m)
-	return pb
-}
-
-// frameBatch frames a request batch as an EcallBatch payload (single
-// destination: the Preparation compartment).
-func frameBatch(b *messages.Batch) *pooledBuf {
-	pb := newPooledBuf(1, 64)
-	pb.buf = append(pb.buf, compartment.EcallBatch)
-	pb.buf = messages.AppendBatch(pb.buf, b)
-	return pb
-}
-
-// ecall is one queued invocation of a local enclave.
-type ecall struct {
-	role    crypto.Role
-	payload []byte
-	pb      *pooledBuf // non-nil when payload is pooled; released post-ecall
-}
-
-// release returns a pooled payload to its pool once all sharers are done.
-func (e *ecall) release() {
-	if e.pb != nil {
-		e.pb.release()
-	}
-}
-
-// queue is an unbounded FIFO of ecalls over a ring buffer (O(1) push and
-// pop, backing array reused at the high-water depth). Unboundedness
-// removes any possibility of routing deadlock between enclave dispatchers
-// (local outputs always enqueue without blocking); memory stays bounded by
-// the protocol's watermark window in practice.
-type queue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  ring.Buffer[ecall]
-	closed bool
-}
-
-func newQueue() *queue {
-	q := &queue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *queue) push(e ecall) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		e.release()
-		return
-	}
-	q.items.Push(e)
-	q.cond.Signal()
-}
-
-// pop blocks until an item is available or the queue closes (a closed
-// queue still drains its backlog).
-func (q *queue) pop() (ecall, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.items.Len() == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	return q.items.Pop()
-}
-
-// drain blocks like pop, then removes up to max items, appending them to
-// dst so the dispatcher reuses one scratch slice across rounds.
-func (q *queue) drain(dst []ecall, max int) ([]ecall, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.items.Len() == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if q.items.Len() == 0 {
-		return dst, false
-	}
-	return q.items.PopN(dst, max), true
-}
-
-func (q *queue) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.items.Len()
-}
-
-func (q *queue) reset() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.items.Reset()
-}
-
-func (q *queue) close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.closed = true
-	q.cond.Broadcast()
-}
-
-// dedup is a bounded generational filter over raw inbound message bytes:
-// byte-identical retransmits of agreement messages are dropped in the
-// untrusted environment before they pay for an enclave crossing. It is
-// untrusted-side, so a wrong drop is indistinguishable from a network drop
-// (liveness only, never safety); rotation — on fill or on the failure
-// detector's clock — guarantees a deliberate retransmission (e.g. a stuck
-// replica re-sending its ViewChange) passes through again after at most
-// two detection periods (an untouched entry survives one rotation in the
-// older generation). Frames are keyed by a 64-bit hash under a seed drawn
-// per filter: a collision is one more such drop, and a remote sender cannot
-// aim one without the seed.
-type dedup struct {
-	seed maphash.Seed
-	mu   sync.Mutex
-	set  *genset.Set[uint64]
-}
-
-func newDedup(entries int) *dedup {
-	return &dedup{seed: maphash.MakeSeed(), set: genset.New[uint64](entries)}
-}
-
-// seen reports whether frame was recently submitted, recording it if not.
-// Found entries are deliberately not re-armed: a suppressed resend must
-// not extend its own suppression window.
-func (d *dedup) seen(frame []byte) bool {
-	sum := maphash.Bytes(d.seed, frame)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.set.Contains(sum) {
-		return true
-	}
-	d.set.Add(sum)
-	return false
-}
-
-// rotate ages the filter (called from the broker's tick).
-func (d *dedup) rotate() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.set.Rotate()
-}
-
-// reqKey identifies a pending client request for failure detection.
-type reqKey struct {
-	client uint32
-	ts     uint64
-}
-
-// pendingReq is a client request awaiting its reply: the body, for
-// re-proposal after a view change, and when it first arrived, for the
-// failure detector.
-type pendingReq struct {
-	req   *messages.Request
-	since time.Time
-}
 
 // broker is the untrusted environment of a SplitBFT replica (§5): a shim
 // layer where enclaves register. It handles all I/O for the enclaves —
@@ -350,6 +62,12 @@ type broker struct {
 	lastRotate  time.Time
 	lastLease   time.Time // last lease-clock tick into Preparation
 	fetchBudget int       // remaining budgeted forwards this period
+	probesLeft  int       // detector periods whose Execution query still probes
+
+	// The Execution query policy's state (queryEvery, forwardFetches),
+	// touched only by the dispatcher serving Execution's queue.
+	execMsgs int    // messages delivered to Execution
+	fetchSeq uint64 // slot the last BatchFetch Execution answered named
 
 	blocksMu sync.Mutex
 	blocks   [][]byte // sealed blockchain blocks persisted via ocall
@@ -412,6 +130,11 @@ func newBroker(cfg Config, enclaves [3]*tee.Enclave, stores map[crypto.Role]*com
 	for _, enc := range enclaves {
 		b.enclaves[enc.Identity().Role] = enc
 	}
+	if stores != nil {
+		// What committed while this replica was down is in no local log, and
+		// an idle cluster's traffic would never reveal it: ask the peers.
+		b.probesLeft = probePeriods
+	}
 	if cfg.SingleThread {
 		b.queues = []*queue{newQueue()}
 	} else {
@@ -439,15 +162,6 @@ func (b *broker) queueFor(role crypto.Role) *queue {
 // caller-owned payloads.
 func (b *broker) submit(role crypto.Role, payload []byte, pb *pooledBuf) {
 	b.queueFor(role).push(ecall{role: role, payload: payload, pb: pb})
-}
-
-// submitShared frames data once and enqueues it for several compartments,
-// sharing the pooled buffer across their input logs.
-func (b *broker) submitShared(data []byte, roles ...crypto.Role) {
-	pb := frameMessage(data, int32(len(roles)))
-	for _, role := range roles {
-		b.submit(role, pb.buf, pb)
-	}
 }
 
 // start launches the dispatcher threads (one per enclave, matching the
@@ -513,12 +227,18 @@ func (b *broker) dispatch(q *queue) {
 			for k := range run {
 				payloads = append(payloads, run[k].payload)
 			}
+			if role == crypto.RoleExecution {
+				payloads = b.appendQuery(payloads)
+			}
 			out, err := b.enclaves[role].InvokeBatch(payloads)
 			for k := range run {
 				run[k].release() // payloads were copied into the enclave
 			}
 			if err != nil {
 				continue // crashed enclave: drop (availability loss only)
+			}
+			if role == crypto.RoleExecution {
+				out = b.forwardFetches(out)
 			}
 			// Outputs must not escape before the inputs that caused them
 			// are durable: a signed PrePrepare surviving a crash that its
@@ -566,17 +286,14 @@ func (b *broker) route(out []tee.OutMsg, peers [][][]byte) {
 				peers[m.ID] = append(peers[m.ID], m.Payload)
 			}
 		case tee.DestClient:
-			client, ts, kind := b.noteClientBound(m.Payload)
+			client, ts, stage, traced := b.noteClientBound(m.Payload)
 			if b.conn != nil {
 				_ = b.conn.Send(transport.ClientEndpoint(m.ID), m.Payload)
 			}
 			// The span closes after the transport hand-off, so the final
 			// segment (execute → reply) covers the send itself.
-			switch kind {
-			case clientBoundReply:
-				b.tr.Finish(client, ts, obs.StageReply)
-			case clientBoundReadReply:
-				b.tr.Finish(client, ts, obs.StageReadServe)
+			if traced {
+				b.tr.Finish(client, ts, stage)
 			}
 		case tee.DestLocal:
 			pb := frameMessage(m.Payload, 1)
@@ -687,28 +404,21 @@ func (b *broker) observeOutbound(data []byte) {
 	}
 }
 
-// Outbound client-traffic kinds noted by noteClientBound.
-const (
-	clientBoundOther = iota
-	clientBoundReply
-	clientBoundReadReply
-)
-
 // noteClientBound inspects outbound client traffic to clear awaited requests
 // and count executed operations. The broker may read these envelopes — the
-// confidential payload inside is ciphertext. It returns the request
-// identity and kind so route can close the lifecycle span after the send.
-func (b *broker) noteClientBound(data []byte) (client uint32, ts uint64, kind int) {
+// confidential payload inside is ciphertext. For a Reply or ReadReply it
+// returns the request identity and the stage its span closes at, so route
+// can close the span after the send; ok is false for other traffic.
+func (b *broker) noteClientBound(data []byte) (client uint32, ts uint64, stage obs.Stage, ok bool) {
 	if len(data) == 0 {
-		return 0, 0, clientBoundOther
+		return 0, 0, 0, false
 	}
 	switch messages.Type(data[0]) {
 	case messages.TReply:
 		// Only the request identity is needed, and it sits in the fixed
 		// header: no decode of a frame the broker merely forwards.
-		client, ts, ok := messages.ReplyIdentity(data)
-		if !ok {
-			return 0, 0, clientBoundOther
+		if client, ts, ok = messages.ReplyIdentity(data); !ok {
+			return 0, 0, 0, false
 		}
 		b.mReplies.Add(1)
 		b.mu.Lock()
@@ -719,15 +429,12 @@ func (b *broker) noteClientBound(data []byte) (client uint32, ts uint64, kind in
 		// The reply emerging from the Execution compartment is the
 		// untrusted side's proof the operation was applied.
 		b.tr.Stamp(client, ts, obs.StageExecute)
-		return client, ts, clientBoundReply
+		return client, ts, obs.StageReply, true
 	case messages.TReadReply:
-		client, ts, _, ok := messages.ReadReplyHeader(data)
-		if !ok {
-			return 0, 0, clientBoundOther
-		}
-		return client, ts, clientBoundReadReply
+		client, ts, _, ok = messages.ReadReplyHeader(data)
+		return client, ts, obs.StageReadServe, ok
 	}
-	return 0, 0, clientBoundOther
+	return 0, 0, 0, false
 }
 
 // routeRow is what the untrusted environment does with one replica-bound
@@ -851,276 +558,9 @@ func (b *broker) handler(_ transport.Endpoint, data []byte) {
 	case *messages.NewView:
 		b.observeNewView(m)
 	}
-	b.submitShared(data, r.to...)
-}
-
-// observeNewView updates the broker's view estimate so batching
-// responsibility follows the primary. The estimate is untrusted and only
-// affects liveness. A NewView that actually advances the estimate counts
-// as one observed view change (retransmits don't), and voids the
-// tracer's pending commit-vote counts — votes from the deposed view
-// cannot certify sequence numbers in the new one.
-//
-// The first NewView of a view re-proposes the awaited requests if this
-// replica leads it, even when the failure detector already moved the
-// estimate there: that earlier promotion reached a Preparation enclave
-// still in the old view, which drops batches it cannot lead. If this
-// replica's own ViewChange asked for the view, the NewView also restarts
-// the failure detector (as PBFT restarts a backup's timer on entering a
-// view); else the detector, still timing the request from the old view,
-// fires as soon as a slow or late-joined view change completes, and where
-// every live replica is needed for a quorum that deposes the view before
-// its first commit. The NewView is unauthenticated here, so a forged one
-// can delay suspicion at most once per view this replica asked for.
-func (b *broker) observeNewView(nv *messages.NewView) {
-	advanced := false
-	var promoted *messages.Batch
-	b.mu.Lock()
-	if nv.View > b.newView {
-		b.newView = nv.View
-		if nv.View <= b.askedView {
-			b.lastSuspect = time.Now()
-		}
-		if nv.View > b.viewEstimate {
-			b.viewEstimate = nv.View
-			advanced = true
-		}
-		promoted = b.promoteAwaitingLocked()
+	// Frame once: the duplicated input logs share one pooled buffer.
+	pb := frameMessage(data, int32(len(r.to)))
+	for _, role := range r.to {
+		b.submit(role, pb.buf, pb)
 	}
-	b.mu.Unlock()
-	if advanced {
-		b.mViewChanges.Add(1)
-		b.tr.OnViewChange()
-	}
-	if promoted != nil {
-		b.submitBatch(promoted)
-	}
-}
-
-// promoteAwaitingLocked queues every request awaiting a reply for
-// proposal if this replica now believes it holds batching duty. Clients
-// broadcast each request to all replicas, but only the then-primary queues
-// it on arrival — without promotion a new primary sits on a pending
-// request until the client's next retransmit, while the failure detector
-// keeps advancing views, so post-view-change liveness would hinge on the
-// client's (exponentially backed-off) retransmit cadence. Re-proposing a
-// request that already committed in an earlier view is safe: ordering it
-// twice is filtered by the Execution compartments' exactly-once caches.
-// Returns a full batch to submit (nil if below BatchSize — the batch
-// timeout flushes the remainder).
-func (b *broker) promoteAwaitingLocked() *messages.Batch {
-	if !b.believesPrimaryLocked() || len(b.awaiting) == 0 {
-		return nil
-	}
-	for key, p := range b.awaiting {
-		if b.pendingKeys[key] {
-			continue
-		}
-		if b.pendingReqs.Len() == 0 {
-			b.batchSince = time.Now()
-		}
-		b.pendingKeys[key] = true
-		b.pendingReqs.Push(*p.req)
-	}
-	if b.pendingReqs.Len() >= b.cfg.BatchSize {
-		return b.takeBatchLocked()
-	}
-	return nil
-}
-
-// believesPrimary reports whether this replica's Preparation compartment is
-// the primary under the broker's view estimate.
-func (b *broker) believesPrimaryLocked() bool {
-	return uint32(b.viewEstimate%uint64(b.cfg.N)) == b.cfg.ID
-}
-
-// onClientRequest performs untrusted batching (§3.2: "we also place the
-// batching of requests into the untrusted environment") and failure
-// detection bookkeeping.
-func (b *broker) onClientRequest(data []byte) {
-	m, err := messages.Unmarshal(data)
-	if err != nil {
-		b.mGarbage.Add(1)
-		return
-	}
-	req := m.(*messages.Request)
-	b.tr.Begin(req.ClientID, req.Timestamp, false)
-	key := reqKey{client: req.ClientID, ts: req.Timestamp}
-	var submitNow *messages.Batch
-	b.mu.Lock()
-	// An already-answered request arms nothing; it still goes to batching
-	// below, so a genuine retransmit gets its cached reply.
-	if _, ok := b.awaiting[key]; !ok && !b.replied.Contains(key) {
-		b.awaiting[key] = pendingReq{req: req, since: time.Now()}
-	}
-	if b.believesPrimaryLocked() && !b.pendingKeys[key] {
-		if b.pendingReqs.Len() == 0 {
-			b.batchSince = time.Now()
-		}
-		b.pendingKeys[key] = true
-		b.pendingReqs.Push(*req)
-		if b.pendingReqs.Len() >= b.cfg.BatchSize {
-			submitNow = b.takeBatchLocked()
-		}
-	}
-	b.mu.Unlock()
-	if submitNow != nil {
-		b.submitBatch(submitNow)
-	}
-}
-
-// takeBatchLocked removes up to BatchSize requests from the buffer.
-func (b *broker) takeBatchLocked() *messages.Batch {
-	if b.pendingReqs.Len() == 0 {
-		return nil
-	}
-	take := b.pendingReqs.Len()
-	if take > b.cfg.BatchSize {
-		take = b.cfg.BatchSize
-	}
-	batch := &messages.Batch{
-		Requests: b.pendingReqs.PopN(make([]messages.Request, 0, take), take),
-	}
-	for i := range batch.Requests {
-		delete(b.pendingKeys, reqKey{
-			client: batch.Requests[i].ClientID,
-			ts:     batch.Requests[i].Timestamp,
-		})
-	}
-	b.batchSince = time.Now()
-	return batch
-}
-
-func (b *broker) submitBatch(batch *messages.Batch) {
-	b.mBatches.Add(1)
-	if b.tr != nil {
-		for i := range batch.Requests {
-			r := &batch.Requests[i]
-			b.tr.Stamp(r.ClientID, r.Timestamp, obs.StageEnqueue)
-		}
-	}
-	pb := frameBatch(batch)
-	b.submit(crypto.RolePreparation, pb.buf, pb)
-}
-
-// eventLoop drives batch timeouts and the request-timer failure detector.
-func (b *broker) eventLoop() {
-	defer b.wg.Done()
-	tick := b.cfg.BatchTimeout / 2
-	if tick <= 0 || tick > 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-b.stop:
-			return
-		case <-ticker.C:
-			b.onTick(time.Now())
-		}
-	}
-}
-
-func (b *broker) onTick(now time.Time) {
-	var batch *messages.Batch
-	suspect := false
-	var suspectView uint64
-	b.mu.Lock()
-	if b.pendingReqs.Len() > 0 && now.Sub(b.batchSince) >= b.cfg.BatchTimeout {
-		batch = b.takeBatchLocked()
-	}
-	// Age the retransmit filter on the failure detector's clock so
-	// deliberate resends (ViewChange rebroadcasts, NewView retransmits to
-	// stragglers) are suppressed for at most two detection periods.
-	tick := false
-	if now.Sub(b.lastRotate) > b.cfg.RequestTimeout {
-		b.lastRotate = now
-		b.dedup.rotate()
-		b.replied.Rotate()
-		b.fetchBudget = fetchBudgetPerPeriod
-		tick = true
-	}
-	leaseTick := false
-	if b.cfg.ReadLeases && now.Sub(b.lastLease) > b.cfg.LeaseTTL/8 {
-		b.lastLease = now
-		leaseTick = true
-	}
-	// Failure detection: any request pending longer than the timeout.
-	if now.Sub(b.lastSuspect) > b.cfg.RequestTimeout {
-		for key, p := range b.awaiting {
-			if now.Sub(p.since) > 10*b.cfg.RequestTimeout {
-				// Stale entry (e.g. pre-dedup retransmit, or a request
-				// executed before a state transfer skipped this replica
-				// past the reply). A still-live client retransmits well
-				// inside this horizon and re-arms it.
-				delete(b.awaiting, key)
-				continue
-			}
-			if now.Sub(p.since) > b.cfg.RequestTimeout {
-				suspect = true
-				suspectView = b.viewEstimate
-				break
-			}
-		}
-		if suspect {
-			b.lastSuspect = now
-			b.viewEstimate++ // batching duty may now be ours in v+1
-		}
-	}
-	var promoted *messages.Batch
-	if suspect {
-		promoted = b.promoteAwaitingLocked()
-	}
-	b.mu.Unlock()
-	if batch != nil {
-		b.submitBatch(batch)
-	}
-	if promoted != nil {
-		b.submitBatch(promoted)
-	}
-	if tick {
-		// Periodic environment nudge into Execution: drives the rejoin
-		// probe (and the missing-body stall detector) even when no
-		// protocol traffic flows, and ages out parked leased reads.
-		// Never persisted — see persistRun.
-		b.submit(crypto.RoleExecution, []byte{compartment.EcallTick}, nil)
-	}
-	if leaseTick {
-		// With read leases on, the Preparation compartment runs on its own
-		// faster lease clock (TTL/8, well under the TTL/4 renewal period):
-		// the primary renews leases on it even when no proposals flow, so
-		// an idle cluster keeps serving local reads. Deliberately NOT the
-		// Execution tick above — lease renewal must not drain Execution's
-		// rejoin-probe budget or distort its stall detector.
-		b.submit(crypto.RolePreparation, []byte{compartment.EcallTick}, nil)
-	}
-	if suspect {
-		b.mSuspects.Add(1)
-		// The suspect path advanced the view estimate without a NewView
-		// (batching duty may already be ours), so it is a view change this
-		// replica observed too — and the deposed view's pending commit
-		// votes can no more certify the new view here than on the
-		// NewView-observing path.
-		b.mViewChanges.Add(1)
-		b.tr.OnViewChange()
-		pb := frameMsg(&messages.Suspect{Replica: b.cfg.ID, View: suspectView}, 1)
-		b.submit(crypto.RoleConfirmation, pb.buf, pb)
-	}
-}
-
-// persistBlock is the "fs.write" ocall target: it stores a sealed
-// blockchain block in untrusted memory (standing in for protected-file I/O).
-func (b *broker) persistBlock(data []byte) ([]byte, error) {
-	b.blocksMu.Lock()
-	defer b.blocksMu.Unlock()
-	b.blocks = append(b.blocks, data)
-	return nil, nil
-}
-
-// persistedBlocks returns how many sealed blocks were written.
-func (b *broker) persistedBlocks() int {
-	b.blocksMu.Lock()
-	defer b.blocksMu.Unlock()
-	return len(b.blocks)
 }

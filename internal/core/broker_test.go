@@ -20,13 +20,22 @@ import (
 	"github.com/splitbft/splitbft/internal/transport"
 )
 
+// pop takes one ecall off q, blocking like the dispatcher's drain.
+func pop(q *queue) (ecall, bool) {
+	got, ok := q.drain(nil, 1)
+	if !ok {
+		return ecall{}, false
+	}
+	return got[0], true
+}
+
 func TestQueueFIFO(t *testing.T) {
 	q := newQueue()
 	for i := byte(0); i < 10; i++ {
 		q.push(ecall{payload: []byte{i}})
 	}
 	for i := byte(0); i < 10; i++ {
-		e, ok := q.pop()
+		e, ok := pop(q)
 		if !ok {
 			t.Fatal("queue closed early")
 		}
@@ -40,7 +49,7 @@ func TestQueueBlocksUntilPush(t *testing.T) {
 	q := newQueue()
 	got := make(chan ecall, 1)
 	go func() {
-		e, ok := q.pop()
+		e, ok := pop(q)
 		if ok {
 			got <- e
 		}
@@ -65,7 +74,7 @@ func TestQueueCloseUnblocksAndRejects(t *testing.T) {
 	q := newQueue()
 	done := make(chan bool, 1)
 	go func() {
-		_, ok := q.pop()
+		_, ok := pop(q)
 		done <- ok
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -79,7 +88,7 @@ func TestQueueCloseUnblocksAndRejects(t *testing.T) {
 		t.Fatal("close did not unblock pop")
 	}
 	q.push(ecall{payload: []byte("late")})
-	if _, ok := q.pop(); ok {
+	if _, ok := pop(q); ok {
 		t.Fatal("push after close was accepted")
 	}
 }
@@ -100,7 +109,7 @@ func TestQueueConcurrentProducers(t *testing.T) {
 	wg.Wait()
 	count := 0
 	for q.len() > 0 {
-		if _, ok := q.pop(); !ok {
+		if _, ok := pop(q); !ok {
 			break
 		}
 		count++
@@ -122,13 +131,13 @@ func TestQueueSteadyStateNoGrowth(t *testing.T) {
 	for i := 0; i < total; i++ {
 		q.push(ecall{payload: payload})
 		if i >= depth {
-			if _, ok := q.pop(); !ok {
+			if _, ok := pop(q); !ok {
 				t.Fatal("queue closed unexpectedly")
 			}
 		}
 	}
 	for q.len() > 0 {
-		q.pop()
+		pop(q)
 	}
 	q.mu.Lock()
 	capNow := q.items.Cap()
@@ -173,9 +182,10 @@ func BenchmarkBrokerQueue(b *testing.B) {
 	q := newQueue()
 	payload := []byte{compartment.EcallMessage}
 	b.Run("PushPop", func(b *testing.B) {
+		var scratch []ecall
 		for i := 0; i < b.N; i++ {
 			q.push(ecall{payload: payload})
-			q.pop()
+			scratch, _ = q.drain(scratch[:0], 1)
 		}
 	})
 	b.Run("PushDrain64", func(b *testing.B) {
@@ -424,7 +434,7 @@ func TestBrokerWALSkipsLeaseTraffic(t *testing.T) {
 	}
 	var ticks []ecall
 	for _, role := range compartmentRoles {
-		ticks = append(ticks, ecall{role: role, payload: []byte{compartment.EcallTick}})
+		ticks = append(ticks, ecall{role: role, payload: []byte{compartment.EcallTick, execution.TickPeriod}})
 	}
 	runQueued(b, &sendLog{}, ticks)
 	for _, role := range compartmentRoles {
@@ -529,7 +539,7 @@ func TestBrokerBatchCutOnSize(t *testing.T) {
 		t.Fatalf("submitted %d batches, want 1", got)
 	}
 	q := b.queueFor(crypto.RolePreparation)
-	e, ok := q.pop()
+	e, ok := pop(q)
 	if !ok || e.payload[0] != compartment.EcallBatch {
 		t.Fatal("preparation queue does not hold a batch ecall")
 	}
@@ -576,7 +586,7 @@ func TestBrokerSuspectAfterTimeout(t *testing.T) {
 		t.Fatalf("suspects = %d, want 1", b.mSuspects.Load())
 	}
 	q := b.queueFor(crypto.RoleConfirmation)
-	e, ok := q.pop()
+	e, ok := pop(q)
 	if !ok {
 		t.Fatal("no suspect ecall queued")
 	}

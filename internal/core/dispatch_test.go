@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"reflect"
@@ -8,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/splitbft/splitbft/internal/compartment/execution"
 	"github.com/splitbft/splitbft/internal/crypto"
+	"github.com/splitbft/splitbft/internal/messages"
 	"github.com/splitbft/splitbft/internal/store"
 	"github.com/splitbft/splitbft/internal/tee"
 	"github.com/splitbft/splitbft/internal/transport"
@@ -152,11 +155,11 @@ func runQueued(b *broker, conn transport.Conn, calls []ecall) {
 }
 
 // seqCalls numbers n ecalls for role from `from` in their first byte; the
-// second byte keeps them clear of the one-byte tick the WAL skips.
+// trailing bytes keep them clear of the two-byte query the WAL skips.
 func seqCalls(role crypto.Role, from, n int) []ecall {
 	out := make([]ecall, n)
 	for i := range out {
-		out[i] = ecall{role: role, payload: []byte{byte(from + i), 0xEE}}
+		out[i] = ecall{role: role, payload: []byte{byte(from + i), 0xEE, 0xEE}}
 	}
 	return out
 }
@@ -331,5 +334,119 @@ func TestDispatchFailedSyncRoutesNothing(t *testing.T) {
 	}
 	if st.Failed() == nil {
 		t.Fatal("store did not record the failed write")
+	}
+}
+
+// fetchesForwarded delivers n messages to a broker's Execution compartment,
+// whose script answers each query with a BatchFetch for blocked(m) — m being
+// the messages it handled so far, 0 meaning no slot is blocked — and returns,
+// per forwarded fetch, the slot it named and m when it was answered. It also
+// returns Execution's crossing count.
+func fetchesForwarded(t *testing.T, n int, blocked func(m int) uint64) (fetched [][2]int, crossings uint64) {
+	t.Helper()
+	b, codes := scriptBroker(t, false, nil)
+	m := 0
+	codes[crypto.RoleExecution].reply = func(p []byte) []tee.OutMsg {
+		if !isQuery(p) {
+			m++
+			return nil
+		}
+		seq := blocked(m)
+		if seq == 0 {
+			return nil
+		}
+		f := &messages.BatchFetch{Seq: seq}
+		binary.LittleEndian.PutUint64(f.Digest[:], uint64(m))
+		return []tee.OutMsg{{Kind: tee.DestBroadcast, Payload: messages.Marshal(f)}}
+	}
+	conn := &sendLog{}
+	runQueued(b, conn, seqCalls(crypto.RoleExecution, 0, n))
+	for _, c := range conn.calls {
+		if c.to != transport.ReplicaEndpoint(1) {
+			continue
+		}
+		for _, frame := range c.frames {
+			msg, err := messages.Unmarshal(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := msg.(*messages.BatchFetch)
+			fetched = append(fetched, [2]int{int(f.Seq), int(binary.LittleEndian.Uint64(f.Digest[:]))})
+		}
+	}
+	return fetched, b.enclaves[crypto.RoleExecution].Stats().Count
+}
+
+// TestBrokerFetchPolicy: the dispatcher queries Execution after every
+// queryEvery-th message, inside the crossing that carries it, and forwards a
+// BatchFetch only when the answer before it named the same slot. So a slot
+// that stays blocked is first fetched after 32 to 64 messages and again
+// every 32 while it stays blocked, and a slot blocked at one query only is
+// never fetched.
+func TestBrokerFetchPolicy(t *testing.T) {
+	const n = 200
+	for _, from := range []int{65, 80, 96} {
+		fetched, crossings := fetchesForwarded(t, n, func(m int) uint64 {
+			if m >= from && m < 200 {
+				return 9
+			}
+			return 0
+		})
+		if want := uint64((n + maxCrossing - 1) / maxCrossing); crossings != want {
+			t.Fatalf("blocked from %d: %d crossings for %d messages, want %d: a query must ride an existing crossing", from, crossings, n, want)
+		}
+		if len(fetched) != 3 {
+			t.Fatalf("blocked from %d: forwarded %v, want 3 fetches", from, fetched)
+		}
+		if delay := fetched[0][1] - from; delay < queryEvery || delay > 2*queryEvery {
+			t.Fatalf("blocked from %d: first fetch left %d messages later, want %d to %d", from, delay, queryEvery, 2*queryEvery)
+		}
+		for i, f := range fetched {
+			if f[0] != 9 {
+				t.Fatalf("blocked from %d: fetch named slot %d", from, f[0])
+			}
+			if i > 0 && f[1]-fetched[i-1][1] != queryEvery {
+				t.Fatalf("blocked from %d: fetches left at messages %v, want one every %d", from, fetched, queryEvery)
+			}
+		}
+	}
+	// Slot 5 is blocked at the query after message 32 only, slot 9 at the
+	// one after message 96 only: both were merely overtaken.
+	fetched, _ := fetchesForwarded(t, n, func(m int) uint64 {
+		switch {
+		case m >= 20 && m < 40:
+			return 5
+		case m >= 70 && m < 100:
+			return 9
+		}
+		return 0
+	})
+	if len(fetched) != 0 {
+		t.Fatalf("forwarded %v for slots each blocked at one query, want nothing", fetched)
+	}
+}
+
+// TestBrokerProbesFirstPeriodsAfterStore: each detector period queries
+// Execution with the period flag, and a broker over stores adds the probe
+// flag for the first probePeriods periods; one without stores never probes.
+func TestBrokerProbesFirstPeriodsAfterStore(t *testing.T) {
+	for _, stores := range []map[crypto.Role]*comStore{nil, {}} {
+		b, _ := scriptBroker(t, false, stores)
+		exec := b.queueFor(crypto.RoleExecution)
+		now := time.Now()
+		for period := 0; period < probePeriods+3; period++ {
+			b.onTick(now.Add(time.Duration(period) * 2 * b.cfg.RequestTimeout))
+			e, ok := pop(exec)
+			if !ok || exec.len() != 0 || !isQuery(e.payload) {
+				t.Fatalf("period %d queued %x and %d more, want one query", period, e.payload, exec.len())
+			}
+			want := execution.TickPeriod
+			if stores != nil && period < probePeriods {
+				want |= execution.TickProbe
+			}
+			if e.payload[1] != want {
+				t.Fatalf("stores=%v period %d: flags %b, want %b", stores != nil, period, e.payload[1], want)
+			}
+		}
 	}
 }

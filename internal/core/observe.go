@@ -20,17 +20,21 @@ type EventStats struct {
 	// observed NewView messages and its own suspicion-driven bumps.
 	ViewChanges uint64
 	// LeaseRefusals counts leased reads the Execution compartment refused
-	// to serve locally (expired/absent lease, unconfirmed frontier, an op
-	// that is not read-only) — each one fell back to the agreement path.
+	// to serve locally (an absent or expired lease, also one that lapsed
+	// while the read waited for its frontier, a full queue, an op that is
+	// not read-only) — each one fell back to the agreement path.
 	LeaseRefusals uint64
 	// ReadIndexes counts read-index confirmation rounds this replica
 	// started as lease holder.
 	ReadIndexes uint64
-	// StallFetches counts checkpoint-stall body fetches: a compartment
-	// held a certificate without the batch body and had to ask peers.
+	// StallFetches counts the BatchFetches the broker forwarded: Execution
+	// held a commit certificate without the batch body at two queries in a
+	// row and the broker asked peers for it.
 	StallFetches uint64
-	// ProbesSent and ProbesAnswered count StateProbes, both directions:
-	// the rejoin nudge and the ask for state behind a stable certificate.
+	// ProbesSent counts the StateProbes the broker forwarded — the rejoin
+	// nudge its period query asked for and the ask for state behind a
+	// stable certificate — and ProbesAnswered the StateReplys this replica
+	// sent in answer to peers' probes.
 	ProbesSent     uint64
 	ProbesAnswered uint64
 }

@@ -1,0 +1,348 @@
+package core
+
+import (
+	"time"
+
+	"github.com/splitbft/splitbft/internal/compartment"
+	"github.com/splitbft/splitbft/internal/compartment/execution"
+	"github.com/splitbft/splitbft/internal/crypto"
+	"github.com/splitbft/splitbft/internal/messages"
+	"github.com/splitbft/splitbft/internal/obs"
+	"github.com/splitbft/splitbft/internal/tee"
+)
+
+// reqKey identifies a pending client request for failure detection.
+type reqKey struct {
+	client uint32
+	ts     uint64
+}
+
+// pendingReq is a client request awaiting its reply: the body, for
+// re-proposal after a view change, and when it first arrived, for the
+// failure detector.
+type pendingReq struct {
+	req   *messages.Request
+	since time.Time
+}
+
+// observeNewView updates the broker's view estimate so batching
+// responsibility follows the primary. The estimate is untrusted and only
+// affects liveness. A NewView that actually advances the estimate counts
+// as one observed view change (retransmits don't), and voids the
+// tracer's pending commit-vote counts — votes from the deposed view
+// cannot certify sequence numbers in the new one.
+//
+// The first NewView of a view re-proposes the awaited requests if this
+// replica leads it, even when the failure detector already moved the
+// estimate there: that earlier promotion reached a Preparation enclave
+// still in the old view, which drops batches it cannot lead. If this
+// replica's own ViewChange asked for the view, the NewView also restarts
+// the failure detector (as PBFT restarts a backup's timer on entering a
+// view); else the detector, still timing the request from the old view,
+// fires as soon as a slow or late-joined view change completes, and where
+// every live replica is needed for a quorum that deposes the view before
+// its first commit. The NewView is unauthenticated here, so a forged one
+// can delay suspicion at most once per view this replica asked for.
+func (b *broker) observeNewView(nv *messages.NewView) {
+	advanced := false
+	var promoted *messages.Batch
+	b.mu.Lock()
+	if nv.View > b.newView {
+		b.newView = nv.View
+		if nv.View <= b.askedView {
+			b.lastSuspect = time.Now()
+		}
+		if nv.View > b.viewEstimate {
+			b.viewEstimate = nv.View
+			advanced = true
+		}
+		promoted = b.promoteAwaitingLocked()
+	}
+	b.mu.Unlock()
+	if advanced {
+		b.mViewChanges.Add(1)
+		b.tr.OnViewChange()
+	}
+	if promoted != nil {
+		b.submitBatch(promoted)
+	}
+}
+
+// promoteAwaitingLocked queues every request awaiting a reply for
+// proposal if this replica now believes it holds batching duty. Clients
+// broadcast each request to all replicas, but only the then-primary queues
+// it on arrival — without promotion a new primary sits on a pending
+// request until the client's next retransmit, while the failure detector
+// keeps advancing views, so post-view-change liveness would hinge on the
+// client's (exponentially backed-off) retransmit cadence. Re-proposing a
+// request that already committed in an earlier view is safe: ordering it
+// twice is filtered by the Execution compartments' exactly-once caches.
+// Returns a full batch to submit (nil if below BatchSize — the batch
+// timeout flushes the remainder).
+func (b *broker) promoteAwaitingLocked() *messages.Batch {
+	if !b.believesPrimaryLocked() || len(b.awaiting) == 0 {
+		return nil
+	}
+	for key, p := range b.awaiting {
+		if b.pendingKeys[key] {
+			continue
+		}
+		if b.pendingReqs.Len() == 0 {
+			b.batchSince = time.Now()
+		}
+		b.pendingKeys[key] = true
+		b.pendingReqs.Push(*p.req)
+	}
+	if b.pendingReqs.Len() >= b.cfg.BatchSize {
+		return b.takeBatchLocked()
+	}
+	return nil
+}
+
+// believesPrimary reports whether this replica's Preparation compartment is
+// the primary under the broker's view estimate.
+func (b *broker) believesPrimaryLocked() bool {
+	return uint32(b.viewEstimate%uint64(b.cfg.N)) == b.cfg.ID
+}
+
+// onClientRequest performs untrusted batching (§3.2: "we also place the
+// batching of requests into the untrusted environment") and failure
+// detection bookkeeping.
+func (b *broker) onClientRequest(data []byte) {
+	m, err := messages.Unmarshal(data)
+	if err != nil {
+		b.mGarbage.Add(1)
+		return
+	}
+	req := m.(*messages.Request)
+	b.tr.Begin(req.ClientID, req.Timestamp, false)
+	key := reqKey{client: req.ClientID, ts: req.Timestamp}
+	var submitNow *messages.Batch
+	b.mu.Lock()
+	// An already-answered request arms nothing; it still goes to batching
+	// below, so a genuine retransmit gets its cached reply.
+	if _, ok := b.awaiting[key]; !ok && !b.replied.Contains(key) {
+		b.awaiting[key] = pendingReq{req: req, since: time.Now()}
+	}
+	if b.believesPrimaryLocked() && !b.pendingKeys[key] {
+		if b.pendingReqs.Len() == 0 {
+			b.batchSince = time.Now()
+		}
+		b.pendingKeys[key] = true
+		b.pendingReqs.Push(*req)
+		if b.pendingReqs.Len() >= b.cfg.BatchSize {
+			submitNow = b.takeBatchLocked()
+		}
+	}
+	b.mu.Unlock()
+	if submitNow != nil {
+		b.submitBatch(submitNow)
+	}
+}
+
+// takeBatchLocked removes up to BatchSize requests from the buffer.
+func (b *broker) takeBatchLocked() *messages.Batch {
+	if b.pendingReqs.Len() == 0 {
+		return nil
+	}
+	take := b.pendingReqs.Len()
+	if take > b.cfg.BatchSize {
+		take = b.cfg.BatchSize
+	}
+	batch := &messages.Batch{
+		Requests: b.pendingReqs.PopN(make([]messages.Request, 0, take), take),
+	}
+	for i := range batch.Requests {
+		delete(b.pendingKeys, reqKey{
+			client: batch.Requests[i].ClientID,
+			ts:     batch.Requests[i].Timestamp,
+		})
+	}
+	b.batchSince = time.Now()
+	return batch
+}
+
+func (b *broker) submitBatch(batch *messages.Batch) {
+	b.mBatches.Add(1)
+	if b.tr != nil {
+		for i := range batch.Requests {
+			r := &batch.Requests[i]
+			b.tr.Stamp(r.ClientID, r.Timestamp, obs.StageEnqueue)
+		}
+	}
+	pb := frameBatch(batch)
+	b.submit(crypto.RolePreparation, pb.buf, pb)
+}
+
+// eventLoop drives batch timeouts and the request-timer failure detector.
+func (b *broker) eventLoop() {
+	defer b.wg.Done()
+	tick := b.cfg.BatchTimeout / 2
+	if tick <= 0 || tick > 5*time.Millisecond {
+		tick = 5 * time.Millisecond
+	}
+	ticker := time.NewTicker(tick)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-b.stop:
+			return
+		case <-ticker.C:
+			b.onTick(time.Now())
+		}
+	}
+}
+
+func (b *broker) onTick(now time.Time) {
+	var batch *messages.Batch
+	suspect := false
+	var suspectView uint64
+	b.mu.Lock()
+	if b.pendingReqs.Len() > 0 && now.Sub(b.batchSince) >= b.cfg.BatchTimeout {
+		batch = b.takeBatchLocked()
+	}
+	// Age the retransmit filter on the failure detector's clock so
+	// deliberate resends (ViewChange rebroadcasts, NewView retransmits to
+	// stragglers) are suppressed for at most two detection periods.
+	tick := false
+	tickFlags := execution.TickPeriod
+	if now.Sub(b.lastRotate) > b.cfg.RequestTimeout {
+		b.lastRotate = now
+		b.dedup.rotate()
+		b.replied.Rotate()
+		b.fetchBudget = fetchBudgetPerPeriod
+		tick = true
+		if b.probesLeft > 0 {
+			b.probesLeft--
+			tickFlags |= execution.TickProbe
+		}
+	}
+	leaseTick := false
+	if b.cfg.ReadLeases && now.Sub(b.lastLease) > b.cfg.LeaseTTL/8 {
+		b.lastLease = now
+		leaseTick = true
+	}
+	// Failure detection: any request pending longer than the timeout.
+	if now.Sub(b.lastSuspect) > b.cfg.RequestTimeout {
+		for key, p := range b.awaiting {
+			if now.Sub(p.since) > 10*b.cfg.RequestTimeout {
+				// Stale entry (e.g. pre-dedup retransmit, or a request
+				// executed before a state transfer skipped this replica
+				// past the reply). A still-live client retransmits well
+				// inside this horizon and re-arms it.
+				delete(b.awaiting, key)
+				continue
+			}
+			if now.Sub(p.since) > b.cfg.RequestTimeout {
+				suspect = true
+				suspectView = b.viewEstimate
+				break
+			}
+		}
+		if suspect {
+			b.lastSuspect = now
+			b.viewEstimate++ // batching duty may now be ours in v+1
+		}
+	}
+	var promoted *messages.Batch
+	if suspect {
+		promoted = b.promoteAwaitingLocked()
+	}
+	b.mu.Unlock()
+	if batch != nil {
+		b.submitBatch(batch)
+	}
+	if promoted != nil {
+		b.submitBatch(promoted)
+	}
+	if tick {
+		// The detector period's query into Execution: it fetches a missing
+		// body, settles parked reads and re-sends a lost frontier query even
+		// when no protocol traffic flows, and for the first probePeriods
+		// after a store opened it probes the peers. Never persisted — see
+		// persistRun.
+		b.submit(crypto.RoleExecution, []byte{compartment.EcallTick, tickFlags}, nil)
+	}
+	if leaseTick {
+		// With read leases on, the Preparation compartment runs on its own
+		// faster lease clock (TTL/8, well under the TTL/4 renewal period):
+		// the primary renews leases on it even when no proposals flow, so
+		// an idle cluster keeps serving local reads.
+		b.submit(crypto.RolePreparation, []byte{compartment.EcallTick, 0}, nil)
+	}
+	if suspect {
+		b.mSuspects.Add(1)
+		// The suspect path advanced the view estimate without a NewView
+		// (batching duty may already be ours), so it is a view change this
+		// replica observed too — and the deposed view's pending commit
+		// votes can no more certify the new view here than on the
+		// NewView-observing path.
+		b.mViewChanges.Add(1)
+		b.tr.OnViewChange()
+		pb := frameMessage(messages.Marshal(&messages.Suspect{Replica: b.cfg.ID, View: suspectView}), 1)
+		b.submit(crypto.RoleConfirmation, pb.buf, pb)
+	}
+}
+
+// The Execution query policy: Execution answers the environment's query
+// (compartment.EcallTick) from current state, and the broker decides when
+// to ask and what to forward.
+const (
+	// queryEvery is how many messages the dispatcher delivers to Execution
+	// between two flags-0 queries. A Commit overtakes its PrePrepare all the
+	// time and the body lands a few positions later; one still missing a
+	// query later is lost (say, its PrePrepare fell in a crashed replica's
+	// un-fsynced WAL tail), so under traffic it is fetched within 32–64
+	// messages, whatever RequestTimeout.
+	queryEvery = 32
+	// probePeriods is how many detector periods after a store opened the
+	// period query also probes the peers, who answer only while ahead.
+	probePeriods = 32
+)
+
+// isQuery reports whether an ecall payload is an environment query.
+func isQuery(p []byte) bool { return len(p) == 2 && p[0] == compartment.EcallTick }
+
+// flagsZeroQuery asks Execution only what it is missing (see onQuery).
+var flagsZeroQuery = []byte{compartment.EcallTick, 0}
+
+// appendQuery counts the messages of a crossing into Execution and, when
+// the count passes a multiple of queryEvery, appends a flags-0 query to it:
+// no extra crossing, and no WAL record (persistRun logs the run only).
+func (b *broker) appendQuery(payloads [][]byte) [][]byte {
+	before := b.execMsgs
+	for _, p := range payloads {
+		if !isQuery(p) {
+			b.execMsgs++
+		}
+	}
+	if b.execMsgs/queryEvery > before/queryEvery {
+		payloads = append(payloads, flagsZeroQuery)
+	}
+	return payloads
+}
+
+// forwardFetches drops each BatchFetch among Execution's outputs unless the
+// one before it named the same slot. Only queries answer BatchFetches, so a
+// slot blocked at one query only — its body merely overtaken — is never
+// fetched, and one still blocked is, at every later query. Execution's
+// lastExec only grows, so one remembered slot suffices.
+func (b *broker) forwardFetches(out []tee.OutMsg) []tee.OutMsg {
+	keep := out[:0]
+	for _, m := range out {
+		if len(m.Payload) > 0 && messages.Type(m.Payload[0]) == messages.TBatchFetch {
+			f, err := messages.Unmarshal(m.Payload)
+			if err != nil {
+				continue
+			}
+			seq := f.(*messages.BatchFetch).Seq
+			repeat := seq == b.fetchSeq
+			b.fetchSeq = seq
+			if !repeat {
+				continue
+			}
+		}
+		keep = append(keep, m)
+	}
+	return keep
+}

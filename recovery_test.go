@@ -218,3 +218,60 @@ func TestPersistenceOptionValidation(t *testing.T) {
 		t.Fatal("WithPersistence without WithKeySeed accepted")
 	}
 }
+
+// TestRestartIdleTailBehindStateTransfer: a replica restarted into an idle
+// cluster behind a stable checkpoint plus a short tail catches up on both.
+// The StateProbe brings the snapshot at 16 and the peers' Commits for 17
+// and 18, and the detector-period queries fetch the two missing bodies —
+// neither the state transfer nor the absence of traffic may stop the asking.
+func TestRestartIdleTailBehindStateTransfer(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	dir := t.TempDir()
+	cluster, err := splitbft.NewCluster(4,
+		splitbft.WithKeySeed([]byte("idle-tail-seed")),
+		splitbft.WithPersistence(dir),
+		splitbft.WithBatchSize(1),
+		splitbft.WithCheckpointInterval(4),
+		splitbft.WithRequestTimeout(timeout),
+		splitbft.WithNetworkSeed(47),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	cl, err := cluster.NewClient(100, splitbft.WithInvokeTimeout(20*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(i int) {
+		t.Helper()
+		if _, err := cl.Put(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		put(i)
+	}
+	waitForAgreement(t, cluster, []int{0, 1, 2, 3})
+
+	// Crash replica 3 and commit through the checkpoint at 16 and a tail of
+	// two slots past it, then go quiet before restarting.
+	cluster.CrashNode(3)
+	for i := 8; i < 18; i++ {
+		put(i)
+	}
+	waitForAgreement(t, cluster, []int{0, 1, 2})
+	if err := cluster.RestartNode(3); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+
+	ref := cluster.Node(0).App().Digest()
+	deadline := time.Now().Add(10 * timeout)
+	for time.Now().Before(deadline) {
+		if cluster.Node(3).App().Digest() == ref {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("restarted replica did not close a checkpoint plus a two-slot tail on an idle cluster within %v", 10*timeout)
+}

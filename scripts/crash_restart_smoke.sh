@@ -44,10 +44,23 @@ KILL_ID=$((N - 2))
 STOP_ID=$((N - 1))
 declare -a PIDS
 for ((id = 0; id < N; id++)); do PIDS[$id]=0; done
+# STARTED keeps every replica pid ever started, live or already signalled.
+declare -a STARTED=()
 
 cleanup() {
+    local pid
     for pid in "${PIDS[@]}"; do
         [ "$pid" != 0 ] && kill "$pid" 2>/dev/null || true
+    done
+    # The replicas are disowned, so `wait` cannot join them, and a SIGTERM'd
+    # one still writes its last snapshot into $DATA: poll until every one
+    # has exited (at most ~10 s each, then SIGKILL) before removing anything.
+    for pid in "${STARTED[@]}"; do
+        for _ in $(seq 1 100); do
+            kill -0 "$pid" 2>/dev/null || break
+            sleep 0.1
+        done
+        kill -9 "$pid" 2>/dev/null || true
     done
     rm -rf "$WORK"
 }
@@ -69,6 +82,7 @@ start_replica() {
         -metrics-addr "127.0.0.1:$((17500 + id))" \
         >"$WORK/replica-$id.log" 2>&1 &
     PIDS[$id]=$!
+    STARTED+=("$!")
     disown "${PIDS[$id]}" # keep bash quiet when we SIGKILL it
 }
 
