@@ -290,22 +290,21 @@ func TestTrustedModeTCP(t *testing.T) {
 
 // TestNoSpuriousSuspicionOverTCP: over TCP a client's direct copy of a
 // request can reach a backup after that backup already replied (the
-// primary's PrePrepare overtook it). Such a late copy used to re-arm a
-// failure-detector timer nothing cleared, so a healthy group changed views
-// about once per request timeout (the parent commit fails this test in
-// about 17 runs of 20). The burst stays below the first checkpoint and well
-// inside one timeout: on a busy machine a replica — the primary included,
-// whose own copy of a proposal can trail the backups' checkpoints — may be
-// state-transferred past a request it then never answers, which leaves an
-// honest stale timer this test is not about. Without one, every honest
-// timer is cleared moments after the burst, and a re-armed one — never
-// cleared — fires within one timeout of idleness.
+// primary's PrePrepare overtook it). Such a late copy arms the failure
+// detector again, and only Execution's answer to the detector's ask — the
+// request executed — clears it; a detector that suspected without asking
+// would change views about once per request timeout in a healthy group.
+// The burst stays below the first checkpoint and well inside one timeout,
+// then the group idles one and a half timeouts, long enough for every late
+// copy to expire and be asked about.
 func TestNoSpuriousSuspicionOverTCP(t *testing.T) { noSpuriousSuspicionOverTCP(t, 250) }
 
 // TestNoSpuriousSuspicionAcrossCheckpointsOverTCP runs the same burst across
-// two checkpoints (at 100 and 200), where a replica that falls behind is
-// state-transferred past requests it may have had in flight: the stale-timer
-// case the test above stays clear of.
+// two checkpoints (at 100 and 200), where a replica that falls behind — the
+// primary included, whose own copy of a proposal can trail the backups'
+// checkpoints — is state-transferred past requests it may have had in
+// flight and never answers them: Execution's window, merged from the
+// snapshot, answers for them instead.
 func TestNoSpuriousSuspicionAcrossCheckpointsOverTCP(t *testing.T) {
 	noSpuriousSuspicionOverTCP(t, 100)
 }

@@ -9,7 +9,9 @@
 // so a compromise of one compartment type cannot undo agreement reached by
 // the others; the untrusted broker handles networking, batching and every
 // timer, counter and budget, and can only hurt liveness, never safety.
-// Enclaves check and answer, the broker times and decides.
+// Enclaves check and answer, the broker times and decides: its failure
+// detector is one timer on the request it awaits, and before it suspects
+// the primary it asks Execution which overdue requests already executed.
 //
 // # Public API
 //
@@ -472,8 +474,10 @@
 // execution, which check and answer, linking only the trusted code they
 // share in internal/compartment; internal/tee is the enclave runtime and
 // internal/counter the trusted counter enclave; internal/core is the
-// untrusted environment of a replica (enclave wiring, the broker that times
-// and decides, observability), and internal/pbft the monolithic baseline
+// untrusted environment of a replica (enclave wiring; the broker that times
+// and decides, whose one request record and one timer ask Execution's
+// exactly-once window before they suspect; observability), and
+// internal/pbft the monolithic baseline
 // the paper compares against. Table 2 (cmd/tcbcount) counts each enclave
 // as its package's import closure. The experiment harness reproducing the
 // paper's tables and figures is public under experiments/ and is driven by

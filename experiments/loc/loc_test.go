@@ -276,7 +276,7 @@ func TestTCBBudget(t *testing.T) {
 	budgets := map[string]budget{
 		"Preparation Enc.":  {3346, 474},
 		"Confirmation Enc.": {3310, 438},
-		"Execution Enc.":    {4177, 944},
+		"Execution Enc.":    {4175, 942},
 		"Enclave Runtime":   {3071, 0},
 		"Trusted Counter":   {600, 0},
 	}

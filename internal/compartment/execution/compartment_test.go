@@ -572,6 +572,56 @@ func TestExecutionCatchesUpViaStateTransfer(t *testing.T) {
 	}
 }
 
+// TestExecutionClearsSuspicionOfTransferredRequest: a request that a state
+// transfer carried this replica past executed elsewhere, and no reply body
+// for it is held here, yet the exactly-once window merged from the snapshot
+// covers it. Asked about it and about the client's next, unexecuted
+// timestamp, Execution names back the first alone, in one OcallExecuted,
+// so the environment stops awaiting a Reply that will never leave.
+func TestExecutionClearsSuspicionOfTransferredRequest(t *testing.T) {
+	h := newHarness(t)
+	e := mustExecution(t, h.cfgs[3], app.NewKVS(), h.ver)
+	exec, err := tee.NewEnclave(3, crypto.RoleExecution, e, tee.ZeroCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := newTestExecution(t, 0, "compartment-test")
+	recordAt(peer, 7, 1)
+	snap := peer.snapshotState()
+	cert := messages.CheckpointCert{Seq: 10, StateDigest: crypto.HashData(snap)}
+	for r := uint32(0); r < 3; r++ {
+		cp := messages.Checkpoint{Seq: 10, StateDigest: cert.StateDigest, Replica: r}
+		cp.Sig = h.byzantineSigner(r, crypto.RoleExecution).Sign(cp.SigningBytes())
+		cert.Proof = append(cert.Proof, cp)
+	}
+	if _, err := exec.Invoke(wrapMessage(messages.Marshal(&messages.StateReply{Cert: cert, Snapshot: snap, Replica: 0}))); err != nil {
+		t.Fatal(err)
+	}
+	if rep, done := e.clients[7].executed(1); !done || rep != nil {
+		t.Fatalf("after the transfer executed(1) = %v, %v; want covered with no reply body", rep, done)
+	}
+	var answers [][]byte
+	exec.RegisterOcall(OcallExecuted, func(data []byte) ([]byte, error) {
+		answers = append(answers, data)
+		return nil, nil
+	})
+	pair := func(enc *messages.Encoder, client uint32, ts uint64) *messages.Encoder {
+		enc.U32(client)
+		enc.U64(ts)
+		return enc
+	}
+	ask := messages.NewEncoder(0)
+	ask.U8(compartment.EcallTick)
+	ask.U8(0)
+	pair(pair(ask, 7, 1), 7, 2)
+	if _, err := exec.Invoke(ask.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if want := pair(messages.NewEncoder(0), 7, 1).Bytes(); len(answers) != 1 || !bytes.Equal(answers[0], want) {
+		t.Fatalf("answered %x, want one ocall naming %x", answers, want)
+	}
+}
+
 // TestExecutionAsksForStateWithProbe: an Execution compartment that
 // installs a stable certificate ahead of its lastExec asks a voter of the
 // certificate for state with StateProbe{Have: lastExec} — not the

@@ -43,9 +43,9 @@ type execClient struct {
 }
 
 // executed reports whether ts was already executed, returning the cached
-// reply when one is held.
+// reply when one is held. A client with no record executed nothing.
 func (c *execClient) executed(ts uint64) (*messages.Reply, bool) {
-	if ts > c.maxExecuted {
+	if c == nil || ts > c.maxExecuted {
 		return nil, false
 	}
 	if i := c.maxExecuted - ts; i < execReplyWindow && !c.window.has(i) {

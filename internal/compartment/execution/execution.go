@@ -3,6 +3,7 @@
 package execution
 
 import (
+	"maps"
 	"slices"
 
 	"github.com/splitbft/splitbft/internal/app"
@@ -95,8 +96,8 @@ func Measurement() crypto.Digest { return compartment.Measure("execution") }
 
 // HandleECall implements tee.Code.
 func (e *Compartment) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
-	if len(raw) == 2 && raw[0] == compartment.EcallTick {
-		return e.onQuery(host, raw[1])
+	if len(raw) >= 2 && raw[0] == compartment.EcallTick {
+		return e.onQuery(host, raw[1], raw[2:])
 	}
 	// Any message may have advanced lastExec past a confirmed frontier:
 	// serve what became servable.
@@ -110,10 +111,29 @@ const (
 	TickProbe                   // announce how far this replica got
 )
 
+// OcallExecuted is the ocall that answers a query naming requests.
+const OcallExecuted = "exec.executed"
+
 // onQuery answers the environment's query (compartment.EcallTick) from
-// current state alone: the same state and flags give the same answer, and
-// when to ask, and which answers to forward, is the environment's decision.
-func (e *Compartment) onQuery(host tee.Host, flags byte) []tee.OutMsg {
+// current state alone: the same state, flags and asked requests give the
+// same answer, and when to ask, and which answers to forward, is the
+// environment's decision. asked is a run of (client, ts) pairs; the
+// answer names back, in one OcallExecuted, those the exactly-once records
+// cover — executed here or merged in by state transfer, whether a reply
+// is held or not — so the environment stops awaiting a Reply that will
+// not come.
+func (e *Compartment) onQuery(host tee.Host, flags byte, asked []byte) []tee.OutMsg {
+	done := messages.NewEncoder(len(asked))
+	for d := messages.NewDecoder(asked); d.Remaining() >= 4+8; {
+		id, ts := d.U32(), d.U64()
+		if _, ok := e.clients[id].executed(ts); ok {
+			done.U32(id)
+			done.U64(ts)
+		}
+	}
+	if done.Len() > 0 {
+		_, _ = host.Ocall(OcallExecuted, done.Bytes())
+	}
 	var out []tee.OutMsg
 	// The next slot committed but its body never arrived (lost PrePrepare,
 	// or it committed while this replica was down): ask peers to retransmit
@@ -520,35 +540,20 @@ func (e *Compartment) onStateReply(host tee.Host, rep *messages.StateReply) []te
 
 // gc prunes execution bookkeeping below the watermark.
 func (e *Compartment) gc() {
+	below := func(seq uint64) bool { return seq <= e.LowWatermark }
 	for view, vs := range e.commits {
-		for seq := range vs {
-			if seq <= e.LowWatermark {
-				delete(vs, seq)
-			}
-		}
+		maps.DeleteFunc(vs, func(seq uint64, _ map[uint32]*messages.Commit) bool { return below(seq) })
 		if len(vs) == 0 {
 			delete(e.commits, view)
 		}
 	}
-	for seq := range e.committed {
-		if seq <= e.LowWatermark {
-			delete(e.committed, seq)
-		}
-	}
-	for seq := range e.snapshots {
-		if seq < e.LowWatermark {
-			delete(e.snapshots, seq)
-		}
-	}
-	for seq := range e.held {
-		if seq <= e.LowWatermark {
-			delete(e.held, seq)
-		}
-	}
+	maps.DeleteFunc(e.committed, func(seq uint64, _ crypto.Digest) bool { return below(seq) })
+	maps.DeleteFunc(e.held, func(seq uint64, _ crypto.Digest) bool { return below(seq) })
+	maps.DeleteFunc(e.snapshots, func(seq uint64, _ []byte) bool { return seq < e.LowWatermark })
 	// Batch bodies below the watermark can no longer be executed; drop
 	// them to bound the cache.
 	for d, seq := range e.batchSeq {
-		if seq <= e.LowWatermark {
+		if below(seq) {
 			delete(e.batchSeq, d)
 			delete(e.batches, d)
 		}

@@ -347,7 +347,9 @@ func (p *Compartment) proposeBatch(host tee.Host, batch *messages.Batch) []tee.O
 		return nil
 	}
 	if !p.InWindow(p.nextSeq + 1) {
-		return nil // window exhausted; the environment will resubmit
+		// Window exhausted: the batch is dropped and nothing resubmits it;
+		// its requests wait for their clients' retransmits.
+		return nil
 	}
 	p.nextSeq++
 	b := messages.Batch{Requests: valid}

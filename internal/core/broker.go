@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/splitbft/splitbft/internal/compartment/execution"
 	"github.com/splitbft/splitbft/internal/crypto"
-	"github.com/splitbft/splitbft/internal/genset"
 	"github.com/splitbft/splitbft/internal/messages"
 	"github.com/splitbft/splitbft/internal/obs"
 	"github.com/splitbft/splitbft/internal/ring"
@@ -39,26 +39,26 @@ type broker struct {
 
 	mu           sync.Mutex
 	pendingReqs  ring.Buffer[messages.Request]
-	pendingKeys  map[reqKey]bool
 	batchSince   time.Time
 	viewEstimate uint64
 	newView      uint64 // highest view a NewView was seen for
 	askedView    uint64 // highest view this replica's own ViewChange asked for
-	// awaiting holds every client request this replica has seen but not yet
-	// observed a reply for, whether or not it is the primary. Its arrival
-	// time drives the failure detector; its body lets a replica that
-	// becomes primary mid-request propose it immediately instead of waiting
-	// for the client's next (backed-off) retransmit — clients broadcast to
-	// all replicas.
-	awaiting map[reqKey]pendingReq
-	// replied remembers requests this replica already answered. A copy
-	// that arrives after the Reply left (over TCP the client's direct copy
-	// can trail the primary's PrePrepare) must not re-arm awaiting — nothing
-	// would ever clear it again, and the failure detector would suspect a
-	// healthy primary one timeout later. Aged on the failure detector's
-	// clock like dedup, so it stays bounded.
-	replied     *genset.Set[reqKey]
-	lastSuspect time.Time
+	// awaiting is the environment's one record of client requests: every
+	// request this replica has seen and not yet seen answered, whether or
+	// not it is the primary. An entry clears when the Reply leaves or when
+	// Execution's exactly-once records say the request executed (onExecuted).
+	// Its body lets a replica that becomes primary mid-request propose it
+	// immediately instead of waiting for the client's next (backed-off)
+	// retransmit — clients broadcast to all replicas.
+	awaiting map[reqKey]*pendingReq
+	// The failure detector's one timer (detectLocked): it times the awaited
+	// request timed from timerStart, zero while nothing is awaited. askFor
+	// is the timer start the last ask to Execution went out under, and
+	// asking holds while that ask has not come back.
+	timed       reqKey
+	timerStart  time.Time
+	askFor      time.Time
+	asking      bool
 	lastRotate  time.Time
 	lastLease   time.Time // last lease-clock tick into Preparation
 	fetchBudget int       // remaining budgeted forwards this period
@@ -101,8 +101,7 @@ type broker struct {
 	tr *obs.Tracer
 }
 
-// dedupEntries bounds the broker's two generational sets: the retransmit
-// filter and the answered-request memory.
+// dedupEntries bounds the retransmit filter's generational set.
 const dedupEntries = 1 << 13
 
 // fetchBudgetPerPeriod caps how many BatchFetch and StateProbe asks this
@@ -120,9 +119,7 @@ func newBroker(cfg Config, enclaves [3]*tee.Enclave, stores map[crypto.Role]*com
 		enclaves:    make(map[crypto.Role]*tee.Enclave, len(enclaves)),
 		stores:      stores,
 		dedup:       newDedup(dedupEntries),
-		pendingKeys: make(map[reqKey]bool),
-		awaiting:    make(map[reqKey]pendingReq),
-		replied:     genset.New[reqKey](dedupEntries),
+		awaiting:    make(map[reqKey]*pendingReq),
 		fetchBudget: fetchBudgetPerPeriod,
 		stop:        make(chan struct{}),
 		tr:          cfg.Obs.Trace(),
@@ -130,6 +127,7 @@ func newBroker(cfg Config, enclaves [3]*tee.Enclave, stores map[crypto.Role]*com
 	for _, enc := range enclaves {
 		b.enclaves[enc.Identity().Role] = enc
 	}
+	b.enclaves[crypto.RoleExecution].RegisterOcall(execution.OcallExecuted, b.onExecuted)
 	if stores != nil {
 		// What committed while this replica was down is in no local log, and
 		// an idle cluster's traffic would never reveal it: ask the peers.
@@ -196,8 +194,7 @@ const maxCrossing = 16
 
 // dispatch drives the enclaves behind q: each round takes what is queued
 // (up to maxCrossing) and delivers every run of consecutive ecalls for one
-// compartment in a single crossing — one transition, one WAL sync — then
-// routes the run's outputs.
+// compartment in a single crossing (cross).
 func (b *broker) dispatch(q *queue) {
 	defer b.wg.Done()
 	var drained []ecall
@@ -210,55 +207,70 @@ func (b *broker) dispatch(q *queue) {
 			return
 		}
 		for i := 0; i < len(drained); {
-			role := drained[i].role
 			j := i + 1
-			for j < len(drained) && drained[j].role == role {
+			for j < len(drained) && drained[j].role == drained[i].role {
 				j++
 			}
-			run := drained[i:j]
+			payloads = b.cross(drained[i:j], payloads[:0], peers)
 			i = j
-			cs := b.stores[role]
-			if cs != nil {
-				// Write-ahead: the input log hits the WAL before the
-				// enclave sees it, so replay covers everything delivered.
-				cs.persistRun(run)
-			}
-			payloads = payloads[:0]
-			for k := range run {
-				payloads = append(payloads, run[k].payload)
-			}
-			if role == crypto.RoleExecution {
-				payloads = b.appendQuery(payloads)
-			}
-			out, err := b.enclaves[role].InvokeBatch(payloads)
-			for k := range run {
-				run[k].release() // payloads were copied into the enclave
-			}
-			if err != nil {
-				continue // crashed enclave: drop (availability loss only)
-			}
-			if role == crypto.RoleExecution {
-				out = b.forwardFetches(out)
-			}
-			// Outputs must not escape before the inputs that caused them
-			// are durable: a signed PrePrepare surviving a crash that its
-			// WAL record did not would let the restarted (amnesiac) enclave
-			// sign a conflicting proposal for the same slot — the
-			// equivocation the proposal record exists to prevent. So when
-			// the log cannot confirm durability (its failure is sticky — a
-			// dead disk stays dead), the outputs are dropped: the
-			// compartment goes mute, an availability loss, never a safety
-			// one. The whole run shares this one Sync; quiet runs stay on
-			// the store's timed group commit.
-			if cs != nil && len(out) > 0 && cs.st.Sync() != nil {
-				out = nil
-			}
-			b.route(out, peers)
-			if cs != nil {
-				cs.maybeSnapshot()
-			}
 		}
 	}
+}
+
+// cross delivers a run of ecalls for one compartment in one crossing — one
+// transition, one WAL sync — then routes the run's outputs. payloads and
+// peers are the calling dispatcher's scratch; cross returns payloads for
+// reuse.
+func (b *broker) cross(run []ecall, payloads [][]byte, peers [][][]byte) [][]byte {
+	role := run[0].role
+	cs := b.stores[role]
+	if cs != nil {
+		// Write-ahead: the input log hits the WAL before the enclave sees
+		// it, so replay covers everything delivered.
+		cs.persistRun(run)
+	}
+	for k := range run {
+		payloads = append(payloads, run[k].payload)
+	}
+	asks := false
+	if role == crypto.RoleExecution {
+		payloads, asks = b.appendQuery(payloads)
+	}
+	out, err := b.enclaves[role].InvokeBatch(payloads)
+	for k := range run {
+		run[k].release() // payloads were copied into the enclave
+	}
+	if asks {
+		// The ask came back: its ocall already cleared what executed, and a
+		// crashed enclave vouches for nothing, so the detector may now
+		// suspect on what is still awaited.
+		b.mu.Lock()
+		b.asking = false
+		b.mu.Unlock()
+	}
+	if err != nil {
+		return payloads // crashed enclave: drop (availability loss only)
+	}
+	if role == crypto.RoleExecution {
+		out = b.forwardFetches(out)
+	}
+	// Outputs must not escape before the inputs that caused them are
+	// durable: a signed PrePrepare surviving a crash that its WAL record did
+	// not would let the restarted (amnesiac) enclave sign a conflicting
+	// proposal for the same slot — the equivocation the proposal record
+	// exists to prevent. So when the log cannot confirm durability (its
+	// failure is sticky — a dead disk stays dead), the outputs are dropped:
+	// the compartment goes mute, an availability loss, never a safety one.
+	// The whole run shares this one Sync; quiet runs stay on the store's
+	// timed group commit.
+	if cs != nil && len(out) > 0 && cs.st.Sync() != nil {
+		out = nil
+	}
+	b.route(out, peers)
+	if cs != nil {
+		cs.maybeSnapshot()
+	}
+	return payloads
 }
 
 // route delivers the output messages of one dispatch run. Local outputs are
@@ -422,9 +434,7 @@ func (b *broker) noteClientBound(data []byte) (client uint32, ts uint64, stage o
 		}
 		b.mReplies.Add(1)
 		b.mu.Lock()
-		key := reqKey{client: client, ts: ts}
-		delete(b.awaiting, key)
-		b.replied.Add(key)
+		delete(b.awaiting, reqKey{client: client, ts: ts})
 		b.mu.Unlock()
 		// The reply emerging from the Execution compartment is the
 		// untrusted side's proof the operation was applied.

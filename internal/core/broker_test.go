@@ -511,7 +511,7 @@ func TestBrokerBatchesOnlyWhenPrimary(t *testing.T) {
 	b.mu.Lock()
 	b.viewEstimate = 1
 	b.pendingReqs.Reset()
-	b.pendingKeys = map[reqKey]bool{}
+	clear(b.awaiting)
 	b.mu.Unlock()
 	req2 := testRequest(cfg.MACSecret, cfg.N, 9, 2, []byte("op2"))
 	b.onClientRequest(messages.Marshal(&req2))
@@ -551,10 +551,15 @@ func TestBrokerBatchCutOnSize(t *testing.T) {
 		t.Fatalf("batch has %d requests", len(batch.Requests))
 	}
 	b.mu.Lock()
-	if b.pendingReqs.Len() != 0 || len(b.pendingKeys) != 0 {
+	defer b.mu.Unlock()
+	if b.pendingReqs.Len() != 0 {
 		t.Fatal("buffer not drained after the cut")
 	}
-	b.mu.Unlock()
+	for key, p := range b.awaiting {
+		if p.queued {
+			t.Fatalf("request %v still marked queued after the cut", key)
+		}
+	}
 }
 
 func TestBrokerDuplicateRequestNotDoubleBatched(t *testing.T) {
@@ -580,8 +585,11 @@ func TestBrokerSuspectAfterTimeout(t *testing.T) {
 	if b.mSuspects.Load() != 0 {
 		t.Fatal("suspected before the timeout")
 	}
-	// After the timeout: exactly one suspect, then a cooldown.
-	b.onTick(time.Now().Add(20 * time.Millisecond))
+	// After the timeout and the ask: exactly one suspect, and the timer
+	// restarts.
+	expired := time.Now().Add(20 * time.Millisecond)
+	b.onTick(expired)
+	answerAsk(b, expired)
 	if b.mSuspects.Load() != 1 {
 		t.Fatalf("suspects = %d, want 1", b.mSuspects.Load())
 	}
@@ -611,34 +619,88 @@ func TestBrokerSuspectAfterTimeout(t *testing.T) {
 
 // TestBrokerLateRequestCopyAfterReply: over TCP the client's direct copy of
 // a request can trail the primary's PrePrepare far enough to arrive after
-// this replica already replied. It must arm neither the suspicion timer
-// nor the parked set — nothing would clear them again — yet still reach
-// batching, so a genuine retransmit is answered from the reply cache.
+// this replica already replied. It arms an entry like any copy, and still
+// reaches batching, so a genuine retransmit is answered from the reply
+// cache; when the timer expires, Execution's answer to the ask names the
+// request executed and clears the entry, with no suspicion.
 func TestBrokerLateRequestCopyAfterReply(t *testing.T) {
-	b, cfg := newTestBroker(t, false)
+	b, codes := scriptBroker(t, false, nil)
+	answerExecuted(b, codes, func(_ uint32, ts uint64) bool { return ts == 1 })
 	b.cfg.RequestTimeout = 10 * time.Millisecond
 	b.noteClientBound(messages.Marshal(&messages.Reply{ClientID: 9, Timestamp: 1, Replica: 0}))
-	req := testRequest(cfg.MACSecret, cfg.N, 9, 1, []byte("op"))
+	req := testRequest([]byte("broker-test"), b.cfg.N, 9, 1, []byte("op"))
 	b.onClientRequest(messages.Marshal(&req))
 	b.mu.Lock()
-	awaiting, pending := len(b.awaiting), b.pendingReqs.Len()
+	pending := b.pendingReqs.Len()
 	b.mu.Unlock()
-	if awaiting != 0 {
-		t.Fatalf("late copy left %d requests awaiting a reply behind", awaiting)
-	}
 	if pending != 1 {
 		t.Fatalf("late copy not handed to batching: %d pending", pending)
 	}
-	b.onTick(time.Now().Add(20 * time.Millisecond))
+	expired := time.Now().Add(20 * time.Millisecond)
+	b.onTick(expired)
+	answerAsk(b, expired)
 	if got := b.mSuspects.Load(); got != 0 {
 		t.Fatalf("late copy of an answered request raised %d suspects", got)
 	}
+	b.mu.Lock()
+	awaiting := len(b.awaiting)
+	b.mu.Unlock()
+	if awaiting != 0 {
+		t.Fatalf("Execution's answer left %d requests awaiting a reply behind", awaiting)
+	}
 	// A different request from the same client is tracked as usual.
-	next := testRequest(cfg.MACSecret, cfg.N, 9, 2, []byte("op"))
+	next := testRequest([]byte("broker-test"), b.cfg.N, 9, 2, []byte("op"))
 	b.onClientRequest(messages.Marshal(&next))
-	b.onTick(time.Now().Add(60 * time.Millisecond))
+	expired = time.Now().Add(60 * time.Millisecond)
+	b.onTick(expired)
+	answerAsk(b, expired)
 	if got := b.mSuspects.Load(); got != 1 {
 		t.Fatalf("unanswered request raised %d suspects, want 1", got)
+	}
+}
+
+// TestBrokerAsksExecutionBeforeSuspecting: when the timer expires the
+// broker asks Execution about every overdue request, at most one ask at a
+// time, and suspects only on what the answer leaves awaited — a request
+// Execution covers, as one a state transfer carried this replica past, is
+// cleared with no suspicion.
+func TestBrokerAsksExecutionBeforeSuspecting(t *testing.T) {
+	for _, covered := range []bool{true, false} {
+		b, codes := scriptBroker(t, false, nil)
+		answerExecuted(b, codes, func(uint32, uint64) bool { return covered })
+		b.cfg.RequestTimeout = 10 * time.Millisecond
+		req := testRequest([]byte("broker-test"), b.cfg.N, 9, 1, []byte("op"))
+		b.onClientRequest(messages.Marshal(&req))
+		exec := b.queueFor(crypto.RoleExecution)
+		exec.reset()
+		expired := time.Now().Add(20 * time.Millisecond)
+		b.onTick(expired)
+		b.onTick(expired.Add(time.Millisecond)) // the ask is still out
+		if got := b.mSuspects.Load(); got != 0 || exec.len() != 2 {
+			t.Fatalf("covered=%v: %d suspects and %d queries queued before the answer, want 0 and the period query plus one ask", covered, got, exec.len())
+		}
+		var ask []byte
+		for exec.len() > 0 {
+			if e, _ := pop(exec); len(e.payload) > 2 {
+				ask = e.payload
+			}
+		}
+		want := []byte{compartment.EcallTick, 0, 9, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}
+		if !bytes.Equal(ask, want) {
+			t.Fatalf("covered=%v: ask %x, want %x", covered, ask, want)
+		}
+		b.submit(crypto.RoleExecution, ask, nil)
+		answerAsk(b, expired.Add(time.Millisecond))
+		wantSuspects := uint64(1)
+		if covered {
+			wantSuspects = 0
+		}
+		b.mu.Lock()
+		awaiting := len(b.awaiting)
+		b.mu.Unlock()
+		if got := b.mSuspects.Load(); got != wantSuspects || awaiting != int(wantSuspects) {
+			t.Fatalf("covered=%v: %d suspects and %d requests awaited after the answer, want %d and %d", covered, got, awaiting, wantSuspects, wantSuspects)
+		}
 	}
 }
 
@@ -671,7 +733,9 @@ func TestBrokerNewViewRepromotesParked(t *testing.T) {
 	if got := b.mBatches.Load(); got != 0 {
 		t.Fatalf("backup broker submitted %d batches", got)
 	}
-	b.onTick(time.Now().Add(20 * time.Millisecond)) // suspects view 3, estimate 4
+	expired := time.Now().Add(20 * time.Millisecond)
+	b.onTick(expired)
+	answerAsk(b, expired) // suspects view 3, estimate 4
 	if got := b.mBatches.Load(); got != 1 {
 		t.Fatalf("detector bump promoted %d batches, want 1", got)
 	}
@@ -703,7 +767,9 @@ func TestBrokerDropsStalePending(t *testing.T) {
 	b.mu.Unlock()
 	req := testRequest(cfg.MACSecret, cfg.N, 9, 1, []byte("op"))
 	b.onClientRequest(messages.Marshal(&req))
-	b.onTick(time.Now().Add(11 * b.cfg.RequestTimeout))
+	stale := time.Now().Add(11 * b.cfg.RequestTimeout)
+	b.onTick(stale)
+	answerAsk(b, stale)
 	if got := b.mSuspects.Load(); got != 0 {
 		t.Fatalf("a stale entry raised %d suspects", got)
 	}
@@ -726,7 +792,7 @@ func TestBrokerDropsStalePending(t *testing.T) {
 // restarts nothing.
 func TestBrokerNewViewRestartsDetector(t *testing.T) {
 	// withOldRequest returns a broker holding a request that has been
-	// pending for two RequestTimeouts.
+	// pending, and timed, for two RequestTimeouts.
 	withOldRequest := func() *broker {
 		b, cfg := newTestBroker(t, false)
 		b.cfg.RequestTimeout = time.Minute
@@ -736,7 +802,7 @@ func TestBrokerNewViewRestartsDetector(t *testing.T) {
 		key := reqKey{client: 9, ts: 1}
 		p := b.awaiting[key]
 		p.since = time.Now().Add(-2 * time.Minute)
-		b.awaiting[key] = p
+		b.timerStart = p.since
 		b.mu.Unlock()
 		return b
 	}
@@ -749,14 +815,18 @@ func TestBrokerNewViewRestartsDetector(t *testing.T) {
 	if got := b.mSuspects.Load(); got != 0 {
 		t.Fatalf("suspected %d times inside the new view's first RequestTimeout", got)
 	}
-	b.onTick(installed.Add(61 * time.Second))
+	expired := installed.Add(61 * time.Second)
+	b.onTick(expired)
+	answerAsk(b, expired)
 	if got := b.mSuspects.Load(); got != 1 {
 		t.Fatalf("suspects = %d once the new view's RequestTimeout passed, want 1", got)
 	}
 
 	b = withOldRequest()
 	b.observeNewView(&messages.NewView{View: 5, Replica: 1})
-	b.onTick(time.Now())
+	expired = time.Now()
+	b.onTick(expired)
+	answerAsk(b, expired)
 	if got := b.mSuspects.Load(); got != 1 {
 		t.Fatalf("suspects = %d after a NewView this replica never asked for, want 1", got)
 	}
@@ -796,6 +866,41 @@ func TestBrokerCountsExecutionEvents(t *testing.T) {
 		if got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
+	}
+}
+
+// answerAsk delivers what the Execution queue holds — the detector's ask
+// among it — in one crossing, as the Execution dispatcher would, then ticks
+// at now: the tick that reads the answer.
+func answerAsk(b *broker, now time.Time) {
+	if n := b.queueFor(crypto.RoleExecution).len(); n > 0 {
+		run, _ := b.queueFor(crypto.RoleExecution).drain(nil, n)
+		b.cross(run, nil, make([][][]byte, b.cfg.N))
+	}
+	b.onTick(now)
+}
+
+// answerExecuted scripts a scriptBroker's Execution compartment to answer
+// the detector's ask as Execution does, naming back through the ocall the
+// asked pairs covered reports executed.
+func answerExecuted(b *broker, codes map[crypto.Role]*scriptCode, covered func(client uint32, ts uint64) bool) {
+	exec := b.enclaves[crypto.RoleExecution]
+	codes[crypto.RoleExecution].reply = func(msg []byte) []tee.OutMsg {
+		if len(msg) < 2 || msg[0] != compartment.EcallTick {
+			return nil
+		}
+		done := messages.NewEncoder(0)
+		for d := messages.NewDecoder(msg[2:]); d.Remaining() >= askPairSize; {
+			client, ts := d.U32(), d.U64()
+			if covered(client, ts) {
+				done.U32(client)
+				done.U64(ts)
+			}
+		}
+		if done.Len() > 0 {
+			_, _ = exec.Ocall(execution.OcallExecuted, done.Bytes())
+		}
+		return nil
 	}
 }
 

@@ -11,18 +11,19 @@ import (
 	"github.com/splitbft/splitbft/internal/tee"
 )
 
-// reqKey identifies a pending client request for failure detection.
+// reqKey identifies a client request: its client and timestamp.
 type reqKey struct {
 	client uint32
 	ts     uint64
 }
 
 // pendingReq is a client request awaiting its reply: the body, for
-// re-proposal after a view change, and when it first arrived, for the
-// failure detector.
+// re-proposal after a view change; when it first arrived, for the stale
+// prune and the ask to Execution; and whether it sits in the batch buffer.
 type pendingReq struct {
-	req   *messages.Request
-	since time.Time
+	req    *messages.Request
+	since  time.Time
+	queued bool
 }
 
 // observeNewView updates the broker's view estimate so batching
@@ -37,20 +38,20 @@ type pendingReq struct {
 // estimate there: that earlier promotion reached a Preparation enclave
 // still in the old view, which drops batches it cannot lead. If this
 // replica's own ViewChange asked for the view, the NewView also restarts
-// the failure detector (as PBFT restarts a backup's timer on entering a
-// view); else the detector, still timing the request from the old view,
-// fires as soon as a slow or late-joined view change completes, and where
-// every live replica is needed for a quorum that deposes the view before
-// its first commit. The NewView is unauthenticated here, so a forged one
-// can delay suspicion at most once per view this replica asked for.
+// the failure detector's timer (as PBFT restarts a backup's timer on
+// entering a view); else the timer, still running from the old view, fires
+// as soon as a slow or late-joined view change completes, and where every
+// live replica is needed for a quorum that deposes the view before its
+// first commit. The NewView is unauthenticated here, so a forged one can
+// delay suspicion at most once per view this replica asked for.
 func (b *broker) observeNewView(nv *messages.NewView) {
 	advanced := false
 	var promoted *messages.Batch
 	b.mu.Lock()
 	if nv.View > b.newView {
 		b.newView = nv.View
-		if nv.View <= b.askedView {
-			b.lastSuspect = time.Now()
+		if nv.View <= b.askedView && !b.timerStart.IsZero() {
+			b.timerStart = time.Now()
 		}
 		if nv.View > b.viewEstimate {
 			b.viewEstimate = nv.View
@@ -83,15 +84,10 @@ func (b *broker) promoteAwaitingLocked() *messages.Batch {
 	if !b.believesPrimaryLocked() || len(b.awaiting) == 0 {
 		return nil
 	}
-	for key, p := range b.awaiting {
-		if b.pendingKeys[key] {
-			continue
+	for _, p := range b.awaiting {
+		if !p.queued {
+			b.queueLocked(p, p.req)
 		}
-		if b.pendingReqs.Len() == 0 {
-			b.batchSince = time.Now()
-		}
-		b.pendingKeys[key] = true
-		b.pendingReqs.Push(*p.req)
 	}
 	if b.pendingReqs.Len() >= b.cfg.BatchSize {
 		return b.takeBatchLocked()
@@ -103,6 +99,15 @@ func (b *broker) promoteAwaitingLocked() *messages.Batch {
 // the primary under the broker's view estimate.
 func (b *broker) believesPrimaryLocked() bool {
 	return uint32(b.viewEstimate%uint64(b.cfg.N)) == b.cfg.ID
+}
+
+// queueLocked puts req, awaited as p, in the batch buffer.
+func (b *broker) queueLocked(p *pendingReq, req *messages.Request) {
+	if b.pendingReqs.Len() == 0 {
+		b.batchSince = time.Now()
+	}
+	p.queued = true
+	b.pendingReqs.Push(*req)
 }
 
 // onClientRequest performs untrusted batching (§3.2: "we also place the
@@ -119,17 +124,19 @@ func (b *broker) onClientRequest(data []byte) {
 	key := reqKey{client: req.ClientID, ts: req.Timestamp}
 	var submitNow *messages.Batch
 	b.mu.Lock()
-	// An already-answered request arms nothing; it still goes to batching
-	// below, so a genuine retransmit gets its cached reply.
-	if _, ok := b.awaiting[key]; !ok && !b.replied.Contains(key) {
-		b.awaiting[key] = pendingReq{req: req, since: time.Now()}
-	}
-	if b.believesPrimaryLocked() && !b.pendingKeys[key] {
-		if b.pendingReqs.Len() == 0 {
-			b.batchSince = time.Now()
+	// Every copy of a request not awaited arms an entry, a late copy of an
+	// answered one too: Execution's answer to the detector's ask clears it.
+	p := b.awaiting[key]
+	if p == nil {
+		now := time.Now()
+		p = &pendingReq{req: req, since: now}
+		b.awaiting[key] = p
+		if b.timerStart.IsZero() {
+			b.timed, b.timerStart = key, now
 		}
-		b.pendingKeys[key] = true
-		b.pendingReqs.Push(*req)
+	}
+	if b.believesPrimaryLocked() && !p.queued {
+		b.queueLocked(p, req)
 		if b.pendingReqs.Len() >= b.cfg.BatchSize {
 			submitNow = b.takeBatchLocked()
 		}
@@ -153,10 +160,9 @@ func (b *broker) takeBatchLocked() *messages.Batch {
 		Requests: b.pendingReqs.PopN(make([]messages.Request, 0, take), take),
 	}
 	for i := range batch.Requests {
-		delete(b.pendingKeys, reqKey{
-			client: batch.Requests[i].ClientID,
-			ts:     batch.Requests[i].Timestamp,
-		})
+		if p := b.awaiting[reqKey{client: batch.Requests[i].ClientID, ts: batch.Requests[i].Timestamp}]; p != nil {
+			p.queued = false
+		}
 	}
 	b.batchSince = time.Now()
 	return batch
@@ -194,9 +200,7 @@ func (b *broker) eventLoop() {
 }
 
 func (b *broker) onTick(now time.Time) {
-	var batch *messages.Batch
-	suspect := false
-	var suspectView uint64
+	var batch, promoted *messages.Batch
 	b.mu.Lock()
 	if b.pendingReqs.Len() > 0 && now.Sub(b.batchSince) >= b.cfg.BatchTimeout {
 		batch = b.takeBatchLocked()
@@ -209,12 +213,20 @@ func (b *broker) onTick(now time.Time) {
 	if now.Sub(b.lastRotate) > b.cfg.RequestTimeout {
 		b.lastRotate = now
 		b.dedup.rotate()
-		b.replied.Rotate()
 		b.fetchBudget = fetchBudgetPerPeriod
 		tick = true
 		if b.probesLeft > 0 {
 			b.probesLeft--
 			tickFlags |= execution.TickProbe
+		}
+		// A request awaited this long is stale, most likely a forged copy
+		// that Preparation never proposes: the prune bounds the map and how
+		// long one forged request can drive suspicion. A still-live client
+		// retransmits well inside this horizon and re-arms it.
+		for key, p := range b.awaiting {
+			if now.Sub(p.since) > 10*b.cfg.RequestTimeout {
+				delete(b.awaiting, key)
+			}
 		}
 	}
 	leaseTick := false
@@ -222,30 +234,10 @@ func (b *broker) onTick(now time.Time) {
 		b.lastLease = now
 		leaseTick = true
 	}
-	// Failure detection: any request pending longer than the timeout.
-	if now.Sub(b.lastSuspect) > b.cfg.RequestTimeout {
-		for key, p := range b.awaiting {
-			if now.Sub(p.since) > 10*b.cfg.RequestTimeout {
-				// Stale entry (e.g. pre-dedup retransmit, or a request
-				// executed before a state transfer skipped this replica
-				// past the reply). A still-live client retransmits well
-				// inside this horizon and re-arms it.
-				delete(b.awaiting, key)
-				continue
-			}
-			if now.Sub(p.since) > b.cfg.RequestTimeout {
-				suspect = true
-				suspectView = b.viewEstimate
-				break
-			}
-		}
-		if suspect {
-			b.lastSuspect = now
-			b.viewEstimate++ // batching duty may now be ours in v+1
-		}
-	}
-	var promoted *messages.Batch
+	suspectView := b.viewEstimate
+	suspect, ask := b.detectLocked(now)
 	if suspect {
+		b.viewEstimate++ // batching duty may now be ours in v+1
 		promoted = b.promoteAwaitingLocked()
 	}
 	b.mu.Unlock()
@@ -262,6 +254,9 @@ func (b *broker) onTick(now time.Time) {
 		// after a store opened it probes the peers. Never persisted — see
 		// persistRun.
 		b.submit(crypto.RoleExecution, []byte{compartment.EcallTick, tickFlags}, nil)
+	}
+	if ask != nil {
+		b.submit(crypto.RoleExecution, ask, nil) // a query too: never persisted
 	}
 	if leaseTick {
 		// With read leases on, the Preparation compartment runs on its own
@@ -284,6 +279,67 @@ func (b *broker) onTick(now time.Time) {
 	}
 }
 
+// detectLocked runs the failure detector, PBFT's one request timer (Castro
+// and Liskov, OSDI '99 §4.4), which runs while any request is awaited. A
+// request that waits its turn behind others is not a failure, so the timer
+// restarts at now when the request it times is answered or cleared (it then
+// times the oldest awaited one), when this replica suspects, and on the
+// NewView of a view this replica asked for (observeNewView). On expiry it
+// asks before it suspects: ask names every request awaited longer than
+// RequestTimeout, and Execution names back through onExecuted those its
+// exactly-once records cover, a request a state transfer carried it past
+// included. It suspects once that ask came back with the timed request
+// still awaited.
+func (b *broker) detectLocked(now time.Time) (suspect bool, ask []byte) {
+	if b.awaiting[b.timed] == nil {
+		var oldest time.Time
+		for key, p := range b.awaiting {
+			if oldest.IsZero() || p.since.Before(oldest) {
+				b.timed, oldest = key, p.since
+			}
+		}
+		b.timerStart = time.Time{}
+		if !oldest.IsZero() {
+			b.timerStart = now
+		}
+	}
+	if b.timerStart.IsZero() || now.Sub(b.timerStart) <= b.cfg.RequestTimeout || b.asking {
+		return false, nil
+	}
+	if !b.askFor.Equal(b.timerStart) {
+		b.askFor, b.asking = b.timerStart, true
+		enc := messages.NewEncoder(2 + askPairSize*len(b.awaiting))
+		enc.U8(compartment.EcallTick)
+		enc.U8(0)
+		for key, p := range b.awaiting {
+			if now.Sub(p.since) > b.cfg.RequestTimeout {
+				enc.U32(key.client)
+				enc.U64(key.ts)
+			}
+		}
+		return false, enc.Bytes()
+	}
+	b.timerStart = now
+	return true, nil
+}
+
+// askPairSize is the encoded size of one (client, ts) pair of an ask and of
+// Execution's answer to it.
+const askPairSize = 4 + 8
+
+// onExecuted is the ocall through which Execution answers the detector's
+// ask: the (client, ts) pairs it names executed, and stop being awaited.
+func (b *broker) onExecuted(data []byte) ([]byte, error) {
+	d := messages.NewDecoder(data)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for d.Remaining() >= askPairSize {
+		client := d.U32()
+		delete(b.awaiting, reqKey{client: client, ts: d.U64()})
+	}
+	return nil, nil
+}
+
 // The Execution query policy: Execution answers the environment's query
 // (compartment.EcallTick) from current state, and the broker decides when
 // to ask and what to forward.
@@ -300,26 +356,33 @@ const (
 	probePeriods = 32
 )
 
-// isQuery reports whether an ecall payload is an environment query.
-func isQuery(p []byte) bool { return len(p) == 2 && p[0] == compartment.EcallTick }
+// isQuery reports whether an ecall payload is an environment query: the
+// tag, a flags byte, and for the detector's ask the (client, ts) pairs it
+// names.
+func isQuery(p []byte) bool {
+	return len(p) >= 2 && p[0] == compartment.EcallTick && (len(p)-2)%askPairSize == 0
+}
 
 // flagsZeroQuery asks Execution only what it is missing (see onQuery).
 var flagsZeroQuery = []byte{compartment.EcallTick, 0}
 
 // appendQuery counts the messages of a crossing into Execution and, when
 // the count passes a multiple of queryEvery, appends a flags-0 query to it:
-// no extra crossing, and no WAL record (persistRun logs the run only).
-func (b *broker) appendQuery(payloads [][]byte) [][]byte {
+// no extra crossing, and no WAL record (persistRun logs the run only). asks
+// reports whether the crossing carries the detector's ask.
+func (b *broker) appendQuery(payloads [][]byte) (_ [][]byte, asks bool) {
 	before := b.execMsgs
 	for _, p := range payloads {
 		if !isQuery(p) {
 			b.execMsgs++
+		} else if len(p) > 2 {
+			asks = true
 		}
 	}
 	if b.execMsgs/queryEvery > before/queryEvery {
 		payloads = append(payloads, flagsZeroQuery)
 	}
-	return payloads
+	return payloads, asks
 }
 
 // forwardFetches drops each BatchFetch among Execution's outputs unless the

@@ -3,6 +3,8 @@ package splitbft_test
 import (
 	"bytes"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,5 +106,76 @@ func TestPipelineDeterminism(t *testing.T) {
 		} else if !bytes.Equal(snaps[0], reference) {
 			t.Fatalf("%s: ledger differs from the %s ledger: dispatcher scheduling changed agreed state", c.name, configs[0].name)
 		}
+	}
+}
+
+// TestConcurrentInvokesNoSpuriousSuspicion: concurrent Invokes queue at a
+// batch-1 primary, and a request that waits its turn behind the others has
+// not failed. Three clients, each warmed up by one Put, keep 32 Puts in
+// flight each for four rounds under a 150 ms failure detector. No replica
+// may suspect the healthy primary and no Invoke may fail.
+//
+// Two settings keep the test about the failure detector. The primary
+// proposes at most 256 slots past its stable checkpoint, which trails
+// execution by up to a checkpoint interval plus the time the checkpoint
+// takes to stabilize; at the default interval of 128 the 96 requests in
+// flight leave too little of the window for that lag, and a batch the
+// window drops waits for its client's retransmit, so checkpoints come every
+// 16 slots. And each replica runs its compartments on one dispatcher
+// (WithSingleThread): with three per replica, twelve CPU-bound dispatchers
+// share the machine with everything else, and one starved of the CPU for a
+// detector period makes its replica suspect.
+func TestConcurrentInvokesNoSpuriousSuspicion(t *testing.T) {
+	const clients, inFlight = 3, 32
+	rounds := 4
+	opts := []splitbft.Option{
+		splitbft.WithBatchSize(1),
+		splitbft.WithSingleThread(),
+		splitbft.WithCheckpointInterval(16),
+		splitbft.WithRequestTimeout(150 * time.Millisecond),
+		splitbft.WithNetworkSeed(39),
+	}
+	if raceDetector {
+		// The race detector slows every goroutine, and so the queue, more
+		// than tenfold: the failure detector and the clients' retransmits
+		// slow down with it, and two rounds keep the run short.
+		opts = append(opts, splitbft.WithRequestTimeout(1500*time.Millisecond),
+			splitbft.WithRetransmitInterval(5*time.Second))
+		rounds = 2
+	}
+	cluster, err := splitbft.NewCluster(4, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	var wg sync.WaitGroup
+	var failed atomic.Int64
+	for c := 0; c < clients; c++ {
+		cl, err := cluster.NewClient(uint32(300 + c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Put(fmt.Sprintf("c%d-warm", c), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		for g := 0; g < inFlight; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					if _, err := cl.Put(fmt.Sprintf("c%d-g%d-r%d", c, g, r), []byte("v")); err != nil {
+						failed.Add(1)
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	var suspects uint64
+	for _, node := range cluster.Nodes() {
+		suspects += node.Suspects()
+	}
+	if suspects != 0 || failed.Load() != 0 {
+		t.Fatalf("%d suspects over the nodes and %d failed Invokes under fault-free concurrent load", suspects, failed.Load())
 	}
 }
