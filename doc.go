@@ -354,7 +354,9 @@
 // sealed state snapshots, both AEAD-encrypted under keys derived from the
 // enclave identities (which is why WithPersistence requires WithKeySeed —
 // a restarted process must re-derive the same sealing keys). Appends are
-// group-committed (one fsync covers a burst of records) and the log is
+// buffered and flushed by one fsync per crossing, just before the first
+// output of the crossing leaves the replica; records whose crossing emits
+// nothing wait for the next output, snapshot or shutdown. The log is
 // garbage collected at stable checkpoints, when a fresh sealed snapshot
 // of the compartment state is written.
 //

@@ -106,12 +106,17 @@ func (c *Compartment) slot(view, seq uint64) *confSlot {
 
 // onPrePrepare records the proposal side of a prepare certificate. The
 // Confirmation compartment receives every PrePrepare duplicated into its
-// input log (§3.2); request bodies are irrelevant here, only the header.
+// input log (§3.2) and keeps only the header, but it admits a proposal only
+// with its request bodies: the MACs and the counter attestation cover the
+// header alone, and in trusted mode no Prepare round stands between this
+// check and the Commit, so a primary that stripped the batch would have
+// correct replicas commit a digest no Execution can obtain. Live
+// PrePrepares always carry their batch.
 func (c *Compartment) onPrePrepare(host tee.Host, pp *messages.PrePrepare) []tee.OutMsg {
 	if pp.View != c.View || c.inViewChange || !c.InWindow(pp.Seq) {
 		return nil
 	}
-	if err := c.Ver.VerifyPrePrepare(pp, false); err != nil {
+	if err := c.Ver.VerifyPrePrepare(pp, true); err != nil {
 		return nil
 	}
 	if c.TrustedMode() {

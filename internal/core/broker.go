@@ -261,8 +261,9 @@ func (b *broker) cross(run []ecall, payloads [][]byte, peers [][][]byte) [][]byt
 	// exists to prevent. So when the log cannot confirm durability (its
 	// failure is sticky — a dead disk stays dead), the outputs are dropped:
 	// the compartment goes mute, an availability loss, never a safety one.
-	// The whole run shares this one Sync; quiet runs stay on the store's
-	// timed group commit.
+	// The whole run shares this one Sync; a quiet run's records wait in
+	// the store's buffer for the compartment's next output, snapshot or
+	// shutdown.
 	if cs != nil && len(out) > 0 && cs.st.Sync() != nil {
 		out = nil
 	}

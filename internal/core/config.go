@@ -78,9 +78,9 @@ type Config struct {
 	// persistence (all state is in enclave memory, as in the plain paper
 	// configuration).
 	DataDir string
-	// FsyncInterval is the WAL group-commit period; records appended
-	// within one interval share a single fsync. 0 means the store default
-	// (2ms); negative fsyncs on every append.
+	// FsyncInterval selects the WAL flush mode by its sign alone: negative
+	// fsyncs on every append; zero or positive flushes only at the broker's
+	// pre-output Sync, at snapshots and at shutdown.
 	FsyncInterval time.Duration
 
 	// Batching and failure-detection parameters; see the pbft package for

@@ -283,11 +283,11 @@ func TestDispatchSingleThreadRunsByRole(t *testing.T) {
 	}
 }
 
-// openTestStore opens a compartment store whose timed group commit is out
-// of the way: only the dispatcher's explicit Sync flushes.
+// openTestStore opens a compartment store with default options: nothing
+// flushes it but the dispatcher's explicit Sync.
 func openTestStore(t *testing.T, faults *store.FaultInjector) *store.Store {
 	t.Helper()
-	st, _, err := store.Open(t.TempDir(), store.Options{FsyncInterval: time.Hour, Faults: faults})
+	st, _, err := store.Open(t.TempDir(), store.Options{Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func (cs *comStore) drain() { cs.wg.Wait() }
 
 // persistRun appends a run of same-compartment ecall payloads to the WAL
 // before they are delivered. Append errors need no handling here: the
-// store's failure is sticky, so the pre-route Sync in dispatch sees it
+// store's failure is sticky, so the pre-route Sync in cross sees it
 // and suppresses the outputs — a record lost with no output escaping is
 // indistinguishable from a crash just before it, and the recovery path
 // closes any such gap through peer state transfer. Environment queries are

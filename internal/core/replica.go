@@ -266,7 +266,7 @@ func (r *Replica) Stop() {
 
 // Crash kills the replica abruptly — the SIGKILL analog used by the
 // recovery scenarios: every enclave is crashed so drained backlog stops
-// mutating state, the stores drop their un-fsynced group-commit tail
+// mutating state, the stores drop their un-fsynced tail
 // (exactly what a real kill would lose), and the broker threads stop.
 func (r *Replica) Crash() {
 	for _, enc := range r.enclaves {

@@ -188,3 +188,111 @@ func TestTrustedMACInFlightSlotSurvivesRestartAndViewChange(t *testing.T) {
 		t.Fatal("new primary attested nothing in view 1")
 	}
 }
+
+// TestTrustedConfirmationCommitsOnlyWithBody: in trusted mode no Prepare
+// round stands between a backup's Confirmation and its Commit, so the
+// Confirmation checks the request bodies itself. The MACs and the counter
+// attestation cover the header alone, so a PrePrepare whose batch a faulty
+// primary host stripped still verifies; it must give no Commit, and the
+// same PrePrepare with its batch must give one.
+func TestTrustedConfirmationCommitsOnlyWithBody(t *testing.T) {
+	c := newClusterN(t, 3, 1, false, withTrustedMAC)
+	batch := &messages.Batch{Requests: []messages.Request{
+		testRequest(c.secret, c.n, 100, 1, app.EncodePut("k", []byte("v"))),
+	}}
+	out, err := c.replicas[0].Enclave(crypto.RolePreparation).Invoke(wrapBatch(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp, ok := findMsg[*messages.PrePrepare](t, out, tee.DestBroadcast)
+	if !ok || pp.CtrVal == 0 || len(pp.Batch.Requests) != 1 {
+		t.Fatal("primary emitted no counter-attested PrePrepare with its batch")
+	}
+	conf := c.replicas[1].Enclave(crypto.RoleConfirmation)
+	out, err = conf.Invoke(wrapMessage(messages.Marshal(pp.StripBatch())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := findMsg[*messages.Commit](t, out, tee.DestBroadcast); ok {
+		t.Fatal("Confirmation committed a PrePrepare stripped of its request bodies")
+	}
+	out, err = conf.Invoke(wrapMessage(messages.Marshal(pp)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := findMsg[*messages.Commit](t, out, tee.DestBroadcast); !ok {
+		t.Fatal("Confirmation did not commit the PrePrepare with its batch")
+	}
+}
+
+// TestTrustedMACQuietStoreFlushesAtSnapshots: a trusted-mode backup's
+// Preparation emits nothing in normal operation, so the pre-output barrier
+// never flushes its store. Its records wait in memory until the next
+// snapshot, which comes at every stable checkpoint. A crash drops that quiet
+// tail, and the restarted backup still converges through its peers.
+func TestTrustedMACQuietStoreFlushesAtSnapshots(t *testing.T) {
+	root := t.TempDir()
+	buffered := func(cfg *Config) { cfg.FsyncInterval = 0 }
+	c := newClusterN(t, 3, 1, false, withTrustedMAC, withPersistence(root, []byte("quiet-store-seed")), buffered)
+	cl := c.client(100)
+	put := func(i int) {
+		t.Helper()
+		if _, err := cl.Invoke(app.EncodePut(fmt.Sprintf("k%d", i), []byte("v"))); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	converged := func() bool { return c.kvs[2].Digest() == c.kvs[0].Digest() }
+	prep := c.replicas[2].stores[crypto.RolePreparation]
+
+	// Three proposals, below the first checkpoint (interval 4): nothing
+	// has flushed the backup's Preparation log.
+	for i := 0; i < 3; i++ {
+		put(i)
+	}
+	waitFor(t, 5*time.Second, "backup 2 executes", converged)
+	if st := prep.st.Stats(); st.Appended < 3 || st.Flushed != 0 || st.Fsyncs != 0 {
+		t.Fatalf("quiet Preparation store before any snapshot: %+v, want ≥3 appended and nothing flushed", st)
+	}
+
+	// The checkpoints at 4 and 8 each snapshot the compartment, and each
+	// snapshot flushes the log it covers.
+	for i := 3; i < 8; i++ {
+		put(i)
+	}
+	waitFor(t, 5*time.Second, "Preparation snapshot at checkpoint 8", func() bool {
+		return prep.lastEpoch.Load() >= 8
+	})
+	if st := prep.st.Stats(); st.SnapshotIndex == 0 || st.Flushed < st.SnapshotIndex {
+		t.Fatalf("snapshot did not flush the log it covers: %+v", st)
+	}
+
+	// Two more proposals stay buffered, and the crash drops them.
+	put(8)
+	put(9)
+	waitFor(t, 5*time.Second, "backup 2 executes", converged)
+	pre := prep.st.Stats()
+	if pre.Appended <= pre.Flushed {
+		t.Fatalf("no quiet tail buffered after the snapshot: %+v", pre)
+	}
+	c.replicas[2].Crash()
+	for i := 10; i < 14; i++ {
+		put(i)
+	}
+	r2, err := NewReplica(c.replicas[2].cfg)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	t.Cleanup(r2.Stop)
+	if got := r2.stores[crypto.RolePreparation].st.Stats().NextIndex - 1; got >= pre.Appended {
+		t.Fatalf("restarted Preparation recovered %d records, want fewer than the %d appended", got, pre.Appended)
+	}
+	conn, err := c.net.Join(transport.ReplicaEndpoint(2), r2.Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2.Start(conn)
+	for i := 14; i < 20; i++ {
+		put(i)
+	}
+	waitFor(t, 10*time.Second, "restarted backup converges", converged)
+}

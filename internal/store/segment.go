@@ -161,17 +161,20 @@ func truncateDurably(path string, size int64) error {
 	return f.Sync()
 }
 
-// writeFileAtomic writes data to path via a temp file, fsync and rename.
-func writeFileAtomic(path string, data []byte) error {
+// writeFileAtomic writes parts, concatenated, to path via a temp file,
+// fsync and rename.
+func writeFileAtomic(path string, parts ...[]byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	for _, data := range parts {
+		if _, err := f.Write(data); err != nil {
+			f.Close()
+			os.Remove(tmp)
+			return err
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

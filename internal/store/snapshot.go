@@ -36,15 +36,16 @@ func snapCRC(hdr, data []byte) uint32 {
 	return crc32.Update(crc, crc32.IEEETable, data)
 }
 
-// encodeSnapshot builds the snapshot file contents.
-func encodeSnapshot(walIndex uint64, data []byte) []byte {
-	out := make([]byte, 0, snapHeaderSize+len(data))
-	out = binary.LittleEndian.AppendUint32(out, segMagic)
-	out = binary.LittleEndian.AppendUint32(out, segVersion)
-	out = binary.LittleEndian.AppendUint64(out, walIndex)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(data)))
-	out = binary.LittleEndian.AppendUint32(out, snapCRC(out[:20], data))
-	return append(out, data...)
+// snapshotHeader builds the snapshot file header for data. The file is the
+// header followed by data verbatim, written as two parts so a
+// checkpoint-sized blob is never copied into a second buffer.
+func snapshotHeader(walIndex uint64, data []byte) []byte {
+	hdr := make([]byte, 0, snapHeaderSize)
+	hdr = binary.LittleEndian.AppendUint32(hdr, segMagic)
+	hdr = binary.LittleEndian.AppendUint32(hdr, segVersion)
+	hdr = binary.LittleEndian.AppendUint64(hdr, walIndex)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(data)))
+	return binary.LittleEndian.AppendUint32(hdr, snapCRC(hdr, data))
 }
 
 // readSnapshot loads and validates one snapshot file.

@@ -13,14 +13,15 @@
 // (the un-fsynced tail) is re-fetched from peers through the ordinary
 // checkpoint/state-transfer path.
 //
-// Writes are group-committed: appends land in a memory buffer and a
-// committer goroutine flushes and fsyncs them on a short interval, so one
-// fsync covers many records (uBFT-style bounded-log engineering). The
-// broker additionally calls Sync before letting an invocation's outputs
-// escape, so the interval fully amortizes only output-free traffic — and
-// one Sync covers everything a dispatcher delivered in the same crossing.
-// Crash simulation (Store.Crash) discards the unflushed buffer, modeling
-// the tail a SIGKILL would lose.
+// Appends land in a memory buffer; nothing flushes it on a timer. It
+// reaches disk, all of it under one fsync, only when a record's effect
+// could escape or be relied on: at Sync, which the broker calls before
+// any output of a crossing leaves (one Sync covers the whole run), at a
+// snapshot and at Close. A compartment that emits nothing keeps its
+// records buffered until its next output or snapshot, and a crash drops
+// them like lost messages: no output depended on them. Crash simulation
+// (Store.Crash) discards the unflushed buffer, modeling the tail a SIGKILL
+// would lose.
 package store
 
 import (
@@ -33,12 +34,9 @@ import (
 	"time"
 )
 
-// Defaults for Options fields left zero.
 const (
 	// DefaultSegmentSize rotates the log every 4 MiB.
 	DefaultSegmentSize = 4 << 20
-	// DefaultFsyncInterval is the group-commit flush period.
-	DefaultFsyncInterval = 2 * time.Millisecond
 	// keepSnapshots is how many snapshot generations survive GC; keeping
 	// two means a corrupt newest snapshot can still fall back one
 	// generation with full WAL coverage.
@@ -56,9 +54,10 @@ type Options struct {
 	// SegmentSize is the rotation threshold in bytes. 0 means
 	// DefaultSegmentSize.
 	SegmentSize int
-	// FsyncInterval is the group-commit period. 0 means
-	// DefaultFsyncInterval; negative flushes and fsyncs on every append
-	// (synchronous mode, for tests and benchmarks).
+	// FsyncInterval selects the flush mode by its sign alone. Negative
+	// flushes and fsyncs on every append (synchronous mode, for tests);
+	// zero or positive leaves records buffered until Sync, a snapshot or
+	// Close.
 	FsyncInterval time.Duration
 	// Faults, when non-nil, injects disk failures (write error, fsync
 	// error, slow-disk stall) into the flush path for chaos testing.
@@ -84,12 +83,12 @@ type segMeta struct{ first, next uint64 }
 // are safe for concurrent use, though in practice a single dispatcher
 // thread appends.
 type Store struct {
-	dir      string
-	lock     *os.File // flock'd LOCK file: exactly one live owner per directory
-	sealer   Sealer
-	segSize  int
-	interval time.Duration
-	inj      *FaultInjector // nil when no chaos fault injection
+	dir     string
+	lock    *os.File // flock'd LOCK file: exactly one live owner per directory
+	sealer  Sealer
+	segSize int
+	syncAll bool           // fsync on every Append (FsyncInterval < 0)
+	inj     *FaultInjector // nil when no chaos fault injection
 
 	mu           sync.Mutex
 	pending      []byte // framed records awaiting flush
@@ -119,10 +118,6 @@ type Store struct {
 	appended uint64
 	flushed  uint64
 	fsyncs   uint64
-
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	wg       sync.WaitGroup
 }
 
 // Stats is a snapshot of the store's counters.
@@ -149,9 +144,6 @@ func Open(dir string, o Options) (*Store, *Recovered, error) {
 	if o.SegmentSize == 0 {
 		o.SegmentSize = DefaultSegmentSize
 	}
-	if o.FsyncInterval == 0 {
-		o.FsyncInterval = DefaultFsyncInterval
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
@@ -160,22 +152,17 @@ func Open(dir string, o Options) (*Store, *Recovered, error) {
 		return nil, nil, err
 	}
 	s := &Store{
-		dir:      dir,
-		lock:     lock,
-		sealer:   o.Sealer,
-		segSize:  o.SegmentSize,
-		interval: o.FsyncInterval,
-		inj:      o.Faults,
-		stopCh:   make(chan struct{}),
+		dir:     dir,
+		lock:    lock,
+		sealer:  o.Sealer,
+		segSize: o.SegmentSize,
+		syncAll: o.FsyncInterval < 0,
+		inj:     o.Faults,
 	}
 	rec, err := s.recover()
 	if err != nil {
 		s.unlock()
 		return nil, nil, err
-	}
-	if s.interval > 0 {
-		s.wg.Add(1)
-		go s.committer()
 	}
 	return s, rec, nil
 }
@@ -305,8 +292,8 @@ func (s *Store) recover() (*Recovered, error) {
 }
 
 // Append seals payload and adds it to the log, returning the record's
-// index. The record becomes durable at the next group commit (or
-// immediately in synchronous mode). It is sealed straight into its frame in
+// index. The record becomes durable at the next Sync, snapshot or Close
+// (or immediately in synchronous mode). It is sealed straight into its frame in
 // the pending buffer, which the flush empties and keeps: a warm store
 // allocates nothing per record.
 func (s *Store) Append(payload []byte) (uint64, error) {
@@ -335,7 +322,7 @@ func (s *Store) Append(payload []byte) (uint64, error) {
 	idx := s.nextIndex
 	s.nextIndex++
 	s.appended++
-	if s.interval < 0 {
+	if s.syncAll {
 		if err := s.flushLocked(); err != nil {
 			return idx, err
 		}
@@ -343,8 +330,8 @@ func (s *Store) Append(payload []byte) (uint64, error) {
 	return idx, nil
 }
 
-// Sync forces a group commit: all appended records are written and fsynced
-// before it returns.
+// Sync writes and fsyncs every appended record before it returns: one write
+// and one fsync however many records wait.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -467,7 +454,7 @@ func (s *Store) WriteSnapshotAt(data []byte, index uint64) error {
 	// dispatcher hot path must not stall behind a checkpoint-sized write.
 	// The file is self-contained and named by its index, so nothing it
 	// needs is guarded by the mutex.
-	if err := writeFileAtomic(filepath.Join(s.dir, snapshotName(index)), encodeSnapshot(index, data)); err != nil {
+	if err := writeFileAtomic(filepath.Join(s.dir, snapshotName(index)), snapshotHeader(index, data), data); err != nil {
 		return err
 	}
 	syncDir(s.dir)
@@ -532,8 +519,7 @@ func (s *Store) gcPlanLocked() []string {
 	return drop
 }
 
-// Crash simulates a SIGKILL: the unflushed group-commit buffer is
-// discarded (that tail is what a real crash loses) and the store stops
+// Crash simulates a SIGKILL: the unflushed buffer is discarded (that tail is what a real crash loses) and the store stops
 // accepting writes. Already-fsynced data survives for the next Open.
 func (s *Store) Crash() {
 	s.mu.Lock()
@@ -545,7 +531,6 @@ func (s *Store) Crash() {
 		s.f = nil
 	}
 	s.mu.Unlock()
-	s.stopCommitter()
 	s.unlock()
 }
 
@@ -574,14 +559,8 @@ func (s *Store) Close() error {
 			err = werr
 		}
 	}
-	s.stopCommitter()
 	s.unlock()
 	return err
-}
-
-func (s *Store) stopCommitter() {
-	s.stopOnce.Do(func() { close(s.stopCh) })
-	s.wg.Wait()
 }
 
 func (s *Store) unlock() {

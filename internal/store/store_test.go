@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -364,8 +365,8 @@ func TestOpenRefusesSecondOwner(t *testing.T) {
 
 func TestCrashDropsUnflushedTail(t *testing.T) {
 	dir := t.TempDir()
-	// Huge interval: nothing flushes unless Sync is called.
-	s, _, err := Open(dir, Options{FsyncInterval: time.Hour})
+	// Default options: nothing flushes unless Sync is called.
+	s, _, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,6 +394,84 @@ func TestCrashDropsUnflushedTail(t *testing.T) {
 	// The lost tail's indices are reused: the log stays gap-free.
 	if idx := mustAppend(t, s2, record(3)); idx != 4 {
 		t.Fatalf("post-crash append got index %d, want 4", idx)
+	}
+}
+
+// TestStoreBuffersUntilBarrier: with default options no timer flushes the log.
+// Appended records stay in memory however long the store idles, and reach
+// disk only at Sync (one fsync for all of them), at a snapshot and at
+// Close.
+func TestStoreBuffersUntilBarrier(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		mustAppend(t, s, record(i))
+	}
+	time.Sleep(20 * time.Millisecond)
+	if st := s.Stats(); st.Flushed != 0 || st.Fsyncs != 0 {
+		t.Fatalf("idle store flushed on its own: %+v", st)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Flushed != 5 || st.Fsyncs != 1 {
+		t.Fatalf("after Sync: flushed %d in %d fsyncs, want 5 in 1", st.Flushed, st.Fsyncs)
+	}
+	for i := 5; i < 8; i++ {
+		mustAppend(t, s, record(i))
+	}
+	if err := s.WriteSnapshotAt([]byte("snap"), 6); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Flushed != 8 {
+		t.Fatalf("after snapshot: flushed %d of 8", st.Flushed)
+	}
+	for i := 8; i < 10; i++ {
+		mustAppend(t, s, record(i))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Flushed != 10 {
+		t.Fatalf("after Close: flushed %d of 10", st.Flushed)
+	}
+	s2, rec, err := Open(dir, syncOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if rec.SnapshotIndex != 6 || len(rec.Records) != 4 {
+		t.Fatalf("recovered snapshot @%d + %d records, want @6 + 4", rec.SnapshotIndex, len(rec.Records))
+	}
+}
+
+// TestSnapshotFileEncoding pins the snapshot file byte for byte: the header
+// and the blob are written as two parts, and the file must read exactly as
+// the single-buffer encoding did.
+func TestSnapshotFileEncoding(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := Open(dir, syncOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 7; i++ {
+		mustAppend(t, s, record(i))
+	}
+	if err := s.WriteSnapshot([]byte("sealed-state")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, snapshotName(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic | version | walIndex 7 | length 12 | crc32 | "sealed-state"
+	const want = "544642530100000007000000000000000c00000038afaffa7365616c65642d7374617465"
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("snapshot file\n got %x\nwant %s", got, want)
 	}
 }
 
@@ -455,7 +534,7 @@ func TestWALAppendWarmAllocatesNothing(t *testing.T) {
 	}
 	payload := bytes.Repeat([]byte("r"), 300)
 	for name, sealer := range map[string]Sealer{"plain": NopSealer{}, "sealed": aeadSealer{sess}} {
-		s, _, err := Open(t.TempDir(), Options{Sealer: sealer, FsyncInterval: time.Hour})
+		s, _, err := Open(t.TempDir(), Options{Sealer: sealer})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,13 +560,13 @@ func TestWALAppendWarmAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkWALAppend is the durability-path baseline: 1 KiB records,
-// synchronous mode isolated from group-commit timing. The Sealed variant
-// adds the AES-GCM sealing cost every record pays in a deployment.
+// BenchmarkWALAppend is the durability-path baseline: 1 KiB records, synced
+// every 32 appends, since nothing else flushes the buffer. The Sealed
+// variant adds the AES-GCM sealing cost every record pays in a deployment.
 func BenchmarkWALAppend(b *testing.B) {
 	payload := bytes.Repeat([]byte("x"), 1024)
 	bench := func(b *testing.B, sealer Sealer) {
-		s, _, err := Open(b.TempDir(), Options{Sealer: sealer, FsyncInterval: DefaultFsyncInterval})
+		s, _, err := Open(b.TempDir(), Options{Sealer: sealer})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -497,6 +576,11 @@ func BenchmarkWALAppend(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := s.Append(payload); err != nil {
 				b.Fatal(err)
+			}
+			if i%32 == 31 {
+				if err := s.Sync(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 		b.StopTimer()
@@ -542,7 +626,7 @@ func TestFaultInjectorWriteError(t *testing.T) {
 // TestFaultInjectorFsyncError pins the same sticky path via Sync.
 func TestFaultInjectorFsyncError(t *testing.T) {
 	inj := &FaultInjector{}
-	s, _, err := Open(t.TempDir(), Options{FsyncInterval: time.Hour, Faults: inj})
+	s, _, err := Open(t.TempDir(), Options{Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}

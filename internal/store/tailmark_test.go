@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // tamperSetup produces a store directory with a snapshot at record 4 and
@@ -104,9 +103,9 @@ func TestTailMarkerTamperRefused(t *testing.T) {
 func TestHonestCrashNotFlagged(t *testing.T) {
 	dir := t.TempDir()
 	sealer := sessionSealer{key: testKey(6)}
-	// A huge flush interval keeps post-snapshot appends in the buffer so
-	// the simulated crash genuinely loses them.
-	s, _, err := Open(dir, Options{Sealer: sealer, FsyncInterval: time.Hour})
+	// Default options keep post-snapshot appends in the buffer so the
+	// simulated crash genuinely loses them.
+	s, _, err := Open(dir, Options{Sealer: sealer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestHonestCrashNotFlagged(t *testing.T) {
 	}
 	s.Crash()
 
-	s2, rec, err := Open(dir, Options{Sealer: sealer, FsyncInterval: time.Hour})
+	s2, rec, err := Open(dir, Options{Sealer: sealer})
 	if err != nil {
 		t.Fatalf("honest crash flagged as rollback: %v", err)
 	}

@@ -225,8 +225,8 @@ func (n *Node) Start() error {
 // the replica from the sealed stores.
 func (n *Node) Stop() {
 	n.stopMetrics()
-	// A never-started replica still owns resources (durability stores,
-	// their committer goroutines), so release runs regardless of started;
+	// A never-started replica still owns resources (durability stores and
+	// their directory locks), so release runs regardless of started;
 	// stopping an idle broker is a no-op.
 	if !n.stopped {
 		n.replica.Stop()
@@ -240,8 +240,9 @@ func (n *Node) Stop() {
 
 // Crash kills the node abruptly — the SIGKILL-equivalent fault-injection
 // handle behind the recovery scenarios. Unlike Stop, nothing is flushed:
-// the durability stores drop their un-fsynced group-commit tail, exactly
-// the window a real kill would lose. Use Restart to bring the node back.
+// the durability stores drop their un-fsynced tail — the records whose
+// crossings emitted nothing since the last output or snapshot — exactly
+// what a real kill would lose. Use Restart to bring the node back.
 func (n *Node) Crash() {
 	n.stopMetrics()
 	if !n.stopped {

@@ -387,8 +387,9 @@ func WithKeySeed(seed []byte) Option {
 
 // WithPersistence enables the sealed durability subsystem: each node keeps
 // a per-compartment write-ahead log plus sealed state snapshots under
-// dir/replica-<id>/, written with group-commit fsync batching and garbage
-// collected at stable checkpoints. NewNode — and Node.Restart — recover
+// dir/replica-<id>/, fsynced once per crossing before its outputs leave
+// (and at each snapshot and shutdown), and garbage collected at stable
+// checkpoints. NewNode — and Node.Restart — recover
 // compartment state from the newest sealed snapshot, replay the log, and
 // close any remaining gap through peer state transfer once the node
 // rejoins. Everything on disk is AEAD-sealed under keys derived from the
