@@ -318,8 +318,9 @@
 // primary partitioned into a minority can therefore not extend leases
 // beyond one TTL, while the majority side must wait out that TTL before
 // electing a new primary whose writes could go unseen — enforced by the
-// new primary's write fence (2.5×TTL after installing its view, parked
-// batches flush when it lifts). WithLeaseTTL is clamped to
+// new primary's write fence (2.5×TTL after installing its view; batches
+// offered meanwhile are refused, and the environment offers them again when
+// it lifts). WithLeaseTTL is clamped to
 // RequestTimeout/4 so fence plus TTL fit inside one failure-detection
 // period. Expiry is signed by the counter enclave and holders refuse
 // inside a clock-skew guard margin of TTL/8 before expiry, so bounded skew

@@ -68,12 +68,13 @@ const (
 	EcallMessage byte = 1 // a messages.Marshal envelope follows
 	EcallBatch   byte = 2 // a messages.MarshalBatch body follows (env → Preparation)
 	// EcallTick is the environment's query: the tag and a flags byte. Into
-	// Preparation it is the lease clock, flags ignored; Execution answers it
-	// from current state, the flags (execution.TickPeriod, TickProbe) and
-	// the requests a query may name after them — (client, timestamp) pairs,
-	// of which it names back the executed ones through an ocall
-	// (execution.OcallExecuted). When to ask is the environment's decision.
-	// Ticks carry no state the WAL must replay and are never persisted.
+	// Preparation it is the lease clock, flags ignored: it only renews
+	// leases, never proposes. Execution answers it from current state, the
+	// flags (execution.TickPeriod, TickProbe) and the requests a query may
+	// name after them — (client, timestamp) pairs, of which it names back
+	// the executed ones through an ocall (execution.OcallExecuted). When to
+	// ask is the environment's decision. Ticks carry no state the WAL must
+	// replay and are never persisted.
 	EcallTick byte = 3
 )
 

@@ -57,14 +57,11 @@ type Compartment struct {
 	// to one TTL after the view change began, lives one TTL, plus half a
 	// TTL for clock skew and delivery slack). Re-issued NewView proposals
 	// are exempt — they were proposed, and covered by read-index frontiers,
-	// in earlier views.
+	// in earlier views. A batch offered while it is up is refused (onBatch).
 	leaseFence time.Time
-	// fenced parks batches that arrived during the fence; the lease tick
-	// flushes them the moment the fence passes, so post-view-change writes
-	// pay the fence as pure latency instead of depending on client
-	// retransmission (which races the failure detector into another view
-	// change). Bounded — overflow drops, and retransmission covers.
-	fenced []*messages.Batch
+	// recovered is set by FinishRecovery; until then the fence refuses
+	// nothing, so replay assigns every slot the live run did.
+	recovered bool
 
 	nextSeq uint64
 	// proposals records the accepted proposal digest per (view, seq): the
@@ -114,9 +111,9 @@ func (p *Compartment) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
 	case compartment.EcallTick:
 		// Lease-clock tick (read-lease deployments only): renew the
 		// outstanding read leases even when no proposal or checkpoint
-		// traffic would carry a grant, and flush any batches the write
-		// fence parked. Ticks are never persisted.
-		return append(p.flushFenced(host), p.maybeGrantLeases()...)
+		// traffic would carry a grant. Ticks are never persisted, so they
+		// touch neither nextSeq nor the proposal record.
+		return p.maybeGrantLeases()
 	case compartment.EcallMessage:
 		m, err := messages.Unmarshal(raw[1:])
 		if err != nil {
@@ -275,60 +272,87 @@ func (p *Compartment) record(view, seq uint64, d crypto.Digest) bool {
 	return true
 }
 
-// fencedBatchMax bounds the fence parking buffer; batches past it are
-// dropped and re-collected from client retransmissions.
-const fencedBatchMax = 128
+// OcallRefused is the ocall through which onBatch refuses a batch. Its
+// payload is the reason (RefusedWindow or RefusedFence), the nanoseconds the
+// fence has left (zero for the window), then the refused requests as
+// (client, ts) pairs.
+const OcallRefused = "prep.refused"
 
-// onBatch is event handler (1): the primary authenticates a client batch
-// from the environment, assigns the next sequence number and emits the
-// PrePrepare — into the local Confirmation and Execution compartments (the
-// duplicated input logs of §3.2), then to the network.
+// Refusal reasons, the first byte of an OcallRefused payload.
+const (
+	RefusedWindow byte = 1 // no slot is free below the high watermark
+	RefusedFence  byte = 2 // the new primary's write fence is up
+)
+
+// onBatch is event handler (1): the primary assigns the next sequence number
+// to a client batch from the environment and emits the PrePrepare (see
+// proposeBatch). A batch it cannot propose now it refuses, in one
+// OcallRefused, and keeps nothing of it: batching is the environment's job
+// (§3.2), and the environment decides when to offer the requests again.
 func (p *Compartment) onBatch(host tee.Host, batch *messages.Batch) []tee.OutMsg {
 	if p.Primary(p.View) != p.ID {
 		return nil // the environment misjudged the view; liveness only
 	}
-	if p.leases && !p.leaseFence.IsZero() && p.clock.Now().Before(p.leaseFence) {
+	if left := p.leaseFence.Sub(p.clock.Now()); left > 0 && p.recovered {
 		// Write fence after a view change: no fresh proposal may be
 		// assigned while a lease the deposed primary issued could still be
 		// alive somewhere — a partitioned holder could serve a read missing
-		// a write this view already acked. Park the batch; the lease tick
-		// flushes it the moment the fence passes.
-		if len(p.fenced) < fencedBatchMax {
-			b := *batch
-			p.fenced = append(p.fenced, &b)
-		}
+		// a write this view already acked.
+		refuse(host, batch, RefusedFence, left)
 		return nil
 	}
-	return append(p.flushFenced(host), p.proposeBatch(host, batch)...)
+	if !p.InWindow(p.nextSeq + 1) {
+		refuse(host, batch, RefusedWindow, 0)
+		return nil
+	}
+	return p.proposeBatch(host, batch)
 }
 
-// flushFenced proposes the batches the write fence parked, once it has
-// passed. Ordering across the fence is preserved (parked batches flush
-// before any new one), and duplicate requests from overlapping client
-// retransmissions are harmless — the Execution compartments' exactly-once
-// bookkeeping answers them from the reply cache.
-func (p *Compartment) flushFenced(host tee.Host) []tee.OutMsg {
-	if len(p.fenced) == 0 {
-		return nil
+// armFence raises the write fence for its full span on a lease deployment
+// past view 0.
+func (p *Compartment) armFence() {
+	if p.leases && p.View > 0 {
+		p.leaseFence = p.clock.Now().Add(2*p.leaseTTL + p.leaseTTL/2)
 	}
-	if p.Primary(p.View) != p.ID {
-		p.fenced = nil // deposed while fenced: the next primary re-collects
-		return nil
-	}
-	if p.leases && !p.leaseFence.IsZero() && p.clock.Now().Before(p.leaseFence) {
-		return nil
-	}
-	batches := p.fenced
-	p.fenced = nil
-	var out []tee.OutMsg
-	for _, b := range batches {
-		out = append(out, p.proposeBatch(host, b)...)
-	}
-	return out
 }
 
-// proposeBatch authenticates a client batch, assigns the next sequence
-// number and emits the PrePrepare.
+// refuse names a refused batch's requests to the environment. Nothing here
+// depends on the answer: a lost refusal costs liveness only, and the
+// requests' clients retransmit.
+func refuse(host tee.Host, batch *messages.Batch, reason byte, left time.Duration) {
+	enc := messages.NewEncoder(1 + 8 + (4+8)*len(batch.Requests))
+	enc.U8(reason)
+	enc.U64(uint64(left))
+	for i := range batch.Requests {
+		enc.U32(batch.Requests[i].ClientID)
+		enc.U64(batch.Requests[i].Timestamp)
+	}
+	_, _ = host.Ocall(OcallRefused, enc.Bytes())
+}
+
+// FinishRecovery runs after the sealed snapshot import and the WAL replay,
+// before the replica serves; a fresh replica, which recovers nothing, calls
+// it too. It keeps one recovery rule: replay never assigns fewer slots than
+// the live run did. The fence reads the clock, so a replayed NewView re-arms
+// it at replay time, and were replayed batches refused, nextSeq would end
+// low and the restarted primary would propose those slots again with other
+// batches; until this call the fence refuses nothing. Recovery then re-arms
+// the full fence in a lease deployment past view 0 (on a backup it is moot:
+// a view install re-arms it), whether the state came from a snapshot or
+// from replay, since nothing records how much of the live fence had passed.
+// A batch the live run refused at the fence may therefore be proposed in
+// replay alone. Replay outputs are discarded, so its slot never leaves the
+// replica: the backups meet a gap there, which costs one view change, and
+// never a second digest for the slot.
+func (p *Compartment) FinishRecovery() {
+	p.recovered = true
+	p.armFence()
+}
+
+// proposeBatch authenticates the requests of a batch the window and the
+// fence admit, assigns the next sequence number and emits the PrePrepare —
+// into the local Confirmation and Execution compartments (the duplicated
+// input logs of §3.2), then to the network.
 func (p *Compartment) proposeBatch(host tee.Host, batch *messages.Batch) []tee.OutMsg {
 	valid := batch.Requests[:0]
 	enc := messages.GetEncoder()
@@ -344,11 +368,6 @@ func (p *Compartment) proposeBatch(host tee.Host, batch *messages.Batch) []tee.O
 	}
 	messages.PutEncoder(enc)
 	if len(valid) == 0 {
-		return nil
-	}
-	if !p.InWindow(p.nextSeq + 1) {
-		// Window exhausted: the batch is dropped and nothing resubmits it;
-		// its requests wait for their clients' retransmits.
 		return nil
 	}
 	p.nextSeq++
@@ -528,10 +547,7 @@ func (p *Compartment) installView(view uint64, stable messages.CheckpointCert, p
 	p.ackExpiry = make(map[uint32]int64)
 	p.lastExpiry = 0
 	p.lastGrantProbe = false
-	if p.leases && view > 0 {
-		p.leaseFence = p.clock.Now().Add(2*p.leaseTTL + p.leaseTTL/2)
-	}
-	p.fenced = nil // parked batches re-arrive via client retransmission
+	p.armFence()
 	p.AdvanceStable(stable)
 	if p.TrustedMode() {
 		// Re-pin the affine counter law: proposals of the new view consume

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/splitbft/splitbft/internal/compartment/execution"
+	"github.com/splitbft/splitbft/internal/compartment/preparation"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/messages"
 	"github.com/splitbft/splitbft/internal/obs"
@@ -64,6 +65,13 @@ type broker struct {
 	fetchBudget int       // remaining budgeted forwards this period
 	probesLeft  int       // detector periods whose Execution query still probes
 
+	// The refusal hold (onRefused): after Preparation refuses a batch, the
+	// batch buffer offers nothing until the bound the refusal named has
+	// passed — heldUntil, when the write fence lifts on this clock, or, while
+	// heldWindow, the next Checkpoint crossing into Preparation.
+	heldUntil  time.Time
+	heldWindow bool
+
 	// The Execution query policy's state (queryEvery, forwardFetches),
 	// touched only by the dispatcher serving Execution's queue.
 	execMsgs int    // messages delivered to Execution
@@ -78,6 +86,9 @@ type broker struct {
 
 	mReplies atomic.Uint64
 	mBatches atomic.Uint64
+	// Batches Preparation refused (onRefused), by reason.
+	mRefusedWindow atomic.Uint64
+	mRefusedFence  atomic.Uint64
 
 	mSuspects    atomic.Uint64
 	mGarbage     atomic.Uint64 // malformed inbound messages dropped pre-ecall
@@ -128,6 +139,7 @@ func newBroker(cfg Config, enclaves [3]*tee.Enclave, stores map[crypto.Role]*com
 		b.enclaves[enc.Identity().Role] = enc
 	}
 	b.enclaves[crypto.RoleExecution].RegisterOcall(execution.OcallExecuted, b.onExecuted)
+	b.enclaves[crypto.RolePreparation].RegisterOcall(preparation.OcallRefused, b.onRefused)
 	if stores != nil {
 		// What committed while this replica was down is in no local log, and
 		// an idle cluster's traffic would never reveal it: ask the peers.
@@ -232,13 +244,19 @@ func (b *broker) cross(run []ecall, payloads [][]byte, peers [][][]byte) [][]byt
 	for k := range run {
 		payloads = append(payloads, run[k].payload)
 	}
-	asks := false
-	if role == crypto.RoleExecution {
+	asks, ckpt := false, false
+	switch role {
+	case crypto.RoleExecution:
 		payloads, asks = b.appendQuery(payloads)
+	case crypto.RolePreparation:
+		ckpt = carriesCheckpoint(payloads)
 	}
 	out, err := b.enclaves[role].InvokeBatch(payloads)
 	for k := range run {
 		run[k].release() // payloads were copied into the enclave
+	}
+	if ckpt {
+		b.reofferHeldWindow()
 	}
 	if asks {
 		// The ask came back: its ocall already cleared what executed, and a

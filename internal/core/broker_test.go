@@ -753,6 +753,62 @@ func TestBrokerNewViewRepromotesParked(t *testing.T) {
 	}
 }
 
+// refusal encodes a preparation.OcallRefused payload naming client 9's
+// requests at tss.
+func refusal(reason byte, left time.Duration, tss ...uint64) []byte {
+	enc := messages.NewEncoder(64)
+	enc.U8(reason)
+	enc.U64(uint64(left))
+	for _, ts := range tss {
+		enc.U32(9)
+		enc.U64(ts)
+	}
+	return enc.Bytes()
+}
+
+// TestBrokerRefusalHoldsBuffer: a batch Preparation refuses goes back into
+// the batch buffer, and the buffer offers nothing more — on a full batch or
+// on the batch timeout — until the bound the refusal named has passed: for
+// the window, the next crossing into Preparation that carries a Checkpoint;
+// for the fence, the time it named. Then the whole buffer is offered again.
+func TestBrokerRefusalHoldsBuffer(t *testing.T) {
+	b, cfg := newTestBroker(t, false)
+	b.cfg.BatchSize = 1
+	offer := func(ts uint64) {
+		req := testRequest(cfg.MACSecret, cfg.N, 9, ts, []byte("op"))
+		b.onClientRequest(messages.Marshal(&req))
+	}
+	offered := func(want uint64) {
+		t.Helper()
+		if got := b.mBatches.Load(); got != want {
+			t.Fatalf("%d batches offered, want %d", got, want)
+		}
+	}
+	offer(1)
+	offered(1)
+	b.onRefused(refusal(preparation.RefusedWindow, 0, 1))
+	offer(2)
+	b.onTick(time.Now().Add(time.Second))
+	offered(1)
+	// A crossing without a Checkpoint leaves the hold; one with it lifts it.
+	cp := frameMessage(messages.Marshal(&messages.Checkpoint{Seq: 1}), 1)
+	tick := []byte{compartment.EcallTick, 0}
+	b.cross([]ecall{{role: crypto.RolePreparation, payload: tick}}, nil, make([][][]byte, cfg.N))
+	offered(1)
+	b.cross([]ecall{{role: crypto.RolePreparation, payload: cp.buf, pb: cp}}, nil, make([][][]byte, cfg.N))
+	offered(3)
+
+	b.onRefused(refusal(preparation.RefusedFence, 50*time.Millisecond, 1, 2))
+	offer(3)
+	b.onTick(time.Now())
+	offered(3)
+	b.onTick(time.Now().Add(60 * time.Millisecond))
+	offered(6)
+	if b.mRefusedWindow.Load() != 1 || b.mRefusedFence.Load() != 1 {
+		t.Fatalf("refusals counted: window %d, fence %d", b.mRefusedWindow.Load(), b.mRefusedFence.Load())
+	}
+}
+
 // TestBrokerDropsStalePending: a request awaiting its reply for more than
 // ten RequestTimeouts is stale (a pre-dedup retransmit, or one a state
 // transfer skipped this replica past). The prune drops it without suspecting

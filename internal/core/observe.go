@@ -115,6 +115,8 @@ func (r *Replica) ResetAllStats() {
 	b := r.broker
 	b.mReplies.Store(0)
 	b.mBatches.Store(0)
+	b.mRefusedWindow.Store(0)
+	b.mRefusedFence.Store(0)
 	b.mSuspects.Store(0)
 	b.mGarbage.Store(0)
 	b.mDeduped.Store(0)
@@ -175,6 +177,8 @@ func (r *Replica) registerObs() {
 		}
 		emit("splitbft_executed_ops_total", float64(r.ExecutedOps()))
 		emit("splitbft_batches_total", float64(r.Batches()))
+		emit(obs.Label("splitbft_batches_refused_total", "reason", "window"), float64(r.broker.mRefusedWindow.Load()))
+		emit(obs.Label("splitbft_batches_refused_total", "reason", "fence"), float64(r.broker.mRefusedFence.Load()))
 		emit("splitbft_suspects_total", float64(r.Suspects()))
 		emit("splitbft_dedup_drops_total", float64(r.DedupedMsgs()))
 		emit("splitbft_garbage_drops_total", float64(r.DroppedGarbage()))

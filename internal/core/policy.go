@@ -5,6 +5,7 @@ import (
 
 	"github.com/splitbft/splitbft/internal/compartment"
 	"github.com/splitbft/splitbft/internal/compartment/execution"
+	"github.com/splitbft/splitbft/internal/compartment/preparation"
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/messages"
 	"github.com/splitbft/splitbft/internal/obs"
@@ -79,8 +80,12 @@ func (b *broker) observeNewView(nv *messages.NewView) {
 // request that already committed in an earlier view is safe: ordering it
 // twice is filtered by the Execution compartments' exactly-once caches.
 // Returns a full batch to submit (nil if below BatchSize — the batch
-// timeout flushes the remainder).
+// timeout flushes the remainder). The view moved, so the bound an older
+// refusal named no longer holds the buffer; a new primary's Preparation
+// refuses the batch while its write fence is up, and the refusal hold
+// offers it again once the fence lifts.
 func (b *broker) promoteAwaitingLocked() *messages.Batch {
+	b.heldUntil, b.heldWindow = time.Time{}, false
 	if !b.believesPrimaryLocked() || len(b.awaiting) == 0 {
 		return nil
 	}
@@ -93,6 +98,73 @@ func (b *broker) promoteAwaitingLocked() *messages.Batch {
 		return b.takeBatchLocked()
 	}
 	return nil
+}
+
+// heldLocked reports whether a refusal holds the batch buffer.
+func (b *broker) heldLocked() bool { return b.heldWindow || !b.heldUntil.IsZero() }
+
+// releaseLocked lifts the refusal hold and takes the whole batch buffer to
+// offer again. A re-offer that meets a bound still closed is refused again,
+// at the cost of one crossing.
+func (b *broker) releaseLocked() []*messages.Batch {
+	b.heldUntil, b.heldWindow = time.Time{}, false
+	var batches []*messages.Batch
+	for b.pendingReqs.Len() > 0 {
+		batches = append(batches, b.takeBatchLocked())
+	}
+	return batches
+}
+
+// onRefused is the ocall through which Preparation refuses a batch it
+// cannot propose now (preparation.OcallRefused). The named requests go back
+// into the batch buffer, still awaited, and the buffer is held: for the
+// write fence until the time it named has passed on this clock, for the
+// window until a Checkpoint crosses into Preparation (reofferHeldWindow).
+func (b *broker) onRefused(data []byte) ([]byte, error) {
+	d := messages.NewDecoder(data)
+	reason, left := d.U8(), time.Duration(d.U64())
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch reason {
+	case preparation.RefusedFence:
+		b.mRefusedFence.Add(1)
+		b.heldUntil = time.Now().Add(left)
+	case preparation.RefusedWindow:
+		b.mRefusedWindow.Add(1)
+		b.heldWindow = true
+	}
+	for d.Remaining() >= askPairSize {
+		client := d.U32()
+		if p := b.awaiting[reqKey{client: client, ts: d.U64()}]; p != nil && !p.queued {
+			b.queueLocked(p, p.req)
+		}
+	}
+	return nil, nil
+}
+
+// carriesCheckpoint reports whether a crossing into Preparation carries a
+// Checkpoint, by the type byte after each payload's tag.
+func carriesCheckpoint(payloads [][]byte) bool {
+	for _, p := range payloads {
+		if len(p) > 1 && p[0] == compartment.EcallMessage && messages.Type(p[1]) == messages.TCheckpoint {
+			return true
+		}
+	}
+	return false
+}
+
+// reofferHeldWindow re-offers a batch buffer the window holds: a Checkpoint
+// just crossed into Preparation and may have moved its window.
+func (b *broker) reofferHeldWindow() {
+	var batches []*messages.Batch
+	b.mu.Lock()
+	if b.heldWindow {
+		batches = b.releaseLocked()
+	}
+	b.mu.Unlock()
+	for _, batch := range batches {
+		b.submitBatch(batch)
+	}
 }
 
 // believesPrimary reports whether this replica's Preparation compartment is
@@ -137,7 +209,7 @@ func (b *broker) onClientRequest(data []byte) {
 	}
 	if b.believesPrimaryLocked() && !p.queued {
 		b.queueLocked(p, req)
-		if b.pendingReqs.Len() >= b.cfg.BatchSize {
+		if b.pendingReqs.Len() >= b.cfg.BatchSize && !b.heldLocked() {
 			submitNow = b.takeBatchLocked()
 		}
 	}
@@ -200,10 +272,12 @@ func (b *broker) eventLoop() {
 }
 
 func (b *broker) onTick(now time.Time) {
-	var batch, promoted *messages.Batch
+	var batches []*messages.Batch
 	b.mu.Lock()
-	if b.pendingReqs.Len() > 0 && now.Sub(b.batchSince) >= b.cfg.BatchTimeout {
-		batch = b.takeBatchLocked()
+	if !b.heldUntil.IsZero() && !now.Before(b.heldUntil) {
+		batches = b.releaseLocked() // the fence a refusal named has lifted
+	} else if !b.heldLocked() && b.pendingReqs.Len() > 0 && now.Sub(b.batchSince) >= b.cfg.BatchTimeout {
+		batches = append(batches, b.takeBatchLocked())
 	}
 	// Age the retransmit filter on the failure detector's clock so
 	// deliberate resends (ViewChange rebroadcasts, NewView retransmits to
@@ -238,14 +312,13 @@ func (b *broker) onTick(now time.Time) {
 	suspect, ask := b.detectLocked(now)
 	if suspect {
 		b.viewEstimate++ // batching duty may now be ours in v+1
-		promoted = b.promoteAwaitingLocked()
+		if promoted := b.promoteAwaitingLocked(); promoted != nil {
+			batches = append(batches, promoted)
+		}
 	}
 	b.mu.Unlock()
-	if batch != nil {
+	for _, batch := range batches {
 		b.submitBatch(batch)
-	}
-	if promoted != nil {
-		b.submitBatch(promoted)
 	}
 	if tick {
 		// The detector period's query into Execution: it fetches a missing

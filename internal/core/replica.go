@@ -201,9 +201,12 @@ func NewReplica(cfg Config) (*Replica, error) {
 			r.recovery.Replay += time.Since(replayBegin)
 			r.recovery.WALRecords += uint64(len(recovered.Records))
 		}
-		execCode.FinishRecovery()
 		r.recovery.Total = time.Since(begin)
 	}
+	// Recovery ends before the broker runs, on a replica that recovered
+	// nothing too: Preparation's write fence refuses nothing before it.
+	prepCode.FinishRecovery()
+	execCode.FinishRecovery()
 
 	r.broker = newBroker(cfg, r.enclaves, r.stores)
 

@@ -115,23 +115,16 @@ func TestPipelineDeterminism(t *testing.T) {
 // flight each for four rounds under a 150 ms failure detector. No replica
 // may suspect the healthy primary and no Invoke may fail.
 //
-// Two settings keep the test about the failure detector. The primary
-// proposes at most 256 slots past its stable checkpoint, which trails
-// execution by up to a checkpoint interval plus the time the checkpoint
-// takes to stabilize; at the default interval of 128 the 96 requests in
-// flight leave too little of the window for that lag, and a batch the
-// window drops waits for its client's retransmit, so checkpoints come every
-// 16 slots. And each replica runs its compartments on one dispatcher
-// (WithSingleThread): with three per replica, twelve CPU-bound dispatchers
-// share the machine with everything else, and one starved of the CPU for a
-// detector period makes its replica suspect.
+// Each replica runs its compartments on one dispatcher (WithSingleThread):
+// with three per replica, twelve CPU-bound dispatchers share the machine
+// with everything else, and one starved of the CPU for a detector period
+// makes its replica suspect.
 func TestConcurrentInvokesNoSpuriousSuspicion(t *testing.T) {
 	const clients, inFlight = 3, 32
 	rounds := 4
 	opts := []splitbft.Option{
 		splitbft.WithBatchSize(1),
 		splitbft.WithSingleThread(),
-		splitbft.WithCheckpointInterval(16),
 		splitbft.WithRequestTimeout(150 * time.Millisecond),
 		splitbft.WithNetworkSeed(39),
 	}
@@ -177,5 +170,138 @@ func TestConcurrentInvokesNoSpuriousSuspicion(t *testing.T) {
 	}
 	if suspects != 0 || failed.Load() != 0 {
 		t.Fatalf("%d suspects over the nodes and %d failed Invokes under fault-free concurrent load", suspects, failed.Load())
+	}
+}
+
+// refused reads a node's splitbft_batches_refused_total series for reason.
+func refused(t *testing.T, n *splitbft.Node, reason string) float64 {
+	t.Helper()
+	v, ok := metricValue(t, n, `splitbft_batches_refused_total{reason="`+reason+`"}`)
+	if !ok {
+		t.Fatalf("no refusal series for reason %q", reason)
+	}
+	return v
+}
+
+// TestFullWindowRefusalsNoResend: 400 Puts in flight at batch size 1 fill
+// the primary's window (256 slots at the default checkpoint interval of
+// 128) faster than checkpoints stabilize. Preparation refuses what it cannot
+// propose, and the primary's environment offers it again once a checkpoint
+// has moved the window, so no request waits for its client. The retransmit
+// interval is 5 s and RequestTimeout 10 s (30 s and 60 s under the race
+// detector), far above the time 400 requests take to drain, so queueing
+// alone cannot cause a resend or a suspicion: any resend is a request the
+// primary lost.
+func TestFullWindowRefusalsNoResend(t *testing.T) {
+	const clients, inFlight = 4, 100
+	timeout := 5 * time.Second
+	if raceDetector {
+		timeout *= 6
+	}
+	cluster, err := splitbft.NewCluster(4,
+		splitbft.WithBatchSize(1),
+		splitbft.WithRequestTimeout(2*timeout),
+		splitbft.WithRetransmitInterval(timeout),
+		splitbft.WithInvokeTimeout(4*timeout),
+		splitbft.WithObservability(),
+		splitbft.WithNetworkSeed(43),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	var wg sync.WaitGroup
+	var failed atomic.Int64
+	var cls []*splitbft.Client
+	for c := 0; c < clients; c++ {
+		cl, err := cluster.NewClient(uint32(400 + c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		cls = append(cls, cl)
+		for g := 0; g < inFlight; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := cl.Put(fmt.Sprintf("c%d-g%d", c, g), []byte("v")); err != nil {
+					failed.Add(1)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	var resends, suspects uint64
+	for _, cl := range cls {
+		resends += cl.Resends()
+	}
+	for _, node := range cluster.Nodes() {
+		suspects += node.Suspects()
+	}
+	window := refused(t, cluster.Node(0), "window")
+	t.Logf("%v window refusals at the primary", window)
+	if window == 0 {
+		t.Error("400 requests in flight never filled the window")
+	}
+	if resends != 0 || failed.Load() != 0 || suspects != 0 {
+		t.Fatalf("%d client resends, %d failed Invokes and %d suspects", resends, failed.Load(), suspects)
+	}
+}
+
+// TestNewPrimaryFenceHoldsWrites: with read leases on, a new primary fences
+// writes for 2.5×TTL after its view change. Its Preparation refuses the
+// batches offered meanwhile and its environment offers them again when the
+// fence lifts, so writes issued during the fence complete after it without
+// a client resend (the retransmit interval, 10 s, outlasts detection, view
+// change and fence many times over).
+func TestNewPrimaryFenceHoldsWrites(t *testing.T) {
+	cluster, err := splitbft.NewCluster(4,
+		splitbft.WithReadLeases(true),
+		splitbft.WithRequestTimeout(400*time.Millisecond), // TTL 100 ms, fence 250 ms
+		splitbft.WithRetransmitInterval(10*time.Second),
+		splitbft.WithInvokeTimeout(20*time.Second),
+		splitbft.WithBatchSize(1),
+		splitbft.WithObservability(),
+		splitbft.WithNetworkSeed(44),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	cl, err := cluster.NewClient(440)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Put("warm", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	// Depose the primary: with its Preparation enclave dead the first write
+	// waits out the failure detector, and replica 1 takes over in view 1.
+	cluster.Node(0).CrashEnclave(splitbft.RolePreparation)
+	var wg sync.WaitGroup
+	var failed atomic.Int64
+	put := func(key string) {
+		defer wg.Done()
+		if _, err := cl.Put(key, []byte("v")); err != nil {
+			failed.Add(1)
+		}
+	}
+	wg.Add(1)
+	go put("trigger")
+	// A fence refusal at replica 1 shows the fence is up: write into it.
+	for deadline := time.Now().Add(10 * time.Second); refused(t, cluster.Node(1), "fence") == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("replica 1 never refused a batch at its fence")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go put(fmt.Sprintf("fenced-%d", i))
+	}
+	wg.Wait()
+	if failed.Load() != 0 || cl.Resends() != 0 {
+		t.Fatalf("%d failed writes and %d client resends across the fence", failed.Load(), cl.Resends())
 	}
 }
