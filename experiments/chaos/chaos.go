@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -386,6 +387,13 @@ func (h *harness) violate(invariant, detail string) {
 	})
 }
 
+// violated reports whether a violation of invariant has been recorded.
+func (h *harness) violated(invariant string) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return slices.ContainsFunc(h.violations, func(v Violation) bool { return v.Invariant == invariant })
+}
+
 // drive executes the plan: a single goroutine applies due actions and runs
 // the periodic ledger checks, so fault application, restarts and journal
 // inspection never race each other.
@@ -600,13 +608,17 @@ func (h *harness) verifyQuiescence() {
 	// Journal convergence: all replicas reach one identical head. Settle
 	// writes keep the sequence space advancing so laggards cross a
 	// checkpoint boundary and state-transfer the gap; once they stop the
-	// journals are stable.
+	// journals are stable. A diverged journal already failed the run and
+	// convergence cannot clear it, so the wait ends there.
 	deadline := time.Now().Add(30 * time.Second)
 	settleSeq := 0
 	for {
 		settleSeq++
 		_, _ = h.settle.Invoke(app.EncodePut("chaos-settle", []byte(strconv.Itoa(settleSeq))))
 		h.checkLedgers()
+		if h.violated("ledger-prefix") {
+			break
+		}
 		counts := make(map[uint64]int)
 		var minC, maxC uint64
 		first := true

@@ -172,6 +172,7 @@ func (r *Replica) registerObs() {
 			s := cs.st.Stats()
 			emit(obs.Label("splitbft_wal_appends_total", "compartment", c), float64(s.Appended))
 			emit(obs.Label("splitbft_wal_fsyncs_total", "compartment", c), float64(s.Fsyncs))
+			emit(obs.Label("splitbft_wal_sync_seconds_total", "compartment", c), s.SyncTime.Seconds())
 			emit(obs.Label("splitbft_wal_segments", "compartment", c), float64(s.Segments))
 			emit(obs.Label("splitbft_wal_snapshot_index", "compartment", c), float64(s.SnapshotIndex))
 		}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -13,21 +14,55 @@ import (
 //
 //	header:  magic u32 | version u32 | firstIndex u64
 //	records: { length u32 | crc32(payload) u32 | crc32(hdr[0:8]) u32 | payload } *
+//	fill:    zero bytes, newest segment only
 //
 // Records are sealed before framing, so the length and CRCs cover
 // ciphertext. The frame header carries its own CRC: without it, a
 // corrupted length field would read as "payload extends past EOF" and be
 // misclassified as a torn tail — silently truncating durable records
-// instead of refusing corruption. With it, the only remaining ambiguity
-// is a partial frame at the very end of the *newest* segment, which is
-// the normal artifact of a crash mid-write and is dropped; any CRC
-// mismatch, or a partial frame in an older segment, refuses recovery.
+// instead of refusing corruption.
+//
+// The segment being appended to is zero-filled ahead of its log end in
+// fillChunk steps, and each step is written and fsynced with the flush
+// that needs it. A flush that fits inside the filled region overwrites
+// blocks that are already allocated and on disk, so its fdatasync commits
+// no metadata (no size change, no block allocation, no ext4 journal
+// commit); only segment creation and the flush that extends the fill pay
+// a full fsync. The fill stops at the rotation threshold, so the flush
+// that closes a segment has written records over all of it, and recovery
+// cuts it off the newest one: a closed segment is exactly header plus
+// records.
+//
+// The fill gives the newest segment one tail shape more to recover. A
+// frame that fails its checks is a torn write when some piece of its
+// on-disk extent, cut at sectorSize-aligned file offsets, is all zero: a
+// sector the crashed flush never got onto the disk still holds its fill.
+// The unused fill after the last frame is the simplest case, a frame
+// header of twelve zero bytes. That is sound because a flush is
+// acknowledged only after its fdatasync returns: every acknowledged frame
+// is on disk intact, so a torn frame belongs to the last, unacknowledged
+// flush, and so does everything after it. Recovery drops the torn frame
+// and what follows and cuts them off the file. Any other check failure
+// refuses recovery, and so does anything to cut in an older segment,
+// which holds no fill once closed. A partial frame at the end of
+// the newest segment (the file ends inside it) is dropped as a torn tail.
 const (
 	segMagic      = 0x53424654 // "SBFT"
 	segVersion    = 1
 	segHeaderSize = 16
 	recHeaderSize = 12
+
+	// fillChunk is how far ahead of its log end a segment is zero-filled
+	// at a time: one full fsync buys this many bytes of fdatasync-only
+	// flushes.
+	fillChunk = 256 << 10
+	// sectorSize is the smallest unit a disk writes atomically, and so
+	// the granularity at which a torn write leaves fill behind.
+	sectorSize = 512
 )
+
+// zeros is the source of every fill write.
+var zeros [fillChunk]byte
 
 const (
 	segPrefix  = "wal-"
@@ -84,14 +119,16 @@ func segmentHeader(firstIndex uint64) []byte {
 type scanResult struct {
 	firstIndex uint64
 	count      int   // valid records found
-	truncated  bool  // a partial frame ended the segment early
+	cut        bool  // bytes past validBytes to cut: a torn frame or the fill
 	validBytes int64 // file offset just past the last intact record
 }
 
 // scanSegment reads every intact record of one segment, calling fn with the
 // record's global index and sealed payload. It returns how far it got and
-// whether the segment ended in a torn (partially written) frame. CRC
-// mismatches are returned as errors — torn tails are not.
+// whether anything past that must be cut: a partial frame at the end of
+// the file, the zero fill, or a torn frame (see the layout comment); the
+// caller accepts a cut in the newest segment only. Any other check failure
+// is returned as an error.
 func scanSegment(path string, fn func(index uint64, sealed []byte) error) (scanResult, error) {
 	var res scanResult
 	data, err := os.ReadFile(path)
@@ -115,29 +152,36 @@ func scanSegment(path string, fn func(index uint64, sealed []byte) error) (scanR
 			return res, nil // clean end
 		}
 		if len(data)-off < recHeaderSize {
-			res.truncated = true
-			return res, nil // torn frame header
+			res.cut = true
+			return res, nil // partial frame header
 		}
 		hdr := data[off : off+recHeaderSize]
 		if crc32.ChecksumIEEE(hdr[0:8]) != binary.LittleEndian.Uint32(hdr[8:12]) {
+			if hasZeroSector(hdr, off) {
+				res.cut = true
+				return res, nil // torn frame header, or the fill
+			}
 			return res, fmt.Errorf("store: segment %s: record %d frame header failed CRC",
 				path, res.firstIndex+uint64(res.count))
 		}
 		n := int(binary.LittleEndian.Uint32(hdr[0:4]))
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		off += recHeaderSize
-		if len(data)-off < n {
+		if len(data)-off-recHeaderSize < n {
 			// The header checked out, so the length is trustworthy: the
 			// payload genuinely ends past EOF — a torn write.
-			res.truncated = true
+			res.cut = true
 			return res, nil
 		}
-		payload := data[off : off+n]
+		payload := data[off+recHeaderSize : off+recHeaderSize+n]
 		if crc32.ChecksumIEEE(payload) != sum {
+			if hasZeroSector(data[off:off+recHeaderSize+n], off) {
+				res.cut = true
+				return res, nil // torn payload
+			}
 			return res, fmt.Errorf("store: segment %s: record %d failed CRC",
 				path, res.firstIndex+uint64(res.count))
 		}
-		off += n
+		off += recHeaderSize + n
 		if fn != nil {
 			if err := fn(res.firstIndex+uint64(res.count), payload); err != nil {
 				return res, err
@@ -146,6 +190,22 @@ func scanSegment(path string, fn func(index uint64, sealed []byte) error) (scanR
 		res.count++
 		res.validBytes = int64(off)
 	}
+}
+
+// hasZeroSector reports whether frame, which starts at file offset off,
+// holds an all-zero piece when cut at sector boundaries: the mark a sector
+// that never reached the disk leaves in the fill. Pieces at the frame's
+// ends are partial sectors, because only the frame's own bytes are the
+// crashed flush's to lose.
+func hasZeroSector(frame []byte, off int) bool {
+	for len(frame) > 0 {
+		n := min(sectorSize-off%sectorSize, len(frame))
+		if bytes.Equal(frame[:n], zeros[:n]) {
+			return true
+		}
+		frame, off = frame[n:], off+n
+	}
+	return false
 }
 
 // truncateDurably truncates path to size and fsyncs the result.

@@ -14,7 +14,7 @@
 // checkpoint/state-transfer path.
 //
 // Appends land in a memory buffer; nothing flushes it on a timer. It
-// reaches disk, all of it under one fsync, only when a record's effect
+// reaches disk, all of it under one barrier, only when a record's effect
 // could escape or be relied on: at Sync, which the broker calls before
 // any output of a crossing leaves (one Sync covers the whole run), at a
 // snapshot and at Close. A compartment that emits nothing keeps its
@@ -22,6 +22,16 @@
 // them like lost messages: no output depended on them. Crash simulation
 // (Store.Crash) discards the unflushed buffer, modeling the tail a SIGKILL
 // would lose.
+//
+// The segment being appended to is zero-filled ahead of its log end, so a
+// flush overwrites blocks that are already allocated and synced, and its
+// barrier is an fdatasync that commits no file-system metadata; only the
+// flush that creates a segment or extends its fill pays a full fsync. The
+// price is one more tail shape at recovery, which the newest segment alone
+// may have: fill after the last record, and a frame torn by a crash in the
+// middle of the flush that wrote it (segment.go says how one is told from
+// corruption, and why that is sound). Both are cut off at Open, so every
+// closed segment holds exactly its header and records.
 package store
 
 import (
@@ -96,7 +106,8 @@ type Store struct {
 	pendingCount int
 	nextIndex    uint64 // 1-based index of the next record to append
 	f            *os.File
-	fSize        int
+	fSize        int // log end: where the next flush writes
+	fFill        int // file size: zero-filled and synced up to here
 	segs         []segMeta
 	snaps        []uint64 // snapshot WAL indices on disk, ascending
 	crashed      bool
@@ -118,25 +129,28 @@ type Store struct {
 	appended uint64
 	flushed  uint64
 	fsyncs   uint64
+	syncTime time.Duration
 }
 
 // Stats is a snapshot of the store's counters.
 type Stats struct {
-	Appended      uint64 // records accepted by Append
-	Flushed       uint64 // records written to the OS
-	Fsyncs        uint64 // fsync calls issued
-	Segments      int    // segments currently on disk
-	NextIndex     uint64 // index the next Append will get
-	SnapshotIndex uint64 // WAL index of the newest snapshot
+	Appended      uint64        // records accepted by Append
+	Flushed       uint64        // records written to the OS
+	Fsyncs        uint64        // barriers completed, fsync or fdatasync
+	SyncTime      time.Duration // time spent in flushes, device stalls included
+	Segments      int           // segments currently on disk
+	NextIndex     uint64        // index the next Append will get
+	SnapshotIndex uint64        // WAL index of the newest snapshot
 }
 
 // Open opens (creating if necessary) the store in dir and recovers its
 // contents: the newest intact snapshot plus the unsealed records after it.
 // Corruption — a CRC failure, an unsealable record, a gap in the segment
 // chain, or a truncation anywhere but the tail of the newest segment — is
-// refused with an error rather than silently skipped. A torn frame at the
-// very end of the newest segment is the normal artifact of a crash and is
-// dropped.
+// refused with an error rather than silently skipped. In the newest
+// segment, the zero fill and a frame torn by a crash during the last flush
+// are the normal artifacts of a crash: they are dropped, with everything
+// after them, and cut off the file.
 func Open(dir string, o Options) (*Store, *Recovered, error) {
 	if o.Sealer == nil {
 		o.Sealer = NopSealer{}
@@ -235,16 +249,17 @@ func (s *Store) recover() (*Recovered, error) {
 			return nil, fmt.Errorf("store: gap in WAL: segment starts at record %d, want %d",
 				res.firstIndex, s.segs[len(s.segs)-1].next)
 		}
-		if res.truncated {
+		if res.cut {
 			if i != len(firsts)-1 {
 				return nil, fmt.Errorf("store: segment %s truncated mid-log", segmentName(first))
 			}
-			// Repair the crash artifact: chop the torn frame off so the
-			// segment scans clean on every later Open — once new appends
-			// create a newer segment, this one is no longer "the tail"
-			// and a leftover tear would read as mid-log corruption. The
-			// repair itself must be durable for the same reason: a crash
-			// that loses the truncation resurrects the tear mid-log.
+			// Repair the crash artifact: chop the torn frame and the fill
+			// off so the segment scans clean on every later Open — once
+			// new appends create a newer segment, this one is no longer
+			// "the tail" and a leftover tear would read as mid-log
+			// corruption. The repair itself must be durable for the same
+			// reason: a crash that loses the truncation resurrects the
+			// tear mid-log.
 			if err := truncateDurably(path, res.validBytes); err != nil {
 				return nil, fmt.Errorf("store: repair torn segment %s: %w", segmentName(first), err)
 			}
@@ -330,8 +345,8 @@ func (s *Store) Append(payload []byte) (uint64, error) {
 	return idx, nil
 }
 
-// Sync writes and fsyncs every appended record before it returns: one write
-// and one fsync however many records wait.
+// Sync writes every appended record and makes it durable before it
+// returns: one write and one barrier however many records wait.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -341,9 +356,12 @@ func (s *Store) Sync() error {
 	return s.flushLocked()
 }
 
-// flushLocked writes the pending buffer to the current segment, fsyncs,
-// and rotates when the segment exceeds the size threshold. Any write
-// error fails the store permanently (see Store.failed).
+// flushLocked writes the pending buffer at the log end of the current
+// segment and makes it durable, rotating when the segment reaches the size
+// threshold. A flush inside the zero fill needs only fdatasync; one that
+// creates a segment or runs past its fill changes the file's size, so it
+// fsyncs in full (see the layout comment in segment.go). Any write error
+// fails the store permanently (see Store.failed).
 func (s *Store) flushLocked() error {
 	if s.failed != nil {
 		return s.failed
@@ -351,6 +369,7 @@ func (s *Store) flushLocked() error {
 	if len(s.pending) == 0 {
 		return nil
 	}
+	start := time.Now()
 	// Chaos injection points: a stall holds the store lock for the
 	// duration (a degraded device stalls every appender), and injected
 	// errors take the same sticky-failure path as real device errors.
@@ -372,14 +391,30 @@ func (s *Store) flushLocked() error {
 			return s.failLocked(err)
 		}
 		s.f = f
-		s.fSize = segHeaderSize
+		s.fSize, s.fFill = segHeaderSize, segHeaderSize // no fill yet: this flush extends it
 		s.segs = append(s.segs, segMeta{first: first, next: first})
 		syncDir(s.dir)
 	}
-	if _, err := s.f.Write(s.pending); err != nil {
+	if _, err := s.f.WriteAt(s.pending, int64(s.fSize)); err != nil {
 		return s.failLocked(err)
 	}
-	s.fSize += len(s.pending)
+	end := s.fSize + len(s.pending)
+	rotate := end >= s.segSize
+	barrier := fdatasync // inside the fill: the file's size and blocks stay as they are
+	if end > s.fFill {
+		// The file grows: extend the fill, unless the segment closes here
+		// (the fill stops at the rotation threshold, so a closed segment
+		// holds none), and fsync in full.
+		if !rotate {
+			fill := min((end/fillChunk+1)*fillChunk, s.segSize)
+			if _, err := s.f.WriteAt(zeros[:fill-end], int64(end)); err != nil {
+				return s.failLocked(err)
+			}
+			s.fFill = fill
+		}
+		barrier = (*os.File).Sync
+	}
+	s.fSize = end
 	s.flushed += uint64(s.pendingCount)
 	s.segs[len(s.segs)-1].next = s.nextIndex
 	s.pending = s.pending[:0]
@@ -387,11 +422,12 @@ func (s *Store) flushLocked() error {
 	if err := s.inj.fsyncFault(); err != nil {
 		return s.failLocked(err)
 	}
-	if err := s.f.Sync(); err != nil {
+	if err := barrier(s.f); err != nil {
 		return s.failLocked(err)
 	}
 	s.fsyncs++
-	if s.fSize >= s.segSize {
+	s.syncTime += time.Since(start)
+	if rotate {
 		_ = s.f.Close()
 		s.f = nil
 	}
@@ -590,6 +626,7 @@ func (s *Store) Stats() Stats {
 		Appended:  s.appended,
 		Flushed:   s.flushed,
 		Fsyncs:    s.fsyncs,
+		SyncTime:  s.syncTime,
 		Segments:  len(s.segs),
 		NextIndex: s.nextIndex,
 	}

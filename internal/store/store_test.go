@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,6 +59,32 @@ func mustAppend(t *testing.T, s *Store, payload []byte) uint64 {
 }
 
 func record(i int) []byte { return []byte(fmt.Sprintf("record-%04d", i)) }
+
+// paddedRecord is record(i) padded to n bytes.
+func paddedRecord(i, n int) []byte {
+	r := record(i)
+	return append(r, bytes.Repeat([]byte{'.'}, n-len(r))...)
+}
+
+// frameSpans returns the [start, end) file offsets of the intact frames of
+// a segment image, stopping at the first frame that fails its checks or at
+// the fill.
+func frameSpans(seg []byte) [][2]int {
+	var spans [][2]int
+	for off := segHeaderSize; off+recHeaderSize <= len(seg); {
+		hdr := seg[off : off+recHeaderSize]
+		if crc32.ChecksumIEEE(hdr[0:8]) != binary.LittleEndian.Uint32(hdr[8:12]) {
+			break
+		}
+		end := off + recHeaderSize + int(binary.LittleEndian.Uint32(hdr[0:4]))
+		if end > len(seg) || crc32.ChecksumIEEE(seg[off+recHeaderSize:end]) != binary.LittleEndian.Uint32(hdr[4:8]) {
+			break
+		}
+		spans = append(spans, [2]int{off, end})
+		off = end
+	}
+	return spans
+}
 
 func TestAppendRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -158,21 +186,32 @@ func TestRecoverTornTailDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// 200-byte payloads put the 5th frame across a sector boundary.
 	for i := 0; i < 5; i++ {
-		mustAppend(t, s, record(i))
+		mustAppend(t, s, paddedRecord(i, 200))
 	}
 	// Die abruptly: a clean Close would refresh the tail marker, and a
-	// marker covering record 5 turns the truncation below into a detected
+	// marker covering record 5 turns the tear below into a detected
 	// rollback rather than an honest torn tail.
 	s.Crash()
-	// Chop the newest segment mid-record: a torn frame, as a crash during
-	// a write would leave.
+	// Tear the 5th record: the sector holding its second part never
+	// reached the disk, so that part still reads as the zero fill, as a
+	// crash during its flush would leave it.
 	segs, _ := filepath.Glob(filepath.Join(dir, segPrefix+"*"))
 	if len(segs) != 1 {
 		t.Fatalf("want 1 segment, have %d", len(segs))
 	}
-	info, _ := os.Stat(segs[0])
-	if err := os.Truncate(segs[0], info.Size()-5); err != nil {
+	data, _ := os.ReadFile(segs[0])
+	spans := frameSpans(data)
+	if len(spans) != 5 {
+		t.Fatalf("segment holds %d frames, want 5", len(spans))
+	}
+	from, end := (spans[4][0]/sectorSize+1)*sectorSize, spans[4][1]
+	if from >= end {
+		t.Fatalf("5th frame [%d, %d) does not cross a sector boundary", spans[4][0], end)
+	}
+	clear(data[from:end])
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2, rec, err := Open(dir, syncOpts(nil))

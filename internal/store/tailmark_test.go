@@ -54,10 +54,10 @@ func TestTailRollbackSegmentDeleted(t *testing.T) {
 	}
 }
 
-// TestTailRollbackTruncatedSegment: chopping bytes off the newest segment
-// normally reads as the torn tail of an honest crash and is silently
-// dropped. The marker turns that into a detected rollback: the dropped
-// records were proven durable, so an honest crash cannot have lost them.
+// TestTailRollbackTruncatedSegment: cutting whole records off the newest
+// segment normally reads as an honest crash that lost an unsynced flush.
+// The marker turns that into a detected rollback: the dropped records were
+// proven durable, so an honest crash cannot have lost them.
 func TestTailRollbackTruncatedSegment(t *testing.T) {
 	dir, sealer := tamperSetup(t)
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*"))
@@ -65,11 +65,15 @@ func TestTailRollbackTruncatedSegment(t *testing.T) {
 		t.Fatalf("globbing segments: %v (%d found)", err, len(segs))
 	}
 	seg := segs[len(segs)-1]
-	fi, err := os.Stat(seg)
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(seg, fi.Size()-10); err != nil {
+	spans := frameSpans(data)
+	if len(spans) < 2 {
+		t.Fatalf("newest segment holds %d frames, want at least 2", len(spans))
+	}
+	if err := os.Truncate(seg, int64(spans[len(spans)-2][0])); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err = Open(dir, syncOpts(sealer))

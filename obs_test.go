@@ -204,6 +204,43 @@ func TestMetricsEndpointScrapeCluster(t *testing.T) {
 	}
 }
 
+// TestMetricsWALSyncSeconds: the time a replica's stores spend in their
+// flushes is exported beside the fsync count, per compartment, and
+// advances with every barrier.
+func TestMetricsWALSyncSeconds(t *testing.T) {
+	cluster, err := splitbft.NewCluster(4,
+		splitbft.WithKeySeed([]byte("wal-sync-metric")),
+		splitbft.WithPersistence(t.TempDir()),
+		splitbft.WithObservability(),
+		splitbft.WithBatchSize(1),
+		splitbft.WithNetworkSeed(44),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	cl, err := cluster.NewClient(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const series = `splitbft_wal_sync_seconds_total{compartment="preparation"}`
+	var last float64
+	for i := 0; i < 2; i++ {
+		if _, err := cl.Put("wal-key", []byte{byte('a' + i)}); err != nil {
+			t.Fatal(err)
+		}
+		// The primary's Preparation flushed before its proposal left.
+		v, ok := metricValue(t, cluster.Node(0), series)
+		if !ok || v <= last {
+			t.Fatalf("after Put %d: %s = %v (present=%v), was %v", i, series, v, ok, last)
+		}
+		last = v
+	}
+	if v, ok := metricValue(t, cluster.Node(0), `splitbft_wal_fsyncs_total{compartment="preparation"}`); !ok || v < 2 {
+		t.Fatalf("splitbft_wal_fsyncs_total = %v (present=%v), want >= 2", v, ok)
+	}
+}
+
 // TestTraceSpanChainAcrossViewChange forces a view change by partitioning
 // the view-0 primary and requires the write that crossed the view change
 // to surface as a complete span chain on the NEW primary — the span began
